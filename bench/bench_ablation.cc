@@ -80,8 +80,9 @@ void RunStQueries(benchmark::State& state, Setup* setup) {
     TimestampMs t0 = TimePeriodStart(
         TimePeriodNumber(setup->centers.times[i], kMillisPerDay),
         kMillisPerDay);
-    auto result = setup->engine->StRangeQuery("ab", "orders", box, t0,
-                                              t0 + kMillisPerDay - 1);
+    auto result = setup->engine->Query(
+        "ab", "orders",
+        core::QuerySpec::StRange(box, t0, t0 + kMillisPerDay - 1));
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;

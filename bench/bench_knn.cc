@@ -22,7 +22,8 @@ void RunJustKnn(benchmark::State& state, Dataset dataset, Variant variant,
   for (auto _ : state) {
     const geo::Point& q =
         fx->centers.centers[qi++ % fx->centers.centers.size()];
-    auto result = fx->engine->KnnQuery(fx->user, fx->table, q, k);
+    auto result = fx->engine->Query(fx->user, fx->table,
+                                    core::QuerySpec::Knn(q, k));
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;

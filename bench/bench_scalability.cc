@@ -35,7 +35,8 @@ void BM_SyntheticSpatial(benchmark::State& state) {
   for (auto _ : state) {
     geo::Mbr box = geo::SquareWindowKm(
         fx->centers.centers[qi++ % fx->centers.centers.size()], kWindowKm);
-    auto result = fx->engine->SpatialRangeQuery(fx->user, fx->table, box);
+    auto result = fx->engine->Query(fx->user, fx->table,
+                                    core::QuerySpec::SpatialRange(box));
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -55,8 +56,9 @@ void BM_SyntheticSt(benchmark::State& state) {
     // set is size-independent — the flat line of Fig 14b.
     TimestampMs t0 = TimePeriodStart(
         TimePeriodNumber(fx->centers.times[i], kMillisPerDay), kMillisPerDay);
-    auto result = fx->engine->StRangeQuery(fx->user, fx->table, box, t0,
-                                           t0 + kMillisPerDay - 1);
+    auto result = fx->engine->Query(
+        fx->user, fx->table,
+        core::QuerySpec::StRange(box, t0, t0 + kMillisPerDay - 1));
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -72,7 +74,8 @@ void BM_SyntheticKnn(benchmark::State& state) {
   for (auto _ : state) {
     const geo::Point& q =
         fx->centers.centers[qi++ % fx->centers.centers.size()];
-    auto result = fx->engine->KnnQuery(fx->user, fx->table, q, kK);
+    auto result = fx->engine->Query(fx->user, fx->table,
+                                    core::QuerySpec::Knn(q, kK));
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;

@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "obs/metrics.h"
 
 namespace just::bench {
 namespace {
@@ -20,16 +21,20 @@ void RunJustQueries(benchmark::State& state, Dataset dataset, Variant variant,
   Fixture* fx = GetFixture(dataset, pct, variant);
   size_t qi = 0;
   size_t results = 0;
-  uint64_t io_before = kv::GlobalIoStats().bytes_read;
+  auto bytes_read = [] {
+    return obs::Registry::Global().CounterValue("just_kv_bytes_read_total");
+  };
+  uint64_t io_before = bytes_read();
   for (auto _ : state) {
     geo::Mbr box = geo::SquareWindowKm(
         fx->centers.centers[qi++ % fx->centers.centers.size()], window_km);
-    auto result = fx->engine->SpatialRangeQuery(fx->user, fx->table, box);
+    auto result = fx->engine->Query(fx->user, fx->table,
+                                    core::QuerySpec::SpatialRange(box));
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
     }
-    results += result->num_rows();
+    results += exec::BatchesActiveRows(*result);
     benchmark::DoNotOptimize(result);
   }
   double iters = static_cast<double>(std::max<int64_t>(1, state.iterations()));
@@ -37,7 +42,7 @@ void RunJustQueries(benchmark::State& state, Dataset dataset, Variant variant,
   // The Fig 11b/11d mechanism: compression cuts bytes read from the store.
   // (Wall-clock benefits require a cold cache; see EXPERIMENTS.md.)
   state.counters["io_KB_per_query"] =
-      static_cast<double>(kv::GlobalIoStats().bytes_read - io_before) /
+      static_cast<double>(bytes_read() - io_before) /
       1024.0 / iters;
 }
 

@@ -96,9 +96,10 @@ RefineSetup* GetRefineSetup() {
   static RefineSetup* setup = [] {
     Fixture* fx = GetFixture(Dataset::kOrder, 100, Variant::kJust);
     auto* s = new RefineSetup();
-    auto frame = fx->engine->FullScan(fx->user, fx->table);
-    if (!frame.ok()) std::abort();
-    s->frame = std::move(frame).value();
+    auto meta = fx->engine->DescribeTable(fx->user, fx->table);
+    auto batches = fx->engine->Query(fx->user, fx->table, core::QuerySpec{});
+    if (!meta.ok() || !batches.ok()) std::abort();
+    s->frame = exec::BatchesToDataFrame(meta->MakeSchema(), *batches);
     s->batches = exec::BatchesFromDataFrame(s->frame);
 
     TimestampMs cutoff =
@@ -160,8 +161,8 @@ void BM_RefineVectorized(benchmark::State& state) {
       static_cast<double>(kept) / static_cast<double>(s->frame.num_rows());
 }
 
-// End-to-end SQL with the same residual shape, through both executors.
-void BM_RefineEndToEnd(benchmark::State& state, bool interpreted) {
+// End-to-end SQL with the same residual shape, through the executor.
+void BM_RefineEndToEnd(benchmark::State& state) {
   Fixture* fx = GetFixture(Dataset::kOrder, 100, Variant::kJust);
   RefineSetup* s = GetRefineSetup();
   sql::Analyzer analyzer(fx->engine.get(), fx->user);
@@ -175,8 +176,7 @@ void BM_RefineEndToEnd(benchmark::State& state, bool interpreted) {
     state.SkipWithError(optimized.status().ToString().c_str());
     return;
   }
-  sql::Executor executor(fx->engine.get(), fx->user,
-                         sql::ExecOptions{.force_interpreted = interpreted});
+  sql::Executor executor(fx->engine.get(), fx->user);
   size_t rows = 0;
   for (auto _ : state) {
     auto frame = executor.Execute(**optimized);
@@ -206,14 +206,8 @@ int main(int argc, char** argv) {
                                BM_UnoptimizedExecution);
   benchmark::RegisterBenchmark("Refine/RowAtATime", BM_RefineRowAtATime);
   benchmark::RegisterBenchmark("Refine/Vectorized", BM_RefineVectorized);
-  benchmark::RegisterBenchmark("Refine/EndToEnd/Interpreted",
-                               [](benchmark::State& s) {
-                                 BM_RefineEndToEnd(s, true);
-                               });
   benchmark::RegisterBenchmark("Refine/EndToEnd/Vectorized",
-                               [](benchmark::State& s) {
-                                 BM_RefineEndToEnd(s, false);
-                               });
+                               BM_RefineEndToEnd);
   just::bench::RunBenchmarks(argc, argv);
 
   // Print the Figure 8 plans.

@@ -37,13 +37,14 @@ void RunJustStQueries(benchmark::State& state, Dataset dataset,
     // ("from 01:00 to 13:00 in one day"); the end is exclusive so a 1-day
     // window stays within one Z2T period.
     t0 = TimePeriodStart(TimePeriodNumber(t0, kMillisPerDay), kMillisPerDay);
-    auto result = fx->engine->StRangeQuery(fx->user, fx->table, box, t0,
-                                           t0 + time_window_ms - 1);
+    auto result = fx->engine->Query(
+        fx->user, fx->table,
+        core::QuerySpec::StRange(box, t0, t0 + time_window_ms - 1));
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
     }
-    results += result->num_rows();
+    results += exec::BatchesActiveRows(*result);
     benchmark::DoNotOptimize(result);
   }
   state.counters["avg_rows"] =

@@ -109,12 +109,15 @@ int main() {
   if (explain.ok()) std::printf("%s\n", explain->c_str());
 
   std::printf("== 6. Cursor-style results (Figure 2's data flow) ==\n\n");
-  auto frame = (*engine)->FullScan("demo", "orders");
-  if (frame.ok()) {
+  auto orders_meta = (*engine)->DescribeTable("demo", "orders");
+  auto batches = (*engine)->Query("demo", "orders", just::core::QuerySpec{});
+  if (orders_meta.ok() && batches.ok()) {
     just::core::ResultSet::Options rs_options;
     rs_options.direct_row_limit = 100;  // force the multi-part path
     rs_options.spill_dir = "/tmp/just_quickstart/spill";
-    auto rs = just::core::ResultSet::Make(std::move(*frame), rs_options);
+    auto rs = just::core::ResultSet::Make(
+        just::exec::BatchesToDataFrame(orders_meta->MakeSchema(), *batches),
+        rs_options);
     if (rs.ok()) {
       size_t n = 0;
       while ((*rs)->HasNext() && (*rs)->Next().ok()) ++n;

@@ -98,6 +98,9 @@ int main() {
       just::ParseTimestamp("2018-10-01").value();
   just::TimestampMs week_end = week_start + 31 * just::kMillisPerDay;
 
+  auto orders_meta = (*engine)->DescribeTable(user, "orders");
+  if (!orders_meta.ok()) return 1;
+  auto orders_schema = orders_meta->MakeSchema();
   std::vector<std::vector<BlockIndicators>> blocks(
       kBlocks, std::vector<BlockIndicators>(kBlocks));
   int total_in_district = 0;
@@ -106,11 +109,14 @@ int main() {
       double lng = district_center.lng + (bx - kBlocks / 2) * kBlockKm / 85.0;
       double lat = district_center.lat + (by - kBlocks / 2) * kBlockKm / 111.0;
       auto box = just::geo::SquareWindowKm({lng, lat}, kBlockKm);
-      auto rows = (*engine)->StRangeQuery(user, "orders", box, week_start,
-                                          week_end);
-      if (!rows.ok()) continue;
+      auto batches = (*engine)->Query(
+          user, "orders",
+          just::core::QuerySpec::StRange(box, week_start, week_end));
+      if (!batches.ok()) continue;
+      just::exec::DataFrame rows =
+          just::exec::BatchesToDataFrame(orders_schema, *batches);
       BlockIndicators& cell = blocks[bx][by];
-      for (const auto& row : rows->rows()) {
+      for (const auto& row : rows.rows()) {
         ++cell.orders;
         ++total_in_district;
         just::TimestampMs t = row[1].timestamp_value();

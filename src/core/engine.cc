@@ -50,7 +50,35 @@ Result<std::unique_ptr<JustEngine>> JustEngine::Open(
           engine->PurgeIndexKeySpace(table.table_id, def.slot));
     }
   }
+  JUST_RETURN_NOT_OK(engine->UpgradeLegacyAttrIndexes());
   return engine;
+}
+
+Status JustEngine::UpgradeLegacyAttrIndexes() {
+  for (const meta::TableMeta& table : catalog_->AllTables()) {
+    const std::vector<std::string>& legacy = table.legacy_attr_columns;
+    if (legacy.empty()) continue;
+    for (size_t i = 0; i < legacy.size(); ++i) {
+      // A ready index on the column means an earlier (crashed) upgrade or
+      // the user already built one; a `building` leftover was dropped above.
+      JUST_ASSIGN_OR_RETURN(auto current,
+                            catalog_->GetTable(table.user, table.name));
+      if (current.ColumnIndex(legacy[i]) >= 0 &&
+          current.ReadySecondaryIndexOn(legacy[i]) == nullptr) {
+        std::string name = "attr_" + legacy[i];
+        while (current.FindSecondaryIndex(name) != nullptr) name += "_";
+        JUST_RETURN_NOT_OK(
+            CreateIndex(table.user, table.name, name, legacy[i]));
+      }
+      JUST_RETURN_NOT_OK(PurgeIndexKeySpace(
+          table.table_id, static_cast<uint32_t>(table.indexes.size() + i)));
+    }
+    // The purge must be durable before the catalog forgets the slots.
+    JUST_RETURN_NOT_OK(cluster_->FlushAll());
+    JUST_RETURN_NOT_OK(
+        catalog_->ClearLegacyAttrColumns(table.user, table.name));
+  }
+  return Status::OK();
 }
 
 void JustEngine::ApplyDefaultIndexes(meta::TableMeta* table) {
@@ -111,6 +139,21 @@ Status JustEngine::CreateTable(meta::TableMeta table) {
     }
   }
   ApplyDefaultIndexes(&table);
+  // Declared secondary indexes (USERDATA 'just.attr.indexes') start ready:
+  // the table is empty, so there is nothing to backfill. Their slots follow
+  // the curve-index slots.
+  table.next_index_slot = static_cast<uint32_t>(table.indexes.size());
+  for (meta::SecondaryIndexDef& def : table.secondary_indexes) {
+    if (table.ColumnIndex(def.column) < 0) {
+      return Status::InvalidArgument("no such column to index: " +
+                                     def.column);
+    }
+    if (table.FindSecondaryIndex(def.name) != &def) {
+      return Status::InvalidArgument("index already exists: " + def.name);
+    }
+    def.slot = table.next_index_slot++;
+    def.state = meta::IndexState::kReady;
+  }
   return catalog_->CreateTable(&table);
 }
 
@@ -132,12 +175,11 @@ Status JustEngine::DropTable(const std::string& user,
     std::lock_guard<std::mutex> lock(mu_);
     table_cache_.erase(ViewKey(user, name));
   }
-  // Delete the table's key spaces: SFC and attribute slots, plus every
-  // secondary-index slot ever assigned (slots are monotonic, so sweeping up
-  // to next_index_slot also clears orphans a crashed DROP INDEX left).
-  size_t total_slots =
-      std::max<size_t>(table_meta.indexes.size() + table_meta.attr_indexes.size(),
-                       table_meta.next_index_slot);
+  // Delete the table's key spaces: SFC slots plus every secondary-index
+  // slot ever assigned (slots are monotonic, so sweeping up to
+  // next_index_slot also clears orphans a crashed DROP INDEX left).
+  size_t total_slots = std::max<size_t>(table_meta.indexes.size(),
+                                        table_meta.next_index_slot);
   for (size_t slot = 0; slot < total_slots; ++slot) {
     JUST_RETURN_NOT_OK(PurgeIndexKeySpace(table_meta.table_id,
                                           static_cast<uint32_t>(slot)));
@@ -196,12 +238,13 @@ Status JustEngine::CreateIndex(const std::string& user,
   meta::SecondaryIndexDef def;
   def.name = index_name;
   def.column = column;
-  // Secondary slots live above the SFC + attribute slots and are monotonic
-  // (never reused after a drop), so stale entries of a dropped index can
-  // never alias a live one.
+  // Secondary slots live above the SFC slots (and any legacy attribute
+  // slots an upgrade is still retiring) and are monotonic (never reused
+  // after a drop), so stale entries of a dropped index can never alias a
+  // live one.
   def.slot = std::max<uint32_t>(
       static_cast<uint32_t>(table_meta.indexes.size() +
-                            table_meta.attr_indexes.size()),
+                            table_meta.legacy_attr_columns.size()),
       table_meta.next_index_slot);
   def.state = meta::IndexState::kBuilding;
   JUST_RETURN_NOT_OK(catalog_->AddIndex(user, table, def));
@@ -243,19 +286,21 @@ Status JustEngine::BuildIndex(const std::string& user, const std::string& table,
   // Backfill from a scan of the base rows (slot 0). Concurrent writers are
   // untouched: they dual-write the index directly and mirror those ops into
   // the journal, whose FIFO replay below wins over any backfill put raced.
-  JUST_ASSIGN_OR_RETURN(auto frame, bound->FullScan());
+  JUST_ASSIGN_OR_RETURN(auto batches, bound->Query(QuerySpec{}));
   size_t chunk_rows = std::max<size_t>(1, options_.index_build_batch_rows);
   std::vector<kv::WriteOp> chunk;
   chunk.reserve(chunk_rows);
-  for (const exec::Row& row : frame.rows()) {
-    JUST_ASSIGN_OR_RETURN(auto op,
-                          bound->MakeSecondaryEntryOp(def, row, false));
-    chunk.push_back(std::move(op));
-    if (chunk.size() >= chunk_rows) {
-      size_t n = chunk.size();
-      JUST_RETURN_NOT_OK(cluster_->WriteBatch(std::move(chunk)));
-      build_rows->Add(n);
-      chunk.clear();
+  for (const exec::ColumnBatch& batch : batches) {
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      JUST_ASSIGN_OR_RETURN(auto op, bound->MakeSecondaryEntryOp(
+                                         def, batch.MaterializeRow(r), false));
+      chunk.push_back(std::move(op));
+      if (chunk.size() >= chunk_rows) {
+        size_t n = chunk.size();
+        JUST_RETURN_NOT_OK(cluster_->WriteBatch(std::move(chunk)));
+        build_rows->Add(n);
+        chunk.clear();
+      }
     }
   }
   if (!chunk.empty()) {
@@ -276,6 +321,9 @@ Status JustEngine::BuildIndex(const std::string& user, const std::string& table,
     JUST_RETURN_NOT_OK(cluster_->WriteBatch(std::move(ops)));
     build_rows->Add(n);
   }
+  // The catalog is durable on its own; make the entries durable before it
+  // says `ready`, so power loss cannot leave a ready index missing rows.
+  JUST_RETURN_NOT_OK(cluster_->FlushAll());
   return catalog_->SetIndexState(user, table, def.name,
                                  meta::IndexState::kReady);
 }
@@ -383,144 +431,27 @@ Status JustEngine::Replace(const std::string& user, const std::string& table,
   return bound->Replace(old_row, new_row);
 }
 
-Status JustEngine::AdmitScan(const std::string& user) const {
-  return quota_->AdmitScan(user);
-}
-
-void JustEngine::ChargeScan(const std::string& user,
-                            const QueryStats* stats) const {
-  if (stats != nullptr && stats->bytes_scanned > 0) {
-    quota_->ChargeScanBytes(user, stats->bytes_scanned);
+Result<exec::BatchVector> JustEngine::Query(const std::string& user,
+                                            const std::string& table,
+                                            const QuerySpec& spec,
+                                            QueryStats* stats,
+                                            const ScanBudget* budget) {
+  // Post-paid scan quota: admission only refuses tenants already in debt;
+  // the bytes actually read are debited afterwards (a scan's size is
+  // unknowable up front).
+  JUST_RETURN_NOT_OK(quota_->AdmitScan(user));
+  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
+  QueryStats scanned;
+  auto result = bound->Query(spec, &scanned, budget);
+  if (scanned.bytes_scanned > 0) {
+    quota_->ChargeScanBytes(user, scanned.bytes_scanned);
   }
-}
-
-Result<exec::DataFrame> JustEngine::SpatialRangeQuery(const std::string& user,
-                                                      const std::string& table,
-                                                      const geo::Mbr& box,
-                                                      QueryStats* stats) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->SpatialRangeQuery(box, stats);
-  ChargeScan(user, stats);
-  return result;
-}
-
-Result<exec::DataFrame> JustEngine::StRangeQuery(
-    const std::string& user, const std::string& table, const geo::Mbr& box,
-    TimestampMs t_min, TimestampMs t_max, QueryStats* stats) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->StRangeQuery(box, t_min, t_max, stats);
-  ChargeScan(user, stats);
-  return result;
-}
-
-Result<exec::DataFrame> JustEngine::KnnQuery(const std::string& user,
-                                             const std::string& table,
-                                             const geo::Point& q, int k,
-                                             QueryStats* stats) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->KnnQuery(q, k, stats);
-  ChargeScan(user, stats);
-  return result;
-}
-
-Result<exec::DataFrame> JustEngine::FullScan(const std::string& user,
-                                             const std::string& table) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  return bound->FullScan();
-}
-
-Result<exec::DataFrame> JustEngine::AttributeQuery(const std::string& user,
-                                                   const std::string& table,
-                                                   const std::string& column,
-                                                   const exec::Value& value,
-                                                   QueryStats* stats) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->AttributeQuery(column, value, stats);
-  ChargeScan(user, stats);
-  return result;
-}
-
-Result<exec::BatchVector> JustEngine::SpatialRangeQueryBatch(
-    const std::string& user, const std::string& table, const geo::Mbr& box,
-    QueryStats* stats, const ScanBudget* budget) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->SpatialRangeQueryBatch(box, stats, budget);
-  ChargeScan(user, stats);
-  return result;
-}
-
-Result<exec::BatchVector> JustEngine::StRangeQueryBatch(
-    const std::string& user, const std::string& table, const geo::Mbr& box,
-    TimestampMs t_min, TimestampMs t_max, QueryStats* stats,
-    const ScanBudget* budget) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->StRangeQueryBatch(box, t_min, t_max, stats, budget);
-  ChargeScan(user, stats);
-  return result;
-}
-
-Result<exec::BatchVector> JustEngine::FullScanBatch(const std::string& user,
-                                                    const std::string& table,
-                                                    QueryStats* stats,
-                                                    const ScanBudget* budget) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->FullScanBatch(stats, budget);
-  ChargeScan(user, stats);
-  return result;
-}
-
-Result<exec::BatchVector> JustEngine::AttributeQueryBatch(
-    const std::string& user, const std::string& table,
-    const std::string& column, const exec::Value& value, QueryStats* stats) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->AttributeQueryBatch(column, value, stats);
-  ChargeScan(user, stats);
-  return result;
-}
-
-Result<exec::BatchVector> JustEngine::SecondaryIndexQueryBatch(
-    const std::string& user, const std::string& table,
-    const std::string& column, const AttrBound& lower, const AttrBound& upper,
-    const geo::Mbr* box, bool temporal, TimestampMs t_min, TimestampMs t_max,
-    QueryStats* stats, const ScanBudget* budget) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  const meta::SecondaryIndexDef* def =
-      bound->meta().ReadySecondaryIndexOn(column);
-  if (def == nullptr) {
-    return Status::NotFound("no ready secondary index on column: " + column);
+  if (stats != nullptr) {
+    stats->key_ranges += scanned.key_ranges;
+    stats->rows_scanned += scanned.rows_scanned;
+    stats->rows_matched += scanned.rows_matched;
+    stats->bytes_scanned += scanned.bytes_scanned;
   }
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->SecondaryIndexQueryBatch(*def, lower, upper, box,
-                                                temporal, t_min, t_max, stats,
-                                                budget);
-  ChargeScan(user, stats);
   return result;
 }
 

@@ -114,57 +114,15 @@ class JustEngine {
 
   // --- Query operations (Section V-C) ---
 
-  Result<exec::DataFrame> SpatialRangeQuery(const std::string& user,
-                                            const std::string& table,
-                                            const geo::Mbr& box,
-                                            QueryStats* stats = nullptr);
-  Result<exec::DataFrame> StRangeQuery(const std::string& user,
-                                       const std::string& table,
-                                       const geo::Mbr& box, TimestampMs t_min,
-                                       TimestampMs t_max,
-                                       QueryStats* stats = nullptr);
-  Result<exec::DataFrame> KnnQuery(const std::string& user,
-                                   const std::string& table,
-                                   const geo::Point& q, int k,
-                                   QueryStats* stats = nullptr);
-  Result<exec::DataFrame> FullScan(const std::string& user,
-                                   const std::string& table);
-
-  /// Equality lookup via a secondary attribute index (Figure 1's Attribute
-  /// Indexing; configure columns with USERDATA {'just.attr.indexes':'col'}).
-  Result<exec::DataFrame> AttributeQuery(const std::string& user,
-                                         const std::string& table,
-                                         const std::string& column,
-                                         const exec::Value& value,
-                                         QueryStats* stats = nullptr);
-
-  // --- Columnar query variants (see StTable's *Batch methods) ---
-
-  Result<exec::BatchVector> SpatialRangeQueryBatch(
-      const std::string& user, const std::string& table, const geo::Mbr& box,
-      QueryStats* stats = nullptr, const ScanBudget* budget = nullptr);
-  Result<exec::BatchVector> StRangeQueryBatch(
-      const std::string& user, const std::string& table, const geo::Mbr& box,
-      TimestampMs t_min, TimestampMs t_max, QueryStats* stats = nullptr,
-      const ScanBudget* budget = nullptr);
-  Result<exec::BatchVector> FullScanBatch(const std::string& user,
-                                          const std::string& table,
-                                          QueryStats* stats = nullptr,
-                                          const ScanBudget* budget = nullptr);
-  Result<exec::BatchVector> AttributeQueryBatch(const std::string& user,
-                                                const std::string& table,
-                                                const std::string& column,
-                                                const exec::Value& value,
-                                                QueryStats* stats = nullptr);
-  /// Point/range lookup via a `ready` secondary index on `column`
-  /// (optionally intersected with a spatial box and/or time window as a
-  /// covering-value refinement). Fails if no ready index covers the column.
-  Result<exec::BatchVector> SecondaryIndexQueryBatch(
-      const std::string& user, const std::string& table,
-      const std::string& column, const AttrBound& lower,
-      const AttrBound& upper, const geo::Mbr* box, bool temporal,
-      TimestampMs t_min, TimestampMs t_max, QueryStats* stats = nullptr,
-      const ScanBudget* budget = nullptr);
+  /// Runs one query against `table`: the access path and arguments `spec`
+  /// names (see StTable::Query). Admission against the tenant's scan-byte
+  /// quota, the charge of the bytes actually scanned, and the stats all
+  /// happen here; `stats`, when non-null, accumulates this query's counts.
+  Result<exec::BatchVector> Query(const std::string& user,
+                                  const std::string& table,
+                                  const QuerySpec& spec,
+                                  QueryStats* stats = nullptr,
+                                  const ScanBudget* budget = nullptr);
   /// Counts index entries in [lower, upper], stopping at `limit` — the
   /// optimizer's cardinality probe for intersection-path selection.
   Result<size_t> SecondaryIndexProbe(const std::string& user,
@@ -246,12 +204,13 @@ class JustEngine {
   void InvalidateTableAndDrainWriters(const std::string& user,
                                       const std::string& table);
 
-  /// Charges `stats.bytes_scanned` (or the scan-shed decision) to the
-  /// tenant's scan-byte budget around a query body. Post-paid: the admission
-  /// check only refuses tenants already in debt, the actual bytes are
-  /// debited afterwards (a scan's size is unknowable up front).
-  Status AdmitScan(const std::string& user) const;
-  void ChargeScan(const std::string& user, const QueryStats* stats) const;
+  /// Converts the equality-only attribute indexes of catalogs written
+  /// before secondary indexes existed (`legacy_attr_columns`) into ready
+  /// secondary indexes: rebuilds each through CreateIndex at a slot above
+  /// the legacy slots, purges the legacy slot, then rewrites the catalog
+  /// without them. Every step is idempotent, so a crash anywhere converges
+  /// on the next Open (a half-built index is dropped and rebuilt).
+  Status UpgradeLegacyAttrIndexes();
 
   EngineOptions options_;
   std::unique_ptr<meta::Catalog> catalog_;

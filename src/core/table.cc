@@ -45,16 +45,6 @@ std::string PrefixSuccessor(std::string s) {
   return s;  // empty: no upper bound
 }
 
-/// Attribute-index cell: the serialized value, length-prefixed so the fid
-/// suffix is unambiguous.
-std::string EncodeAttrKeyPart(const exec::Value& value) {
-  std::string encoded;
-  value.SerializeTo(&encoded);
-  std::string out;
-  PutLengthPrefixed(&out, encoded);
-  return out;
-}
-
 /// Appends `s` with every 0x00 escaped as 0x00 0xFF, then a 0x00 0x01
 /// terminator: lexicographic order over the escaped bytes matches the order
 /// of the raw strings, and the terminator keeps values prefix-free so the
@@ -212,27 +202,14 @@ Status StTable::AppendWriteOps(const exec::Row& row, bool delete_instead,
   if (!delete_instead) {
     JUST_ASSIGN_OR_RETURN(value, EncodeRow(meta_, row));
   }
+  const int shard = strategies_.empty() ? 0 : strategies_[0]->ShardOf(ref.fid);
   for (size_t slot = 0; slot < strategies_.size(); ++slot) {
     std::string key = WrapKey(slot, strategies_[slot]->EncodeKey(ref));
     ops->push_back(kv::WriteOp{std::move(key), value, delete_instead});
   }
-  // Secondary attribute indexes: shard :: table/slot :: value :: fid.
-  int shard = strategies_.empty()
-                  ? 0
-                  : strategies_[0]->ShardOf(ref.fid);
-  for (size_t a = 0; a < meta_.attr_indexes.size(); ++a) {
-    int col = meta_.ColumnIndex(meta_.attr_indexes[a]);
-    if (col < 0) continue;
-    std::string key(1, static_cast<char>(shard));
-    key += IndexPrefix(AttrSlot(a));
-    key += EncodeAttrKeyPart(row[col]);
-    key += ref.fid;
-    ops->push_back(kv::WriteOp{std::move(key), value, delete_instead});
-    IdxEntriesWrittenCounter()->Add(1);
-  }
-  // CREATE INDEX secondary indexes: same shard as the base row (index
-  // lookups stay shard-local), order-preserving value encoding, covering
-  // row value. Ops for a `building` index are mirrored into the build's
+  // Secondary indexes: shard :: table/slot :: value :: fid, on the same
+  // shard as the base row (index lookups stay shard-local), with an
+  // order-preserving value encoding and the covering row as the value. Ops for a `building` index are mirrored into the build's
   // catch-up journal *before* the storage write (see IndexBuildJournal).
   for (const meta::SecondaryIndexDef& def : meta_.secondary_indexes) {
     int col = meta_.ColumnIndex(def.column);
@@ -289,13 +266,6 @@ Status StTable::WriteKeys(const exec::Row& row, bool delete_instead) {
   JUST_RETURN_NOT_OK(AppendWriteOps(row, delete_instead, &ops));
   MirrorOpsToBuildJournals(ops);
   return cluster_->WriteBatch(std::move(ops));
-}
-
-bool StTable::HasAttributeIndex(const std::string& column) const {
-  for (const std::string& indexed : meta_.attr_indexes) {
-    if (indexed == column) return true;
-  }
-  return false;
 }
 
 Result<exec::BatchVector> StTable::ScanRangesToBatches(
@@ -387,45 +357,6 @@ Result<exec::BatchVector> StTable::ScanRangesToBatches(
   return batches;
 }
 
-Result<exec::BatchVector> StTable::AttributeQueryBatch(
-    const std::string& column, const exec::Value& value,
-    QueryStats* stats) const {
-  size_t attr_pos = meta_.attr_indexes.size();
-  for (size_t a = 0; a < meta_.attr_indexes.size(); ++a) {
-    if (meta_.attr_indexes[a] == column) attr_pos = a;
-  }
-  if (attr_pos == meta_.attr_indexes.size()) {
-    return Status::InvalidArgument("no attribute index on column " + column);
-  }
-  std::vector<curve::KeyRange> ranges;
-  std::string value_part = EncodeAttrKeyPart(value);
-  for (int shard = 0; shard < num_shards(); ++shard) {
-    curve::KeyRange range;
-    range.start.push_back(static_cast<char>(shard));
-    range.start += IndexPrefix(AttrSlot(attr_pos));
-    range.start += value_part;
-    range.end = PrefixSuccessor(range.start);
-    ranges.push_back(std::move(range));
-  }
-  int col = meta_.ColumnIndex(column);
-  // Exact recheck of the indexed column (the key encoding is injective, but
-  // stay defensive), as a column loop over each full batch.
-  auto refine = [col, &value](exec::ColumnBatch* batch) {
-    if (col < 0 || batch->num_rows() == 0) return;
-    const exec::ColumnVector& c = batch->column(static_cast<size_t>(col));
-    std::vector<uint32_t> sel;
-    sel.reserve(batch->num_rows());
-    for (uint32_t row = 0; row < batch->num_rows(); ++row) {
-      if (c.ValueAt(row).Equals(value)) sel.push_back(row);
-    }
-    batch->SetSelection(std::move(sel));
-  };
-  return ScanRangesToBatches(ranges, refine, stats, /*budget=*/nullptr,
-                             /*dedupe_keys=*/false, /*fid_offset=*/0,
-                             /*skip_fids=*/nullptr,
-                             /*record_counters=*/true);
-}
-
 std::vector<curve::KeyRange> StTable::SecondaryIndexRanges(
     const meta::SecondaryIndexDef& def, const AttrBound& lower,
     const AttrBound& upper) const {
@@ -455,26 +386,26 @@ std::vector<curve::KeyRange> StTable::SecondaryIndexRanges(
   return ranges;
 }
 
-Result<exec::BatchVector> StTable::SecondaryIndexQueryBatch(
-    const meta::SecondaryIndexDef& def, const AttrBound& lower,
-    const AttrBound& upper, const geo::Mbr* box, bool temporal,
-    TimestampMs t_min, TimestampMs t_max, QueryStats* stats,
-    const ScanBudget* budget) const {
+Result<exec::BatchVector> StTable::SecondaryIndexScan(
+    const meta::SecondaryIndexDef& def, const QuerySpec& spec,
+    QueryStats* stats, const ScanBudget* budget) const {
   int col = meta_.ColumnIndex(def.column);
   if (col < 0) {
     return Status::InvalidArgument("index column not in table: " + def.column);
   }
+  const AttrBound& lower = spec.lower;
+  const AttrBound& upper = spec.upper;
   auto ranges = SecondaryIndexRanges(def, lower, upper);
   IdxLookupsCounter()->Add(1);
-  if (box != nullptr || temporal) IdxIntersectionsCounter()->Add(1);
+  if (spec.have_box || spec.have_time) IdxIntersectionsCounter()->Add(1);
   // Exact recheck of the attribute bounds on the decoded (covering) rows —
   // the numeric key encoding may admit boundary neighbors — composed with
   // spatio-temporal refinement when this is the intersection path.
-  auto refine = [this, col, &lower, &upper, box, temporal, t_min,
-                 t_max](exec::ColumnBatch* batch) {
-    if (box != nullptr || temporal) {
-      RefineBatch(batch, box != nullptr ? *box : geo::Mbr::World(), temporal,
-                  t_min, t_max);
+  auto refine = [this, col, &spec, &lower,
+                 &upper](exec::ColumnBatch* batch) {
+    if (spec.have_box || spec.have_time) {
+      RefineBatch(batch, spec.have_box ? spec.box : geo::Mbr::World(),
+                  spec.have_time, spec.t_min, spec.t_max);
     }
     if (batch->num_rows() == 0) return;
     const exec::ColumnVector& c = batch->column(static_cast<size_t>(col));
@@ -525,14 +456,6 @@ Result<size_t> StTable::SecondaryIndexProbe(const meta::SecondaryIndexDef& def,
         }));
   }
   return count;
-}
-
-Result<exec::DataFrame> StTable::AttributeQuery(const std::string& column,
-                                                const exec::Value& value,
-                                                QueryStats* stats) const {
-  JUST_ASSIGN_OR_RETURN(auto batches, AttributeQueryBatch(column, value,
-                                                          stats));
-  return exec::BatchesToDataFrame(meta_.MakeSchema(), batches);
 }
 
 Status StTable::Insert(const exec::Row& row) {
@@ -669,92 +592,65 @@ void StTable::RefineBatch(exec::ColumnBatch* batch, const geo::Mbr& box,
   batch->SetSelection(std::move(sel));
 }
 
-Result<exec::BatchVector> StTable::RunRangesBatch(
-    const std::vector<curve::KeyRange>& ranges, const geo::Mbr& box,
-    bool temporal, TimestampMs t_min, TimestampMs t_max, QueryStats* stats,
-    int fid_offset, const std::unordered_set<std::string>* skip_fids,
+Result<exec::BatchVector> StTable::Query(const QuerySpec& spec,
+                                         QueryStats* stats,
+                                         const ScanBudget* budget) const {
+  switch (spec.kind) {
+    case QuerySpec::Kind::kKnn:
+      return KnnScan(spec.knn_query, spec.knn_k, stats);
+    case QuerySpec::Kind::kSpatialRange:
+      return CurveRangeScan(spec.box, /*temporal=*/false, 0, 0, stats,
+                            /*skip_fids=*/nullptr, budget);
+    case QuerySpec::Kind::kStRange:
+      return CurveRangeScan(spec.box, /*temporal=*/true, spec.t_min,
+                            spec.t_max, stats, /*skip_fids=*/nullptr, budget);
+    case QuerySpec::Kind::kTemporalRange:
+      // Temporal-only: whole-earth spatio-temporal query.
+      return CurveRangeScan(geo::Mbr::World(), /*temporal=*/true, spec.t_min,
+                            spec.t_max, stats, /*skip_fids=*/nullptr, budget);
+    case QuerySpec::Kind::kSecondaryIndex:
+    case QuerySpec::Kind::kIndexIntersection: {
+      const meta::SecondaryIndexDef* def =
+          meta_.ReadySecondaryIndexOn(spec.index_column);
+      if (def == nullptr) {
+        return Status::NotFound("no ready secondary index on column: " +
+                                spec.index_column);
+      }
+      return SecondaryIndexScan(*def, spec, stats, budget);
+    }
+    case QuerySpec::Kind::kFullScan:
+      return FullScanBatches(stats, budget);
+  }
+  return Status::Internal("bad query kind");
+}
+
+Result<exec::BatchVector> StTable::CurveRangeScan(
+    const geo::Mbr& box, bool temporal, TimestampMs t_min, TimestampMs t_max,
+    QueryStats* stats, const std::unordered_set<std::string>* skip_fids,
     const ScanBudget* budget) const {
+  JUST_ASSIGN_OR_RETURN(const curve::IndexStrategy* strategy,
+                        PickIndex(temporal));
+  size_t slot = 0;
+  for (size_t i = 0; i < strategies_.size(); ++i) {
+    if (strategies_[i].get() == strategy) slot = i;
+  }
+  auto ranges = WrapRanges(
+      slot, temporal ? strategy->QueryRanges(box, t_min, t_max)
+                     : strategy->QueryRanges(box, INT64_MIN, INT64_MAX));
   auto refine = [this, &box, temporal, t_min, t_max](exec::ColumnBatch* b) {
     RefineBatch(b, box, temporal, t_min, t_max);
   };
-  return ScanRangesToBatches(ranges, refine, stats, budget,
-                             /*dedupe_keys=*/true, fid_offset, skip_fids,
-                             /*record_counters=*/true);
-}
-
-Result<exec::DataFrame> StTable::RunRanges(
-    const std::vector<curve::KeyRange>& ranges, const geo::Mbr& box,
-    bool temporal, TimestampMs t_min, TimestampMs t_max, QueryStats* stats,
-    int fid_offset, const std::unordered_set<std::string>* skip_fids) const {
-  JUST_ASSIGN_OR_RETURN(
-      auto batches, RunRangesBatch(ranges, box, temporal, t_min, t_max,
-                                   stats, fid_offset, skip_fids));
-  return exec::BatchesToDataFrame(meta_.MakeSchema(), batches);
-}
-
-Result<exec::DataFrame> StTable::SpatialRangeQuery(const geo::Mbr& box,
-                                                   QueryStats* stats) const {
-  return SpatialRangeQueryInternal(box, stats, nullptr);
-}
-
-Result<exec::BatchVector> StTable::SpatialRangeQueryBatch(
-    const geo::Mbr& box, QueryStats* stats, const ScanBudget* budget) const {
-  return SpatialRangeQueryInternalBatch(box, stats, nullptr, budget);
-}
-
-Result<exec::BatchVector> StTable::SpatialRangeQueryInternalBatch(
-    const geo::Mbr& box, QueryStats* stats,
-    const std::unordered_set<std::string>* skip_fids,
-    const ScanBudget* budget) const {
-  JUST_ASSIGN_OR_RETURN(const curve::IndexStrategy* strategy,
-                        PickIndex(/*temporal=*/false));
-  size_t slot = 0;
-  for (size_t i = 0; i < strategies_.size(); ++i) {
-    if (strategies_[i].get() == strategy) slot = i;
-  }
-  auto ranges = WrapRanges(slot, strategy->QueryRanges(box, INT64_MIN,
-                                                       INT64_MAX));
   // Table/index prefix (5 bytes) is spliced in after the shard byte.
-  int fid_offset = strategy->FidOffset() + 5;
-  return RunRangesBatch(ranges, box, /*temporal=*/false, 0, 0, stats,
-                        fid_offset, skip_fids, budget);
+  return ScanRangesToBatches(ranges, refine, stats, budget,
+                             /*dedupe_keys=*/true, strategy->FidOffset() + 5,
+                             skip_fids, /*record_counters=*/true);
 }
 
-Result<exec::DataFrame> StTable::SpatialRangeQueryInternal(
-    const geo::Mbr& box, QueryStats* stats,
-    const std::unordered_set<std::string>* skip_fids) const {
-  JUST_ASSIGN_OR_RETURN(
-      auto batches, SpatialRangeQueryInternalBatch(box, stats, skip_fids));
-  return exec::BatchesToDataFrame(meta_.MakeSchema(), batches);
-}
-
-Result<exec::BatchVector> StTable::StRangeQueryBatch(
-    const geo::Mbr& box, TimestampMs t_min, TimestampMs t_max,
-    QueryStats* stats, const ScanBudget* budget) const {
-  JUST_ASSIGN_OR_RETURN(const curve::IndexStrategy* strategy,
-                        PickIndex(/*temporal=*/true));
-  size_t slot = 0;
-  for (size_t i = 0; i < strategies_.size(); ++i) {
-    if (strategies_[i].get() == strategy) slot = i;
-  }
-  auto ranges = WrapRanges(slot, strategy->QueryRanges(box, t_min, t_max));
-  return RunRangesBatch(ranges, box, /*temporal=*/true, t_min, t_max, stats,
-                        strategy->FidOffset() + 5, nullptr, budget);
-}
-
-Result<exec::DataFrame> StTable::StRangeQuery(const geo::Mbr& box,
-                                              TimestampMs t_min,
-                                              TimestampMs t_max,
-                                              QueryStats* stats) const {
-  JUST_ASSIGN_OR_RETURN(auto batches,
-                        StRangeQueryBatch(box, t_min, t_max, stats));
-  return exec::BatchesToDataFrame(meta_.MakeSchema(), batches);
-}
-
-Result<exec::DataFrame> StTable::KnnQuery(const geo::Point& q, int k,
-                                          QueryStats* stats) const {
+Result<exec::BatchVector> StTable::KnnScan(const geo::Point& q, int k,
+                                           QueryStats* stats) const {
   // Algorithm 1. cq: max-heap of (distance, row) keeping the k nearest;
-  // aq: min-heap of areas ordered by dA(q, a) (Eq. 4).
+  // aq: min-heap of areas ordered by dA(q, a) (Eq. 4). Candidates are read
+  // straight off the scanned batches; only rows entering cq materialize.
   struct Candidate {
     double dist;
     exec::Row row;
@@ -776,21 +672,44 @@ Result<exec::DataFrame> StTable::KnnQuery(const geo::Point& q, int k,
   constexpr size_t kMaxAreaQueries = 1024;
   size_t area_queries = 0;
 
-  while (!aq.empty()) {
-    Area a = aq.top();
-    aq.pop();
-    if (static_cast<int>(cq.size()) == k && a.dist > dmax) {
-      break;  // Lemma 1: area pruning
-    }
-    if (area_queries >= kMaxAreaQueries) {
-      JUST_ASSIGN_OR_RETURN(auto all, FullScan());
-      for (const exec::Row& row : all.rows()) {
-        std::string fid =
-            fid_col_ >= 0 ? row[fid_col_].ToString() : std::string();
-        if (!fid.empty() && seen_fids.count(fid) != 0) continue;
+  // Offers every active row of `batches` to cq. Area rows (`track_dmax`)
+  // join seen_fids and move dmax; fallback rows skip fids already seen.
+  auto offer_all = [&](const exec::BatchVector& batches, bool track_dmax) {
+    std::vector<uint32_t> all_rows;
+    for (const exec::ColumnBatch& batch : batches) {
+      const exec::ColumnVector* fcol =
+          fid_col_ >= 0 ? &batch.column(static_cast<size_t>(fid_col_))
+                        : nullptr;
+      const exec::ColumnVector* gcol =
+          geom_col_ >= 0 ? &batch.column(static_cast<size_t>(geom_col_))
+                         : nullptr;
+      if (gcol != nullptr &&
+          gcol->storage() != exec::ColumnVector::Storage::kObject) {
+        gcol = nullptr;  // non-geometry runtime values: distance 0
+      }
+      const std::vector<uint32_t>* rows = &batch.selection();
+      if (!batch.has_selection()) {
+        all_rows.resize(batch.num_rows());
+        for (uint32_t r = 0; r < all_rows.size(); ++r) all_rows[r] = r;
+        rows = &all_rows;
+      }
+      for (uint32_t row : *rows) {
+        std::string fid;
+        if (fcol != nullptr) {
+          fid = fcol->storage() == exec::ColumnVector::Storage::kString &&
+                        !fcol->IsNull(row)
+                    ? fcol->StringAt(row)
+                    : fcol->ValueAt(row).ToString();
+        }
+        if (!fid.empty()) {
+          if (track_dmax ? !seen_fids.insert(std::move(fid)).second
+                         : seen_fids.count(fid) != 0) {
+            continue;
+          }
+        }
         double dist = 0;
-        if (geom_col_ >= 0) {
-          const exec::Value& g = row[geom_col_];
+        if (gcol != nullptr) {
+          const exec::Value& g = gcol->ObjectAt(row);
           if (g.type() == exec::DataType::kGeometry) {
             dist = g.geometry_value().Distance(q);
           } else if (g.type() == exec::DataType::kTrajectory &&
@@ -799,12 +718,27 @@ Result<exec::DataFrame> StTable::KnnQuery(const geo::Point& q, int k,
           }
         }
         if (static_cast<int>(cq.size()) < k) {
-          cq.push(Candidate{dist, row});
+          cq.push(Candidate{dist, batch.MaterializeRow(row)});
         } else if (dist < cq.top().dist) {
           cq.pop();
-          cq.push(Candidate{dist, row});
+          cq.push(Candidate{dist, batch.MaterializeRow(row)});
+        } else {
+          continue;
         }
+        if (track_dmax) dmax = cq.top().dist;
       }
+    }
+  };
+
+  while (!aq.empty()) {
+    Area a = aq.top();
+    aq.pop();
+    if (static_cast<int>(cq.size()) == k && a.dist > dmax) {
+      break;  // Lemma 1: area pruning
+    }
+    if (area_queries >= kMaxAreaQueries) {
+      JUST_ASSIGN_OR_RETURN(auto all, FullScanBatches(stats, nullptr));
+      offer_all(all, /*track_dmax=*/false);
       break;
     }
     if (a.box.Width() > kMinKnnAreaDeg || a.box.Height() > kMinKnnAreaDeg) {
@@ -823,30 +757,9 @@ Result<exec::DataFrame> StTable::KnnQuery(const geo::Point& q, int k,
     }
     ++area_queries;
     JUST_ASSIGN_OR_RETURN(
-        auto partial, SpatialRangeQueryInternal(a.box, stats, &seen_fids));
-    for (const exec::Row& row : partial.rows()) {
-      std::string fid =
-          fid_col_ >= 0 ? row[fid_col_].ToString() : std::string();
-      if (!fid.empty() && !seen_fids.insert(fid).second) continue;
-      double dist = 0;
-      if (geom_col_ >= 0) {
-        const exec::Value& g = row[geom_col_];
-        if (g.type() == exec::DataType::kGeometry) {
-          dist = g.geometry_value().Distance(q);
-        } else if (g.type() == exec::DataType::kTrajectory &&
-                   g.trajectory_value() != nullptr) {
-          dist = g.trajectory_value()->Bounds().MinDistance(q);
-        }
-      }
-      if (static_cast<int>(cq.size()) < k) {
-        cq.push(Candidate{dist, row});
-        dmax = cq.top().dist;
-      } else if (dist < cq.top().dist) {
-        cq.pop();
-        cq.push(Candidate{dist, row});
-        dmax = cq.top().dist;
-      }
-    }
+        auto partial, CurveRangeScan(a.box, /*temporal=*/false, 0, 0, stats,
+                                     &seen_fids, /*budget=*/nullptr));
+    offer_all(partial, /*track_dmax=*/true);
   }
 
   std::vector<exec::Row> rows;
@@ -856,10 +769,18 @@ Result<exec::DataFrame> StTable::KnnQuery(const geo::Point& q, int k,
     cq.pop();
   }
   std::reverse(rows.begin(), rows.end());  // nearest first
-  return exec::DataFrame(meta_.MakeSchema(), std::move(rows));
+  auto schema = meta_.MakeSchema();
+  exec::BatchVector out;
+  for (exec::Row& row : rows) {
+    if (out.empty() || out.back().num_rows() >= exec::kBatchRows) {
+      out.emplace_back(schema);
+    }
+    out.back().AppendRow(std::move(row));
+  }
+  return out;
 }
 
-Result<exec::BatchVector> StTable::FullScanBatch(
+Result<exec::BatchVector> StTable::FullScanBatches(
     QueryStats* stats, const ScanBudget* budget) const {
   if (strategies_.empty()) {
     return Status::InvalidArgument("table " + meta_.name + " has no indexes");
@@ -884,11 +805,6 @@ Result<exec::BatchVector> StTable::FullScanBatch(
                              /*dedupe_keys=*/false, /*fid_offset=*/0,
                              /*skip_fids=*/nullptr,
                              /*record_counters=*/budget != nullptr);
-}
-
-Result<exec::DataFrame> StTable::FullScan() const {
-  JUST_ASSIGN_OR_RETURN(auto batches, FullScanBatch());
-  return exec::BatchesToDataFrame(meta_.MakeSchema(), batches);
 }
 
 }  // namespace just::core

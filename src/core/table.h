@@ -34,6 +34,57 @@ struct AttrBound {
   exec::Value value;
 };
 
+/// What one query asks of a table: the access path plus its arguments. The
+/// SQL planner's sql::AccessPath extends it with the residual predicate, so
+/// the path EXPLAIN prints is the spec the engine runs.
+struct QuerySpec {
+  enum class Kind {
+    kKnn,               ///< Algorithm 1's area expansion around knn_query
+    kStRange,           ///< curve index, box + time window
+    kSpatialRange,      ///< curve index, box only
+    kTemporalRange,     ///< curve index, whole-earth + time window
+    kSecondaryIndex,    ///< secondary index point/range lookup drives alone
+    kIndexIntersection, ///< secondary index drives, spatio-temporal refines
+    kFullScan,
+  };
+
+  Kind kind = Kind::kFullScan;
+  bool have_box = false;
+  geo::Mbr box{};
+  bool have_time = false;
+  TimestampMs t_min = 0, t_max = 0;
+  geo::Point knn_query{};
+  int knn_k = 0;
+  /// kSecondaryIndex / kIndexIntersection: the indexed column + bounds; the
+  /// box and time window refine when have_box / have_time are set.
+  std::string index_column;
+  AttrBound lower, upper;
+
+  static QuerySpec SpatialRange(const geo::Mbr& box) {
+    QuerySpec spec;
+    spec.kind = Kind::kSpatialRange;
+    spec.have_box = true;
+    spec.box = box;
+    return spec;
+  }
+  static QuerySpec StRange(const geo::Mbr& box, TimestampMs t_min,
+                           TimestampMs t_max) {
+    QuerySpec spec = SpatialRange(box);
+    spec.kind = Kind::kStRange;
+    spec.have_time = true;
+    spec.t_min = t_min;
+    spec.t_max = t_max;
+    return spec;
+  }
+  static QuerySpec Knn(const geo::Point& q, int k) {
+    QuerySpec spec;
+    spec.kind = Kind::kKnn;
+    spec.knn_query = q;
+    spec.knn_k = k;
+    return spec;
+  }
+};
+
 /// A row budget threaded down from LIMIT: the scan stops issuing reads once
 /// `limit` rows survive spatio-temporal refinement plus `residual` (the
 /// compiled SQL residual predicate, applied per batch by shrinking its
@@ -122,46 +173,14 @@ class StTable {
   /// stale secondary-index entry under the old value atomically.
   Status Replace(const exec::Row& old_row, const exec::Row& new_row);
 
-  /// Spatial range query (Section V-C): records within `box`.
-  Result<exec::DataFrame> SpatialRangeQuery(const geo::Mbr& box,
-                                            QueryStats* stats = nullptr) const;
-
-  /// Spatio-temporal range query: records within `box` generated in
-  /// [t_min, t_max].
-  Result<exec::DataFrame> StRangeQuery(const geo::Mbr& box,
-                                       TimestampMs t_min, TimestampMs t_max,
-                                       QueryStats* stats = nullptr) const;
-
-  // --- Columnar variants (the vectorized executor's scan sources) ---
-  // Scanned KV pairs decode straight into ColumnBatches (BatchRowDecoder);
-  // exact spatio-temporal refinement runs as column loops that shrink each
-  // batch's selection vector instead of materializing Value rows. The
-  // DataFrame methods above are thin wrappers over these.
-
-  Result<exec::BatchVector> SpatialRangeQueryBatch(
-      const geo::Mbr& box, QueryStats* stats = nullptr,
-      const ScanBudget* budget = nullptr) const;
-  Result<exec::BatchVector> StRangeQueryBatch(
-      const geo::Mbr& box, TimestampMs t_min, TimestampMs t_max,
-      QueryStats* stats = nullptr, const ScanBudget* budget = nullptr) const;
-  Result<exec::BatchVector> FullScanBatch(
-      QueryStats* stats = nullptr, const ScanBudget* budget = nullptr) const;
-  Result<exec::BatchVector> AttributeQueryBatch(const std::string& column,
-                                                const exec::Value& value,
-                                                QueryStats* stats = nullptr)
-      const;
-
-  /// Point/range lookup through a CREATE INDEX secondary index. Entries are
-  /// covering (the value is the encoded row), so no base-table fetch is
-  /// needed. When `box`/`temporal` are given this is the curve-intersection
-  /// hybrid path: index entries drive, exact spatio-temporal refinement
-  /// filters — equivalent to intersecting the curve and secondary indexes
-  /// but without a second key lookup per row.
-  Result<exec::BatchVector> SecondaryIndexQueryBatch(
-      const meta::SecondaryIndexDef& def, const AttrBound& lower,
-      const AttrBound& upper, const geo::Mbr* box, bool temporal,
-      TimestampMs t_min, TimestampMs t_max, QueryStats* stats = nullptr,
-      const ScanBudget* budget = nullptr) const;
+  /// Runs one query (Section V-C): the spatial, spatio-temporal, k-NN,
+  /// secondary-index or full-scan access path `spec` names. Scanned KV pairs
+  /// decode straight into ColumnBatches (BatchRowDecoder); exact
+  /// spatio-temporal refinement runs as column loops that shrink each
+  /// batch's selection vector. `budget` (LIMIT pushdown) is ignored by k-NN.
+  Result<exec::BatchVector> Query(const QuerySpec& spec,
+                                  QueryStats* stats = nullptr,
+                                  const ScanBudget* budget = nullptr) const;
 
   /// Counts index entries in [lower, upper], stopping at `limit` — the
   /// cardinality probe behind access-path selection.
@@ -188,24 +207,6 @@ class StTable {
     return strategies_.empty() ? 1 : strategies_[0]->options().num_shards;
   }
 
-  /// k-NN query per Algorithm 1 (iterative area expansion with Lemma 1
-  /// pruning), built on spatial range queries.
-  Result<exec::DataFrame> KnnQuery(const geo::Point& q, int k,
-                                   QueryStats* stats = nullptr) const;
-
-  /// Full scan over the primary (first) index.
-  Result<exec::DataFrame> FullScan() const;
-
-  /// Equality lookup through a secondary attribute index (Figure 1's
-  /// Attribute Indexing). `column` must be listed in the table's
-  /// attr_indexes; rows whose column equals `value` are returned.
-  Result<exec::DataFrame> AttributeQuery(const std::string& column,
-                                         const exec::Value& value,
-                                         QueryStats* stats = nullptr) const;
-
-  /// True when `column` carries an attribute index.
-  bool HasAttributeIndex(const std::string& column) const;
-
   /// Chooses the index used for a query: `temporal` requests a
   /// spatio-temporal strategy. Falls back across categories when the ideal
   /// kind is absent. Exposed for tests and the optimizer.
@@ -220,7 +221,7 @@ class StTable {
   /// through the tenant-tagged ingest path instead of plain WriteBatch.
   Status InsertBatchImpl(const std::vector<exec::Row>& rows, bool stream);
   /// Appends every index entry of `row` (one per strategy + one per
-  /// attribute index) to `ops` as puts or tombstones; shared by the
+  /// secondary index) to `ops` as puts or tombstones; shared by the
   /// single-row and batch write paths.
   Status AppendWriteOps(const exec::Row& row, bool delete_instead,
                         std::vector<kv::WriteOp>* ops) const;
@@ -237,22 +238,13 @@ class StTable {
   std::vector<curve::KeyRange> WrapRanges(
       size_t index_slot, std::vector<curve::KeyRange> ranges) const;
 
-  /// Runs ranges, decodes KV pairs into batches, applies exact
-  /// spatio-temporal refinement via each batch's selection vector.
-  /// `fid_offset` is the byte position of the fid suffix in scanned keys;
-  /// rows whose fid is in `skip_fids` are dropped before decoding (used by
-  /// the k-NN expansion to avoid re-decoding records seen in earlier areas).
-  Result<exec::BatchVector> RunRangesBatch(
-      const std::vector<curve::KeyRange>& ranges, const geo::Mbr& box,
-      bool temporal, TimestampMs t_min, TimestampMs t_max, QueryStats* stats,
-      int fid_offset,
-      const std::unordered_set<std::string>* skip_fids,
-      const ScanBudget* budget = nullptr) const;
-
   /// The shared scan core: runs `ranges` (ParallelScan normally; sequential
   /// streaming RegionCluster::Scan with early-stop when `budget` is set),
   /// decodes KV pairs into batches, applies `refine` (selection shrink) and
   /// then the budget's residual per batch, and accounts stats/counters.
+  /// `fid_offset` is the byte position of the fid suffix in scanned keys;
+  /// rows whose fid is in `skip_fids` are dropped before decoding (used by
+  /// the k-NN expansion to avoid re-decoding records seen in earlier areas).
   Result<exec::BatchVector> ScanRangesToBatches(
       const std::vector<curve::KeyRange>& ranges,
       const std::function<void(exec::ColumnBatch*)>& refine,
@@ -260,33 +252,37 @@ class StTable {
       int fid_offset, const std::unordered_set<std::string>* skip_fids,
       bool record_counters) const;
 
-  /// Row-oriented wrapper over RunRangesBatch.
-  Result<exec::DataFrame> RunRanges(const std::vector<curve::KeyRange>& ranges,
-                                    const geo::Mbr& box, bool temporal,
-                                    TimestampMs t_min, TimestampMs t_max,
-                                    QueryStats* stats, int fid_offset,
-                                    const std::unordered_set<std::string>*
-                                        skip_fids) const;
-
   /// Exact refinement as column loops: geometry containment / trajectory
   /// intersection plus the temporal check, shrinking `batch`'s selection.
   void RefineBatch(exec::ColumnBatch* batch, const geo::Mbr& box,
                    bool temporal, TimestampMs t_min, TimestampMs t_max) const;
 
-  /// Internal spatial range query with a skip set (see RunRangesBatch).
-  Result<exec::BatchVector> SpatialRangeQueryInternalBatch(
-      const geo::Mbr& box, QueryStats* stats,
+  /// Spatial (`temporal` false) or spatio-temporal range query over the
+  /// curve index PickIndex(temporal) chooses, with a k-NN skip set.
+  Result<exec::BatchVector> CurveRangeScan(
+      const geo::Mbr& box, bool temporal, TimestampMs t_min,
+      TimestampMs t_max, QueryStats* stats,
       const std::unordered_set<std::string>* skip_fids,
-      const ScanBudget* budget = nullptr) const;
-  Result<exec::DataFrame> SpatialRangeQueryInternal(
-      const geo::Mbr& box, QueryStats* stats,
-      const std::unordered_set<std::string>* skip_fids) const;
+      const ScanBudget* budget) const;
 
-  /// Slot id of the attribute index over attr_indexes[i]: SFC indexes come
-  /// first, attribute indexes after.
-  size_t AttrSlot(size_t attr_pos) const {
-    return strategies_.size() + attr_pos;
-  }
+  /// k-NN per Algorithm 1 (iterative area expansion with Lemma 1 pruning)
+  /// over CurveRangeScan; the k nearest rows come back nearest first.
+  Result<exec::BatchVector> KnnScan(const geo::Point& q, int k,
+                                    QueryStats* stats) const;
+
+  /// Full scan over the primary (first) index.
+  Result<exec::BatchVector> FullScanBatches(QueryStats* stats,
+                                            const ScanBudget* budget) const;
+
+  /// Point/range lookup through the secondary index `def`. Entries are
+  /// covering (the value is the encoded row), so no base-table fetch is
+  /// needed. With `spec.have_box`/`have_time` this is the curve-intersection
+  /// hybrid path: index entries drive, exact spatio-temporal refinement
+  /// filters — equivalent to intersecting the curve and secondary indexes
+  /// but without a second key lookup per row.
+  Result<exec::BatchVector> SecondaryIndexScan(
+      const meta::SecondaryIndexDef& def, const QuerySpec& spec,
+      QueryStats* stats, const ScanBudget* budget) const;
 
   /// Per-shard key ranges covering secondary index `def` restricted to
   /// [lower, upper] in the order-preserving attribute encoding.

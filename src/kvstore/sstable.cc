@@ -40,15 +40,6 @@ IoStats::IoStats() {
                         [this] { return get_probes.Value(); });
 }
 
-IoTotals GlobalIoStats() {
-  const obs::Registry& registry = obs::Registry::Global();
-  IoTotals totals;
-  totals.bytes_read = registry.CounterValue("just_kv_bytes_read_total");
-  totals.read_ops = registry.CounterValue("just_kv_read_ops_total");
-  totals.bytes_written = registry.CounterValue("just_kv_bytes_written_total");
-  return totals;
-}
-
 IoStats& OrphanIoStats() {
   static IoStats* stats = new IoStats();
   return *stats;

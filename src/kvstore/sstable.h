@@ -21,7 +21,8 @@ namespace just::kv {
 /// global obs::Registry as a cumulative source (just_kv_*_total), so the
 /// process-wide view is the aggregation of every live store plus the folded
 /// totals of dead ones — concurrent stores in tests and benches no longer
-/// pollute each other, while GlobalIoStats() stays monotonic.
+/// pollute each other, while the registry's process-wide totals stay
+/// monotonic.
 struct IoStats {
   obs::Counter bytes_read;
   obs::Counter read_ops;
@@ -40,17 +41,6 @@ struct IoStats {
   // Declared after the counters: unregistered (and folded) before they die.
   std::vector<obs::ScopedSource> sources_;
 };
-
-/// Process-wide I/O totals at one instant (sum over live + dead stores).
-struct IoTotals {
-  uint64_t bytes_read = 0;
-  uint64_t read_ops = 0;
-  uint64_t bytes_written = 0;
-};
-
-/// Thin aggregation view over the registry — the old global-singleton
-/// accessor, kept for benches that report process-wide I/O.
-IoTotals GlobalIoStats();
 
 /// Fallback sink for readers/builders opened without a store (tests, tools).
 IoStats& OrphanIoStats();

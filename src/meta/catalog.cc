@@ -1,5 +1,6 @@
 #include "meta/catalog.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -73,11 +74,14 @@ JsonValue TableToJson(const TableMeta& table) {
     idxs.push_back(JsonValue::Object(std::move(x)));
   }
   obj["indexes"] = JsonValue::Array(std::move(idxs));
-  std::vector<JsonValue> attrs;
-  for (const std::string& col : table.attr_indexes) {
-    attrs.push_back(JsonValue::String(col));
+  if (!table.legacy_attr_columns.empty()) {
+    // Kept until the upgrade finishes, so a crash mid-upgrade resumes it.
+    std::vector<JsonValue> attrs;
+    for (const std::string& col : table.legacy_attr_columns) {
+      attrs.push_back(JsonValue::String(col));
+    }
+    obj["attrs"] = JsonValue::Array(std::move(attrs));
   }
-  obj["attrs"] = JsonValue::Array(std::move(attrs));
   std::vector<JsonValue> sec;
   for (const SecondaryIndexDef& def : table.secondary_indexes) {
     std::map<std::string, JsonValue> s;
@@ -126,8 +130,9 @@ Result<TableMeta> TableFromJson(const JsonValue& json) {
     if (idx.period_len_ms <= 0) idx.period_len_ms = kMillisPerDay;
     table.indexes.push_back(idx);
   }
+  // Legacy equality-only attribute indexes; upgraded on engine open.
   for (const JsonValue& a : json.Get("attrs").array_items()) {
-    if (a.is_string()) table.attr_indexes.push_back(a.string_value());
+    if (a.is_string()) table.legacy_attr_columns.push_back(a.string_value());
   }
   // Absent in catalogs written before secondary indexes existed.
   for (const JsonValue& s : json.Get("sec_indexes").array_items()) {
@@ -312,6 +317,25 @@ Status Catalog::DropIndex(const std::string& user, const std::string& name,
     return st;
   }
   if (dropped != nullptr) *dropped = std::move(removed);
+  return st;
+}
+
+Status Catalog::ClearLegacyAttrColumns(const std::string& user,
+                                       const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tables_.find(Key(user, name));
+  if (it == tables_.end()) {
+    return Status::NotFound("no such table: " + name);
+  }
+  TableMeta saved = it->second;
+  TableMeta& table = it->second;
+  table.next_index_slot = std::max<uint32_t>(
+      table.next_index_slot,
+      static_cast<uint32_t>(table.indexes.size() +
+                            table.legacy_attr_columns.size()));
+  table.legacy_attr_columns.clear();
+  Status st = PersistLocked();
+  if (!st.ok()) table = std::move(saved);
   return st;
 }
 

@@ -61,11 +61,15 @@ struct TableMeta {
   std::string fid_column;
   std::string geom_column;
   std::string time_column;
-  /// Columns carrying a secondary attribute index (Figure 1's "Attribute
-  /// Indexing"): equality predicates on them avoid full scans.
-  std::vector<std::string> attr_indexes;
-  /// CREATE INDEX secondary indexes (point/range capable, online build).
+  /// Secondary indexes (Figure 1's Attribute Indexing): CREATE INDEX builds
+  /// them online; USERDATA {'just.attr.indexes':'col'} declares them ready
+  /// at CREATE TABLE.
   std::vector<SecondaryIndexDef> secondary_indexes;
+  /// Columns of the equality-only attribute indexes older catalogs recorded
+  /// as "attrs" (legacy slot `indexes.size() + i` for entry i). Only ever
+  /// non-empty between loading such a catalog and JustEngine::Open's
+  /// upgrade, which rebuilds them as secondary indexes.
+  std::vector<std::string> legacy_attr_columns;
   /// Next free secondary-index slot: monotonic over the table's lifetime so
   /// a dropped index's slot (and any orphaned entries a crashed drop left
   /// behind) is never reused.
@@ -119,6 +123,12 @@ class Catalog {
   Status DropIndex(const std::string& user, const std::string& name,
                    const std::string& index_name,
                    SecondaryIndexDef* dropped = nullptr);
+
+  /// Forgets (user, name)'s legacy attribute-index columns and persists —
+  /// the last step of their upgrade. `next_index_slot` is raised past the
+  /// legacy slots so no later index can alias one.
+  Status ClearLegacyAttrColumns(const std::string& user,
+                                const std::string& name);
 
   /// Flips the index's lifecycle state (the atomic `building` -> `ready`
   /// commit point of an online build). Bumps the table's generation.

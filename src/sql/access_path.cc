@@ -92,8 +92,6 @@ Result<AccessPath> ChooseAccessPath(
   AccessPath path;
   bool have_knn = false;
   std::vector<const Expr*> index_conjuncts;  ///< consumed by the bounds
-  const Expr* attr_conjunct = nullptr;
-  exec::DataType index_column_type = exec::DataType::kNull;
 
   for (const Expr* conjunct : conjuncts) {
     if (conjunct->kind != Expr::Kind::kBinary) {
@@ -196,33 +194,13 @@ Result<AccessPath> ChooseAccessPath(
         }
         if (consumed) {
           path.index_column = def->column;
-          index_column_type = col_type;
           index_conjuncts.push_back(conjunct);
           continue;
         }
       }
     }
-    // Legacy attr-index equality (USERDATA 'just.attr.indexes').
-    if (conjunct->op == BinaryOp::kEq && !path.have_attr &&
-        conjunct->args[0]->kind == Expr::Kind::kColumn &&
-        conjunct->args[1]->kind == Expr::Kind::kLiteral) {
-      bool indexed = false;
-      for (const std::string& indexed_col : table_meta.attr_indexes) {
-        if (ColumnEquals(*conjunct->args[0], indexed_col)) {
-          indexed = true;
-          path.attr_column = indexed_col;
-        }
-      }
-      if (indexed) {
-        path.attr_value = conjunct->args[1]->literal;
-        path.have_attr = true;
-        attr_conjunct = conjunct;
-        continue;
-      }
-    }
     path.residual.push_back(conjunct);
   }
-  (void)index_column_type;
 
   auto demote_index_bounds = [&] {
     for (const Expr* c : index_conjuncts) path.residual.push_back(c);
@@ -259,15 +237,7 @@ Result<AccessPath> ChooseAccessPath(
         use_index = true;
       }
     }
-    if (use_index) {
-      // The covering index scan does not recheck the legacy attr conjunct;
-      // run it residually.
-      if (path.have_attr && attr_conjunct != nullptr) {
-        path.residual.push_back(attr_conjunct);
-        path.have_attr = false;
-      }
-      return path;
-    }
+    if (use_index) return path;
     demote_index_bounds();
   }
 
@@ -280,9 +250,6 @@ Result<AccessPath> ChooseAccessPath(
   } else if (path.have_time) {
     path.kind = AccessPath::Kind::kTemporalRange;
     path.label = "temporal_range";
-  } else if (path.have_attr) {
-    path.kind = AccessPath::Kind::kAttrIndex;
-    path.label = "attr_index";
   }
   return path;
 }

@@ -9,40 +9,13 @@
 
 namespace just::sql {
 
-/// The physical access path chosen for one table scan. Shared by the
-/// row-at-a-time and columnar executors (which used to duplicate the
-/// predicate extraction) and by EXPLAIN's plan annotation, so the path the
-/// plan prints is the path the executor runs.
-struct AccessPath {
-  enum class Kind {
-    kKnn,               ///< geom IN st_KNN(...) expansion
-    kStRange,           ///< curve index, box + time window
-    kSpatialRange,      ///< curve index, box only
-    kTemporalRange,     ///< curve index, whole-earth + time window
-    kSecondaryIndex,    ///< secondary index point/range lookup drives alone
-    kIndexIntersection, ///< secondary index drives, spatio-temporal refines
-    kAttrIndex,         ///< legacy USERDATA attr-index equality lookup
-    kFullScan,
-  };
-
-  Kind kind = Kind::kFullScan;
+/// The physical access path chosen for one table scan: the engine query it
+/// runs (core::QuerySpec) plus what the plan prints and what the executor
+/// still filters. Shared by the executor and by EXPLAIN's plan annotation,
+/// so the path the plan prints is the path the executor runs.
+struct AccessPath : core::QuerySpec {
   /// EXPLAIN's `access` attribute / plan annotation.
   const char* label = "full_scan";
-
-  bool have_box = false;
-  geo::Mbr box{};
-  bool have_time = false;
-  TimestampMs t_min = 0, t_max = 0;
-  geo::Point knn_query{};
-  int knn_k = 0;
-  /// Legacy attr-index equality; when combined with a curve path the
-  /// executor rechecks it over the scan output.
-  bool have_attr = false;
-  std::string attr_column;
-  exec::Value attr_value;
-  /// kSecondaryIndex / kIndexIntersection: the indexed column + bounds.
-  std::string index_column;
-  core::AttrBound lower, upper;
   /// Conjuncts the chosen path does not answer; the executor runs them as a
   /// residual filter.
   std::vector<const Expr*> residual;
@@ -57,8 +30,8 @@ void SplitConjuncts(const Expr* expr, std::vector<const Expr*>* out);
 /// predicate competes, otherwise decided by a cardinality probe against
 /// `index_intersection_threshold` (few index entries: the index drives and
 /// spatio-temporal refinement filters; many: the curve index drives and the
-/// attribute bounds demote to residual work) — then the curve paths, the
-/// legacy attr index, and finally a full scan.
+/// attribute bounds demote to residual work) — then the curve paths, and
+/// finally a full scan.
 Result<AccessPath> ChooseAccessPath(core::JustEngine* engine,
                                     const std::string& user,
                                     const meta::TableMeta& table_meta,

@@ -16,14 +16,9 @@ namespace just::sql {
 
 namespace {
 
-/// Span label for one physical operator.
+/// Span label for one row-at-a-time operator.
 std::string PlanNodeLabel(const PlanNode& plan) {
   switch (plan.kind) {
-    case PlanNode::Kind::kScanTable:
-    case PlanNode::Kind::kScanView:
-      return "";  // ExecuteScan opens its own span with access-path attrs
-    case PlanNode::Kind::kFilter:
-      return "Filter";
     case PlanNode::Kind::kProject:
       return "Project";
     case PlanNode::Kind::kAggregate:
@@ -34,10 +29,23 @@ std::string PlanNodeLabel(const PlanNode& plan) {
       return "Limit";
     case PlanNode::Kind::kJoin:
       return "Join";
+    default:
+      return "Unknown";
   }
-  return "Unknown";
 }
 
+/// True for a 1-N / N-M analysis-function project (a single table- or
+/// partition-function call): it reshapes rows, so it runs row-at-a-time and
+/// no row budget may be pushed below it.
+bool IsAnalysisProject(const PlanNode& plan) {
+  if (plan.items.size() != 1 ||
+      plan.items[0].expr->kind != Expr::Kind::kCall) {
+    return false;
+  }
+  const std::string& fn = plan.items[0].expr->call_name;
+  return FindTableFunction(fn) != nullptr ||
+         FindPartitionFunction(fn) != nullptr;
+}
 
 /// The plan-cache tag scoping compiled programs to one catalog entry.
 std::string TableCacheTag(const meta::TableMeta& table_meta) {
@@ -47,191 +55,42 @@ std::string TableCacheTag(const meta::TableMeta& table_meta) {
 
 }  // namespace
 
-Result<exec::DataFrame> Executor::ExecuteScan(const PlanNode& scan,
-                                              const Expr* predicate,
-                                              core::QueryStats* stats) {
-  obs::ScopedSpan span("Scan " + scan.name);
-  auto result = ExecuteScanImpl(scan, predicate, stats, span.span());
-  if (span.span() != nullptr && result.ok()) {
-    span.span()->counters().rows_out.store(result->num_rows(),
-                                           std::memory_order_relaxed);
-  }
-  return result;
-}
-
-Result<exec::DataFrame> Executor::ExecuteScanImpl(const PlanNode& scan,
-                                                  const Expr* predicate,
-                                                  core::QueryStats* stats,
-                                                  obs::TraceSpan* span) {
-  if (scan.kind == PlanNode::Kind::kScanView) {
-    JUST_ASSIGN_OR_RETURN(auto frame, engine_->GetView(user_, scan.name));
-    if (predicate != nullptr) {
-      const Expr& pred = *predicate;
-      frame = exec::Filter(frame, [&](const exec::Row& row) {
-        auto v = EvaluateExpr(pred, frame.schema(), row);
-        return v.ok() && v->type() == exec::DataType::kBool &&
-               v->bool_value();
-      });
-    }
-    if (!scan.required_columns.empty()) {
-      return exec::Project(frame, scan.required_columns);
-    }
-    return frame;
-  }
-
-  JUST_ASSIGN_OR_RETURN(auto table_meta,
-                        engine_->DescribeTable(user_, scan.name));
-  // Pull index-answerable predicates out of the conjunction.
-  std::vector<const Expr*> conjuncts;
-  if (predicate != nullptr) SplitConjuncts(predicate, &conjuncts);
-  JUST_ASSIGN_OR_RETURN(auto path,
-                        ChooseAccessPath(engine_, user_, table_meta,
-                                         conjuncts));
-
-  core::QueryStats scan_stats;
-  exec::DataFrame frame;
-  switch (path.kind) {
-    case AccessPath::Kind::kKnn: {
-      JUST_ASSIGN_OR_RETURN(
-          frame, engine_->KnnQuery(user_, scan.name, path.knn_query,
-                                   path.knn_k, &scan_stats));
-      break;
-    }
-    case AccessPath::Kind::kStRange: {
-      JUST_ASSIGN_OR_RETURN(
-          frame, engine_->StRangeQuery(user_, scan.name, path.box, path.t_min,
-                                       path.t_max, &scan_stats));
-      break;
-    }
-    case AccessPath::Kind::kSpatialRange: {
-      JUST_ASSIGN_OR_RETURN(
-          frame, engine_->SpatialRangeQuery(user_, scan.name, path.box,
-                                            &scan_stats));
-      break;
-    }
-    case AccessPath::Kind::kTemporalRange: {
-      // Temporal-only: whole-earth spatio-temporal query.
-      JUST_ASSIGN_OR_RETURN(
-          frame, engine_->StRangeQuery(user_, scan.name, geo::Mbr::World(),
-                                       path.t_min, path.t_max, &scan_stats));
-      break;
-    }
-    case AccessPath::Kind::kSecondaryIndex:
-    case AccessPath::Kind::kIndexIntersection: {
-      JUST_ASSIGN_OR_RETURN(
-          auto batches,
-          engine_->SecondaryIndexQueryBatch(
-              user_, scan.name, path.index_column, path.lower, path.upper,
-              path.have_box ? &path.box : nullptr, path.have_time, path.t_min,
-              path.t_max, &scan_stats));
-      frame = exec::BatchesToDataFrame(table_meta.MakeSchema(),
-                                       std::move(batches));
-      break;
-    }
-    case AccessPath::Kind::kAttrIndex: {
-      JUST_ASSIGN_OR_RETURN(
-          frame, engine_->AttributeQuery(user_, scan.name, path.attr_column,
-                                         path.attr_value, &scan_stats));
-      break;
-    }
-    case AccessPath::Kind::kFullScan: {
-      JUST_ASSIGN_OR_RETURN(frame, engine_->FullScan(user_, scan.name));
-      break;
-    }
-  }
-  if (span != nullptr) span->AddAttr("access", path.label);
-  if (stats != nullptr) {
-    stats->key_ranges += scan_stats.key_ranges;
-    stats->rows_scanned += scan_stats.rows_scanned;
-    stats->rows_matched += scan_stats.rows_matched;
-  }
-  // A spatial/temporal/knn path may leave an attr conjunct unhandled.
-  if (path.have_attr && path.kind != AccessPath::Kind::kAttrIndex) {
-    int attr_col = frame.schema().IndexOf(path.attr_column);
-    if (attr_col >= 0) {
-      const exec::Value& needle = path.attr_value;
-      frame = exec::Filter(frame, [&, attr_col](const exec::Row& row) {
-        return row[attr_col].Equals(needle);
-      });
-    }
-  }
-
-  if (!path.residual.empty()) {
-    const auto& schema = frame.schema();
-    const auto& residual = path.residual;
-    frame = exec::Filter(frame, [&](const exec::Row& row) {
-      for (const Expr* conjunct : residual) {
-        auto v = EvaluateExpr(*conjunct, schema, row);
-        if (!v.ok() || v->type() != exec::DataType::kBool ||
-            !v->bool_value()) {
-          return false;
-        }
-      }
-      return true;
-    });
-  }
-  if (!scan.required_columns.empty()) {
-    return exec::Project(frame, scan.required_columns);
-  }
-  return frame;
-}
-
-Result<exec::DataFrame> Executor::ExecuteProject(const PlanNode& node,
-                                                 core::QueryStats* stats) {
-  // 1-N / N-M function projects.
-  if (node.items.size() == 1 &&
-      node.items[0].expr->kind == Expr::Kind::kCall) {
-    const std::string& fn_name = node.items[0].expr->call_name;
-    const TableFunction* tf = FindTableFunction(fn_name);
-    const PartitionFunction* pf = FindPartitionFunction(fn_name);
-    if (tf != nullptr || pf != nullptr) {
-      JUST_ASSIGN_OR_RETURN(auto input, ExecuteInner(*node.children[0], stats));
-      const Expr& call = *node.items[0].expr;
-      if (call.args.empty()) {
-        return Status::InvalidArgument(fn_name + " needs an input column");
-      }
-      // Extra args must be constants.
-      std::vector<exec::Value> extra;
-      for (size_t i = 1; i < call.args.size(); ++i) {
-        JUST_ASSIGN_OR_RETURN(auto v, EvaluateConstant(*call.args[i]));
-        extra.push_back(std::move(v));
-      }
-      if (tf != nullptr) {
-        exec::DataFrame out(node.schema);
-        for (const exec::Row& row : input.rows()) {
-          JUST_ASSIGN_OR_RETURN(
-              auto value, EvaluateExpr(*call.args[0], input.schema(), row));
-          JUST_ASSIGN_OR_RETURN(auto produced, tf->fn(value, extra));
-          for (auto& r : produced) out.AddRow(std::move(r));
-        }
-        return out;
-      }
-      std::vector<exec::Value> column;
-      column.reserve(input.num_rows());
-      for (const exec::Row& row : input.rows()) {
-        JUST_ASSIGN_OR_RETURN(
-            auto value, EvaluateExpr(*call.args[0], input.schema(), row));
-        column.push_back(std::move(value));
-      }
-      JUST_ASSIGN_OR_RETURN(auto produced, pf->fn(column, extra));
-      exec::DataFrame out(node.schema);
-      for (auto& r : produced) out.AddRow(std::move(r));
-      return out;
-    }
-  }
-
+Result<exec::DataFrame> Executor::ExecuteAnalysisProject(
+    const PlanNode& node, core::QueryStats* stats) {
+  const Expr& call = *node.items[0].expr;
+  const std::string& fn_name = call.call_name;
+  const TableFunction* tf = FindTableFunction(fn_name);
+  const PartitionFunction* pf = FindPartitionFunction(fn_name);
   JUST_ASSIGN_OR_RETURN(auto input, ExecuteInner(*node.children[0], stats));
-  exec::DataFrame out(node.schema);
-  for (const exec::Row& row : input.rows()) {
-    exec::Row projected;
-    projected.reserve(node.items.size());
-    for (const auto& item : node.items) {
-      JUST_ASSIGN_OR_RETURN(auto value,
-                            EvaluateExpr(*item.expr, input.schema(), row));
-      projected.push_back(std::move(value));
-    }
-    out.AddRow(std::move(projected));
+  if (call.args.empty()) {
+    return Status::InvalidArgument(fn_name + " needs an input column");
   }
+  // Extra args must be constants.
+  std::vector<exec::Value> extra;
+  for (size_t i = 1; i < call.args.size(); ++i) {
+    JUST_ASSIGN_OR_RETURN(auto v, EvaluateConstant(*call.args[i]));
+    extra.push_back(std::move(v));
+  }
+  if (tf != nullptr) {
+    exec::DataFrame out(node.schema);
+    for (const exec::Row& row : input.rows()) {
+      JUST_ASSIGN_OR_RETURN(auto value,
+                            EvaluateExpr(*call.args[0], input.schema(), row));
+      JUST_ASSIGN_OR_RETURN(auto produced, tf->fn(value, extra));
+      for (auto& r : produced) out.AddRow(std::move(r));
+    }
+    return out;
+  }
+  std::vector<exec::Value> column;
+  column.reserve(input.num_rows());
+  for (const exec::Row& row : input.rows()) {
+    JUST_ASSIGN_OR_RETURN(auto value,
+                          EvaluateExpr(*call.args[0], input.schema(), row));
+    column.push_back(std::move(value));
+  }
+  JUST_ASSIGN_OR_RETURN(auto produced, pf->fn(column, extra));
+  exec::DataFrame out(node.schema);
+  for (auto& r : produced) out.AddRow(std::move(r));
   return out;
 }
 
@@ -241,23 +100,13 @@ Result<exec::DataFrame> Executor::Execute(const PlanNode& plan,
 }
 
 bool Executor::CanExecuteBatch(const PlanNode& plan) const {
-  if (options_.force_interpreted) return false;
   switch (plan.kind) {
     case PlanNode::Kind::kScanTable:
     case PlanNode::Kind::kScanView:
     case PlanNode::Kind::kFilter:
       return true;
     case PlanNode::Kind::kProject:
-      // 1-N / N-M analysis functions reshape rows; they stay row-oriented.
-      if (plan.items.size() == 1 &&
-          plan.items[0].expr->kind == Expr::Kind::kCall) {
-        const std::string& fn = plan.items[0].expr->call_name;
-        if (FindTableFunction(fn) != nullptr ||
-            FindPartitionFunction(fn) != nullptr) {
-          return false;
-        }
-      }
-      return true;
+      return !IsAnalysisProject(plan);
     case PlanNode::Kind::kAggregate:
       // Global (ungrouped) aggregation runs as column loops; grouped
       // aggregation hashes row keys and stays row-oriented.
@@ -273,35 +122,12 @@ Result<exec::DataFrame> Executor::ExecuteInner(const PlanNode& plan,
     JUST_ASSIGN_OR_RETURN(auto out, ExecuteBatch(plan, stats));
     return exec::BatchesToDataFrame(out.schema, out.batches);
   }
-  // Scans open their own span (with access-path attributes) in ExecuteScan.
-  if (plan.kind == PlanNode::Kind::kScanTable ||
-      plan.kind == PlanNode::Kind::kScanView) {
-    return ExecuteScan(plan, nullptr, stats);
-  }
+  // Row-at-a-time operators: those with no columnar twin.
   obs::ScopedSpan span(PlanNodeLabel(plan));
   auto result = [&]() -> Result<exec::DataFrame> {
     switch (plan.kind) {
-      case PlanNode::Kind::kScanTable:
-      case PlanNode::Kind::kScanView:
-        return Status::Internal("unreachable");
-      case PlanNode::Kind::kFilter: {
-        const PlanNode& child = *plan.children[0];
-        if (child.kind == PlanNode::Kind::kScanTable ||
-            child.kind == PlanNode::Kind::kScanView) {
-          // Fuse: the scan translates index-answerable predicates into
-          // key-range SCANs.
-          return ExecuteScan(child, plan.predicate.get(), stats);
-        }
-        JUST_ASSIGN_OR_RETURN(auto input, ExecuteInner(child, stats));
-        const auto& schema = input.schema();
-        return exec::Filter(input, [&](const exec::Row& row) {
-          auto v = EvaluateExpr(*plan.predicate, schema, row);
-          return v.ok() && v->type() == exec::DataType::kBool &&
-                 v->bool_value();
-        });
-      }
       case PlanNode::Kind::kProject:
-        return ExecuteProject(plan, stats);
+        return ExecuteAnalysisProject(plan, stats);
       case PlanNode::Kind::kAggregate: {
         JUST_ASSIGN_OR_RETURN(auto input,
                               ExecuteInner(*plan.children[0], stats));
@@ -333,8 +159,9 @@ Result<exec::DataFrame> Executor::ExecuteInner(const PlanNode& plan,
         return exec::HashJoin(left, right, plan.join_left_col,
                               plan.join_right_col);
       }
+      default:
+        return Status::Internal("bad plan node");
     }
-    return Status::Internal("bad plan node");
   }();
   if (span.span() != nullptr && result.ok()) {
     span.span()->counters().rows_out.store(result->num_rows(),
@@ -345,7 +172,7 @@ Result<exec::DataFrame> Executor::ExecuteInner(const PlanNode& plan,
 
 Result<std::optional<exec::DataFrame>> Executor::TryLimitPushdown(
     const PlanNode& limit_node, core::QueryStats* stats) {
-  if (options_.force_interpreted || limit_node.limit <= 0) return std::optional<exec::DataFrame>{};
+  if (limit_node.limit <= 0) return std::optional<exec::DataFrame>{};
   const size_t limit = static_cast<size_t>(limit_node.limit);
 
   // Qualifying chain: Limit -> Project* (row-preserving) -> [Filter] -> table
@@ -354,13 +181,8 @@ Result<std::optional<exec::DataFrame>> Executor::TryLimitPushdown(
   std::vector<const PlanNode*> projects;
   const PlanNode* node = limit_node.children[0].get();
   while (node->kind == PlanNode::Kind::kProject) {
-    if (node->items.size() == 1 &&
-        node->items[0].expr->kind == Expr::Kind::kCall) {
-      const std::string& fn = node->items[0].expr->call_name;
-      if (FindTableFunction(fn) != nullptr ||
-          FindPartitionFunction(fn) != nullptr) {
-        return std::optional<exec::DataFrame>{};  // 1-N / N-M: a row budget below it is wrong
-      }
+    if (IsAnalysisProject(*node)) {
+      return std::optional<exec::DataFrame>{};  // a row budget below is wrong
     }
     projects.push_back(node);
     node = node->children[0].get();
@@ -370,31 +192,21 @@ Result<std::optional<exec::DataFrame>> Executor::TryLimitPushdown(
     predicate = node->predicate.get();
     node = node->children[0].get();
   }
-  if (node->kind != PlanNode::Kind::kScanTable) return std::optional<exec::DataFrame>{};
+  if (node->kind != PlanNode::Kind::kScanTable) {
+    return std::optional<exec::DataFrame>{};
+  }
 
-  JUST_ASSIGN_OR_RETURN(auto scanned,
+  JUST_ASSIGN_OR_RETURN(auto out,
                         ExecuteScanBatch(*node, predicate, stats, limit));
-  exec::DataFrame frame =
-      exec::BatchesToDataFrame(scanned.schema, std::move(scanned.batches));
   // Replay the (row-preserving) projects innermost-first over the few
   // surviving rows.
   for (size_t pi = projects.size(); pi-- > 0;) {
-    const PlanNode& proj = *projects[pi];
-    exec::DataFrame out(proj.schema);
-    for (const exec::Row& row : frame.rows()) {
-      exec::Row projected;
-      projected.reserve(proj.items.size());
-      for (const auto& item : proj.items) {
-        JUST_ASSIGN_OR_RETURN(
-            auto value, EvaluateExpr(*item.expr, frame.schema(), row));
-        projected.push_back(std::move(value));
-      }
-      out.AddRow(std::move(projected));
-    }
-    frame = std::move(out);
+    JUST_ASSIGN_OR_RETURN(out, ProjectBatches(*projects[pi], std::move(out),
+                                              /*span=*/nullptr));
   }
   // The budgeted scan may overshoot within its last batch; truncate exactly.
-  return std::optional<exec::DataFrame>(exec::Limit(frame, limit));
+  return std::optional<exec::DataFrame>(exec::Limit(
+      exec::BatchesToDataFrame(out.schema, std::move(out.batches)), limit));
 }
 
 // --- Columnar pipeline ------------------------------------------------------
@@ -568,31 +380,23 @@ Result<Executor::BatchResult> Executor::ExecuteScanBatchImpl(
 
   JUST_ASSIGN_OR_RETURN(auto table_meta,
                         engine_->DescribeTable(user_, scan.name));
-  // Pull index-answerable predicates out of the conjunction (same selection
-  // as the row-at-a-time path: both call ChooseAccessPath).
+  // Pull index-answerable predicates out of the conjunction.
   std::vector<const Expr*> conjuncts;
   if (predicate != nullptr) SplitConjuncts(predicate, &conjuncts);
   JUST_ASSIGN_OR_RETURN(auto path,
                         ChooseAccessPath(engine_, user_, table_meta,
                                          conjuncts));
   const std::string cache_tag = TableCacheTag(table_meta);
-
-  core::QueryStats scan_stats;
   BatchResult result{table_meta.MakeSchema(), {}};
 
   // LIMIT pushdown: budget the scan when every row surviving it is a final
   // row. The residual predicate compiles into the budget's per-batch filter;
-  // paths that re-filter after the scan (attr recheck) or cannot stream
-  // (knn, attr index) run unbudgeted.
-  const bool budget_capable =
-      path.kind != AccessPath::Kind::kKnn &&
-      path.kind != AccessPath::Kind::kAttrIndex &&
-      !(path.have_attr && path.kind != AccessPath::Kind::kAttrIndex);
+  // k-NN cannot stream and runs unbudgeted.
   core::ScanBudget budget;
   const core::ScanBudget* budget_ptr = nullptr;
   std::shared_ptr<const PredicateProgram> budget_program;
   auto budget_pstats = std::make_shared<PredicateStats>();
-  if (limit > 0 && budget_capable) {
+  if (limit > 0 && path.kind != AccessPath::Kind::kKnn) {
     budget.limit = limit;
     if (!path.residual.empty()) {
       JUST_ASSIGN_OR_RETURN(budget_program,
@@ -606,95 +410,10 @@ Result<Executor::BatchResult> Executor::ExecuteScanBatchImpl(
     budget_ptr = &budget;
   }
 
-  switch (path.kind) {
-    case AccessPath::Kind::kKnn: {
-      // k-NN keeps its row-oriented heap expansion; batches start afterwards.
-      JUST_ASSIGN_OR_RETURN(
-          auto frame, engine_->KnnQuery(user_, scan.name, path.knn_query,
-                                        path.knn_k, &scan_stats));
-      result.batches = exec::BatchesFromDataFrame(std::move(frame));
-      break;
-    }
-    case AccessPath::Kind::kStRange: {
-      JUST_ASSIGN_OR_RETURN(
-          result.batches,
-          engine_->StRangeQueryBatch(user_, scan.name, path.box, path.t_min,
-                                     path.t_max, &scan_stats, budget_ptr));
-      break;
-    }
-    case AccessPath::Kind::kSpatialRange: {
-      JUST_ASSIGN_OR_RETURN(
-          result.batches,
-          engine_->SpatialRangeQueryBatch(user_, scan.name, path.box,
-                                          &scan_stats, budget_ptr));
-      break;
-    }
-    case AccessPath::Kind::kTemporalRange: {
-      // Temporal-only: whole-earth spatio-temporal query.
-      JUST_ASSIGN_OR_RETURN(
-          result.batches,
-          engine_->StRangeQueryBatch(user_, scan.name, geo::Mbr::World(),
-                                     path.t_min, path.t_max, &scan_stats,
-                                     budget_ptr));
-      break;
-    }
-    case AccessPath::Kind::kSecondaryIndex:
-    case AccessPath::Kind::kIndexIntersection: {
-      JUST_ASSIGN_OR_RETURN(
-          result.batches,
-          engine_->SecondaryIndexQueryBatch(
-              user_, scan.name, path.index_column, path.lower, path.upper,
-              path.have_box ? &path.box : nullptr, path.have_time, path.t_min,
-              path.t_max, &scan_stats, budget_ptr));
-      break;
-    }
-    case AccessPath::Kind::kAttrIndex: {
-      JUST_ASSIGN_OR_RETURN(
-          result.batches,
-          engine_->AttributeQueryBatch(user_, scan.name, path.attr_column,
-                                       path.attr_value, &scan_stats));
-      break;
-    }
-    case AccessPath::Kind::kFullScan: {
-      JUST_ASSIGN_OR_RETURN(
-          result.batches,
-          engine_->FullScanBatch(user_, scan.name, &scan_stats, budget_ptr));
-      break;
-    }
-  }
+  JUST_ASSIGN_OR_RETURN(result.batches,
+                        engine_->Query(user_, scan.name, path, stats,
+                                       budget_ptr));
   if (span != nullptr) span->AddAttr("access", path.label);
-  if (stats != nullptr) {
-    stats->key_ranges += scan_stats.key_ranges;
-    stats->rows_scanned += scan_stats.rows_scanned;
-    stats->rows_matched += scan_stats.rows_matched;
-  }
-  // A spatial/temporal/knn path may leave an attr conjunct unhandled:
-  // vectorized equality recheck over the surviving selection.
-  if (path.have_attr && path.kind != AccessPath::Kind::kAttrIndex) {
-    int attr_col = result.schema->IndexOf(path.attr_column);
-    if (attr_col >= 0) {
-      const auto t0 = Clock::now();
-      std::vector<uint32_t> scratch;
-      for (exec::ColumnBatch& batch : result.batches) {
-        size_t n = 0;
-        const uint32_t* rows = ActiveRows(batch, &scratch, &n);
-        const exec::ColumnVector& c =
-            batch.column(static_cast<size_t>(attr_col));
-        std::vector<uint32_t> sel;
-        sel.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          if (c.ValueAt(rows[i]).Equals(path.attr_value)) {
-            sel.push_back(rows[i]);
-          }
-        }
-        batch.SetSelection(std::move(sel));
-      }
-      if (span != nullptr) {
-        span->counters().eval_specialized_ns.fetch_add(
-            ElapsedNs(t0), std::memory_order_relaxed);
-      }
-    }
-  }
 
   if (budget_ptr != nullptr && budget_program != nullptr) {
     // The residual already ran inside the budgeted scan; attribute it.
@@ -721,7 +440,12 @@ Result<Executor::BatchResult> Executor::ExecuteProjectBatch(
   obs::ScopedSpan span("Project");
   JUST_ASSIGN_OR_RETURN(auto input,
                         ExecuteBatchOrConvert(*node.children[0], stats));
+  return ProjectBatches(node, std::move(input), span.span());
+}
 
+Result<Executor::BatchResult> Executor::ProjectBatches(const PlanNode& node,
+                                                       BatchResult input,
+                                                       obs::TraceSpan* span) {
   // Bind items once per query: pure column references copy column-wise; any
   // other expression evaluates per surviving row with pre-bound offsets.
   struct ItemPlan {
@@ -780,15 +504,15 @@ Result<Executor::BatchResult> Executor::ExecuteProjectBatch(
     out.batches.push_back(
         exec::ColumnBatch::FromColumns(node.schema, std::move(cols), n));
   }
-  RecordBatchStage(span.span(), out.batches.size(),
+  RecordBatchStage(span, out.batches.size(),
                    exec::BatchesActiveRows(out.batches));
-  if (span.span() != nullptr) {
-    span.span()->counters().eval_specialized_ns.fetch_add(
-        specialized_ns, std::memory_order_relaxed);
-    span.span()->counters().eval_interpreted_ns.fetch_add(
-        interpreted_ns, std::memory_order_relaxed);
-    span.span()->counters().rows_out.store(
-        exec::BatchesActiveRows(out.batches), std::memory_order_relaxed);
+  if (span != nullptr) {
+    span->counters().eval_specialized_ns.fetch_add(specialized_ns,
+                                                   std::memory_order_relaxed);
+    span->counters().eval_interpreted_ns.fetch_add(interpreted_ns,
+                                                   std::memory_order_relaxed);
+    span->counters().rows_out.store(exec::BatchesActiveRows(out.batches),
+                                    std::memory_order_relaxed);
   }
   return out;
 }

@@ -15,26 +15,18 @@
 
 namespace just::sql {
 
-/// Execution-mode knobs.
-struct ExecOptions {
-  /// Forces the legacy row-at-a-time path: every predicate and projection
-  /// runs through the interpreted EvaluateExpr tree walk, no column batches,
-  /// no predicate programs. Kept as the differential-testing oracle and the
-  /// benchmark baseline for the vectorized path.
-  bool force_interpreted = false;
-};
-
 /// Physical execution (Section VI, "SQL Execute"): spatial / spatio-temporal
-/// / k-NN predicates adjacent to a table scan are translated into GeoMesa
-/// key-range SCANs (the engine's indexed queries); everything else runs as
+/// / k-NN / secondary-index predicates adjacent to a table scan become one
+/// JustEngine::Query (GeoMesa key-range SCANs); everything else runs as
 /// DataFrame operations (the Spark SQL role).
 ///
 /// Post-scan refinement is columnar: scans produce ColumnBatches, residual
 /// predicates compile once per query into flat type-specialized programs
 /// (cached in PredicateProgramCache), and filter / plain-project / global-
 /// aggregate stages run as tight loops over column vectors connected by
-/// selection vectors. Sort, limit, join, and analysis functions materialize
-/// rows at their input boundary and run row-at-a-time.
+/// selection vectors. Sort, limit, join, grouped aggregation and analysis
+/// functions have no columnar twin: they materialize rows at their input
+/// boundary and run row-at-a-time.
 ///
 /// The executor holds no per-query state: scan statistics are returned
 /// through the optional `stats` out-parameter, so one instance can run plans
@@ -43,9 +35,8 @@ struct ExecOptions {
 /// counts and interpreted-vs-specialized evaluation time.
 class Executor {
  public:
-  Executor(core::JustEngine* engine, std::string user,
-           ExecOptions options = {})
-      : engine_(engine), user_(std::move(user)), options_(options) {}
+  Executor(core::JustEngine* engine, std::string user)
+      : engine_(engine), user_(std::move(user)) {}
 
   /// Runs the plan. `stats`, when non-null, accumulates the key-range scan
   /// statistics of every indexed scan in the plan.
@@ -87,6 +78,10 @@ class Executor {
                                            obs::TraceSpan* span, size_t limit);
   Result<BatchResult> ExecuteProjectBatch(const PlanNode& node,
                                           core::QueryStats* stats);
+  /// Evaluates `node`'s (row-preserving) items over `input`, attributing
+  /// batch counts and evaluation time to `span` (may be null).
+  Result<BatchResult> ProjectBatches(const PlanNode& node, BatchResult input,
+                                     obs::TraceSpan* span);
   Result<BatchResult> ExecuteAggregateBatch(const PlanNode& node,
                                             core::QueryStats* stats);
   /// Compiles `conjuncts` through the plan cache and filters every batch,
@@ -100,28 +95,19 @@ class Executor {
   /// Limit -> Project* (row-preserving) -> [Filter] -> table scan, runs the
   /// scan with a row budget so LIMIT 10 over a huge table stops after ~10
   /// matching rows instead of materializing everything. Returns nullopt
-  /// when the chain does not qualify (views, analysis functions,
-  /// force_interpreted).
+  /// when the chain does not qualify (views, analysis functions).
   Result<std::optional<exec::DataFrame>> TryLimitPushdown(
       const PlanNode& limit_node, core::QueryStats* stats);
   /// Keeps the named columns (scan projection pushdown), column-wise.
   Result<BatchResult> ProjectColumns(
       BatchResult input, const std::vector<std::string>& columns);
 
-  // --- Row-at-a-time path (force_interpreted; also sort/limit/join) ---
-  Result<exec::DataFrame> ExecuteScan(const PlanNode& scan,
-                                      const Expr* predicate,
-                                      core::QueryStats* stats);
-  Result<exec::DataFrame> ExecuteScanImpl(const PlanNode& scan,
-                                          const Expr* predicate,
-                                          core::QueryStats* stats,
-                                          obs::TraceSpan* span);
-  Result<exec::DataFrame> ExecuteProject(const PlanNode& node,
-                                         core::QueryStats* stats);
+  /// A 1-N / N-M analysis-function project, row-at-a-time.
+  Result<exec::DataFrame> ExecuteAnalysisProject(const PlanNode& node,
+                                                 core::QueryStats* stats);
 
   core::JustEngine* engine_;
   std::string user_;
-  ExecOptions options_;
 };
 
 }  // namespace just::sql

@@ -41,7 +41,8 @@ Result<int64_t> ParsePeriodName(const std::string& name) {
 }
 
 // Applies the USERDATA hint: {'geomesa.indices.enabled':'z3,xz2t'} selects
-// indexes, {'just.period':'day|week|month|year|century'} the Eq. (1) bin.
+// indexes, {'just.period':'day|week|month|year|century'} the Eq. (1) bin,
+// {'just.attr.indexes':'col'} declares secondary indexes.
 Status ApplyUserdata(const std::string& json, meta::TableMeta* table) {
   if (json.empty()) return Status::OK();
   JUST_ASSIGN_OR_RETURN(auto doc, ParseJson(json));
@@ -50,19 +51,28 @@ Status ApplyUserdata(const std::string& json, meta::TableMeta* table) {
   if (!period_name.empty()) {
     JUST_ASSIGN_OR_RETURN(period, ParsePeriodName(period_name));
   }
+  // {'just.attr.indexes':'c1,c2'} declares secondary indexes on the new
+  // (empty) table; the engine assigns their slots and marks them ready.
   std::string attrs = doc.GetString("just.attr.indexes");
-  if (!attrs.empty()) {
-    std::string current;
-    for (char c : attrs) {
-      if (c == ',' || c == ' ') {
-        if (!current.empty()) table->attr_indexes.push_back(current);
-        current.clear();
-      } else {
-        current += c;
-      }
+  std::string current;
+  auto declare = [&] {
+    if (!current.empty() &&
+        table->FindSecondaryIndex("attr_" + current) == nullptr) {
+      meta::SecondaryIndexDef def;
+      def.name = "attr_" + current;
+      def.column = current;
+      table->secondary_indexes.push_back(std::move(def));
     }
-    if (!current.empty()) table->attr_indexes.push_back(current);
+    current.clear();
+  };
+  for (char c : attrs) {
+    if (c == ',' || c == ' ') {
+      declare();
+    } else {
+      current += c;
+    }
   }
+  declare();
   std::string enabled = doc.GetString("geomesa.indices.enabled");
   if (!enabled.empty()) {
     table->indexes.clear();
@@ -217,7 +227,7 @@ Result<QueryResult> JustQL::ExecuteParsed(const std::string& user,
             auto table, core::MakePluginTable(create.plugin, user,
                                               create.name));
         JUST_RETURN_NOT_OK(ApplyUserdata(create.userdata_json, &table));
-        JUST_RETURN_NOT_OK(engine_->catalog()->CreateTable(&table));
+        JUST_RETURN_NOT_OK(engine_->CreateTable(std::move(table)));
         result.message = "plugin table created: " + create.name;
         return result;
       }

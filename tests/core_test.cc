@@ -9,12 +9,14 @@
 #include "core/plugins.h"
 #include "core/result_set.h"
 #include "core/row_codec.h"
+#include "query_oracle.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
 namespace just::core {
 namespace {
 
+using just::testing::QueryFrame;
 using just::testing::TempDir;
 
 EngineOptions SmallEngine(const std::string& dir) {
@@ -146,8 +148,8 @@ TEST(EngineTest, UserNamespacesIsolated) {
   ASSERT_TRUE((*engine)->CreateTable(PointTableMeta("bob", "t")).ok());
   ASSERT_TRUE(
       (*engine)->Insert("alice", "t", PointRow("a1", 116.4, 39.9, 1000)).ok());
-  auto alice = (*engine)->FullScan("alice", "t");
-  auto bob = (*engine)->FullScan("bob", "t");
+  auto alice = QueryFrame(engine->get(), "alice", "t");
+  auto bob = QueryFrame(engine->get(), "bob", "t");
   ASSERT_TRUE(alice.ok());
   ASSERT_TRUE(bob.ok());
   EXPECT_EQ(alice->num_rows(), 1u);
@@ -195,7 +197,8 @@ TEST(EngineQueryTest, SpatialRangeMatchesBruteForce) {
     double lat = rng.Uniform(39.0, 39.8);
     geo::Mbr box = geo::Mbr::Of(lng, lat, lng + 0.2, lat + 0.2);
     QueryStats stats;
-    auto result = (*engine)->SpatialRangeQuery("u", "pts", box, &stats);
+    auto result = QueryFrame(engine->get(), "u", "pts",
+                             QuerySpec::SpatialRange(box), &stats);
     ASSERT_TRUE(result.ok());
     std::set<std::string> got;
     for (const auto& row : result->rows()) got.insert(row[0].string_value());
@@ -229,7 +232,8 @@ TEST(EngineQueryTest, StRangeMatchesBruteForce) {
     TimestampMs t0 = base + static_cast<int64_t>(rng.Uniform(15)) *
                                 kMillisPerDay;
     TimestampMs t1 = t0 + 2 * kMillisPerDay + 11 * kMillisPerHour;
-    auto result = (*engine)->StRangeQuery("u", "pts", box, t0, t1);
+    auto result = QueryFrame(engine->get(), "u", "pts",
+                             QuerySpec::StRange(box, t0, t1));
     ASSERT_TRUE(result.ok());
     std::set<std::string> got;
     for (const auto& row : result->rows()) got.insert(row[0].string_value());
@@ -256,7 +260,8 @@ TEST(EngineQueryTest, KnnMatchesBruteForce) {
   for (int trial = 0; trial < 8; ++trial) {
     geo::Point q{rng.Uniform(116.1, 116.9), rng.Uniform(39.1, 39.9)};
     int k = 1 + static_cast<int>(rng.Uniform(50));
-    auto result = (*engine)->KnnQuery("u", "pts", q, k);
+    auto result = QueryFrame(engine->get(), "u", "pts",
+                             QuerySpec::Knn(q, k));
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->num_rows(), static_cast<size_t>(k));
     // Brute-force distances.
@@ -300,9 +305,10 @@ TEST(EngineQueryTest, UpdateEnabledInsertOverwritesAndExtends) {
                                     base - 10 * kMillisPerDay))
                   .ok());
   geo::Mbr box = geo::Mbr::Of(116.3, 39.8, 116.5, 40.0);
-  auto result = (*engine)->StRangeQuery("u", "pts", box,
-                                        base - 20 * kMillisPerDay,
-                                        base + 40 * kMillisPerDay);
+  auto result = QueryFrame(
+      engine->get(), "u", "pts",
+      QuerySpec::StRange(box, base - 20 * kMillisPerDay,
+                         base + 40 * kMillisPerDay));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_rows(), 3u);
 }
@@ -330,8 +336,9 @@ TEST(EngineQueryTest, TrajectoryPluginStQueries) {
 
   TimestampMs base = ParseTimestamp(opts.start_date).value();
   geo::Mbr box = geo::Mbr::Of(116.2, 39.8, 116.6, 40.1);
-  auto result = (*engine)->StRangeQuery("u", "traj", box, base,
-                                        base + 5 * kMillisPerDay);
+  auto result = QueryFrame(
+      engine->get(), "u", "traj",
+      QuerySpec::StRange(box, base, base + 5 * kMillisPerDay));
   ASSERT_TRUE(result.ok());
   std::set<std::string> got;
   for (const auto& row : result->rows()) got.insert(row[0].string_value());
@@ -353,7 +360,7 @@ TEST(EngineViewTest, CreateQueryStoreDrop) {
   ASSERT_TRUE(engine.ok());
   ASSERT_TRUE((*engine)->CreateTable(PointTableMeta("u", "pts")).ok());
   InsertRandomPoints(engine->get(), "u", "pts", 100, 17);
-  auto frame = (*engine)->FullScan("u", "pts");
+  auto frame = QueryFrame(engine->get(), "u", "pts");
   ASSERT_TRUE(frame.ok());
   ASSERT_TRUE((*engine)->CreateView("u", "v1", *frame).ok());
   EXPECT_TRUE((*engine)->ViewExists("u", "v1"));
@@ -363,7 +370,7 @@ TEST(EngineViewTest, CreateQueryStoreDrop) {
   EXPECT_EQ(view->num_rows(), 100u);
   // STORE VIEW TO TABLE auto-creates the target.
   ASSERT_TRUE((*engine)->StoreViewToTable("u", "v1", "pts_copy").ok());
-  auto copied = (*engine)->FullScan("u", "pts_copy");
+  auto copied = QueryFrame(engine->get(), "u", "pts_copy");
   ASSERT_TRUE(copied.ok());
   EXPECT_EQ(copied->num_rows(), 100u);
   ASSERT_TRUE((*engine)->DropView("u", "v1").ok());
@@ -456,7 +463,7 @@ TEST(LoaderTest, LoadsCsvWithTransforms) {
   auto loaded = LoadCsv(engine->get(), "u", "pts", csv_path, config);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, 3u);
-  auto rows = (*engine)->FullScan("u", "pts");
+  auto rows = QueryFrame(engine->get(), "u", "pts");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->num_rows(), 3u);
 }

@@ -7,7 +7,8 @@
 #include <memory>
 
 #include "core/engine.h"
-#include "kvstore/sstable.h"
+#include "obs/metrics.h"
+#include "query_oracle.h"
 #include "sql/justql.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -15,6 +16,7 @@
 namespace just {
 namespace {
 
+using just::testing::QueryFrame;
 using just::testing::TempDir;
 
 core::EngineOptions Options(const std::string& dir) {
@@ -92,8 +94,9 @@ TEST(IntegrationTest, HistoricalUpdateVisibleAfterCompaction) {
   // overwritten (upsert semantics; no index rebuild).
   ASSERT_TRUE((*engine)->Insert("u", "pts", row_at("x", 116.40)).ok());
   ASSERT_TRUE((*engine)->Finalize().ok());
-  auto result = (*engine)->SpatialRangeQuery(
-      "u", "pts", geo::Mbr::Of(116.3, 39.8, 116.5, 40.0));
+  auto result = QueryFrame(
+      engine->get(), "u", "pts",
+      core::QuerySpec::SpatialRange(geo::Mbr::Of(116.3, 39.8, 116.5, 40.0)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_rows(), 1u);  // one logical record, not two
 }
@@ -230,10 +233,13 @@ TEST(IntegrationTest, CompressionReducesIoOnScans) {
     ASSERT_TRUE((*engine)->Insert("u", "gps", row).ok());
   }
   ASSERT_TRUE((*engine)->Finalize().ok());
-  uint64_t before = kv::GlobalIoStats().bytes_read;
-  auto frame = (*engine)->FullScan("u", "gps");
+  auto bytes_read = [] {
+    return obs::Registry::Global().CounterValue("just_kv_bytes_read_total");
+  };
+  uint64_t before = bytes_read();
+  auto frame = QueryFrame(engine->get(), "u", "gps");
   ASSERT_TRUE(frame.ok());
-  uint64_t compressed_read = kv::GlobalIoStats().bytes_read - before;
+  uint64_t compressed_read = bytes_read() - before;
   // Logical GPS bytes: 400 pts x 24 B x 40 trajectories = 384 KB; the scan
   // must have read much less thanks to the delta+LZ77 cells.
   EXPECT_LT(compressed_read, 40u * 400u * 24u / 2);
@@ -265,7 +271,7 @@ TEST(IntegrationTest, SpilledResultSetRoundTripsWholeTable) {
                                       {116.0 + i * 1e-5, 39.0}))})
                     .ok());
   }
-  auto frame = (*engine)->FullScan("u", "pts");
+  auto frame = QueryFrame(engine->get(), "u", "pts");
   ASSERT_TRUE(frame.ok());
   core::ResultSet::Options rs_options;
   rs_options.direct_row_limit = 100;

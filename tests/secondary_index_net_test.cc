@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "net_harness.h"
+#include "query_oracle.h"
 #include "sql/justql.h"
 #include "test_util.h"
 
@@ -109,7 +110,7 @@ TEST(SecondaryIndexNetTest, SigkillMidBuildThenRebuildMatchesBaseScan) {
   }
 
   // The finished index must agree exactly with a base-table scan.
-  auto full = (*engine)->FullScan("u", "orders");
+  auto full = just::testing::QueryFrame(engine->get(), "u", "orders");
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   ASSERT_EQ(full->num_rows(), 4000u);
   sql::JustQL ql(engine->get());

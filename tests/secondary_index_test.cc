@@ -24,11 +24,13 @@
 #include "sql/optimizer.h"
 #include "sql/parser.h"
 #include "sql/predicate_program.h"
+#include "query_oracle.h"
 #include "test_util.h"
 
 namespace just::core {
 namespace {
 
+using just::testing::QueryFrame;
 using just::testing::TempDir;
 
 uint64_t CounterValue(const std::string& name) {
@@ -290,7 +292,7 @@ TEST_F(SecondaryIndexTest, UnselectiveIndexDemotesToCurveScan) {
 
 TEST_F(SecondaryIndexTest, DeleteTombstonesIndexEntriesInSameBatch) {
   ASSERT_TRUE(engine_->CreateIndex("u", "orders", "idx_c", "courier").ok());
-  auto full = engine_->FullScan("u", "orders");
+  auto full = QueryFrame(engine_.get(), "u", "orders");
   ASSERT_TRUE(full.ok());
   exec::Row doomed;
   for (const auto& row : full->rows()) {
@@ -310,7 +312,7 @@ TEST_F(SecondaryIndexTest, DeleteTombstonesIndexEntriesInSameBatch) {
 
 TEST_F(SecondaryIndexTest, ReplaceRetiresStaleIndexEntry) {
   ASSERT_TRUE(engine_->CreateIndex("u", "orders", "idx_c", "courier").ok());
-  auto full = engine_->FullScan("u", "orders");
+  auto full = QueryFrame(engine_.get(), "u", "orders");
   ASSERT_TRUE(full.ok());
   exec::Row old_row;
   for (const auto& row : full->rows()) {
@@ -366,7 +368,7 @@ TEST_F(SecondaryIndexTest, ConcurrentWritersAreNeverBlockedAndIndexIsExact) {
   ASSERT_TRUE(built.ok()) << built.ToString();
   ASSERT_TRUE(writer_ok.load()) << "a Put failed during the online build";
 
-  auto full = engine_->FullScan("u", "orders");
+  auto full = QueryFrame(engine_.get(), "u", "orders");
   ASSERT_TRUE(full.ok());
   ASSERT_EQ(full->num_rows(), 700u);
   for (int c = 0; c < 20; ++c) {
@@ -418,8 +420,7 @@ TEST_F(SecondaryIndexTest, LeftoverBuildingIndexIsDroppedOnOpen) {
   def.name = "idx_zombie";
   def.column = "courier";
   def.slot = std::max<uint32_t>(
-      static_cast<uint32_t>(described->indexes.size() +
-                            described->attr_indexes.size()),
+      static_cast<uint32_t>(described->indexes.size()),
       described->next_index_slot);
   def.state = meta::IndexState::kBuilding;
   ASSERT_TRUE(engine_->catalog()->AddIndex("u", "orders", def).ok());

@@ -16,7 +16,10 @@
 
 #include "core/engine.h"
 #include "obs/metrics.h"
+#include "sql/analyzer.h"
+#include "sql/executor.h"
 #include "sql/justql.h"
+#include "sql/optimizer.h"
 #include "sql/parser.h"
 #include "stream/continuous_query.h"
 #include "stream/quota.h"
@@ -389,6 +392,62 @@ TEST_F(StreamTest, ScanQuotaShedsAdHocQueriesWhenInDebt) {
   EXPECT_TRUE(second.status().IsResourceExhausted())
       << second.status().ToString();
   EXPECT_GE(engine_->quota_manager()->GetCounters("tester").scan_sheds, 1u);
+}
+
+// Every access path charges the tenant exactly the bytes its scan read, and
+// a SQL caller's QueryStats sees those same bytes.
+TEST_F(StreamTest, ScanQuotaChargesTheBytesEachAccessPathReports) {
+  CreateVehicles();
+  for (int i = 0; i < 50; ++i) {
+    MustRun("INSERT INTO vehicles VALUES " +
+            VehicleValues("v" + std::to_string(i), "d" + std::to_string(i % 5),
+                          i, "2018-10-01 10:00:00", 116.0 + i * 0.01,
+                          39.5 + i * 0.01));
+  }
+  MustRun("CREATE INDEX idx_district ON vehicles (district)");
+  ASSERT_TRUE(engine_->Finalize().ok());
+  const struct {
+    const char* access;
+    const char* where;
+  } kPaths[] = {
+      {"full_scan", "speed >= 0"},
+      {"spatial_range", "geom WITHIN st_makeMBR(116.0, 39.5, 116.3, 39.8)"},
+      {"st_range",
+       "geom WITHIN st_makeMBR(116.0, 39.5, 116.3, 39.8) AND time BETWEEN "
+       "'2018-10-01 00:00:00' AND '2018-10-02 00:00:00'"},
+      {"knn", "geom IN st_KNN(st_makePoint(116.2, 39.7), 5)"},
+      {"secondary_index", "district = 'd3'"},
+  };
+  for (const auto& path : kPaths) {
+    const std::string sql =
+        std::string("SELECT fid FROM vehicles WHERE ") + path.where;
+    SCOPED_TRACE(sql);
+    auto plan_text = ql_->ExplainSelect("tester", sql);
+    ASSERT_TRUE(plan_text.ok());
+    EXPECT_NE(plan_text->find(std::string("access: ") + path.access),
+              std::string::npos)
+        << *plan_text;
+
+    auto stmt = sql::ParseStatement(sql);
+    ASSERT_TRUE(stmt.ok());
+    sql::Analyzer analyzer(engine_.get(), "tester");
+    auto plan = analyzer.Analyze(*stmt->select);
+    ASSERT_TRUE(plan.ok());
+    auto optimized = sql::Optimize(std::move(*plan));
+    ASSERT_TRUE(optimized.ok());
+    const uint64_t charged_before =
+        engine_->quota_manager()->GetCounters("tester").scan_bytes_charged;
+    core::QueryStats stats;
+    sql::Executor executor(engine_.get(), "tester");
+    auto frame = executor.Execute(**optimized, &stats);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_GT(frame->num_rows(), 0u);
+    const uint64_t charged =
+        engine_->quota_manager()->GetCounters("tester").scan_bytes_charged -
+        charged_before;
+    EXPECT_GT(stats.bytes_scanned, 0u);
+    EXPECT_EQ(charged, stats.bytes_scanned);
+  }
 }
 
 // Per-query CQ metrics: matches/notifications counted under a query label.
