@@ -82,8 +82,8 @@ void BM_MixedPutLatencyAcrossFlush(benchmark::State& state) {
     std::thread scanner([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         size_t rows = 0;
-        (void)store->Scan("", "",
-                          [&](std::string_view, std::string_view) {
+        (void)store->Scan({{"", ""}},
+                          [&](size_t, std::string_view, std::string_view) {
                             ++rows;
                             return true;
                           });

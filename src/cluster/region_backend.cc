@@ -25,10 +25,9 @@ class LocalBackend : public RegionBackend {
   Status WriteBatch(const std::vector<kv::WriteOp>& ops) override {
     return store_->WriteBatch(ops);
   }
-  Status Scan(std::string_view start, std::string_view end,
-              const std::function<bool(std::string_view, std::string_view)>&
-                  fn) override {
-    return store_->Scan(start, end, fn);
+  Status Scan(const std::vector<kv::ScanRange>& ranges,
+              const kv::ScanFn& fn) override {
+    return store_->Scan(ranges, fn);
   }
   Status Flush() override { return store_->Flush(); }
   Status CompactAll() override { return store_->CompactAll(); }
@@ -47,10 +46,10 @@ class LocalBackend : public RegionBackend {
   std::unique_ptr<kv::LsmStore> store_;
 };
 
-/// Wire-protocol backend. RegionClient is not thread-safe and the cluster
-/// fans scans out across a pool, so every RPC serializes on a mutex; scans
-/// hold it per *page*, not per range, so concurrent scans interleave at
-/// page granularity instead of starving each other.
+/// Wire-protocol backend. RegionClient is not thread-safe and concurrent
+/// queries share it, so every RPC serializes on a mutex; scans hold it per
+/// *page*, so concurrent scans interleave at page granularity instead of
+/// starving each other.
 class SocketBackend : public RegionBackend {
  public:
   explicit SocketBackend(net::RegionClientOptions options)
@@ -78,27 +77,11 @@ class SocketBackend : public RegionBackend {
     std::lock_guard<std::mutex> lock(mu_);
     return client_.Ingest(tenant, ops);
   }
-  Status Scan(std::string_view start, std::string_view end,
-              const std::function<bool(std::string_view, std::string_view)>&
-                  fn) override {
-    net::ScanRequest req;
-    req.start_key = std::string(start);
-    req.end_key = std::string(end);
-    for (;;) {
-      net::ScanResponse resp;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        req.limit_rows = client_.options().scan_page_rows;
-        JUST_RETURN_NOT_OK(client_.ScanPage(req, &resp));
-      }
-      // The callback runs without the lock: it may (indirectly) issue more
-      // RPCs against this same backend.
-      for (const auto& row : resp.rows) {
-        if (!fn(row.key, row.value)) return Status::OK();
-      }
-      if (!resp.has_more) return Status::OK();
-      req.start_key = resp.next_cursor;
-    }
+  Status Scan(const std::vector<kv::ScanRange>& ranges,
+              const kv::ScanFn& fn) override {
+    // The lock is held per page only: the callback may (indirectly) issue
+    // more RPCs against this same backend.
+    return client_.Scan(ranges, fn, &mu_);
   }
   Status Flush() override {
     std::lock_guard<std::mutex> lock(mu_);

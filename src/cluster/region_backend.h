@@ -1,7 +1,6 @@
 #ifndef JUST_CLUSTER_REGION_BACKEND_H_
 #define JUST_CLUSTER_REGION_BACKEND_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -29,11 +28,12 @@ struct BackendStats {
 /// Contract notes:
 ///  - Transient failures (connection loss, shed-on-overload, timeouts)
 ///    surface as IsTransient() statuses; the cluster retries with backoff.
-///  - Scan has LsmStore::Scan semantics: ordered [start, end), callback
-///    returns false to stop early. Implementations may page internally
-///    (the socket backend does, via the wire protocol's resume cursor);
-///    on failure, rows may already have been delivered — callers that
-///    retry must buffer per attempt, which RegionCluster does.
+///  - Scan has LsmStore::Scan semantics: a list of [start, end) ranges,
+///    each yielding its rows in key order, tagged with the range index;
+///    the callback returns false to stop early. Implementations may page
+///    internally (the socket backend does, via the wire protocol's resume
+///    cursor); on failure, rows may already have been delivered — callers
+///    that retry must buffer per attempt, which RegionCluster does.
 class RegionBackend {
  public:
   virtual ~RegionBackend() = default;
@@ -52,9 +52,8 @@ class RegionBackend {
     (void)tenant;
     return WriteBatch(ops);
   }
-  virtual Status Scan(
-      std::string_view start, std::string_view end,
-      const std::function<bool(std::string_view, std::string_view)>& fn) = 0;
+  virtual Status Scan(const std::vector<kv::ScanRange>& ranges,
+                      const kv::ScanFn& fn) = 0;
   virtual Status Flush() = 0;
   virtual Status CompactAll() = 0;
   virtual Status GetStats(BackendStats* stats) = 0;

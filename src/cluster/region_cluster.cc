@@ -158,56 +158,72 @@ Status RegionCluster::IngestBatch(const std::string& tenant,
 Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
     const std::vector<curve::KeyRange>& ranges) const {
   std::vector<RangeResult> results(ranges.size());
-  std::atomic<bool> failed{false};
-  Status first_error;
-  std::mutex error_mu;
-  static obs::Histogram* scan_hist =
-      obs::Registry::Global().GetHistogram("just_cluster_parallel_scan_us");
-  obs::ScopedSpan span("cluster.ParallelScan");
-  if (span.span() != nullptr) {
-    span.span()->AddAttr("ranges", std::to_string(ranges.size()));
-  }
-  const auto scan_start = std::chrono::steady_clock::now();
-  // Pool workers have their own thread-local state: hand them the span
-  // explicitly so their I/O counters attribute to this scan.
-  obs::TraceSpan* parent_span = obs::CurrentSpan();
-  DefaultPool().ParallelFor(ranges.size(), [&](size_t i) {
-    obs::SpanScope scope(parent_span);
-    if (failed.load(std::memory_order_relaxed)) return;
+  // Group the ranges by owning server. Routing is first_byte % num_servers
+  // — NOT a contiguous partition: a range spanning multiple shard bytes can
+  // land on every server (e.g. bytes 0x04..0x06 with 5 servers hit servers
+  // 4, 0 and 1), so it goes to all of them. Only a range confined to a
+  // single shard byte maps to a single server; the ranges the index
+  // strategies emit are of exactly that shape.
+  struct ServerWork {
+    std::vector<size_t> range_ids;  ///< indexes into `ranges`, in order
+    std::vector<kv::ScanRange> ranges;
+  };
+  std::vector<ServerWork> work(servers_.size());
+  for (size_t i = 0; i < ranges.size(); ++i) {
     const curve::KeyRange& range = ranges[i];
     results[i].contained = range.contained;
-    // Routing is first_byte % num_servers — NOT a contiguous partition: a
-    // range spanning multiple shard bytes can land on every server (e.g.
-    // bytes 0x04..0x06 with 5 servers hit servers 4, 0 and 1, which the old
-    // `[ServerFor(start), ServerFor(end)]` guess silently skipped). Only a
-    // range confined to a single shard byte maps to a single server; the
-    // ranges the index strategies emit are of exactly that shape, so the
-    // fast path still covers the common case.
     int first = 0;
     int last = num_servers() - 1;
     if (SingleShardByte(range.start, range.end)) {
       first = last = ServerFor(range.start);
     }
     for (int server = first; server <= last; ++server) {
-      // Rows are buffered per attempt: a retry after a mid-scan failure
-      // restarts the server's range cleanly instead of duplicating rows.
-      std::vector<Row> rows;
-      Status st = WithRetry([&] {
-        rows.clear();
-        return servers_[server]->Scan(
-            range.start, range.end,
-            [&](std::string_view key, std::string_view value) {
-              rows.push_back(Row{std::string(key), std::string(value)});
-              return true;
-            });
-      });
-      if (!st.ok()) {
-        failed.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error.ok()) first_error = st;
-        return;
-      }
-      for (auto& row : rows) results[i].rows.push_back(std::move(row));
+      work[server].range_ids.push_back(i);
+      work[server].ranges.push_back({range.start, range.end});
+    }
+  }
+  std::vector<size_t> busy;  ///< servers with work, in server order
+  for (size_t s = 0; s < work.size(); ++s) {
+    if (!work[s].ranges.empty()) busy.push_back(s);
+  }
+
+  static obs::Histogram* scan_hist =
+      obs::Registry::Global().GetHistogram("just_cluster_parallel_scan_us");
+  obs::ScopedSpan span("cluster.ParallelScan");
+  if (span.span() != nullptr) {
+    span.span()->AddAttr("ranges", std::to_string(ranges.size()));
+    span.span()->AddAttr("servers", std::to_string(busy.size()));
+  }
+  const auto scan_start = std::chrono::steady_clock::now();
+  // One multi-range scan per server that has work: one pool task and (on
+  // sockets) one RPC per page, however many ranges the server owns.
+  // Rows are buffered per range and per attempt: a retry after a mid-scan
+  // failure restarts the server's scan cleanly instead of duplicating rows.
+  std::vector<std::vector<std::vector<Row>>> rows(busy.size());
+  std::atomic<bool> failed{false};
+  Status first_error;
+  std::mutex error_mu;
+  // Pool workers have their own thread-local state: hand them the span
+  // explicitly so their I/O counters attribute to this scan.
+  obs::TraceSpan* parent_span = obs::CurrentSpan();
+  DefaultPool().ParallelFor(busy.size(), [&](size_t b) {
+    obs::SpanScope scope(parent_span);
+    if (failed.load(std::memory_order_relaxed)) return;
+    const ServerWork& w = work[busy[b]];
+    std::vector<std::vector<Row>>& per_range = rows[b];
+    Status st = WithRetry([&] {
+      per_range.assign(w.ranges.size(), {});
+      return servers_[busy[b]]->Scan(
+          w.ranges,
+          [&](size_t r, std::string_view key, std::string_view value) {
+            per_range[r].push_back(Row{std::string(key), std::string(value)});
+            return true;
+          });
+    });
+    if (!st.ok()) {
+      failed.store(true, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (first_error.ok()) first_error = st;
     }
   });
   scan_hist->Record(static_cast<uint64_t>(
@@ -217,6 +233,19 @@ Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
   if (failed.load()) {
     return first_error.ok() ? Status::Internal("parallel scan failed")
                             : first_error;
+  }
+  // Server order: a range that crosses shard bytes gets each server's rows
+  // in turn, each server's in key order.
+  for (size_t b = 0; b < busy.size(); ++b) {
+    const ServerWork& w = work[busy[b]];
+    for (size_t r = 0; r < w.ranges.size(); ++r) {
+      std::vector<Row>& dst = results[w.range_ids[r]].rows;
+      if (dst.empty()) {
+        dst = std::move(rows[b][r]);
+      } else {
+        for (Row& row : rows[b][r]) dst.push_back(std::move(row));
+      }
+    }
   }
   return results;
 }
@@ -245,12 +274,12 @@ Status RegionCluster::Scan(
       std::vector<Row> rows;
       Status st = WithRetry([&] {
         rows.clear();
-        return server->Scan(cursor, end,
-                            [&](std::string_view k, std::string_view v) {
-                              rows.push_back(Row{std::string(k),
-                                                 std::string(v)});
-                              return rows.size() < batch_rows;
-                            });
+        return server->Scan(
+            {{cursor, end}},
+            [&](size_t, std::string_view k, std::string_view v) {
+              rows.push_back(Row{std::string(k), std::string(v)});
+              return rows.size() < batch_rows;
+            });
       });
       JUST_RETURN_NOT_OK(st);
       rows_fetched->Add(rows.size());

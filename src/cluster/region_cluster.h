@@ -85,7 +85,10 @@ class RegionCluster {
     bool contained = false;  ///< from the originating KeyRange
   };
 
-  /// Runs every key range as a SCAN on its owning server, in parallel.
+  /// Scans every key range on its owning server(s): one multi-range scan
+  /// per server that owns any range, the servers in parallel. Returns one
+  /// result per input range, rows in key order — a range crossing shard
+  /// bytes gets each server's rows in server order.
   Result<std::vector<RangeResult>> ParallelScan(
       const std::vector<curve::KeyRange>& ranges) const;
 

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <queue>
 
 namespace just::kv {
 
@@ -221,19 +220,24 @@ class LevelIterator {
   explicit LevelIterator(std::vector<std::shared_ptr<SsTableReader>> files)
       : files_(std::move(files)) {}
 
+  /// True when some file of the level overlaps [start, end).
+  bool MayContain(std::string_view start, std::string_view end) const {
+    size_t idx = FirstFileEndingAtOrAfter(start);
+    return idx < files_.size() &&
+           (end.empty() || std::string_view(files_[idx]->smallest_key()) < end);
+  }
+
   void Seek(std::string_view target) {
-    idx_ = static_cast<size_t>(
-        std::lower_bound(files_.begin(), files_.end(), target,
-                         [](const std::shared_ptr<SsTableReader>& t,
-                            std::string_view k) {
-                           return std::string_view(t->largest_key()) < k;
-                         }) -
-        files_.begin());
-    if (idx_ >= files_.size()) {
+    size_t idx = FirstFileEndingAtOrAfter(target);
+    if (idx >= files_.size()) {
+      idx_ = idx;
       iter_.reset();
       return;
     }
-    iter_ = std::make_unique<SsTableReader::Iterator>(files_[idx_].get());
+    if (iter_ == nullptr || idx != idx_) {
+      idx_ = idx;
+      iter_ = std::make_unique<SsTableReader::Iterator>(files_[idx_].get());
+    }
     iter_->Seek(target);
     SkipExhaustedFiles();
   }
@@ -252,6 +256,16 @@ class LevelIterator {
   }
 
  private:
+  size_t FirstFileEndingAtOrAfter(std::string_view key) const {
+    return static_cast<size_t>(
+        std::lower_bound(files_.begin(), files_.end(), key,
+                         [](const std::shared_ptr<SsTableReader>& t,
+                            std::string_view k) {
+                           return std::string_view(t->largest_key()) < k;
+                         }) -
+        files_.begin());
+  }
+
   void SkipExhaustedFiles() {
     while (iter_ != nullptr && !iter_->Valid() && iter_->status().ok()) {
       if (++idx_ >= files_.size()) {
@@ -909,20 +923,26 @@ Status LsmStore::Get(std::string_view key, std::string* value) const {
   return Status::NotFound("no such key");
 }
 
-Status LsmStore::Scan(
-    std::string_view start, std::string_view end,
-    const std::function<bool(std::string_view, std::string_view)>& fn) const {
-  // Snapshot the sources under the lock, then merge without it: the active
-  // memtable is mutable (SkipList::Put overwrites values in place), so its
-  // window is *copied*; the immutable memtable and the SSTables are frozen,
-  // so shared_ptr pins suffice. After this block the scan never touches
-  // store state — writers proceed and the callback may re-enter the store.
+Status LsmStore::Scan(const std::vector<ScanRange>& ranges,
+                      const ScanFn& fn) const {
+  // Snapshot the sources under the lock, once for every range, then merge
+  // without it: the active memtable is mutable (SkipList::Put overwrites
+  // values in place), so each range's window of it is *copied*; the
+  // immutable memtable and the SSTables are frozen, so shared_ptr pins
+  // suffice. After this block the scan never touches store state — writers
+  // proceed and the callback may re-enter the store.
   std::vector<std::pair<std::string, std::string>> active;
+  std::vector<size_t> active_begin;  ///< range r's window: [r], [r + 1]
+  active_begin.reserve(ranges.size() + 1);
   std::shared_ptr<SkipList> imm;
   std::vector<std::vector<std::shared_ptr<SsTableReader>>> levels;
   {
     std::shared_lock lock(mu_);
-    memtable_->AppendRange(std::string(start), end, &active);
+    for (const ScanRange& range : ranges) {
+      active_begin.push_back(active.size());
+      memtable_->AppendRange(std::string(range.start), range.end, &active);
+    }
+    active_begin.push_back(active.size());
     imm = imm_;
     levels = levels_;
   }
@@ -930,16 +950,26 @@ Status LsmStore::Scan(
   // Sources in precedence order (lower index = newer): the active window,
   // the frozen memtable, every L0 table newest->oldest, then ONE merged
   // iterator per deeper level — a level is a single sorted run, so it costs
-  // one heap slot no matter how many files it holds.
+  // one heap slot no matter how many files it holds. They are built once
+  // and re-seeked per range.
   struct Source {
     const std::vector<std::pair<std::string, std::string>>* vec = nullptr;
     size_t vec_pos = 0;
+    size_t vec_end = 0;
     std::unique_ptr<SkipList::Iterator> mem;
+    const SsTableReader* table = nullptr;
     std::unique_ptr<SsTableReader::Iterator> sst;
     std::unique_ptr<LevelIterator> lvl;
+    /// The source sits at its first key >= pos_lo — so also at the first
+    /// key >= t for every t between pos_lo and its current key, and a later
+    /// range starting in that window needs no seek (no block re-read).
+    /// A view into the caller's ranges: a seek target, or the end of a
+    /// range the source has since been merged through.
+    std::string_view pos_lo;
+    bool positioned = false;
 
     bool Valid() const {
-      if (vec != nullptr) return vec_pos < vec->size();
+      if (vec != nullptr) return vec_pos < vec_end;
       if (mem != nullptr) return mem->Valid();
       if (sst != nullptr) return sst->Valid();
       return lvl->Valid();
@@ -972,16 +1002,34 @@ Status LsmStore::Scan(
         lvl->Next();
       }
     }
-  };
-
-  auto intersects = [&](const SsTableReader& t) {
-    if (!end.empty() && std::string_view(t.smallest_key()) >= end) {
-      return false;
+    /// Whether this source can hold keys in [start, end). Tables and levels
+    /// answer from their key bounds for free; the caller skips the rest.
+    bool MayContain(std::string_view start, std::string_view end) const {
+      if (table != nullptr) {
+        if (!end.empty() && std::string_view(table->smallest_key()) >= end) {
+          return false;
+        }
+        return std::string_view(table->largest_key()) >= start ||
+               table->largest_key().empty();
+      }
+      if (lvl != nullptr) return lvl->MayContain(start, end);
+      return true;
     }
-    if (std::string_view(t.largest_key()) < start && !t.largest_key().empty()) {
-      return false;
+    void Seek(std::string_view target) {
+      if (positioned && pos_lo <= target &&
+          (Valid() ? key() >= target : status().ok())) {
+        return;
+      }
+      pos_lo = target;
+      positioned = true;
+      if (mem != nullptr) {
+        mem->Seek(std::string(target));
+      } else if (sst != nullptr) {
+        sst->Seek(target);
+      } else {
+        lvl->Seek(target);
+      }
     }
-    return true;
   };
 
   std::vector<Source> sources;
@@ -993,74 +1041,94 @@ Status LsmStore::Scan(
   if (imm != nullptr) {
     Source s;
     s.mem = std::make_unique<SkipList::Iterator>(imm.get());
-    s.mem->Seek(std::string(start));
     sources.push_back(std::move(s));
   }
   for (auto it = levels[0].rbegin(); it != levels[0].rend(); ++it) {
-    if (!intersects(**it)) continue;  // cannot intersect [start, end)
     Source s;
+    s.table = it->get();
     s.sst = std::make_unique<SsTableReader::Iterator>(it->get());
-    s.sst->Seek(start);
     sources.push_back(std::move(s));
   }
   for (size_t lvl = 1; lvl < levels.size(); ++lvl) {
-    std::vector<std::shared_ptr<SsTableReader>> files;
-    for (const auto& table : levels[lvl]) {
-      if (intersects(*table)) files.push_back(table);
-    }
-    if (files.empty()) continue;
+    if (levels[lvl].empty()) continue;
     Source s;
-    s.lvl = std::make_unique<LevelIterator>(std::move(files));
-    s.lvl->Seek(start);
+    s.lvl = std::make_unique<LevelIterator>(levels[lvl]);
     sources.push_back(std::move(s));
   }
 
-  // K-way heap merge: the heap orders source indices by current key, ties
-  // broken toward the lower (newer) index so the freshest version of a key
-  // pops first and duplicates are skipped via last_emitted. A source that
-  // went invalid on a corrupt block fails the scan instead of silently
-  // shortening it.
+  // K-way heap merge per range: the heap orders source indices by current
+  // key, ties broken toward the lower (newer) index so the freshest version
+  // of a key pops first and duplicates are skipped via last_emitted. A
+  // source that went invalid on a corrupt block fails the scan instead of
+  // silently shortening it.
   auto newer_first = [&sources](int a, int b) {
     int c = sources[static_cast<size_t>(a)].key().compare(
         sources[static_cast<size_t>(b)].key());
     if (c != 0) return c > 0;  // min-heap on key
     return a > b;              // equal keys: lower index (newer) on top
   };
-  std::priority_queue<int, std::vector<int>, decltype(newer_first)> heap(
-      newer_first);
-  for (size_t i = 0; i < sources.size(); ++i) {
-    if (sources[i].Valid()) {
-      heap.push(static_cast<int>(i));
-    } else {
-      JUST_RETURN_NOT_OK(sources[i].status());
-    }
-  }
-
+  std::vector<int> heap;
+  heap.reserve(sources.size());
+  std::vector<int> merged;  ///< sources the current range merges
+  merged.reserve(sources.size());
   std::string last_emitted;
-  bool have_last = false;
-  while (!heap.empty()) {
-    int i = heap.top();
-    heap.pop();
-    Source& s = sources[static_cast<size_t>(i)];
-    // Materialize the key: advancing the source below invalidates the view.
-    std::string key(s.key());
-    if (!end.empty() && std::string_view(key) >= end) {
-      continue;  // this source is done; keys only grow
-    }
-    if (!have_last || key != last_emitted) {
-      last_emitted = key;
-      have_last = true;
-      std::string_view internal = s.value();
-      if (!internal.empty() && internal[0] == kTypePut) {
-        if (!fn(key, internal.substr(1))) return Status::OK();
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    const std::string_view start = ranges[r].start;
+    const std::string_view end = ranges[r].end;
+    merged.clear();
+    sources[0].vec_pos = active_begin[r];
+    sources[0].vec_end = active_begin[r + 1];
+    if (sources[0].Valid()) merged.push_back(0);
+    for (size_t i = 1; i < sources.size(); ++i) {
+      Source& s = sources[i];
+      if (!s.MayContain(start, end)) continue;
+      s.Seek(start);
+      if (s.Valid()) {
+        merged.push_back(static_cast<int>(i));
+      } else {
+        JUST_RETURN_NOT_OK(s.status());
       }
-      // Tombstones are skipped silently.
     }
-    s.Next();
-    if (s.Valid()) {
-      heap.push(i);
-    } else {
-      JUST_RETURN_NOT_OK(s.status());
+    heap = merged;
+    std::make_heap(heap.begin(), heap.end(), newer_first);
+
+    bool have_last = false;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), newer_first);
+      int i = heap.back();
+      heap.pop_back();
+      Source& s = sources[static_cast<size_t>(i)];
+      std::string_view key = s.key();
+      if (!end.empty() && key >= end) {
+        continue;  // this source is done with the range; keys only grow
+      }
+      if (!have_last || key != last_emitted) {
+        last_emitted.assign(key);
+        have_last = true;
+        std::string_view internal = s.value();
+        if (!internal.empty() && internal[0] == kTypePut) {
+          if (!fn(r, last_emitted, internal.substr(1))) return Status::OK();
+        }
+        // Tombstones are skipped silently.
+      }
+      s.Next();
+      if (s.Valid()) {
+        heap.push_back(i);
+        std::push_heap(heap.begin(), heap.end(), newer_first);
+      } else {
+        JUST_RETURN_NOT_OK(s.status());
+      }
+    }
+    // Every merged source consumed its keys in [start, end) and now sits at
+    // its first key >= end; one merged to the last key has nothing left to
+    // tell a later range and re-seeks.
+    for (int i : merged) {
+      Source& s = sources[static_cast<size_t>(i)];
+      if (end.empty()) {
+        s.positioned = false;
+      } else if (start < end) {
+        s.pos_lo = end;
+      }
     }
   }
   return Status::OK();

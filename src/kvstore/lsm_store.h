@@ -63,6 +63,18 @@ struct StoreOptions {
   size_t target_file_size = 2 << 20;
 };
 
+/// One [start, end) key range of a Scan; `end` empty means "to the last
+/// key". The views must stay valid for the duration of the call.
+struct ScanRange {
+  std::string_view start;
+  std::string_view end;
+};
+
+/// Scan callback: the index of the range the row belongs to, then the row.
+/// Returning false stops the whole scan, not just the current range.
+using ScanFn = std::function<bool(size_t range, std::string_view key,
+                                  std::string_view value)>;
+
 /// One mutation in a WriteBatch. `is_delete` writes a tombstone and ignores
 /// `value`.
 struct WriteOp {
@@ -91,9 +103,10 @@ struct WriteOp {
 ///    Writers only stall if the *next* memtable also fills before the
 ///    previous flush finishes (counted in just_kv_write_stalls_total).
 ///  - Snapshot reads: Get/Scan pin shared_ptr references to the memtables
-///    and SSTables under the lock, then read without it — long scans never
-///    block writers, and a scan callback may call Put/Delete/Get/Flush on
-///    the same store without self-deadlocking.
+///    and SSTables under the lock (once per Scan, however many ranges it
+///    covers), then read without it — long scans never block writers, and
+///    a scan callback may call Put/Delete/Get/Flush on the same store
+///    without self-deadlocking.
 ///
 /// Leveled compaction (the default style; see docs/STORAGE_TUNING.md):
 ///  - Flush outputs land in L0 and may overlap each other; L1+ hold
@@ -148,12 +161,14 @@ class LsmStore {
 
   Status Get(std::string_view key, std::string* value) const;
 
-  /// Ordered scan of [start, end); `end` empty means "to the last key".
-  /// The callback returns false to stop early. The store lock is NOT held
-  /// while the callback runs: callbacks may write to this same store.
-  Status Scan(std::string_view start, std::string_view end,
-              const std::function<bool(std::string_view key,
-                                       std::string_view value)>& fn) const;
+  /// Multi-range scan: every range in list order, each yielding its live
+  /// rows in key order — overlapping ranges yield their shared rows once
+  /// per range. One snapshot and one set of merge sources serve the whole
+  /// list; the sources seek from range to range, so a query's many (mostly
+  /// empty) curve ranges cost one scan, not one per range. The store lock
+  /// is NOT held while the callback runs: callbacks may write to this same
+  /// store.
+  Status Scan(const std::vector<ScanRange>& ranges, const ScanFn& fn) const;
 
   /// Forces the memtable to disk and waits until the flush is durable
   /// (MANIFEST-committed). Concurrent writers keep running meanwhile.

@@ -1,7 +1,9 @@
 #include "net/region_client.h"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstdlib>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -41,6 +43,23 @@ obs::Counter* TraceDegradeCounter() {
   return c;
 }
 
+obs::Counter* MultiScanDegradeCounter() {
+  static obs::Counter* c = obs::Registry::Global().GetCounter(
+      "just_net_client_multiscan_degrades_total");
+  return c;
+}
+
+/// The type byte a peer's "unknown message type N" answer names, or -1 when
+/// `st` is not such an answer.
+int UnknownTypeNamed(const Status& st) {
+  static constexpr std::string_view kPrefix = "unknown message type ";
+  if (!st.IsInvalidArgument()) return -1;
+  const std::string& msg = st.message();
+  size_t at = msg.find(kPrefix);
+  if (at == std::string::npos) return -1;
+  return std::atoi(msg.c_str() + at + kPrefix.size());
+}
+
 /// Per-request-type client latency (`just_net_client_rpc_us{type=...}`),
 /// indexed by the raw type byte. All series registered on first use so
 /// /metrics shows them together.
@@ -48,7 +67,7 @@ obs::Histogram* ClientRpcUs(MsgType t) {
   static const std::array<obs::Histogram*, 16> table = [] {
     std::array<obs::Histogram*, 16> a{};
     for (uint8_t i = static_cast<uint8_t>(MsgType::kPingReq);
-         i <= static_cast<uint8_t>(MsgType::kWaitIdleReq); ++i) {
+         i <= static_cast<uint8_t>(MsgType::kMultiScanReq); ++i) {
       a[i] = obs::Registry::Global().GetHistogram(obs::LabeledName(
           "just_net_client_rpc_us",
           {{"type", MsgTypeName(static_cast<MsgType>(i))}}));
@@ -146,12 +165,13 @@ Status RegionClient::CallRpc(MsgType req_type, const FrameBuilder& build,
       // A pre-extension server saw the flagged type byte as unknown and
       // answered kInvalidArgument on a surviving connection. Degrade for
       // good and retry this one RPC without the extension; `traced` is now
-      // false, so the loop cannot spin.
+      // false, so the loop cannot spin. A peer that knows the extension
+      // but not the request type itself names the bare type: that is the
+      // caller's to handle.
       StatusResponse sr;
       if (DecodeStatusResponse(*body, &sr).ok() &&
-          sr.status.IsInvalidArgument() &&
-          sr.status.message().find("unknown message type") !=
-              std::string::npos) {
+          UnknownTypeNamed(sr.status) >= 0 &&
+          UnknownTypeNamed(sr.status) != static_cast<int>(req_type)) {
         peer_trace_unsupported_ = true;
         TraceDegradeCounter()->Increment();
         traced = false;
@@ -324,22 +344,99 @@ Status RegionClient::GetStats(StatsResponse* resp) {
   return resp->status;
 }
 
-Status RegionClient::Scan(
-    std::string_view start, std::string_view end,
-    const std::function<bool(std::string_view, std::string_view)>& fn) {
-  ScanRequest req;
-  req.start_key = std::string(start);
-  req.end_key = std::string(end);
-  req.limit_rows = options_.scan_page_rows;
-  for (;;) {
-    ScanResponse resp;
-    JUST_RETURN_NOT_OK(ScanPage(req, &resp));
-    for (const auto& row : resp.rows) {
-      if (!fn(row.key, row.value)) return Status::OK();
+Status RegionClient::MultiScanPage(const MultiScanRequest& req,
+                                   MultiScanResponse* resp) {
+  if (peer_multiscan_unsupported_) return FallbackScanPage(req, resp);
+  FrameHeader header;
+  std::string payload;
+  std::string_view body;
+  JUST_RETURN_NOT_OK(CallRpc(
+      MsgType::kMultiScanReq,
+      [&](uint64_t id, std::string_view ext, std::string* f) {
+        EncodeMultiScanRequest(req, id, f, ext);
+      },
+      &header, &payload, &body));
+  if (header.type == MsgType::kStatusResp) {
+    StatusResponse sr;
+    Status st = DecodeStatusResponse(body, &sr);
+    if (!st.ok()) return Fail(st);
+    if (UnknownTypeNamed(sr.status) ==
+        static_cast<int>(MsgType::kMultiScanReq)) {
+      // A server from before kMultiScanReq: degrade for good, on the same
+      // connection.
+      peer_multiscan_unsupported_ = true;
+      MultiScanDegradeCounter()->Increment();
+      return FallbackScanPage(req, resp);
     }
-    if (!resp.has_more) return Status::OK();
-    req.start_key = resp.next_cursor;
+    return sr.status.ok()
+               ? Status::Internal("status-only response to a MultiScan")
+               : sr.status;
   }
+  if (header.type != MsgType::kMultiScanResp) {
+    return Fail(Status::Internal("unexpected response type"));
+  }
+  Status st = DecodeMultiScanResponse(body, resp);
+  if (!st.ok()) return Fail(st);
+  for (const MultiScanRow& row : resp->rows) {
+    if (row.range >= req.ranges.size()) {
+      return Fail(Status::Internal("multi-scan row names an unknown range"));
+    }
+  }
+  if (resp->has_more && resp->next.range >= req.ranges.size()) {
+    return Fail(Status::Internal("multi-scan cursor names an unknown range"));
+  }
+  return resp->status;
+}
+
+Status RegionClient::FallbackScanPage(const MultiScanRequest& req,
+                                      MultiScanResponse* resp) {
+  const uint32_t r = req.resume.range;
+  const kv::ScanRange& range = req.ranges[r];
+  ScanRequest one;
+  one.start_key = std::string(std::max(std::string_view(req.resume.key),
+                                       range.start));
+  one.end_key = std::string(range.end);
+  one.limit_rows = req.limit_rows;
+  ScanResponse page;
+  JUST_RETURN_NOT_OK(ScanPage(one, &page));
+  resp->rows.reserve(page.rows.size());
+  for (WireRow& row : page.rows) {
+    resp->rows.push_back(
+        MultiScanRow{r, std::move(row.key), std::move(row.value)});
+  }
+  if (page.has_more) {
+    resp->has_more = true;
+    resp->next = ScanCursor{r, std::move(page.next_cursor)};
+  } else if (r + 1 < req.ranges.size()) {
+    resp->has_more = true;
+    resp->next = ScanCursor{r + 1, ""};
+  }
+  return Status::OK();
+}
+
+Status RegionClient::Scan(const std::vector<kv::ScanRange>& ranges,
+                          const kv::ScanFn& fn, std::mutex* page_mu) {
+  for (size_t base = 0; base < ranges.size(); base += kMaxScanRanges) {
+    MultiScanRequest req;
+    req.ranges.assign(
+        ranges.begin() + base,
+        ranges.begin() + std::min(ranges.size(), base + kMaxScanRanges));
+    for (;;) {
+      MultiScanResponse resp;
+      {
+        std::unique_lock<std::mutex> lock;
+        if (page_mu != nullptr) lock = std::unique_lock<std::mutex>(*page_mu);
+        req.limit_rows = options_.scan_page_rows;
+        JUST_RETURN_NOT_OK(MultiScanPage(req, &resp));
+      }
+      for (const MultiScanRow& row : resp.rows) {
+        if (!fn(base + row.range, row.key, row.value)) return Status::OK();
+      }
+      if (!resp.has_more) break;
+      req.resume = std::move(resp.next);
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace just::net

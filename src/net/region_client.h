@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,7 +22,7 @@ struct RegionClientOptions {
   /// kUnavailable and drops the connection (the stream is unsynced); the
   /// next call reconnects. 0 = block forever.
   int io_timeout_ms = 10000;
-  /// Page size for the paged Scan(); also sent as ScanRequest::limit_rows.
+  /// Page size for the paged Scan(); also sent as the requests' limit_rows.
   uint32_t scan_page_rows = 512;
   size_t max_frame_bytes = kMaxFrameBytes;
 };
@@ -43,6 +44,11 @@ struct RegionClientOptions {
 /// lifetime (old-server compatibility). With no active span nothing is
 /// added to the frame at all.
 ///
+/// Scans go out as kMultiScanReq pages. A server that predates the message
+/// answers "unknown message type"; the client then marks the peer (sticky,
+/// counted in just_net_client_multiscan_degrades_total) and serves the same
+/// pages as one-range kScanReq pages, one range at a time.
+///
 /// Not thread-safe: use one client per thread (connections are cheap; the
 /// server runs a thread per connection).
 class RegionClient {
@@ -61,18 +67,24 @@ class RegionClient {
   /// not transient, so callers must not retry-loop it.
   Status Ingest(const std::string& tenant, const std::vector<kv::WriteOp>& ops);
 
-  /// One page of a scan; resume by re-sending with
+  /// One page of a one-range scan (kScanReq); resume by re-sending with
   /// `req.start_key = resp->next_cursor` while `resp->has_more`.
   Status ScanPage(const ScanRequest& req, ScanResponse* resp);
 
-  /// Paged scan over [start, end): streams pages of scan_page_rows through
-  /// `fn` (return false to stop early). No internal retry — a transient
-  /// page failure aborts the scan with that status, and rows already
-  /// delivered this call may be re-delivered by a caller-level retry
-  /// (RegionCluster buffers per attempt for exactly this reason).
-  Status Scan(std::string_view start, std::string_view end,
-              const std::function<bool(std::string_view, std::string_view)>&
-                  fn);
+  /// One page of a multi-range scan; resume by re-sending with
+  /// `req.resume = resp->next` while `resp->has_more`. Against a server
+  /// without kMultiScanReq the page comes from the cursor's range alone.
+  Status MultiScanPage(const MultiScanRequest& req, MultiScanResponse* resp);
+
+  /// Paged multi-range scan: streams pages of scan_page_rows through `fn`
+  /// (return false to stop early), at most kMaxScanRanges ranges per
+  /// request. `page_mu`, when given, is held around each page's RPC and
+  /// released while `fn` runs. No internal retry — a transient page
+  /// failure aborts the scan with that status, and rows already delivered
+  /// this call may be re-delivered by a caller-level retry (RegionCluster
+  /// buffers per attempt for exactly this reason).
+  Status Scan(const std::vector<kv::ScanRange>& ranges, const kv::ScanFn& fn,
+              std::mutex* page_mu = nullptr);
 
   Status Flush();
   Status CompactAll();
@@ -96,6 +108,10 @@ class RegionClient {
   /// True once the peer rejected an extension-flagged frame: subsequent
   /// RPCs stop sending trace context (the compat degrade is sticky).
   bool peer_trace_unsupported() const { return peer_trace_unsupported_; }
+  /// True once the peer rejected kMultiScanReq: scans use one-range pages.
+  bool peer_multiscan_unsupported() const {
+    return peer_multiscan_unsupported_;
+  }
 
  private:
   /// Appends one complete request frame for `request_id` to `frame`; `ext`
@@ -120,11 +136,16 @@ class RegionClient {
   /// a bad trace must not fail a good response.
   void GraftResponseTrace(const FrameHeader& header);
   Status Fail(Status st);
+  /// MultiScanPage against a pre-multi-scan peer: one kScanReq page of the
+  /// cursor's range, its cursor carried over into the next range.
+  Status FallbackScanPage(const MultiScanRequest& req,
+                          MultiScanResponse* resp);
 
   RegionClientOptions options_;
   Socket sock_;
   uint64_t last_request_id_ = 0;
   bool peer_trace_unsupported_ = false;
+  bool peer_multiscan_unsupported_ = false;
 };
 
 }  // namespace just::net

@@ -49,7 +49,7 @@ RegionServer::RegionServer(const RegionServerOptions& options)
   inflight_gauge_ = reg.GetGauge("just_net_server_inflight_requests");
   request_us_ = reg.GetHistogram("just_net_server_request_us");
   for (uint8_t t = static_cast<uint8_t>(MsgType::kPingReq);
-       t <= static_cast<uint8_t>(MsgType::kIngestReq); ++t) {
+       t <= static_cast<uint8_t>(MsgType::kMultiScanReq); ++t) {
     rpc_us_by_type_[t] = reg.GetHistogram(obs::LabeledName(
         "just_net_server_rpc_us",
         {{"type", MsgTypeName(static_cast<MsgType>(t))}}));
@@ -293,24 +293,39 @@ void RegionServer::WorkerLoop(const std::shared_ptr<Connection>& conn) {
   conn->finished.store(true, std::memory_order_release);
 }
 
-void RegionServer::HandleScan(const ScanRequest& req, ScanResponse* resp) {
+void RegionServer::HandleScan(const MultiScanRequest& req,
+                              MultiScanResponse* resp) {
   const uint32_t limit = std::min(req.limit_rows, options_.scan_limit_clamp);
   resp->rows.reserve(std::min<uint32_t>(limit, 1024));
-  obs::TraceKeyRanges(1);
+  // Resume: the cursor's range restarts at its key (never before the
+  // range's own start), and the ranges before it are already delivered.
+  const uint32_t first = req.resume.range;
+  std::vector<kv::ScanRange> ranges(req.ranges.begin() + first,
+                                    req.ranges.end());
+  if (std::string_view(req.resume.key) > ranges[0].start) {
+    ranges[0].start = req.resume.key;
+  }
   resp->status = store_->Scan(
-      req.start_key, req.end_key,
-      [&](std::string_view key, std::string_view value) {
-        resp->rows.push_back(WireRow{std::string(key), std::string(value)});
+      ranges, [&](size_t range, std::string_view key, std::string_view value) {
+        resp->rows.push_back(MultiScanRow{static_cast<uint32_t>(first + range),
+                                          std::string(key),
+                                          std::string(value)});
         return resp->rows.size() < limit;
       });
-  obs::TraceRowsScanned(resp->rows.size());
+  uint32_t last = static_cast<uint32_t>(req.ranges.size() - 1);
   if (resp->status.ok() && resp->rows.size() == limit) {
     // The page filled: there may be more. The resume cursor is the smallest
-    // key strictly after the last delivered one, so a client can continue
-    // against a restarted server with no scan state held here.
+    // key strictly after the last delivered one, in the same range, so a
+    // client can continue against a restarted server with no scan state
+    // held here.
     resp->has_more = true;
-    resp->next_cursor = resp->rows.back().key + '\0';
+    last = resp->rows.back().range;
+    resp->next = ScanCursor{last, resp->rows.back().key + '\0'};
   }
+  // Ranges this page began (a resumed range was counted by its first page).
+  const bool resumed = std::string_view(req.resume.key) > req.ranges[first].start;
+  obs::TraceKeyRanges(last - first + 1 - (resumed ? 1 : 0));
+  obs::TraceRowsScanned(resp->rows.size());
 }
 
 StatsResponse RegionServer::BuildStats() {
@@ -351,11 +366,12 @@ void RegionServer::Execute(const PendingRequest& req, std::string* out) {
 
   // Handlers fill a response value; encoding happens after the span ends so
   // its serialized tree can ride in the response's extension field.
-  enum class Kind { kStatus, kGet, kScan, kStats };
+  enum class Kind { kStatus, kGet, kScan, kMultiScan, kStats };
   Kind kind = Kind::kStatus;
   Status status;
   GetResponse get_resp;
   ScanResponse scan_resp;
+  MultiScanResponse multi_resp;
   StatsResponse stats_resp;
   const std::string_view body = req.body;
   switch (req.type) {
@@ -406,13 +422,36 @@ void RegionServer::Execute(const PendingRequest& req, std::string* out) {
       break;
     }
     case MsgType::kScanReq: {
+      // The one-range scan of older clients: a one-element multi-scan.
       kind = Kind::kScan;
       ScanRequest scan_req;
       Status st = DecodeScanRequest(body, &scan_req);
-      if (st.ok()) {
-        HandleScan(scan_req, &scan_resp);
-      } else {
+      if (!st.ok()) {
         scan_resp.status = st;
+        break;
+      }
+      MultiScanRequest multi_req;
+      multi_req.ranges = {{scan_req.start_key, scan_req.end_key}};
+      multi_req.limit_rows = scan_req.limit_rows;
+      HandleScan(multi_req, &multi_resp);
+      scan_resp.status = multi_resp.status;
+      scan_resp.rows.reserve(multi_resp.rows.size());
+      for (MultiScanRow& row : multi_resp.rows) {
+        scan_resp.rows.push_back(
+            WireRow{std::move(row.key), std::move(row.value)});
+      }
+      scan_resp.has_more = multi_resp.has_more;
+      scan_resp.next_cursor = std::move(multi_resp.next.key);
+      break;
+    }
+    case MsgType::kMultiScanReq: {
+      kind = Kind::kMultiScan;
+      MultiScanRequest multi_req;
+      Status st = DecodeMultiScanRequest(body, &multi_req);
+      if (st.ok()) {
+        HandleScan(multi_req, &multi_resp);
+      } else {
+        multi_resp.status = st;
       }
       break;
     }
@@ -464,6 +503,9 @@ void RegionServer::Execute(const PendingRequest& req, std::string* out) {
     case Kind::kScan:
       EncodeScanResponse(scan_resp, req.request_id, out, ext);
       break;
+    case Kind::kMultiScan:
+      EncodeMultiScanResponse(multi_resp, req.request_id, out, ext);
+      break;
     case Kind::kStats:
       EncodeStatsResponse(stats_resp, req.request_id, out, ext);
       break;
@@ -472,7 +514,9 @@ void RegionServer::Execute(const PendingRequest& req, std::string* out) {
     obs::SlowQueryEntry entry;
     entry.sql = std::string("rpc:") + MsgTypeName(req.type);
     entry.wall_us = trace->root()->wall_ns() / 1000;
-    entry.rows = kind == Kind::kScan ? scan_resp.rows.size() : 0;
+    entry.rows = kind == Kind::kScan        ? scan_resp.rows.size()
+                 : kind == Kind::kMultiScan ? multi_resp.rows.size()
+                                            : 0;
     entry.rows_scanned = trace->root()->TotalRowsScanned();
     entry.key_ranges = trace->root()->TotalKeyRanges();
     entry.trace_json = trace->ToJson();

@@ -31,7 +31,7 @@ struct RegionServerOptions {
   int max_pipeline = 16;   ///< per-connection queued requests
 
   size_t max_frame_bytes = kMaxFrameBytes;
-  /// Server-side clamp on ScanRequest::limit_rows: one scan page never
+  /// Server-side clamp on a scan page's limit_rows: one scan page never
   /// materializes more than this many rows regardless of what the client
   /// asked for (backpressure for scans).
   uint32_t scan_limit_clamp = 4096;
@@ -125,7 +125,8 @@ class RegionServer {
   /// in the response's extension field; the slow-RPC log also forces a span
   /// (but not the response extension) so /tracez has trees to show.
   void Execute(const PendingRequest& req, std::string* out);
-  void HandleScan(const ScanRequest& req, ScanResponse* resp);
+  /// The one scan handler: kScanReq arrives here as a one-range request.
+  void HandleScan(const MultiScanRequest& req, MultiScanResponse* resp);
   StatsResponse BuildStats();
 
   /// Writes a frame under the connection's write lock; on failure shuts the

@@ -75,13 +75,13 @@ Status ExpectEnd(const char* p, const char* limit) {
 }  // namespace
 
 bool IsRequestType(MsgType t) {
-  return t >= MsgType::kPingReq && t <= MsgType::kIngestReq;
+  return t >= MsgType::kPingReq && t <= MsgType::kMultiScanReq;
 }
 
 bool IsKnownType(uint8_t t) {
   auto m = static_cast<MsgType>(t);
   return IsRequestType(m) ||
-         (m >= MsgType::kStatusResp && m <= MsgType::kStatsResp);
+         (m >= MsgType::kStatusResp && m <= MsgType::kMultiScanResp);
 }
 
 const char* MsgTypeName(MsgType t) {
@@ -108,6 +108,8 @@ const char* MsgTypeName(MsgType t) {
       return "wait_idle";
     case MsgType::kIngestReq:
       return "ingest";
+    case MsgType::kMultiScanReq:
+      return "multi_scan";
     case MsgType::kStatusResp:
       return "status_resp";
     case MsgType::kGetResp:
@@ -116,6 +118,8 @@ const char* MsgTypeName(MsgType t) {
       return "scan_resp";
     case MsgType::kStatsResp:
       return "stats_resp";
+    case MsgType::kMultiScanResp:
+      return "multi_scan_resp";
   }
   return "unknown";
 }
@@ -231,6 +235,21 @@ void EncodeScanRequest(const ScanRequest& req, uint64_t request_id,
   FinishFrame(payload, dst);
 }
 
+void EncodeMultiScanRequest(const MultiScanRequest& req, uint64_t request_id,
+                            std::string* dst, std::string_view ext) {
+  std::string payload;
+  BeginPayload(MsgType::kMultiScanReq, request_id, &payload, ext);
+  PutVarint32(&payload, static_cast<uint32_t>(req.ranges.size()));
+  for (const kv::ScanRange& range : req.ranges) {
+    PutLengthPrefixed(&payload, range.start);
+    PutLengthPrefixed(&payload, range.end);
+  }
+  PutVarint32(&payload, req.limit_rows);
+  PutVarint32(&payload, req.resume.range);
+  PutLengthPrefixed(&payload, req.resume.key);
+  FinishFrame(payload, dst);
+}
+
 Status DecodeGetRequest(std::string_view body, GetRequest* req) {
   const char* p = body.data();
   const char* limit = p + body.size();
@@ -312,6 +331,40 @@ Status DecodeScanRequest(std::string_view body, ScanRequest* req) {
   return ExpectEnd(p, limit);
 }
 
+Status DecodeMultiScanRequest(std::string_view body, MultiScanRequest* req) {
+  const char* p = body.data();
+  const char* limit = p + body.size();
+  uint32_t count = 0;
+  if (!GetVarint32(&p, limit, &count)) return Malformed("range count");
+  if (count == 0) return Malformed("no ranges");
+  if (count > kMaxScanRanges) return Malformed("too many ranges");
+  // A range takes at least 2 bytes (two empty keys): a count the body
+  // cannot hold is rejected before reserving memory.
+  if (count > body.size() / 2) return Malformed("range count too large");
+  req->ranges.clear();
+  req->ranges.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    kv::ScanRange range;
+    if (!GetLengthPrefixed(&p, limit, &range.start)) {
+      return Malformed("range start");
+    }
+    if (!GetLengthPrefixed(&p, limit, &range.end)) {
+      return Malformed("range end");
+    }
+    req->ranges.push_back(range);
+  }
+  if (!GetVarint32(&p, limit, &req->limit_rows)) {
+    return Malformed("multi-scan limit");
+  }
+  if (req->limit_rows == 0) return Malformed("multi-scan limit zero");
+  if (!GetVarint32(&p, limit, &req->resume.range)) {
+    return Malformed("resume range");
+  }
+  if (req->resume.range >= count) return Malformed("resume range out of range");
+  if (!GetString(&p, limit, &req->resume.key)) return Malformed("resume key");
+  return ExpectEnd(p, limit);
+}
+
 Status DecodeEmptyBody(std::string_view body) {
   if (!body.empty()) return Malformed("unexpected body");
   return Status::OK();
@@ -366,6 +419,24 @@ void EncodeStatsResponse(const StatsResponse& resp, uint64_t request_id,
   FinishFrame(payload, dst);
 }
 
+void EncodeMultiScanResponse(const MultiScanResponse& resp,
+                             uint64_t request_id, std::string* dst,
+                             std::string_view ext) {
+  std::string payload;
+  BeginPayload(MsgType::kMultiScanResp, request_id, &payload, ext);
+  EncodeStatus(resp.status, &payload);
+  PutVarint32(&payload, static_cast<uint32_t>(resp.rows.size()));
+  for (const auto& row : resp.rows) {
+    PutVarint32(&payload, row.range);
+    PutLengthPrefixed(&payload, row.key);
+    PutLengthPrefixed(&payload, row.value);
+  }
+  payload.push_back(resp.has_more ? 1 : 0);
+  PutVarint32(&payload, resp.next.range);
+  PutLengthPrefixed(&payload, resp.next.key);
+  FinishFrame(payload, dst);
+}
+
 Status DecodeStatusResponse(std::string_view body, StatusResponse* resp) {
   const char* p = body.data();
   const char* limit = p + body.size();
@@ -401,6 +472,37 @@ Status DecodeScanResponse(std::string_view body, ScanResponse* resp) {
   if (has_more > 1) return Malformed("scan has_more flag");
   resp->has_more = has_more == 1;
   if (!GetString(&p, limit, &resp->next_cursor)) return Malformed("scan cursor");
+  return ExpectEnd(p, limit);
+}
+
+Status DecodeMultiScanResponse(std::string_view body,
+                               MultiScanResponse* resp) {
+  const char* p = body.data();
+  const char* limit = p + body.size();
+  JUST_RETURN_NOT_OK(DecodeStatus(&p, limit, &resp->status));
+  uint32_t count = 0;
+  if (!GetVarint32(&p, limit, &count)) return Malformed("multi-scan row count");
+  // A row takes at least 3 bytes (range index and two lengths).
+  if (count > body.size() / 3) {
+    return Malformed("multi-scan row count too large");
+  }
+  resp->rows.clear();
+  resp->rows.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    MultiScanRow row;
+    if (!GetVarint32(&p, limit, &row.range)) return Malformed("row range");
+    if (!GetString(&p, limit, &row.key)) return Malformed("row key");
+    if (!GetString(&p, limit, &row.value)) return Malformed("row value");
+    resp->rows.push_back(std::move(row));
+  }
+  if (p >= limit) return Malformed("multi-scan has_more");
+  uint8_t has_more = static_cast<uint8_t>(*p++);
+  if (has_more > 1) return Malformed("multi-scan has_more flag");
+  resp->has_more = has_more == 1;
+  if (!GetVarint32(&p, limit, &resp->next.range)) {
+    return Malformed("next range");
+  }
+  if (!GetString(&p, limit, &resp->next.key)) return Malformed("next key");
   return ExpectEnd(p, limit);
 }
 

@@ -55,6 +55,9 @@ constexpr size_t kFrameHeaderBytes = 8;
 constexpr size_t kPayloadHeaderBytes = 9;
 /// Set on the msg_type byte when an extension field follows the request id.
 constexpr uint8_t kExtensionFlag = 0x80;
+/// Most ranges one kMultiScanReq may carry; clients send longer lists in
+/// windows of this size.
+constexpr size_t kMaxScanRanges = 1u << 16;
 
 enum class MsgType : uint8_t {
   // Requests.
@@ -68,12 +71,14 @@ enum class MsgType : uint8_t {
   kCompactReq = 8,
   kStatsReq = 9,
   kWaitIdleReq = 10,
-  kIngestReq = 11,  ///< tenant-tagged streaming write batch
+  kIngestReq = 11,     ///< tenant-tagged streaming write batch
+  kMultiScanReq = 12,  ///< one page of a multi-range scan
   // Responses.
   kStatusResp = 32,  ///< status only: ping/put/delete/batch/flush/compact/idle
   kGetResp = 33,
   kScanResp = 34,
   kStatsResp = 35,
+  kMultiScanResp = 36,
 };
 
 /// True for the types a client may send.
@@ -164,6 +169,51 @@ struct ScanResponse {
   std::string next_cursor;  ///< valid iff has_more
 };
 
+/// Where a paged multi-range scan resumes: range `range` from `key` (or
+/// from the range's own start, whichever is later), then every later range
+/// from its start. Stateless like the one-range cursor.
+struct ScanCursor {
+  uint32_t range = 0;
+  std::string key;
+};
+
+/// One page of a multi-range scan: the ranges one region server owns for a
+/// query, scanned in list order from `resume`.
+///
+/// Body:
+///   [range_count: varint32]   1..kMaxScanRanges
+///   range_count x { [start: lp] [end: lp] }   end empty = to the last key
+///   [limit_rows: varint32]    >= 1; the server clamps it
+///   [resume_range: varint32]  < range_count
+///   [resume_key: lp]
+struct MultiScanRequest {
+  /// Views: into the caller's keys when encoding, into the decoded body
+  /// (which must outlive the request) when decoding.
+  std::vector<kv::ScanRange> ranges;
+  uint32_t limit_rows = 512;
+  ScanCursor resume;
+};
+
+/// A multi-range scan row tagged with the index of its range.
+struct MultiScanRow {
+  uint32_t range = 0;
+  std::string key;
+  std::string value;
+};
+
+/// Body:
+///   [status]
+///   [row_count: varint32]
+///   row_count x { [range: varint32] [key: lp] [value: lp] }
+///   [has_more: u8]            0 or 1
+///   [next_range: varint32] [next_key: lp]   the resume cursor
+struct MultiScanResponse {
+  Status status;
+  std::vector<MultiScanRow> rows;
+  bool has_more = false;
+  ScanCursor next;  ///< valid iff has_more
+};
+
 struct StatusResponse {
   Status status;
 };
@@ -207,6 +257,8 @@ void EncodeIngestRequest(const IngestRequest& req, uint64_t request_id,
                          std::string* dst, std::string_view ext = {});
 void EncodeScanRequest(const ScanRequest& req, uint64_t request_id,
                        std::string* dst, std::string_view ext = {});
+void EncodeMultiScanRequest(const MultiScanRequest& req, uint64_t request_id,
+                            std::string* dst, std::string_view ext = {});
 void EncodeEmptyRequest(MsgType type, uint64_t request_id, std::string* dst,
                         std::string_view ext = {});
 
@@ -218,6 +270,9 @@ void EncodeScanResponse(const ScanResponse& resp, uint64_t request_id,
                         std::string* dst, std::string_view ext = {});
 void EncodeStatsResponse(const StatsResponse& resp, uint64_t request_id,
                          std::string* dst, std::string_view ext = {});
+void EncodeMultiScanResponse(const MultiScanResponse& resp,
+                             uint64_t request_id, std::string* dst,
+                             std::string_view ext = {});
 
 // --- Decoding ----------------------------------------------------------
 
@@ -240,12 +295,16 @@ Status DecodeDeleteRequest(std::string_view body, DeleteRequest* req);
 Status DecodeWriteBatchRequest(std::string_view body, WriteBatchRequest* req);
 Status DecodeIngestRequest(std::string_view body, IngestRequest* req);
 Status DecodeScanRequest(std::string_view body, ScanRequest* req);
+/// Validates the range count against the body length before allocating,
+/// and rejects an empty or oversize list and a resume range out of bounds.
+Status DecodeMultiScanRequest(std::string_view body, MultiScanRequest* req);
 Status DecodeEmptyBody(std::string_view body);
 
 Status DecodeStatusResponse(std::string_view body, StatusResponse* resp);
 Status DecodeGetResponse(std::string_view body, GetResponse* resp);
 Status DecodeScanResponse(std::string_view body, ScanResponse* resp);
 Status DecodeStatsResponse(std::string_view body, StatsResponse* resp);
+Status DecodeMultiScanResponse(std::string_view body, MultiScanResponse* resp);
 
 /// Status over the wire: varint code + length-prefixed message. Decoding
 /// validates the code range.

@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "common/time_util.h"
+#include "sql/expr_eval.h"
 
 namespace just::sql {
 
@@ -15,21 +16,10 @@ bool IsGeometryLiteral(const Expr& e) {
 
 bool IsTimeLiteral(const Expr& e, TimestampMs* out) {
   if (e.kind != Expr::Kind::kLiteral) return false;
-  if (e.literal.type() == exec::DataType::kTimestamp) {
-    *out = e.literal.timestamp_value();
-    return true;
-  }
-  if (e.literal.type() == exec::DataType::kInt) {
-    *out = e.literal.int_value();
-    return true;
-  }
-  if (e.literal.type() == exec::DataType::kString) {
-    auto parsed = ParseTimestamp(e.literal.string_value());
-    if (!parsed.ok()) return false;
-    *out = parsed.value();
-    return true;
-  }
-  return false;
+  exec::Value v = e.literal;
+  if (!CoerceLiteral(exec::DataType::kTimestamp, &v)) return false;
+  *out = v.timestamp_value();
+  return true;
 }
 
 bool ColumnEquals(const Expr& e, const std::string& name) {
@@ -42,25 +32,6 @@ bool ColumnEquals(const Expr& e, const std::string& name) {
     }
   }
   return true;
-}
-
-/// Coerces a bound literal into the indexed column's value domain so the
-/// order-preserving key encoding compares like with like (a string date
-/// against a timestamp column would otherwise land in the wrong key range).
-bool CoerceBoundValue(exec::DataType column_type, exec::Value* value) {
-  if (column_type != exec::DataType::kTimestamp) return true;
-  if (value->type() == exec::DataType::kTimestamp) return true;
-  if (value->type() == exec::DataType::kInt) {
-    *value = exec::Value::Timestamp(value->int_value());
-    return true;
-  }
-  if (value->type() == exec::DataType::kString) {
-    auto parsed = ParseTimestamp(value->string_value());
-    if (!parsed.ok()) return false;
-    *value = exec::Value::Timestamp(parsed.value());
-    return true;
-  }
-  return false;
 }
 
 /// The `ready` secondary index whose column `e` references, or nullptr.
@@ -92,6 +63,7 @@ Result<AccessPath> ChooseAccessPath(
   AccessPath path;
   bool have_knn = false;
   std::vector<const Expr*> index_conjuncts;  ///< consumed by the bounds
+  std::vector<const Expr*> st_conjuncts;     ///< consumed by box / window
 
   for (const Expr* conjunct : conjuncts) {
     if (conjunct->kind != Expr::Kind::kBinary) {
@@ -103,6 +75,7 @@ Result<AccessPath> ChooseAccessPath(
         IsGeometryLiteral(*conjunct->args[1])) {
       path.box = conjunct->args[1]->literal.geometry_value().Bounds();
       path.have_box = true;
+      st_conjuncts.push_back(conjunct);
       continue;
     }
     if (conjunct->op == BinaryOp::kBetween && !path.have_time &&
@@ -113,6 +86,7 @@ Result<AccessPath> ChooseAccessPath(
         path.t_min = lo;
         path.t_max = hi;
         path.have_time = true;
+        st_conjuncts.push_back(conjunct);
         continue;
       }
     }
@@ -153,8 +127,8 @@ Result<AccessPath> ChooseAccessPath(
             !path.lower.present && !path.upper.present) {
           exec::Value lo = conjunct->args[1]->literal;
           exec::Value hi = conjunct->args[2]->literal;
-          if (CoerceBoundValue(col_type, &lo) &&
-              CoerceBoundValue(col_type, &hi)) {
+          if (CoerceLiteral(col_type, &lo) &&
+              CoerceLiteral(col_type, &hi)) {
             path.lower = {true, true, std::move(lo)};
             path.upper = {true, true, std::move(hi)};
             consumed = true;
@@ -162,7 +136,7 @@ Result<AccessPath> ChooseAccessPath(
         } else if (conjunct->args.size() == 2 &&
                    conjunct->args[1]->kind == Expr::Kind::kLiteral) {
           exec::Value v = conjunct->args[1]->literal;
-          if (CoerceBoundValue(col_type, &v)) {
+          if (CoerceLiteral(col_type, &v)) {
             switch (conjunct->op) {
               case BinaryOp::kEq:
                 if (!path.lower.present && !path.upper.present) {
@@ -210,9 +184,14 @@ Result<AccessPath> ChooseAccessPath(
   };
 
   if (have_knn) {
+    // The expansion search answers only the k nearest: a box or time
+    // window the query also names filters those k rows as residual work.
     path.kind = AccessPath::Kind::kKnn;
     path.label = "knn";
     demote_index_bounds();
+    for (const Expr* c : st_conjuncts) path.residual.push_back(c);
+    path.have_box = false;
+    path.have_time = false;
     return path;
   }
 

@@ -102,6 +102,7 @@ Result<std::unique_ptr<PlanNode>> Analyzer::Analyze(const SelectStmt& select) {
     }
     auto filter = MakePlanNode(PlanNode::Kind::kFilter);
     filter->predicate = select.where->Clone();
+    CoerceTimeLiterals(filter->predicate.get(), *node->schema);
     filter->schema = node->schema;
     filter->children.push_back(std::move(node));
     node = std::move(filter);

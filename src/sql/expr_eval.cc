@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/time_util.h"
 #include "sql/functions.h"
 
 namespace just::sql {
@@ -251,6 +252,58 @@ bool IsConstantExpr(const Expr& expr) {
     }
   }
   return false;
+}
+
+bool CoerceLiteral(exec::DataType column_type, exec::Value* value) {
+  if (column_type != exec::DataType::kTimestamp) return true;
+  if (value->type() == exec::DataType::kTimestamp) return true;
+  if (value->type() == exec::DataType::kInt) {
+    *value = exec::Value::Timestamp(value->int_value());
+    return true;
+  }
+  if (value->type() == exec::DataType::kString) {
+    auto parsed = ParseTimestamp(value->string_value());
+    if (!parsed.ok()) return false;
+    *value = exec::Value::Timestamp(parsed.value());
+    return true;
+  }
+  return false;
+}
+
+void CoerceTimeLiterals(Expr* expr, const exec::Schema& schema) {
+  for (auto& arg : expr->args) CoerceTimeLiterals(arg.get(), schema);
+  if (expr->kind != Expr::Kind::kBinary) return;
+  auto is_time_column = [&](const Expr& e) {
+    if (e.kind != Expr::Kind::kColumn) return false;
+    int idx = schema.IndexOf(e.column);
+    return idx >= 0 && schema.field(static_cast<size_t>(idx)).type ==
+                           exec::DataType::kTimestamp;
+  };
+  auto coerce = [](Expr* e) {
+    if (e->kind == Expr::Kind::kLiteral &&
+        e->literal.type() == exec::DataType::kString) {
+      CoerceLiteral(exec::DataType::kTimestamp, &e->literal);
+    }
+  };
+  switch (expr->op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe:
+      if (is_time_column(*expr->args[0])) coerce(expr->args[1].get());
+      if (is_time_column(*expr->args[1])) coerce(expr->args[0].get());
+      return;
+    case BinaryOp::kBetween:
+      if (is_time_column(*expr->args[0])) {
+        coerce(expr->args[1].get());
+        coerce(expr->args[2].get());
+      }
+      return;
+    default:
+      return;
+  }
 }
 
 Result<exec::DataType> InferType(const Expr& expr,

@@ -49,6 +49,19 @@ Result<exec::Value> EvaluateConstant(const Expr& expr);
 /// functions), i.e. it is foldable.
 bool IsConstantExpr(const Expr& expr);
 
+/// Coerces a literal into a column's value domain: a string or integer
+/// compared with a timestamp column becomes a timestamp. False when the
+/// literal cannot be coerced (an unparsable date string); other column
+/// types pass through unchanged.
+bool CoerceLiteral(exec::DataType column_type, exec::Value* value);
+
+/// Rewrites, in place, every string literal that `expr` compares (=, !=,
+/// <, <=, >, >=, BETWEEN) with a timestamp column of `schema` into a
+/// timestamp literal, so evaluation compares instants instead of falling
+/// back to type order. Run once at plan or bind time; unparsable strings
+/// are left as they are.
+void CoerceTimeLiterals(Expr* expr, const exec::Schema& schema);
+
 /// Infers the static result type of an expression against a schema.
 Result<exec::DataType> InferType(const Expr& expr, const exec::Schema& schema);
 

@@ -99,6 +99,7 @@ struct PredicateCompiler {
   Step Fallback(const Expr& conjunct) const {
     Step step;
     step.fallback = conjunct.Clone();
+    CoerceTimeLiterals(step.fallback.get(), schema);
     auto bound = BoundExpr::Bind(*step.fallback, schema);
     if (!bound.ok()) {
       // Unknown column: interpreted evaluation errors on every row.
@@ -113,6 +114,9 @@ struct PredicateCompiler {
   /// col CMP const. Picks the tightest kernel the types allow.
   Step ColumnCmpConst(int col, CmpKind cmp, exec::Value constant) const {
     exec::DataType col_type = schema.field(static_cast<size_t>(col)).type;
+    // A date string against a timestamp column compares as the instant it
+    // names: coerced once here, not per row (unparsable strings stay).
+    CoerceLiteral(col_type, &constant);
     Step step;
     step.cmp = cmp;
     step.col = col;
@@ -198,6 +202,8 @@ struct PredicateCompiler {
       Step step;
       step.col = col;
       exec::DataType col_type = schema.field(static_cast<size_t>(col)).type;
+      CoerceLiteral(col_type, &lo.value());
+      CoerceLiteral(col_type, &hi.value());
       if (IsNumericType(col_type) && IsNumericType(lo->type()) &&
           IsNumericType(hi->type())) {
         step.op = Op::kNumericBetween;

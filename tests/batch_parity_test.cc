@@ -329,24 +329,53 @@ TEST_F(ExecutorParityTest, ScansFiltersProjectionsAggregates) {
 }
 
 TEST_F(ExecutorParityTest, EveryAccessPathMatchesTheOracle) {
-  // st_range, temporal_range, secondary-index range, index intersection and
-  // a budgeted (LIMIT-pushdown) full scan; the cases above cover
+  // st_range, temporal_range, secondary-index range, index intersection,
+  // k-NN and a budgeted (LIMIT-pushdown) full scan; the cases above cover
   // spatial_range, secondary_index and full_scan.
-  // Time bounds are epoch-ms literals: EvaluateExpr, unlike the access
-  // path, does not coerce date strings (2018-10-05 .. 2018-10-25 and
-  // 2018-10-10 .. 2018-10-12 UTC here).
+  // Time bounds as epoch-ms literals (2018-10-05 .. 2018-10-25 and
+  // 2018-10-10 .. 2018-10-12 UTC here) and as the date strings they name.
   ExpectSameResult(
       "SELECT fid FROM orders WHERE geom WITHIN "
       "st_makeMBR(116.20, 39.70, 116.60, 40.10) AND "
       "time BETWEEN 1538697600000 AND 1540425600000");
   ExpectSameResult(
+      "SELECT fid FROM orders WHERE geom WITHIN "
+      "st_makeMBR(116.20, 39.70, 116.60, 40.10) AND "
+      "time BETWEEN '2018-10-05' AND '2018-10-25'");
+  ExpectSameResult(
       "SELECT fid, city FROM orders WHERE "
       "time BETWEEN 1539129600000 AND 1539302400000");
+  ExpectSameResult(
+      "SELECT fid, city FROM orders WHERE "
+      "time BETWEEN '2018-10-10' AND '2018-10-12'");
   ExpectSameResult("SELECT fid FROM orders WHERE city > 'city1'");
   ExpectSameResult(
       "SELECT fid FROM orders WHERE city BETWEEN 'city1' AND 'city2' AND "
       "geom WITHIN st_makeMBR(116.30, 39.80, 116.45, 39.95)");
   ExpectSameResult("SELECT fid, city FROM orders LIMIT 7");
+  // Date strings in residual comparisons compare as instants.
+  ExpectSameResult(
+      "SELECT fid FROM orders WHERE city = 'city1' AND time < '2018-10-12'");
+  ExpectSameResult(
+      "SELECT fid FROM orders WHERE time >= '2018-10-10' AND "
+      "time < '2018-10-12' AND fid > 'order_0100'");
+  ExpectSameResult(
+      "SELECT fid FROM orders WHERE geom WITHIN "
+      "st_makeMBR(116.20, 39.70, 116.60, 40.10) AND "
+      "(time < '2018-10-08' OR time > '2018-10-20')");
+  // k-NN answers the k nearest; a box or time window also in the query
+  // filters those k rows.
+  ExpectSameResult(
+      "SELECT fid FROM orders WHERE "
+      "geom IN st_KNN(st_makePoint(116.40, 39.90), 40)");
+  ExpectSameResult(
+      "SELECT fid FROM orders WHERE "
+      "geom IN st_KNN(st_makePoint(116.40, 39.90), 40) AND "
+      "geom WITHIN st_makeMBR(116.30, 39.80, 116.40, 39.90)");
+  ExpectSameResult(
+      "SELECT fid, time FROM orders WHERE "
+      "geom IN st_KNN(st_makePoint(116.40, 39.90), 40) AND "
+      "time BETWEEN '2018-10-10' AND '2018-10-20'");
 }
 
 TEST_F(ExecutorParityTest, RowOnlyOperatorsStillWork) {

@@ -2,10 +2,13 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/region_cluster.h"
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "net_harness.h"
 #include "test_util.h"
 
@@ -29,12 +32,14 @@ std::string ShardKey(int shard, const std::string& rest) {
 /// seam, so the assertions are byte-for-byte the same.
 class RegionClusterTest : public ::testing::TestWithParam<std::string> {
  protected:
-  Result<std::unique_ptr<RegionCluster>> OpenCluster(int num_servers = 3) {
+  Result<std::unique_ptr<RegionCluster>> OpenCluster(
+      int num_servers = 3, size_t scan_batch_rows = 512) {
     dir_ = std::make_unique<TempDir>("cluster_" + GetParam());
     ClusterOptions opts;
     opts.dir = dir_->path();
     opts.num_servers = num_servers;
     opts.store.memtable_bytes = 32 << 10;
+    opts.scan_batch_rows = scan_batch_rows;
     if (GetParam() == "socket") {
       for (int i = 0; i < num_servers; ++i) {
         ServerProcess::Options po;
@@ -122,6 +127,102 @@ TEST_P(RegionClusterTest, ParallelScanManyRanges) {
   size_t total = 0;
   for (const auto& rr : *results) total += rr.rows.size();
   EXPECT_EQ(total, 8u * 25u);
+}
+
+TEST_P(RegionClusterTest, ParallelScanMatchesOneRangeScans) {
+  // Small pages: the socket backend's multi-range scans span many pages,
+  // so resume cursors land inside ranges and between them.
+  auto cluster = OpenCluster(3, /*scan_batch_rows=*/7);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  Rng rng(20241017);
+  // Eight shard bytes of keys "000".."079", spread over flushed tables and
+  // the memtable, with overwrites and deletes.
+  for (int round = 0; round < 2; ++round) {
+    std::vector<kv::WriteOp> ops;
+    for (int shard = 0; shard < 8; ++shard) {
+      for (int i = round; i < 80; i += 1 + round) {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "%03d", i);
+        ops.push_back(kv::WriteOp{ShardKey(shard, buf),
+                                  "v" + std::to_string(round), false});
+      }
+    }
+    ASSERT_TRUE((*cluster)->WriteBatch(std::move(ops)).ok());
+    if (round == 0) {
+      ASSERT_TRUE((*cluster)->FlushAll().ok());
+    }
+  }
+  for (int i = 0; i < 80; i += 7) {
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "%03d", i);
+    ASSERT_TRUE((*cluster)->Delete(ShardKey(static_cast<int>(i % 8), buf))
+                    .ok());
+  }
+
+  auto key = [&](int shard) {
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "%03d",
+                  static_cast<int>(rng.Uniform(90)));
+    return ShardKey(shard, buf);
+  };
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<curve::KeyRange> ranges;
+    size_t n = 1 + rng.Uniform(40);
+    for (size_t i = 0; i < n; ++i) {
+      int shard = static_cast<int>(rng.Uniform(8));
+      curve::KeyRange r;
+      r.contained = rng.Uniform(2) == 1;
+      switch (rng.Uniform(5)) {
+        case 0:  // empty: end at or before start
+          r.start = key(shard);
+          r.end = r.start;
+          break;
+        case 1: {  // crosses shard bytes, so every server scans it
+          r.start = key(shard);
+          r.end = shard == 7 ? "" : key(shard + 1 + static_cast<int>(
+                                                       rng.Uniform(7 - shard)));
+          break;
+        }
+        case 2:  // overlaps (or repeats) an earlier range
+          if (!ranges.empty()) {
+            r = ranges[rng.Uniform(ranges.size())];
+            r.end = r.end.empty() ? "" : r.end + "5";
+            break;
+          }
+          [[fallthrough]];
+        default: {
+          std::string a = key(shard);
+          std::string b = key(shard);
+          if (b < a) std::swap(a, b);
+          r.start = a;
+          r.end = b;
+          break;
+        }
+      }
+      ranges.push_back(r);
+    }
+    auto results = (*cluster)->ParallelScan(ranges);
+    ASSERT_TRUE(results.ok()) << results.status().ToString();
+    ASSERT_EQ(results->size(), ranges.size());
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      std::vector<std::pair<std::string, std::string>> want;
+      ASSERT_TRUE((*cluster)
+                      ->Scan(ranges[i].start, ranges[i].end,
+                             [&](std::string_view k, std::string_view v) {
+                               want.emplace_back(k, v);
+                               return true;
+                             })
+                      .ok());
+      const auto& got = (*results)[i];
+      EXPECT_EQ(got.contained, ranges[i].contained);
+      ASSERT_EQ(got.rows.size(), want.size()) << "trial " << trial
+                                              << " range " << i;
+      for (size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(got.rows[r].key, want[r].first);
+        EXPECT_EQ(got.rows[r].value, want[r].second);
+      }
+    }
+  }
 }
 
 TEST_P(RegionClusterTest, WriteBatchRoutesAcrossServers) {

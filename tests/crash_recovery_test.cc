@@ -281,8 +281,7 @@ TEST(CrashRecoveryTest, AnySingleByteFlipIsDetectedOrHarmless) {
       bool all_reads_clean = true;
       // Full scan: either the exact model contents or a corruption error.
       std::map<std::string, std::string> scanned;
-      Status st = (*store)->Scan(
-          "", "", [&](std::string_view k, std::string_view v) {
+      Status st = (*store)->Scan({{"", ""}}, [&](size_t, std::string_view k, std::string_view v) {
             scanned.emplace(std::string(k), std::string(v));
             return true;
           });
@@ -378,8 +377,8 @@ void VerifyExactlyModel(LsmStore* store,
   }
   std::map<std::string, std::string> scanned;
   ASSERT_TRUE(store
-                  ->Scan("", "",
-                         [&](std::string_view k, std::string_view v) {
+                  ->Scan({{"", ""}},
+                         [&](size_t, std::string_view k, std::string_view v) {
                            scanned.emplace(std::string(k), std::string(v));
                            return true;
                          })

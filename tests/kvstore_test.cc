@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -388,8 +389,8 @@ TEST(LsmStoreTest, ModelBasedRandomOps) {
   // Full scan agrees (order + content).
   std::vector<std::pair<std::string, std::string>> scanned;
   ASSERT_TRUE(store
-                  ->Scan("", "",
-                         [&](std::string_view k, std::string_view v) {
+                  ->Scan({{"", ""}},
+                         [&](size_t, std::string_view k, std::string_view v) {
                            scanned.emplace_back(std::string(k),
                                                 std::string(v));
                            return true;
@@ -403,6 +404,88 @@ TEST(LsmStoreTest, ModelBasedRandomOps) {
   }
 }
 
+TEST(LsmStoreTest, MultiRangeScanMatchesModel) {
+  TempDir dir("lsm_multi_range");
+  auto store_or = LsmStore::Open(SmallStore(dir.path()));
+  ASSERT_TRUE(store_or.ok());
+  LsmStore* store = store_or->get();
+  std::map<std::string, std::string> model;
+  Rng rng(7);
+  auto key = [&] {
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "k%03d", static_cast<int>(rng.Uniform(600)));
+    return std::string(buf);
+  };
+  // Rows across deeper levels, L0 tables and the memtable, with
+  // overwrites and tombstones.
+  for (int i = 0; i < 6000; ++i) {
+    std::string k = key();
+    if (rng.Uniform(10) < 8) {
+      std::string value = "v" + std::to_string(i);
+      ASSERT_TRUE(store->Put(k, value).ok());
+      model[k] = value;
+    } else {
+      ASSERT_TRUE(store->Delete(k).ok());
+      model.erase(k);
+    }
+    if (i == 3000) {
+      ASSERT_TRUE(store->CompactAll().ok());
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::string> bounds;
+    size_t n = 1 + rng.Uniform(12);
+    for (size_t i = 0; i < 2 * n; ++i) bounds.push_back(key());
+    if (trial % 2 == 0) std::sort(bounds.begin(), bounds.end());
+    std::vector<ScanRange> ranges;
+    for (size_t i = 0; i < n; ++i) {
+      ScanRange r{bounds[2 * i], bounds[2 * i + 1]};
+      switch (rng.Uniform(6)) {
+        case 0:
+          r.end = "";  // to the last key
+          break;
+        case 1:
+          if (!ranges.empty()) r = ranges[rng.Uniform(ranges.size())];
+          break;
+        default:  // sorted, unsorted, overlapping or inverted as drawn
+          break;
+      }
+      ranges.push_back(r);
+    }
+    std::vector<std::vector<std::pair<std::string, std::string>>> got(
+        ranges.size());
+    ASSERT_TRUE(store
+                    ->Scan(ranges,
+                           [&](size_t r, std::string_view k,
+                               std::string_view v) {
+                             got[r].emplace_back(k, v);
+                             return true;
+                           })
+                    .ok());
+    for (size_t r = 0; r < ranges.size(); ++r) {
+      std::vector<std::pair<std::string, std::string>> want;
+      for (auto it = model.lower_bound(std::string(ranges[r].start));
+           it != model.end() &&
+           (ranges[r].end.empty() || it->first < ranges[r].end);
+           ++it) {
+        want.emplace_back(it->first, it->second);
+      }
+      EXPECT_EQ(got[r], want) << "trial " << trial << " range " << r;
+    }
+  }
+  // Stopping early ends the whole scan, not just the current range.
+  size_t seen = 0;
+  std::vector<ScanRange> two = {{"k000", "k300"}, {"k300", ""}};
+  ASSERT_TRUE(store
+                  ->Scan(two,
+                         [&](size_t r, std::string_view, std::string_view) {
+                           EXPECT_EQ(r, 0u);
+                           return ++seen < 5;
+                         })
+                  .ok());
+  EXPECT_EQ(seen, 5u);
+}
+
 TEST(LsmStoreTest, RangeScanBounds) {
   TempDir dir("lsm_range");
   auto store = LsmStore::Open(SmallStore(dir.path()));
@@ -414,8 +497,8 @@ TEST(LsmStoreTest, RangeScanBounds) {
   }
   std::vector<std::string> keys;
   ASSERT_TRUE((*store)
-                  ->Scan("010", "020",
-                         [&](std::string_view k, std::string_view) {
+                  ->Scan({{"010", "020"}},
+                         [&](size_t, std::string_view k, std::string_view) {
                            keys.emplace_back(k);
                            return true;
                          })
@@ -434,8 +517,8 @@ TEST(LsmStoreTest, ScanEarlyStop) {
   }
   int seen = 0;
   ASSERT_TRUE((*store)
-                  ->Scan("", "",
-                         [&](std::string_view, std::string_view) {
+                  ->Scan({{"", ""}},
+                         [&](size_t, std::string_view, std::string_view) {
                            return ++seen < 5;
                          })
                   .ok());
@@ -456,8 +539,8 @@ TEST(LsmStoreTest, NewestVersionWinsAcrossFlushes) {
   // Scan also sees exactly one version.
   int count = 0;
   ASSERT_TRUE((*store)
-                  ->Scan("", "",
-                         [&](std::string_view, std::string_view val) {
+                  ->Scan({{"", ""}},
+                         [&](size_t, std::string_view, std::string_view val) {
                            EXPECT_EQ(val, "new");
                            ++count;
                            return true;
@@ -477,8 +560,8 @@ TEST(LsmStoreTest, TombstoneMasksOlderSstEntry) {
   EXPECT_TRUE((*store)->Get("doomed", &v).IsNotFound());
   int count = 0;
   ASSERT_TRUE((*store)
-                  ->Scan("", "",
-                         [&](std::string_view, std::string_view) {
+                  ->Scan({{"", ""}},
+                         [&](size_t, std::string_view, std::string_view) {
                            ++count;
                            return true;
                          })

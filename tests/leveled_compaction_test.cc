@@ -110,8 +110,8 @@ TEST(LeveledCompactionTest, BulkLoadBoundsGetProbes) {
   // The same tree must scan correctly: one entry per key, newest value.
   std::map<std::string, std::string> scanned;
   ASSERT_TRUE(store
-                  ->Scan("", "",
-                         [&](std::string_view k, std::string_view v) {
+                  ->Scan({{"", ""}},
+                         [&](size_t, std::string_view k, std::string_view v) {
                            EXPECT_TRUE(
                                scanned.emplace(std::string(k), std::string(v))
                                    .second)

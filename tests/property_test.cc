@@ -134,8 +134,8 @@ TEST_P(LsmPropertyTest, ScansAlwaysSortedAndDeduplicated) {
       std::string prev;
       size_t count = 0;
       ASSERT_TRUE((*store)
-                      ->Scan("", "",
-                             [&](std::string_view k, std::string_view v) {
+                      ->Scan({{"", ""}},
+                             [&](size_t, std::string_view k, std::string_view v) {
                                EXPECT_GT(std::string(k), prev);  // ordered,
                                prev = std::string(k);            // no dupes
                                auto it = model.find(prev);

@@ -5,10 +5,14 @@
 // (JustEngine::Query): a DataFrame view of a Query, and the brute-force
 // SELECT oracle every access path is compared against.
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "exec/operators.h"
+#include "sql/access_path.h"
 #include "sql/analyzer.h"
 #include "sql/expr_eval.h"
 #include "sql/optimizer.h"
@@ -29,19 +33,66 @@ inline Result<exec::DataFrame> QueryFrame(core::JustEngine* engine,
   return exec::BatchesToDataFrame(meta.MakeSchema(), batches);
 }
 
-/// The rows of `frame` where EvaluateExpr(`where`) is true (NULL and
-/// evaluation errors drop the row).
+/// The rows of `frame` where the conjuncts of `where` hold: each by
+/// EvaluateExpr being true (NULL and evaluation errors drop the row), except
+/// `geom IN st_knn(p, k)`, which EvaluateExpr cannot judge row by row: it
+/// holds for the k rows of `frame` nearest p (Geometry::Distance, ties by
+/// row order).
 inline exec::DataFrame KeepWhere(const exec::DataFrame& frame,
                                  const sql::Expr& where) {
-  return exec::Filter(frame, [&](const exec::Row& row) {
-    auto v = sql::EvaluateExpr(where, frame.schema(), row);
-    return v.ok() && v->type() == exec::DataType::kBool && v->bool_value();
-  });
+  std::vector<const sql::Expr*> conjuncts;
+  sql::SplitConjuncts(&where, &conjuncts);
+  const auto& rows = frame.rows();
+  std::vector<bool> keep(rows.size(), true);
+  for (const sql::Expr* c : conjuncts) {
+    const bool knn = c->kind == sql::Expr::Kind::kBinary &&
+                     c->op == sql::BinaryOp::kIn &&
+                     c->args[1]->kind == sql::Expr::Kind::kCall &&
+                     c->args[1]->call_name == "st_knn";
+    if (!knn) {
+      for (size_t r = 0; r < rows.size(); ++r) {
+        auto v = sql::EvaluateExpr(*c, frame.schema(), rows[r]);
+        keep[r] = keep[r] && v.ok() && v->type() == exec::DataType::kBool &&
+                  v->bool_value();
+      }
+      continue;
+    }
+    auto point = sql::EvaluateConstant(*c->args[1]->args[0]);
+    auto k = sql::EvaluateConstant(*c->args[1]->args[1]);
+    if (!point.ok() || point->type() != exec::DataType::kGeometry ||
+        !k.ok() || !k->AsInt().ok()) {
+      keep.assign(rows.size(), false);
+      continue;
+    }
+    const geo::Point q = point->geometry_value().Bounds().Center();
+    std::vector<std::pair<double, size_t>> by_distance;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      auto g = sql::EvaluateExpr(*c->args[0], frame.schema(), rows[r]);
+      if (g.ok() && g->type() == exec::DataType::kGeometry) {
+        by_distance.emplace_back(g->geometry_value().Distance(q), r);
+      }
+    }
+    std::stable_sort(by_distance.begin(), by_distance.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    std::vector<bool> nearest(rows.size(), false);
+    size_t n = std::min(by_distance.size(),
+                        static_cast<size_t>(std::max<int64_t>(0, *k->AsInt())));
+    for (size_t i = 0; i < n; ++i) nearest[by_distance[i].second] = true;
+    for (size_t r = 0; r < rows.size(); ++r) keep[r] = keep[r] && nearest[r];
+  }
+  exec::DataFrame out(frame.schema_ptr());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (keep[r]) out.AddRow(rows[r]);
+  }
+  return out;
 }
 
 /// Row-at-a-time interpretation of an optimized plan with no access-path
 /// selection: every table scan decodes the whole table through a full-scan
-/// Query and keeps the rows where the WHERE predicate evaluates true, and
+/// Query and keeps the rows where the WHERE predicate evaluates true (k-NN
+/// conjuncts by brute-force distance ranking), and
 /// the operators above it run on DataFrames (exec::GroupBy / Sort / Limit /
 /// HashJoin, EvaluateExpr projections). Analysis functions are not modelled.
 inline Result<exec::DataFrame> OracleExecute(core::JustEngine* engine,

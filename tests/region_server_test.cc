@@ -15,9 +15,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "cluster/region_cluster.h"
@@ -27,6 +30,7 @@
 #include "net/wire_protocol.h"
 #include "net_harness.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace just::net {
@@ -92,8 +96,8 @@ TEST(RegionServerTest, WriteBatchAndPagedScan) {
 
   std::vector<std::string> keys;
   ASSERT_TRUE(client
-                  .Scan("", "",
-                        [&](std::string_view k, std::string_view v) {
+                  .Scan({{"", ""}},
+                        [&](size_t, std::string_view k, std::string_view v) {
                           keys.push_back(std::string(k));
                           // PaddedKey(i) is "k%05d": recover i to check v.
                           int i = std::atoi(std::string(k.substr(1)).c_str());
@@ -109,8 +113,8 @@ TEST(RegionServerTest, WriteBatchAndPagedScan) {
   // Early stop: the callback's false return ends the scan cleanly.
   int seen = 0;
   ASSERT_TRUE(client
-                  .Scan("", "",
-                        [&](std::string_view, std::string_view) {
+                  .Scan({{"", ""}},
+                        [&](size_t, std::string_view, std::string_view) {
                           return ++seen < 10;
                         })
                   .ok());
@@ -364,6 +368,269 @@ TEST(RegionServerTest, ClusterScanSurvivesConnectionCutWithoutDupOrDrop) {
       << "retried scan duplicated rows";
   EXPECT_GT(retries->Value(), retries_before)
       << "the cut should have forced at least one retry";
+}
+
+/// Ranges over PaddedKey(0..n): runs of various widths, an empty one and
+/// overlapping ones. `keys` owns the bytes the views point into.
+std::vector<kv::ScanRange> MultiRanges(std::vector<std::string>* keys) {
+  const int bounds[][2] = {{0, 40},  {35, 60}, {60, 60},  {100, 180},
+                           {150, 151}, {0, 400}, {390, 500}, {200, 230}};
+  keys->clear();
+  keys->reserve(2 * std::size(bounds));
+  for (const auto& b : bounds) {
+    keys->push_back(PaddedKey(b[0]));
+    keys->push_back(PaddedKey(b[1]));
+  }
+  std::vector<kv::ScanRange> ranges;
+  for (size_t i = 0; i < keys->size(); i += 2) {
+    ranges.push_back({(*keys)[i], (*keys)[i + 1]});
+  }
+  return ranges;
+}
+
+/// The rows each range must yield, from keys PaddedKey(0..rows).
+std::vector<std::vector<std::string>> ExpectedPerRange(
+    const std::vector<kv::ScanRange>& ranges, int rows) {
+  std::vector<std::vector<std::string>> want(ranges.size());
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    for (int i = 0; i < rows; ++i) {
+      std::string k = PaddedKey(i);
+      if (k >= ranges[r].start && k < ranges[r].end) want[r].push_back(k);
+    }
+  }
+  return want;
+}
+
+TEST(RegionServerTest, MultiRangeScanResumesAcrossRestart) {
+  TempDir dir("net_multi_cursor");
+  ServerProcess server({.dir = dir.path()});  // sync_wal on: survives SIGKILL
+  ASSERT_TRUE(server.Start());
+  constexpr int kRows = 400;
+  std::vector<std::string> keys;
+  const std::vector<kv::ScanRange> ranges = MultiRanges(&keys);
+  std::vector<std::vector<std::string>> got(ranges.size());
+  MultiScanRequest req;
+  req.ranges = ranges;
+  req.limit_rows = 23;
+  {
+    RegionClient client = MakeClient(server.port());
+    std::vector<kv::WriteOp> ops;
+    for (int i = 0; i < kRows; ++i) {
+      ops.push_back(kv::WriteOp{PaddedKey(i), "v", false});
+    }
+    ASSERT_TRUE(client.WriteBatch(ops).ok());
+    // Three pages: the cursor ends up inside the fourth range.
+    for (int page = 0; page < 3; ++page) {
+      MultiScanResponse resp;
+      ASSERT_TRUE(client.MultiScanPage(req, &resp).ok());
+      ASSERT_EQ(resp.rows.size(), 23u);
+      ASSERT_TRUE(resp.has_more);
+      for (const auto& row : resp.rows) got[row.range].push_back(row.key);
+      req.resume = resp.next;
+    }
+  }
+  // SIGKILL between pages: the cursor is pure client state, so the scan
+  // continues against the restarted process.
+  server.Kill();
+  ASSERT_TRUE(server.Restart());
+  RegionClient client2 = MakeClient(server.port());
+  for (bool more = true; more;) {
+    MultiScanResponse resp;
+    ASSERT_TRUE(client2.MultiScanPage(req, &resp).ok());
+    ASSERT_TRUE(resp.status.ok());
+    for (const auto& row : resp.rows) got[row.range].push_back(row.key);
+    more = resp.has_more;
+    req.resume = resp.next;
+  }
+  const auto want = ExpectedPerRange(ranges, kRows);
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    EXPECT_EQ(got[r], want[r]) << "range " << r
+                               << " dropped or duplicated rows";
+  }
+}
+
+TEST(RegionServerTest, ClusterParallelScanSurvivesConnectionCut) {
+  TempDir dir("net_multi_cut");
+  ServerProcess server({.dir = dir.path(), .sync_wal = false});
+  ASSERT_TRUE(server.Start());
+  FaultProxy proxy(server.port());
+  constexpr int kRows = 400;
+  {
+    RegionClient direct = MakeClient(server.port());
+    std::vector<kv::WriteOp> ops;
+    for (int i = 0; i < kRows; ++i) {
+      ops.push_back(
+          kv::WriteOp{PaddedKey(i), std::string(100, 'x'), false});
+    }
+    ASSERT_TRUE(direct.WriteBatch(ops).ok());
+  }
+  cluster::ClusterOptions opts;
+  opts.server_addrs = {"127.0.0.1:" + std::to_string(proxy.port())};
+  opts.scan_batch_rows = 50;  // many wire pages -> the cut lands mid-scan
+  opts.max_retries = 6;
+  opts.retry_backoff_ms = 1;
+  auto cluster = cluster::RegionCluster::Open(opts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  std::vector<std::string> keys;
+  const std::vector<kv::ScanRange> ranges = MultiRanges(&keys);
+  std::vector<curve::KeyRange> key_ranges;
+  for (const auto& r : ranges) {
+    key_ranges.push_back(
+        curve::KeyRange{std::string(r.start), std::string(r.end), false});
+  }
+
+  obs::Counter* retries =
+      obs::Registry::Global().GetCounter("just_cluster_retries_total");
+  const uint64_t retries_before = retries->Value();
+  // One multi-range scan, torn a few pages in: the cluster retries the
+  // server's whole scan from a clean buffer.
+  proxy.CutAfterUpstreamBytes(16 * 1024);
+  auto results = (*cluster)->ParallelScan(key_ranges);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  EXPECT_GT(retries->Value(), retries_before)
+      << "the cut should have forced at least one retry";
+  const auto want = ExpectedPerRange(ranges, kRows);
+  ASSERT_EQ(results->size(), ranges.size());
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    std::vector<std::string> got;
+    for (const auto& row : (*results)[r].rows) got.push_back(row.key);
+    EXPECT_EQ(got, want[r]) << "range " << r
+                            << " dropped or duplicated rows";
+  }
+}
+
+/// An in-process stand-in for a region server from before kMultiScanReq:
+/// it serves pings and one-range kScanReq pages from an in-memory map and
+/// answers every other type — the multi-scan, and any extension-flagged
+/// frame — with "unknown message type <byte>" on a surviving connection.
+class FakePreMultiScanServer {
+ public:
+  explicit FakePreMultiScanServer(std::map<std::string, std::string> data)
+      : data_(std::move(data)) {
+    auto listener = Listener::Listen("127.0.0.1", 0);
+    EXPECT_TRUE(listener.ok());
+    listener_ = std::move(*listener);
+    thread_ = std::thread([this] { Serve(); });
+  }
+
+  ~FakePreMultiScanServer() {
+    listener_.Close();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  int port() const { return listener_.port(); }
+  int scan_requests() const { return scan_requests_.load(); }
+
+ private:
+  void Serve() {
+    for (;;) {
+      auto accepted = listener_.Accept();
+      if (!accepted.ok()) return;
+      Socket sock = std::move(*accepted);
+      (void)sock.SetRecvTimeout(5000);
+      while (ServeOne(sock)) {
+      }
+    }
+  }
+
+  bool ServeOne(Socket& sock) {
+    std::string payload;
+    if (!ReadFramePayload(sock, &payload).ok()) return false;
+    if (payload.size() < kPayloadHeaderBytes) return false;
+    const uint8_t raw = static_cast<uint8_t>(payload[0]);
+    const uint64_t id = GetFixed64(payload.data() + 1);
+    const std::string_view body(payload.data() + kPayloadHeaderBytes,
+                                payload.size() - kPayloadHeaderBytes);
+    std::string out;
+    ScanRequest req;
+    if (raw == static_cast<uint8_t>(MsgType::kPingReq)) {
+      EncodeStatusResponse({Status::OK()}, id, &out);
+    } else if (raw == static_cast<uint8_t>(MsgType::kScanReq) &&
+               DecodeScanRequest(body, &req).ok()) {
+      ++scan_requests_;
+      ScanResponse resp;
+      for (auto it = data_.lower_bound(req.start_key);
+           it != data_.end() && (req.end_key.empty() || it->first < req.end_key);
+           ++it) {
+        if (resp.rows.size() == req.limit_rows) {
+          resp.has_more = true;
+          resp.next_cursor = resp.rows.back().key + '\0';
+          break;
+        }
+        resp.rows.push_back(WireRow{it->first, it->second});
+      }
+      EncodeScanResponse(resp, id, &out);
+    } else {
+      EncodeStatusResponse(
+          {Status::InvalidArgument("unknown message type " +
+                                   std::to_string(raw))},
+          id, &out);
+    }
+    return sock.WriteFully(out.data(), out.size()).ok();
+  }
+
+  std::map<std::string, std::string> data_;
+  Listener listener_;
+  std::thread thread_;
+  std::atomic<int> scan_requests_{0};
+};
+
+TEST(RegionServerTest, MultiScanFallsBackOncePerPreMultiScanPeer) {
+  constexpr int kRows = 400;
+  std::map<std::string, std::string> data;
+  std::vector<kv::WriteOp> ops;
+  for (int i = 0; i < kRows; ++i) {
+    data[PaddedKey(i)] = "v" + std::to_string(i);
+    ops.push_back(kv::WriteOp{PaddedKey(i), data[PaddedKey(i)], false});
+  }
+  std::vector<std::string> keys;
+  const std::vector<kv::ScanRange> ranges = MultiRanges(&keys);
+  using Rows = std::vector<std::tuple<size_t, std::string, std::string>>;
+  auto scan = [&](RegionClient& client, Rows* rows) {
+    rows->clear();
+    return client.Scan(ranges, [&](size_t r, std::string_view k,
+                                   std::string_view v) {
+      rows->emplace_back(r, std::string(k), std::string(v));
+      return true;
+    });
+  };
+
+  // Reference: a current server holding the same rows.
+  TempDir dir("net_multi_fallback");
+  ServerProcess server({.dir = dir.path(), .sync_wal = false});
+  ASSERT_TRUE(server.Start());
+  RegionClient current = MakeClient(server.port(), /*page_rows=*/17);
+  ASSERT_TRUE(current.WriteBatch(ops).ok());
+  Rows want;
+  ASSERT_TRUE(scan(current, &want).ok());
+  EXPECT_FALSE(current.peer_multiscan_unsupported());
+  ASSERT_EQ(want.size(), 40u + 25u + 0u + 80u + 1u + 400u + 10u + 30u);
+
+  FakePreMultiScanServer old_server(data);
+  RegionClient client = MakeClient(old_server.port(), /*page_rows=*/17);
+  auto& registry = obs::Registry::Global();
+  const uint64_t degrades_before =
+      registry.CounterValue("just_net_client_multiscan_degrades_total");
+  // Traced, so the first frame is also extension-flagged: the peer's
+  // "unknown message type" first degrades tracing, then the retried plain
+  // multi-scan degrades the scan.
+  obs::Trace trace("caller");
+  obs::SpanScope scope(trace.root());
+  Rows got;
+  ASSERT_TRUE(scan(client, &got).ok());
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(client.peer_multiscan_unsupported());
+  EXPECT_TRUE(client.peer_trace_unsupported());
+  EXPECT_EQ(registry.CounterValue("just_net_client_multiscan_degrades_total"),
+            degrades_before + 1);
+  // Sticky: a second scan goes straight to one-range pages.
+  const int scans_before = old_server.scan_requests();
+  ASSERT_TRUE(scan(client, &got).ok());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(registry.CounterValue("just_net_client_multiscan_degrades_total"),
+            degrades_before + 1);
+  EXPECT_GE(old_server.scan_requests() - scans_before,
+            static_cast<int>(ranges.size()));
 }
 
 TEST(RegionServerTest, ClusterWriteBatchRetriesThroughConnectionCut) {

@@ -169,11 +169,30 @@ TEST_F(RemoteTraceTest, ExplainAnalyzeRendersRemoteSubtrees) {
   const std::string& msg = r->message;
 
   // Remote per-server subtrees: rpc spans tagged with the server address.
-  EXPECT_NE(msg.find("rpc.scan"), std::string::npos) << msg;
+  // The Fig 12 query plans hundreds of key ranges across both servers, yet
+  // each server answers exactly one multi-range scan RPC.
   ASSERT_NE(msg.find(" server="), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("rpc.scan "), std::string::npos) << msg;
+  EXPECT_NE(msg.find("cluster.ParallelScan ranges="), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find(" servers=" + std::to_string(servers_.size())),
+            std::string::npos)
+      << msg;
+  size_t multi_scans = 0;
+  for (size_t pos = 0; (pos = msg.find("rpc.multi_scan", pos)) !=
+                       std::string::npos;
+       ++pos) {
+    ++multi_scans;
+  }
+  EXPECT_EQ(multi_scans, servers_.size()) << msg;
   for (const auto& server : servers_) {
-    EXPECT_NE(msg.find("server=" + server->addr()), std::string::npos)
+    const std::string tag = "server=" + server->addr();
+    size_t at = msg.find(tag);
+    EXPECT_NE(at, std::string::npos)
         << "no subtree from " << server->addr() << "\n"
+        << msg;
+    EXPECT_EQ(msg.find(tag, at + 1), std::string::npos)
+        << "more than one RPC to " << server->addr() << "\n"
         << msg;
   }
 
@@ -245,15 +264,18 @@ TEST_F(RemoteTraceTest, AdminPlaneServesMetricsAndTracez) {
             std::string::npos);
   EXPECT_NE(metrics.find("just_net_server_rpc_us_count{type=\"scan\"}"),
             std::string::npos);
+  EXPECT_NE(
+      metrics.find("just_net_server_rpc_us_count{type=\"multi_scan\"}"),
+      std::string::npos);
   EXPECT_NE(metrics.find("just_net_server_requests_total"),
             std::string::npos);
 
   // /tracez shows the recorded slow RPCs with their span trees.
   std::string tracez = RawGet(admin_port, "/tracez");
   EXPECT_NE(tracez.find("HTTP/1.0 200"), std::string::npos);
-  EXPECT_NE(tracez.find("\"sql\":\"rpc:scan\""), std::string::npos)
+  EXPECT_NE(tracez.find("\"sql\":\"rpc:multi_scan\""), std::string::npos)
       << tracez;
-  EXPECT_NE(tracez.find("\"name\":\"rpc.scan\""), std::string::npos)
+  EXPECT_NE(tracez.find("\"name\":\"rpc.multi_scan\""), std::string::npos)
       << tracez;
 }
 

@@ -256,6 +256,134 @@ TEST(WireProtocolTest, RoundTripResponses) {
   }
 }
 
+TEST(WireProtocolTest, MultiScanRoundTrip) {
+  Rng rng(44);
+  for (int iter = 0; iter < 200; ++iter) {
+    uint64_t id = rng.Next();
+    {
+      // Keys live here: the request holds views.
+      std::vector<std::string> keys;
+      size_t n = 1 + rng.Uniform(20);
+      for (size_t i = 0; i < 2 * n; ++i) keys.push_back(RandomBytes(&rng, 40));
+      MultiScanRequest req;
+      for (size_t i = 0; i < n; ++i) {
+        req.ranges.push_back({keys[2 * i], keys[2 * i + 1]});
+      }
+      req.limit_rows = 1 + static_cast<uint32_t>(rng.Uniform(100000));
+      req.resume = ScanCursor{static_cast<uint32_t>(rng.Uniform(n)),
+                              RandomBytes(&rng, 40)};
+      std::string frame;
+      EncodeMultiScanRequest(req, id, &frame);
+      FrameHeader h;
+      std::string_view body;
+      MustParse(frame, &h, &body);
+      EXPECT_EQ(h.type, MsgType::kMultiScanReq);
+      MultiScanRequest out;
+      ASSERT_TRUE(DecodeMultiScanRequest(body, &out).ok());
+      ASSERT_EQ(out.ranges.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out.ranges[i].start, req.ranges[i].start);
+        EXPECT_EQ(out.ranges[i].end, req.ranges[i].end);
+      }
+      EXPECT_EQ(out.limit_rows, req.limit_rows);
+      EXPECT_EQ(out.resume.range, req.resume.range);
+      EXPECT_EQ(out.resume.key, req.resume.key);
+    }
+    {
+      MultiScanResponse resp;
+      resp.status = RandomStatus(&rng);
+      size_t n = rng.Uniform(30);
+      for (size_t i = 0; i < n; ++i) {
+        resp.rows.push_back(MultiScanRow{
+            static_cast<uint32_t>(rng.Uniform(1u << 20)),
+            RandomBytes(&rng, 48), RandomBytes(&rng, 96)});
+      }
+      resp.has_more = rng.Uniform(2) == 1;
+      if (resp.has_more) {
+        resp.next = ScanCursor{static_cast<uint32_t>(rng.Uniform(1000)),
+                               RandomBytes(&rng, 48)};
+      }
+      std::string frame;
+      EncodeMultiScanResponse(resp, id, &frame);
+      FrameHeader h;
+      std::string_view body;
+      MustParse(frame, &h, &body);
+      EXPECT_EQ(h.type, MsgType::kMultiScanResp);
+      MultiScanResponse out;
+      ASSERT_TRUE(DecodeMultiScanResponse(body, &out).ok());
+      EXPECT_EQ(out.status.code(), resp.status.code());
+      EXPECT_EQ(out.status.message(), resp.status.message());
+      ASSERT_EQ(out.rows.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out.rows[i].range, resp.rows[i].range);
+        EXPECT_EQ(out.rows[i].key, resp.rows[i].key);
+        EXPECT_EQ(out.rows[i].value, resp.rows[i].value);
+      }
+      EXPECT_EQ(out.has_more, resp.has_more);
+      EXPECT_EQ(out.next.range, resp.next.range);
+      EXPECT_EQ(out.next.key, resp.next.key);
+    }
+  }
+}
+
+TEST(WireProtocolTest, MalformedMultiScanRequestIsInvalidArgument) {
+  // Body builder: `count` declared ranges, `present` of them encoded.
+  auto body = [](uint32_t count, uint32_t present, uint32_t limit,
+                 uint32_t resume_range) {
+    std::string b;
+    PutVarint32(&b, count);
+    for (uint32_t i = 0; i < present; ++i) {
+      PutLengthPrefixed(&b, "a");
+      PutLengthPrefixed(&b, "b");
+    }
+    PutVarint32(&b, limit);
+    PutVarint32(&b, resume_range);
+    PutLengthPrefixed(&b, "");
+    return b;
+  };
+  MultiScanRequest req;
+  ASSERT_TRUE(DecodeMultiScanRequest(body(3, 3, 10, 2), &req).ok());
+  EXPECT_EQ(req.ranges.size(), 3u);
+
+  // A range count the body cannot hold: rejected before any allocation.
+  Status st = DecodeMultiScanRequest(body(1000000, 3, 10, 0), &req);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  st = DecodeMultiScanRequest(body(5, 3, 10, 0), &req);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  // Resume cursor naming a range past the list.
+  st = DecodeMultiScanRequest(body(3, 3, 10, 3), &req);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  st = DecodeMultiScanRequest(body(3, 3, 10, 0xFFFFFFFFu), &req);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  // An oversize list, even one the body really holds.
+  const uint32_t oversize = static_cast<uint32_t>(kMaxScanRanges + 1);
+  st = DecodeMultiScanRequest(body(oversize, oversize, 10, 0), &req);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  // No ranges, a zero page, trailing bytes.
+  st = DecodeMultiScanRequest(body(0, 0, 10, 0), &req);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  st = DecodeMultiScanRequest(body(3, 3, 0, 0), &req);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  st = DecodeMultiScanRequest(body(3, 3, 10, 0) + "x", &req);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+
+  // Responses: a row count beyond the body, a bad has_more flag.
+  std::string resp;
+  EncodeStatus(Status::OK(), &resp);
+  PutVarint32(&resp, 1000000);
+  MultiScanResponse out;
+  st = DecodeMultiScanResponse(resp, &out);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  resp.clear();
+  EncodeStatus(Status::OK(), &resp);
+  PutVarint32(&resp, 0);
+  resp.push_back(2);
+  PutVarint32(&resp, 0);
+  PutLengthPrefixed(&resp, "");
+  st = DecodeMultiScanResponse(resp, &out);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+}
+
 /// Attempts a full decode of `frame` as whatever it claims to be. The
 /// assertion is implicit: no crash, no sanitizer report — and a non-OK
 /// status must be kCorruption or kInvalidArgument, never something that
@@ -328,6 +456,16 @@ void FuzzDecode(std::string_view frame, bool expect_failure) {
       decode = DecodeStatsResponse(body, &r);
       break;
     }
+    case MsgType::kMultiScanReq: {
+      MultiScanRequest r;
+      decode = DecodeMultiScanRequest(body, &r);
+      break;
+    }
+    case MsgType::kMultiScanResp: {
+      MultiScanResponse r;
+      decode = DecodeMultiScanResponse(body, &r);
+      break;
+    }
     default:
       decode = DecodeEmptyBody(body);
       break;
@@ -392,6 +530,25 @@ std::vector<std::string> SampleFrames(Rng* rng) {
   StatsResponse st;
   st.status = Status::OK();
   EncodeStatsResponse(st, id, &f);
+  frames.push_back(f);
+  f.clear();
+  std::vector<std::string> keys;
+  for (int i = 0; i < 8; ++i) keys.push_back(RandomBytes(rng, 24));
+  MultiScanRequest msr;
+  for (int i = 0; i + 1 < 8; i += 2) msr.ranges.push_back({keys[i], keys[i + 1]});
+  msr.resume = ScanCursor{2, RandomBytes(rng, 24)};
+  EncodeMultiScanRequest(msr, id, &f);
+  frames.push_back(f);
+  f.clear();
+  MultiScanResponse mresp;
+  mresp.status = Status::OK();
+  for (uint32_t i = 0; i < 10; ++i) {
+    mresp.rows.push_back(
+        MultiScanRow{i / 3, RandomBytes(rng, 24), RandomBytes(rng, 48)});
+  }
+  mresp.has_more = true;
+  mresp.next = ScanCursor{3, RandomBytes(rng, 24)};
+  EncodeMultiScanResponse(mresp, id, &f);
   frames.push_back(f);
   return frames;
 }

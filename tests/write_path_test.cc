@@ -253,7 +253,7 @@ TEST(WritePathTest, ScanCallbackReentrancyNoSelfDeadlock) {
     ASSERT_TRUE(store->Put("key" + std::to_string(i), "v").ok());
   }
   int seen = 0;
-  Status st = store->Scan("", "", [&](std::string_view key, std::string_view) {
+  Status st = store->Scan({{"", ""}}, [&](size_t, std::string_view key, std::string_view) {
     ++seen;
     // Writing back into the scanned store used to deadlock right here.
     EXPECT_TRUE(store->Put("derived/" + std::string(key), "d").ok());
@@ -468,8 +468,7 @@ TEST(WritePathTest, ConcurrentWritersScannersFlushStress) {
     readers.emplace_back([&] {
       while (!stop_readers.load()) {
         size_t rows = 0;
-        Status st = store->Scan(
-            "", "", [&](std::string_view, std::string_view) {
+        Status st = store->Scan({{"", ""}}, [&](size_t, std::string_view, std::string_view) {
               ++rows;
               return true;
             });
