@@ -32,8 +32,9 @@ struct BackendStats {
 ///    each yielding its rows in key order, tagged with the range index;
 ///    the callback returns false to stop early. Implementations may page
 ///    internally (the socket backend does, via the wire protocol's resume
-///    cursor); on failure, rows may already have been delivered — callers
-///    that retry must buffer per attempt, which RegionCluster does.
+///    cursor); on failure, rows may already have been delivered — a retry
+///    must not deliver them again, which RegionCluster::Scan ensures by
+///    resuming past the last row it handed on.
 class RegionBackend {
  public:
   virtual ~RegionBackend() = default;

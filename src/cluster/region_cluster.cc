@@ -155,36 +155,32 @@ Status RegionCluster::IngestBatch(const std::string& tenant,
                        });
 }
 
-Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
-    const std::vector<curve::KeyRange>& ranges) const {
-  std::vector<RangeResult> results(ranges.size());
+Status RegionCluster::Scan(const std::vector<curve::KeyRange>& ranges,
+                           ScanSink* sink, std::atomic<bool>* stop) const {
   // Group the ranges by owning server. Routing is first_byte % num_servers
   // — NOT a contiguous partition: a range spanning multiple shard bytes can
   // land on every server (e.g. bytes 0x04..0x06 with 5 servers hit servers
   // 4, 0 and 1), so it goes to all of them. Only a range confined to a
   // single shard byte maps to a single server; the ranges the index
   // strategies emit are of exactly that shape.
-  struct ServerWork {
-    std::vector<size_t> range_ids;  ///< indexes into `ranges`, in order
-    std::vector<kv::ScanRange> ranges;
-  };
-  std::vector<ServerWork> work(servers_.size());
+  std::vector<std::vector<size_t>> work(servers_.size());
   for (size_t i = 0; i < ranges.size(); ++i) {
-    const curve::KeyRange& range = ranges[i];
-    results[i].contained = range.contained;
     int first = 0;
     int last = num_servers() - 1;
-    if (SingleShardByte(range.start, range.end)) {
-      first = last = ServerFor(range.start);
+    if (SingleShardByte(ranges[i].start, ranges[i].end)) {
+      first = last = ServerFor(ranges[i].start);
     }
     for (int server = first; server <= last; ++server) {
-      work[server].range_ids.push_back(i);
-      work[server].ranges.push_back({range.start, range.end});
+      work[server].push_back(i);
     }
   }
-  std::vector<size_t> busy;  ///< servers with work, in server order
+  std::vector<int> busy;  ///< servers with work, in server order
   for (size_t s = 0; s < work.size(); ++s) {
-    if (!work[s].ranges.empty()) busy.push_back(s);
+    if (!work[s].empty()) {
+      busy.push_back(static_cast<int>(s));
+    } else {
+      JUST_RETURN_NOT_OK(sink->Finish(static_cast<int>(s)));
+    }
   }
 
   static obs::Histogram* scan_hist =
@@ -195,12 +191,8 @@ Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
     span.span()->AddAttr("servers", std::to_string(busy.size()));
   }
   const auto scan_start = std::chrono::steady_clock::now();
-  // One multi-range scan per server that has work: one pool task and (on
-  // sockets) one RPC per page, however many ranges the server owns.
-  // Rows are buffered per range and per attempt: a retry after a mid-scan
-  // failure restarts the server's scan cleanly instead of duplicating rows.
-  std::vector<std::vector<std::vector<Row>>> rows(busy.size());
-  std::atomic<bool> failed{false};
+  std::atomic<bool> own_stop{false};
+  std::atomic<bool>* halt = stop != nullptr ? stop : &own_stop;
   Status first_error;
   std::mutex error_mu;
   // Pool workers have their own thread-local state: hand them the span
@@ -208,20 +200,11 @@ Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
   obs::TraceSpan* parent_span = obs::CurrentSpan();
   DefaultPool().ParallelFor(busy.size(), [&](size_t b) {
     obs::SpanScope scope(parent_span);
-    if (failed.load(std::memory_order_relaxed)) return;
-    const ServerWork& w = work[busy[b]];
-    std::vector<std::vector<Row>>& per_range = rows[b];
-    Status st = WithRetry([&] {
-      per_range.assign(w.ranges.size(), {});
-      return servers_[busy[b]]->Scan(
-          w.ranges,
-          [&](size_t r, std::string_view key, std::string_view value) {
-            per_range[r].push_back(Row{std::string(key), std::string(value)});
-            return true;
-          });
-    });
+    const int server = busy[b];
+    Status st = ScanServer(server, ranges, work[server], sink, halt);
+    if (st.ok()) st = sink->Finish(server);
     if (!st.ok()) {
-      failed.store(true, std::memory_order_relaxed);
+      halt->store(true, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(error_mu);
       if (first_error.ok()) first_error = st;
     }
@@ -230,68 +213,77 @@ Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - scan_start)
           .count()));
-  if (failed.load()) {
-    return first_error.ok() ? Status::Internal("parallel scan failed")
-                            : first_error;
-  }
-  // Server order: a range that crosses shard bytes gets each server's rows
-  // in turn, each server's in key order.
-  for (size_t b = 0; b < busy.size(); ++b) {
-    const ServerWork& w = work[busy[b]];
-    for (size_t r = 0; r < w.ranges.size(); ++r) {
-      std::vector<Row>& dst = results[w.range_ids[r]].rows;
+  return first_error;
+}
+
+Status RegionCluster::ScanServer(int server,
+                                 const std::vector<curve::KeyRange>& ranges,
+                                 const std::vector<size_t>& ids,
+                                 ScanSink* sink,
+                                 const std::atomic<bool>* halt) const {
+  static obs::Counter* rows_fetched = obs::Registry::Global().GetCounter(
+      "just_cluster_scan_rows_fetched_total");
+  // Resume cursor: ids[next] is the first range not yet finished and, once
+  // `resume` is set, `last_key` is the last of its keys the sink accepted.
+  size_t next = 0;
+  bool resume = false;
+  std::string last_key;
+  std::string resume_start;
+  uint64_t delivered = 0;
+  std::vector<kv::ScanRange> todo;
+  Status st = WithRetry([&] {
+    const size_t base = next;
+    todo.clear();
+    for (size_t i = base; i < ids.size(); ++i) {
+      todo.push_back({ranges[ids[i]].start, ranges[ids[i]].end});
+    }
+    if (resume) {
+      resume_start = last_key + '\0';  // just past the accepted key
+      todo[0].start = resume_start;
+    }
+    return servers_[server]->Scan(
+        todo, [&](size_t r, std::string_view key, std::string_view value) {
+          if (halt->load(std::memory_order_relaxed)) return false;
+          next = base + r;
+          resume = true;
+          last_key.assign(key);
+          ++delivered;
+          return sink->Accept(server, ids[base + r], key, value);
+        });
+  });
+  rows_fetched->Add(delivered);
+  return st;
+}
+
+Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
+    const std::vector<curve::KeyRange>& ranges) const {
+  // Owned copies per server and range, merged in server order afterwards.
+  class Collector : public ScanSink {
+   public:
+    Collector(size_t servers, size_t ranges)
+        : rows(servers, std::vector<std::vector<Row>>(ranges)) {}
+    bool Accept(int server, size_t range, std::string_view key,
+                std::string_view value) override {
+      rows[server][range].push_back(Row{std::string(key), std::string(value)});
+      return true;
+    }
+    std::vector<std::vector<std::vector<Row>>> rows;
+  };
+  Collector collector(servers_.size(), ranges.size());
+  JUST_RETURN_NOT_OK(Scan(ranges, &collector));
+  std::vector<RangeResult> results(ranges.size());
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    results[i].contained = ranges[i].contained;
+    std::vector<Row>& dst = results[i].rows;
+    for (auto& per_range : collector.rows) {
       if (dst.empty()) {
-        dst = std::move(rows[b][r]);
+        dst = std::move(per_range[i]);
       } else {
-        for (Row& row : rows[b][r]) dst.push_back(std::move(row));
+        for (Row& row : per_range[i]) dst.push_back(std::move(row));
       }
     }
   }
   return results;
-}
-
-Status RegionCluster::Scan(
-    std::string_view start, std::string_view end,
-    const std::function<bool(std::string_view, std::string_view)>& fn) const {
-  // Keys are partitioned by shard byte, so a full-order merge across servers
-  // is only needed when the range spans shards; scan shard by shard (the
-  // global order across shard bytes is preserved because routing is by the
-  // first byte and servers see disjoint byte prefixes... only when
-  // num_servers >= 256; in general this yields per-shard ordered output,
-  // which all internal callers accept).
-  static obs::Counter* rows_fetched = obs::Registry::Global().GetCounter(
-      "just_cluster_scan_rows_fetched_total");
-  const size_t batch_rows = std::max<size_t>(1, options_.scan_batch_rows);
-  for (const auto& server : servers_) {
-    // Stream the server's range in bounded batches instead of buffering it
-    // whole: an early-stopping consumer (LIMIT-style) used to pay for the
-    // entire range before the first row reached it. Each batch is buffered
-    // so a transient failure can be retried without re-emitting rows the
-    // callback already consumed; the cursor only advances once a batch is
-    // delivered, so a retried batch restarts cleanly.
-    std::string cursor(start);
-    for (;;) {
-      std::vector<Row> rows;
-      Status st = WithRetry([&] {
-        rows.clear();
-        return server->Scan(
-            {{cursor, end}},
-            [&](size_t, std::string_view k, std::string_view v) {
-              rows.push_back(Row{std::string(k), std::string(v)});
-              return rows.size() < batch_rows;
-            });
-      });
-      JUST_RETURN_NOT_OK(st);
-      rows_fetched->Add(rows.size());
-      for (const auto& row : rows) {
-        if (!fn(row.key, row.value)) return Status::OK();
-      }
-      if (rows.size() < batch_rows) break;  // server range exhausted
-      // Next batch resumes just past the last delivered key.
-      cursor = rows.back().key + '\0';
-    }
-  }
-  return Status::OK();
 }
 
 Status RegionCluster::FlushAll() {

@@ -1,6 +1,7 @@
 #ifndef JUST_CLUSTER_REGION_CLUSTER_H_
 #define JUST_CLUSTER_REGION_CLUSTER_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -34,10 +35,9 @@ struct ClusterOptions {
   int max_retries = 2;
   /// Base backoff before the first retry; doubles per attempt.
   int retry_backoff_ms = 1;
-  /// Scan() streams each server's range in batches of this many rows so
-  /// early-stopping consumers never force a server to materialize its whole
-  /// range (each batch stays individually retry-safe). Socket backends also
-  /// use this as the wire page size.
+  /// Wire page size of socket backends: Scan() fetches each server's rows
+  /// this many at a time, so an early-stopping consumer never makes a
+  /// remote server ship its whole key range.
   size_t scan_batch_rows = 512;
 };
 
@@ -73,7 +73,38 @@ class RegionCluster {
   /// plain WriteBatch. The streaming ingest path (INSERT STREAM).
   Status IngestBatch(const std::string& tenant, std::vector<kv::WriteOp> ops);
 
-  /// One row returned by a scan.
+  /// Consumer of a streaming Scan(). Each server's rows reach Accept() from
+  /// that server's own task: its ranges in list order, each range's keys in
+  /// ascending order. Different servers call concurrently, so per-server
+  /// state indexed by `server` needs no locking.
+  class ScanSink {
+   public:
+    virtual ~ScanSink() = default;
+    /// One row of `ranges[range]`. The views are valid only during the
+    /// call. Returning false stops this server's scan.
+    virtual bool Accept(int server, size_t range, std::string_view key,
+                        std::string_view value) = 0;
+    /// Server `server`'s part of the scan ended (exhausted or stopped),
+    /// called from its task after its last Accept(); servers that own none of
+    /// the ranges end at once. Not called when the server's scan failed. A
+    /// non-OK status fails the Scan.
+    virtual Status Finish(int server) {
+      (void)server;
+      return Status::OK();
+    }
+  };
+
+  /// The one cluster scan: every key range on its owning server(s), one
+  /// task and one multi-range backend scan per server that owns any range,
+  /// the servers in parallel, rows streamed into `sink` with no copy. A
+  /// transient failure retries the server's scan from just past the last
+  /// (range, key) the sink accepted, so no row reaches the sink twice.
+  /// Setting `*stop` (optional) stops every server at its next row; a
+  /// failing server sets it too.
+  Status Scan(const std::vector<curve::KeyRange>& ranges, ScanSink* sink,
+              std::atomic<bool>* stop = nullptr) const;
+
+  /// One row returned by ParallelScan.
   struct Row {
     std::string key;
     std::string value;
@@ -85,18 +116,11 @@ class RegionCluster {
     bool contained = false;  ///< from the originating KeyRange
   };
 
-  /// Scans every key range on its owning server(s): one multi-range scan
-  /// per server that owns any range, the servers in parallel. Returns one
-  /// result per input range, rows in key order — a range crossing shard
-  /// bytes gets each server's rows in server order.
+  /// Scan() collected into owned rows: one result per input range, rows in
+  /// key order; a range crossing shard bytes gets each server's rows in
+  /// server order.
   Result<std::vector<RangeResult>> ParallelScan(
       const std::vector<curve::KeyRange>& ranges) const;
-
-  /// Sequential scan of a single [start, end) range, merged across servers
-  /// that may hold keys in it.
-  Status Scan(std::string_view start, std::string_view end,
-              const std::function<bool(std::string_view, std::string_view)>&
-                  fn) const;
 
   Status FlushAll();
   Status CompactAll();
@@ -124,10 +148,17 @@ class RegionCluster {
       const std::function<Status(RegionBackend*,
                                  const std::vector<kv::WriteOp>&)>& apply);
 
+  /// One server's part of Scan(): its ranges (`ids` into `ranges`, in
+  /// order) as one multi-range backend scan under WithRetry, each attempt
+  /// resuming past the last row `sink` accepted.
+  Status ScanServer(int server, const std::vector<curve::KeyRange>& ranges,
+                    const std::vector<size_t>& ids, ScanSink* sink,
+                    const std::atomic<bool>* halt) const;
+
   /// Runs `op` with bounded exponential-backoff retry on transient errors
-  /// (options_.max_retries / retry_backoff_ms). `op` must be idempotent and
-  /// side-effect-free until it succeeds — callers buffer scan rows per
-  /// attempt so a retried scan never duplicates rows downstream.
+  /// (options_.max_retries / retry_backoff_ms). `op` must be safe to rerun
+  /// after a failure: writes are idempotent, and Scan resumes each attempt
+  /// past the rows it already delivered.
   Status WithRetry(const std::function<Status()>& op) const;
 
   ClusterOptions options_;

@@ -74,62 +74,17 @@ void PutVarint64(std::string* dst, uint64_t v) {
   dst->push_back(static_cast<char>(v));
 }
 
-bool GetVarint64(const char** p, const char* limit, uint64_t* v) {
-  uint64_t result = 0;
-  int shift = 0;
-  const char* q = *p;
-  while (q < limit && shift <= 63) {
-    uint8_t byte = static_cast<uint8_t>(*q++);
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *p = q;
-      *v = result;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
-bool GetVarint32(const char** p, const char* limit, uint32_t* v) {
-  uint64_t v64;
-  if (!GetVarint64(p, limit, &v64) || v64 > UINT32_MAX) return false;
-  *v = static_cast<uint32_t>(v64);
-  return true;
-}
-
 uint64_t ZigZagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-
-int64_t ZigZagDecode(uint64_t v) {
-  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
 void PutVarintSigned(std::string* dst, int64_t v) {
   PutVarint64(dst, ZigZagEncode(v));
 }
 
-bool GetVarintSigned(const char** p, const char* limit, int64_t* v) {
-  uint64_t u;
-  if (!GetVarint64(p, limit, &u)) return false;
-  *v = ZigZagDecode(u);
-  return true;
-}
-
 void PutLengthPrefixed(std::string* dst, std::string_view s) {
   PutVarint64(dst, s.size());
   dst->append(s.data(), s.size());
-}
-
-bool GetLengthPrefixed(const char** p, const char* limit,
-                       std::string_view* s) {
-  uint64_t len;
-  if (!GetVarint64(p, limit, &len)) return false;
-  if (static_cast<uint64_t>(limit - *p) < len) return false;
-  *s = std::string_view(*p, len);
-  *p += len;
-  return true;
 }
 
 uint64_t OrderedDoubleBits(double d) {

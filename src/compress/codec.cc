@@ -77,7 +77,8 @@ std::string EncodeCell(const Codec& codec, std::string_view raw) {
   return out;
 }
 
-Result<std::string> DecodeCell(std::string_view cell) {
+Status DecodeCellView(std::string_view cell, std::string* scratch,
+                      std::string_view* raw) {
   if (cell.empty()) return Status::Corruption("empty cell");
   auto id = static_cast<CodecId>(cell[0]);
   const char* p = cell.data() + 1;
@@ -86,14 +87,30 @@ Result<std::string> DecodeCell(std::string_view cell) {
   if (!GetVarint64(&p, limit, &raw_size)) {
     return Status::Corruption("bad cell header");
   }
-  std::string_view payload(p, limit - p);
+  std::string_view payload(p, static_cast<size_t>(limit - p));
   switch (id) {
     case CodecId::kNone:
-      return NoneCodec()->Decompress(payload, raw_size);
-    case CodecId::kLz77:
-      return Lz77Codec()->Decompress(payload, raw_size);
+      if (payload.size() != raw_size) {
+        return Status::Corruption("none codec size mismatch");
+      }
+      *raw = payload;
+      return Status::OK();
+    case CodecId::kLz77: {
+      JUST_ASSIGN_OR_RETURN(*scratch, Lz77Codec()->Decompress(payload,
+                                                              raw_size));
+      *raw = *scratch;
+      return Status::OK();
+    }
   }
   return Status::Corruption("unknown codec id");
+}
+
+Result<std::string> DecodeCell(std::string_view cell) {
+  std::string scratch;
+  std::string_view raw;
+  JUST_RETURN_NOT_OK(DecodeCellView(cell, &scratch, &raw));
+  if (raw.data() == scratch.data()) return scratch;
+  return std::string(raw);
 }
 
 }  // namespace just::compress

@@ -47,6 +47,12 @@ std::string EncodeCell(const Codec& codec, std::string_view raw);
 /// Decodes a framed cell produced by EncodeCell.
 Result<std::string> DecodeCell(std::string_view cell);
 
+/// DecodeCell without a copy for identity-coded cells: `*raw` views the
+/// payload inside `cell` itself, or `*scratch` (overwritten) when the cell
+/// had to be decompressed. The scan path's decoder, which runs per cell.
+Status DecodeCellView(std::string_view cell, std::string* scratch,
+                      std::string_view* raw);
+
 }  // namespace just::compress
 
 #endif  // JUST_COMPRESS_CODEC_H_

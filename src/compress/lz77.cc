@@ -109,10 +109,15 @@ std::string Lz77Compress(std::string_view raw) {
 
 Result<std::string> Lz77Decompress(std::string_view compressed,
                                    size_t raw_size) {
+  // A 3-byte match token expands to at most kMaxMatch bytes, so a larger
+  // claimed size is malformed framing: refuse it before reserving.
+  const size_t n = compressed.size();
+  if (raw_size / (kMaxMatch / 3) > n) {
+    return Status::Corruption("lz77 raw size exceeds the stream's reach");
+  }
   std::string out;
   out.reserve(raw_size);
   size_t pos = 0;
-  const size_t n = compressed.size();
   while (pos < n && out.size() < raw_size) {
     unsigned char flags = static_cast<unsigned char>(compressed[pos++]);
     for (int bit = 0; bit < 8 && out.size() < raw_size; ++bit) {

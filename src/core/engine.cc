@@ -193,20 +193,32 @@ Status JustEngine::PurgeIndexKeySpace(uint64_t table_id, uint32_t slot) {
   prefix.push_back(static_cast<char>(slot));
   std::string end_prefix = prefix;
   end_prefix.back() = static_cast<char>(end_prefix.back() + 1);
-  std::vector<std::string> doomed;
+  std::vector<curve::KeyRange> ranges;
   for (int shard = 0; shard < options_.index.num_shards; ++shard) {
-    std::string start(1, static_cast<char>(shard));
-    start += prefix;
-    std::string end(1, static_cast<char>(shard));
-    end += end_prefix;
-    JUST_RETURN_NOT_OK(cluster_->Scan(
-        start, end, [&](std::string_view key, std::string_view) {
-          doomed.emplace_back(key);
-          return true;
-        }));
+    curve::KeyRange range;
+    range.start.assign(1, static_cast<char>(shard));
+    range.start += prefix;
+    range.end.assign(1, static_cast<char>(shard));
+    range.end += end_prefix;
+    ranges.push_back(std::move(range));
   }
-  for (const std::string& key : doomed) {
-    JUST_RETURN_NOT_OK(cluster_->Delete(key));
+  // Each server's keys collect apart: its task is their only writer.
+  class KeySink : public cluster::RegionCluster::ScanSink {
+   public:
+    explicit KeySink(size_t servers) : keys(servers) {}
+    bool Accept(int server, size_t, std::string_view key,
+                std::string_view) override {
+      keys[static_cast<size_t>(server)].emplace_back(key);
+      return true;
+    }
+    std::vector<std::vector<std::string>> keys;
+  };
+  KeySink sink(static_cast<size_t>(cluster_->num_servers()));
+  JUST_RETURN_NOT_OK(cluster_->Scan(ranges, &sink));
+  for (const auto& keys : sink.keys) {
+    for (const std::string& key : keys) {
+      JUST_RETURN_NOT_OK(cluster_->Delete(key));
+    }
   }
   return Status::OK();
 }

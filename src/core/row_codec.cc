@@ -114,75 +114,92 @@ BatchRowDecoder::BatchRowDecoder(const meta::TableMeta& table)
 
 Status BatchRowDecoder::DecodeInto(std::string_view bytes,
                                    exec::ColumnBatch* batch) const {
-  using Storage = exec::ColumnVector::Storage;
+  JUST_RETURN_NOT_OK(DecodeColumns(bytes, {}, batch));
+  batch->FinishRow();
+  return Status::OK();
+}
+
+Status BatchRowDecoder::DecodeColumns(std::string_view bytes,
+                                      const ColumnMask& mask,
+                                      exec::ColumnBatch* batch) const {
   const char* p = bytes.data();
   const char* limit = p + bytes.size();
+  std::string scratch;  // decompressed payload; untouched for kNone cells
   for (size_t i = 0; i < table_.columns.size(); ++i) {
     std::string_view cell;
     if (!GetLengthPrefixed(&p, limit, &cell)) {
       return Status::Corruption("truncated row for table " + table_.name);
     }
-    JUST_ASSIGN_OR_RETURN(std::string cell_raw, compress::DecodeCell(cell));
-    exec::ColumnVector& col = batch->column(i);
-    if (is_trajectory_[i] && !cell_raw.empty() &&
-        (cell_raw[0] == kTrajRaw || cell_raw[0] == kTrajDelta)) {
-      JUST_ASSIGN_OR_RETURN(auto value, DecodeTrajectoryCell(cell_raw));
-      col.AppendValue(std::move(value));
-      continue;
-    }
-    const char* q = cell_raw.data();
-    const char* qlimit = q + cell_raw.size();
-    if (q >= qlimit) return Status::Corruption("empty cell");
-    const auto wire = static_cast<exec::DataType>(*q);
-    // Typed fast paths: parse the wire payload straight into the column's
-    // storage, skipping the Value round-trip.
-    bool decoded = false;
-    if (wire == exec::DataType::kNull && col.storage() != Storage::kObject) {
-      col.AppendNull();
-      decoded = true;
-    } else if (wire == col.declared_type()) {
-      ++q;  // type byte
-      switch (col.storage()) {
-        case Storage::kInt64:
-          if (wire == exec::DataType::kBool) {
-            if (q >= qlimit) return Status::Corruption("truncated bool");
-            col.AppendInt64(*q != 0);
-            decoded = true;
-          } else {  // kInt / kTimestamp
-            int64_t v;
-            if (!GetVarintSigned(&q, qlimit, &v)) {
-              return Status::Corruption("truncated int");
-            }
-            col.AppendInt64(v);
-            decoded = true;
+    if (!mask.empty() && !mask[i]) continue;
+    std::string_view raw;
+    JUST_RETURN_NOT_OK(compress::DecodeCellView(cell, &scratch, &raw));
+    JUST_RETURN_NOT_OK(AppendCell(i, raw, &batch->column(i)));
+  }
+  return Status::OK();
+}
+
+Status BatchRowDecoder::AppendCell(size_t column, std::string_view raw,
+                                   exec::ColumnVector* col) const {
+  using Storage = exec::ColumnVector::Storage;
+  if (is_trajectory_[column] && !raw.empty() &&
+      (raw[0] == kTrajRaw || raw[0] == kTrajDelta)) {
+    JUST_ASSIGN_OR_RETURN(auto value, DecodeTrajectoryCell(raw));
+    col->AppendValue(std::move(value));
+    return Status::OK();
+  }
+  const char* q = raw.data();
+  const char* qlimit = q + raw.size();
+  if (q >= qlimit) return Status::Corruption("empty cell");
+  const auto wire = static_cast<exec::DataType>(*q);
+  if (wire == exec::DataType::kNull && col->storage() != Storage::kObject) {
+    col->AppendNull();
+    return Status::OK();
+  }
+  // Typed fast paths: parse the payload straight into the column's storage,
+  // skipping the Value round-trip.
+  if (wire == col->declared_type()) {
+    ++q;  // type byte
+    switch (col->storage()) {
+      case Storage::kInt64:
+        if (wire == exec::DataType::kBool) {
+          if (q >= qlimit) return Status::Corruption("truncated bool");
+          col->AppendInt64(*q != 0);
+        } else {  // kInt / kTimestamp
+          int64_t v;
+          if (!GetVarintSigned(&q, qlimit, &v)) {
+            return Status::Corruption("truncated int");
           }
-          break;
-        case Storage::kDouble: {
-          if (qlimit - q < 8) return Status::Corruption("truncated double");
-          col.AppendDouble(OrderedBitsToDouble(GetFixed64(q)));
-          decoded = true;
-          break;
+          col->AppendInt64(v);
         }
-        case Storage::kString: {
-          std::string_view s;
-          if (!GetLengthPrefixed(&q, qlimit, &s)) {
-            return Status::Corruption("truncated string");
-          }
-          col.AppendString(std::string(s));
-          decoded = true;
-          break;
+        return Status::OK();
+      case Storage::kDouble:
+        if (qlimit - q < 8) return Status::Corruption("truncated double");
+        col->AppendDouble(OrderedBitsToDouble(GetFixed64(q)));
+        return Status::OK();
+      case Storage::kString: {
+        std::string_view s;
+        if (!GetLengthPrefixed(&q, qlimit, &s)) {
+          return Status::Corruption("truncated string");
         }
-        case Storage::kObject:
-          break;  // generic path below
+        col->AppendString(std::string(s));
+        return Status::OK();
       }
-    }
-    if (!decoded) {
-      const char* r = cell_raw.data();
-      JUST_ASSIGN_OR_RETURN(auto value, exec::Value::Deserialize(&r, qlimit));
-      col.AppendValue(std::move(value));
+      case Storage::kObject:
+        if (wire == exec::DataType::kGeometry) {
+          std::string_view g;
+          if (!GetLengthPrefixed(&q, qlimit, &g)) {
+            return Status::Corruption("truncated geometry");
+          }
+          JUST_ASSIGN_OR_RETURN(auto geometry, geo::Geometry::Deserialize(g));
+          col->AppendValue(exec::Value::GeometryVal(std::move(geometry)));
+          return Status::OK();
+        }
+        break;  // generic path below
     }
   }
-  batch->FinishRow();
+  const char* r = raw.data();
+  JUST_ASSIGN_OR_RETURN(auto value, exec::Value::Deserialize(&r, qlimit));
+  col->AppendValue(std::move(value));
   return Status::OK();
 }
 

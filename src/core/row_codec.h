@@ -25,23 +25,40 @@ Result<std::string> EncodeRow(const meta::TableMeta& table,
 Result<exec::Row> DecodeRow(const meta::TableMeta& table,
                             std::string_view bytes);
 
+/// Which table columns a masked decode touches, by column position. An
+/// empty mask means every column.
+using ColumnMask = std::vector<bool>;
+
 /// Decodes serialized rows straight into ColumnBatch columns, skipping the
-/// per-cell Value materialization DecodeRow pays: fixed-width cells (bool /
-/// int / timestamp / double) parse from the wire format directly into the
-/// typed column vectors, strings move into the string vector, and only
-/// geometry / trajectory / type-mismatched cells build a generic Value.
-/// Per-column codec decisions are resolved once at construction, not per
-/// row.
+/// per-cell Value materialization DecodeRow pays: identity-coded cells parse
+/// in place from the row bytes, fixed-width cells (bool / int / timestamp /
+/// double) land in the typed column vectors, point geometries parse straight
+/// into their Value, and only other geometries / trajectories /
+/// type-mismatched cells take the generic Value path. Per-column codec
+/// decisions are resolved once at construction, not per row. Rows arrive
+/// from remote servers, so every malformed input is a Corruption status.
 class BatchRowDecoder {
  public:
   explicit BatchRowDecoder(const meta::TableMeta& table);
 
-  /// Appends one decoded row to `batch` (which must have been created with
-  /// this table's schema). On error the batch is left without the partial
-  /// row's FinishRow, so callers should discard it.
+  /// Appends one decoded row (every column) to `batch`, which must have
+  /// been created with this table's schema. On error the batch is left
+  /// without the partial row's FinishRow, so callers should discard it.
   Status DecodeInto(std::string_view bytes, exec::ColumnBatch* batch) const;
 
+  /// Appends one cell to each column of `batch` that `mask` selects and
+  /// leaves the others alone; FinishRow is the caller's, since it owns the
+  /// other columns' row count. A skipped cell costs its length prefix. Every
+  /// prefix is read, selected or not, so a truncated row fails under any
+  /// mask.
+  Status DecodeColumns(std::string_view bytes, const ColumnMask& mask,
+                       exec::ColumnBatch* batch) const;
+
  private:
+  /// Appends one unframed cell payload to `col` (table column `column`).
+  Status AppendCell(size_t column, std::string_view raw,
+                    exec::ColumnVector* col) const;
+
   const meta::TableMeta& table_;
   /// Per column: true when the cell payload is an st_series cell (tagged
   /// trajectory encoding) rather than a Value serialization.

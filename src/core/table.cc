@@ -14,19 +14,24 @@ namespace just::core {
 namespace {
 /// Dual attribution of per-query stats: the process-wide registry counters
 /// and (when a trace is active) the current span.
-void RecordQueryCounters(size_t ranges, size_t scanned, size_t matched) {
+void RecordQueryCounters(size_t ranges, size_t scanned, size_t matched,
+                         size_t late_rows) {
   static obs::Counter* key_ranges =
       obs::Registry::Global().GetCounter("just_query_key_ranges_total");
   static obs::Counter* rows_scanned =
       obs::Registry::Global().GetCounter("just_query_rows_scanned_total");
   static obs::Counter* rows_matched =
       obs::Registry::Global().GetCounter("just_query_rows_matched_total");
+  static obs::Counter* late =
+      obs::Registry::Global().GetCounter("just_query_late_rows_total");
   key_ranges->Add(ranges);
   rows_scanned->Add(scanned);
   rows_matched->Add(matched);
+  late->Add(late_rows);
   obs::TraceKeyRanges(ranges);
   obs::TraceRowsScanned(scanned);
   obs::TraceRowsMatched(matched);
+  obs::TraceLateRows(late_rows);
 }
 
 /// Minimum expansion-area size for Algorithm 1 (the paper's g = 1km x 1km
@@ -127,6 +132,164 @@ obs::Counter* IdxIntersectionsCounter() {
       obs::Registry::Global().GetCounter("just_idx_intersections_total");
   return c;
 }
+
+/// RegionCluster::Scan's consumer for StTable: per server, KV pairs decode
+/// straight from the backend's views into that server's own batches. Each
+/// batch runs its two phases when it fills (and at the end of the server's
+/// scan): refine plus residual over the early columns, then the late
+/// columns for survivors, re-read from the batch's arena of row bytes.
+class BatchSink : public cluster::RegionCluster::ScanSink {
+ public:
+  struct Plan {
+    std::shared_ptr<exec::Schema> schema;
+    const BatchRowDecoder* decoder;
+    ColumnMask early;  ///< decoded per row; empty: every column
+    ColumnMask late;   ///< decoded for survivors
+    std::vector<size_t> late_columns;
+    std::vector<size_t> skipped;  ///< never decoded: NULL in the output
+    std::function<void(exec::ColumnBatch*)> refine;
+    std::function<Status(exec::ColumnBatch*)> residual;
+    size_t limit = 0;
+    size_t batch_cap = exec::kBatchRows;
+    bool dedupe_keys = false;
+    int fid_offset = 0;
+    const std::unordered_set<std::string>* skip_fids = nullptr;
+  };
+
+  /// One server's output and counters; only its own task writes them,
+  /// except the two LIMIT fields other tasks read.
+  struct Server {
+    exec::BatchVector batches;
+    exec::ColumnBatch current;
+    std::string arena;               ///< current batch's row bytes
+    std::vector<size_t> row_ends;    ///< end of each row in `arena`
+    std::unordered_set<std::string> seen;
+    size_t scanned = 0, matched = 0, bytes = 0, late_rows = 0;
+    Status error;
+    std::atomic<size_t> published{0};  ///< `matched` as of the last flush
+    std::atomic<bool> finished{false};
+  };
+
+  BatchSink(Plan plan, size_t num_servers)
+      : plan_(std::move(plan)), servers_(num_servers) {
+    for (Server& s : servers_) s.current = exec::ColumnBatch(plan_.schema);
+  }
+
+  bool Accept(int server, size_t, std::string_view key,
+              std::string_view value) override {
+    Server& s = servers_[static_cast<size_t>(server)];
+    ++s.scanned;
+    s.bytes += key.size() + value.size();
+    if (plan_.skip_fids != nullptr &&
+        key.size() > static_cast<size_t>(plan_.fid_offset) &&
+        plan_.skip_fids->count(std::string(key.substr(plan_.fid_offset))) !=
+            0) {
+      return true;  // already delivered by an earlier expansion area
+    }
+    if (plan_.dedupe_keys && !s.seen.emplace(key).second) {
+      return true;  // overlapping ranges
+    }
+    s.error = plan_.decoder->DecodeColumns(value, plan_.early, &s.current);
+    if (!s.error.ok()) return false;
+    if (!plan_.late_columns.empty()) {
+      s.arena.append(value);
+      s.row_ends.push_back(s.arena.size());
+    }
+    s.current.FinishRow();
+    if (s.current.num_rows() < plan_.batch_cap) return true;
+    s.error = Flush(&s);
+    if (!s.error.ok()) return false;
+    s.current = exec::ColumnBatch(plan_.schema);
+    return plan_.limit == 0 || !Publish(&s);
+  }
+
+  Status Finish(int server) override {
+    Server& s = servers_[static_cast<size_t>(server)];
+    if (s.error.ok()) s.error = Flush(&s);
+    s.finished.store(true, std::memory_order_release);
+    if (plan_.limit > 0) Publish(&s);
+    return s.error;
+  }
+
+  std::atomic<bool>* stop() { return &stop_; }
+  std::vector<Server>& servers() { return servers_; }
+  const std::vector<size_t>& late_columns() const {
+    return plan_.late_columns;
+  }
+
+ private:
+  /// Runs both phases over the current batch and moves it to the output
+  /// when any row survives. Refinement and the residual read only early
+  /// columns, so the others may stay empty until then.
+  Status Flush(Server* s) {
+    exec::ColumnBatch& batch = s->current;
+    const size_t n = batch.num_rows();
+    if (n == 0) return Status::OK();
+    if (plan_.refine) plan_.refine(&batch);
+    if (plan_.residual) JUST_RETURN_NOT_OK(plan_.residual(&batch));
+    if (!plan_.late_columns.empty()) JUST_RETURN_NOT_OK(DecodeLate(s));
+    for (size_t c : plan_.skipped) batch.column(c).AppendNulls(n);
+    s->matched += batch.num_active();
+    if (batch.num_active() > 0) s->batches.push_back(std::move(batch));
+    return Status::OK();
+  }
+
+  /// Phase 2: the late columns of the surviving rows, from the arena;
+  /// dropped rows stay NULL.
+  Status DecodeLate(Server* s) {
+    exec::ColumnBatch& batch = s->current;
+    const size_t n = batch.num_rows();
+    const std::string_view arena(s->arena);
+    size_t filled = 0;  // physical rows the late columns hold so far
+    auto decode = [&](uint32_t row) -> Status {
+      if (row > filled) {
+        for (size_t c : plan_.late_columns) {
+          batch.column(c).AppendNulls(row - filled);
+        }
+      }
+      const size_t begin = row == 0 ? 0 : s->row_ends[row - 1];
+      filled = row + 1;
+      return plan_.decoder->DecodeColumns(
+          arena.substr(begin, s->row_ends[row] - begin), plan_.late, &batch);
+    };
+    if (batch.has_selection()) {
+      for (uint32_t row : batch.selection()) JUST_RETURN_NOT_OK(decode(row));
+    } else {
+      for (uint32_t row = 0; row < n; ++row) JUST_RETURN_NOT_OK(decode(row));
+    }
+    if (n > filled) {
+      for (size_t c : plan_.late_columns) {
+        batch.column(c).AppendNulls(n - filled);
+      }
+    }
+    s->late_rows += batch.num_active();
+    s->arena.clear();
+    s->row_ends.clear();
+    return Status::OK();
+  }
+
+  /// LIMIT: publishes this server's survivors and stops every server once
+  /// the servers up to the first unfinished one already hold `limit` rows —
+  /// their output, in server order, then starts with the answer. Returns
+  /// true when this server has enough on its own and should stop.
+  bool Publish(Server* s) {
+    s->published.store(s->matched, std::memory_order_release);
+    size_t total = 0;
+    for (const Server& other : servers_) {
+      total += other.published.load(std::memory_order_acquire);
+      if (total >= plan_.limit) {
+        stop_.store(true, std::memory_order_relaxed);
+        break;
+      }
+      if (!other.finished.load(std::memory_order_acquire)) break;
+    }
+    return s->matched >= plan_.limit;
+  }
+
+  Plan plan_;
+  std::vector<Server> servers_;
+  std::atomic<bool> stop_{false};
+};
 }  // namespace
 
 StTable::StTable(meta::TableMeta meta, cluster::RegionCluster* cluster,
@@ -270,90 +433,86 @@ Status StTable::WriteKeys(const exec::Row& row, bool delete_instead) {
 
 Result<exec::BatchVector> StTable::ScanRangesToBatches(
     const std::vector<curve::KeyRange>& ranges,
-    const std::function<void(exec::ColumnBatch*)>& refine, QueryStats* stats,
-    const ScanBudget* budget, bool dedupe_keys, int fid_offset,
+    const std::function<void(exec::ColumnBatch*)>& refine,
+    const std::vector<int>& refine_columns, QueryStats* stats,
+    const ScanBudget* pushdown, bool dedupe_keys, int fid_offset,
     const std::unordered_set<std::string>* skip_fids,
     bool record_counters) const {
-  auto schema = meta_.MakeSchema();
+  const size_t num_columns = meta_.columns.size();
   BatchRowDecoder decoder(meta_);
-  exec::BatchVector batches;
-  exec::ColumnBatch current(schema);
-  std::unordered_set<std::string> seen_keys;
-  size_t scanned = 0;
-  size_t matched = 0;
-  size_t bytes = 0;
-  // Budgeted scans flush (and re-check the budget) on smaller batches so a
-  // tiny LIMIT stops within ~one streaming scan batch instead of 4096 rows.
-  const size_t batch_cap =
-      budget != nullptr
-          ? std::min<size_t>(exec::kBatchRows,
-                             std::max<size_t>(budget->limit, 512))
-          : exec::kBatchRows;
-  Status inner;  // first error raised inside a scan callback
-
-  auto flush = [&]() -> Status {
-    if (current.num_rows() == 0) return Status::OK();
-    if (refine) refine(&current);
-    if (budget != nullptr && budget->residual) {
-      JUST_RETURN_NOT_OK(budget->residual(&current));
+  BatchSink::Plan plan;
+  plan.schema = meta_.MakeSchema();
+  plan.decoder = &decoder;
+  plan.refine = refine;
+  plan.dedupe_keys = dedupe_keys;
+  plan.fid_offset = fid_offset;
+  plan.skip_fids = skip_fids;
+  if (pushdown != nullptr) {
+    // Early: what refinement and the residual read. Late: the other kept
+    // columns. The rest are never decoded.
+    auto has = [](const ColumnMask& mask, size_t c) {
+      return mask.empty() || mask[c];
+    };
+    ColumnMask early(num_columns, false);
+    for (int c : refine_columns) {
+      if (c >= 0) early[static_cast<size_t>(c)] = true;
     }
-    matched += current.num_active();
-    batches.push_back(std::move(current));
-    current = exec::ColumnBatch(schema);
-    return Status::OK();
-  };
-
-  // Returns false to stop the scan (budget met or error; `inner` tells).
-  auto consume = [&](std::string_view key, std::string_view value) -> bool {
-    ++scanned;
-    bytes += key.size() + value.size();
-    if (skip_fids != nullptr &&
-        key.size() > static_cast<size_t>(fid_offset) &&
-        skip_fids->count(std::string(key.substr(fid_offset))) != 0) {
-      return true;  // already delivered by an earlier expansion area
-    }
-    if (dedupe_keys && !seen_keys.insert(std::string(key)).second) {
-      return true;  // overlapping ranges
-    }
-    if (current.num_rows() >= batch_cap) {
-      inner = flush();
-      if (!inner.ok()) return false;
-      if (budget != nullptr && matched >= budget->limit) return false;
-    }
-    inner = decoder.DecodeInto(value, &current);
-    return inner.ok();
-  };
-
-  size_t ranges_run = 0;
-  if (budget != nullptr) {
-    for (const curve::KeyRange& range : ranges) {
-      if (matched >= budget->limit) break;
-      ++ranges_run;
-      JUST_RETURN_NOT_OK(cluster_->Scan(
-          range.start, range.end,
-          [&](std::string_view k, std::string_view v) {
-            return consume(k, v);
-          }));
-      JUST_RETURN_NOT_OK(inner);
-    }
-  } else {
-    ranges_run = ranges.size();
-    JUST_ASSIGN_OR_RETURN(auto results, cluster_->ParallelScan(ranges));
-    for (const auto& range_result : results) {
-      for (const auto& kv : range_result.rows) {
-        if (!consume(kv.key, kv.value)) break;
+    ColumnMask late(num_columns, false);
+    for (size_t c = 0; c < num_columns; ++c) {
+      if (pushdown->residual && has(pushdown->residual_columns, c)) {
+        early[c] = true;
       }
-      JUST_RETURN_NOT_OK(inner);
+      if (early[c]) continue;
+      if (has(pushdown->projected, c)) {
+        late[c] = true;
+        plan.late_columns.push_back(c);
+      } else {
+        plan.skipped.push_back(c);
+      }
+    }
+    if (!plan.late_columns.empty() || !plan.skipped.empty()) {
+      plan.early = std::move(early);
+    }
+    plan.late = std::move(late);
+    plan.residual = pushdown->residual;
+    plan.limit = pushdown->limit;
+  }
+  // Limited scans flush (and re-check the limit) on smaller batches so a
+  // tiny LIMIT stops within ~one batch per server instead of 4096 rows.
+  if (plan.limit > 0) {
+    plan.batch_cap =
+        std::min<size_t>(exec::kBatchRows, std::max<size_t>(plan.limit, 512));
+  }
+  BatchSink sink(std::move(plan), static_cast<size_t>(cluster_->num_servers()));
+  JUST_RETURN_NOT_OK(cluster_->Scan(ranges, &sink, sink.stop()));
+  exec::BatchVector batches;
+  size_t scanned = 0, matched = 0, bytes = 0, late_rows = 0;
+  for (BatchSink::Server& server : sink.servers()) {
+    scanned += server.scanned;
+    matched += server.matched;
+    bytes += server.bytes;
+    late_rows += server.late_rows;
+    for (exec::ColumnBatch& batch : server.batches) {
+      batches.push_back(std::move(batch));
     }
   }
-  JUST_RETURN_NOT_OK(flush());
   if (stats != nullptr) {
-    stats->key_ranges += ranges_run;
+    stats->key_ranges += ranges.size();
     stats->rows_scanned += scanned;
     stats->rows_matched += matched;
     stats->bytes_scanned += bytes;
   }
-  if (record_counters) RecordQueryCounters(ranges_run, scanned, matched);
+  if (record_counters) {
+    RecordQueryCounters(ranges.size(), scanned, matched, late_rows);
+    const auto& late = sink.late_columns();
+    if (!late.empty() && obs::CurrentSpan() != nullptr) {
+      std::string names;
+      for (size_t c : late) {
+        names += (names.empty() ? "" : ",") + meta_.columns[c].name;
+      }
+      obs::CurrentSpan()->AddAttr("late", names);
+    }
+  }
   return batches;
 }
 
@@ -388,7 +547,7 @@ std::vector<curve::KeyRange> StTable::SecondaryIndexRanges(
 
 Result<exec::BatchVector> StTable::SecondaryIndexScan(
     const meta::SecondaryIndexDef& def, const QuerySpec& spec,
-    QueryStats* stats, const ScanBudget* budget) const {
+    QueryStats* stats, const ScanBudget* pushdown) const {
   int col = meta_.ColumnIndex(def.column);
   if (col < 0) {
     return Status::InvalidArgument("index column not in table: " + def.column);
@@ -434,7 +593,10 @@ Result<exec::BatchVector> StTable::SecondaryIndexScan(
     }
     batch->SetSelection(std::move(sel));
   };
-  return ScanRangesToBatches(ranges, refine, stats, budget,
+  std::vector<int> read = {col};
+  if (spec.have_box || spec.have_time) read.push_back(geom_col_);
+  if (spec.have_time) read.push_back(time_col_);
+  return ScanRangesToBatches(ranges, refine, read, stats, pushdown,
                              /*dedupe_keys=*/false, /*fid_offset=*/0,
                              /*skip_fids=*/nullptr,
                              /*record_counters=*/true);
@@ -446,16 +608,30 @@ Result<size_t> StTable::SecondaryIndexProbe(const meta::SecondaryIndexDef& def,
                                             size_t limit) const {
   auto ranges = SecondaryIndexRanges(def, lower, upper);
   IdxLookupsCounter()->Add(1);
-  size_t count = 0;
-  for (const curve::KeyRange& range : ranges) {
-    if (count >= limit) break;
-    JUST_RETURN_NOT_OK(cluster_->Scan(
-        range.start, range.end,
-        [&](std::string_view, std::string_view) {
-          return ++count < limit;
-        }));
-  }
-  return count;
+  // Counts entries across the servers' concurrent scans; the first to
+  // reach `limit` stops them all.
+  class CountSink : public cluster::RegionCluster::ScanSink {
+   public:
+    explicit CountSink(size_t limit) : limit_(limit) {}
+    bool Accept(int, size_t, std::string_view, std::string_view) override {
+      if (count_.fetch_add(1, std::memory_order_relaxed) + 1 < limit_) {
+        return true;
+      }
+      stop_.store(true, std::memory_order_relaxed);
+      return false;
+    }
+    size_t count() const { return std::min(count_.load(), limit_); }
+    std::atomic<bool>* stop() { return &stop_; }
+
+   private:
+    const size_t limit_;
+    std::atomic<size_t> count_{0};
+    std::atomic<bool> stop_{false};
+  };
+  if (limit == 0) return size_t{0};
+  CountSink sink(limit);
+  JUST_RETURN_NOT_OK(cluster_->Scan(ranges, &sink, sink.stop()));
+  return sink.count();
 }
 
 Status StTable::Insert(const exec::Row& row) {
@@ -594,20 +770,22 @@ void StTable::RefineBatch(exec::ColumnBatch* batch, const geo::Mbr& box,
 
 Result<exec::BatchVector> StTable::Query(const QuerySpec& spec,
                                          QueryStats* stats,
-                                         const ScanBudget* budget) const {
+                                         const ScanBudget* pushdown) const {
   switch (spec.kind) {
     case QuerySpec::Kind::kKnn:
       return KnnScan(spec.knn_query, spec.knn_k, stats);
     case QuerySpec::Kind::kSpatialRange:
       return CurveRangeScan(spec.box, /*temporal=*/false, 0, 0, stats,
-                            /*skip_fids=*/nullptr, budget);
+                            /*skip_fids=*/nullptr, pushdown);
     case QuerySpec::Kind::kStRange:
       return CurveRangeScan(spec.box, /*temporal=*/true, spec.t_min,
-                            spec.t_max, stats, /*skip_fids=*/nullptr, budget);
+                            spec.t_max, stats, /*skip_fids=*/nullptr,
+                            pushdown);
     case QuerySpec::Kind::kTemporalRange:
       // Temporal-only: whole-earth spatio-temporal query.
       return CurveRangeScan(geo::Mbr::World(), /*temporal=*/true, spec.t_min,
-                            spec.t_max, stats, /*skip_fids=*/nullptr, budget);
+                            spec.t_max, stats, /*skip_fids=*/nullptr,
+                            pushdown);
     case QuerySpec::Kind::kSecondaryIndex:
     case QuerySpec::Kind::kIndexIntersection: {
       const meta::SecondaryIndexDef* def =
@@ -616,10 +794,10 @@ Result<exec::BatchVector> StTable::Query(const QuerySpec& spec,
         return Status::NotFound("no ready secondary index on column: " +
                                 spec.index_column);
       }
-      return SecondaryIndexScan(*def, spec, stats, budget);
+      return SecondaryIndexScan(*def, spec, stats, pushdown);
     }
     case QuerySpec::Kind::kFullScan:
-      return FullScanBatches(stats, budget);
+      return FullScanBatches(stats, pushdown);
   }
   return Status::Internal("bad query kind");
 }
@@ -627,7 +805,7 @@ Result<exec::BatchVector> StTable::Query(const QuerySpec& spec,
 Result<exec::BatchVector> StTable::CurveRangeScan(
     const geo::Mbr& box, bool temporal, TimestampMs t_min, TimestampMs t_max,
     QueryStats* stats, const std::unordered_set<std::string>* skip_fids,
-    const ScanBudget* budget) const {
+    const ScanBudget* pushdown) const {
   JUST_ASSIGN_OR_RETURN(const curve::IndexStrategy* strategy,
                         PickIndex(temporal));
   size_t slot = 0;
@@ -641,9 +819,12 @@ Result<exec::BatchVector> StTable::CurveRangeScan(
     RefineBatch(b, box, temporal, t_min, t_max);
   };
   // Table/index prefix (5 bytes) is spliced in after the shard byte.
-  return ScanRangesToBatches(ranges, refine, stats, budget,
-                             /*dedupe_keys=*/true, strategy->FidOffset() + 5,
-                             skip_fids, /*record_counters=*/true);
+  std::vector<int> read = {geom_col_};
+  if (temporal) read.push_back(time_col_);
+  return ScanRangesToBatches(ranges, refine, read, stats,
+                             pushdown, /*dedupe_keys=*/true,
+                             strategy->FidOffset() + 5, skip_fids,
+                             /*record_counters=*/true);
 }
 
 Result<exec::BatchVector> StTable::KnnScan(const geo::Point& q, int k,
@@ -758,7 +939,7 @@ Result<exec::BatchVector> StTable::KnnScan(const geo::Point& q, int k,
     ++area_queries;
     JUST_ASSIGN_OR_RETURN(
         auto partial, CurveRangeScan(a.box, /*temporal=*/false, 0, 0, stats,
-                                     &seen_fids, /*budget=*/nullptr));
+                                     &seen_fids, /*pushdown=*/nullptr));
     offer_all(partial, /*track_dmax=*/true);
   }
 
@@ -781,7 +962,7 @@ Result<exec::BatchVector> StTable::KnnScan(const geo::Point& q, int k,
 }
 
 Result<exec::BatchVector> StTable::FullScanBatches(
-    QueryStats* stats, const ScanBudget* budget) const {
+    QueryStats* stats, const ScanBudget* pushdown) const {
   if (strategies_.empty()) {
     return Status::InvalidArgument("table " + meta_.name + " has no indexes");
   }
@@ -798,13 +979,12 @@ Result<exec::BatchVector> StTable::FullScanBatches(
     range.end += end_prefix;
     ranges.push_back(std::move(range));
   }
-  // Plain full scans stay counter-silent (they have no pruning story to
-  // account); budgeted ones record how little they scanned — that *is* the
-  // LIMIT-pushdown regression signal.
-  return ScanRangesToBatches(ranges, /*refine=*/nullptr, stats, budget,
+  // Internal full scans (k-NN's fallback, the catalog's rebuilds) stay
+  // counter-silent; query scans record what they read.
+  return ScanRangesToBatches(ranges, /*refine=*/nullptr, {}, stats, pushdown,
                              /*dedupe_keys=*/false, /*fid_offset=*/0,
                              /*skip_fids=*/nullptr,
-                             /*record_counters=*/budget != nullptr);
+                             /*record_counters=*/pushdown != nullptr);
 }
 
 }  // namespace just::core

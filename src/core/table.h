@@ -12,6 +12,7 @@
 
 #include "cluster/region_cluster.h"
 #include "common/status.h"
+#include "core/row_codec.h"
 #include "curve/index_strategy.h"
 #include "exec/column_batch.h"
 #include "exec/dataframe.h"
@@ -23,7 +24,7 @@ namespace just::core {
 struct QueryStats {
   size_t key_ranges = 0;     ///< SCANs issued
   size_t rows_scanned = 0;   ///< KV pairs read before refinement
-  size_t rows_matched = 0;   ///< rows surviving exact refinement
+  size_t rows_matched = 0;   ///< rows surviving refinement and the residual
   size_t bytes_scanned = 0;  ///< key+value bytes read (scan-quota charging)
 };
 
@@ -85,14 +86,23 @@ struct QuerySpec {
   }
 };
 
-/// A row budget threaded down from LIMIT: the scan stops issuing reads once
-/// `limit` rows survive spatio-temporal refinement plus `residual` (the
-/// compiled SQL residual predicate, applied per batch by shrinking its
-/// selection). Budgeted scans run ranges sequentially with streaming
-/// early-stop instead of materializing every range in parallel.
+/// What the executor pushes into a table scan (k-NN ignores it): a row
+/// limit, the residual predicate, and the columns the query keeps. The scan
+/// decodes in two phases per batch: first the columns refinement and the
+/// residual read, then, only for the rows that survive both, the other kept
+/// columns. Columns neither kept nor read are never decoded (they come back
+/// NULL).
 struct ScanBudget {
+  /// Stop once this many rows survive (0: no limit). The rows returned
+  /// start with a prefix of the unlimited scan's rows, in its order.
   size_t limit = 0;
-  std::function<Status(exec::ColumnBatch*)> residual;  ///< may be empty
+  /// The compiled SQL residual predicate, applied per batch by shrinking
+  /// its selection; may be empty. Called concurrently from the per-server
+  /// scan tasks.
+  std::function<Status(exec::ColumnBatch*)> residual;
+  /// The only columns `residual` reads; empty: it may read every column.
+  ColumnMask residual_columns;
+  ColumnMask projected;         ///< columns kept above the scan; empty: all
 };
 
 /// The in-memory catch-up journal of one online index build. While an index
@@ -177,10 +187,11 @@ class StTable {
   /// secondary-index or full-scan access path `spec` names. Scanned KV pairs
   /// decode straight into ColumnBatches (BatchRowDecoder); exact
   /// spatio-temporal refinement runs as column loops that shrink each
-  /// batch's selection vector. `budget` (LIMIT pushdown) is ignored by k-NN.
+  /// batch's selection vector. `pushdown` (limit, residual and kept
+  /// columns) is ignored by k-NN.
   Result<exec::BatchVector> Query(const QuerySpec& spec,
                                   QueryStats* stats = nullptr,
-                                  const ScanBudget* budget = nullptr) const;
+                                  const ScanBudget* pushdown = nullptr) const;
 
   /// Counts index entries in [lower, upper], stopping at `limit` — the
   /// cardinality probe behind access-path selection.
@@ -238,18 +249,23 @@ class StTable {
   std::vector<curve::KeyRange> WrapRanges(
       size_t index_slot, std::vector<curve::KeyRange> ranges) const;
 
-  /// The shared scan core: runs `ranges` (ParallelScan normally; sequential
-  /// streaming RegionCluster::Scan with early-stop when `budget` is set),
-  /// decodes KV pairs into batches, applies `refine` (selection shrink) and
-  /// then the budget's residual per batch, and accounts stats/counters.
-  /// `fid_offset` is the byte position of the fid suffix in scanned keys;
-  /// rows whose fid is in `skip_fids` are dropped before decoding (used by
-  /// the k-NN expansion to avoid re-decoding records seen in earlier areas).
+  /// The shared scan core over RegionCluster::Scan: each server's task
+  /// decodes its rows straight from the backend's views into its own
+  /// batches, runs `refine` (a selection shrink reading the columns in
+  /// `refine_columns`) and the pushdown's residual per batch, then decodes
+  /// the kept columns nobody read, for survivors only (see ScanBudget).
+  /// Output is every server's batches in server order. `fid_offset` is the
+  /// byte position of the fid suffix in scanned keys; rows whose fid is in
+  /// `skip_fids` (read-only during the scan) are dropped before decoding
+  /// (the k-NN expansion's records seen in earlier areas). `dedupe_keys`
+  /// drops repeats of overlapping ranges, exactly, because keys are
+  /// partitioned by shard byte and so each key lives on one server.
   Result<exec::BatchVector> ScanRangesToBatches(
       const std::vector<curve::KeyRange>& ranges,
       const std::function<void(exec::ColumnBatch*)>& refine,
-      QueryStats* stats, const ScanBudget* budget, bool dedupe_keys,
-      int fid_offset, const std::unordered_set<std::string>* skip_fids,
+      const std::vector<int>& refine_columns, QueryStats* stats,
+      const ScanBudget* pushdown, bool dedupe_keys, int fid_offset,
+      const std::unordered_set<std::string>* skip_fids,
       bool record_counters) const;
 
   /// Exact refinement as column loops: geometry containment / trajectory
@@ -263,7 +279,7 @@ class StTable {
       const geo::Mbr& box, bool temporal, TimestampMs t_min,
       TimestampMs t_max, QueryStats* stats,
       const std::unordered_set<std::string>* skip_fids,
-      const ScanBudget* budget) const;
+      const ScanBudget* pushdown) const;
 
   /// k-NN per Algorithm 1 (iterative area expansion with Lemma 1 pruning)
   /// over CurveRangeScan; the k nearest rows come back nearest first.
@@ -272,7 +288,7 @@ class StTable {
 
   /// Full scan over the primary (first) index.
   Result<exec::BatchVector> FullScanBatches(QueryStats* stats,
-                                            const ScanBudget* budget) const;
+                                            const ScanBudget* pushdown) const;
 
   /// Point/range lookup through the secondary index `def`. Entries are
   /// covering (the value is the encoded row), so no base-table fetch is
@@ -282,7 +298,7 @@ class StTable {
   /// but without a second key lookup per row.
   Result<exec::BatchVector> SecondaryIndexScan(
       const meta::SecondaryIndexDef& def, const QuerySpec& spec,
-      QueryStats* stats, const ScanBudget* budget) const;
+      QueryStats* stats, const ScanBudget* pushdown) const;
 
   /// Per-shard key ranges covering secondary index `def` restricted to
   /// [lower, upper] in the order-preserving attribute encoding.

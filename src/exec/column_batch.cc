@@ -68,6 +68,26 @@ void ColumnVector::AppendNull() {
   ++size_;
 }
 
+void ColumnVector::AppendNulls(size_t n) {
+  switch (storage_) {
+    case Storage::kInt64:
+      i64_.resize(size_ + n);
+      break;
+    case Storage::kDouble:
+      f64_.resize(size_ + n);
+      break;
+    case Storage::kString:
+      str_.resize(size_ + n);
+      break;
+    case Storage::kObject:
+      obj_.resize(size_ + n);
+      size_ += n;
+      return;
+  }
+  for (size_t i = 0; i < n; ++i) MarkNull(size_ + i);
+  size_ += n;
+}
+
 void ColumnVector::AppendValue(const Value& v) { AppendValue(Value(v)); }
 
 void ColumnVector::AppendValue(Value&& v) {

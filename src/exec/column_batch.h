@@ -36,6 +36,8 @@ class ColumnVector {
   void AppendDouble(double v);
   void AppendString(std::string s);
   void AppendNull();
+  /// Appends `n` nulls at once (placeholder cells a scan never decodes).
+  void AppendNulls(size_t n);
   /// Appends any Value. A value whose type does not match the declared
   /// column type degrades the whole column to object storage (preserving
   /// the exact per-row Values, as row-at-a-time execution would see them).
@@ -47,7 +49,9 @@ class ColumnVector {
   bool IsNull(size_t row) const {
     if (storage_ == Storage::kObject) return obj_[row].is_null();
     if (!has_nulls_) return false;
-    return (null_words_[row >> 6] >> (row & 63)) & 1;
+    // The bitmap only reaches the last null; rows past it are non-null.
+    const size_t word = row >> 6;
+    return word < null_words_.size() && ((null_words_[word] >> (row & 63)) & 1);
   }
   int64_t Int64At(size_t row) const { return i64_[row]; }
   double DoubleAt(size_t row) const { return f64_[row]; }

@@ -324,7 +324,7 @@ Result<Value> Value::Deserialize(const char** p, const char* limit) {
         return Status::Corruption("truncated geometry");
       }
       JUST_ASSIGN_OR_RETURN(auto g,
-                            geo::Geometry::Deserialize(std::string(s)));
+                            geo::Geometry::Deserialize(s));
       return Value::GeometryVal(std::move(g));
     }
     case DataType::kTrajectory: {

@@ -164,35 +164,36 @@ std::string Geometry::Serialize() const {
   return out;
 }
 
-Result<Geometry> Geometry::Deserialize(const std::string& bytes) {
+Result<Geometry> Geometry::Deserialize(std::string_view bytes) {
   if (bytes.empty()) return Status::Corruption("empty geometry");
   const char* p = bytes.data();
   const char* limit = p + bytes.size();
   auto type = static_cast<GeometryType>(*p++);
   uint64_t n;
   if (!GetVarint64(&p, limit, &n)) return Status::Corruption("bad geometry");
-  if (static_cast<uint64_t>(limit - p) < n * 16) {
+  if (n > static_cast<uint64_t>(limit - p) / 16) {
     return Status::Corruption("truncated geometry");
+  }
+  auto point_at = [p](uint64_t i) {
+    const char* q = p + i * 16;
+    return Point{OrderedBitsToDouble(GetFixed64(q)),
+                 OrderedBitsToDouble(GetFixed64(q + 8))};
+  };
+  if (type == GeometryType::kPoint) {
+    // The common case parses straight into the geometry, no point list.
+    if (n == 0) return Status::Corruption("empty point");
+    return Geometry::MakePoint(point_at(0));
+  }
+  if (type != GeometryType::kLineString && type != GeometryType::kPolygon) {
+    return Status::Corruption("unknown geometry type");
   }
   std::vector<Point> pts;
   pts.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    double lng = OrderedBitsToDouble(GetFixed64(p));
-    p += 8;
-    double lat = OrderedBitsToDouble(GetFixed64(p));
-    p += 8;
-    pts.push_back(Point{lng, lat});
+  for (uint64_t i = 0; i < n; ++i) pts.push_back(point_at(i));
+  if (type == GeometryType::kLineString) {
+    return Geometry::MakeLineString(std::move(pts));
   }
-  switch (type) {
-    case GeometryType::kPoint:
-      if (pts.empty()) return Status::Corruption("empty point");
-      return Geometry::MakePoint(pts[0]);
-    case GeometryType::kLineString:
-      return Geometry::MakeLineString(std::move(pts));
-    case GeometryType::kPolygon:
-      return Geometry::MakePolygon(std::move(pts));
-  }
-  return Status::Corruption("unknown geometry type");
+  return Geometry::MakePolygon(std::move(pts));
 }
 
 namespace {

@@ -2,6 +2,7 @@
 #define JUST_GEO_GEOMETRY_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -48,7 +49,7 @@ class Geometry {
 
   /// Compact binary serialization for storage cells.
   std::string Serialize() const;
-  static Result<Geometry> Deserialize(const std::string& bytes);
+  static Result<Geometry> Deserialize(std::string_view bytes);
 
   /// Parses a WKT string (the three supported types).
   static Result<Geometry> FromWkt(const std::string& wkt);

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <thread>
 
 namespace just::net {
 
@@ -144,26 +145,39 @@ Result<Listener> Listener::Listen(const std::string& host, int port,
 }
 
 Result<Socket> Listener::Accept() {
+  // Announce before reading the fd: Close() swaps the fd out first and then
+  // waits for this count to drain, so it never closes an fd in use here.
+  accepting_.fetch_add(1);
+  const int listen_fd = fd_.load();
   for (;;) {
-    int fd = ::accept(fd_, nullptr, nullptr);
+    if (listen_fd < 0) break;
+    int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd >= 0) {
+      accepting_.fetch_sub(1);
       Socket sock(fd);
       (void)sock.SetNoDelay(true);
       return sock;
     }
     if (errno == EINTR) continue;
-    return Errno("accept");
+    if (fd_.load() >= 0) {
+      Status st = Errno("accept");
+      accepting_.fetch_sub(1);
+      return st;
+    }
+    break;  // woken by Close()
   }
+  accepting_.fetch_sub(1);
+  return Status::Unavailable("listener closed");
 }
 
 void Listener::Close() {
-  if (fd_ >= 0) {
-    // shutdown() wakes a thread blocked in accept() (close() alone does not
-    // reliably do so on Linux); then release the fd.
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
+  const int fd = fd_.exchange(-1);
+  if (fd < 0) return;
+  // shutdown() wakes a thread blocked in accept() (close() alone does not
+  // reliably do so on Linux); the fd is released once none is left inside.
+  ::shutdown(fd, SHUT_RDWR);
+  while (accepting_.load() > 0) std::this_thread::yield();
+  ::close(fd);
 }
 
 }  // namespace just::net

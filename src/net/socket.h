@@ -1,8 +1,10 @@
 #ifndef JUST_NET_SOCKET_H_
 #define JUST_NET_SOCKET_H_
 
+#include <atomic>
 #include <cstddef>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 
@@ -57,17 +59,15 @@ class Listener {
   Listener() = default;
   ~Listener() { Close(); }
 
-  Listener(Listener&& o) noexcept : fd_(o.fd_), port_(o.port_) {
-    o.fd_ = -1;
-    o.port_ = 0;
-  }
+  /// Moves are for setup only: no thread may be inside Accept() on either
+  /// side.
+  Listener(Listener&& o) noexcept
+      : fd_(o.fd_.exchange(-1)), port_(std::exchange(o.port_, 0)) {}
   Listener& operator=(Listener&& o) noexcept {
     if (this != &o) {
       Close();
-      fd_ = o.fd_;
-      port_ = o.port_;
-      o.fd_ = -1;
-      o.port_ = 0;
+      fd_.store(o.fd_.exchange(-1));
+      port_ = std::exchange(o.port_, 0);
     }
     return *this;
   }
@@ -84,11 +84,16 @@ class Listener {
   Result<Socket> Accept();
 
   int port() const { return port_; }
-  bool valid() const { return fd_ >= 0; }
+  bool valid() const { return fd_.load() >= 0; }
+  /// Wakes any thread blocked in Accept() and releases the socket. Safe to
+  /// call while another thread is accepting: the fd is closed only after
+  /// every such thread has left accept(), so it can never be reused under
+  /// one.
   void Close();
 
  private:
-  int fd_ = -1;
+  std::atomic<int> fd_{-1};
+  std::atomic<int> accepting_{0};  ///< threads between fd load and return
   int port_ = 0;
 };
 

@@ -142,6 +142,8 @@ std::string TraceSpan::ToString(int indent) const {
                 c.rows_scanned.load(std::memory_order_relaxed));
   AppendCounter(&out, "rows_matched",
                 c.rows_matched.load(std::memory_order_relaxed));
+  AppendCounter(&out, "late_rows",
+                c.late_rows.load(std::memory_order_relaxed));
   AppendCounter(&out, "bytes_read",
                 c.bytes_read.load(std::memory_order_relaxed));
   AppendCounter(&out, "read_ops", c.read_ops.load(std::memory_order_relaxed));
@@ -199,6 +201,7 @@ std::string TraceSpan::ToJson() const {
   add("key_ranges", c.key_ranges.load(std::memory_order_relaxed), &fc);
   add("rows_scanned", c.rows_scanned.load(std::memory_order_relaxed), &fc);
   add("rows_matched", c.rows_matched.load(std::memory_order_relaxed), &fc);
+  add("late_rows", c.late_rows.load(std::memory_order_relaxed), &fc);
   add("bytes_read", c.bytes_read.load(std::memory_order_relaxed), &fc);
   add("read_ops", c.read_ops.load(std::memory_order_relaxed), &fc);
   add("cache_hits", c.cache_hits.load(std::memory_order_relaxed), &fc);

@@ -26,6 +26,8 @@ struct SpanCounters {
   std::atomic<uint64_t> key_ranges{0};       ///< SCANs issued
   std::atomic<uint64_t> rows_scanned{0};     ///< KV pairs before refinement
   std::atomic<uint64_t> rows_matched{0};     ///< rows surviving refinement
+  /// Rows whose late (kept but unread) columns the scan decoded.
+  std::atomic<uint64_t> late_rows{0};
   std::atomic<uint64_t> rows_out{0};         ///< rows the operator emitted
   std::atomic<uint64_t> batches{0};          ///< column batches processed
   /// Time spent in compiled (type-specialized) predicate/projection kernels
@@ -170,6 +172,9 @@ inline void TraceRowsScanned(uint64_t n) {
 }
 inline void TraceRowsMatched(uint64_t n) {
   TraceAdd(&SpanCounters::rows_matched, n);
+}
+inline void TraceLateRows(uint64_t n) {
+  TraceAdd(&SpanCounters::late_rows, n);
 }
 inline void TraceBatches(uint64_t n) { TraceAdd(&SpanCounters::batches, n); }
 inline void TraceEvalSpecializedNs(uint64_t ns) {

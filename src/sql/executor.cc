@@ -1,6 +1,7 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <numeric>
@@ -234,6 +235,20 @@ void RecordBatchStage(obs::TraceSpan* span, size_t batches, size_t rows) {
   }
 }
 
+/// The positions in `schema` of the columns `names` names; empty (every
+/// column) when `names` is empty or names a column `schema` lacks.
+core::ColumnMask ColumnMaskOf(const exec::Schema& schema,
+                              const std::vector<std::string>& names) {
+  if (names.empty()) return {};
+  core::ColumnMask mask(schema.num_fields(), false);
+  for (const std::string& name : names) {
+    int idx = schema.IndexOf(name);
+    if (idx < 0) return {};
+    mask[static_cast<size_t>(idx)] = true;
+  }
+  return mask;
+}
+
 /// The active physical rows of `batch` as a flat index array. `scratch`
 /// backs the no-selection case.
 const uint32_t* ActiveRows(const exec::ColumnBatch& batch,
@@ -389,40 +404,56 @@ Result<Executor::BatchResult> Executor::ExecuteScanBatchImpl(
   const std::string cache_tag = TableCacheTag(table_meta);
   BatchResult result{table_meta.MakeSchema(), {}};
 
-  // LIMIT pushdown: budget the scan when every row surviving it is a final
-  // row. The residual predicate compiles into the budget's per-batch filter;
-  // k-NN cannot stream and runs unbudgeted.
-  core::ScanBudget budget;
-  const core::ScanBudget* budget_ptr = nullptr;
-  std::shared_ptr<const PredicateProgram> budget_program;
-  auto budget_pstats = std::make_shared<PredicateStats>();
-  if (limit > 0 && path.kind != AccessPath::Kind::kKnn) {
-    budget.limit = limit;
+  // Pushdown: every scan but k-NN (which ranks whole rows) runs the
+  // residual per batch inside the scan, decodes only the columns the query
+  // keeps or reads, and stops at `limit` rows when one is given.
+  const bool push = path.kind != AccessPath::Kind::kKnn;
+  core::ScanBudget pushdown;
+  std::shared_ptr<const PredicateProgram> program;
+  std::atomic<uint64_t> specialized_ns{0};
+  std::atomic<uint64_t> interpreted_ns{0};
+  if (push) {
+    pushdown.limit = limit;
     if (!path.residual.empty()) {
-      JUST_ASSIGN_OR_RETURN(budget_program,
+      JUST_ASSIGN_OR_RETURN(program,
                             PredicateProgramCache::Global().GetOrCompile(
                                 path.residual, *result.schema, cache_tag));
-      budget.residual = [program = budget_program,
-                         pstats = budget_pstats](exec::ColumnBatch* batch) {
-        return program->Run(batch, pstats.get());
+      // An interpreted step evaluates whole rows, so only a fully
+      // specialized program reads just the columns it names.
+      if (program->fully_specialized()) {
+        std::vector<std::string> read;
+        for (const Expr* conjunct : path.residual) {
+          CollectColumns(*conjunct, &read);
+        }
+        pushdown.residual_columns = ColumnMaskOf(*result.schema, read);
+      }
+      // Runs on the scan's per-server tasks: stats accumulate atomically.
+      pushdown.residual = [&](exec::ColumnBatch* batch) {
+        PredicateStats pstats;
+        Status st = program->Run(batch, &pstats);
+        specialized_ns.fetch_add(pstats.specialized_ns,
+                                 std::memory_order_relaxed);
+        interpreted_ns.fetch_add(pstats.interpreted_ns,
+                                 std::memory_order_relaxed);
+        return st;
       };
     }
-    budget_ptr = &budget;
+    pushdown.projected = ColumnMaskOf(*result.schema, scan.required_columns);
   }
 
+  if (span != nullptr) span->AddAttr("access", path.label);
   JUST_ASSIGN_OR_RETURN(result.batches,
                         engine_->Query(user_, scan.name, path, stats,
-                                       budget_ptr));
-  if (span != nullptr) span->AddAttr("access", path.label);
+                                       push ? &pushdown : nullptr));
 
-  if (budget_ptr != nullptr && budget_program != nullptr) {
-    // The residual already ran inside the budgeted scan; attribute it.
+  if (program != nullptr) {
+    // The residual already ran inside the scan; attribute it.
     if (span != nullptr) {
       span->counters().eval_specialized_ns.fetch_add(
-          budget_pstats->specialized_ns, std::memory_order_relaxed);
+          specialized_ns.load(), std::memory_order_relaxed);
       span->counters().eval_interpreted_ns.fetch_add(
-          budget_pstats->interpreted_ns, std::memory_order_relaxed);
-      span->AddAttr("eval_mode", budget_program->ModeLabel());
+          interpreted_ns.load(), std::memory_order_relaxed);
+      span->AddAttr("eval_mode", program->ModeLabel());
     }
   } else {
     JUST_RETURN_NOT_OK(RunPredicate(path.residual, &result, span, cache_tag));

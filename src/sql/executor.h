@@ -64,10 +64,11 @@ class Executor {
   /// ExecuteBatch when capable, otherwise row-execute and convert.
   Result<BatchResult> ExecuteBatchOrConvert(const PlanNode& plan,
                                             core::QueryStats* stats);
-  /// `limit` > 0 pushes a row budget into the scan (LIMIT pushdown): the
-  /// scan stops fetching once that many rows survive the access path plus
-  /// residual refinement, instead of materializing the whole table. The
-  /// result may overshoot within the last batch; the caller truncates.
+  /// Table scans other than k-NN get the residual predicate and the kept
+  /// columns pushed in (core::ScanBudget). `limit` > 0 also pushes a row
+  /// budget (LIMIT pushdown): the scan stops fetching once that many rows
+  /// survive the access path plus the residual, instead of materializing
+  /// the whole table. The result may overshoot; the caller truncates.
   Result<BatchResult> ExecuteScanBatch(const PlanNode& scan,
                                        const Expr* predicate,
                                        core::QueryStats* stats,

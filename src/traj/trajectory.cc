@@ -38,7 +38,7 @@ Result<Trajectory> Trajectory::DeserializeRaw(const std::string& oid,
   const char* limit = p + bytes.size();
   uint64_t n;
   if (!GetVarint64(&p, limit, &n)) return Status::Corruption("bad gps list");
-  if (static_cast<uint64_t>(limit - p) < n * 24) {
+  if (n > static_cast<uint64_t>(limit - p) / 24) {
     return Status::Corruption("truncated gps list");
   }
   std::vector<GpsPoint> points;
@@ -86,6 +86,10 @@ Result<Trajectory> Trajectory::DeserializeDelta(const std::string& oid,
   const char* limit = p + bytes.size();
   uint64_t n;
   if (!GetVarint64(&p, limit, &n)) return Status::Corruption("bad gps list");
+  // Every point takes at least three varint bytes.
+  if (n > static_cast<uint64_t>(limit - p) / 3) {
+    return Status::Corruption("truncated delta gps list");
+  }
   std::vector<GpsPoint> points;
   points.reserve(n);
   int64_t lng = 0, lat = 0, t = 0;

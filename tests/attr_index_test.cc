@@ -291,13 +291,10 @@ class LegacyUpgradeTest : public ::testing::TestWithParam<UpgradeMode> {
       std::string end = start;
       start.push_back(static_cast<char>(slot));
       end.push_back(static_cast<char>(slot + 1));
-      EXPECT_TRUE(engine->cluster()
-                      ->Scan(start, end,
-                             [&](std::string_view, std::string_view) {
-                               ++count;
-                               return true;
-                             })
-                      .ok());
+      auto rows = just::testing::ScanRows(*engine->cluster(),
+                                          {curve::KeyRange{start, end}});
+      EXPECT_TRUE(rows.ok());
+      if (rows.ok()) count += rows->size();
     }
     return count;
   }

@@ -6,8 +6,9 @@
 //     interpreted fallback shapes) — the program must keep exactly the rows
 //     the tree-walking evaluator keeps.
 //  2. Full SQL statements through the executor, whatever access path it
-//     picks, against the brute-force oracle (query_oracle.h: a full scan
-//     filtered by EvaluateExpr(WHERE)) — the frames must hold the same rows.
+//     picks, against the brute-force oracle (query_oracle.h, through
+//     scan_parity.h: a full scan filtered by EvaluateExpr(WHERE)) — the
+//     frames must hold the same rows.
 
 #include <gtest/gtest.h>
 
@@ -19,16 +20,11 @@
 
 #include "core/engine.h"
 #include "exec/column_batch.h"
-#include "sql/analyzer.h"
-#include "sql/executor.h"
 #include "sql/expr_eval.h"
-#include "sql/justql.h"
-#include "sql/optimizer.h"
 #include "sql/parser.h"
 #include "sql/predicate_program.h"
-#include "query_oracle.h"
+#include "scan_parity.h"
 #include "test_util.h"
-#include "workload/generators.h"
 
 namespace just::sql {
 namespace {
@@ -239,70 +235,13 @@ class ExecutorParityTest : public ::testing::Test {
     auto engine = core::JustEngine::Open(options);
     ASSERT_TRUE(engine.ok());
     engine_ = std::move(engine).value();
-
-    JustQL ql(engine_.get());
-    auto created = ql.Execute(
-        "tester",
-        "CREATE TABLE orders (fid string:primary key, city string, "
-        "time date, geom point:srid=4326) "
-        "USERDATA {'just.attr.indexes':'city'}");
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
-
-    workload::OrderOptions opts;
-    opts.num_orders = 600;
-    int i = 0;
-    for (const auto& order : workload::GenerateOrders(opts)) {
-      exec::Row row = {
-          exec::Value::String(order.fid),
-          exec::Value::String("city" + std::to_string(i++ % 4)),
-          exec::Value::Timestamp(order.time),
-          exec::Value::GeometryVal(geo::Geometry::MakePoint(order.point))};
-      ASSERT_TRUE(engine_->Insert("tester", "orders", row).ok());
-    }
-    ASSERT_TRUE(engine_->Finalize().ok());
+    Status loaded =
+        just::testing::LoadScanParityTables(engine_.get(), "tester");
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   }
 
-  /// Runs `sql` through the executor and the brute-force oracle and
-  /// requires the same rows — in order when the statement sorts, as
-  /// multisets otherwise (index paths return rows in key order).
   void ExpectSameResult(const std::string& sql) {
-    auto executed = [&]() -> Result<exec::DataFrame> {
-      JUST_ASSIGN_OR_RETURN(auto stmt, ParseStatement(sql));
-      Analyzer analyzer(engine_.get(), "tester");
-      JUST_ASSIGN_OR_RETURN(auto plan, analyzer.Analyze(*stmt.select));
-      JUST_ASSIGN_OR_RETURN(plan, Optimize(std::move(plan)));
-      Executor executor(engine_.get(), "tester");
-      return executor.Execute(*plan);
-    }();
-    auto oracle = just::testing::OracleSelect(engine_.get(), "tester", sql);
-    ASSERT_TRUE(oracle.ok()) << sql << " -> " << oracle.status().ToString();
-    ASSERT_TRUE(executed.ok()) << sql << " -> "
-                               << executed.status().ToString();
-    ASSERT_EQ(oracle->num_rows(), executed->num_rows()) << sql;
-    ASSERT_EQ(oracle->schema().ToString(), executed->schema().ToString())
-        << sql;
-    std::vector<exec::Row> want = oracle->rows();
-    std::vector<exec::Row> got = executed->rows();
-    if (sql.find("ORDER BY") == std::string::npos) {
-      auto key = [](const exec::Row& row) {
-        std::string k;
-        for (const exec::Value& v : row) k += v.ToString() + '\x1f';
-        return k;
-      };
-      auto by_key = [&](const exec::Row& a, const exec::Row& b) {
-        return key(a) < key(b);
-      };
-      std::sort(want.begin(), want.end(), by_key);
-      std::sort(got.begin(), got.end(), by_key);
-    }
-    for (size_t r = 0; r < want.size(); ++r) {
-      ASSERT_EQ(want[r].size(), got[r].size());
-      for (size_t c = 0; c < want[r].size(); ++c) {
-        EXPECT_TRUE(want[r][c].Equals(got[r][c]))
-            << sql << " row " << r << " col " << c << ": "
-            << want[r][c].ToString() << " vs " << got[r][c].ToString();
-      }
-    }
+    just::testing::ExpectSameResult(engine_.get(), "tester", sql);
   }
 
   std::unique_ptr<TempDir> dir_;
@@ -376,6 +315,12 @@ TEST_F(ExecutorParityTest, EveryAccessPathMatchesTheOracle) {
       "SELECT fid, time FROM orders WHERE "
       "geom IN st_KNN(st_makePoint(116.40, 39.90), 40) AND "
       "time BETWEEN '2018-10-10' AND '2018-10-20'");
+  // The streaming scan's decode shapes: residual and kept columns pushed
+  // into the scan, NULL and compressed cells, extent geometries,
+  // trajectories, LIMIT with and without a residual.
+  for (const std::string& sql : just::testing::ScanParityQueries()) {
+    ExpectSameResult(sql);
+  }
 }
 
 TEST_F(ExecutorParityTest, RowOnlyOperatorsStillWork) {

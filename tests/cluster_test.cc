@@ -10,11 +10,14 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "net_harness.h"
+#include "obs/metrics.h"
+#include "scan_parity.h"
 #include "test_util.h"
 
 namespace just::cluster {
 namespace {
 
+using just::testing::FaultProxy;
 using just::testing::ServerProcess;
 using just::testing::TempDir;
 
@@ -205,14 +208,9 @@ TEST_P(RegionClusterTest, ParallelScanMatchesOneRangeScans) {
     ASSERT_TRUE(results.ok()) << results.status().ToString();
     ASSERT_EQ(results->size(), ranges.size());
     for (size_t i = 0; i < ranges.size(); ++i) {
-      std::vector<std::pair<std::string, std::string>> want;
-      ASSERT_TRUE((*cluster)
-                      ->Scan(ranges[i].start, ranges[i].end,
-                             [&](std::string_view k, std::string_view v) {
-                               want.emplace_back(k, v);
-                               return true;
-                             })
-                      .ok());
+      auto one = just::testing::ScanRows(**cluster, {ranges[i]});
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      const auto& want = *one;
       const auto& got = (*results)[i];
       EXPECT_EQ(got.contained, ranges[i].contained);
       ASSERT_EQ(got.rows.size(), want.size()) << "trial " << trial
@@ -277,6 +275,154 @@ TEST_P(RegionClusterTest, CompactAllReducesSstables) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, RegionClusterTest,
                          ::testing::Values("inproc", "socket"),
+                         [](const auto& info) { return info.param; });
+
+/// The engine's scan path on both deployments: the streaming cluster scan,
+/// per-server decode and residual/column pushdown must return exactly the
+/// brute-force oracle's rows. On sockets every server sits behind a
+/// FaultProxy so a test can tear a connection mid-stream.
+class EngineScanParityTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    dir_ = std::make_unique<TempDir>("scan_parity_" + GetParam());
+    core::EngineOptions options;
+    options.data_dir = dir_->path() + "/engine";
+    options.num_servers = 2;
+    options.num_shards = 4;
+    if (GetParam() == "socket") {
+      for (int i = 0; i < options.num_servers; ++i) {
+        ServerProcess::Options po;
+        po.dir = dir_->path() + "/rs" + std::to_string(i);
+        std::filesystem::create_directories(po.dir);
+        po.sync_wal = false;
+        auto server = std::make_unique<ServerProcess>(po);
+        ASSERT_TRUE(server->Start()) << "region server " << i;
+        proxies_.push_back(std::make_unique<FaultProxy>(server->port()));
+        options.server_addrs.push_back(
+            "127.0.0.1:" + std::to_string(proxies_.back()->port()));
+        servers_.push_back(std::move(server));
+      }
+    }
+    std::filesystem::create_directories(options.data_dir);
+    auto engine = core::JustEngine::Open(options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    engine_ = std::move(engine).value();
+  }
+
+  void TearDown() override {
+    engine_.reset();
+    proxies_.clear();
+    for (auto& server : servers_) server->Terminate();
+    servers_.clear();
+  }
+
+  static uint64_t MultiScanRpcs() {
+    return obs::Registry::Global()
+        .GetHistogram(obs::LabeledName("just_net_client_rpc_us",
+                                       {{"type", "multi_scan"}}))
+        ->Count();
+  }
+
+  std::unique_ptr<TempDir> dir_;
+  std::vector<std::unique_ptr<ServerProcess>> servers_;
+  std::vector<std::unique_ptr<FaultProxy>> proxies_;
+  std::unique_ptr<core::JustEngine> engine_;
+};
+
+TEST_P(EngineScanParityTest, EveryScanShapeMatchesTheOracle) {
+  Status loaded = just::testing::LoadScanParityTables(engine_.get(), "u");
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  for (const std::string& sql : just::testing::ScanParityQueries()) {
+    just::testing::ExpectSameResult(engine_.get(), "u", sql);
+  }
+}
+
+TEST_P(EngineScanParityTest, LimitCostsOneMultiScanPerServer) {
+  Status loaded = just::testing::LoadScanParityTables(engine_.get(), "u");
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  // A city-wide box over several days: the Z2T decomposition plans
+  // hundreds of ranges, and each server's matches fit one wire page.
+  auto run = [&](const std::string& sql, core::QueryStats* stats,
+                 uint64_t* rpcs) -> Result<exec::DataFrame> {
+    JUST_ASSIGN_OR_RETURN(auto stmt, sql::ParseStatement(sql));
+    sql::Analyzer analyzer(engine_.get(), "u");
+    JUST_ASSIGN_OR_RETURN(auto plan, analyzer.Analyze(*stmt.select));
+    JUST_ASSIGN_OR_RETURN(plan, sql::Optimize(std::move(plan)));
+    sql::Executor executor(engine_.get(), "u");
+    const uint64_t before = MultiScanRpcs();
+    auto frame = executor.Execute(*plan, stats);
+    *rpcs = MultiScanRpcs() - before;
+    return frame;
+  };
+  const std::string where =
+      "SELECT fid FROM orders WHERE geom WITHIN "
+      "st_makeMBR(116.10, 39.70, 116.70, 40.15) AND "
+      "time BETWEEN '2018-10-05' AND '2018-10-12' LIMIT ";
+  core::QueryStats stats;
+  uint64_t rpcs = 0;
+  auto all = run(where + "5000", &stats, &rpcs);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_GT(stats.key_ranges, 100u);
+  auto want = just::testing::OracleSelect(engine_.get(), "u", where + "5000");
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(all->num_rows(), want->num_rows());
+  if (GetParam() == "socket") {
+    // Every server is touched, once: its ranges travel in one multi-scan
+    // and its rows come back in one page.
+    EXPECT_EQ(rpcs, servers_.size());
+  }
+  // A LIMIT met early touches each server at most once.
+  auto five = run(where + "5", &stats, &rpcs);
+  ASSERT_TRUE(five.ok()) << five.status().ToString();
+  EXPECT_EQ(five->num_rows(), 5u);
+  if (GetParam() == "socket") {
+    EXPECT_GE(rpcs, 1u);
+    EXPECT_LE(rpcs, servers_.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, EngineScanParityTest,
+                         ::testing::Values("inproc", "socket"),
+                         [](const auto& info) { return info.param; });
+
+/// A connection torn mid-stream during a multi-page streamed scan: the
+/// server's scan resumes just past the last (range, key) its decoder
+/// accepted, so the query neither drops nor duplicates a row.
+class EngineScanCutTest : public EngineScanParityTest {};
+
+TEST_P(EngineScanCutTest, CutMidStreamNeitherDropsNorDuplicates) {
+  // Enough rows for several 512-row wire pages per server.
+  Status loaded =
+      just::testing::LoadScanParityTables(engine_.get(), "u", 4000);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  const std::string sql =
+      "SELECT * FROM orders WHERE time < '2018-10-20' AND "
+      "fid != 'order_0005'";
+  auto want = just::testing::OracleSelect(engine_.get(), "u", sql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  obs::Counter* retries =
+      obs::Registry::Global().GetCounter("just_cluster_retries_total");
+  const uint64_t retries_before = retries->Value();
+  // Past the first ~46 KiB page, so the retry has rows to resume after.
+  proxies_[0]->CutAfterUpstreamBytes(64 * 1024);
+  sql::JustQL ql(engine_.get());
+  auto got = ql.Execute("u", sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_GT(retries->Value(), retries_before)
+      << "the cut should have forced a retry";
+  std::vector<std::string> want_fids, got_fids;
+  for (const auto& row : want->rows()) want_fids.push_back(row[0].ToString());
+  for (const auto& row : got->frame.rows()) {
+    got_fids.push_back(row[0].ToString());
+  }
+  std::sort(want_fids.begin(), want_fids.end());
+  std::sort(got_fids.begin(), got_fids.end());
+  ASSERT_GT(want_fids.size(), 1000u);
+  EXPECT_EQ(got_fids, want_fids);
+}
+
+INSTANTIATE_TEST_SUITE_P(Socket, EngineScanCutTest,
+                         ::testing::Values("socket"),
                          [](const auto& info) { return info.param; });
 
 TEST(RegionClusterOpenTest, RejectsZeroServers) {

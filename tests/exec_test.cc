@@ -113,6 +113,27 @@ TEST(ValueTest, ParseDataTypeNames) {
 
 // --- Schema / DataFrame ---
 
+TEST(ColumnVectorTest, NullsThenValuesStayNonNull) {
+  // The null bitmap ends at the last null; cells appended after it — well
+  // past the bitmap's last word — must read as non-null.
+  for (DataType type : {DataType::kInt, DataType::kDouble, DataType::kString}) {
+    ColumnVector col(type);
+    col.AppendNulls(3);
+    col.AppendNull();
+    for (int i = 0; i < 300; ++i) {
+      if (type == DataType::kInt) col.AppendInt64(i);
+      if (type == DataType::kDouble) col.AppendDouble(i);
+      if (type == DataType::kString) col.AppendString("s");
+    }
+    col.AppendNulls(2);
+    ASSERT_EQ(col.size(), 306u);
+    for (size_t row = 0; row < col.size(); ++row) {
+      EXPECT_EQ(col.IsNull(row), row < 4 || row >= 304) << row;
+      EXPECT_EQ(col.ValueAt(row).is_null(), row < 4 || row >= 304) << row;
+    }
+  }
+}
+
 TEST(SchemaTest, IndexOfCaseInsensitive) {
   Schema s({{"Fid", DataType::kInt}, {"geom", DataType::kGeometry}});
   EXPECT_EQ(s.IndexOf("fid"), 0);

@@ -175,6 +175,31 @@ TEST_F(ExplainAnalyzeTest, AnalyzeCountersMatchRegistryDelta) {
             1u);
 }
 
+// The refinement query reads fid and time in its residual and keeps geom:
+// geom is a late column, decoded only for the rows that pass. EXPLAIN
+// ANALYZE names it and counts those rows, and so does the registry.
+TEST_F(ExplainAnalyzeTest, AnalyzeNamesLateColumnsAndCountsTheirRows) {
+  auto& registry = obs::Registry::Global();
+  obs::RegistrySnapshot before = registry.GetSnapshot();
+  auto r = Run(
+      "EXPLAIN ANALYZE SELECT * FROM orders WHERE time < '2018-10-02' AND "
+      "fid != 'o3'");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  obs::RegistrySnapshot after = registry.GetSnapshot();
+  const std::string& msg = r->message;
+  const uint64_t rows = r->frame.num_rows();
+  ASSERT_GT(rows, 0u);
+  ASSERT_LT(rows, 500u);
+  EXPECT_NE(msg.find("Scan orders access=full_scan late=geom"),
+            std::string::npos)
+      << msg;
+  EXPECT_EQ(SumToken(msg, " late_rows="), rows) << msg;
+  EXPECT_EQ(after.counter("just_query_late_rows_total") -
+                before.counter("just_query_late_rows_total"),
+            rows);
+  EXPECT_EQ(SumToken(msg, " rows_scanned="), 500u) << msg;
+}
+
 // The columnar path's EXPLAIN surface: per-stage batch counts plus the
 // predicate-program evaluation mode and its specialized-vs-interpreted time.
 TEST_F(ExplainAnalyzeTest, AnalyzeShowsBatchCountsAndEvalMode) {

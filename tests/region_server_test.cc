@@ -351,16 +351,13 @@ TEST(RegionServerTest, ClusterScanSurvivesConnectionCutWithoutDupOrDrop) {
   const uint64_t retries_before = retries->Value();
 
   // Tear the connection a few pages into the scan: the client sees a torn
-  // frame (kUnavailable), the cluster retries the *batch* from its cursor,
-  // and the row stream downstream must not notice.
+  // frame (kUnavailable), the cluster resumes just past the last row it
+  // delivered, and the row stream downstream must not notice.
   proxy.CutAfterUpstreamBytes(8 * 1024);
+  auto rows = just::testing::ScanRows(**cluster, {curve::KeyRange{"", ""}});
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   std::vector<std::string> keys;
-  Status st = (*cluster)->Scan(
-      "", "", [&](std::string_view k, std::string_view) {
-        keys.push_back(std::string(k));
-        return true;
-      });
-  ASSERT_TRUE(st.ok()) << st.ToString();
+  for (const auto& row : *rows) keys.push_back(row.first);
   ASSERT_EQ(keys.size(), static_cast<size_t>(kRows));
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
@@ -482,8 +479,9 @@ TEST(RegionServerTest, ClusterParallelScanSurvivesConnectionCut) {
   obs::Counter* retries =
       obs::Registry::Global().GetCounter("just_cluster_retries_total");
   const uint64_t retries_before = retries->Value();
-  // One multi-range scan, torn a few pages in: the cluster retries the
-  // server's whole scan from a clean buffer.
+  // One multi-range scan, torn a few pages in: the retry resumes past the
+  // last (range, key) delivered, so the ranges already streamed are not
+  // scanned again.
   proxy.CutAfterUpstreamBytes(16 * 1024);
   auto results = (*cluster)->ParallelScan(key_ranges);
   ASSERT_TRUE(results.ok()) << results.status().ToString();

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/region_cluster.h"
 #include "exec/column_batch.h"
 #include "exec/dataframe.h"
 #include "exec/value.h"
@@ -36,6 +37,41 @@ class TempDir {
  private:
   std::filesystem::path path_;
 };
+
+/// Collects a RegionCluster::Scan as owned (key, value) rows: each
+/// server's rows in delivery order, the servers in order. `per_server_cap`
+/// > 0 stops each server after that many rows.
+class CollectingSink : public cluster::RegionCluster::ScanSink {
+ public:
+  explicit CollectingSink(int servers, size_t per_server_cap = 0)
+      : rows_(static_cast<size_t>(servers)), cap_(per_server_cap) {}
+
+  bool Accept(int server, size_t, std::string_view key,
+              std::string_view value) override {
+    auto& rows = rows_[static_cast<size_t>(server)];
+    rows.emplace_back(std::string(key), std::string(value));
+    return cap_ == 0 || rows.size() < cap_;
+  }
+
+  std::vector<std::pair<std::string, std::string>> Rows() const {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto& rows : rows_) out.insert(out.end(), rows.begin(), rows.end());
+    return out;
+  }
+
+ private:
+  std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
+  size_t cap_;
+};
+
+/// Every row of `ranges` through RegionCluster::Scan (see CollectingSink).
+inline Result<std::vector<std::pair<std::string, std::string>>> ScanRows(
+    const cluster::RegionCluster& cluster,
+    const std::vector<curve::KeyRange>& ranges) {
+  CollectingSink sink(cluster.num_servers());
+  JUST_RETURN_NOT_OK(cluster.Scan(ranges, &sink));
+  return sink.Rows();
+}
 
 /// Fluent schema+rows builder shared by the exec, sql, and parity tests.
 /// Renders the same data as a row-oriented DataFrame or as column batches,

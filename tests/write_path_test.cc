@@ -349,27 +349,24 @@ TEST(ClusterScanTest, ScanStreamsInBoundedBatches) {
   }
 
   // Early-stopping consumer: the old code fetched all 200 rows into memory
-  // before the callback saw the first one; streaming fetches one batch.
+  // before the callback saw the first one; the in-process stream fetches
+  // only the rows the consumer takes.
   uint64_t fetched_before =
       GlobalCounter("just_cluster_scan_rows_fetched_total");
-  int seen = 0;
-  Status st = cluster->Scan("", "", [&](std::string_view, std::string_view) {
-    return ++seen < 5;
-  });
+  just::testing::CollectingSink first_five(cluster->num_servers(), 5);
+  Status st = cluster->Scan({curve::KeyRange{"", ""}}, &first_five);
   ASSERT_TRUE(st.ok());
-  EXPECT_EQ(seen, 5);
+  EXPECT_EQ(first_five.Rows().size(), 5u);
   uint64_t fetched =
       GlobalCounter("just_cluster_scan_rows_fetched_total") - fetched_before;
-  EXPECT_EQ(fetched, opts.scan_batch_rows);
+  EXPECT_EQ(fetched, 5u);
 
   // Full consumption still sees every row exactly once, in order.
   fetched_before = GlobalCounter("just_cluster_scan_rows_fetched_total");
+  auto rows = just::testing::ScanRows(*cluster, {curve::KeyRange{"", ""}});
+  ASSERT_TRUE(rows.ok());
   std::vector<std::string> keys;
-  st = cluster->Scan("", "", [&](std::string_view key, std::string_view) {
-    keys.emplace_back(key);
-    return true;
-  });
-  ASSERT_TRUE(st.ok());
+  for (const auto& row : *rows) keys.push_back(row.first);
   ASSERT_EQ(keys.size(), 200u);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   std::set<std::string> unique(keys.begin(), keys.end());
