@@ -3,11 +3,13 @@
 // each bench thread owns one RegionClient, i.e. one TCP connection, which
 // is exactly the deployed shape: the server runs a thread per connection).
 //
-// Two questions this answers in CI logs:
+// Three questions this answers in CI logs:
 //  - throughput/latency of a Put/Get RPC at 64 and 256 connections;
 //  - that admission control degrades gracefully: with a deliberately tiny
 //    max_inflight the server sheds (kUnavailable) instead of queueing
-//    without bound, and the shed counters show up in the obs registry.
+//    without bound, and the shed counters show up in the obs registry;
+//  - the CPU one socket scan page costs, client and server together
+//    (BM_MultiScanFanout).
 //
 // Run: ./bench_wire [--benchmark_filter=...]
 
@@ -16,12 +18,17 @@
 
 #include <atomic>
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
 #include <memory>
+#include <iterator>
 #include <mutex>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
+#include "cluster/region_cluster.h"
 #include "net/region_client.h"
 #include "net/region_server.h"
 #include "obs/metrics.h"
@@ -113,6 +120,13 @@ class ServerFixture {
   std::unique_ptr<net::RegionServer> server_;
 };
 
+/// CPU seconds of every thread of this process.
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
 std::string ThreadKey(int thread_index, uint64_t i) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "t%03d/%012llu", thread_index,
@@ -203,6 +217,86 @@ void BM_WireOverload(benchmark::State& state) {
   fixture.ThreadTearDown();
 }
 BENCHMARK(BM_WireOverload)->Threads(256)->UseRealTime();
+
+/// The per-RPC cost of a socket scan: four in-process region servers and a
+/// RegionCluster::Scan of one 20-row range per server, i.e. four
+/// kMultiScanReq pages per iteration. `cpu_us_per_rpc` is this process's
+/// CPU (client and servers alike) per page.
+void BM_MultiScanFanout(benchmark::State& state) {
+  constexpr int kServers = 4;
+  constexpr int kRowsPerServer = 20;
+  std::vector<std::unique_ptr<net::RegionServer>> servers;
+  cluster::ClusterOptions options;
+  for (int i = 0; i < kServers; ++i) {
+    net::RegionServerOptions server_options;
+    server_options.store.dir =
+        WireBenchDir(("fanout" + std::to_string(i)).c_str());
+    server_options.store.sync_wal = false;
+    auto server = net::RegionServer::Start(server_options);
+    if (!server.ok()) {
+      state.SkipWithError(server.status().ToString().c_str());
+      return;
+    }
+    options.server_addrs.push_back("127.0.0.1:" +
+                                   std::to_string((*server)->port()));
+    servers.push_back(std::move(*server));
+  }
+  auto opened = cluster::RegionCluster::Open(options);
+  if (!opened.ok()) {
+    state.SkipWithError(opened.status().ToString().c_str());
+    return;
+  }
+  std::unique_ptr<cluster::RegionCluster> region_cluster = std::move(*opened);
+  // Shard byte s lives on server s; each range holds its server's rows.
+  std::vector<kv::WriteOp> ops;
+  std::vector<curve::KeyRange> ranges;
+  for (int s = 0; s < kServers; ++s) {
+    const std::string shard(1, static_cast<char>(s));
+    for (int i = 0; i < kRowsPerServer; ++i) {
+      ops.push_back(
+          kv::WriteOp{shard + ThreadKey(s, i), std::string(120, 'v'), false});
+    }
+    const std::string next_shard(1, static_cast<char>(s + 1));
+    ranges.push_back(curve::KeyRange{shard, next_shard, false});
+  }
+  if (!region_cluster->WriteBatch(std::move(ops)).ok()) {
+    state.SkipWithError("load failed");
+    return;
+  }
+  // Per-server counts: a ScanSink may see servers concurrently.
+  class CountSink : public cluster::RegionCluster::ScanSink {
+   public:
+    bool Accept(int server, size_t, std::string_view,
+                std::string_view) override {
+      ++rows[server];
+      return true;
+    }
+    uint64_t rows[kServers] = {};
+  };
+  CountSink sink;
+  uint64_t scans = 0;
+  const double cpu_start = ProcessCpuSeconds();
+  for (auto _ : state) {
+    if (!region_cluster->Scan(ranges, &sink).ok()) {
+      state.SkipWithError("scan failed");
+      break;
+    }
+    ++scans;
+  }
+  const double cpu_us = (ProcessCpuSeconds() - cpu_start) * 1e6;
+  const double rpcs = static_cast<double>(scans * kServers);
+  state.counters["cpu_us_per_rpc"] =
+      benchmark::Counter(rpcs > 0 ? cpu_us / rpcs : 0);
+  state.counters["rows_per_scan"] = benchmark::Counter(
+      scans > 0 ? static_cast<double>(std::accumulate(
+                      std::begin(sink.rows), std::end(sink.rows), 0ull)) /
+                      scans
+                : 0);
+  state.SetItemsProcessed(static_cast<int64_t>(scans * kServers));
+  region_cluster.reset();  // closes its connections first
+  for (auto& server : servers) server->Stop();
+}
+BENCHMARK(BM_MultiScanFanout)->UseRealTime();
 
 }  // namespace
 }  // namespace just::bench

@@ -1,7 +1,6 @@
 #include "cluster/region_backend.h"
 
 #include <chrono>
-#include <mutex>
 #include <thread>
 
 #include "net/region_client.h"
@@ -46,71 +45,55 @@ class LocalBackend : public RegionBackend {
   std::unique_ptr<kv::LsmStore> store_;
 };
 
-/// Wire-protocol backend. RegionClient is not thread-safe and concurrent
-/// queries share it, so every RPC serializes on a mutex; scans hold it per
-/// *page*, so concurrent scans interleave at page granularity instead of
-/// starving each other.
+/// Wire-protocol backend. Every call checks a connection out of the pool
+/// for its own use, so concurrent queries never share a socket and no lock
+/// is held across an RPC.
 class SocketBackend : public RegionBackend {
  public:
   explicit SocketBackend(net::RegionClientOptions options)
       : addr_(options.host + ":" + std::to_string(options.port)),
-        client_(std::move(options)) {}
+        pool_(std::move(options)) {}
 
   Status Put(std::string_view key, std::string_view value) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return client_.Put(key, value);
+    return pool_.Acquire()->Put(key, value);
   }
   Status Delete(std::string_view key) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return client_.Delete(key);
+    return pool_.Acquire()->Delete(key);
   }
   Status Get(std::string_view key, std::string* value) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return client_.Get(key, value);
+    return pool_.Acquire()->Get(key, value);
   }
   Status WriteBatch(const std::vector<kv::WriteOp>& ops) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return client_.WriteBatch(ops);
+    return pool_.Acquire()->WriteBatch(ops);
   }
   Status IngestBatch(const std::string& tenant,
                      const std::vector<kv::WriteOp>& ops) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return client_.Ingest(tenant, ops);
+    return pool_.Acquire()->Ingest(tenant, ops);
   }
   Status Scan(const std::vector<kv::ScanRange>& ranges,
               const kv::ScanFn& fn) override {
-    // The lock is held per page only: the callback may (indirectly) issue
-    // more RPCs against this same backend.
-    return client_.Scan(ranges, fn, &mu_);
+    // The callback may (indirectly) issue more RPCs against this backend:
+    // they check out connections of their own.
+    return pool_.Acquire()->Scan(ranges, fn);
   }
-  Status Flush() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return client_.Flush();
-  }
-  Status CompactAll() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return client_.CompactAll();
-  }
+  Status Flush() override { return pool_.Acquire()->Flush(); }
+  Status CompactAll() override { return pool_.Acquire()->CompactAll(); }
   Status GetStats(BackendStats* stats) override {
-    std::lock_guard<std::mutex> lock(mu_);
     net::StatsResponse resp;
-    JUST_RETURN_NOT_OK(client_.GetStats(&resp));
+    JUST_RETURN_NOT_OK(pool_.Acquire()->GetStats(&resp));
     stats->disk_bytes = resp.disk_bytes;
     stats->entries = resp.entries;
     stats->num_sstables = resp.num_sstables;
     return Status::OK();
   }
+  net::ClientPool* clients() override { return &pool_; }
   std::string name() const override { return "socket:" + addr_; }
 
-  Status Ping() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return client_.Ping();
-  }
+  Status Ping() { return pool_.Acquire()->Ping(); }
 
  private:
   std::string addr_;
-  std::mutex mu_;
-  net::RegionClient client_;
+  net::ClientPool pool_;
 };
 
 }  // namespace

@@ -9,6 +9,10 @@
 #include "common/status.h"
 #include "kvstore/lsm_store.h"
 
+namespace just::net {
+class ClientPool;
+}  // namespace just::net
+
 namespace just::cluster {
 
 /// Stats one region server reports to the cluster aggregate.
@@ -58,6 +62,10 @@ class RegionBackend {
   virtual Status Flush() = 0;
   virtual Status CompactAll() = 0;
   virtual Status GetStats(BackendStats* stats) = 0;
+  /// Socket backends: the pool of connections to the server, which
+  /// RegionCluster::Scan drives directly (one connection per server,
+  /// polled from the calling thread). nullptr for in-process backends.
+  virtual net::ClientPool* clients() { return nullptr; }
 
   /// "local:<dir>" or "socket:<host>:<port>" — for error messages.
   virtual std::string name() const = 0;

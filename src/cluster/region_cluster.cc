@@ -1,11 +1,16 @@
 #include "cluster/region_cluster.h"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <mutex>
 #include <thread>
 
+#include "net/region_client.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -60,10 +65,14 @@ int RegionCluster::ServerFor(std::string_view key) const {
 }
 
 Status RegionCluster::WithRetry(const std::function<Status()>& op) const {
+  return RetryAfter(op(), op);
+}
+
+Status RegionCluster::RetryAfter(Status st,
+                                 const std::function<Status()>& op) const {
   // Stable pointer into the registry; fetched once per process.
   static obs::Counter* retries =
       obs::Registry::Global().GetCounter("just_cluster_retries_total");
-  Status st = op();
   for (int attempt = 0; !st.ok() && st.IsTransient() &&
                         attempt < options_.max_retries;
        ++attempt) {
@@ -155,6 +164,30 @@ Status RegionCluster::IngestBatch(const std::string& tenant,
                        });
 }
 
+/// One server's part of a Scan(): its ranges and where to resume — just
+/// past the last (range, key) the sink accepted. In process each server's
+/// pool task updates its own per row, so each sits on its own cache line.
+struct alignas(64) RegionCluster::ServerScan {
+  int server = 0;
+  const std::vector<size_t>* ids = nullptr;  ///< into the scan's ranges
+  size_t next = 0;      ///< ids[next] is the first range not yet finished
+  bool resume = false;  ///< last_key, in ids[next], was accepted
+  std::string last_key;
+  uint64_t delivered = 0;
+
+  /// Hands a row of range ids[at] to the sink and moves the cursor past
+  /// it; false stops this server.
+  bool Deliver(size_t at, std::string_view key, std::string_view value,
+               ScanSink* sink, const std::atomic<bool>* halt) {
+    if (halt->load(std::memory_order_relaxed)) return false;
+    next = at;
+    resume = true;
+    last_key.assign(key);
+    ++delivered;
+    return sink->Accept(server, (*ids)[at], key, value);
+  }
+};
+
 Status RegionCluster::Scan(const std::vector<curve::KeyRange>& ranges,
                            ScanSink* sink, std::atomic<bool>* stop) const {
   // Group the ranges by owning server. Routing is first_byte % num_servers
@@ -174,10 +207,13 @@ Status RegionCluster::Scan(const std::vector<curve::KeyRange>& ranges,
       work[server].push_back(i);
     }
   }
-  std::vector<int> busy;  ///< servers with work, in server order
+  std::vector<ServerScan> scans;  ///< servers with work, in server order
   for (size_t s = 0; s < work.size(); ++s) {
     if (!work[s].empty()) {
-      busy.push_back(static_cast<int>(s));
+      ServerScan scan;
+      scan.server = static_cast<int>(s);
+      scan.ids = &work[s];
+      scans.push_back(std::move(scan));
     } else {
       JUST_RETURN_NOT_OK(sink->Finish(static_cast<int>(s)));
     }
@@ -185,30 +221,41 @@ Status RegionCluster::Scan(const std::vector<curve::KeyRange>& ranges,
 
   static obs::Histogram* scan_hist =
       obs::Registry::Global().GetHistogram("just_cluster_parallel_scan_us");
+  static obs::Counter* rows_fetched = obs::Registry::Global().GetCounter(
+      "just_cluster_scan_rows_fetched_total");
   obs::ScopedSpan span("cluster.ParallelScan");
   if (span.span() != nullptr) {
     span.span()->AddAttr("ranges", std::to_string(ranges.size()));
-    span.span()->AddAttr("servers", std::to_string(busy.size()));
+    span.span()->AddAttr("servers", std::to_string(scans.size()));
   }
   const auto scan_start = std::chrono::steady_clock::now();
   std::atomic<bool> own_stop{false};
   std::atomic<bool>* halt = stop != nullptr ? stop : &own_stop;
   Status first_error;
   std::mutex error_mu;
-  // Pool workers have their own thread-local state: hand them the span
-  // explicitly so their I/O counters attribute to this scan.
-  obs::TraceSpan* parent_span = obs::CurrentSpan();
-  DefaultPool().ParallelFor(busy.size(), [&](size_t b) {
-    obs::SpanScope scope(parent_span);
-    const int server = busy[b];
-    Status st = ScanServer(server, ranges, work[server], sink, halt);
-    if (st.ok()) st = sink->Finish(server);
+  auto finish = [&](ServerScan& scan, Status st) {
+    rows_fetched->Add(scan.delivered);
+    if (st.ok()) st = sink->Finish(scan.server);
     if (!st.ok()) {
       halt->store(true, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(error_mu);
       if (first_error.ok()) first_error = st;
     }
-  });
+  };
+  if (!options_.server_addrs.empty()) {
+    PollScan(ranges, &scans, sink, halt, finish);
+  } else {
+    // Pool workers have their own thread-local state: hand them the span
+    // explicitly so their I/O counters attribute to this scan.
+    obs::TraceSpan* parent_span = obs::CurrentSpan();
+    DefaultPool().ParallelFor(scans.size(), [&](size_t b) {
+      obs::SpanScope scope(parent_span);
+      ServerScan& scan = scans[b];
+      finish(scan, WithRetry([&] {
+               return ScanAttempt(&scan, ranges, sink, halt);
+             }));
+    });
+  }
   scan_hist->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - scan_start)
@@ -216,43 +263,179 @@ Status RegionCluster::Scan(const std::vector<curve::KeyRange>& ranges,
   return first_error;
 }
 
-Status RegionCluster::ScanServer(int server,
-                                 const std::vector<curve::KeyRange>& ranges,
-                                 const std::vector<size_t>& ids,
-                                 ScanSink* sink,
-                                 const std::atomic<bool>* halt) const {
-  static obs::Counter* rows_fetched = obs::Registry::Global().GetCounter(
-      "just_cluster_scan_rows_fetched_total");
-  // Resume cursor: ids[next] is the first range not yet finished and, once
-  // `resume` is set, `last_key` is the last of its keys the sink accepted.
-  size_t next = 0;
-  bool resume = false;
-  std::string last_key;
-  std::string resume_start;
-  uint64_t delivered = 0;
+Status RegionCluster::ScanAttempt(ServerScan* scan,
+                                  const std::vector<curve::KeyRange>& ranges,
+                                  ScanSink* sink,
+                                  const std::atomic<bool>* halt) const {
+  const std::vector<size_t>& ids = *scan->ids;
+  const size_t base = scan->next;
   std::vector<kv::ScanRange> todo;
-  Status st = WithRetry([&] {
-    const size_t base = next;
-    todo.clear();
-    for (size_t i = base; i < ids.size(); ++i) {
-      todo.push_back({ranges[ids[i]].start, ranges[ids[i]].end});
+  todo.reserve(ids.size() - base);
+  for (size_t i = base; i < ids.size(); ++i) {
+    todo.push_back({ranges[ids[i]].start, ranges[ids[i]].end});
+  }
+  std::string resume_start;
+  if (scan->resume) {
+    resume_start = scan->last_key + '\0';  // just past the accepted key
+    todo[0].start = resume_start;
+  }
+  return servers_[scan->server]->Scan(
+      todo, [&](size_t r, std::string_view key, std::string_view value) {
+        return scan->Deliver(base + r, key, value, sink, halt);
+      });
+}
+
+void RegionCluster::PollScan(
+    const std::vector<curve::KeyRange>& ranges, std::vector<ServerScan>* scans,
+    ScanSink* sink, const std::atomic<bool>* halt,
+    const std::function<void(ServerScan&, Status)>& finish) const {
+  using Clock = std::chrono::steady_clock;
+  // One server's pages: its connection, the request of the current window
+  // of ranges, and the page in flight.
+  struct Stream {
+    ServerScan* scan = nullptr;
+    net::ClientPool::Lease conn;
+    net::MultiScanRequest req;
+    size_t window = 0;  ///< ids index of req.ranges[0]
+    net::RegionClient::PendingPage page;
+    net::MultiScanResponse resp;
+    Clock::time_point deadline;
+    bool waiting = false;  ///< a page is in flight
+    bool handoff = false;  ///< finishes through ScanAttempt
+    Status failure;        ///< the failed page's status (OK: a degrade)
+  };
+  std::vector<Stream> streams(scans->size());
+  auto hand_off = [](Stream& s, Status failure) {
+    // A connection that failed (or met an old peer) is not reused.
+    s.conn->Disconnect();
+    s.conn = net::ClientPool::Lease();
+    s.waiting = false;
+    s.handoff = true;
+    s.failure = std::move(failure);
+  };
+  auto send = [&](Stream& s) {
+    Status st = s.conn->SendMultiScanPage(s.req, &s.page);
+    if (!st.ok()) return hand_off(s, std::move(st));
+    const int timeout_ms = s.conn->options().io_timeout_ms;
+    s.deadline = timeout_ms > 0
+                     ? Clock::now() + std::chrono::milliseconds(timeout_ms)
+                     : Clock::time_point::max();
+    s.waiting = true;
+  };
+  auto open_window = [&](Stream& s, size_t window) {
+    const std::vector<size_t>& ids = *s.scan->ids;
+    s.window = window;
+    s.req.ranges.clear();
+    for (size_t i = window;
+         i < ids.size() && i < window + net::kMaxScanRanges; ++i) {
+      s.req.ranges.push_back({ranges[ids[i]].start, ranges[ids[i]].end});
     }
-    if (resume) {
-      resume_start = last_key + '\0';  // just past the accepted key
-      todo[0].start = resume_start;
+    s.req.limit_rows = s.conn->options().scan_page_rows;
+    s.req.resume = net::ScanCursor{};
+    send(s);
+  };
+  // A page is ready: read and check it. False when the server left the
+  // loop instead.
+  auto receive = [&](Stream& s) {
+    s.waiting = false;
+    bool degraded = false;
+    Status st = s.conn->RecvMultiScanPage(s.page, s.req, &s.resp, &degraded);
+    if (st.ok() && !degraded) st = s.resp.status;
+    if (!st.ok() || degraded) {
+      hand_off(s, std::move(st));
+      return false;
     }
-    return servers_[server]->Scan(
-        todo, [&](size_t r, std::string_view key, std::string_view value) {
-          if (halt->load(std::memory_order_relaxed)) return false;
-          next = base + r;
-          resume = true;
-          last_key.assign(key);
-          ++delivered;
-          return sink->Accept(server, ids[base + r], key, value);
-        });
-  });
-  rows_fetched->Add(delivered);
-  return st;
+    return true;
+  };
+  // Hands a received page's rows to the sink, then asks for the next page
+  // unless the server is done or stopped.
+  auto deliver = [&](Stream& s) {
+    bool more = true;
+    for (const net::MultiScanRow& row : s.resp.rows) {
+      if (!s.scan->Deliver(s.window + row.range, row.key, row.value, sink,
+                           halt)) {
+        more = false;
+        break;
+      }
+    }
+    if (more && !halt->load(std::memory_order_relaxed)) {
+      if (s.resp.has_more) {
+        s.req.resume = std::move(s.resp.next);
+        return send(s);
+      }
+      const size_t window_end = s.window + s.req.ranges.size();
+      if (window_end < s.scan->ids->size()) return open_window(s, window_end);
+    }
+    s.conn.Release();
+    finish(*s.scan, Status::OK());
+  };
+
+  for (size_t i = 0; i < streams.size(); ++i) {
+    Stream& s = streams[i];
+    s.scan = &(*scans)[i];
+    net::ClientPool* pool = servers_[s.scan->server]->clients();
+    if (pool->peer().multiscan_unsupported.load()) {
+      s.handoff = true;  // one-range pages, through the backend's own loop
+      continue;
+    }
+    s.conn = pool->Acquire();
+    open_window(s, 0);
+  }
+  std::vector<pollfd> fds;
+  std::vector<Stream*> polled;
+  std::vector<Stream*> received;
+  for (;;) {
+    fds.clear();
+    polled.clear();
+    received.clear();
+    Clock::time_point deadline = Clock::time_point::max();
+    for (Stream& s : streams) {
+      if (!s.waiting) continue;
+      fds.push_back(pollfd{s.conn->fd(), POLLIN, 0});
+      polled.push_back(&s);
+      deadline = std::min(deadline, s.deadline);
+    }
+    if (fds.empty()) break;
+    int timeout_ms = -1;  // no deadline: wait for an answer
+    if (deadline != Clock::time_point::max()) {
+      timeout_ms = static_cast<int>(std::max<int64_t>(
+          0, std::chrono::ceil<std::chrono::milliseconds>(deadline -
+                                                          Clock::now())
+                 .count()));
+    }
+    const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+    if (ready < 0 && errno != EINTR) {
+      const Status st = Status::Unavailable(std::string("poll: ") +
+                                            std::strerror(errno));
+      for (Stream* s : polled) hand_off(*s, st);
+      continue;
+    }
+    // Every ready page is read before any rows are handed on, so a page's
+    // latency does not include the sink's work on the others.
+    const Clock::time_point now = Clock::now();
+    for (size_t i = 0; i < fds.size(); ++i) {
+      Stream& s = *polled[i];
+      if (ready > 0 && fds[i].revents != 0) {
+        if (receive(s)) received.push_back(&s);
+      } else if (now >= s.deadline) {
+        hand_off(s, Status::Unavailable("region server page timed out"));
+      }
+    }
+    for (Stream* s : received) deliver(*s);
+  }
+  // Servers that left the loop finish one by one through the backend's
+  // own page loop, with the usual retry and backoff.
+  for (Stream& s : streams) {
+    if (!s.handoff) continue;
+    ServerScan* scan = s.scan;
+    auto attempt = [&] { return ScanAttempt(scan, ranges, sink, halt); };
+    Status st;
+    if (!halt->load(std::memory_order_relaxed)) {
+      st = s.failure.ok() ? WithRetry(attempt)
+                          : RetryAfter(std::move(s.failure), attempt);
+    }
+    finish(*scan, std::move(st));
+  }
 }
 
 Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(

@@ -73,10 +73,12 @@ class RegionCluster {
   /// plain WriteBatch. The streaming ingest path (INSERT STREAM).
   Status IngestBatch(const std::string& tenant, std::vector<kv::WriteOp> ops);
 
-  /// Consumer of a streaming Scan(). Each server's rows reach Accept() from
-  /// that server's own task: its ranges in list order, each range's keys in
-  /// ascending order. Different servers call concurrently, so per-server
-  /// state indexed by `server` needs no locking.
+  /// Consumer of a streaming Scan(). Each server's rows reach Accept() in
+  /// its ranges' list order, each range's keys in ascending order. Over
+  /// socket backends every server's rows arrive on the calling thread; in
+  /// process each server's come from its own pool task, concurrently with
+  /// the others. Either way per-server state indexed by `server` needs no
+  /// locking.
   class ScanSink {
    public:
     virtual ~ScanSink() = default;
@@ -85,9 +87,9 @@ class RegionCluster {
     virtual bool Accept(int server, size_t range, std::string_view key,
                         std::string_view value) = 0;
     /// Server `server`'s part of the scan ended (exhausted or stopped),
-    /// called from its task after its last Accept(); servers that own none of
-    /// the ranges end at once. Not called when the server's scan failed. A
-    /// non-OK status fails the Scan.
+    /// called after its last Accept(), on the same thread; servers that own
+    /// none of the ranges end at once. Not called when the server's scan
+    /// failed. A non-OK status fails the Scan.
     virtual Status Finish(int server) {
       (void)server;
       return Status::OK();
@@ -95,8 +97,12 @@ class RegionCluster {
   };
 
   /// The one cluster scan: every key range on its owning server(s), one
-  /// task and one multi-range backend scan per server that owns any range,
-  /// the servers in parallel, rows streamed into `sink` with no copy. A
+  /// multi-range scan per server that owns any range, the servers in
+  /// parallel, rows streamed into `sink` with no copy. Over socket backends
+  /// the calling thread drives every server's pages itself: it sends each
+  /// server's first page, polls the connections, and requests a server's
+  /// next page once the sink took its rows. In process, where the scan is
+  /// this process's own CPU, each server's scan runs as a pool task. A
   /// transient failure retries the server's scan from just past the last
   /// (range, key) the sink accepted, so no row reaches the sink twice.
   /// Setting `*stop` (optional) stops every server at its next row; a
@@ -148,18 +154,30 @@ class RegionCluster {
       const std::function<Status(RegionBackend*,
                                  const std::vector<kv::WriteOp>&)>& apply);
 
-  /// One server's part of Scan(): its ranges (`ids` into `ranges`, in
-  /// order) as one multi-range backend scan under WithRetry, each attempt
-  /// resuming past the last row `sink` accepted.
-  Status ScanServer(int server, const std::vector<curve::KeyRange>& ranges,
-                    const std::vector<size_t>& ids, ScanSink* sink,
-                    const std::atomic<bool>* halt) const;
+  struct ServerScan;
+
+  /// One attempt at a server's part of Scan(): its remaining ranges as one
+  /// multi-range backend scan, resuming past the last row `sink` accepted.
+  Status ScanAttempt(ServerScan* scan,
+                     const std::vector<curve::KeyRange>& ranges,
+                     ScanSink* sink, const std::atomic<bool>* halt) const;
+
+  /// Scan() over socket backends: the calling thread's page loop over every
+  /// server's connection. A server whose page fails (or whose peer predates
+  /// the multi-scan) leaves the loop and finishes through ScanAttempt under
+  /// RetryAfter. `finish` is called once per server with its outcome.
+  void PollScan(const std::vector<curve::KeyRange>& ranges,
+                std::vector<ServerScan>* scans, ScanSink* sink,
+                const std::atomic<bool>* halt,
+                const std::function<void(ServerScan&, Status)>& finish) const;
 
   /// Runs `op` with bounded exponential-backoff retry on transient errors
   /// (options_.max_retries / retry_backoff_ms). `op` must be safe to rerun
   /// after a failure: writes are idempotent, and Scan resumes each attempt
   /// past the rows it already delivered.
   Status WithRetry(const std::function<Status()>& op) const;
+  /// WithRetry after a first attempt that already returned `st`.
+  Status RetryAfter(Status st, const std::function<Status()>& op) const;
 
   ClusterOptions options_;
   std::vector<std::unique_ptr<RegionBackend>> servers_;

@@ -37,11 +37,13 @@ uint32_t LoadLe32(const unsigned char* p) {
 }
 }  // namespace
 
-uint32_t Crc32(std::string_view data) {
+uint32_t Crc32(std::string_view data) { return Crc32(0, data); }
+
+uint32_t Crc32(uint32_t crc, std::string_view data) {
   static const CrcTables t = MakeCrcTables();
   const auto* p = reinterpret_cast<const unsigned char*>(data.data());
   size_t n = data.size();
-  uint32_t c = 0xFFFFFFFFu;
+  uint32_t c = crc ^ 0xFFFFFFFFu;
   for (; n >= 8; p += 8, n -= 8) {
     const uint32_t lo = LoadLe32(p) ^ c;
     const uint32_t hi = LoadLe32(p + 4);

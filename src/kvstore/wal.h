@@ -56,9 +56,12 @@ Status ReplayWal(const std::string& path,
                                           std::string_view value)>& fn,
                  Env* env = nullptr);
 
-/// CRC-32 (ISO-HDLC polynomial) used by WAL records, SSTable blocks, and
-/// SSTable footers.
+/// CRC-32 (ISO-HDLC polynomial) used by WAL records, SSTable blocks,
+/// SSTable footers and wire frames.
 uint32_t Crc32(std::string_view data);
+/// Continues `crc`, the CRC-32 of some bytes A, over the bytes B that follow
+/// them: Crc32(Crc32(A), B) == Crc32(A + B), and Crc32(0, B) == Crc32(B).
+uint32_t Crc32(uint32_t crc, std::string_view data);
 
 }  // namespace just::kv
 

@@ -135,46 +135,68 @@ void RegionClient::GraftResponseTrace(const FrameHeader& header) {
                   options_.host + ":" + std::to_string(options_.port));
 }
 
-Status RegionClient::CallRpc(MsgType req_type, const FrameBuilder& build,
-                             FrameHeader* header, std::string* payload,
-                             std::string_view* body) {
+Status RegionClient::SendRequest(const FrameBuilder& build, uint64_t* id,
+                                 bool* traced) {
   // Trace context rides along only when the calling thread is actually
   // tracing and the peer has not rejected the extension — with tracing
   // inactive the frame is byte-identical to the pre-extension layout.
-  bool traced = !peer_trace_unsupported_ && obs::CurrentSpan() != nullptr;
+  *traced = !peer_->trace_unsupported.load() &&
+            obs::CurrentSpan() != nullptr;
+  *id = NextRequestId();
+  std::string ext;
+  if (*traced) ext = EncodeTraceContext(TraceContext{/*sampled=*/true});
+  std::string frame;
+  build(*id, ext, &frame);
+  RpcCounter()->Increment();
+  return RawSend(frame);
+}
+
+Status RegionClient::RecvResponse(uint64_t id, FrameHeader* header,
+                                  std::string* payload,
+                                  std::string_view* body) {
+  JUST_RETURN_NOT_OK(RawRecvPayload(payload));
+  Status st = ParsePayload(*payload, header, body);
+  if (!st.ok()) return Fail(st);
+  // Responses arrive in request order and one request is outstanding per
+  // connection, so an id mismatch means a stale or misrouted frame: kill
+  // the connection.
+  if (header->request_id != id) {
+    return Fail(Status::Internal("response id mismatch"));
+  }
+  return Status::OK();
+}
+
+bool RegionClient::TraceDegraded(MsgType req_type, bool traced,
+                                 const Status& answer) {
+  // A pre-extension server saw the flagged type byte as unknown and
+  // answered kInvalidArgument on a surviving connection. A peer that knows
+  // the extension but not the request type itself names the bare type:
+  // that is the caller's to handle.
+  const int named = UnknownTypeNamed(answer);
+  if (!traced || named < 0 || named == static_cast<int>(req_type)) {
+    return false;
+  }
+  if (!peer_->trace_unsupported.exchange(true)) {
+    TraceDegradeCounter()->Increment();
+  }
+  return true;
+}
+
+Status RegionClient::CallRpc(MsgType req_type, const FrameBuilder& build,
+                             FrameHeader* header, std::string* payload,
+                             std::string_view* body) {
   const uint64_t start_us = NowUs();
   for (;;) {
-    uint64_t id = NextRequestId();
-    std::string ext;
-    if (traced) ext = EncodeTraceContext(TraceContext{/*sampled=*/true});
-    std::string frame;
-    build(id, ext, &frame);
-    RpcCounter()->Increment();
-    JUST_RETURN_NOT_OK(RawSend(frame));
-    // Responses arrive in request order on this synchronous client, but a
-    // shed response can only ever match our own id (we pipeline nothing),
-    // so an id mismatch means a stale or misrouted frame: kill the
-    // connection.
-    JUST_RETURN_NOT_OK(RawRecvPayload(payload));
-    Status st = ParsePayload(*payload, header, body);
-    if (!st.ok()) return Fail(st);
-    if (header->request_id != id) {
-      return Fail(Status::Internal("response id mismatch"));
-    }
+    uint64_t id = 0;
+    bool traced = false;
+    JUST_RETURN_NOT_OK(SendRequest(build, &id, &traced));
+    JUST_RETURN_NOT_OK(RecvResponse(id, header, payload, body));
     if (traced && header->type == MsgType::kStatusResp) {
-      // A pre-extension server saw the flagged type byte as unknown and
-      // answered kInvalidArgument on a surviving connection. Degrade for
-      // good and retry this one RPC without the extension; `traced` is now
-      // false, so the loop cannot spin. A peer that knows the extension
-      // but not the request type itself names the bare type: that is the
-      // caller's to handle.
+      // Degraded for good: retry this one RPC without the extension. The
+      // peer is now marked, so the loop cannot spin.
       StatusResponse sr;
       if (DecodeStatusResponse(*body, &sr).ok() &&
-          UnknownTypeNamed(sr.status) >= 0 &&
-          UnknownTypeNamed(sr.status) != static_cast<int>(req_type)) {
-        peer_trace_unsupported_ = true;
-        TraceDegradeCounter()->Increment();
-        traced = false;
+          TraceDegraded(req_type, traced, sr.status)) {
         continue;
       }
     }
@@ -346,27 +368,58 @@ Status RegionClient::GetStats(StatsResponse* resp) {
 
 Status RegionClient::MultiScanPage(const MultiScanRequest& req,
                                    MultiScanResponse* resp) {
-  if (peer_multiscan_unsupported_) return FallbackScanPage(req, resp);
-  FrameHeader header;
-  std::string payload;
-  std::string_view body;
-  JUST_RETURN_NOT_OK(CallRpc(
-      MsgType::kMultiScanReq,
+  for (;;) {
+    if (peer_->multiscan_unsupported.load()) {
+      return FallbackScanPage(req, resp);
+    }
+    PendingPage page;
+    JUST_RETURN_NOT_OK(SendMultiScanPage(req, &page));
+    bool degraded = false;
+    JUST_RETURN_NOT_OK(RecvMultiScanPage(page, req, resp, &degraded));
+    // A degrade marked the peer, so the next round sends the other form.
+    if (!degraded) return resp->status;
+  }
+}
+
+Status RegionClient::SendMultiScanPage(const MultiScanRequest& req,
+                                       PendingPage* page) {
+  page->start_us = NowUs();
+  return SendRequest(
       [&](uint64_t id, std::string_view ext, std::string* f) {
         EncodeMultiScanRequest(req, id, f, ext);
       },
-      &header, &payload, &body));
+      &page->request_id, &page->traced);
+}
+
+Status RegionClient::RecvMultiScanPage(const PendingPage& page,
+                                       const MultiScanRequest& req,
+                                       MultiScanResponse* resp,
+                                       bool* degraded) {
+  *degraded = false;
+  resp->status = Status::OK();
+  resp->rows.clear();
+  resp->has_more = false;
+  resp->next = ScanCursor{};
+  FrameHeader header;
+  std::string_view body;
+  JUST_RETURN_NOT_OK(
+      RecvResponse(page.request_id, &header, &resp->payload, &body));
   if (header.type == MsgType::kStatusResp) {
     StatusResponse sr;
     Status st = DecodeStatusResponse(body, &sr);
     if (!st.ok()) return Fail(st);
+    if (TraceDegraded(MsgType::kMultiScanReq, page.traced, sr.status)) {
+      *degraded = true;
+      return Status::OK();
+    }
     if (UnknownTypeNamed(sr.status) ==
         static_cast<int>(MsgType::kMultiScanReq)) {
-      // A server from before kMultiScanReq: degrade for good, on the same
-      // connection.
-      peer_multiscan_unsupported_ = true;
-      MultiScanDegradeCounter()->Increment();
-      return FallbackScanPage(req, resp);
+      // A server from before kMultiScanReq: degrade for good.
+      if (!peer_->multiscan_unsupported.exchange(true)) {
+        MultiScanDegradeCounter()->Increment();
+      }
+      *degraded = true;
+      return Status::OK();
     }
     return sr.status.ok()
                ? Status::Internal("status-only response to a MultiScan")
@@ -385,7 +438,11 @@ Status RegionClient::MultiScanPage(const MultiScanRequest& req,
   if (resp->has_more && resp->next.range >= req.ranges.size()) {
     return Fail(Status::Internal("multi-scan cursor names an unknown range"));
   }
-  return resp->status;
+  if (header.has_ext) GraftResponseTrace(header);
+  if (obs::Histogram* h = ClientRpcUs(MsgType::kMultiScanReq)) {
+    h->Record(NowUs() - page.start_us);
+  }
+  return Status::OK();
 }
 
 Status RegionClient::FallbackScanPage(const MultiScanRequest& req,
@@ -399,11 +456,23 @@ Status RegionClient::FallbackScanPage(const MultiScanRequest& req,
   one.limit_rows = req.limit_rows;
   ScanResponse page;
   JUST_RETURN_NOT_OK(ScanPage(one, &page));
-  resp->rows.reserve(page.rows.size());
-  for (WireRow& row : page.rows) {
-    resp->rows.push_back(
-        MultiScanRow{r, std::move(row.key), std::move(row.value)});
+  // The rows' bytes move into the response's payload, which they view.
+  resp->status = Status::OK();
+  resp->payload.clear();
+  for (const WireRow& row : page.rows) {
+    resp->payload.append(row.key).append(row.value);
   }
+  resp->rows.clear();
+  resp->rows.reserve(page.rows.size());
+  std::string_view bytes(resp->payload);
+  for (const WireRow& row : page.rows) {
+    resp->rows.push_back(MultiScanRow{r, bytes.substr(0, row.key.size()),
+                                      bytes.substr(row.key.size(),
+                                                   row.value.size())});
+    bytes.remove_prefix(row.key.size() + row.value.size());
+  }
+  resp->has_more = false;
+  resp->next = ScanCursor{};
   if (page.has_more) {
     resp->has_more = true;
     resp->next = ScanCursor{r, std::move(page.next_cursor)};
@@ -415,20 +484,16 @@ Status RegionClient::FallbackScanPage(const MultiScanRequest& req,
 }
 
 Status RegionClient::Scan(const std::vector<kv::ScanRange>& ranges,
-                          const kv::ScanFn& fn, std::mutex* page_mu) {
+                          const kv::ScanFn& fn) {
+  MultiScanResponse resp;
   for (size_t base = 0; base < ranges.size(); base += kMaxScanRanges) {
     MultiScanRequest req;
     req.ranges.assign(
         ranges.begin() + base,
         ranges.begin() + std::min(ranges.size(), base + kMaxScanRanges));
+    req.limit_rows = options_.scan_page_rows;
     for (;;) {
-      MultiScanResponse resp;
-      {
-        std::unique_lock<std::mutex> lock;
-        if (page_mu != nullptr) lock = std::unique_lock<std::mutex>(*page_mu);
-        req.limit_rows = options_.scan_page_rows;
-        JUST_RETURN_NOT_OK(MultiScanPage(req, &resp));
-      }
+      JUST_RETURN_NOT_OK(MultiScanPage(req, &resp));
       for (const MultiScanRow& row : resp.rows) {
         if (!fn(base + row.range, row.key, row.value)) return Status::OK();
       }
@@ -437,6 +502,32 @@ Status RegionClient::Scan(const std::vector<kv::ScanRange>& ranges,
     }
   }
   return Status::OK();
+}
+
+ClientPool::Lease ClientPool::Acquire() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!idle_.empty()) {
+      std::unique_ptr<RegionClient> client = std::move(idle_.back());
+      idle_.pop_back();
+      return Lease(this, std::move(client));
+    }
+  }
+  return Lease(this, std::make_unique<RegionClient>(options_, peer_));
+}
+
+void ClientPool::Lease::Release() {
+  if (client_ == nullptr) return;
+  std::lock_guard<std::mutex> lock(pool_->mu_);
+  if (client_->connected()) {
+    pool_->idle_.push_back(std::move(client_));
+  } else {
+    // A dead connection usually means a restarted or unreachable server,
+    // which leaves the idle ones stale too: redial rather than let each
+    // retry meet another of them.
+    pool_->idle_.clear();
+    client_.reset();
+  }
 }
 
 }  // namespace just::net

@@ -1,8 +1,10 @@
 #ifndef JUST_NET_REGION_CLIENT_H_
 #define JUST_NET_REGION_CLIENT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -27,11 +29,22 @@ struct RegionClientOptions {
   size_t max_frame_bytes = kMaxFrameBytes;
 };
 
-/// Synchronous client stub for one region server. Every RPC is single-shot:
-/// connection failures, timeouts, and torn responses return kUnavailable
-/// (IsTransient), and retry policy stays with the caller — RegionCluster
-/// funnels these through its existing WithRetry path. Reconnection is
-/// lazy: a failed call marks the connection dead and the next call redials.
+/// What clients have learned about one region server, shared by every
+/// connection to it, so an old server is detected once per peer rather than
+/// once per connection. Both degrades are sticky.
+struct PeerFeatures {
+  /// The peer rejected an extension-flagged frame: send no trace context.
+  std::atomic<bool> trace_unsupported{false};
+  /// The peer rejected kMultiScanReq: scan with one-range kScanReq pages.
+  std::atomic<bool> multiscan_unsupported{false};
+};
+
+/// Synchronous client stub for one region server connection. Every RPC is
+/// single-shot: connection failures, timeouts, and torn responses return
+/// kUnavailable (IsTransient), and retry policy stays with the caller —
+/// RegionCluster funnels these through its existing WithRetry path.
+/// Reconnection is lazy: a failed call marks the connection dead and the
+/// next call redials.
 ///
 /// Trace propagation: when the calling thread has an active obs span
 /// (obs::CurrentSpan()), each RPC carries a trace context in the frame's
@@ -40,21 +53,23 @@ struct RegionClientOptions {
 /// attribute — this is how EXPLAIN ANALYZE shows remote per-server work.
 /// A pre-extension server rejects the flagged frame with kInvalidArgument
 /// ("unknown message type"); the client then marks the peer, retries the
-/// RPC once without the extension, and stays untraced for the connection's
-/// lifetime (old-server compatibility). With no active span nothing is
-/// added to the frame at all.
+/// RPC once without the extension, and stays untraced against that peer
+/// (old-server compatibility). With no active span nothing is added to the
+/// frame at all.
 ///
 /// Scans go out as kMultiScanReq pages. A server that predates the message
-/// answers "unknown message type"; the client then marks the peer (sticky,
-/// counted in just_net_client_multiscan_degrades_total) and serves the same
-/// pages as one-range kScanReq pages, one range at a time.
+/// answers "unknown message type"; the client then marks the peer (counted
+/// in just_net_client_multiscan_degrades_total) and serves the same pages
+/// as one-range kScanReq pages, one range at a time.
 ///
-/// Not thread-safe: use one client per thread (connections are cheap; the
-/// server runs a thread per connection).
+/// Not thread-safe: one caller at a time per client (ClientPool hands each
+/// caller its own connection; the server runs a thread per connection).
 class RegionClient {
  public:
-  explicit RegionClient(RegionClientOptions options)
-      : options_(std::move(options)) {}
+  explicit RegionClient(
+      RegionClientOptions options,
+      std::shared_ptr<PeerFeatures> peer = std::make_shared<PeerFeatures>())
+      : options_(std::move(options)), peer_(std::move(peer)) {}
 
   Status Ping();
   Status Put(std::string_view key, std::string_view value);
@@ -74,17 +89,39 @@ class RegionClient {
   /// One page of a multi-range scan; resume by re-sending with
   /// `req.resume = resp->next` while `resp->has_more`. Against a server
   /// without kMultiScanReq the page comes from the cursor's range alone.
+  /// The send half and the receive half back to back (plus the degrades).
   Status MultiScanPage(const MultiScanRequest& req, MultiScanResponse* resp);
+
+  /// A kMultiScanReq page on its way: what the receive half needs to match
+  /// and time its answer.
+  struct PendingPage {
+    uint64_t request_id = 0;
+    bool traced = false;
+    uint64_t start_us = 0;
+  };
+  /// Send half of a multi-scan page: encodes `req` with a trace-context
+  /// extension when the calling thread has a span and the peer takes
+  /// extensions, counts the RPC and sends the frame. Callers check
+  /// peer_multiscan_unsupported() first: this half always sends the
+  /// multi-scan.
+  Status SendMultiScanPage(const MultiScanRequest& req, PendingPage* page);
+  /// Receive half: reads the answer to `page` (CRC-checked), checks its id,
+  /// type, row ranges and cursor against `req`, decodes the rows as views
+  /// into resp->payload, grafts the returned span tree under the caller's
+  /// span and records the page's latency. The server's own scan status is
+  /// left in resp->status. An "unknown message type" answer marks the peer
+  /// (trace extension or multi-scan unsupported) and sets `*degraded`,
+  /// with no rows: re-sending the page then takes the degraded form.
+  Status RecvMultiScanPage(const PendingPage& page, const MultiScanRequest& req,
+                           MultiScanResponse* resp, bool* degraded);
 
   /// Paged multi-range scan: streams pages of scan_page_rows through `fn`
   /// (return false to stop early), at most kMaxScanRanges ranges per
-  /// request. `page_mu`, when given, is held around each page's RPC and
-  /// released while `fn` runs. No internal retry — a transient page
-  /// failure aborts the scan with that status, and rows already delivered
-  /// this call may be re-delivered by a caller-level retry (RegionCluster
-  /// buffers per attempt for exactly this reason).
-  Status Scan(const std::vector<kv::ScanRange>& ranges, const kv::ScanFn& fn,
-              std::mutex* page_mu = nullptr);
+  /// request. No internal retry — a transient page failure aborts the scan
+  /// with that status, and rows already delivered this call may be
+  /// re-delivered by a caller-level retry (RegionCluster resumes past the
+  /// last row it accepted for exactly this reason).
+  Status Scan(const std::vector<kv::ScanRange>& ranges, const kv::ScanFn& fn);
 
   Status Flush();
   Status CompactAll();
@@ -101,16 +138,18 @@ class RegionClient {
 
   const RegionClientOptions& options() const { return options_; }
   bool connected() const { return sock_.valid(); }
+  /// The connection's descriptor (-1 when not connected), for poll().
+  int fd() const { return sock_.fd(); }
   void Disconnect() { sock_.Close(); }
   /// Dials if not connected (RPCs do this implicitly).
   Status EnsureConnected();
 
   /// True once the peer rejected an extension-flagged frame: subsequent
   /// RPCs stop sending trace context (the compat degrade is sticky).
-  bool peer_trace_unsupported() const { return peer_trace_unsupported_; }
+  bool peer_trace_unsupported() const { return peer_->trace_unsupported; }
   /// True once the peer rejected kMultiScanReq: scans use one-range pages.
   bool peer_multiscan_unsupported() const {
-    return peer_multiscan_unsupported_;
+    return peer_->multiscan_unsupported;
   }
 
  private:
@@ -128,6 +167,16 @@ class RegionClient {
   Status CallRpc(MsgType req_type, const FrameBuilder& build,
                  FrameHeader* header, std::string* payload,
                  std::string_view* body);
+  /// Builds and sends one request frame; `*traced` says whether it carried
+  /// trace context.
+  Status SendRequest(const FrameBuilder& build, uint64_t* id, bool* traced);
+  /// Reads the answer to request `id` and parses its header.
+  Status RecvResponse(uint64_t id, FrameHeader* header, std::string* payload,
+                      std::string_view* body);
+  /// True when `answer`, the reply to a `req_type` request, is a peer's
+  /// "unknown message type" naming the extension-flagged type byte: marks
+  /// the peer untraced (once per peer).
+  bool TraceDegraded(MsgType req_type, bool traced, const Status& answer);
   /// Shared epilogue for RPCs whose response is a bare StatusResponse.
   Status StatusCall(MsgType req_type, const FrameBuilder& build);
   /// Decodes a response's extension as a span tree under the caller's
@@ -142,10 +191,60 @@ class RegionClient {
                           MultiScanResponse* resp);
 
   RegionClientOptions options_;
+  std::shared_ptr<PeerFeatures> peer_;
   Socket sock_;
   uint64_t last_request_id_ = 0;
-  bool peer_trace_unsupported_ = false;
-  bool peer_multiscan_unsupported_ = false;
+};
+
+/// The connections to one region server. Each caller checks one out for its
+/// own use — a query's scan holds one per server while it polls them — so
+/// concurrent callers never share a socket and no lock is held across an
+/// RPC. Acquire() takes an idle connection or dials a new one; the lease
+/// returns it when done. A lease whose connection was dropped (a failed
+/// RPC, or a caller that could not finish reading its answer) drops the
+/// idle ones too, so the next callers redial.
+class ClientPool {
+ public:
+  explicit ClientPool(RegionClientOptions options)
+      : options_(std::move(options)),
+        peer_(std::make_shared<PeerFeatures>()) {}
+  ClientPool(const ClientPool&) = delete;
+  ClientPool& operator=(const ClientPool&) = delete;
+
+  class Lease {
+   public:
+    Lease() = default;
+    Lease(ClientPool* pool, std::unique_ptr<RegionClient> client)
+        : pool_(pool), client_(std::move(client)) {}
+    Lease(Lease&&) noexcept = default;
+    Lease& operator=(Lease&& o) noexcept {
+      if (this != &o) {
+        Release();
+        pool_ = o.pool_;
+        client_ = std::move(o.client_);
+      }
+      return *this;
+    }
+    ~Lease() { Release(); }
+
+    RegionClient* operator->() const { return client_.get(); }
+    /// Returns the connection to the pool now (dropped if disconnected).
+    void Release();
+
+   private:
+    ClientPool* pool_ = nullptr;
+    std::unique_ptr<RegionClient> client_;
+  };
+
+  Lease Acquire();
+  const RegionClientOptions& options() const { return options_; }
+  const PeerFeatures& peer() const { return *peer_; }
+
+ private:
+  RegionClientOptions options_;
+  std::shared_ptr<PeerFeatures> peer_;
+  std::mutex mu_;  ///< guards idle_
+  std::vector<std::unique_ptr<RegionClient>> idle_;
 };
 
 }  // namespace just::net

@@ -1,8 +1,6 @@
 #include "net/region_server.h"
 
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <optional>
 
@@ -26,16 +24,8 @@ uint64_t NowNs() {
 
 struct RegionServer::Connection {
   Socket sock;
-  std::mutex write_mu;  ///< serializes worker responses and reader sheds
-
-  std::mutex queue_mu;
-  std::condition_variable queue_cv;
-  std::deque<PendingRequest> queue;
-  bool closed = false;
-
-  std::thread reader;
-  std::thread worker;
-  std::atomic<bool> finished{false};  ///< both threads are done; reapable
+  std::thread thread;
+  std::atomic<bool> finished{false};  ///< the thread is done; reapable
 };
 
 RegionServer::RegionServer(const RegionServerOptions& options)
@@ -97,25 +87,16 @@ void RegionServer::Stop() {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns.swap(conns_);
   }
+  for (auto& conn : conns) conn->sock.ShutdownBoth();
   for (auto& conn : conns) {
-    conn->sock.ShutdownBoth();
-    {
-      std::lock_guard<std::mutex> lock(conn->queue_mu);
-      conn->closed = true;
-    }
-    conn->queue_cv.notify_all();
-  }
-  for (auto& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->worker.joinable()) conn->worker.join();
+    if (conn->thread.joinable()) conn->thread.join();
   }
 }
 
 void RegionServer::ReapFinishedLocked() {
   for (auto it = conns_.begin(); it != conns_.end();) {
     if ((*it)->finished.load(std::memory_order_acquire)) {
-      if ((*it)->reader.joinable()) (*it)->reader.join();
-      if ((*it)->worker.joinable()) (*it)->worker.join();
+      if ((*it)->thread.joinable()) (*it)->thread.join();
       it = conns_.erase(it);
     } else {
       ++it;
@@ -138,24 +119,29 @@ void RegionServer::AcceptLoop() {
       ReapFinishedLocked();
       conns_.push_back(conn);
     }
-    conn->worker = std::thread([this, conn] { WorkerLoop(conn); });
-    conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
+    conn->thread = std::thread([this, conn] { ConnectionLoop(conn); });
   }
 }
 
-void RegionServer::SendFrame(Connection& conn, const std::string& frame) {
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  Status st = conn.sock.WriteFully(frame.data(), frame.size());
-  if (!st.ok()) {
-    // The peer is gone (or wedged past the send timeout): wake the reader
-    // so the whole connection unwinds.
+void RegionServer::Send(Connection& conn, std::string_view head,
+                        std::string_view body) {
+  if (!conn.sock.WriteFully(head, body).ok()) {
+    // The peer is gone (or wedged past the send timeout): shut the socket
+    // so the next read fails and the connection unwinds.
     conn.sock.ShutdownBoth();
   }
 }
 
-void RegionServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
+void RegionServer::ConnectionLoop(const std::shared_ptr<Connection>& conn) {
+  std::string payload;  // reused: capacity survives across requests
+  Reply reply;
+  // A bare status answer: a rejected or shed request.
+  auto answer = [&](const Status& status, uint64_t id) {
+    reply.frame.clear();
+    EncodeStatusResponse({status}, id, &reply.frame);
+    Send(*conn, reply.frame);
+  };
   for (;;) {
-    std::string payload;
     Status st = ReadFramePayload(conn->sock, &payload,
                                  options_.max_frame_bytes);
     if (!st.ok()) {
@@ -167,6 +153,7 @@ void RegionServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
       }
       break;
     }
+    const uint64_t arrival_ns = NowNs();
     FrameHeader header;
     std::string_view body;
     st = ParsePayload(payload, &header, &body);
@@ -177,11 +164,8 @@ void RegionServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
       uint64_t id = payload.size() >= kPayloadHeaderBytes
                         ? GetFixed64(payload.data() + 1)
                         : 0;
-      std::string out;
-      EncodeStatusResponse(
-          {st.ok() ? Status::InvalidArgument("not a request type") : st}, id,
-          &out);
-      SendFrame(*conn, out);
+      answer(st.ok() ? Status::InvalidArgument("not a request type") : st,
+             id);
       continue;
     }
     bool traced = false;
@@ -191,9 +175,7 @@ void RegionServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
       if (!st.ok()) {
         // The extension was framed correctly (ParsePayload accepted it) but
         // its contents are garbage: reject the request, keep the stream.
-        std::string out;
-        EncodeStatusResponse({st}, header.request_id, &out);
-        SendFrame(*conn, out);
+        answer(st, header.request_id);
         continue;
       }
       traced = ctx.sampled;
@@ -203,100 +185,48 @@ void RegionServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
 
     // Health checks and overload introspection bypass admission: they are
     // how clients *observe* shedding, so they must not themselves shed.
-    bool exempt = header.type == MsgType::kPingReq ||
-                  header.type == MsgType::kStatsReq;
-    if (!exempt) {
-      bool shed = false;
-      {
-        std::lock_guard<std::mutex> lock(conn->queue_mu);
-        if (static_cast<int>(conn->queue.size()) >= options_.max_pipeline) {
-          shed = true;  // per-connection pipeline queue full
-        }
-      }
-      if (!shed &&
-          inflight_.load(std::memory_order_relaxed) >= options_.max_inflight) {
-        shed = true;  // server-wide admission cap
-      }
-      if (shed) {
-        shed_total_.fetch_add(1);
-        shed_counter_->Increment();
-        std::string out;
-        EncodeStatusResponse(
-            {Status::Unavailable("server overloaded: request shed")},
-            header.request_id, &out);
-        SendFrame(*conn, out);
-        continue;
-      }
+    const bool exempt = header.type == MsgType::kPingReq ||
+                        header.type == MsgType::kStatsReq;
+    if (!exempt &&
+        inflight_.load(std::memory_order_relaxed) >= options_.max_inflight) {
+      shed_total_.fetch_add(1);
+      shed_counter_->Increment();
+      answer(Status::Unavailable("server overloaded: request shed"),
+             header.request_id);
+      continue;
     }
     inflight_.fetch_add(1);
     inflight_gauge_->Add(1);
-    {
-      std::lock_guard<std::mutex> lock(conn->queue_mu);
-      if (conn->closed) {
-        inflight_.fetch_sub(1);
-        inflight_gauge_->Add(-1);
-        break;
-      }
-      conn->queue.push_back(PendingRequest{header.type, header.request_id,
-                                           std::string(body), traced,
-                                           NowNs()});
-    }
-    conn->queue_cv.notify_one();
-  }
-  // Reader exit means the connection is done (EOF, I/O error, or an
-  // unsynced stream): send FIN now so the peer observes the close
-  // immediately — the fd itself lives until the Connection is reaped.
-  conn->sock.ShutdownBoth();
-  {
-    std::lock_guard<std::mutex> lock(conn->queue_mu);
-    conn->closed = true;
-  }
-  conn->queue_cv.notify_all();
-}
-
-void RegionServer::WorkerLoop(const std::shared_ptr<Connection>& conn) {
-  for (;;) {
-    PendingRequest req;
-    {
-      std::unique_lock<std::mutex> lock(conn->queue_mu);
-      conn->queue_cv.wait(lock,
-                          [&] { return conn->closed || !conn->queue.empty(); });
-      if (conn->queue.empty()) break;  // closed and drained
-      req = std::move(conn->queue.front());
-      conn->queue.pop_front();
-    }
     const uint64_t start_ns = NowNs();
-    std::string out;
-    Execute(req, &out);
+    Execute(header, body, traced, arrival_ns, &reply);
     const uint64_t us = (NowNs() - start_ns) / 1000;
     request_us_->Record(us);
-    const uint8_t t = static_cast<uint8_t>(req.type);
+    const uint8_t t = static_cast<uint8_t>(header.type);
     if (t < sizeof(rpc_us_by_type_) / sizeof(rpc_us_by_type_[0]) &&
         rpc_us_by_type_[t] != nullptr) {
       rpc_us_by_type_[t]->Record(us);
     }
-    SendFrame(*conn, out);
+    if (reply.paged) {
+      Send(*conn, reply.page.head(), reply.page.body());
+    } else {
+      Send(*conn, reply.frame);
+    }
     inflight_.fetch_sub(1);
     inflight_gauge_->Add(-1);
   }
-  // Requests admitted but never executed still hold inflight slots.
-  {
-    std::lock_guard<std::mutex> lock(conn->queue_mu);
-    for (size_t i = 0; i < conn->queue.size(); ++i) {
-      inflight_.fetch_sub(1);
-      inflight_gauge_->Add(-1);
-    }
-    conn->queue.clear();
-  }
+  // The connection is done (EOF, I/O error, or an unsynced stream): send
+  // FIN now so the peer observes the close immediately — the fd itself
+  // lives until the Connection is reaped.
+  conn->sock.ShutdownBoth();
   active_connections_.fetch_sub(1);
   active_conns_gauge_->Add(-1);
   conn->finished.store(true, std::memory_order_release);
 }
 
-void RegionServer::HandleScan(const MultiScanRequest& req,
-                              MultiScanResponse* resp) {
+Status RegionServer::HandleScan(const MultiScanRequest& req,
+                                ScanPageWriter* page, bool* has_more,
+                                ScanCursor* next) {
   const uint32_t limit = std::min(req.limit_rows, options_.scan_limit_clamp);
-  resp->rows.reserve(std::min<uint32_t>(limit, 1024));
   // Resume: the cursor's range restarts at its key (never before the
   // range's own start), and the ranges before it are already delivered.
   const uint32_t first = req.resume.range;
@@ -305,27 +235,28 @@ void RegionServer::HandleScan(const MultiScanRequest& req,
   if (std::string_view(req.resume.key) > ranges[0].start) {
     ranges[0].start = req.resume.key;
   }
-  resp->status = store_->Scan(
+  Status st = store_->Scan(
       ranges, [&](size_t range, std::string_view key, std::string_view value) {
-        resp->rows.push_back(MultiScanRow{static_cast<uint32_t>(first + range),
-                                          std::string(key),
-                                          std::string(value)});
-        return resp->rows.size() < limit;
+        page->AddRow(static_cast<uint32_t>(first + range), key, value);
+        return page->rows() < limit;
       });
   uint32_t last = static_cast<uint32_t>(req.ranges.size() - 1);
-  if (resp->status.ok() && resp->rows.size() == limit) {
+  if (st.ok() && page->rows() == limit) {
     // The page filled: there may be more. The resume cursor is the smallest
     // key strictly after the last delivered one, in the same range, so a
     // client can continue against a restarted server with no scan state
     // held here.
-    resp->has_more = true;
-    last = resp->rows.back().range;
-    resp->next = ScanCursor{last, resp->rows.back().key + '\0'};
+    *has_more = true;
+    last = page->last_range();
+    next->range = last;
+    next->key.assign(page->last_key());
+    next->key.push_back('\0');
   }
   // Ranges this page began (a resumed range was counted by its first page).
   const bool resumed = std::string_view(req.resume.key) > req.ranges[first].start;
   obs::TraceKeyRanges(last - first + 1 - (resumed ? 1 : 0));
-  obs::TraceRowsScanned(resp->rows.size());
+  obs::TraceRowsScanned(page->rows());
+  return st;
 }
 
 StatsResponse RegionServer::BuildStats() {
@@ -342,39 +273,39 @@ StatsResponse RegionServer::BuildStats() {
   return resp;
 }
 
-void RegionServer::Execute(const PendingRequest& req, std::string* out) {
-  // A trace is opened when the client asked for one (req.traced) or when
-  // the slow-RPC log needs trees; otherwise this whole block is two branch
+void RegionServer::Execute(const FrameHeader& header, std::string_view body,
+                           bool traced, uint64_t arrival_ns, Reply* reply) {
+  // A trace is opened when the client asked for one (`traced`) or when the
+  // slow-RPC log needs trees; otherwise this whole block is two branch
   // tests and the handlers run exactly as before — the pay-as-you-go
   // guarantee the bench_wire acceptance criterion pins.
-  const bool want_trace = req.traced || slow_log_ != nullptr;
+  const MsgType type = header.type;
+  const bool want_trace = traced || slow_log_ != nullptr;
   std::optional<obs::Trace> trace;
   std::optional<obs::SpanScope> scope;
   if (want_trace) {
-    trace.emplace(std::string("rpc.") + MsgTypeName(req.type));
-    if (req.enqueue_ns != 0) {
-      // Queue wait: admission-to-execution. The span's own wall clock only
-      // starts here, so the wait rides along as an attribute.
-      trace->root()->AddAttr(
-          "queue_us", std::to_string((NowNs() - req.enqueue_ns) / 1000));
-    }
+    trace.emplace(std::string("rpc.") + MsgTypeName(type));
+    // Arrival-to-execution wait (parse and admission). The span's own wall
+    // clock only starts here, so the wait rides along as an attribute.
+    trace->root()->AddAttr("queue_us",
+                           std::to_string((NowNs() - arrival_ns) / 1000));
     // All handler work — store reads/writes, scan attribution, block
     // fetches in kvstore — lands on this one span, so the client-side
     // graft shows per-server totals on a single labeled node.
     scope.emplace(trace->root());
   }
 
-  // Handlers fill a response value; encoding happens after the span ends so
-  // its serialized tree can ride in the response's extension field.
-  enum class Kind { kStatus, kGet, kScan, kMultiScan, kStats };
+  // Handlers fill a response value (scans: the page's body); encoding
+  // happens after the span ends so its serialized tree can ride in the
+  // response's extension field.
+  enum class Kind { kStatus, kGet, kPage, kStats };
   Kind kind = Kind::kStatus;
   Status status;
   GetResponse get_resp;
-  ScanResponse scan_resp;
-  MultiScanResponse multi_resp;
   StatsResponse stats_resp;
-  const std::string_view body = req.body;
-  switch (req.type) {
+  bool has_more = false;
+  ScanCursor next;
+  switch (type) {
     case MsgType::kPingReq: {
       status = DecodeEmptyBody(body);
       break;
@@ -411,7 +342,7 @@ void RegionServer::Execute(const PendingRequest& req, std::string* out) {
       if (status.ok() && quota_ != nullptr) {
         status = quota_->AdmitWrite(ingest_req.tenant, ingest_req.ops.size());
         if (status.IsResourceExhausted()) {
-          // A quota shed is admission control just like the pipeline caps:
+          // A quota shed is admission control just like the inflight cap:
           // surface it through the same counters (and thus /statsz and the
           // wire StatsResponse), distinguished by its status code.
           shed_total_.fetch_add(1);
@@ -422,36 +353,27 @@ void RegionServer::Execute(const PendingRequest& req, std::string* out) {
       break;
     }
     case MsgType::kScanReq: {
-      // The one-range scan of older clients: a one-element multi-scan.
-      kind = Kind::kScan;
+      // The one-range scan of older clients: a one-element multi-scan,
+      // answered as a kScanResp page by the same writer.
+      kind = Kind::kPage;
+      reply->page.Begin(MsgType::kScanResp);
       ScanRequest scan_req;
-      Status st = DecodeScanRequest(body, &scan_req);
-      if (!st.ok()) {
-        scan_resp.status = st;
-        break;
+      status = DecodeScanRequest(body, &scan_req);
+      if (status.ok()) {
+        MultiScanRequest multi_req;
+        multi_req.ranges = {{scan_req.start_key, scan_req.end_key}};
+        multi_req.limit_rows = scan_req.limit_rows;
+        status = HandleScan(multi_req, &reply->page, &has_more, &next);
       }
-      MultiScanRequest multi_req;
-      multi_req.ranges = {{scan_req.start_key, scan_req.end_key}};
-      multi_req.limit_rows = scan_req.limit_rows;
-      HandleScan(multi_req, &multi_resp);
-      scan_resp.status = multi_resp.status;
-      scan_resp.rows.reserve(multi_resp.rows.size());
-      for (MultiScanRow& row : multi_resp.rows) {
-        scan_resp.rows.push_back(
-            WireRow{std::move(row.key), std::move(row.value)});
-      }
-      scan_resp.has_more = multi_resp.has_more;
-      scan_resp.next_cursor = std::move(multi_resp.next.key);
       break;
     }
     case MsgType::kMultiScanReq: {
-      kind = Kind::kMultiScan;
+      kind = Kind::kPage;
+      reply->page.Begin(MsgType::kMultiScanResp);
       MultiScanRequest multi_req;
-      Status st = DecodeMultiScanRequest(body, &multi_req);
-      if (st.ok()) {
-        HandleScan(multi_req, &multi_resp);
-      } else {
-        multi_resp.status = st;
+      status = DecodeMultiScanRequest(body, &multi_req);
+      if (status.ok()) {
+        status = HandleScan(multi_req, &reply->page, &has_more, &next);
       }
       break;
     }
@@ -491,32 +413,30 @@ void RegionServer::Execute(const PendingRequest& req, std::string* out) {
     trace->root()->End();
     // Only traced requests pay for serialization; slow-log-only traces
     // stay server-side.
-    if (req.traced) ext = obs::EncodeSpanTree(*trace->root());
+    if (traced) ext = obs::EncodeSpanTree(*trace->root());
   }
+  const uint64_t id = header.request_id;
+  reply->paged = kind == Kind::kPage;
+  reply->frame.clear();
   switch (kind) {
     case Kind::kStatus:
-      EncodeStatusResponse({status}, req.request_id, out, ext);
+      EncodeStatusResponse({status}, id, &reply->frame, ext);
       break;
     case Kind::kGet:
-      EncodeGetResponse(get_resp, req.request_id, out, ext);
+      EncodeGetResponse(get_resp, id, &reply->frame, ext);
       break;
-    case Kind::kScan:
-      EncodeScanResponse(scan_resp, req.request_id, out, ext);
-      break;
-    case Kind::kMultiScan:
-      EncodeMultiScanResponse(multi_resp, req.request_id, out, ext);
+    case Kind::kPage:
+      reply->page.Finish(status, has_more, next, id, ext);
       break;
     case Kind::kStats:
-      EncodeStatsResponse(stats_resp, req.request_id, out, ext);
+      EncodeStatsResponse(stats_resp, id, &reply->frame, ext);
       break;
   }
   if (trace.has_value() && slow_log_ != nullptr) {
     obs::SlowQueryEntry entry;
-    entry.sql = std::string("rpc:") + MsgTypeName(req.type);
+    entry.sql = std::string("rpc:") + MsgTypeName(type);
     entry.wall_us = trace->root()->wall_ns() / 1000;
-    entry.rows = kind == Kind::kScan        ? scan_resp.rows.size()
-                 : kind == Kind::kMultiScan ? multi_resp.rows.size()
-                                            : 0;
+    entry.rows = kind == Kind::kPage ? reply->page.rows() : 0;
     entry.rows_scanned = trace->root()->TotalRowsScanned();
     entry.key_ranges = trace->root()->TotalKeyRanges();
     entry.trace_json = trace->ToJson();

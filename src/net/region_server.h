@@ -24,11 +24,11 @@ struct RegionServerOptions {
 
   /// Admission control. A request is *shed* — answered immediately with
   /// kUnavailable (transient, so clients retry with backoff) and never
-  /// executed — when either bound would be exceeded. Both queues are
-  /// bounded, so a flood of pipelined requests costs O(caps) memory, never
-  /// an OOM; 0 sheds everything (used by tests to pin the behaviour).
-  int max_inflight = 256;  ///< server-wide decoded-but-unfinished requests
-  int max_pipeline = 16;   ///< per-connection queued requests
+  /// executed — when this many requests are already executing server-wide;
+  /// 0 sheds everything (used by tests to pin the behaviour). A connection
+  /// executes one request at a time, so pipelined requests wait in its
+  /// socket buffers (TCP backpressure), never in server memory.
+  int max_inflight = 256;
 
   size_t max_frame_bytes = kMaxFrameBytes;
   /// Server-side clamp on a scan page's limit_rows: one scan page never
@@ -54,27 +54,22 @@ struct RegionServerOptions {
   int64_t slow_rpc_threshold_us = -1;
 };
 
-/// One admitted request as the reader hands it to the worker.
-struct PendingRequest {
-  MsgType type = MsgType::kPingReq;
-  uint64_t request_id = 0;
-  std::string body;
-  bool traced = false;      ///< request carried a sampled trace context
-  uint64_t enqueue_ns = 0;  ///< steady-clock ns at admission (queue wait)
-};
-
 /// Out-of-process region server: owns one LsmStore and serves the binary
 /// wire protocol (see wire_protocol.h) over TCP with a thread-per-connection
 /// accept loop. Embeddable (bench/bench_wire.cc runs it in-process) and
 /// wrapped by the `just_region_server` binary for real deployments and the
 /// multi-process tests.
 ///
-/// Connection model: each connection gets a reader thread (frame decode +
-/// admission) and a worker thread (execute + respond) joined by a bounded
-/// queue, so a client may pipeline requests; responses carry the request's
-/// id, so a shed response overtaking a queued request is unambiguous.
-/// kPingReq and kStatsReq bypass admission — health checks and overload
+/// Connection model: one thread per connection reads a frame, admits it,
+/// executes it and writes the response, then reads the next. A client may
+/// pipeline requests: they wait in the socket's receive buffer and are
+/// answered in order, each response carrying its request's id. kPingReq
+/// and kStatsReq bypass admission — health checks and overload
 /// introspection must keep working precisely when the server sheds.
+///
+/// Scan pages are written once: rows go from the store's views straight
+/// into the response body (ScanPageWriter), and the short head goes out
+/// with it in one writev.
 ///
 /// Frames that fail CRC or exceed the size cap close the connection (the
 /// byte stream cannot be resynchronized); structurally malformed bodies
@@ -112,26 +107,38 @@ class RegionServer {
 
   explicit RegionServer(const RegionServerOptions& options);
 
+  /// One response ready to send: a whole frame, or a scan page.
+  struct Reply {
+    std::string frame;
+    ScanPageWriter page;
+    bool paged = false;
+  };
+
   void AcceptLoop();
-  void ReaderLoop(const std::shared_ptr<Connection>& conn);
-  void WorkerLoop(const std::shared_ptr<Connection>& conn);
+  void ConnectionLoop(const std::shared_ptr<Connection>& conn);
   /// Reaps connections whose threads have finished (called from the accept
   /// loop so long-lived servers do not accumulate dead Connection objects).
   void ReapFinishedLocked();
 
-  /// Executes one admitted request and appends the response frame to `out`.
-  /// When the request carried a sampled trace context (req.traced) the
-  /// handler runs under a server-side span whose serialized tree rides back
-  /// in the response's extension field; the slow-RPC log also forces a span
-  /// (but not the response extension) so /tracez has trees to show.
-  void Execute(const PendingRequest& req, std::string* out);
+  /// Executes one admitted request into `reply`. When the request carried
+  /// a sampled trace context (`traced`) the handler runs under a
+  /// server-side span whose serialized tree rides back in the response's
+  /// extension field; the slow-RPC log also forces a span (but not the
+  /// response extension) so /tracez has trees to show. `arrival_ns` is
+  /// when the request's frame was read (the span's queue_us).
+  void Execute(const FrameHeader& header, std::string_view body, bool traced,
+               uint64_t arrival_ns, Reply* reply);
   /// The one scan handler: kScanReq arrives here as a one-range request.
-  void HandleScan(const MultiScanRequest& req, MultiScanResponse* resp);
+  /// Rows go from the store's views straight into `page`; when the page
+  /// fills, `*next` is where the client resumes.
+  Status HandleScan(const MultiScanRequest& req, ScanPageWriter* page,
+                    bool* has_more, ScanCursor* next);
   StatsResponse BuildStats();
 
-  /// Writes a frame under the connection's write lock; on failure shuts the
-  /// socket down so both threads unwind.
-  void SendFrame(Connection& conn, const std::string& frame);
+  /// Writes `head` then `body` in one go; on failure shuts the socket down
+  /// so the connection unwinds.
+  void Send(Connection& conn, std::string_view head,
+            std::string_view body = {});
 
   RegionServerOptions options_;
   std::unique_ptr<kv::LsmStore> store_;

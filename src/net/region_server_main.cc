@@ -40,7 +40,7 @@ void Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --dir DIR [--host H] [--port P] [--port-file FILE]\n"
-      "          [--max-inflight N] [--max-pipeline N] [--sync-wal 0|1]\n"
+      "          [--max-inflight N] [--sync-wal 0|1]\n"
       "          [--memtable-bytes N] [--compaction-trigger N]\n"
       "          [--admin-port P] [--slow-query-us T]\n"
       "          [--tenant-write-rps N] [--tenant-write-burst N]\n",
@@ -86,8 +86,6 @@ int main(int argc, char** argv) {
       port_file = next();
     } else if (arg == "--max-inflight") {
       options.max_inflight = std::atoi(next());
-    } else if (arg == "--max-pipeline") {
-      options.max_pipeline = std::atoi(next());
     } else if (arg == "--sync-wal") {
       options.store.sync_wal = std::atoi(next()) != 0;
     } else if (arg == "--memtable-bytes") {

@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -106,6 +107,27 @@ Status Socket::WriteFully(const void* buf, size_t n) {
     return Errno("send");
   }
   return Status::OK();
+}
+
+Status Socket::WriteFully(std::string_view head, std::string_view body) {
+  iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                  {const_cast<char*>(body.data()), body.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  ssize_t r;
+  do {
+    r = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+  } while (r < 0 && errno == EINTR);
+  if (r < 0) return Errno("sendmsg");
+  // A full send buffer took part of it: write the rest piece by piece.
+  const auto sent = static_cast<size_t>(r);
+  if (sent < head.size()) {
+    JUST_RETURN_NOT_OK(WriteFully(head.data() + sent, head.size() - sent));
+    return WriteFully(body.data(), body.size());
+  }
+  return WriteFully(body.data() + (sent - head.size()),
+                    body.size() - (sent - head.size()));
 }
 
 Result<Socket> Connect(const std::string& host, int port) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/status.h"
@@ -45,6 +46,9 @@ class Socket {
   /// Unavailable (the byte stream is dead or unsynced either way).
   Status ReadFully(void* buf, size_t n);
   Status WriteFully(const void* buf, size_t n);
+  /// Writes `head` then `body` with as few syscalls as the socket allows
+  /// (one sendmsg of both parts when the send buffer has room).
+  Status WriteFully(std::string_view head, std::string_view body);
 
  private:
   int fd_ = -1;

@@ -437,6 +437,41 @@ void EncodeMultiScanResponse(const MultiScanResponse& resp,
   FinishFrame(payload, dst);
 }
 
+void ScanPageWriter::Begin(MsgType type) {
+  type_ = type;
+  body_.clear();
+  rows_ = 0;
+}
+
+void ScanPageWriter::AddRow(uint32_t range, std::string_view key,
+                            std::string_view value) {
+  if (type_ == MsgType::kMultiScanResp) PutVarint32(&body_, range);
+  PutVarint32(&body_, static_cast<uint32_t>(key.size()));
+  last_key_at_ = body_.size();
+  last_key_size_ = key.size();
+  body_.append(key);
+  PutLengthPrefixed(&body_, value);
+  last_range_ = range;
+  ++rows_;
+}
+
+void ScanPageWriter::Finish(const Status& status, bool has_more,
+                            const ScanCursor& next, uint64_t request_id,
+                            std::string_view ext) {
+  body_.push_back(has_more ? 1 : 0);
+  if (type_ == MsgType::kMultiScanResp) PutVarint32(&body_, next.range);
+  PutLengthPrefixed(&body_, next.key);
+  // The head's payload part first; its length and CRC go in front.
+  std::string part;
+  BeginPayload(type_, request_id, &part, ext);
+  EncodeStatus(status, &part);
+  PutVarint32(&part, rows_);
+  head_.clear();
+  PutFixed32(&head_, static_cast<uint32_t>(part.size() + body_.size()));
+  PutFixed32(&head_, kv::Crc32(kv::Crc32(part), body_));
+  head_.append(part);
+}
+
 Status DecodeStatusResponse(std::string_view body, StatusResponse* resp) {
   const char* p = body.data();
   const char* limit = p + body.size();
@@ -491,9 +526,11 @@ Status DecodeMultiScanResponse(std::string_view body,
   for (uint32_t i = 0; i < count; ++i) {
     MultiScanRow row;
     if (!GetVarint32(&p, limit, &row.range)) return Malformed("row range");
-    if (!GetString(&p, limit, &row.key)) return Malformed("row key");
-    if (!GetString(&p, limit, &row.value)) return Malformed("row value");
-    resp->rows.push_back(std::move(row));
+    if (!GetLengthPrefixed(&p, limit, &row.key)) return Malformed("row key");
+    if (!GetLengthPrefixed(&p, limit, &row.value)) {
+      return Malformed("row value");
+    }
+    resp->rows.push_back(row);
   }
   if (p >= limit) return Malformed("multi-scan has_more");
   uint8_t has_more = static_cast<uint8_t>(*p++);

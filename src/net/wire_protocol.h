@@ -194,11 +194,13 @@ struct MultiScanRequest {
   ScanCursor resume;
 };
 
-/// A multi-range scan row tagged with the index of its range.
+/// A multi-range scan row tagged with the index of its range. The key and
+/// value are views: into the decoded body, or into the caller's bytes when
+/// encoding.
 struct MultiScanRow {
   uint32_t range = 0;
-  std::string key;
-  std::string value;
+  std::string_view key;
+  std::string_view value;
 };
 
 /// Body:
@@ -212,6 +214,10 @@ struct MultiScanResponse {
   std::vector<MultiScanRow> rows;
   bool has_more = false;
   ScanCursor next;  ///< valid iff has_more
+  /// The bytes `rows` view when the response came off a socket
+  /// (RegionClient receives into it); moving the response can invalidate
+  /// them, so receive into the response that is read.
+  std::string payload;
 };
 
 struct StatusResponse {
@@ -274,6 +280,43 @@ void EncodeMultiScanResponse(const MultiScanResponse& resp,
                              uint64_t request_id, std::string* dst,
                              std::string_view ext = {});
 
+/// A scan response page written with each row copied once: AddRow appends
+/// the row straight into the body, and Finish builds the short head (frame
+/// length and CRC, type, request id, extension, status, row count) in front
+/// of it, with one CRC run across both parts. `head() + body()` is
+/// byte-identical to EncodeMultiScanResponse (or EncodeScanResponse) of the
+/// same rows, so peers cannot tell which encoder wrote a frame. Reusing one
+/// writer keeps the body's capacity across pages.
+class ScanPageWriter {
+ public:
+  /// Starts an empty page of `type`: kMultiScanResp (rows tagged with their
+  /// range) or kScanResp (the one-range answer; `range` is not written).
+  void Begin(MsgType type);
+  void AddRow(uint32_t range, std::string_view key, std::string_view value);
+  uint32_t rows() const { return rows_; }
+  /// The last row's range and key (a view into the body, valid until the
+  /// next AddRow); rows() must be > 0.
+  uint32_t last_range() const { return last_range_; }
+  std::string_view last_key() const {
+    return std::string_view(body_).substr(last_key_at_, last_key_size_);
+  }
+  /// Seals the page: the status, the cursor (`next`, written as is), the
+  /// request id and the extension blob.
+  void Finish(const Status& status, bool has_more, const ScanCursor& next,
+              uint64_t request_id, std::string_view ext = {});
+  const std::string& head() const { return head_; }
+  const std::string& body() const { return body_; }
+
+ private:
+  MsgType type_ = MsgType::kMultiScanResp;
+  std::string head_;
+  std::string body_;
+  uint32_t rows_ = 0;
+  uint32_t last_range_ = 0;
+  size_t last_key_at_ = 0;
+  size_t last_key_size_ = 0;
+};
+
 // --- Decoding ----------------------------------------------------------
 
 /// Splits a complete frame into its CRC-verified payload. `frame` must hold
@@ -304,6 +347,7 @@ Status DecodeStatusResponse(std::string_view body, StatusResponse* resp);
 Status DecodeGetResponse(std::string_view body, GetResponse* resp);
 Status DecodeScanResponse(std::string_view body, ScanResponse* resp);
 Status DecodeStatsResponse(std::string_view body, StatsResponse* resp);
+/// Rows are views into `body`, which must outlive them.
 Status DecodeMultiScanResponse(std::string_view body, MultiScanResponse* resp);
 
 /// Status over the wire: varint code + length-prefixed message. Decoding

@@ -287,7 +287,7 @@ class EngineScanParityTest : public ::testing::TestWithParam<std::string> {
     dir_ = std::make_unique<TempDir>("scan_parity_" + GetParam());
     core::EngineOptions options;
     options.data_dir = dir_->path() + "/engine";
-    options.num_servers = 2;
+    options.num_servers = NumServers();
     options.num_shards = 4;
     if (GetParam() == "socket") {
       for (int i = 0; i < options.num_servers; ++i) {
@@ -315,6 +315,8 @@ class EngineScanParityTest : public ::testing::TestWithParam<std::string> {
     for (auto& server : servers_) server->Terminate();
     servers_.clear();
   }
+
+  virtual int NumServers() const { return 2; }
 
   static uint64_t MultiScanRpcs() {
     return obs::Registry::Global()
@@ -388,40 +390,63 @@ INSTANTIATE_TEST_SUITE_P(Backends, EngineScanParityTest,
 /// A connection torn mid-stream during a multi-page streamed scan: the
 /// server's scan resumes just past the last (range, key) its decoder
 /// accepted, so the query neither drops nor duplicates a row.
-class EngineScanCutTest : public EngineScanParityTest {};
+class EngineScanCutTest : public EngineScanParityTest {
+ protected:
+  /// Loads `rows` orders, cuts server 0's connection after `cut_bytes` of
+  /// answers, and requires the oracle's rows and a retry.
+  void ExpectCutScanMatchesOracle(int rows, int64_t cut_bytes) {
+    Status loaded =
+        just::testing::LoadScanParityTables(engine_.get(), "u", rows);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    const std::string sql =
+        "SELECT * FROM orders WHERE time < '2018-10-20' AND "
+        "fid != 'order_0005'";
+    auto want = just::testing::OracleSelect(engine_.get(), "u", sql);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    obs::Counter* retries =
+        obs::Registry::Global().GetCounter("just_cluster_retries_total");
+    const uint64_t retries_before = retries->Value();
+    proxies_[0]->CutAfterUpstreamBytes(cut_bytes);
+    sql::JustQL ql(engine_.get());
+    auto got = ql.Execute("u", sql);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_GT(retries->Value(), retries_before)
+        << "the cut should have forced a retry";
+    std::vector<std::string> want_fids, got_fids;
+    for (const auto& row : want->rows()) want_fids.push_back(row[0].ToString());
+    for (const auto& row : got->frame.rows()) {
+      got_fids.push_back(row[0].ToString());
+    }
+    std::sort(want_fids.begin(), want_fids.end());
+    std::sort(got_fids.begin(), got_fids.end());
+    ASSERT_GT(want_fids.size(), static_cast<size_t>(rows / 4));
+    EXPECT_EQ(got_fids, want_fids);
+  }
+};
 
 TEST_P(EngineScanCutTest, CutMidStreamNeitherDropsNorDuplicates) {
-  // Enough rows for several 512-row wire pages per server.
-  Status loaded =
-      just::testing::LoadScanParityTables(engine_.get(), "u", 4000);
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  const std::string sql =
-      "SELECT * FROM orders WHERE time < '2018-10-20' AND "
-      "fid != 'order_0005'";
-  auto want = just::testing::OracleSelect(engine_.get(), "u", sql);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  obs::Counter* retries =
-      obs::Registry::Global().GetCounter("just_cluster_retries_total");
-  const uint64_t retries_before = retries->Value();
-  // Past the first ~46 KiB page, so the retry has rows to resume after.
-  proxies_[0]->CutAfterUpstreamBytes(64 * 1024);
-  sql::JustQL ql(engine_.get());
-  auto got = ql.Execute("u", sql);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_GT(retries->Value(), retries_before)
-      << "the cut should have forced a retry";
-  std::vector<std::string> want_fids, got_fids;
-  for (const auto& row : want->rows()) want_fids.push_back(row[0].ToString());
-  for (const auto& row : got->frame.rows()) {
-    got_fids.push_back(row[0].ToString());
-  }
-  std::sort(want_fids.begin(), want_fids.end());
-  std::sort(got_fids.begin(), got_fids.end());
-  ASSERT_GT(want_fids.size(), 1000u);
-  EXPECT_EQ(got_fids, want_fids);
+  // Enough rows for several 512-row wire pages per server; the cut lands
+  // past the first ~46 KiB page, so the retry has rows to resume after.
+  ExpectCutScanMatchesOracle(4000, 64 * 1024);
 }
 
 INSTANTIATE_TEST_SUITE_P(Socket, EngineScanCutTest,
+                         ::testing::Values("socket"),
+                         [](const auto& info) { return info.param; });
+
+/// The same cut on one server of four: the calling thread's page loop has
+/// the other three mid-stream when server 0's page tears, and server 0
+/// finishes through the retry path.
+class EngineScanCutFourServersTest : public EngineScanCutTest {
+ protected:
+  int NumServers() const override { return 4; }
+};
+
+TEST_P(EngineScanCutFourServersTest, CutOnOneServerWhileOthersStream) {
+  ExpectCutScanMatchesOracle(8000, 64 * 1024);
+}
+
+INSTANTIATE_TEST_SUITE_P(Socket, EngineScanCutFourServersTest,
                          ::testing::Values("socket"),
                          [](const auto& info) { return info.param; });
 

@@ -252,6 +252,28 @@ TEST(WalTest, Crc32MatchesTheBitwiseDefinition) {
   }
 }
 
+TEST(WalTest, Crc32ContinuesAcrossEverySplit) {
+  // Crc32(crc, rest) continues a CRC: any split of a buffer, folded in two
+  // parts, gives the one-shot value (wire frames CRC a head and a body
+  // that live in separate buffers).
+  Rng rng(7);
+  for (int round = 0; round < 20; ++round) {
+    std::string buf;
+    const size_t len = rng.Uniform(200);
+    for (size_t i = 0; i < len; ++i) {
+      buf.push_back(static_cast<char>(rng.Uniform(256)));
+    }
+    const uint32_t whole = Crc32(buf);
+    EXPECT_EQ(Crc32(0, buf), whole);
+    for (size_t split = 0; split <= buf.size(); ++split) {
+      const std::string_view data(buf);
+      EXPECT_EQ(Crc32(Crc32(data.substr(0, split)), data.substr(split)),
+                whole)
+          << "length " << buf.size() << " split " << split;
+    }
+  }
+}
+
 // --- SSTable ---
 
 TEST(SsTableTest, BuildOpenGetIterate) {

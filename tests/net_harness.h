@@ -47,7 +47,6 @@ class ServerProcess {
     std::string dir;  ///< data directory (required; reused across restarts)
     bool sync_wal = true;  ///< fsync per commit: acknowledged == durable
     int max_inflight = -1;   ///< -1 = server default
-    int max_pipeline = -1;   ///< -1 = server default
     size_t memtable_bytes = 0;  ///< 0 = server default
     bool admin = false;          ///< serve the HTTP admin plane (port 0)
     int64_t slow_query_us = -1;  ///< --slow-query-us; -1 = disabled
@@ -77,10 +76,6 @@ class ServerProcess {
     if (options_.max_inflight >= 0) {
       args.push_back("--max-inflight");
       args.push_back(std::to_string(options_.max_inflight));
-    }
-    if (options_.max_pipeline >= 0) {
-      args.push_back("--max-pipeline");
-      args.push_back(std::to_string(options_.max_pipeline));
     }
     if (options_.memtable_bytes > 0) {
       args.push_back("--memtable-bytes");

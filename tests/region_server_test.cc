@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <iterator>
 #include <map>
 #include <set>
@@ -233,19 +234,58 @@ TEST(RegionServerTest, ShedsOnInflightCapAndCountsIt) {
   EXPECT_GE(stats.requests_total, 2u);
 }
 
-TEST(RegionServerTest, ShedsOnPipelineCapAndCountsIt) {
-  TempDir dir("net_shed_pipeline");
-  // max_pipeline=0: the per-connection queue admits nothing.
-  ServerProcess server(
-      {.dir = dir.path(), .sync_wal = false, .max_pipeline = 0});
+TEST(RegionServerTest, PipelinedRequestsAnsweredInOrder) {
+  TempDir dir("net_pipeline");
+  ServerProcess server({.dir = dir.path(), .sync_wal = false});
   ASSERT_TRUE(server.Start());
   RegionClient client = MakeClient(server.port());
 
-  Status st = client.Put("k", "v");
-  EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
-  StatsResponse stats;
-  ASSERT_TRUE(client.GetStats(&stats).ok());
-  EXPECT_GE(stats.shed_total, 1u);
+  // 32 requests back to back on one connection before any answer is read:
+  // they wait in the socket's buffers and are answered in order, each with
+  // its own id. Each Get reads the key the Put before it wrote, so an
+  // out-of-order execution would miss it.
+  struct Sent {
+    uint64_t id;
+    MsgType answer;
+    std::string value;  ///< the Get's expected value
+  };
+  std::vector<Sent> sent;
+  for (int i = 0; i < 32; ++i) {
+    const uint64_t id = client.NextRequestId();
+    std::string frame;
+    if (i == 31) {
+      EncodePingRequest(id, &frame);
+      sent.push_back({id, MsgType::kStatusResp, ""});
+    } else if (i % 2 == 0) {
+      EncodePutRequest({PaddedKey(i), "v" + std::to_string(i)}, id, &frame);
+      sent.push_back({id, MsgType::kStatusResp, ""});
+    } else {
+      EncodeGetRequest({PaddedKey(i - 1)}, id, &frame);
+      sent.push_back({id, MsgType::kGetResp, "v" + std::to_string(i - 1)});
+    }
+    ASSERT_TRUE(client.RawSend(frame).ok());
+  }
+  for (const Sent& want : sent) {
+    std::string payload;
+    ASSERT_TRUE(client.RawRecvPayload(&payload).ok());
+    FrameHeader header;
+    std::string_view body;
+    ASSERT_TRUE(ParsePayload(payload, &header, &body).ok());
+    EXPECT_EQ(header.request_id, want.id);
+    ASSERT_EQ(header.type, want.answer);
+    if (want.answer == MsgType::kGetResp) {
+      GetResponse resp;
+      ASSERT_TRUE(DecodeGetResponse(body, &resp).ok());
+      EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
+      EXPECT_EQ(resp.value, want.value);
+    } else {
+      StatusResponse resp;
+      ASSERT_TRUE(DecodeStatusResponse(body, &resp).ok());
+      EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
+    }
+  }
+  // The connection is still in sync.
+  ASSERT_TRUE(client.Ping().ok());
 }
 
 TEST(RegionServerTest, CorruptFrameClosesConnectionAndCounts) {
@@ -422,7 +462,9 @@ TEST(RegionServerTest, MultiRangeScanResumesAcrossRestart) {
       ASSERT_TRUE(client.MultiScanPage(req, &resp).ok());
       ASSERT_EQ(resp.rows.size(), 23u);
       ASSERT_TRUE(resp.has_more);
-      for (const auto& row : resp.rows) got[row.range].push_back(row.key);
+      for (const auto& row : resp.rows) {
+        got[row.range].emplace_back(row.key);
+      }
       req.resume = resp.next;
     }
   }
@@ -435,7 +477,7 @@ TEST(RegionServerTest, MultiRangeScanResumesAcrossRestart) {
     MultiScanResponse resp;
     ASSERT_TRUE(client2.MultiScanPage(req, &resp).ok());
     ASSERT_TRUE(resp.status.ok());
-    for (const auto& row : resp.rows) got[row.range].push_back(row.key);
+    for (const auto& row : resp.rows) got[row.range].emplace_back(row.key);
     more = resp.has_more;
     req.resume = resp.next;
   }
@@ -629,6 +671,93 @@ TEST(RegionServerTest, MultiScanFallsBackOncePerPreMultiScanPeer) {
             degrades_before + 1);
   EXPECT_GE(old_server.scan_requests() - scans_before,
             static_cast<int>(ranges.size()));
+}
+
+TEST(RegionServerTest, ClusterScanDegradesOncePerPreMultiScanPeer) {
+  // A two-server cluster: server 0 a current region server, server 1 an
+  // old one. Keys route by first byte % 2.
+  constexpr int kRows = 300;
+  std::map<std::string, std::string> old_data;
+  std::vector<kv::WriteOp> all, current_ops;
+  for (int b = 0; b < 4; ++b) {
+    for (int i = 0; i < kRows; ++i) {
+      std::string key = std::string(1, static_cast<char>(b)) + PaddedKey(i);
+      std::string value = "v" + std::to_string(b) + "/" + std::to_string(i);
+      all.push_back(kv::WriteOp{key, value, false});
+      if (b % 2 == 0) {
+        current_ops.push_back(kv::WriteOp{key, value, false});
+      } else {
+        old_data[key] = value;
+      }
+    }
+  }
+  TempDir dir("net_cluster_fallback");
+  ServerProcess server({.dir = dir.path() + "/rs0", .sync_wal = false});
+  std::filesystem::create_directories(dir.path() + "/rs0");
+  ASSERT_TRUE(server.Start());
+  ASSERT_TRUE(MakeClient(server.port()).WriteBatch(current_ops).ok());
+  FakePreMultiScanServer old_server(old_data);
+
+  // Per shard byte: a few ranges, a whole-shard one, and a range that
+  // crosses shard bytes (so it goes to both servers).
+  std::vector<curve::KeyRange> ranges;
+  for (int b = 0; b < 4; ++b) {
+    const std::string shard(1, static_cast<char>(b));
+    ranges.push_back({shard + PaddedKey(10), shard + PaddedKey(40), false});
+    ranges.push_back({shard + PaddedKey(35), shard + PaddedKey(290), false});
+    ranges.push_back({shard, std::string(1, static_cast<char>(b + 1)), false});
+  }
+  ranges.push_back({std::string(1, '\0') + PaddedKey(250),
+                    std::string(1, '\2') + PaddedKey(20), false});
+
+  // Reference: the same rows in an in-process cluster.
+  cluster::ClusterOptions inproc;
+  inproc.dir = dir.path() + "/inproc";
+  inproc.num_servers = 2;
+  auto reference = cluster::RegionCluster::Open(inproc);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE((*reference)->WriteBatch(all).ok());
+  auto want = (*reference)->ParallelScan(ranges);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  cluster::ClusterOptions opts;
+  opts.server_addrs = {server.addr(),
+                       "127.0.0.1:" + std::to_string(old_server.port())};
+  opts.scan_batch_rows = 37;
+  auto cluster = cluster::RegionCluster::Open(opts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto& registry = obs::Registry::Global();
+  const uint64_t scan_degrades =
+      registry.CounterValue("just_net_client_multiscan_degrades_total");
+  const uint64_t trace_degrades =
+      registry.CounterValue("just_net_client_trace_degrades_total");
+  auto expect_same = [&](const std::vector<cluster::RegionCluster::RangeResult>&
+                             got) {
+    ASSERT_EQ(got.size(), want->size());
+    for (size_t r = 0; r < got.size(); ++r) {
+      ASSERT_EQ(got[r].rows.size(), (*want)[r].rows.size()) << "range " << r;
+      for (size_t i = 0; i < got[r].rows.size(); ++i) {
+        EXPECT_EQ(got[r].rows[i].key, (*want)[r].rows[i].key);
+        EXPECT_EQ(got[r].rows[i].value, (*want)[r].rows[i].value);
+      }
+    }
+  };
+  {
+    // Traced: the old peer first rejects the trace extension, then the
+    // multi-scan itself.
+    obs::Trace trace("caller");
+    obs::SpanScope scope(trace.root());
+    auto got = (*cluster)->ParallelScan(ranges);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    expect_same(*got);
+  }
+  auto got = (*cluster)->ParallelScan(ranges);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  expect_same(*got);
+  EXPECT_EQ(registry.CounterValue("just_net_client_multiscan_degrades_total"),
+            scan_degrades + 1);
+  EXPECT_EQ(registry.CounterValue("just_net_client_trace_degrades_total"),
+            trace_degrades + 1);
 }
 
 TEST(RegionServerTest, ClusterWriteBatchRetriesThroughConnectionCut) {

@@ -293,10 +293,14 @@ TEST(WireProtocolTest, MultiScanRoundTrip) {
       MultiScanResponse resp;
       resp.status = RandomStatus(&rng);
       size_t n = rng.Uniform(30);
+      std::vector<std::string> bytes;  // the rows' views point here
+      bytes.reserve(2 * n);
       for (size_t i = 0; i < n; ++i) {
-        resp.rows.push_back(MultiScanRow{
-            static_cast<uint32_t>(rng.Uniform(1u << 20)),
-            RandomBytes(&rng, 48), RandomBytes(&rng, 96)});
+        bytes.push_back(RandomBytes(&rng, 48));
+        bytes.push_back(RandomBytes(&rng, 96));
+        resp.rows.push_back(
+            MultiScanRow{static_cast<uint32_t>(rng.Uniform(1u << 20)),
+                         bytes[2 * i], bytes[2 * i + 1]});
       }
       resp.has_more = rng.Uniform(2) == 1;
       if (resp.has_more) {
@@ -382,6 +386,67 @@ TEST(WireProtocolTest, MalformedMultiScanRequestIsInvalidArgument) {
   PutLengthPrefixed(&resp, "");
   st = DecodeMultiScanResponse(resp, &out);
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+}
+
+/// `writer`'s page as one frame.
+std::string PageFrame(const ScanPageWriter& writer) {
+  return writer.head() + writer.body();
+}
+
+TEST(WireProtocolTest, ScanPageWriterIsByteIdenticalToTheEncoders) {
+  Rng rng(45);
+  std::vector<std::string> bytes;
+  for (int i = 0; i < 600; ++i) bytes.push_back(RandomBytes(&rng, 60));
+  ScanPageWriter writer;  // reused across pages, as the server does
+  // Multi-scan pages: empty; full with a cursor; traced; a failed scan.
+  struct Case {
+    size_t rows;
+    bool has_more;
+    std::string ext;
+    Status status;
+  };
+  const std::vector<Case> cases = {
+      {0, false, "", Status::OK()},
+      {300, true, "", Status::OK()},
+      {17, true, std::string("\x01\x02span tree", 11), Status::OK()},
+      {5, false, "", Status::IOError("scan failed")},
+  };
+  for (const Case& c : cases) {
+    MultiScanResponse resp;
+    resp.status = c.status;
+    writer.Begin(MsgType::kMultiScanResp);
+    for (size_t i = 0; i < c.rows; ++i) {
+      const uint32_t range = static_cast<uint32_t>(i / 7);
+      resp.rows.push_back(MultiScanRow{range, bytes[2 * i], bytes[2 * i + 1]});
+      writer.AddRow(range, bytes[2 * i], bytes[2 * i + 1]);
+    }
+    if (c.has_more) {
+      EXPECT_EQ(writer.last_key(), resp.rows.back().key);
+      resp.has_more = true;
+      resp.next = ScanCursor{writer.last_range(),
+                             std::string(writer.last_key()) + '\0'};
+    }
+    writer.Finish(resp.status, resp.has_more, resp.next, 99, c.ext);
+    std::string want;
+    EncodeMultiScanResponse(resp, 99, &want, c.ext);
+    EXPECT_EQ(PageFrame(writer), want) << c.rows << " rows";
+    std::string_view payload;
+    ASSERT_TRUE(DecodeFrame(PageFrame(writer), &payload).ok());
+  }
+  // The one-range kScanReq answer.
+  ScanResponse scan;
+  scan.status = Status::OK();
+  writer.Begin(MsgType::kScanResp);
+  for (size_t i = 0; i < 40; ++i) {
+    scan.rows.push_back(WireRow{bytes[2 * i], bytes[2 * i + 1]});
+    writer.AddRow(0, bytes[2 * i], bytes[2 * i + 1]);
+  }
+  scan.has_more = true;
+  scan.next_cursor = std::string(writer.last_key()) + '\0';
+  writer.Finish(scan.status, true, ScanCursor{0, scan.next_cursor}, 7);
+  std::string want;
+  EncodeScanResponse(scan, 7, &want);
+  EXPECT_EQ(PageFrame(writer), want);
 }
 
 /// Attempts a full decode of `frame` as whatever it claims to be. The
@@ -542,14 +607,28 @@ std::vector<std::string> SampleFrames(Rng* rng) {
   f.clear();
   MultiScanResponse mresp;
   mresp.status = Status::OK();
+  std::vector<std::string> row_bytes;  // the rows' views point here
+  row_bytes.reserve(20);
   for (uint32_t i = 0; i < 10; ++i) {
+    row_bytes.push_back(RandomBytes(rng, 24));
+    row_bytes.push_back(RandomBytes(rng, 48));
     mresp.rows.push_back(
-        MultiScanRow{i / 3, RandomBytes(rng, 24), RandomBytes(rng, 48)});
+        MultiScanRow{i / 3, row_bytes[2 * i], row_bytes[2 * i + 1]});
   }
   mresp.has_more = true;
   mresp.next = ScanCursor{3, RandomBytes(rng, 24)};
   EncodeMultiScanResponse(mresp, id, &f);
   frames.push_back(f);
+  // The server's page writer, for both scan answers.
+  ScanPageWriter writer;
+  for (MsgType type : {MsgType::kMultiScanResp, MsgType::kScanResp}) {
+    writer.Begin(type);
+    for (const MultiScanRow& row : mresp.rows) {
+      writer.AddRow(row.range, row.key, row.value);
+    }
+    writer.Finish(Status::OK(), true, mresp.next, id);
+    frames.push_back(writer.head() + writer.body());
+  }
   return frames;
 }
 
