@@ -151,9 +151,8 @@ class BatchSink : public cluster::RegionCluster::ScanSink {
     std::function<Status(exec::ColumnBatch*)> residual;
     size_t limit = 0;
     size_t batch_cap = exec::kBatchRows;
-    bool dedupe_keys = false;
     int fid_offset = 0;
-    const std::unordered_set<std::string>* skip_fids = nullptr;
+    const FidSet* skip_fids = nullptr;
   };
 
   /// One server's output and counters; only its own task writes them,
@@ -163,7 +162,6 @@ class BatchSink : public cluster::RegionCluster::ScanSink {
     exec::ColumnBatch current;
     std::string arena;               ///< current batch's row bytes
     std::vector<size_t> row_ends;    ///< end of each row in `arena`
-    std::unordered_set<std::string> seen;
     size_t scanned = 0, matched = 0, bytes = 0, late_rows = 0;
     Status error;
     std::atomic<size_t> published{0};  ///< `matched` as of the last flush
@@ -182,12 +180,8 @@ class BatchSink : public cluster::RegionCluster::ScanSink {
     s.bytes += key.size() + value.size();
     if (plan_.skip_fids != nullptr &&
         key.size() > static_cast<size_t>(plan_.fid_offset) &&
-        plan_.skip_fids->count(std::string(key.substr(plan_.fid_offset))) !=
-            0) {
+        plan_.skip_fids->contains(key.substr(plan_.fid_offset))) {
       return true;  // already delivered by an earlier expansion area
-    }
-    if (plan_.dedupe_keys && !s.seen.emplace(key).second) {
-      return true;  // overlapping ranges
     }
     s.error = plan_.decoder->DecodeColumns(value, plan_.early, &s.current);
     if (!s.error.ok()) return false;
@@ -435,8 +429,7 @@ Result<exec::BatchVector> StTable::ScanRangesToBatches(
     const std::vector<curve::KeyRange>& ranges,
     const std::function<void(exec::ColumnBatch*)>& refine,
     const std::vector<int>& refine_columns, QueryStats* stats,
-    const ScanBudget* pushdown, bool dedupe_keys, int fid_offset,
-    const std::unordered_set<std::string>* skip_fids,
+    const ScanBudget* pushdown, int fid_offset, const FidSet* skip_fids,
     bool record_counters) const {
   const size_t num_columns = meta_.columns.size();
   BatchRowDecoder decoder(meta_);
@@ -444,7 +437,6 @@ Result<exec::BatchVector> StTable::ScanRangesToBatches(
   plan.schema = meta_.MakeSchema();
   plan.decoder = &decoder;
   plan.refine = refine;
-  plan.dedupe_keys = dedupe_keys;
   plan.fid_offset = fid_offset;
   plan.skip_fids = skip_fids;
   if (pushdown != nullptr) {
@@ -597,8 +589,7 @@ Result<exec::BatchVector> StTable::SecondaryIndexScan(
   if (spec.have_box || spec.have_time) read.push_back(geom_col_);
   if (spec.have_time) read.push_back(time_col_);
   return ScanRangesToBatches(ranges, refine, read, stats, pushdown,
-                             /*dedupe_keys=*/false, /*fid_offset=*/0,
-                             /*skip_fids=*/nullptr,
+                             /*fid_offset=*/0, /*skip_fids=*/nullptr,
                              /*record_counters=*/true);
 }
 
@@ -804,7 +795,7 @@ Result<exec::BatchVector> StTable::Query(const QuerySpec& spec,
 
 Result<exec::BatchVector> StTable::CurveRangeScan(
     const geo::Mbr& box, bool temporal, TimestampMs t_min, TimestampMs t_max,
-    QueryStats* stats, const std::unordered_set<std::string>* skip_fids,
+    QueryStats* stats, const FidSet* skip_fids,
     const ScanBudget* pushdown) const {
   JUST_ASSIGN_OR_RETURN(const curve::IndexStrategy* strategy,
                         PickIndex(temporal));
@@ -821,8 +812,7 @@ Result<exec::BatchVector> StTable::CurveRangeScan(
   // Table/index prefix (5 bytes) is spliced in after the shard byte.
   std::vector<int> read = {geom_col_};
   if (temporal) read.push_back(time_col_);
-  return ScanRangesToBatches(ranges, refine, read, stats,
-                             pushdown, /*dedupe_keys=*/true,
+  return ScanRangesToBatches(ranges, refine, read, stats, pushdown,
                              strategy->FidOffset() + 5, skip_fids,
                              /*record_counters=*/true);
 }
@@ -846,7 +836,7 @@ Result<exec::BatchVector> StTable::KnnScan(const geo::Point& q, int k,
   std::priority_queue<Area> aq;
   aq.push(Area{0.0, geo::Mbr::World()});
   double dmax = 0;
-  std::unordered_set<std::string> seen_fids;
+  FidSet seen_fids;
   // Degenerate-input guard: when k approaches the table size the expansion
   // cannot prune and would enumerate the whole quadtree; fall back to a
   // sequential scan after a bounded number of area queries.
@@ -874,17 +864,21 @@ Result<exec::BatchVector> StTable::KnnScan(const geo::Point& q, int k,
         for (uint32_t r = 0; r < all_rows.size(); ++r) all_rows[r] = r;
         rows = &all_rows;
       }
+      const bool fid_strings =
+          fcol != nullptr &&
+          fcol->storage() == exec::ColumnVector::Storage::kString;
+      std::string rendered;  // a non-string fid's text
       for (uint32_t row : *rows) {
-        std::string fid;
-        if (fcol != nullptr) {
-          fid = fcol->storage() == exec::ColumnVector::Storage::kString &&
-                        !fcol->IsNull(row)
-                    ? fcol->StringAt(row)
-                    : fcol->ValueAt(row).ToString();
+        std::string_view fid;
+        if (fid_strings && !fcol->IsNull(row)) {
+          fid = fcol->StringAt(row);
+        } else if (fcol != nullptr) {
+          rendered = fcol->ValueAt(row).ToString();
+          fid = rendered;
         }
         if (!fid.empty()) {
-          if (track_dmax ? !seen_fids.insert(std::move(fid)).second
-                         : seen_fids.count(fid) != 0) {
+          if (track_dmax ? !seen_fids.emplace(fid).second
+                         : seen_fids.contains(fid)) {
             continue;
           }
         }
@@ -982,8 +976,7 @@ Result<exec::BatchVector> StTable::FullScanBatches(
   // Internal full scans (k-NN's fallback, the catalog's rebuilds) stay
   // counter-silent; query scans record what they read.
   return ScanRangesToBatches(ranges, /*refine=*/nullptr, {}, stats, pushdown,
-                             /*dedupe_keys=*/false, /*fid_offset=*/0,
-                             /*skip_fids=*/nullptr,
+                             /*fid_offset=*/0, /*skip_fids=*/nullptr,
                              /*record_counters=*/pushdown != nullptr);
 }
 

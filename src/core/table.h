@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -27,6 +28,16 @@ struct QueryStats {
   size_t rows_matched = 0;   ///< rows surviving refinement and the residual
   size_t bytes_scanned = 0;  ///< key+value bytes read (scan-quota charging)
 };
+
+/// Feature ids, looked up by std::string_view without building a string
+/// (k-NN's set of records delivered by earlier expansion areas).
+struct FidHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view fid) const {
+    return std::hash<std::string_view>{}(fid);
+  }
+};
+using FidSet = std::unordered_set<std::string, FidHash, std::equal_to<>>;
 
 /// One bound of an attribute range predicate on a secondary index.
 struct AttrBound {
@@ -254,18 +265,18 @@ class StTable {
   /// batches, runs `refine` (a selection shrink reading the columns in
   /// `refine_columns`) and the pushdown's residual per batch, then decodes
   /// the kept columns nobody read, for survivors only (see ScanBudget).
-  /// Output is every server's batches in server order. `fid_offset` is the
+  /// Output is every server's batches in server order. `ranges` must be
+  /// disjoint (every caller's are: curve ranges are sorted and merged per
+  /// shard and period, the other paths emit one range per shard), so each
+  /// key is read once and no per-row dedupe is needed. `fid_offset` is the
   /// byte position of the fid suffix in scanned keys; rows whose fid is in
   /// `skip_fids` (read-only during the scan) are dropped before decoding
-  /// (the k-NN expansion's records seen in earlier areas). `dedupe_keys`
-  /// drops repeats of overlapping ranges, exactly, because keys are
-  /// partitioned by shard byte and so each key lives on one server.
+  /// (the k-NN expansion's records seen in earlier areas).
   Result<exec::BatchVector> ScanRangesToBatches(
       const std::vector<curve::KeyRange>& ranges,
       const std::function<void(exec::ColumnBatch*)>& refine,
       const std::vector<int>& refine_columns, QueryStats* stats,
-      const ScanBudget* pushdown, bool dedupe_keys, int fid_offset,
-      const std::unordered_set<std::string>* skip_fids,
+      const ScanBudget* pushdown, int fid_offset, const FidSet* skip_fids,
       bool record_counters) const;
 
   /// Exact refinement as column loops: geometry containment / trajectory
@@ -277,8 +288,7 @@ class StTable {
   /// curve index PickIndex(temporal) chooses, with a k-NN skip set.
   Result<exec::BatchVector> CurveRangeScan(
       const geo::Mbr& box, bool temporal, TimestampMs t_min,
-      TimestampMs t_max, QueryStats* stats,
-      const std::unordered_set<std::string>* skip_fids,
+      TimestampMs t_max, QueryStats* stats, const FidSet* skip_fids,
       const ScanBudget* pushdown) const;
 
   /// k-NN per Algorithm 1 (iterative area expansion with Lemma 1 pruning)

@@ -124,6 +124,22 @@ class TimeAwareStrategy : public IndexStrategy {
     AppendPeriod(&prefix, period);
     return prefix;
   }
+
+  // Key ranges for periods [first, last] on every shard, where
+  // `ranges_of(period)` is a period's curve decomposition. Shard-major, so
+  // the list is sorted by key and disjoint like the spatial strategies'.
+  template <typename RangesOf>
+  std::vector<KeyRange> PeriodRanges(int64_t first, int64_t last,
+                                     const RangesOf& ranges_of) const {
+    std::vector<KeyRange> out;
+    for (int shard = 0; shard < options_.num_shards; ++shard) {
+      for (int64_t period = first; period <= last; ++period) {
+        AppendRangesForPrefix(PrefixFor(shard, period), ranges_of(period),
+                              &out);
+      }
+    }
+    return out;
+  }
 };
 
 class Z3Strategy : public TimeAwareStrategy {
@@ -142,19 +158,18 @@ class Z3Strategy : public TimeAwareStrategy {
 
   std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
                                     TimestampMs t_max) const override {
-    std::vector<KeyRange> out;
     int64_t first = PeriodOf(t_min);
     int64_t last = PeriodOf(t_max);
+    std::vector<std::vector<SfcRange>> per_period;
     for (int64_t period = first; period <= last; ++period) {
       double t0 = (period == first) ? FracOf(t_min, period) : 0.0;
       double t1 = (period == last) ? FracOf(t_max, period) : 1.0;
-      auto sfc_ranges =
-          sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period);
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        AppendRangesForPrefix(PrefixFor(shard, period), sfc_ranges, &out);
-      }
+      per_period.push_back(
+          sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period));
     }
-    return out;
+    return PeriodRanges(first, last, [&](int64_t period) -> const auto& {
+      return per_period[static_cast<size_t>(period - first)];
+    });
   }
 
  private:
@@ -179,19 +194,18 @@ class Xz3Strategy : public TimeAwareStrategy {
 
   std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
                                     TimestampMs t_max) const override {
-    std::vector<KeyRange> out;
     int64_t first = PeriodOf(t_min);
     int64_t last = PeriodOf(t_max);
+    std::vector<std::vector<SfcRange>> per_period;
     for (int64_t period = first; period <= last; ++period) {
       double t0 = (period == first) ? FracOf(t_min, period) : 0.0;
       double t1 = (period == last) ? FracOf(t_max, period) : 1.0;
-      auto sfc_ranges =
-          sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period);
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        AppendRangesForPrefix(PrefixFor(shard, period), sfc_ranges, &out);
-      }
+      per_period.push_back(
+          sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period));
     }
-    return out;
+    return PeriodRanges(first, last, [&](int64_t period) -> const auto& {
+      return per_period[static_cast<size_t>(period - first)];
+    });
   }
 
  private:
@@ -218,15 +232,10 @@ class Z2TStrategy : public TimeAwareStrategy {
                                     TimestampMs t_max) const override {
     // The spatial decomposition is shared by every qualified period.
     auto sfc_ranges = sfc_.Ranges(box, options_.max_ranges_per_period);
-    std::vector<KeyRange> out;
     int64_t first = PeriodOf(t_min);
     int64_t last = PeriodOf(t_max);
-    for (int64_t period = first; period <= last; ++period) {
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        AppendRangesForPrefix(PrefixFor(shard, period), sfc_ranges, &out);
-      }
-    }
-    return out;
+    return PeriodRanges(first, last,
+                        [&](int64_t) -> const auto& { return sfc_ranges; });
   }
 
  private:
@@ -251,24 +260,16 @@ class Xz2TStrategy : public TimeAwareStrategy {
   std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
                                     TimestampMs t_max) const override {
     auto sfc_ranges = sfc_.Ranges(box, options_.max_ranges_per_period);
-    std::vector<KeyRange> out;
+    // Extent ranges always require refinement against the time window.
+    for (SfcRange& r : sfc_ranges) r.contained = false;
     // A record binned by its start time can satisfy a query whose window
     // begins up to one record-duration later; scanning one extra leading
     // period covers records that started in the previous period (the paper
     // stores by Time_start; trajectories are within-day in the datasets).
     int64_t first = PeriodOf(t_min) - 1;
     int64_t last = PeriodOf(t_max);
-    for (int64_t period = first; period <= last; ++period) {
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        // Extent ranges always require refinement against the time window.
-        for (const SfcRange& r : sfc_ranges) {
-          SfcRange weakened = r;
-          weakened.contained = false;
-          AppendRangesForPrefix(PrefixFor(shard, period), {weakened}, &out);
-        }
-      }
-    }
-    return out;
+    return PeriodRanges(first, last,
+                        [&](int64_t) -> const auto& { return sfc_ranges; });
   }
 
  private:

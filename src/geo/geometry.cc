@@ -1,5 +1,6 @@
 #include "geo/geometry.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -9,36 +10,44 @@
 
 namespace just::geo {
 
+Geometry::Geometry(GeometryType type, std::vector<Point> vertices)
+    : type_(type) {
+  if (vertices.empty()) vertices.push_back(Point{});
+  std::construct_at(&vertices_, std::move(vertices));
+}
+
+void Geometry::DropVertices() noexcept {
+  std::destroy_at(&vertices_);
+  type_ = GeometryType::kPoint;
+  std::construct_at(&point_);
+}
+
 Geometry Geometry::MakePoint(Point p) {
   Geometry g;
-  g.type_ = GeometryType::kPoint;
-  g.points_ = {p};
+  g.point_ = p;
   return g;
 }
 
 Geometry Geometry::MakeLineString(std::vector<Point> pts) {
-  Geometry g;
-  g.type_ = GeometryType::kLineString;
-  g.points_ = std::move(pts);
-  if (g.points_.empty()) g.points_.push_back(Point{});
-  return g;
+  return Geometry(GeometryType::kLineString, std::move(pts));
 }
 
 Geometry Geometry::MakePolygon(std::vector<Point> ring) {
-  Geometry g;
-  g.type_ = GeometryType::kPolygon;
-  g.points_ = std::move(ring);
-  if (g.points_.empty()) g.points_.push_back(Point{});
   // Normalize: drop an explicit closing point equal to the first.
-  if (g.points_.size() > 1 && g.points_.front() == g.points_.back()) {
-    g.points_.pop_back();
-  }
-  return g;
+  if (ring.size() > 1 && ring.front() == ring.back()) ring.pop_back();
+  return Geometry(GeometryType::kPolygon, std::move(ring));
+}
+
+bool Geometry::operator==(const Geometry& o) const {
+  std::span<const Point> a = points();
+  std::span<const Point> b = o.points();
+  return type_ == o.type_ && std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
 Mbr Geometry::Bounds() const {
+  if (is_point()) return Mbr{point_.lng, point_.lat, point_.lng, point_.lat};
   Mbr box = Mbr::Empty();
-  for (const Point& p : points_) box.Expand(p);
+  for (const Point& p : vertices_) box.Expand(p);
   return box;
 }
 
@@ -48,16 +57,16 @@ bool Geometry::Intersects(const Mbr& box) const {
   if (!box.Intersects(Bounds())) return false;
   if (type_ == GeometryType::kPoint) return true;
   // Any vertex inside?
-  for (const Point& p : points_) {
+  for (const Point& p : vertices_) {
     if (box.Contains(p)) return true;
   }
   // Any edge crossing the box? Conservative: check segment-box overlap by
   // sampling the segment bounding boxes (sufficient for query refinement).
-  size_t n = points_.size();
+  size_t n = vertices_.size();
   size_t edges = type_ == GeometryType::kPolygon ? n : n - 1;
   for (size_t i = 0; i < edges; ++i) {
-    const Point& a = points_[i];
-    const Point& b = points_[(i + 1) % n];
+    const Point& a = vertices_[i];
+    const Point& b = vertices_[(i + 1) % n];
     Mbr seg = Mbr::Of(a.lng, a.lat, b.lng, b.lat);
     if (box.Intersects(seg)) return true;
   }
@@ -69,12 +78,12 @@ bool Geometry::Intersects(const Mbr& box) const {
 }
 
 bool Geometry::ContainsPoint(const Point& p) const {
-  if (type_ != GeometryType::kPolygon || points_.size() < 3) return false;
+  if (type_ != GeometryType::kPolygon || vertices_.size() < 3) return false;
   bool inside = false;
-  size_t n = points_.size();
+  size_t n = vertices_.size();
   for (size_t i = 0, j = n - 1; i < n; j = i++) {
-    const Point& a = points_[i];
-    const Point& b = points_[j];
+    const Point& a = vertices_[i];
+    const Point& b = vertices_[j];
     bool crosses = (a.lat > p.lat) != (b.lat > p.lat);
     if (crosses) {
       double x = (b.lng - a.lng) * (p.lat - a.lat) / (b.lat - a.lat) + a.lng;
@@ -87,23 +96,23 @@ bool Geometry::ContainsPoint(const Point& p) const {
 double Geometry::Distance(const Point& q) const {
   switch (type_) {
     case GeometryType::kPoint:
-      return EuclideanDistance(q, points_[0]);
+      return EuclideanDistance(q, point_);
     case GeometryType::kLineString: {
       double best = std::numeric_limits<double>::infinity();
-      if (points_.size() == 1) return EuclideanDistance(q, points_[0]);
-      for (size_t i = 0; i + 1 < points_.size(); ++i) {
-        best = std::min(best,
-                        PointSegmentDistance(q, points_[i], points_[i + 1]));
+      if (vertices_.size() == 1) return EuclideanDistance(q, vertices_[0]);
+      for (size_t i = 0; i + 1 < vertices_.size(); ++i) {
+        best = std::min(
+            best, PointSegmentDistance(q, vertices_[i], vertices_[i + 1]));
       }
       return best;
     }
     case GeometryType::kPolygon: {
       if (ContainsPoint(q)) return 0.0;
       double best = std::numeric_limits<double>::infinity();
-      size_t n = points_.size();
+      size_t n = vertices_.size();
       for (size_t i = 0; i < n; ++i) {
-        best = std::min(
-            best, PointSegmentDistance(q, points_[i], points_[(i + 1) % n]));
+        best = std::min(best, PointSegmentDistance(q, vertices_[i],
+                                                   vertices_[(i + 1) % n]));
       }
       return best;
     }
@@ -124,27 +133,27 @@ std::string Geometry::ToWkt() const {
   switch (type_) {
     case GeometryType::kPoint:
       out = "POINT (";
-      AppendCoord(&out, points_[0]);
+      AppendCoord(&out, point_);
       out += ")";
       return out;
     case GeometryType::kLineString: {
       out = "LINESTRING (";
-      for (size_t i = 0; i < points_.size(); ++i) {
+      for (size_t i = 0; i < vertices_.size(); ++i) {
         if (i) out += ", ";
-        AppendCoord(&out, points_[i]);
+        AppendCoord(&out, vertices_[i]);
       }
       out += ")";
       return out;
     }
     case GeometryType::kPolygon: {
       out = "POLYGON ((";
-      for (size_t i = 0; i < points_.size(); ++i) {
+      for (size_t i = 0; i < vertices_.size(); ++i) {
         if (i) out += ", ";
-        AppendCoord(&out, points_[i]);
+        AppendCoord(&out, vertices_[i]);
       }
-      if (!points_.empty()) {
+      if (!vertices_.empty()) {
         out += ", ";
-        AppendCoord(&out, points_[0]);  // close the ring
+        AppendCoord(&out, vertices_[0]);  // close the ring
       }
       out += "))";
       return out;
@@ -156,8 +165,9 @@ std::string Geometry::ToWkt() const {
 std::string Geometry::Serialize() const {
   std::string out;
   out.push_back(static_cast<char>(type_));
-  PutVarint64(&out, points_.size());
-  for (const Point& p : points_) {
+  std::span<const Point> pts = points();
+  PutVarint64(&out, pts.size());
+  for (const Point& p : pts) {
     PutFixed64(&out, OrderedDoubleBits(p.lng));
     PutFixed64(&out, OrderedDoubleBits(p.lat));
   }

@@ -1,6 +1,8 @@
 #ifndef JUST_GEO_GEOMETRY_H_
 #define JUST_GEO_GEOMETRY_H_
 
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,10 +16,47 @@ namespace just::geo {
 /// non-point geometries (lines, polygons) use XZ2/XZ2T (Section IV).
 enum class GeometryType { kPoint, kLineString, kPolygon };
 
-/// A simple geometry: a point, a polyline, or a single-ring polygon.
+/// A simple geometry: a point, a polyline, or a single-ring polygon. A
+/// point is stored inline and lines/polygons own a vertex vector, so
+/// making, decoding, copying and destroying a point never touches the heap
+/// (the scan path decodes one per row). A moved-from line or polygon is the
+/// default point; a moved-from point keeps its value.
 class Geometry {
  public:
-  Geometry() : type_(GeometryType::kPoint), points_{Point{}} {}
+  Geometry() : type_(GeometryType::kPoint), point_{} {}
+  Geometry(const Geometry& o) : type_(o.type_) {
+    if (o.is_point()) {
+      std::construct_at(&point_, o.point_);
+    } else {
+      std::construct_at(&vertices_, o.vertices_);
+    }
+  }
+  Geometry(Geometry&& o) noexcept : type_(o.type_) {
+    if (o.is_point()) {
+      std::construct_at(&point_, o.point_);
+    } else {
+      std::construct_at(&vertices_, std::move(o.vertices_));
+      o.ResetToPoint();
+    }
+  }
+  Geometry& operator=(const Geometry& o) {
+    if (this != &o) *this = Geometry(o);  // a throwing copy leaves *this
+    return *this;
+  }
+  Geometry& operator=(Geometry&& o) noexcept {
+    if (this == &o) return *this;
+    ResetToPoint();
+    type_ = o.type_;
+    if (o.is_point()) {
+      point_ = o.point_;
+    } else {
+      std::destroy_at(&point_);
+      std::construct_at(&vertices_, std::move(o.vertices_));
+      o.ResetToPoint();
+    }
+    return *this;
+  }
+  ~Geometry() { ResetToPoint(); }
 
   static Geometry MakePoint(Point p);
   static Geometry MakeLineString(std::vector<Point> pts);
@@ -26,8 +65,12 @@ class Geometry {
 
   GeometryType type() const { return type_; }
   bool is_point() const { return type_ == GeometryType::kPoint; }
-  const std::vector<Point>& points() const { return points_; }
-  const Point& AsPoint() const { return points_[0]; }
+  /// The vertices: one for a point, at least one otherwise.
+  std::span<const Point> points() const {
+    return is_point() ? std::span<const Point>(&point_, 1)
+                      : std::span<const Point>(vertices_);
+  }
+  const Point& AsPoint() const { return points()[0]; }
 
   /// Bounding box of the geometry.
   Mbr Bounds() const;
@@ -54,13 +97,25 @@ class Geometry {
   /// Parses a WKT string (the three supported types).
   static Result<Geometry> FromWkt(const std::string& wkt);
 
-  bool operator==(const Geometry& o) const {
-    return type_ == o.type_ && points_ == o.points_;
-  }
+  bool operator==(const Geometry& o) const;
 
  private:
+  /// Line or polygon over `vertices` (never empty).
+  Geometry(GeometryType type, std::vector<Point> vertices);
+  /// Destroys the vertex vector, if any; the geometry is then the default
+  /// point. DropVertices stays out of line: inlined into callers that
+  /// destroy a Result<Geometry>, it draws GCC -Wmaybe-uninitialized false
+  /// positives on the union.
+  void ResetToPoint() noexcept {
+    if (!is_point()) DropVertices();
+  }
+  void DropVertices() noexcept;
+
   GeometryType type_;
-  std::vector<Point> points_;
+  union {
+    Point point_;                  ///< kPoint
+    std::vector<Point> vertices_;  ///< kLineString / kPolygon
+  };
 };
 
 }  // namespace just::geo

@@ -122,6 +122,34 @@ int64_t FaultInjectionEnv::read_ops() const {
   return read_ops_;
 }
 
+void FaultInjectionEnv::HoldFileCreation(std::string suffix, int skip) {
+  std::lock_guard<std::mutex> lock(mu_);
+  gate_armed_ = true;
+  gate_suffix_ = std::move(suffix);
+  gate_skip_ = skip;
+}
+
+bool FaultInjectionEnv::AwaitHeld(std::chrono::milliseconds timeout) {
+  std::unique_lock<std::mutex> lock(mu_);
+  return gate_cv_.wait_for(lock, timeout, [this] { return gate_holding_; });
+}
+
+void FaultInjectionEnv::ReleaseHeld() {
+  std::lock_guard<std::mutex> lock(mu_);
+  gate_armed_ = false;
+  gate_cv_.notify_all();
+}
+
+void FaultInjectionEnv::MaybeHoldCreation(const std::string& path) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!gate_armed_ || !path.ends_with(gate_suffix_)) return;
+  if (gate_skip_-- > 0) return;
+  gate_holding_ = true;
+  gate_cv_.notify_all();
+  gate_cv_.wait(lock, [this] { return !gate_armed_; });
+  gate_holding_ = false;
+}
+
 Status FaultInjectionEnv::CheckWriteOp() {
   std::lock_guard<std::mutex> lock(mu_);
   ++write_ops_;
@@ -187,6 +215,7 @@ Status FaultInjectionEnv::FlipByte(const std::string& path, uint64_t offset) {
 
 Result<std::unique_ptr<WritableFile>> FaultInjectionEnv::NewWritableFile(
     const std::string& path, bool truncate) {
+  MaybeHoldCreation(path);
   JUST_RETURN_NOT_OK(CheckWriteOp());
   bool existed = base_->FileExists(path);
   JUST_ASSIGN_OR_RETURN(auto base_file, base_->NewWritableFile(path, truncate));

@@ -1,6 +1,8 @@
 #ifndef JUST_KVSTORE_FAULT_ENV_H_
 #define JUST_KVSTORE_FAULT_ENV_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -28,6 +30,10 @@ namespace just::kv {
 ///  3. Corruption: `FlipByte(path, offset)` inverts one byte in place so
 ///     checksum verification paths can be exercised byte-by-byte.
 ///
+/// A one-shot gate (`HoldFileCreation`) can also park the thread that is
+/// about to create a given file, before that op is counted, so a test can
+/// aim `FailWriteOp` relative to the exact start of a background job.
+///
 /// Limitation: unsynced writes live in the decorator's buffer, so a reader
 /// opened on a file while a writer still has unsynced data will not see that
 /// tail. The LSM storage path never reads its own unsynced writes.
@@ -51,6 +57,17 @@ class FaultInjectionEnv : public Env {
 
   int64_t write_ops() const;
   int64_t read_ops() const;
+
+  // --- Gate ---
+
+  /// One-shot: lets `skip` creations (NewWritableFile) of paths ending in
+  /// `suffix` through, then parks the thread making the next one, before
+  /// its op is counted, until ReleaseHeld().
+  void HoldFileCreation(std::string suffix, int skip);
+  /// Waits until the gate parks a thread; false after `timeout`.
+  bool AwaitHeld(std::chrono::milliseconds timeout);
+  /// Disarms the gate and lets a parked thread go on.
+  void ReleaseHeld();
 
   // --- Crash simulation ---
 
@@ -83,6 +100,8 @@ class FaultInjectionEnv : public Env {
   friend class FaultWritableFile;
   friend class FaultRandomAccessFile;
 
+  /// Parks the caller while the gate holds the creation of `path`.
+  void MaybeHoldCreation(const std::string& path);
   /// Counts one mutating op and returns the injected fault, if any.
   Status CheckWriteOp();
   /// Counts one read op and returns the injected fault, if any.
@@ -98,6 +117,11 @@ class FaultInjectionEnv : public Env {
   bool fail_all_after_ = true;
   bool write_lockout_ = false;  ///< dead disk / post-crash: all writes fail
   int64_t fail_reads_remaining_ = 0;
+  std::condition_variable gate_cv_;
+  bool gate_armed_ = false;
+  bool gate_holding_ = false;
+  std::string gate_suffix_;
+  int gate_skip_ = 0;
   /// Durable prefix per tracked file; -1 = created but never synced.
   std::map<std::string, int64_t> durable_size_;
 };

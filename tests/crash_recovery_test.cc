@@ -397,6 +397,23 @@ void AwaitFaultOrIdle(FaultInjectionEnv* env, LsmStore* store,
   }
 }
 
+// Loads until the L0->L1 compaction is scheduled, parking it at its first
+// write op: the creation of its first output table (each of the four
+// flushes before it creates one table). Returns write_ops() as of the
+// compaction's start, with the compaction parked until env->ReleaseHeld(),
+// or -1 if it never started. Counting from there, not from when Flush()
+// returns, keeps a compaction that races ahead of the test inside the count.
+int64_t LoadAndParkCompaction(FaultInjectionEnv* env, LsmStore* store,
+                              std::map<std::string, std::string>* model) {
+  env->HoldFileCreation(".sst.tmp", /*skip=*/4);
+  LoadUntilCompactionTriggered(store, model);
+  if (!env->AwaitHeld(std::chrono::seconds(60))) {
+    env->ReleaseHeld();
+    return -1;
+  }
+  return env->write_ops();
+}
+
 // Measures how many filesystem write ops the scheduled L0->L1 compaction
 // performs on a healthy disk, so the sweeps below can target every one.
 int64_t MeasureCompactionWriteOps() {
@@ -405,13 +422,15 @@ int64_t MeasureCompactionWriteOps() {
   auto store = LsmStore::Open(LeveledCrashOptions(dir.path(), &env));
   EXPECT_TRUE(store.ok());
   std::map<std::string, std::string> model;
-  LoadUntilCompactionTriggered(store->get(), &model);
-  const int64_t before = env.write_ops();
+  const int64_t start = LoadAndParkCompaction(&env, store->get(), &model);
+  env.ReleaseHeld();
+  EXPECT_GE(start, 0) << "the compaction never started";
+  if (start < 0) return 0;
   EXPECT_TRUE((*store)->WaitForBackgroundIdle().ok());
   auto stats = (*store)->GetStats();
   EXPECT_EQ(stats.level_files[0], 0u);  // the compaction actually ran
   EXPECT_GT(stats.level_files[1], 0u);
-  return env.write_ops() - before;
+  return env.write_ops() - start;
 }
 
 // Sweeps a dead-disk power cut across every write op of the L0->L1
@@ -432,9 +451,12 @@ TEST(CrashRecoveryTest, PowerCutMidCompactionLosesNothing) {
     {
       auto store = LsmStore::Open(LeveledCrashOptions(dir.path(), &env));
       ASSERT_TRUE(store.ok());
-      LoadUntilCompactionTriggered(store->get(), &model);
-      const int64_t fail_at = env.write_ops() + k;
-      env.FailWriteOp(fail_at);  // disk dies at the k-th compaction op
+      const int64_t start =
+          LoadAndParkCompaction(&env, store->get(), &model);
+      const int64_t fail_at = start + k;
+      if (start >= 0) env.FailWriteOp(fail_at);  // dies at compaction op k
+      env.ReleaseHeld();
+      ASSERT_GE(start, 0) << "the compaction never started";
       AwaitFaultOrIdle(&env, store->get(), fail_at);
       env.DropUnsyncedWrites();  // power loss
     }  // the dying store's close attempts fail under the write lockout
@@ -470,9 +492,11 @@ TEST(CrashRecoveryTest, TransientFaultDuringCompactionUnwindsCleanly) {
     std::map<std::string, std::string> model;
     auto store = LsmStore::Open(LeveledCrashOptions(dir.path(), &env));
     ASSERT_TRUE(store.ok());
-    LoadUntilCompactionTriggered(store->get(), &model);
-    const int64_t fail_at = env.write_ops() + k;
-    env.FailWriteOp(fail_at, /*all_after=*/false);  // one-shot fault
+    const int64_t start = LoadAndParkCompaction(&env, store->get(), &model);
+    const int64_t fail_at = start + k;
+    if (start >= 0) env.FailWriteOp(fail_at, /*all_after=*/false);  // one-shot
+    env.ReleaseHeld();
+    ASSERT_GE(start, 0) << "the compaction never started";
     AwaitFaultOrIdle(&env, store->get(), fail_at);
 
     VerifyExactlyModel(store->get(), model);

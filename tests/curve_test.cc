@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "curve/index_strategy.h"
@@ -381,6 +383,77 @@ INSTANTIATE_TEST_SUITE_P(
                       StrategyCase{IndexType::kXz2T, true}),
     [](const ::testing::TestParamInfo<StrategyCase>& info) {
       return IndexTypeName(info.param.type);
+    });
+
+// The table scan reads every key of its ranges once and keeps no dedupe
+// set, which is only exact if every strategy's ranges are sorted by start,
+// pairwise disjoint, and each confined to one shard byte (so each lives on
+// one server). Boxes on cell edges, the world box, and windows whose ends
+// sit on period boundaries are where a merge slip would show.
+class StrategyRangeShapeTest : public ::testing::TestWithParam<IndexType> {};
+
+TEST_P(StrategyRangeShapeTest, RangesAreSortedDisjointAndSingleShard) {
+  const TimestampMs day = ParseTimestamp("2014-03-01").value();
+  // Edges of level-10 Z2 / XZ2 cells around Beijing (360 / 2^10 degrees of
+  // longitude, 180 / 2^10 of latitude), a box off the grid, and the world.
+  const double cell_lng = 360.0 / 1024, cell_lat = 180.0 / 1024;
+  const double lng0 = -180 + 848 * cell_lng, lat0 = -90 + 739 * cell_lat;
+  const std::vector<geo::Mbr> boxes = {
+      geo::Mbr::Of(lng0, lat0, lng0 + cell_lng, lat0 + cell_lat),
+      geo::Mbr::Of(lng0, lat0, lng0 + 4 * cell_lng, lat0 + 2 * cell_lat),
+      geo::Mbr::Of(lng0 - cell_lng, lat0, lng0, lat0),  // degenerate edge
+      geo::Mbr::Of(116.31, 39.82, 116.52, 40.01),
+      geo::Mbr::Of(0, 0, 90, 45),  // a quadrant, exactly
+      geo::Mbr::World(),
+  };
+  // Windows spanning 1-3 periods, with ends on and next to boundaries.
+  const std::vector<std::pair<TimestampMs, TimestampMs>> windows = {
+      {day, day},
+      {day + kMillisPerHour, day + 5 * kMillisPerHour},
+      {day, day + kMillisPerDay - 1},
+      {day, day + kMillisPerDay},
+      {day - 1, day + kMillisPerDay},
+      {day + 3 * kMillisPerHour, day + 2 * kMillisPerDay + kMillisPerHour},
+      {day, day + 3 * kMillisPerDay - 1},
+  };
+  for (int max_ranges : {8, 64}) {
+    for (int shards : {1, 4}) {
+      IndexOptions options;
+      options.num_shards = shards;
+      options.max_ranges_per_period = max_ranges;
+      auto strategy = IndexStrategy::Create(GetParam(), options);
+      for (const geo::Mbr& box : boxes) {
+        for (const auto& [t_min, t_max] : windows) {
+          auto ranges = strategy->QueryRanges(box, t_min, t_max);
+          ASSERT_FALSE(ranges.empty());
+          for (size_t i = 0; i < ranges.size(); ++i) {
+            const KeyRange& r = ranges[i];
+            SCOPED_TRACE(::testing::Message()
+                         << IndexTypeName(GetParam()) << " max_ranges="
+                         << max_ranges << " shards=" << shards << " box=("
+                         << box.lng_min << "," << box.lat_min << ","
+                         << box.lng_max << "," << box.lat_max
+                         << ") window=[" << t_min << "," << t_max
+                         << "] range " << i);
+            ASSERT_LT(r.start, r.end);
+            ASSERT_EQ(r.start[0], r.end[0]) << "range crosses a shard byte";
+            if (i > 0) {
+              ASSERT_LE(ranges[i - 1].end, r.start)
+                  << "unsorted or overlapping ranges";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, StrategyRangeShapeTest,
+    ::testing::Values(IndexType::kZ2, IndexType::kZ3, IndexType::kZ2T,
+                      IndexType::kXz2, IndexType::kXz3, IndexType::kXz2T),
+    [](const ::testing::TestParamInfo<IndexType>& info) {
+      return IndexTypeName(info.param);
     });
 
 TEST(IndexStrategyTest, ParseNames) {

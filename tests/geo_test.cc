@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
+#include "exec/value.h"
 #include "geo/coord_transform.h"
 #include "geo/geometry.h"
 #include "geo/point.h"
@@ -160,6 +166,127 @@ TEST(GeometryTest, DistanceToShapes) {
       {Point{0, 0}, Point{4, 0}, Point{4, 4}, Point{0, 4}});
   EXPECT_EQ(poly.Distance(Point{2, 2}), 0);  // inside
   EXPECT_NEAR(poly.Distance(Point{6, 2}), 2.0, 1e-12);
+}
+
+// --- Geometry value semantics: a point lives inline, a line or polygon
+// owns its vertex vector; both must copy, move and reassign like values. ---
+
+// A point fits in the vector's slot: geometry cells and exec::Value keep
+// the sizes they had when every geometry held a vector.
+static_assert(sizeof(Geometry) == 32);
+static_assert(sizeof(exec::Value) == 48);
+
+std::vector<Point> Pts(std::span<const Point> span) {
+  return {span.begin(), span.end()};
+}
+
+TEST(GeometryValueTest, PointsSpanPerType) {
+  Geometry def;
+  EXPECT_TRUE(def.is_point());
+  EXPECT_EQ(Pts(def.points()), std::vector<Point>{Point{}});
+  Geometry pt = Geometry::MakePoint({116.5, 39.75});
+  EXPECT_EQ(Pts(pt.points()), (std::vector<Point>{Point{116.5, 39.75}}));
+  EXPECT_EQ(&pt.AsPoint(), pt.points().data());
+  Geometry line = Geometry::MakeLineString({{0, 0}, {1, -1}, {2, 0}});
+  EXPECT_EQ(line.points().size(), 3u);
+  EXPECT_EQ(line.points()[2], (Point{2, 0}));
+  Geometry poly = Geometry::MakePolygon({{0, 0}, {1, 0}, {1, 1}, {0, 0}});
+  EXPECT_EQ(Pts(poly.points()),
+            (std::vector<Point>{{0, 0}, {1, 0}, {1, 1}}));  // ring not closed
+  EXPECT_EQ(Geometry::MakeLineString({}).points().size(), 1u);
+  EXPECT_EQ(Geometry::MakePolygon({}).points().size(), 1u);
+}
+
+TEST(GeometryValueTest, CopyAndMoveKeepTheValue) {
+  const Geometry pt = Geometry::MakePoint({3, 4});
+  const Geometry poly =
+      Geometry::MakePolygon({{0, 0}, {4, 0}, {4, 4}, {0, 4}});
+  for (const Geometry* original : {&pt, &poly}) {
+    Geometry copy(*original);
+    EXPECT_EQ(copy, *original);
+    Geometry moved(std::move(copy));
+    EXPECT_EQ(moved, *original);
+    // A moved-from geometry is usable: a point keeps its value, a line or
+    // polygon becomes the default point.
+    EXPECT_TRUE(copy.is_point());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(copy.AsPoint(), original->is_point() ? original->AsPoint()
+                                                   : Point{});
+    copy = moved;
+    EXPECT_EQ(copy, *original);
+    if (!original->is_point()) {
+      // The copy owns its vertices.
+      EXPECT_NE(copy.points().data(), original->points().data());
+    }
+  }
+}
+
+TEST(GeometryValueTest, SelfAssignmentIsANoOp) {
+  Geometry pt = Geometry::MakePoint({1, 2});
+  Geometry poly = Geometry::MakePolygon({{0, 0}, {1, 0}, {1, 1}});
+  const Geometry pt_before = pt, poly_before = poly;
+  Geometry& pt_ref = pt;
+  Geometry& poly_ref = poly;
+  pt = pt_ref;
+  poly = poly_ref;
+  EXPECT_EQ(pt, pt_before);
+  EXPECT_EQ(poly, poly_before);
+  pt = std::move(pt_ref);
+  poly = std::move(poly_ref);
+  EXPECT_EQ(pt, pt_before);
+  EXPECT_EQ(poly, poly_before);
+}
+
+TEST(GeometryValueTest, ReassignBetweenPointLineAndPolygon) {
+  const Geometry pt = Geometry::MakePoint({5, 6});
+  const Geometry line = Geometry::MakeLineString({{0, 0}, {2, 2}});
+  const Geometry poly =
+      Geometry::MakePolygon({{0, 0}, {4, 0}, {4, 4}, {0, 4}});
+  Geometry g;
+  for (const Geometry* next : {&poly, &pt, &line, &poly, &line, &pt, &pt}) {
+    g = *next;  // copy-assign across every pair of kinds
+    EXPECT_EQ(g, *next);
+    EXPECT_EQ(g.type(), next->type());
+    EXPECT_EQ(g.Bounds().lng_max, next->Bounds().lng_max);
+    Geometry tmp(*next);
+    Geometry h = Geometry::MakePolygon({{9, 9}, {8, 9}, {8, 8}});
+    h = std::move(tmp);  // move-assign over a polygon
+    EXPECT_EQ(h, *next);
+    g = Geometry::MakePoint({7, 7});  // and back to a point
+    EXPECT_EQ(Pts(g.points()), (std::vector<Point>{Point{7, 7}}));
+  }
+  // Growth moves a vector of mixed geometries element by element.
+  std::vector<Geometry> all;
+  for (int i = 0; i < 100; ++i) all.push_back(i % 2 ? poly : pt);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(all[i], i % 2 ? poly : pt);
+}
+
+TEST(GeometryValueTest, SerializeMatchesGoldenBytes) {
+  using namespace std::literals;
+  // Type byte, varint vertex count, then (lng, lat) as OrderedDoubleBits
+  // fixed64s: the storage and wire format, unchanged by the inline point.
+  const std::vector<std::pair<Geometry, std::string_view>> cases = {
+      {Geometry::MakePoint({116.5, 39.75}),
+       "\x00\x01\x00\x00\x00\x00\x00\x20\x5d\xc0"
+       "\x00\x00\x00\x00\x00\xe0\x43\xc0"sv},
+      {Geometry::MakeLineString({{0, 0}, {1, -1}}),
+       "\x01\x02\x00\x00\x00\x00\x00\x00\x00\x80"
+       "\x00\x00\x00\x00\x00\x00\x00\x80"
+       "\x00\x00\x00\x00\x00\x00\xf0\xbf"
+       "\xff\xff\xff\xff\xff\xff\x0f\x40"sv},
+      {Geometry::MakePolygon({{0, 0}, {1, 0}, {1, 1}, {0, 0}}),
+       "\x02\x03\x00\x00\x00\x00\x00\x00\x00\x80"
+       "\x00\x00\x00\x00\x00\x00\x00\x80"
+       "\x00\x00\x00\x00\x00\x00\xf0\xbf"
+       "\x00\x00\x00\x00\x00\x00\x00\x80"
+       "\x00\x00\x00\x00\x00\x00\xf0\xbf"
+       "\x00\x00\x00\x00\x00\x00\xf0\xbf"sv},
+  };
+  for (const auto& [geometry, golden] : cases) {
+    EXPECT_EQ(geometry.Serialize(), golden) << geometry.ToWkt();
+    auto back = Geometry::Deserialize(golden);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, geometry);
+  }
 }
 
 TEST(CoordTransformTest, Gcj02RoundTrip) {
