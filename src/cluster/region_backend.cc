@@ -24,10 +24,6 @@ class LocalBackend : public RegionBackend {
   Status WriteBatch(const std::vector<kv::WriteOp>& ops) override {
     return store_->WriteBatch(ops);
   }
-  Status Scan(const std::vector<kv::ScanRange>& ranges,
-              const kv::ScanFn& fn) override {
-    return store_->Scan(ranges, fn);
-  }
   Status Flush() override { return store_->Flush(); }
   Status CompactAll() override { return store_->CompactAll(); }
   Status GetStats(BackendStats* stats) override {
@@ -37,6 +33,7 @@ class LocalBackend : public RegionBackend {
     stats->num_sstables = s.num_sstables;
     return Status::OK();
   }
+  kv::LsmStore* store() override { return store_.get(); }
   std::string name() const override {
     return "local:" + store_->options().dir;
   }
@@ -69,12 +66,6 @@ class SocketBackend : public RegionBackend {
   Status IngestBatch(const std::string& tenant,
                      const std::vector<kv::WriteOp>& ops) override {
     return pool_.Acquire()->Ingest(tenant, ops);
-  }
-  Status Scan(const std::vector<kv::ScanRange>& ranges,
-              const kv::ScanFn& fn) override {
-    // The callback may (indirectly) issue more RPCs against this backend:
-    // they check out connections of their own.
-    return pool_.Acquire()->Scan(ranges, fn);
   }
   Status Flush() override { return pool_.Acquire()->Flush(); }
   Status CompactAll() override { return pool_.Acquire()->CompactAll(); }

@@ -25,20 +25,15 @@ struct BackendStats {
 /// One region server as the cluster sees it, independent of deployment:
 /// in-process (an owned LsmStore, the historical mode) or out-of-process
 /// (a socket client speaking the binary wire protocol to a
-/// `just_region_server`). RegionCluster's routing, retry, and scan-batching
-/// logic is written against this interface only, which is what lets
+/// `just_region_server`). RegionCluster's routing and retry logic is
+/// written against this interface, which is what lets
 /// tests/cluster_test.cc run the identical suite over both deployments.
+/// Scans are the exception: RegionCluster::Scan reads an in-process
+/// backend's store() directly and drives a socket backend's clients()
+/// page by page.
 ///
-/// Contract notes:
-///  - Transient failures (connection loss, shed-on-overload, timeouts)
-///    surface as IsTransient() statuses; the cluster retries with backoff.
-///  - Scan has LsmStore::Scan semantics: a list of [start, end) ranges,
-///    each yielding its rows in key order, tagged with the range index;
-///    the callback returns false to stop early. Implementations may page
-///    internally (the socket backend does, via the wire protocol's resume
-///    cursor); on failure, rows may already have been delivered — a retry
-///    must not deliver them again, which RegionCluster::Scan ensures by
-///    resuming past the last row it handed on.
+/// Transient failures (connection loss, shed-on-overload, timeouts)
+/// surface as IsTransient() statuses; the cluster retries with backoff.
 class RegionBackend {
  public:
   virtual ~RegionBackend() = default;
@@ -57,8 +52,6 @@ class RegionBackend {
     (void)tenant;
     return WriteBatch(ops);
   }
-  virtual Status Scan(const std::vector<kv::ScanRange>& ranges,
-                      const kv::ScanFn& fn) = 0;
   virtual Status Flush() = 0;
   virtual Status CompactAll() = 0;
   virtual Status GetStats(BackendStats* stats) = 0;
@@ -66,6 +59,9 @@ class RegionBackend {
   /// RegionCluster::Scan drives directly (one connection per server,
   /// polled from the calling thread). nullptr for in-process backends.
   virtual net::ClientPool* clients() { return nullptr; }
+  /// In-process backends: the store, which RegionCluster::Scan scans from
+  /// a pool task. nullptr for socket backends.
+  virtual kv::LsmStore* store() { return nullptr; }
 
   /// "local:<dir>" or "socket:<host>:<port>" — for error messages.
   virtual std::string name() const = 0;

@@ -64,25 +64,26 @@ int RegionCluster::ServerFor(std::string_view key) const {
          static_cast<int>(servers_.size());
 }
 
-Status RegionCluster::WithRetry(const std::function<Status()>& op) const {
-  return RetryAfter(op(), op);
-}
-
-Status RegionCluster::RetryAfter(Status st,
-                                 const std::function<Status()>& op) const {
+bool RegionCluster::Retry(const Status& st, int attempt,
+                          std::chrono::milliseconds* backoff) const {
   // Stable pointer into the registry; fetched once per process.
   static obs::Counter* retries =
       obs::Registry::Global().GetCounter("just_cluster_retries_total");
-  for (int attempt = 0; !st.ok() && st.IsTransient() &&
-                        attempt < options_.max_retries;
-       ++attempt) {
-    retries->Increment();
-    // Exponential backoff: a region server mid-restart needs a moment, and
-    // hammering it would only extend the brownout.
-    int delay_ms = options_.retry_backoff_ms << attempt;
-    if (delay_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-    }
+  if (st.ok() || !st.IsTransient() || attempt >= options_.max_retries) {
+    return false;
+  }
+  retries->Increment();
+  // Exponential backoff: a region server mid-restart needs a moment, and
+  // hammering it would only extend the brownout.
+  *backoff = std::chrono::milliseconds(options_.retry_backoff_ms << attempt);
+  return true;
+}
+
+Status RegionCluster::WithRetry(const std::function<Status()>& op) const {
+  Status st = op();
+  std::chrono::milliseconds backoff{0};
+  for (int attempt = 0; Retry(st, attempt, &backoff); ++attempt) {
+    std::this_thread::sleep_for(backoff);
     st = op();
   }
   return st;
@@ -279,7 +280,7 @@ Status RegionCluster::ScanAttempt(ServerScan* scan,
     resume_start = scan->last_key + '\0';  // just past the accepted key
     todo[0].start = resume_start;
   }
-  return servers_[scan->server]->Scan(
+  return servers_[scan->server]->store()->Scan(
       todo, [&](size_t r, std::string_view key, std::string_view value) {
         return scan->Deliver(base + r, key, value, sink, halt);
       });
@@ -291,39 +292,56 @@ void RegionCluster::PollScan(
     const std::function<void(ServerScan&, Status)>& finish) const {
   using Clock = std::chrono::steady_clock;
   // One server's pages: its connection, the request of the current window
-  // of ranges, and the page in flight.
+  // of ranges, and the page in flight — or, after a failed page, when the
+  // stream reopens.
   struct Stream {
     ServerScan* scan = nullptr;
+    net::ClientPool* pool = nullptr;
     net::ClientPool::Lease conn;
     net::MultiScanRequest req;
     size_t window = 0;  ///< ids index of req.ranges[0]
     net::RegionClient::PendingPage page;
     net::MultiScanResponse resp;
+    /// Waiting: when the page times out. Retrying: when the stream reopens.
     Clock::time_point deadline;
-    bool waiting = false;  ///< a page is in flight
-    bool handoff = false;  ///< finishes through ScanAttempt
-    Status failure;        ///< the failed page's status (OK: a degrade)
+    bool waiting = false;   ///< a page is in flight
+    bool retrying = false;  ///< a failed page's retry is due at `deadline`
+    int attempts = 0;       ///< retries taken so far
   };
   std::vector<Stream> streams(scans->size());
-  auto hand_off = [](Stream& s, Status failure) {
-    // A connection that failed (or met an old peer) is not reused.
+  // A page failed: the stream reopens after the retry policy's backoff,
+  // or the server finishes with the failure.
+  auto fail = [&](Stream& s, Status st) {
+    // A connection that failed is not reused; the retry redials.
     s.conn->Disconnect();
     s.conn = net::ClientPool::Lease();
     s.waiting = false;
-    s.handoff = true;
-    s.failure = std::move(failure);
+    std::chrono::milliseconds backoff{0};
+    if (halt->load(std::memory_order_relaxed)) {
+      finish(*s.scan, Status::OK());  // stopped: no more rows are wanted
+    } else if (Retry(st, s.attempts, &backoff)) {
+      ++s.attempts;
+      s.retrying = true;
+      s.deadline = Clock::now() + backoff;
+    } else {
+      finish(*s.scan, std::move(st));
+    }
   };
   auto send = [&](Stream& s) {
     Status st = s.conn->SendMultiScanPage(s.req, &s.page);
-    if (!st.ok()) return hand_off(s, std::move(st));
+    if (!st.ok()) return fail(s, std::move(st));
     const int timeout_ms = s.conn->options().io_timeout_ms;
     s.deadline = timeout_ms > 0
                      ? Clock::now() + std::chrono::milliseconds(timeout_ms)
                      : Clock::time_point::max();
     s.waiting = true;
   };
+  // Asks for the first page of the ranges from ids[window] on, at most
+  // kMaxScanRanges of them. A window that starts at the server's resume
+  // point starts just past the last key the sink accepted.
   auto open_window = [&](Stream& s, size_t window) {
-    const std::vector<size_t>& ids = *s.scan->ids;
+    const ServerScan& scan = *s.scan;
+    const std::vector<size_t>& ids = *scan.ids;
     s.window = window;
     s.req.ranges.clear();
     for (size_t i = window;
@@ -332,20 +350,19 @@ void RegionCluster::PollScan(
     }
     s.req.limit_rows = s.conn->options().scan_page_rows;
     s.req.resume = net::ScanCursor{};
+    if (scan.resume && window == scan.next) {
+      s.req.resume.key = scan.last_key + '\0';
+    }
     send(s);
   };
-  // A page is ready: read and check it. False when the server left the
-  // loop instead.
+  // A page is ready: read and check it. False when it failed instead.
   auto receive = [&](Stream& s) {
     s.waiting = false;
-    bool degraded = false;
-    Status st = s.conn->RecvMultiScanPage(s.page, s.req, &s.resp, &degraded);
-    if (st.ok() && !degraded) st = s.resp.status;
-    if (!st.ok() || degraded) {
-      hand_off(s, std::move(st));
-      return false;
-    }
-    return true;
+    Status st = s.conn->RecvMultiScanPage(s.page, s.req, &s.resp);
+    if (st.ok()) st = s.resp.status;
+    if (st.ok()) return true;
+    fail(s, std::move(st));
+    return false;
   };
   // Hands a received page's rows to the sink, then asks for the next page
   // unless the server is done or stopped.
@@ -369,16 +386,22 @@ void RegionCluster::PollScan(
     s.conn.Release();
     finish(*s.scan, Status::OK());
   };
+  // A retry is due: the stream reopens on a fresh connection where the
+  // sink left off.
+  auto reopen = [&](Stream& s) {
+    s.retrying = false;
+    if (halt->load(std::memory_order_relaxed)) {
+      return finish(*s.scan, Status::OK());
+    }
+    s.conn = s.pool->Acquire();
+    open_window(s, s.scan->next);
+  };
 
   for (size_t i = 0; i < streams.size(); ++i) {
     Stream& s = streams[i];
     s.scan = &(*scans)[i];
-    net::ClientPool* pool = servers_[s.scan->server]->clients();
-    if (pool->peer().multiscan_unsupported.load()) {
-      s.handoff = true;  // one-range pages, through the backend's own loop
-      continue;
-    }
-    s.conn = pool->Acquire();
+    s.pool = servers_[s.scan->server]->clients();
+    s.conn = s.pool->Acquire();
     open_window(s, 0);
   }
   std::vector<pollfd> fds;
@@ -388,14 +411,20 @@ void RegionCluster::PollScan(
     fds.clear();
     polled.clear();
     received.clear();
+    // The nearest page timeout or retry: a server in backoff does not hold
+    // up the others' pages.
     Clock::time_point deadline = Clock::time_point::max();
+    bool busy = false;
     for (Stream& s : streams) {
-      if (!s.waiting) continue;
-      fds.push_back(pollfd{s.conn->fd(), POLLIN, 0});
-      polled.push_back(&s);
+      if (!s.waiting && !s.retrying) continue;
+      busy = true;
       deadline = std::min(deadline, s.deadline);
+      if (s.waiting) {
+        fds.push_back(pollfd{s.conn->fd(), POLLIN, 0});
+        polled.push_back(&s);
+      }
     }
-    if (fds.empty()) break;
+    if (!busy) break;
     int timeout_ms = -1;  // no deadline: wait for an answer
     if (deadline != Clock::time_point::max()) {
       timeout_ms = static_cast<int>(std::max<int64_t>(
@@ -407,7 +436,7 @@ void RegionCluster::PollScan(
     if (ready < 0 && errno != EINTR) {
       const Status st = Status::Unavailable(std::string("poll: ") +
                                             std::strerror(errno));
-      for (Stream* s : polled) hand_off(*s, st);
+      for (Stream* s : polled) fail(*s, st);
       continue;
     }
     // Every ready page is read before any rows are handed on, so a page's
@@ -418,23 +447,13 @@ void RegionCluster::PollScan(
       if (ready > 0 && fds[i].revents != 0) {
         if (receive(s)) received.push_back(&s);
       } else if (now >= s.deadline) {
-        hand_off(s, Status::Unavailable("region server page timed out"));
+        fail(s, Status::Unavailable("region server page timed out"));
       }
     }
     for (Stream* s : received) deliver(*s);
-  }
-  // Servers that left the loop finish one by one through the backend's
-  // own page loop, with the usual retry and backoff.
-  for (Stream& s : streams) {
-    if (!s.handoff) continue;
-    ServerScan* scan = s.scan;
-    auto attempt = [&] { return ScanAttempt(scan, ranges, sink, halt); };
-    Status st;
-    if (!halt->load(std::memory_order_relaxed)) {
-      st = s.failure.ok() ? WithRetry(attempt)
-                          : RetryAfter(std::move(s.failure), attempt);
+    for (Stream& s : streams) {
+      if (s.retrying && now >= s.deadline) reopen(s);
     }
-    finish(*scan, std::move(st));
   }
 }
 

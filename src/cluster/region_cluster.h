@@ -2,6 +2,7 @@
 #define JUST_CLUSTER_REGION_CLUSTER_H_
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -104,7 +105,9 @@ class RegionCluster {
   /// next page once the sink took its rows. In process, where the scan is
   /// this process's own CPU, each server's scan runs as a pool task. A
   /// transient failure retries the server's scan from just past the last
-  /// (range, key) the sink accepted, so no row reaches the sink twice.
+  /// (range, key) the sink accepted, so no row reaches the sink twice; over
+  /// sockets the retry stays in the page loop, so the other servers' pages
+  /// keep flowing through one server's backoff.
   /// Setting `*stop` (optional) stops every server at its next row; a
   /// failing server sets it too.
   Status Scan(const std::vector<curve::KeyRange>& ranges, ScanSink* sink,
@@ -156,28 +159,33 @@ class RegionCluster {
 
   struct ServerScan;
 
-  /// One attempt at a server's part of Scan(): its remaining ranges as one
-  /// multi-range backend scan, resuming past the last row `sink` accepted.
+  /// One attempt at an in-process server's part of Scan(): its remaining
+  /// ranges as one multi-range store scan, resuming past the last row
+  /// `sink` accepted.
   Status ScanAttempt(ServerScan* scan,
                      const std::vector<curve::KeyRange>& ranges,
                      ScanSink* sink, const std::atomic<bool>* halt) const;
 
   /// Scan() over socket backends: the calling thread's page loop over every
-  /// server's connection. A server whose page fails (or whose peer predates
-  /// the multi-scan) leaves the loop and finishes through ScanAttempt under
-  /// RetryAfter. `finish` is called once per server with its outcome.
+  /// server's connection. A failed page (transport error, timeout, CRC
+  /// error or shed) that Retry() allows reopens that server's stream on a
+  /// fresh connection after the backoff, just past the last row `sink`
+  /// accepted. `finish` is called once per server with its outcome.
   void PollScan(const std::vector<curve::KeyRange>& ranges,
                 std::vector<ServerScan>* scans, ScanSink* sink,
                 const std::atomic<bool>* halt,
                 const std::function<void(ServerScan&, Status)>& finish) const;
 
-  /// Runs `op` with bounded exponential-backoff retry on transient errors
-  /// (options_.max_retries / retry_backoff_ms). `op` must be safe to rerun
-  /// after a failure: writes are idempotent, and Scan resumes each attempt
-  /// past the rows it already delivered.
+  /// The retry policy: true when failure `st`, after `attempt` retries,
+  /// gets another (transient, options_.max_retries not yet spent), with
+  /// `*backoff` set to retry_backoff_ms << attempt. Counts the retry in
+  /// just_cluster_retries_total.
+  bool Retry(const Status& st, int attempt,
+             std::chrono::milliseconds* backoff) const;
+  /// Runs `op` under Retry(), sleeping out each backoff. `op` must be safe
+  /// to rerun after a failure: writes are idempotent, and Scan resumes each
+  /// attempt past the rows it already delivered.
   Status WithRetry(const std::function<Status()>& op) const;
-  /// WithRetry after a first attempt that already returned `st`.
-  Status RetryAfter(Status st, const std::function<Status()>& op) const;
 
   ClusterOptions options_;
   std::vector<std::unique_ptr<RegionBackend>> servers_;

@@ -324,6 +324,23 @@ std::vector<curve::KeyRange> StTable::WrapRanges(
   return ranges;
 }
 
+std::vector<curve::KeyRange> StTable::SlotRanges(size_t index_slot) const {
+  std::vector<curve::KeyRange> ranges;
+  const std::string prefix = IndexPrefix(index_slot);
+  // Successor of the 5-byte prefix: bump the index-slot byte.
+  std::string end_prefix = prefix;
+  end_prefix.back() = static_cast<char>(end_prefix.back() + 1);
+  for (int shard = 0; shard < num_shards(); ++shard) {
+    curve::KeyRange range;
+    range.start.push_back(static_cast<char>(shard));
+    range.start += prefix;
+    range.end.push_back(static_cast<char>(shard));
+    range.end += end_prefix;
+    ranges.push_back(std::move(range));
+  }
+  return ranges;
+}
+
 Result<curve::RecordRef> StTable::MakeRecordRef(const exec::Row& row) const {
   curve::RecordRef ref;
   if (fid_col_ >= 0 && !row[fid_col_].is_null()) {
@@ -803,9 +820,17 @@ Result<exec::BatchVector> StTable::CurveRangeScan(
   for (size_t i = 0; i < strategies_.size(); ++i) {
     if (strategies_[i].get() == strategy) slot = i;
   }
-  auto ranges = WrapRanges(
-      slot, temporal ? strategy->QueryRanges(box, t_min, t_max)
-                     : strategy->QueryRanges(box, INT64_MIN, INT64_MAX));
+  std::vector<curve::KeyRange> ranges;
+  if (temporal) {
+    ranges = WrapRanges(slot, strategy->QueryRanges(box, t_min, t_max));
+  } else if (curve::IsSpatioTemporal(strategy->type())) {
+    // A time-aware index asked for no time bounds would enumerate every
+    // period there is: scan its whole slot, and let the refinement apply
+    // the box.
+    ranges = SlotRanges(slot);
+  } else {
+    ranges = WrapRanges(slot, strategy->QueryRanges(box, INT64_MIN, INT64_MAX));
+  }
   auto refine = [this, &box, temporal, t_min, t_max](exec::ColumnBatch* b) {
     RefineBatch(b, box, temporal, t_min, t_max);
   };
@@ -960,22 +985,9 @@ Result<exec::BatchVector> StTable::FullScanBatches(
   if (strategies_.empty()) {
     return Status::InvalidArgument("table " + meta_.name + " has no indexes");
   }
-  std::vector<curve::KeyRange> ranges;
-  int shards = strategies_[0]->options().num_shards;
-  for (int shard = 0; shard < shards; ++shard) {
-    curve::KeyRange range;
-    range.start.push_back(static_cast<char>(shard));
-    range.start += IndexPrefix(0);
-    range.end.push_back(static_cast<char>(shard));
-    std::string end_prefix = IndexPrefix(0);
-    // Successor of the 5-byte prefix: bump the index-slot byte.
-    end_prefix.back() = static_cast<char>(end_prefix.back() + 1);
-    range.end += end_prefix;
-    ranges.push_back(std::move(range));
-  }
   // Internal full scans (k-NN's fallback, the catalog's rebuilds) stay
   // counter-silent; query scans record what they read.
-  return ScanRangesToBatches(ranges, /*refine=*/nullptr, {}, stats, pushdown,
+  return ScanRangesToBatches(SlotRanges(0), /*refine=*/nullptr, {}, stats, pushdown,
                              /*fid_offset=*/0, /*skip_fids=*/nullptr,
                              /*record_counters=*/pushdown != nullptr);
 }

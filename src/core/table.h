@@ -259,6 +259,8 @@ class StTable {
   std::string WrapKey(size_t index_slot, std::string_view strategy_key) const;
   std::vector<curve::KeyRange> WrapRanges(
       size_t index_slot, std::vector<curve::KeyRange> ranges) const;
+  /// Every key of index slot `index_slot`: one range per shard.
+  std::vector<curve::KeyRange> SlotRanges(size_t index_slot) const;
 
   /// The shared scan core over RegionCluster::Scan: each server's task
   /// decodes its rows straight from the backend's views into its own

@@ -1,9 +1,7 @@
 #include "net/region_client.h"
 
-#include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -37,29 +35,6 @@ obs::Counter* TraceDecodeErrorCounter() {
   return c;
 }
 
-obs::Counter* TraceDegradeCounter() {
-  static obs::Counter* c = obs::Registry::Global().GetCounter(
-      "just_net_client_trace_degrades_total");
-  return c;
-}
-
-obs::Counter* MultiScanDegradeCounter() {
-  static obs::Counter* c = obs::Registry::Global().GetCounter(
-      "just_net_client_multiscan_degrades_total");
-  return c;
-}
-
-/// The type byte a peer's "unknown message type N" answer names, or -1 when
-/// `st` is not such an answer.
-int UnknownTypeNamed(const Status& st) {
-  static constexpr std::string_view kPrefix = "unknown message type ";
-  if (!st.IsInvalidArgument()) return -1;
-  const std::string& msg = st.message();
-  size_t at = msg.find(kPrefix);
-  if (at == std::string::npos) return -1;
-  return std::atoi(msg.c_str() + at + kPrefix.size());
-}
-
 /// Per-request-type client latency (`just_net_client_rpc_us{type=...}`),
 /// indexed by the raw type byte. All series registered on first use so
 /// /metrics shows them together.
@@ -68,6 +43,7 @@ obs::Histogram* ClientRpcUs(MsgType t) {
     std::array<obs::Histogram*, 16> a{};
     for (uint8_t i = static_cast<uint8_t>(MsgType::kPingReq);
          i <= static_cast<uint8_t>(MsgType::kMultiScanReq); ++i) {
+      if (!IsRequestType(static_cast<MsgType>(i))) continue;
       a[i] = obs::Registry::Global().GetHistogram(obs::LabeledName(
           "just_net_client_rpc_us",
           {{"type", MsgTypeName(static_cast<MsgType>(i))}}));
@@ -135,16 +111,14 @@ void RegionClient::GraftResponseTrace(const FrameHeader& header) {
                   options_.host + ":" + std::to_string(options_.port));
 }
 
-Status RegionClient::SendRequest(const FrameBuilder& build, uint64_t* id,
-                                 bool* traced) {
+Status RegionClient::SendRequest(const FrameBuilder& build, uint64_t* id) {
   // Trace context rides along only when the calling thread is actually
-  // tracing and the peer has not rejected the extension — with tracing
-  // inactive the frame is byte-identical to the pre-extension layout.
-  *traced = !peer_->trace_unsupported.load() &&
-            obs::CurrentSpan() != nullptr;
+  // tracing — with tracing inactive the frame keeps the unflagged layout.
   *id = NextRequestId();
   std::string ext;
-  if (*traced) ext = EncodeTraceContext(TraceContext{/*sampled=*/true});
+  if (obs::CurrentSpan() != nullptr) {
+    ext = EncodeTraceContext(TraceContext{/*sampled=*/true});
+  }
   std::string frame;
   build(*id, ext, &frame);
   RpcCounter()->Increment();
@@ -166,46 +140,18 @@ Status RegionClient::RecvResponse(uint64_t id, FrameHeader* header,
   return Status::OK();
 }
 
-bool RegionClient::TraceDegraded(MsgType req_type, bool traced,
-                                 const Status& answer) {
-  // A pre-extension server saw the flagged type byte as unknown and
-  // answered kInvalidArgument on a surviving connection. A peer that knows
-  // the extension but not the request type itself names the bare type:
-  // that is the caller's to handle.
-  const int named = UnknownTypeNamed(answer);
-  if (!traced || named < 0 || named == static_cast<int>(req_type)) {
-    return false;
-  }
-  if (!peer_->trace_unsupported.exchange(true)) {
-    TraceDegradeCounter()->Increment();
-  }
-  return true;
-}
-
 Status RegionClient::CallRpc(MsgType req_type, const FrameBuilder& build,
                              FrameHeader* header, std::string* payload,
                              std::string_view* body) {
   const uint64_t start_us = NowUs();
-  for (;;) {
-    uint64_t id = 0;
-    bool traced = false;
-    JUST_RETURN_NOT_OK(SendRequest(build, &id, &traced));
-    JUST_RETURN_NOT_OK(RecvResponse(id, header, payload, body));
-    if (traced && header->type == MsgType::kStatusResp) {
-      // Degraded for good: retry this one RPC without the extension. The
-      // peer is now marked, so the loop cannot spin.
-      StatusResponse sr;
-      if (DecodeStatusResponse(*body, &sr).ok() &&
-          TraceDegraded(req_type, traced, sr.status)) {
-        continue;
-      }
-    }
-    if (header->has_ext) GraftResponseTrace(*header);
-    if (obs::Histogram* h = ClientRpcUs(req_type)) {
-      h->Record(NowUs() - start_us);
-    }
-    return Status::OK();
+  uint64_t id = 0;
+  JUST_RETURN_NOT_OK(SendRequest(build, &id));
+  JUST_RETURN_NOT_OK(RecvResponse(id, header, payload, body));
+  if (header->has_ext) GraftResponseTrace(*header);
+  if (obs::Histogram* h = ClientRpcUs(req_type)) {
+    h->Record(NowUs() - start_us);
   }
+  return Status::OK();
 }
 
 Status RegionClient::StatusCall(MsgType req_type, const FrameBuilder& build) {
@@ -314,32 +260,6 @@ Status RegionClient::Get(std::string_view key, std::string* value) {
   return resp.status;
 }
 
-Status RegionClient::ScanPage(const ScanRequest& req, ScanResponse* resp) {
-  FrameHeader header;
-  std::string payload;
-  std::string_view body;
-  JUST_RETURN_NOT_OK(CallRpc(
-      MsgType::kScanReq,
-      [&](uint64_t id, std::string_view ext, std::string* f) {
-        EncodeScanRequest(req, id, f, ext);
-      },
-      &header, &payload, &body));
-  if (header.type == MsgType::kStatusResp) {
-    StatusResponse sr;
-    Status st = DecodeStatusResponse(body, &sr);
-    if (!st.ok()) return Fail(st);
-    return sr.status.ok()
-               ? Status::Internal("status-only response to a Scan")
-               : sr.status;
-  }
-  if (header.type != MsgType::kScanResp) {
-    return Fail(Status::Internal("unexpected response type"));
-  }
-  Status st = DecodeScanResponse(body, resp);
-  if (!st.ok()) return Fail(st);
-  return resp->status;
-}
-
 Status RegionClient::GetStats(StatsResponse* resp) {
   FrameHeader header;
   std::string payload;
@@ -366,21 +286,6 @@ Status RegionClient::GetStats(StatsResponse* resp) {
   return resp->status;
 }
 
-Status RegionClient::MultiScanPage(const MultiScanRequest& req,
-                                   MultiScanResponse* resp) {
-  for (;;) {
-    if (peer_->multiscan_unsupported.load()) {
-      return FallbackScanPage(req, resp);
-    }
-    PendingPage page;
-    JUST_RETURN_NOT_OK(SendMultiScanPage(req, &page));
-    bool degraded = false;
-    JUST_RETURN_NOT_OK(RecvMultiScanPage(page, req, resp, &degraded));
-    // A degrade marked the peer, so the next round sends the other form.
-    if (!degraded) return resp->status;
-  }
-}
-
 Status RegionClient::SendMultiScanPage(const MultiScanRequest& req,
                                        PendingPage* page) {
   page->start_us = NowUs();
@@ -388,14 +293,12 @@ Status RegionClient::SendMultiScanPage(const MultiScanRequest& req,
       [&](uint64_t id, std::string_view ext, std::string* f) {
         EncodeMultiScanRequest(req, id, f, ext);
       },
-      &page->request_id, &page->traced);
+      &page->request_id);
 }
 
 Status RegionClient::RecvMultiScanPage(const PendingPage& page,
                                        const MultiScanRequest& req,
-                                       MultiScanResponse* resp,
-                                       bool* degraded) {
-  *degraded = false;
+                                       MultiScanResponse* resp) {
   resp->status = Status::OK();
   resp->rows.clear();
   resp->has_more = false;
@@ -408,19 +311,6 @@ Status RegionClient::RecvMultiScanPage(const PendingPage& page,
     StatusResponse sr;
     Status st = DecodeStatusResponse(body, &sr);
     if (!st.ok()) return Fail(st);
-    if (TraceDegraded(MsgType::kMultiScanReq, page.traced, sr.status)) {
-      *degraded = true;
-      return Status::OK();
-    }
-    if (UnknownTypeNamed(sr.status) ==
-        static_cast<int>(MsgType::kMultiScanReq)) {
-      // A server from before kMultiScanReq: degrade for good.
-      if (!peer_->multiscan_unsupported.exchange(true)) {
-        MultiScanDegradeCounter()->Increment();
-      }
-      *degraded = true;
-      return Status::OK();
-    }
     return sr.status.ok()
                ? Status::Internal("status-only response to a MultiScan")
                : sr.status;
@@ -445,65 +335,6 @@ Status RegionClient::RecvMultiScanPage(const PendingPage& page,
   return Status::OK();
 }
 
-Status RegionClient::FallbackScanPage(const MultiScanRequest& req,
-                                      MultiScanResponse* resp) {
-  const uint32_t r = req.resume.range;
-  const kv::ScanRange& range = req.ranges[r];
-  ScanRequest one;
-  one.start_key = std::string(std::max(std::string_view(req.resume.key),
-                                       range.start));
-  one.end_key = std::string(range.end);
-  one.limit_rows = req.limit_rows;
-  ScanResponse page;
-  JUST_RETURN_NOT_OK(ScanPage(one, &page));
-  // The rows' bytes move into the response's payload, which they view.
-  resp->status = Status::OK();
-  resp->payload.clear();
-  for (const WireRow& row : page.rows) {
-    resp->payload.append(row.key).append(row.value);
-  }
-  resp->rows.clear();
-  resp->rows.reserve(page.rows.size());
-  std::string_view bytes(resp->payload);
-  for (const WireRow& row : page.rows) {
-    resp->rows.push_back(MultiScanRow{r, bytes.substr(0, row.key.size()),
-                                      bytes.substr(row.key.size(),
-                                                   row.value.size())});
-    bytes.remove_prefix(row.key.size() + row.value.size());
-  }
-  resp->has_more = false;
-  resp->next = ScanCursor{};
-  if (page.has_more) {
-    resp->has_more = true;
-    resp->next = ScanCursor{r, std::move(page.next_cursor)};
-  } else if (r + 1 < req.ranges.size()) {
-    resp->has_more = true;
-    resp->next = ScanCursor{r + 1, ""};
-  }
-  return Status::OK();
-}
-
-Status RegionClient::Scan(const std::vector<kv::ScanRange>& ranges,
-                          const kv::ScanFn& fn) {
-  MultiScanResponse resp;
-  for (size_t base = 0; base < ranges.size(); base += kMaxScanRanges) {
-    MultiScanRequest req;
-    req.ranges.assign(
-        ranges.begin() + base,
-        ranges.begin() + std::min(ranges.size(), base + kMaxScanRanges));
-    req.limit_rows = options_.scan_page_rows;
-    for (;;) {
-      JUST_RETURN_NOT_OK(MultiScanPage(req, &resp));
-      for (const MultiScanRow& row : resp.rows) {
-        if (!fn(base + row.range, row.key, row.value)) return Status::OK();
-      }
-      if (!resp.has_more) break;
-      req.resume = std::move(resp.next);
-    }
-  }
-  return Status::OK();
-}
-
 ClientPool::Lease ClientPool::Acquire() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -513,7 +344,7 @@ ClientPool::Lease ClientPool::Acquire() {
       return Lease(this, std::move(client));
     }
   }
-  return Lease(this, std::make_unique<RegionClient>(options_, peer_));
+  return Lease(this, std::make_unique<RegionClient>(options_));
 }
 
 void ClientPool::Lease::Release() {

@@ -1,7 +1,6 @@
 #ifndef JUST_NET_REGION_CLIENT_H_
 #define JUST_NET_REGION_CLIENT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -24,19 +23,9 @@ struct RegionClientOptions {
   /// kUnavailable and drops the connection (the stream is unsynced); the
   /// next call reconnects. 0 = block forever.
   int io_timeout_ms = 10000;
-  /// Page size for the paged Scan(); also sent as the requests' limit_rows.
+  /// Rows per scan page: the limit_rows of RegionCluster::Scan's requests.
   uint32_t scan_page_rows = 512;
   size_t max_frame_bytes = kMaxFrameBytes;
-};
-
-/// What clients have learned about one region server, shared by every
-/// connection to it, so an old server is detected once per peer rather than
-/// once per connection. Both degrades are sticky.
-struct PeerFeatures {
-  /// The peer rejected an extension-flagged frame: send no trace context.
-  std::atomic<bool> trace_unsupported{false};
-  /// The peer rejected kMultiScanReq: scan with one-range kScanReq pages.
-  std::atomic<bool> multiscan_unsupported{false};
 };
 
 /// Synchronous client stub for one region server connection. Every RPC is
@@ -51,25 +40,21 @@ struct PeerFeatures {
 /// extension field; the server answers with its serialized span tree,
 /// which is grafted under the caller's span with a `server=host:port`
 /// attribute — this is how EXPLAIN ANALYZE shows remote per-server work.
-/// A pre-extension server rejects the flagged frame with kInvalidArgument
-/// ("unknown message type"); the client then marks the peer, retries the
-/// RPC once without the extension, and stays untraced against that peer
-/// (old-server compatibility). With no active span nothing is added to the
-/// frame at all.
+/// With no active span nothing is added to the frame at all. Clients and
+/// servers ship from one build: a peer that answers "unknown message type"
+/// is incompatible, and its answer comes back as an ordinary
+/// kInvalidArgument error.
 ///
-/// Scans go out as kMultiScanReq pages. A server that predates the message
-/// answers "unknown message type"; the client then marks the peer (counted
-/// in just_net_client_multiscan_degrades_total) and serves the same pages
-/// as one-range kScanReq pages, one range at a time.
+/// Scans go out as kMultiScanReq pages, sent and received in two halves so
+/// one thread can keep a page in flight on every server's connection
+/// (RegionCluster::Scan polls them).
 ///
 /// Not thread-safe: one caller at a time per client (ClientPool hands each
 /// caller its own connection; the server runs a thread per connection).
 class RegionClient {
  public:
-  explicit RegionClient(
-      RegionClientOptions options,
-      std::shared_ptr<PeerFeatures> peer = std::make_shared<PeerFeatures>())
-      : options_(std::move(options)), peer_(std::move(peer)) {}
+  explicit RegionClient(RegionClientOptions options)
+      : options_(std::move(options)) {}
 
   Status Ping();
   Status Put(std::string_view key, std::string_view value);
@@ -82,46 +67,25 @@ class RegionClient {
   /// not transient, so callers must not retry-loop it.
   Status Ingest(const std::string& tenant, const std::vector<kv::WriteOp>& ops);
 
-  /// One page of a one-range scan (kScanReq); resume by re-sending with
-  /// `req.start_key = resp->next_cursor` while `resp->has_more`.
-  Status ScanPage(const ScanRequest& req, ScanResponse* resp);
-
-  /// One page of a multi-range scan; resume by re-sending with
-  /// `req.resume = resp->next` while `resp->has_more`. Against a server
-  /// without kMultiScanReq the page comes from the cursor's range alone.
-  /// The send half and the receive half back to back (plus the degrades).
-  Status MultiScanPage(const MultiScanRequest& req, MultiScanResponse* resp);
-
   /// A kMultiScanReq page on its way: what the receive half needs to match
   /// and time its answer.
   struct PendingPage {
     uint64_t request_id = 0;
-    bool traced = false;
     uint64_t start_us = 0;
   };
-  /// Send half of a multi-scan page: encodes `req` with a trace-context
-  /// extension when the calling thread has a span and the peer takes
-  /// extensions, counts the RPC and sends the frame. Callers check
-  /// peer_multiscan_unsupported() first: this half always sends the
-  /// multi-scan.
+  /// Send half of one page of a multi-range scan: encodes `req` (with a
+  /// trace-context extension when the calling thread has a span), counts
+  /// the RPC and sends the frame. The next page is `req` again with
+  /// `req.resume = resp->next`, while `resp->has_more`.
   Status SendMultiScanPage(const MultiScanRequest& req, PendingPage* page);
   /// Receive half: reads the answer to `page` (CRC-checked), checks its id,
   /// type, row ranges and cursor against `req`, decodes the rows as views
   /// into resp->payload, grafts the returned span tree under the caller's
   /// span and records the page's latency. The server's own scan status is
-  /// left in resp->status. An "unknown message type" answer marks the peer
-  /// (trace extension or multi-scan unsupported) and sets `*degraded`,
-  /// with no rows: re-sending the page then takes the degraded form.
+  /// left in resp->status; a bare status answer (a shed, or a rejected
+  /// request) is returned.
   Status RecvMultiScanPage(const PendingPage& page, const MultiScanRequest& req,
-                           MultiScanResponse* resp, bool* degraded);
-
-  /// Paged multi-range scan: streams pages of scan_page_rows through `fn`
-  /// (return false to stop early), at most kMaxScanRanges ranges per
-  /// request. No internal retry — a transient page failure aborts the scan
-  /// with that status, and rows already delivered this call may be
-  /// re-delivered by a caller-level retry (RegionCluster resumes past the
-  /// last row it accepted for exactly this reason).
-  Status Scan(const std::vector<kv::ScanRange>& ranges, const kv::ScanFn& fn);
+                           MultiScanResponse* resp);
 
   Status Flush();
   Status CompactAll();
@@ -144,39 +108,24 @@ class RegionClient {
   /// Dials if not connected (RPCs do this implicitly).
   Status EnsureConnected();
 
-  /// True once the peer rejected an extension-flagged frame: subsequent
-  /// RPCs stop sending trace context (the compat degrade is sticky).
-  bool peer_trace_unsupported() const { return peer_->trace_unsupported; }
-  /// True once the peer rejected kMultiScanReq: scans use one-range pages.
-  bool peer_multiscan_unsupported() const {
-    return peer_->multiscan_unsupported;
-  }
-
  private:
   /// Appends one complete request frame for `request_id` to `frame`; `ext`
-  /// is the extension blob to embed (empty = pre-extension layout).
+  /// is the extension blob to embed (empty = the unflagged layout).
   using FrameBuilder = std::function<void(
       uint64_t request_id, std::string_view ext, std::string* frame)>;
 
   /// One RPC round: builds the frame (with a trace-context extension when
-  /// a span is active and the peer supports it), sends it, matches the
-  /// response id, grafts any returned span tree, and records per-type
-  /// client latency. Retries exactly once without the extension when the
-  /// peer proves to be pre-extension. Any transport failure disconnects
-  /// and returns kUnavailable.
+  /// a span is active), sends it, matches the response id, grafts any
+  /// returned span tree, and records per-type client latency. Any
+  /// transport failure disconnects and returns kUnavailable.
   Status CallRpc(MsgType req_type, const FrameBuilder& build,
                  FrameHeader* header, std::string* payload,
                  std::string_view* body);
-  /// Builds and sends one request frame; `*traced` says whether it carried
-  /// trace context.
-  Status SendRequest(const FrameBuilder& build, uint64_t* id, bool* traced);
+  /// Builds and sends one request frame; `*id` is its request id.
+  Status SendRequest(const FrameBuilder& build, uint64_t* id);
   /// Reads the answer to request `id` and parses its header.
   Status RecvResponse(uint64_t id, FrameHeader* header, std::string* payload,
                       std::string_view* body);
-  /// True when `answer`, the reply to a `req_type` request, is a peer's
-  /// "unknown message type" naming the extension-flagged type byte: marks
-  /// the peer untraced (once per peer).
-  bool TraceDegraded(MsgType req_type, bool traced, const Status& answer);
   /// Shared epilogue for RPCs whose response is a bare StatusResponse.
   Status StatusCall(MsgType req_type, const FrameBuilder& build);
   /// Decodes a response's extension as a span tree under the caller's
@@ -185,13 +134,8 @@ class RegionClient {
   /// a bad trace must not fail a good response.
   void GraftResponseTrace(const FrameHeader& header);
   Status Fail(Status st);
-  /// MultiScanPage against a pre-multi-scan peer: one kScanReq page of the
-  /// cursor's range, its cursor carried over into the next range.
-  Status FallbackScanPage(const MultiScanRequest& req,
-                          MultiScanResponse* resp);
 
   RegionClientOptions options_;
-  std::shared_ptr<PeerFeatures> peer_;
   Socket sock_;
   uint64_t last_request_id_ = 0;
 };
@@ -206,8 +150,7 @@ class RegionClient {
 class ClientPool {
  public:
   explicit ClientPool(RegionClientOptions options)
-      : options_(std::move(options)),
-        peer_(std::make_shared<PeerFeatures>()) {}
+      : options_(std::move(options)) {}
   ClientPool(const ClientPool&) = delete;
   ClientPool& operator=(const ClientPool&) = delete;
 
@@ -238,11 +181,9 @@ class ClientPool {
 
   Lease Acquire();
   const RegionClientOptions& options() const { return options_; }
-  const PeerFeatures& peer() const { return *peer_; }
 
  private:
   RegionClientOptions options_;
-  std::shared_ptr<PeerFeatures> peer_;
   std::mutex mu_;  ///< guards idle_
   std::vector<std::unique_ptr<RegionClient>> idle_;
 };

@@ -40,6 +40,7 @@ RegionServer::RegionServer(const RegionServerOptions& options)
   request_us_ = reg.GetHistogram("just_net_server_request_us");
   for (uint8_t t = static_cast<uint8_t>(MsgType::kPingReq);
        t <= static_cast<uint8_t>(MsgType::kMultiScanReq); ++t) {
+    if (!IsRequestType(static_cast<MsgType>(t))) continue;
     rpc_us_by_type_[t] = reg.GetHistogram(obs::LabeledName(
         "just_net_server_rpc_us",
         {{"type", MsgTypeName(static_cast<MsgType>(t))}}));
@@ -352,24 +353,9 @@ void RegionServer::Execute(const FrameHeader& header, std::string_view body,
       if (status.ok()) status = store_->WriteBatch(ingest_req.ops);
       break;
     }
-    case MsgType::kScanReq: {
-      // The one-range scan of older clients: a one-element multi-scan,
-      // answered as a kScanResp page by the same writer.
-      kind = Kind::kPage;
-      reply->page.Begin(MsgType::kScanResp);
-      ScanRequest scan_req;
-      status = DecodeScanRequest(body, &scan_req);
-      if (status.ok()) {
-        MultiScanRequest multi_req;
-        multi_req.ranges = {{scan_req.start_key, scan_req.end_key}};
-        multi_req.limit_rows = scan_req.limit_rows;
-        status = HandleScan(multi_req, &reply->page, &has_more, &next);
-      }
-      break;
-    }
     case MsgType::kMultiScanReq: {
       kind = Kind::kPage;
-      reply->page.Begin(MsgType::kMultiScanResp);
+      reply->page.Begin();
       MultiScanRequest multi_req;
       status = DecodeMultiScanRequest(body, &multi_req);
       if (status.ok()) {

@@ -128,9 +128,9 @@ class RegionServer {
   /// when the request's frame was read (the span's queue_us).
   void Execute(const FrameHeader& header, std::string_view body, bool traced,
                uint64_t arrival_ns, Reply* reply);
-  /// The one scan handler: kScanReq arrives here as a one-range request.
-  /// Rows go from the store's views straight into `page`; when the page
-  /// fills, `*next` is where the client resumes.
+  /// The scan handler: one page of a multi-range scan. Rows go from the
+  /// store's views straight into `page`; when the page fills, `*next` is
+  /// where the client resumes.
   Status HandleScan(const MultiScanRequest& req, ScanPageWriter* page,
                     bool* has_more, ScanCursor* next);
   StatsResponse BuildStats();

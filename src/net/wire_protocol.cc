@@ -75,13 +75,15 @@ Status ExpectEnd(const char* p, const char* limit) {
 }  // namespace
 
 bool IsRequestType(MsgType t) {
-  return t >= MsgType::kPingReq && t <= MsgType::kMultiScanReq;
+  return t >= MsgType::kPingReq && t <= MsgType::kMultiScanReq &&
+         static_cast<uint8_t>(t) != 6;  // reserved: the retired scan
 }
 
 bool IsKnownType(uint8_t t) {
   auto m = static_cast<MsgType>(t);
   return IsRequestType(m) ||
-         (m >= MsgType::kStatusResp && m <= MsgType::kMultiScanResp);
+         (m >= MsgType::kStatusResp && m <= MsgType::kMultiScanResp &&
+          t != 34);  // reserved: the retired scan's answer
 }
 
 const char* MsgTypeName(MsgType t) {
@@ -96,8 +98,6 @@ const char* MsgTypeName(MsgType t) {
       return "delete";
     case MsgType::kWriteBatchReq:
       return "write_batch";
-    case MsgType::kScanReq:
-      return "scan";
     case MsgType::kFlushReq:
       return "flush";
     case MsgType::kCompactReq:
@@ -114,8 +114,6 @@ const char* MsgTypeName(MsgType t) {
       return "status_resp";
     case MsgType::kGetResp:
       return "get_resp";
-    case MsgType::kScanResp:
-      return "scan_resp";
     case MsgType::kStatsResp:
       return "stats_resp";
     case MsgType::kMultiScanResp:
@@ -225,16 +223,6 @@ void EncodeIngestRequest(const IngestRequest& req, uint64_t request_id,
   FinishFrame(payload, dst);
 }
 
-void EncodeScanRequest(const ScanRequest& req, uint64_t request_id,
-                       std::string* dst, std::string_view ext) {
-  std::string payload;
-  BeginPayload(MsgType::kScanReq, request_id, &payload, ext);
-  PutLengthPrefixed(&payload, req.start_key);
-  PutLengthPrefixed(&payload, req.end_key);
-  PutVarint32(&payload, req.limit_rows);
-  FinishFrame(payload, dst);
-}
-
 void EncodeMultiScanRequest(const MultiScanRequest& req, uint64_t request_id,
                             std::string* dst, std::string_view ext) {
   std::string payload;
@@ -321,16 +309,6 @@ Status DecodeIngestRequest(std::string_view body, IngestRequest* req) {
   return ExpectEnd(p, limit);
 }
 
-Status DecodeScanRequest(std::string_view body, ScanRequest* req) {
-  const char* p = body.data();
-  const char* limit = p + body.size();
-  if (!GetString(&p, limit, &req->start_key)) return Malformed("scan start");
-  if (!GetString(&p, limit, &req->end_key)) return Malformed("scan end");
-  if (!GetVarint32(&p, limit, &req->limit_rows)) return Malformed("scan limit");
-  if (req->limit_rows == 0) return Malformed("scan limit zero");
-  return ExpectEnd(p, limit);
-}
-
 Status DecodeMultiScanRequest(std::string_view body, MultiScanRequest* req) {
   const char* p = body.data();
   const char* limit = p + body.size();
@@ -389,21 +367,6 @@ void EncodeGetResponse(const GetResponse& resp, uint64_t request_id,
   FinishFrame(payload, dst);
 }
 
-void EncodeScanResponse(const ScanResponse& resp, uint64_t request_id,
-                        std::string* dst, std::string_view ext) {
-  std::string payload;
-  BeginPayload(MsgType::kScanResp, request_id, &payload, ext);
-  EncodeStatus(resp.status, &payload);
-  PutVarint32(&payload, static_cast<uint32_t>(resp.rows.size()));
-  for (const auto& row : resp.rows) {
-    PutLengthPrefixed(&payload, row.key);
-    PutLengthPrefixed(&payload, row.value);
-  }
-  payload.push_back(resp.has_more ? 1 : 0);
-  PutLengthPrefixed(&payload, resp.next_cursor);
-  FinishFrame(payload, dst);
-}
-
 void EncodeStatsResponse(const StatsResponse& resp, uint64_t request_id,
                          std::string* dst, std::string_view ext) {
   std::string payload;
@@ -437,15 +400,14 @@ void EncodeMultiScanResponse(const MultiScanResponse& resp,
   FinishFrame(payload, dst);
 }
 
-void ScanPageWriter::Begin(MsgType type) {
-  type_ = type;
+void ScanPageWriter::Begin() {
   body_.clear();
   rows_ = 0;
 }
 
 void ScanPageWriter::AddRow(uint32_t range, std::string_view key,
                             std::string_view value) {
-  if (type_ == MsgType::kMultiScanResp) PutVarint32(&body_, range);
+  PutVarint32(&body_, range);
   PutVarint32(&body_, static_cast<uint32_t>(key.size()));
   last_key_at_ = body_.size();
   last_key_size_ = key.size();
@@ -459,11 +421,11 @@ void ScanPageWriter::Finish(const Status& status, bool has_more,
                             const ScanCursor& next, uint64_t request_id,
                             std::string_view ext) {
   body_.push_back(has_more ? 1 : 0);
-  if (type_ == MsgType::kMultiScanResp) PutVarint32(&body_, next.range);
+  PutVarint32(&body_, next.range);
   PutLengthPrefixed(&body_, next.key);
   // The head's payload part first; its length and CRC go in front.
   std::string part;
-  BeginPayload(type_, request_id, &part, ext);
+  BeginPayload(MsgType::kMultiScanResp, request_id, &part, ext);
   EncodeStatus(status, &part);
   PutVarint32(&part, rows_);
   head_.clear();
@@ -484,29 +446,6 @@ Status DecodeGetResponse(std::string_view body, GetResponse* resp) {
   const char* limit = p + body.size();
   JUST_RETURN_NOT_OK(DecodeStatus(&p, limit, &resp->status));
   if (!GetString(&p, limit, &resp->value)) return Malformed("get value");
-  return ExpectEnd(p, limit);
-}
-
-Status DecodeScanResponse(std::string_view body, ScanResponse* resp) {
-  const char* p = body.data();
-  const char* limit = p + body.size();
-  JUST_RETURN_NOT_OK(DecodeStatus(&p, limit, &resp->status));
-  uint32_t count = 0;
-  if (!GetVarint32(&p, limit, &count)) return Malformed("scan row count");
-  if (count > body.size() / 2 + 1) return Malformed("scan row count too large");
-  resp->rows.clear();
-  resp->rows.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    WireRow row;
-    if (!GetString(&p, limit, &row.key)) return Malformed("scan row key");
-    if (!GetString(&p, limit, &row.value)) return Malformed("scan row value");
-    resp->rows.push_back(std::move(row));
-  }
-  if (p >= limit) return Malformed("scan has_more");
-  uint8_t has_more = static_cast<uint8_t>(*p++);
-  if (has_more > 1) return Malformed("scan has_more flag");
-  resp->has_more = has_more == 1;
-  if (!GetString(&p, limit, &resp->next_cursor)) return Malformed("scan cursor");
   return ExpectEnd(p, limit);
 }
 
@@ -606,9 +545,6 @@ Status ParsePayload(std::string_view payload, FrameHeader* header,
   uint8_t raw = static_cast<uint8_t>(payload[0]);
   uint8_t type = raw & static_cast<uint8_t>(~kExtensionFlag);
   if (!IsKnownType(type)) {
-    // Deliberately the same message whether the flag bit or the low bits
-    // are unrecognized: pre-extension servers answer flagged frames with
-    // exactly this text, and RegionClient matches on it to degrade.
     return Status::InvalidArgument("unknown message type " +
                                    std::to_string(type));
   }

@@ -26,14 +26,14 @@ namespace just::net {
 ///                               varint length + opaque extension bytes
 ///   [body]                      per-message encoding, see Encode*/Decode*
 ///
-/// The extension field is the version-tolerance seam for optional metadata
-/// (today: trace context on requests, serialized span trees on responses).
-/// A peer that predates it never sets the flag, so its frames parse
-/// unchanged; a peer that does not understand it sees an unknown msg_type
-/// (flag bit set) and answers kInvalidArgument on a surviving connection,
-/// which new clients detect to degrade to un-extended frames (see
-/// RegionClient). Unknown bytes *inside* a well-formed extension are
-/// ignored, so the extension itself can grow fields later.
+/// The extension field carries optional metadata (today: trace context on
+/// requests, serialized span trees on responses). A frame without it keeps
+/// the unflagged layout byte for byte. Clients and servers ship from one
+/// build, so there is one protocol version: a peer that answers "unknown
+/// message type" (kInvalidArgument, connection kept) is incompatible, and
+/// the client returns that answer as an ordinary error. Unknown bytes
+/// *inside* a well-formed extension are ignored, so the extension itself
+/// can grow fields later.
 ///
 /// Safety contract (enforced by the fuzz tests): decoding arbitrary bytes
 /// never crashes, never reads past the given buffer, and returns
@@ -66,7 +66,8 @@ enum class MsgType : uint8_t {
   kPutReq = 3,
   kDeleteReq = 4,
   kWriteBatchReq = 5,
-  kScanReq = 6,
+  // 6 and 34 were the retired one-range scan's request and response: they
+  // stay reserved, are never reused, and are rejected like any unknown type.
   kFlushReq = 7,
   kCompactReq = 8,
   kStatsReq = 9,
@@ -76,7 +77,6 @@ enum class MsgType : uint8_t {
   // Responses.
   kStatusResp = 32,  ///< status only: ping/put/delete/batch/flush/compact/idle
   kGetResp = 33,
-  kScanResp = 34,
   kStatsResp = 35,
   kMultiScanResp = 36,
 };
@@ -84,11 +84,10 @@ enum class MsgType : uint8_t {
 /// True for the types a client may send.
 bool IsRequestType(MsgType t);
 /// True for any known type (request or response). The extension flag must
-/// already be stripped: a flagged byte is *not* a known type here, which is
-/// exactly how pre-extension servers reject flagged frames.
+/// already be stripped: a flagged byte is *not* a known type here.
 bool IsKnownType(uint8_t t);
 
-/// Lowercase identifier for a message type ("get", "scan", ...), used as
+/// Lowercase identifier for a message type ("get", "multi_scan", ...), used as
 /// the {type=...} label value of the per-RPC latency histograms and as the
 /// server-side trace span name ("rpc.<name>").
 const char* MsgTypeName(MsgType t);
@@ -146,32 +145,10 @@ struct IngestRequest {
   std::vector<kv::WriteOp> ops;
 };
 
-/// One page of a scan. The cursor protocol: a response with
-/// `has_more == true` carries `next_cursor`; the client resumes by sending
-/// a new ScanRequest with `start_key = next_cursor` (the server holds no
-/// per-scan state, so a resumed scan survives server restarts and
-/// connection loss — the basis of the kill-mid-scan tests).
-struct ScanRequest {
-  std::string start_key;
-  std::string end_key;    ///< exclusive; empty = to the last key
-  uint32_t limit_rows = 512;
-};
-
-struct WireRow {
-  std::string key;
-  std::string value;
-};
-
-struct ScanResponse {
-  Status status;
-  std::vector<WireRow> rows;
-  bool has_more = false;
-  std::string next_cursor;  ///< valid iff has_more
-};
-
 /// Where a paged multi-range scan resumes: range `range` from `key` (or
 /// from the range's own start, whichever is later), then every later range
-/// from its start. Stateless like the one-range cursor.
+/// from its start. The server holds no per-scan state, so a resumed scan
+/// survives server restarts and connection loss.
 struct ScanCursor {
   uint32_t range = 0;
   std::string key;
@@ -246,8 +223,7 @@ struct StatsResponse {
 // --- Encoding ----------------------------------------------------------
 // Encode* append one complete frame (header + CRC + payload) to `dst`.
 // A non-empty `ext` sets the extension flag and embeds the blob after the
-// request id; the default keeps the pre-extension frame layout byte-for-
-// byte, so old peers interoperate.
+// request id; the default keeps the unflagged frame layout byte for byte.
 
 void EncodePingRequest(uint64_t request_id, std::string* dst,
                        std::string_view ext = {});
@@ -261,8 +237,6 @@ void EncodeWriteBatchRequest(const WriteBatchRequest& req, uint64_t request_id,
                              std::string* dst, std::string_view ext = {});
 void EncodeIngestRequest(const IngestRequest& req, uint64_t request_id,
                          std::string* dst, std::string_view ext = {});
-void EncodeScanRequest(const ScanRequest& req, uint64_t request_id,
-                       std::string* dst, std::string_view ext = {});
 void EncodeMultiScanRequest(const MultiScanRequest& req, uint64_t request_id,
                             std::string* dst, std::string_view ext = {});
 void EncodeEmptyRequest(MsgType type, uint64_t request_id, std::string* dst,
@@ -272,8 +246,6 @@ void EncodeStatusResponse(const StatusResponse& resp, uint64_t request_id,
                           std::string* dst, std::string_view ext = {});
 void EncodeGetResponse(const GetResponse& resp, uint64_t request_id,
                        std::string* dst, std::string_view ext = {});
-void EncodeScanResponse(const ScanResponse& resp, uint64_t request_id,
-                        std::string* dst, std::string_view ext = {});
 void EncodeStatsResponse(const StatsResponse& resp, uint64_t request_id,
                          std::string* dst, std::string_view ext = {});
 void EncodeMultiScanResponse(const MultiScanResponse& resp,
@@ -284,14 +256,13 @@ void EncodeMultiScanResponse(const MultiScanResponse& resp,
 /// the row straight into the body, and Finish builds the short head (frame
 /// length and CRC, type, request id, extension, status, row count) in front
 /// of it, with one CRC run across both parts. `head() + body()` is
-/// byte-identical to EncodeMultiScanResponse (or EncodeScanResponse) of the
-/// same rows, so peers cannot tell which encoder wrote a frame. Reusing one
-/// writer keeps the body's capacity across pages.
+/// byte-identical to EncodeMultiScanResponse of the same rows, so peers
+/// cannot tell which encoder wrote a frame. Reusing one writer keeps the
+/// body's capacity across pages.
 class ScanPageWriter {
  public:
-  /// Starts an empty page of `type`: kMultiScanResp (rows tagged with their
-  /// range) or kScanResp (the one-range answer; `range` is not written).
-  void Begin(MsgType type);
+  /// Starts an empty page.
+  void Begin();
   void AddRow(uint32_t range, std::string_view key, std::string_view value);
   uint32_t rows() const { return rows_; }
   /// The last row's range and key (a view into the body, valid until the
@@ -308,7 +279,6 @@ class ScanPageWriter {
   const std::string& body() const { return body_; }
 
  private:
-  MsgType type_ = MsgType::kMultiScanResp;
   std::string head_;
   std::string body_;
   uint32_t rows_ = 0;
@@ -337,7 +307,6 @@ Status DecodePutRequest(std::string_view body, PutRequest* req);
 Status DecodeDeleteRequest(std::string_view body, DeleteRequest* req);
 Status DecodeWriteBatchRequest(std::string_view body, WriteBatchRequest* req);
 Status DecodeIngestRequest(std::string_view body, IngestRequest* req);
-Status DecodeScanRequest(std::string_view body, ScanRequest* req);
 /// Validates the range count against the body length before allocating,
 /// and rejects an empty or oversize list and a resume range out of bounds.
 Status DecodeMultiScanRequest(std::string_view body, MultiScanRequest* req);
@@ -345,7 +314,6 @@ Status DecodeEmptyBody(std::string_view body);
 
 Status DecodeStatusResponse(std::string_view body, StatusResponse* resp);
 Status DecodeGetResponse(std::string_view body, GetResponse* resp);
-Status DecodeScanResponse(std::string_view body, ScanResponse* resp);
 Status DecodeStatsResponse(std::string_view body, StatsResponse* resp);
 /// Rows are views into `body`, which must outlive them.
 Status DecodeMultiScanResponse(std::string_view body, MultiScanResponse* resp);

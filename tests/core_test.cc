@@ -283,6 +283,67 @@ TEST(EngineQueryTest, KnnMatchesBruteForce) {
   }
 }
 
+// A table whose only curve index is time-aware answers spatial-only and
+// k-NN queries by scanning that index's slot, one range per shard (not by
+// enumerating every time period since the epoch), with exact results.
+TEST(EngineQueryTest, TimeAwareOnlyIndexAnswersSpatialAndKnn) {
+  for (curve::IndexType type : {curve::IndexType::kZ2T,
+                                curve::IndexType::kXz2T}) {
+    SCOPED_TRACE(curve::IndexTypeName(type));
+    TempDir dir("engine_time_aware_only");
+    const EngineOptions options = SmallEngine(dir.path());
+    auto engine = JustEngine::Open(options);
+    ASSERT_TRUE(engine.ok());
+    meta::TableMeta table = PointTableMeta("u", "pts");
+    table.indexes = {{type, kMillisPerDay}};
+    ASSERT_TRUE((*engine)->CreateTable(table).ok());
+    Dataset data = InsertRandomPoints(engine->get(), "u", "pts", 600, 21);
+    ASSERT_TRUE((*engine)->Finalize().ok());
+
+    Rng rng(22);
+    for (int trial = 0; trial < 5; ++trial) {
+      double lng = rng.Uniform(116.0, 116.7);
+      double lat = rng.Uniform(39.0, 39.7);
+      geo::Mbr box = geo::Mbr::Of(lng, lat, lng + 0.3, lat + 0.3);
+      QueryStats stats;
+      auto result = QueryFrame(engine->get(), "u", "pts",
+                               QuerySpec::SpatialRange(box), &stats);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::set<std::string> got;
+      for (const auto& row : result->rows()) got.insert(row[0].string_value());
+      std::set<std::string> expected;
+      for (size_t i = 0; i < data.points.size(); ++i) {
+        if (box.Contains(data.points[i])) {
+          expected.insert("p" + std::to_string(i));
+        }
+      }
+      EXPECT_EQ(got, expected);
+      EXPECT_LE(stats.key_ranges, static_cast<size_t>(options.num_shards));
+
+      geo::Point q{rng.Uniform(116.1, 116.9), rng.Uniform(39.1, 39.9)};
+      const int k = 1 + static_cast<int>(rng.Uniform(30));
+      auto knn = QueryFrame(engine->get(), "u", "pts", QuerySpec::Knn(q, k));
+      ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+      ASSERT_EQ(knn->num_rows(), static_cast<size_t>(k));
+      std::vector<double> want;
+      for (const geo::Point& p : data.points) {
+        want.push_back(geo::EuclideanDistance(q, p));
+      }
+      std::sort(want.begin(), want.end());
+      std::set<std::string> fids;
+      for (int i = 0; i < k; ++i) {
+        const auto& row = knn->rows()[i];
+        fids.insert(row[0].string_value());
+        EXPECT_NEAR(geo::EuclideanDistance(
+                        q, row[2].geometry_value().AsPoint()),
+                    want[i], 1e-9)
+            << "rank " << i;
+      }
+      EXPECT_EQ(fids.size(), static_cast<size_t>(k)) << "a row came twice";
+    }
+  }
+}
+
 TEST(EngineQueryTest, UpdateEnabledInsertOverwritesAndExtends) {
   TempDir dir("engine_update");
   auto engine = JustEngine::Open(SmallEngine(dir.path()));

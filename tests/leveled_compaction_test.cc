@@ -197,7 +197,12 @@ TEST(LeveledCompactionTest, ManifestV1UpgradesOnOpen) {
     ASSERT_TRUE((*file)->Close().ok());
   }
 
-  auto store = LsmStore::Open(LeveledOptions(dir.path()));
+  // A trigger the upgrade-marker flush below cannot reach: at the default
+  // of 4 its table would be the 4th in L0, and a background L0->L1
+  // compaction could drop every L0 line before the MANIFEST is read.
+  StoreOptions reopen = LeveledOptions(dir.path());
+  reopen.compaction_trigger = 100;
+  auto store = LsmStore::Open(reopen);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   // Every table the v1 manifest referenced is live, in L0.
   auto levels = (*store)->GetLevelInfo();

@@ -10,6 +10,7 @@
 //    connections after a byte budget (torn responses mid-scan), stall
 //    traffic (client timeouts), or drop everything — the socket-level
 //    fault-injection counterpart of kv::FaultInjectionEnv.
+//  - ScanPage: one multi-range scan page over a RegionClient.
 //
 // The server binary path comes from the JUST_REGION_SERVER_BIN compile
 // definition (set in tests/CMakeLists.txt to $<TARGET_FILE:...>).
@@ -32,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/region_client.h"
 #include "net/socket.h"
 
 #ifndef JUST_REGION_SERVER_BIN
@@ -179,6 +181,8 @@ class ServerProcess {
 ///  - SetStalled(true): stop forwarding in both directions without closing
 ///    (clients hit their io timeout).
 ///  - CloseAllConnections(): drop every live connection now.
+///  - SetCutAll(true): drop every live connection now and every new one as
+///    soon as it is accepted (a server that is up but never answers).
 class FaultProxy {
  public:
   explicit FaultProxy(int upstream_port) : upstream_port_(upstream_port) {
@@ -209,6 +213,11 @@ class FaultProxy {
 
   void SetStalled(bool on) { stalled_.store(on); }
 
+  void SetCutAll(bool on) {
+    cut_all_.store(on);
+    if (on) CloseAllConnections();
+  }
+
   void CloseAllConnections() {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& conn : conns_) {
@@ -232,6 +241,7 @@ class FaultProxy {
     while (!stopping_.load()) {
       auto accepted = listener_.Accept();
       if (!accepted.ok()) return;
+      if (cut_all_.load()) continue;  // the accepted socket closes here
       auto upstream = net::Connect("127.0.0.1", upstream_port_);
       if (!upstream.ok()) continue;  // server down: drop the client
       auto conn = std::make_shared<Conn>();
@@ -300,12 +310,25 @@ class FaultProxy {
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stalled_{false};
+  std::atomic<bool> cut_all_{false};
   std::atomic<bool> cut_armed_{false};
   std::atomic<int64_t> cut_budget_{0};
   std::atomic<int64_t> upstream_bytes_{0};
   std::mutex mu_;
   std::vector<std::shared_ptr<Conn>> conns_;
 };
+
+/// One page of a multi-range scan: the client's send half and receive half
+/// back to back. Returns the transport's status, else the server's scan
+/// status; the next page is `req` with `req.resume = resp->next`.
+inline Status ScanPage(net::RegionClient& client,
+                       const net::MultiScanRequest& req,
+                       net::MultiScanResponse* resp) {
+  net::RegionClient::PendingPage page;
+  JUST_RETURN_NOT_OK(client.SendMultiScanPage(req, &page));
+  JUST_RETURN_NOT_OK(client.RecvMultiScanPage(page, req, resp));
+  return resp->status;
+}
 
 }  // namespace just::testing
 

@@ -15,13 +15,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <iterator>
-#include <map>
 #include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "cluster/region_cluster.h"
@@ -31,13 +28,13 @@
 #include "net/wire_protocol.h"
 #include "net_harness.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "test_util.h"
 
 namespace just::net {
 namespace {
 
 using just::testing::FaultProxy;
+using just::testing::ScanPage;
 using just::testing::ServerProcess;
 using just::testing::TempDir;
 
@@ -81,9 +78,7 @@ TEST(RegionServerTest, WriteBatchAndPagedScan) {
   TempDir dir("net_batch");
   ServerProcess server({.dir = dir.path(), .sync_wal = false});
   ASSERT_TRUE(server.Start());
-  // Page size far below the row count: the scan below crosses many
-  // cursor-resumed pages.
-  RegionClient client = MakeClient(server.port(), /*page_rows=*/16);
+  RegionClient client = MakeClient(server.port());
 
   constexpr int kRows = 200;
   std::vector<kv::WriteOp> ops;
@@ -95,83 +90,41 @@ TEST(RegionServerTest, WriteBatchAndPagedScan) {
   ops.push_back(kv::WriteOp{PaddedKey(7), "", true});
   ASSERT_TRUE(client.WriteBatch(ops).ok());
 
+  // Page size far below the row count: the scan crosses many
+  // cursor-resumed pages.
+  MultiScanRequest req;
+  req.ranges = {{"", ""}};
+  req.limit_rows = 16;
   std::vector<std::string> keys;
-  ASSERT_TRUE(client
-                  .Scan({{"", ""}},
-                        [&](size_t, std::string_view k, std::string_view v) {
-                          keys.push_back(std::string(k));
-                          // PaddedKey(i) is "k%05d": recover i to check v.
-                          int i = std::atoi(std::string(k.substr(1)).c_str());
-                          EXPECT_EQ(v, "v" + std::to_string(i));
-                          return true;
-                        })
-                  .ok());
+  int pages = 0;
+  for (bool more = true; more; ++pages) {
+    MultiScanResponse resp;
+    ASSERT_TRUE(ScanPage(client, req, &resp).ok());
+    ASSERT_LE(resp.rows.size(), 16u);
+    for (const MultiScanRow& row : resp.rows) {
+      EXPECT_EQ(row.range, 0u);
+      keys.emplace_back(row.key);
+      // PaddedKey(i) is "k%05d": recover i to check v.
+      int i = std::atoi(std::string(row.key.substr(1)).c_str());
+      EXPECT_EQ(row.value, "v" + std::to_string(i));
+    }
+    more = resp.has_more;
+    req.resume = resp.next;
+  }
+  EXPECT_GE(pages, (kRows - 2) / 16);
   EXPECT_EQ(keys.size(), static_cast<size_t>(kRows - 2));
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   EXPECT_EQ(std::count(keys.begin(), keys.end(), PaddedKey(3)), 0);
   EXPECT_EQ(std::count(keys.begin(), keys.end(), PaddedKey(7)), 0);
 
-  // Early stop: the callback's false return ends the scan cleanly.
-  int seen = 0;
-  ASSERT_TRUE(client
-                  .Scan({{"", ""}},
-                        [&](size_t, std::string_view, std::string_view) {
-                          return ++seen < 10;
-                        })
-                  .ok());
-  EXPECT_EQ(seen, 10);
-}
-
-TEST(RegionServerTest, ScanCursorResumesAcrossRestart) {
-  TempDir dir("net_cursor");
-  ServerProcess server({.dir = dir.path()});  // sync_wal on: survives SIGKILL
-  ASSERT_TRUE(server.Start());
-
-  constexpr int kRows = 100;
-  {
-    RegionClient client = MakeClient(server.port());
-    std::vector<kv::WriteOp> ops;
-    for (int i = 0; i < kRows; ++i) {
-      ops.push_back(kv::WriteOp{PaddedKey(i), "v", false});
-    }
-    ASSERT_TRUE(client.WriteBatch(ops).ok());
-
-    // First page.
-    ScanRequest req;
-    req.limit_rows = 30;
-    ScanResponse page;
-    ASSERT_TRUE(client.ScanPage(req, &page).ok());
-    ASSERT_TRUE(page.status.ok());
-    ASSERT_EQ(page.rows.size(), 30u);
-    ASSERT_TRUE(page.has_more);
-
-    // Kill the server between pages: the cursor is pure client state, so
-    // the scan continues against the restarted process.
-    server.Kill();
-    ASSERT_TRUE(server.Restart());
-
-    std::vector<std::string> keys;
-    for (const auto& row : page.rows) keys.push_back(row.key);
-    RegionClient client2 = MakeClient(server.port());
-    std::string cursor = page.next_cursor;
-    bool more = true;
-    while (more) {
-      ScanRequest next;
-      next.start_key = cursor;
-      next.limit_rows = 30;
-      ScanResponse p;
-      ASSERT_TRUE(client2.ScanPage(next, &p).ok());
-      ASSERT_TRUE(p.status.ok());
-      for (const auto& row : p.rows) keys.push_back(row.key);
-      more = p.has_more;
-      cursor = p.next_cursor;
-    }
-    ASSERT_EQ(keys.size(), static_cast<size_t>(kRows));
-    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-    EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
-              keys.size())
-        << "resumed scan duplicated rows";
-  }
+  // A page stops at its limit and says where the scan would go on.
+  req.resume = ScanCursor{};
+  req.limit_rows = 10;
+  MultiScanResponse first;
+  ASSERT_TRUE(ScanPage(client, req, &first).ok());
+  EXPECT_EQ(first.rows.size(), 10u);
+  EXPECT_TRUE(first.has_more);
+  EXPECT_EQ(first.next.key, std::string(first.rows.back().key) + '\0');
 }
 
 TEST(RegionServerTest, SigkillMidWriteLosesNoAcknowledgedWrite) {
@@ -333,31 +286,35 @@ TEST(RegionServerTest, MalformedBodyBehindValidCrcKeepsConnection) {
   RegionClient client = MakeClient(server.port());
   ASSERT_TRUE(client.EnsureConnected().ok());
 
-  // A structurally bad payload with a correct CRC: unknown message type 99.
-  // The stream stays synced, so the server answers kInvalidArgument on the
-  // same connection instead of dropping it.
-  std::string payload;
-  payload.push_back(static_cast<char>(99));
-  PutFixed64(&payload, 42);
-  std::string frame;
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&frame, kv::Crc32(payload));
-  frame += payload;
-  ASSERT_TRUE(client.RawSend(frame).ok());
+  // A structurally bad payload with a correct CRC: an unknown message type
+  // (99, and the retired one-range scan's reserved 6 and 34). The stream
+  // stays synced, so the server answers kInvalidArgument on the same
+  // connection instead of dropping it.
+  for (uint8_t type : {99, 6, 34}) {
+    std::string payload;
+    payload.push_back(static_cast<char>(type));
+    PutFixed64(&payload, 42 + type);
+    std::string frame;
+    PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
+    PutFixed32(&frame, kv::Crc32(payload));
+    frame += payload;
+    ASSERT_TRUE(client.RawSend(frame).ok());
 
-  std::string resp_payload;
-  ASSERT_TRUE(client.RawRecvPayload(&resp_payload).ok());
-  FrameHeader header;
-  std::string_view body;
-  ASSERT_TRUE(ParsePayload(resp_payload, &header, &body).ok());
-  EXPECT_EQ(header.type, MsgType::kStatusResp);
-  EXPECT_EQ(header.request_id, 42u);
-  StatusResponse resp;
-  ASSERT_TRUE(DecodeStatusResponse(body, &resp).ok());
-  EXPECT_TRUE(resp.status.IsInvalidArgument()) << resp.status.ToString();
+    std::string resp_payload;
+    ASSERT_TRUE(client.RawRecvPayload(&resp_payload).ok());
+    FrameHeader header;
+    std::string_view body;
+    ASSERT_TRUE(ParsePayload(resp_payload, &header, &body).ok());
+    EXPECT_EQ(header.type, MsgType::kStatusResp);
+    EXPECT_EQ(header.request_id, 42u + type);
+    StatusResponse resp;
+    ASSERT_TRUE(DecodeStatusResponse(body, &resp).ok());
+    EXPECT_TRUE(resp.status.IsInvalidArgument())
+        << int{type} << ": " << resp.status.ToString();
 
-  // Same connection still serves real requests.
-  ASSERT_TRUE(client.Ping().ok());
+    // Same connection still serves real requests.
+    ASSERT_TRUE(client.Ping().ok());
+  }
 }
 
 TEST(RegionServerTest, ClusterScanSurvivesConnectionCutWithoutDupOrDrop) {
@@ -459,7 +416,7 @@ TEST(RegionServerTest, MultiRangeScanResumesAcrossRestart) {
     // Three pages: the cursor ends up inside the fourth range.
     for (int page = 0; page < 3; ++page) {
       MultiScanResponse resp;
-      ASSERT_TRUE(client.MultiScanPage(req, &resp).ok());
+      ASSERT_TRUE(ScanPage(client, req, &resp).ok());
       ASSERT_EQ(resp.rows.size(), 23u);
       ASSERT_TRUE(resp.has_more);
       for (const auto& row : resp.rows) {
@@ -475,7 +432,7 @@ TEST(RegionServerTest, MultiRangeScanResumesAcrossRestart) {
   RegionClient client2 = MakeClient(server.port());
   for (bool more = true; more;) {
     MultiScanResponse resp;
-    ASSERT_TRUE(client2.MultiScanPage(req, &resp).ok());
+    ASSERT_TRUE(ScanPage(client2, req, &resp).ok());
     ASSERT_TRUE(resp.status.ok());
     for (const auto& row : resp.rows) got[row.range].emplace_back(row.key);
     more = resp.has_more;
@@ -539,198 +496,50 @@ TEST(RegionServerTest, ClusterParallelScanSurvivesConnectionCut) {
   }
 }
 
-/// An in-process stand-in for a region server from before kMultiScanReq:
-/// it serves pings and one-range kScanReq pages from an in-memory map and
-/// answers every other type — the multi-scan, and any extension-flagged
-/// frame — with "unknown message type <byte>" on a surviving connection.
-class FakePreMultiScanServer {
- public:
-  explicit FakePreMultiScanServer(std::map<std::string, std::string> data)
-      : data_(std::move(data)) {
-    auto listener = Listener::Listen("127.0.0.1", 0);
-    EXPECT_TRUE(listener.ok());
-    listener_ = std::move(*listener);
-    thread_ = std::thread([this] { Serve(); });
-  }
-
-  ~FakePreMultiScanServer() {
-    listener_.Close();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  int port() const { return listener_.port(); }
-  int scan_requests() const { return scan_requests_.load(); }
-
- private:
-  void Serve() {
-    for (;;) {
-      auto accepted = listener_.Accept();
-      if (!accepted.ok()) return;
-      Socket sock = std::move(*accepted);
-      (void)sock.SetRecvTimeout(5000);
-      while (ServeOne(sock)) {
-      }
-    }
-  }
-
-  bool ServeOne(Socket& sock) {
-    std::string payload;
-    if (!ReadFramePayload(sock, &payload).ok()) return false;
-    if (payload.size() < kPayloadHeaderBytes) return false;
-    const uint8_t raw = static_cast<uint8_t>(payload[0]);
-    const uint64_t id = GetFixed64(payload.data() + 1);
-    const std::string_view body(payload.data() + kPayloadHeaderBytes,
-                                payload.size() - kPayloadHeaderBytes);
-    std::string out;
-    ScanRequest req;
-    if (raw == static_cast<uint8_t>(MsgType::kPingReq)) {
-      EncodeStatusResponse({Status::OK()}, id, &out);
-    } else if (raw == static_cast<uint8_t>(MsgType::kScanReq) &&
-               DecodeScanRequest(body, &req).ok()) {
-      ++scan_requests_;
-      ScanResponse resp;
-      for (auto it = data_.lower_bound(req.start_key);
-           it != data_.end() && (req.end_key.empty() || it->first < req.end_key);
-           ++it) {
-        if (resp.rows.size() == req.limit_rows) {
-          resp.has_more = true;
-          resp.next_cursor = resp.rows.back().key + '\0';
-          break;
-        }
-        resp.rows.push_back(WireRow{it->first, it->second});
-      }
-      EncodeScanResponse(resp, id, &out);
-    } else {
-      EncodeStatusResponse(
-          {Status::InvalidArgument("unknown message type " +
-                                   std::to_string(raw))},
-          id, &out);
-    }
-    return sock.WriteFully(out.data(), out.size()).ok();
-  }
-
-  std::map<std::string, std::string> data_;
-  Listener listener_;
-  std::thread thread_;
-  std::atomic<int> scan_requests_{0};
-};
-
-TEST(RegionServerTest, MultiScanFallsBackOncePerPreMultiScanPeer) {
-  constexpr int kRows = 400;
-  std::map<std::string, std::string> data;
-  std::vector<kv::WriteOp> ops;
-  for (int i = 0; i < kRows; ++i) {
-    data[PaddedKey(i)] = "v" + std::to_string(i);
-    ops.push_back(kv::WriteOp{PaddedKey(i), data[PaddedKey(i)], false});
-  }
-  std::vector<std::string> keys;
-  const std::vector<kv::ScanRange> ranges = MultiRanges(&keys);
-  using Rows = std::vector<std::tuple<size_t, std::string, std::string>>;
-  auto scan = [&](RegionClient& client, Rows* rows) {
-    rows->clear();
-    return client.Scan(ranges, [&](size_t r, std::string_view k,
-                                   std::string_view v) {
-      rows->emplace_back(r, std::string(k), std::string(v));
-      return true;
-    });
-  };
-
-  // Reference: a current server holding the same rows.
-  TempDir dir("net_multi_fallback");
+TEST(RegionServerTest, ClusterScanCutAfterFirstWindowNeitherDropsNorDuplicates) {
+  TempDir dir("net_window_cut");
   ServerProcess server({.dir = dir.path(), .sync_wal = false});
   ASSERT_TRUE(server.Start());
-  RegionClient current = MakeClient(server.port(), /*page_rows=*/17);
-  ASSERT_TRUE(current.WriteBatch(ops).ok());
-  Rows want;
-  ASSERT_TRUE(scan(current, &want).ok());
-  EXPECT_FALSE(current.peer_multiscan_unsupported());
-  ASSERT_EQ(want.size(), 40u + 25u + 0u + 80u + 1u + 400u + 10u + 30u);
-
-  FakePreMultiScanServer old_server(data);
-  RegionClient client = MakeClient(old_server.port(), /*page_rows=*/17);
-  auto& registry = obs::Registry::Global();
-  const uint64_t degrades_before =
-      registry.CounterValue("just_net_client_multiscan_degrades_total");
-  // Traced, so the first frame is also extension-flagged: the peer's
-  // "unknown message type" first degrades tracing, then the retried plain
-  // multi-scan degrades the scan.
-  obs::Trace trace("caller");
-  obs::SpanScope scope(trace.root());
-  Rows got;
-  ASSERT_TRUE(scan(client, &got).ok());
-  EXPECT_EQ(got, want);
-  EXPECT_TRUE(client.peer_multiscan_unsupported());
-  EXPECT_TRUE(client.peer_trace_unsupported());
-  EXPECT_EQ(registry.CounterValue("just_net_client_multiscan_degrades_total"),
-            degrades_before + 1);
-  // Sticky: a second scan goes straight to one-range pages.
-  const int scans_before = old_server.scan_requests();
-  ASSERT_TRUE(scan(client, &got).ok());
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(registry.CounterValue("just_net_client_multiscan_degrades_total"),
-            degrades_before + 1);
-  EXPECT_GE(old_server.scan_requests() - scans_before,
-            static_cast<int>(ranges.size()));
-}
-
-TEST(RegionServerTest, ClusterScanDegradesOncePerPreMultiScanPeer) {
-  // A two-server cluster: server 0 a current region server, server 1 an
-  // old one. Keys route by first byte % 2.
-  constexpr int kRows = 300;
-  std::map<std::string, std::string> old_data;
-  std::vector<kv::WriteOp> all, current_ops;
-  for (int b = 0; b < 4; ++b) {
-    for (int i = 0; i < kRows; ++i) {
-      std::string key = std::string(1, static_cast<char>(b)) + PaddedKey(i);
-      std::string value = "v" + std::to_string(b) + "/" + std::to_string(i);
-      all.push_back(kv::WriteOp{key, value, false});
-      if (b % 2 == 0) {
-        current_ops.push_back(kv::WriteOp{key, value, false});
-      } else {
-        old_data[key] = value;
-      }
-    }
+  FaultProxy proxy(server.port());
+  constexpr int kRows = 1000;
+  std::vector<kv::WriteOp> ops;
+  for (int i = 0; i < kRows; ++i) {
+    ops.push_back(kv::WriteOp{
+        PaddedKey(i), std::string(100, 'x') + std::to_string(i), false});
   }
-  TempDir dir("net_cluster_fallback");
-  ServerProcess server({.dir = dir.path() + "/rs0", .sync_wal = false});
-  std::filesystem::create_directories(dir.path() + "/rs0");
-  ASSERT_TRUE(server.Start());
-  ASSERT_TRUE(MakeClient(server.port()).WriteBatch(current_ops).ok());
-  FakePreMultiScanServer old_server(old_data);
+  ASSERT_TRUE(MakeClient(server.port()).WriteBatch(ops).ok());
 
-  // Per shard byte: a few ranges, a whole-shard one, and a range that
-  // crosses shard bytes (so it goes to both servers).
+  // More ranges than one request carries. The first window: one-key
+  // ranges, every 16th of them non-empty. The second: 100 ranges of ten
+  // rows each, many 50-row pages.
   std::vector<curve::KeyRange> ranges;
-  for (int b = 0; b < 4; ++b) {
-    const std::string shard(1, static_cast<char>(b));
-    ranges.push_back({shard + PaddedKey(10), shard + PaddedKey(40), false});
-    ranges.push_back({shard + PaddedKey(35), shard + PaddedKey(290), false});
-    ranges.push_back({shard, std::string(1, static_cast<char>(b + 1)), false});
+  for (size_t i = 0; i < kMaxScanRanges; ++i) {
+    const std::string key = PaddedKey(static_cast<int>(i % kRows));
+    ranges.push_back({key, i % 16 == 0 ? key + '\0' : key, false});
   }
-  ranges.push_back({std::string(1, '\0') + PaddedKey(250),
-                    std::string(1, '\2') + PaddedKey(20), false});
+  for (int j = 0; j < 100; ++j) {
+    ranges.push_back({PaddedKey(10 * j), PaddedKey(10 * j + 10), false});
+  }
+  const std::vector<curve::KeyRange> first_window(
+      ranges.begin(), ranges.begin() + kMaxScanRanges);
 
   // Reference: the same rows in an in-process cluster.
   cluster::ClusterOptions inproc;
   inproc.dir = dir.path() + "/inproc";
-  inproc.num_servers = 2;
+  inproc.num_servers = 1;
   auto reference = cluster::RegionCluster::Open(inproc);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ASSERT_TRUE((*reference)->WriteBatch(all).ok());
+  ASSERT_TRUE((*reference)->WriteBatch(ops).ok());
   auto want = (*reference)->ParallelScan(ranges);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
 
   cluster::ClusterOptions opts;
-  opts.server_addrs = {server.addr(),
-                       "127.0.0.1:" + std::to_string(old_server.port())};
-  opts.scan_batch_rows = 37;
+  opts.server_addrs = {"127.0.0.1:" + std::to_string(proxy.port())};
+  opts.scan_batch_rows = 50;
+  opts.max_retries = 6;
+  opts.retry_backoff_ms = 1;
   auto cluster = cluster::RegionCluster::Open(opts);
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
-  auto& registry = obs::Registry::Global();
-  const uint64_t scan_degrades =
-      registry.CounterValue("just_net_client_multiscan_degrades_total");
-  const uint64_t trace_degrades =
-      registry.CounterValue("just_net_client_trace_degrades_total");
   auto expect_same = [&](const std::vector<cluster::RegionCluster::RangeResult>&
                              got) {
     ASSERT_EQ(got.size(), want->size());
@@ -742,22 +551,76 @@ TEST(RegionServerTest, ClusterScanDegradesOncePerPreMultiScanPeer) {
       }
     }
   };
-  {
-    // Traced: the old peer first rejects the trace extension, then the
-    // multi-scan itself.
-    obs::Trace trace("caller");
-    obs::SpanScope scope(trace.root());
-    auto got = (*cluster)->ParallelScan(ranges);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    expect_same(*got);
-  }
+  // Uncut, measuring the answer bytes: of the first window alone, and of
+  // the whole scan (its first window's pages are the same bytes).
+  int64_t at = proxy.upstream_bytes();
+  ASSERT_TRUE((*cluster)->ParallelScan(first_window).ok());
+  const int64_t first_bytes = proxy.upstream_bytes() - at;
+  at = proxy.upstream_bytes();
+  auto uncut = (*cluster)->ParallelScan(ranges);
+  ASSERT_TRUE(uncut.ok()) << uncut.status().ToString();
+  expect_same(*uncut);
+  const int64_t all_bytes = proxy.upstream_bytes() - at;
+  ASSERT_GT(all_bytes - first_bytes, 64 * 1024);
+
+  // Cut halfway through the second window's answers: the stream reopens in
+  // the second window, just past the last row delivered.
+  obs::Counter* retries =
+      obs::Registry::Global().GetCounter("just_cluster_retries_total");
+  const uint64_t retries_before = retries->Value();
+  proxy.CutAfterUpstreamBytes(first_bytes + (all_bytes - first_bytes) / 2);
   auto got = (*cluster)->ParallelScan(ranges);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_GT(retries->Value(), retries_before)
+      << "the cut should have forced a retry";
   expect_same(*got);
-  EXPECT_EQ(registry.CounterValue("just_net_client_multiscan_degrades_total"),
-            scan_degrades + 1);
-  EXPECT_EQ(registry.CounterValue("just_net_client_trace_degrades_total"),
-            trace_degrades + 1);
+}
+
+TEST(RegionServerTest, ClusterScanRetriesInThePollLoopThenFails) {
+  TempDir dir("net_cut_all");
+  ServerProcess server({.dir = dir.path(), .sync_wal = false});
+  ASSERT_TRUE(server.Start());
+  FaultProxy proxy(server.port());
+  std::vector<kv::WriteOp> ops;
+  for (int i = 0; i < 100; ++i) {
+    ops.push_back(kv::WriteOp{PaddedKey(i), "v", false});
+  }
+  ASSERT_TRUE(MakeClient(server.port()).WriteBatch(ops).ok());
+
+  cluster::ClusterOptions opts;
+  opts.server_addrs = {"127.0.0.1:" + std::to_string(proxy.port())};
+  opts.max_retries = 3;
+  opts.retry_backoff_ms = 1;
+  auto cluster = cluster::RegionCluster::Open(opts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+
+  class CountingSink : public cluster::RegionCluster::ScanSink {
+   public:
+    bool Accept(int, size_t, std::string_view, std::string_view) override {
+      ++rows;
+      return true;
+    }
+    Status Finish(int) override {
+      ++finished;
+      return Status::OK();
+    }
+    int rows = 0;
+    int finished = 0;
+  };
+  // Every connection, the pooled one included, is cut before it answers:
+  // each retry reopens the stream, and the last failure ends the scan.
+  proxy.SetCutAll(true);
+  obs::Counter* retries =
+      obs::Registry::Global().GetCounter("just_cluster_retries_total");
+  const uint64_t retries_before = retries->Value();
+  CountingSink sink;
+  Status st = (*cluster)->Scan({curve::KeyRange{"", ""}}, &sink);
+  EXPECT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsTransient()) << st.ToString();
+  EXPECT_EQ(retries->Value() - retries_before,
+            static_cast<uint64_t>(opts.max_retries));
+  EXPECT_EQ(sink.rows, 0);
+  EXPECT_EQ(sink.finished, 0) << "a failed server must not be finished";
 }
 
 TEST(RegionServerTest, ClusterWriteBatchRetriesThroughConnectionCut) {

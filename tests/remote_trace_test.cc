@@ -3,12 +3,13 @@
 // EXPLAIN ANALYZE, and the rendered span tree must contain per-server
 // remote subtrees (grafted from the response extension field) whose
 // counters match what the same data and query produce in-process. Also
-// covers the version-tolerance seams (old server, old client) and the
-// spawned server's HTTP admin plane (/metrics histograms, /tracez slow-RPC
-// trees).
+// covers the wire's compatibility edges (unflagged frames from an untraced
+// client, an incompatible peer) and the spawned server's HTTP admin plane
+// (/metrics histograms, /tracez slow-RPC trees).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "cluster/region_cluster.h"
 #include "common/rng.h"
 #include "core/engine.h"
 #include "net/region_client.h"
@@ -234,15 +236,19 @@ TEST_F(RemoteTraceTest, ExplainAnalyzeRendersRemoteSubtrees) {
 TEST_F(RemoteTraceTest, UntracedQueriesDegradeNothing) {
   StartSocketEngine(1);
   // No EXPLAIN ANALYZE: no thread-local span, so frames stay in the
-  // pre-extension layout and no degrade/decode counters move.
+  // unflagged layout, the query runs over the wire, and no trace decode
+  // counter moves.
   auto& registry = obs::Registry::Global();
-  uint64_t degrades_before =
-      registry.CounterValue("just_net_client_trace_degrades_total");
+  const uint64_t rpcs_before =
+      registry.CounterValue("just_net_client_rpcs_total");
+  const uint64_t decode_errors_before =
+      registry.CounterValue("just_net_client_trace_decode_errors_total");
   auto r = ql_->Execute("u", kStQuery);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(r->frame.num_rows(), 0u);
-  EXPECT_EQ(registry.CounterValue("just_net_client_trace_degrades_total"),
-            degrades_before);
+  EXPECT_GT(registry.CounterValue("just_net_client_rpcs_total"), rpcs_before);
+  EXPECT_EQ(registry.CounterValue("just_net_client_trace_decode_errors_total"),
+            decode_errors_before);
 }
 
 TEST_F(RemoteTraceTest, AdminPlaneServesMetricsAndTracez) {
@@ -262,7 +268,7 @@ TEST_F(RemoteTraceTest, AdminPlaneServesMetricsAndTracez) {
   // Per-RPC latency histograms by type, exposed as one labeled family.
   EXPECT_NE(metrics.find("# TYPE just_net_server_rpc_us histogram"),
             std::string::npos);
-  EXPECT_NE(metrics.find("just_net_server_rpc_us_count{type=\"scan\"}"),
+  EXPECT_NE(metrics.find("just_net_server_rpc_us_count{type=\"ping\"}"),
             std::string::npos);
   EXPECT_NE(
       metrics.find("just_net_server_rpc_us_count{type=\"multi_scan\"}"),
@@ -304,81 +310,135 @@ TEST_F(RemoteTraceTest, OldClientFramesAgainstNewServer) {
   EXPECT_TRUE(resp.status.ok());
 }
 
-/// A minimal in-process stand-in for a pre-extension server: anything with
-/// the extension flag set is an unknown message type to it, answered with
-/// kInvalidArgument on a surviving connection (exactly what the old
-/// ParsePayload produced); plain pings are answered OK.
-class FakeOldServer {
+/// A minimal in-process stand-in for a region server this client is not
+/// built with: it answers unflagged pings OK and every other frame — an
+/// extension-flagged one, or any other request type — with "unknown
+/// message type" (kInvalidArgument) on a surviving connection.
+class IncompatibleServer {
  public:
-  FakeOldServer() {
+  IncompatibleServer() {
     auto listener = net::Listener::Listen("127.0.0.1", 0);
     EXPECT_TRUE(listener.ok());
     listener_ = std::move(*listener);
     thread_ = std::thread([this] { Serve(); });
   }
 
-  ~FakeOldServer() {
+  ~IncompatibleServer() {
     listener_.Close();
     if (thread_.joinable()) thread_.join();
   }
 
   int port() const { return listener_.port(); }
+  std::string addr() const { return "127.0.0.1:" + std::to_string(port()); }
+  /// Requests read so far, and those of them it rejected.
+  int requests() const { return requests_.load(); }
+  int rejected() const { return rejected_.load(); }
 
  private:
   void Serve() {
-    auto accepted = listener_.Accept();
-    if (!accepted.ok()) return;
-    net::Socket sock = std::move(*accepted);
-    (void)sock.SetRecvTimeout(5000);
     for (;;) {
-      std::string payload;
-      if (!net::ReadFramePayload(sock, &payload).ok()) return;
-      if (payload.size() < net::kPayloadHeaderBytes) return;
-      uint8_t raw = static_cast<uint8_t>(payload[0]);
-      uint64_t id = GetFixed64(payload.data() + 1);
-      std::string out;
-      if (raw & net::kExtensionFlag) {
-        net::EncodeStatusResponse(
-            {Status::InvalidArgument("unknown message type " +
-                                     std::to_string(raw))},
-            id, &out);
-      } else {
-        net::EncodeStatusResponse({Status::OK()}, id, &out);
+      auto accepted = listener_.Accept();
+      if (!accepted.ok()) return;
+      net::Socket sock = std::move(*accepted);
+      (void)sock.SetRecvTimeout(5000);
+      while (ServeOne(sock)) {
       }
-      if (!sock.WriteFully(out.data(), out.size()).ok()) return;
     }
+  }
+
+  bool ServeOne(net::Socket& sock) {
+    std::string payload;
+    if (!net::ReadFramePayload(sock, &payload).ok()) return false;
+    if (payload.size() < net::kPayloadHeaderBytes) return false;
+    ++requests_;
+    uint8_t raw = static_cast<uint8_t>(payload[0]);
+    uint64_t id = GetFixed64(payload.data() + 1);
+    std::string out;
+    if (raw == static_cast<uint8_t>(net::MsgType::kPingReq)) {
+      net::EncodeStatusResponse({Status::OK()}, id, &out);
+    } else {
+      ++rejected_;
+      net::EncodeStatusResponse(
+          {Status::InvalidArgument("unknown message type " +
+                                   std::to_string(raw))},
+          id, &out);
+    }
+    return sock.WriteFully(out.data(), out.size()).ok();
   }
 
   net::Listener listener_;
   std::thread thread_;
+  std::atomic<int> requests_{0};
+  std::atomic<int> rejected_{0};
 };
 
-TEST_F(RemoteTraceTest, TracedClientDegradesAgainstOldServer) {
-  FakeOldServer old_server;
+TEST_F(RemoteTraceTest, TracedPingToIncompatiblePeerFailsOnce) {
+  IncompatibleServer peer;
   net::RegionClientOptions copts;
-  copts.port = old_server.port();
+  copts.port = peer.port();
   net::RegionClient client(copts);
-
-  auto& registry = obs::Registry::Global();
-  uint64_t degrades_before =
-      registry.CounterValue("just_net_client_trace_degrades_total");
+  // Untraced frames keep the unflagged layout, which the peer reads.
+  ASSERT_TRUE(client.Ping().ok());
+  ASSERT_EQ(peer.requests(), 1);
 
   obs::Trace trace("caller");
   obs::SpanScope scope(trace.root());
-  // First traced RPC: flagged frame rejected, client retries untraced on
-  // the same connection and succeeds.
-  EXPECT_TRUE(client.Ping().ok());
-  EXPECT_TRUE(client.peer_trace_unsupported());
-  EXPECT_EQ(
-      registry.CounterValue("just_net_client_trace_degrades_total"),
-      degrades_before + 1);
-  // The degrade is sticky: no second round-trip is wasted.
-  EXPECT_TRUE(client.Ping().ok());
-  EXPECT_EQ(
-      registry.CounterValue("just_net_client_trace_degrades_total"),
-      degrades_before + 1);
-  // No remote subtree was grafted (the old server has none to send).
+  // The flagged ping is rejected, and the rejection is the answer: no
+  // second, untraced attempt.
+  Status st = client.Ping();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_FALSE(st.IsTransient());
+  EXPECT_EQ(peer.requests(), 2);
+  EXPECT_EQ(peer.rejected(), 1);
+  // No remote subtree was grafted (the peer sent none).
   EXPECT_TRUE(trace.root()->children().empty());
+}
+
+TEST_F(RemoteTraceTest, ClusterScanFailsAgainstIncompatiblePeer) {
+  // Server 0 is current, server 1 the incompatible peer; keys route by
+  // first byte % 2.
+  TempDir dir("incompatible_peer");
+  ServerProcess server({.dir = dir.path(), .sync_wal = false});
+  ASSERT_TRUE(server.Start());
+  std::vector<kv::WriteOp> ops;
+  for (int i = 0; i < 100; ++i) {
+    ops.push_back(kv::WriteOp{std::string(1, '\0') + std::to_string(i),
+                              "v", false});
+  }
+  net::RegionClientOptions copts;
+  copts.port = server.port();
+  ASSERT_TRUE(net::RegionClient(copts).WriteBatch(ops).ok());
+  IncompatibleServer peer;
+
+  cluster::ClusterOptions opts;
+  opts.server_addrs = {server.addr(), peer.addr()};
+  auto cluster = cluster::RegionCluster::Open(opts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  const int requests_before = peer.requests();
+
+  class PerServerSink : public cluster::RegionCluster::ScanSink {
+   public:
+    bool Accept(int server, size_t, std::string_view,
+                std::string_view) override {
+      ++rows[server];
+      return true;
+    }
+    Status Finish(int server) override {
+      ++finished[server];
+      return Status::OK();
+    }
+    int rows[2] = {0, 0};
+    int finished[2] = {0, 0};
+  };
+  PerServerSink sink;
+  // One range across every shard byte: both servers own part of it.
+  Status st = (*cluster)->Scan({curve::KeyRange{"", ""}}, &sink);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(sink.rows[1], 0);
+  EXPECT_EQ(sink.finished[1], 0);
+  // Not transient, so not retried: the peer saw one multi-scan.
+  EXPECT_EQ(peer.requests() - requests_before, 1);
+  EXPECT_EQ(peer.rejected(), 1);
 }
 
 }  // namespace

@@ -144,22 +144,6 @@ TEST(WireProtocolTest, RoundTripRequests) {
       }
     }
     {
-      ScanRequest req;
-      req.start_key = RandomBytes(&rng, 64);
-      req.end_key = RandomBytes(&rng, 64);
-      req.limit_rows = 1 + static_cast<uint32_t>(rng.Uniform(100000));
-      std::string frame;
-      EncodeScanRequest(req, id, &frame);
-      FrameHeader h;
-      std::string_view body;
-      MustParse(frame, &h, &body);
-      ScanRequest out;
-      ASSERT_TRUE(DecodeScanRequest(body, &out).ok());
-      EXPECT_EQ(out.start_key, req.start_key);
-      EXPECT_EQ(out.end_key, req.end_key);
-      EXPECT_EQ(out.limit_rows, req.limit_rows);
-    }
-    {
       std::string frame;
       EncodeEmptyRequest(MsgType::kFlushReq, id, &frame);
       FrameHeader h;
@@ -201,32 +185,6 @@ TEST(WireProtocolTest, RoundTripResponses) {
       ASSERT_TRUE(DecodeGetResponse(body, &out).ok());
       EXPECT_EQ(out.status.code(), resp.status.code());
       EXPECT_EQ(out.value, resp.value);
-    }
-    {
-      ScanResponse resp;
-      resp.status = RandomStatus(&rng);
-      size_t n = rng.Uniform(30);
-      for (size_t i = 0; i < n; ++i) {
-        resp.rows.push_back(
-            WireRow{RandomBytes(&rng, 48), RandomBytes(&rng, 96)});
-      }
-      resp.has_more = rng.Uniform(2) == 1;
-      if (resp.has_more) resp.next_cursor = RandomBytes(&rng, 48);
-      std::string frame;
-      EncodeScanResponse(resp, id, &frame);
-      FrameHeader h;
-      std::string_view body;
-      MustParse(frame, &h, &body);
-      ScanResponse out;
-      ASSERT_TRUE(DecodeScanResponse(body, &out).ok());
-      EXPECT_EQ(out.status.code(), resp.status.code());
-      ASSERT_EQ(out.rows.size(), resp.rows.size());
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(out.rows[i].key, resp.rows[i].key);
-        EXPECT_EQ(out.rows[i].value, resp.rows[i].value);
-      }
-      EXPECT_EQ(out.has_more, resp.has_more);
-      EXPECT_EQ(out.next_cursor, resp.next_cursor);
     }
     {
       StatsResponse resp;
@@ -414,7 +372,7 @@ TEST(WireProtocolTest, ScanPageWriterIsByteIdenticalToTheEncoders) {
   for (const Case& c : cases) {
     MultiScanResponse resp;
     resp.status = c.status;
-    writer.Begin(MsgType::kMultiScanResp);
+    writer.Begin();
     for (size_t i = 0; i < c.rows; ++i) {
       const uint32_t range = static_cast<uint32_t>(i / 7);
       resp.rows.push_back(MultiScanRow{range, bytes[2 * i], bytes[2 * i + 1]});
@@ -433,20 +391,6 @@ TEST(WireProtocolTest, ScanPageWriterIsByteIdenticalToTheEncoders) {
     std::string_view payload;
     ASSERT_TRUE(DecodeFrame(PageFrame(writer), &payload).ok());
   }
-  // The one-range kScanReq answer.
-  ScanResponse scan;
-  scan.status = Status::OK();
-  writer.Begin(MsgType::kScanResp);
-  for (size_t i = 0; i < 40; ++i) {
-    scan.rows.push_back(WireRow{bytes[2 * i], bytes[2 * i + 1]});
-    writer.AddRow(0, bytes[2 * i], bytes[2 * i + 1]);
-  }
-  scan.has_more = true;
-  scan.next_cursor = std::string(writer.last_key()) + '\0';
-  writer.Finish(scan.status, true, ScanCursor{0, scan.next_cursor}, 7);
-  std::string want;
-  EncodeScanResponse(scan, 7, &want);
-  EXPECT_EQ(PageFrame(writer), want);
 }
 
 /// Attempts a full decode of `frame` as whatever it claims to be. The
@@ -496,11 +440,6 @@ void FuzzDecode(std::string_view frame, bool expect_failure) {
       decode = DecodeIngestRequest(body, &r);
       break;
     }
-    case MsgType::kScanReq: {
-      ScanRequest r;
-      decode = DecodeScanRequest(body, &r);
-      break;
-    }
     case MsgType::kStatusResp: {
       StatusResponse r;
       decode = DecodeStatusResponse(body, &r);
@@ -509,11 +448,6 @@ void FuzzDecode(std::string_view frame, bool expect_failure) {
     case MsgType::kGetResp: {
       GetResponse r;
       decode = DecodeGetResponse(body, &r);
-      break;
-    }
-    case MsgType::kScanResp: {
-      ScanResponse r;
-      decode = DecodeScanResponse(body, &r);
       break;
     }
     case MsgType::kStatsResp: {
@@ -576,22 +510,6 @@ std::vector<std::string> SampleFrames(Rng* rng) {
   EncodeIngestRequest(ing, id, &f);
   frames.push_back(f);
   f.clear();
-  ScanRequest sr;
-  sr.start_key = RandomBytes(rng, 24);
-  sr.end_key = RandomBytes(rng, 24);
-  EncodeScanRequest(sr, id, &f);
-  frames.push_back(f);
-  f.clear();
-  ScanResponse scr;
-  scr.status = Status::OK();
-  for (int i = 0; i < 10; ++i) {
-    scr.rows.push_back(WireRow{RandomBytes(rng, 24), RandomBytes(rng, 48)});
-  }
-  scr.has_more = true;
-  scr.next_cursor = RandomBytes(rng, 24);
-  EncodeScanResponse(scr, id, &f);
-  frames.push_back(f);
-  f.clear();
   StatsResponse st;
   st.status = Status::OK();
   EncodeStatsResponse(st, id, &f);
@@ -619,16 +537,14 @@ std::vector<std::string> SampleFrames(Rng* rng) {
   mresp.next = ScanCursor{3, RandomBytes(rng, 24)};
   EncodeMultiScanResponse(mresp, id, &f);
   frames.push_back(f);
-  // The server's page writer, for both scan answers.
+  // The server's page writer.
   ScanPageWriter writer;
-  for (MsgType type : {MsgType::kMultiScanResp, MsgType::kScanResp}) {
-    writer.Begin(type);
-    for (const MultiScanRow& row : mresp.rows) {
-      writer.AddRow(row.range, row.key, row.value);
-    }
-    writer.Finish(Status::OK(), true, mresp.next, id);
-    frames.push_back(writer.head() + writer.body());
+  writer.Begin();
+  for (const MultiScanRow& row : mresp.rows) {
+    writer.AddRow(row.range, row.key, row.value);
   }
+  writer.Finish(Status::OK(), true, mresp.next, id);
+  frames.push_back(writer.head() + writer.body());
   return frames;
 }
 
@@ -731,20 +647,22 @@ TEST(WireProtocolTest, ExtensionRoundTrip) {
       EXPECT_EQ(out.key, req.key);
     }
     {
-      ScanResponse resp;
+      const std::string key = RandomBytes(&rng, 24);
+      const std::string value = RandomBytes(&rng, 48);
+      MultiScanResponse resp;
       resp.status = Status::OK();
-      resp.rows.push_back(WireRow{RandomBytes(&rng, 24), RandomBytes(&rng, 48)});
+      resp.rows.push_back(MultiScanRow{0, key, value});
       std::string frame;
-      EncodeScanResponse(resp, id, &frame, ext);
+      EncodeMultiScanResponse(resp, id, &frame, ext);
       FrameHeader h;
       std::string_view body;
       MustParse(frame, &h, &body);
       EXPECT_TRUE(h.has_ext);
       EXPECT_EQ(h.ext, ext);
-      ScanResponse out;
-      ASSERT_TRUE(DecodeScanResponse(body, &out).ok());
+      MultiScanResponse out;
+      ASSERT_TRUE(DecodeMultiScanResponse(body, &out).ok());
       ASSERT_EQ(out.rows.size(), 1u);
-      EXPECT_EQ(out.rows[0].key, resp.rows[0].key);
+      EXPECT_EQ(out.rows[0].key, key);
     }
   }
   // A present-but-empty extension is distinguishable from no extension.
@@ -757,9 +675,9 @@ TEST(WireProtocolTest, ExtensionRoundTrip) {
 }
 
 TEST(WireProtocolTest, UnextendedFramesKeepLegacyLayout) {
-  // The default (no ext) must produce the pre-extension byte layout: no
-  // flag bit, body immediately after the request id. This is what lets new
-  // clients talk to old servers without negotiation.
+  // The default (no ext) must produce the unflagged byte layout: no flag
+  // bit, body immediately after the request id. Untraced requests go out
+  // this way, byte for byte.
   std::string frame;
   EncodePutRequest({"k", "v"}, 9, &frame);
   ASSERT_GT(frame.size(), kFrameHeaderBytes);
@@ -789,18 +707,23 @@ TEST(WireProtocolTest, TraceContextRoundTrip) {
 }
 
 TEST(WireProtocolTest, UnknownTypeMessageNamesTheType) {
-  // RegionClient's degrade-to-untraced path matches this substring in the
-  // kInvalidArgument an old server sends back for a flagged type byte; the
-  // text is load-bearing.
-  std::string payload;
-  payload.push_back(static_cast<char>(0x7F));  // unknown, no flag
-  payload.append(8, '\0');
-  FrameHeader h;
-  std::string_view body;
-  Status st = ParsePayload(payload, &h, &body);
-  ASSERT_TRUE(st.IsInvalidArgument());
-  EXPECT_NE(st.message().find("unknown message type"), std::string::npos)
-      << st.ToString();
+  // An unassigned type byte, and the retired one-range scan's reserved
+  // request and response bytes: each is rejected by name, so an operator
+  // reading the error sees which type the peer did not know.
+  for (uint8_t type : {0x7F, 6, 34}) {
+    std::string payload;
+    payload.push_back(static_cast<char>(type));  // no flag
+    payload.append(8, '\0');
+    FrameHeader h;
+    std::string_view body;
+    Status st = ParsePayload(payload, &h, &body);
+    ASSERT_TRUE(st.IsInvalidArgument());
+    EXPECT_NE(st.message().find("unknown message type " +
+                                std::to_string(type)),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_FALSE(IsKnownType(type));
+  }
 }
 
 TEST(WireProtocolFuzzTest, ExtensionFieldFuzz) {
