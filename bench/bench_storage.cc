@@ -16,9 +16,9 @@
 // group-commit histogram) is embedded in --benchmark_out JSON by
 // RunBenchmarks.
 //
-// And the compaction-strategy probe (Compaction/Amplification/*): the same
-// bulk load run under leveled vs legacy full compaction, reporting write
-// amplification and SSTable probes per Get. See EXPERIMENTS.md.
+// And the compaction probe (Compaction/Amplification/leveled): a bulk load
+// under leveled compaction, reporting write amplification and SSTable
+// probes per Get. See EXPERIMENTS.md.
 
 #include <benchmark/benchmark.h>
 
@@ -116,16 +116,14 @@ void BM_MixedPutLatencyAcrossFlush(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * num_ops);
 }
 
-/// Compaction strategy probe: bulk-load many memtables' worth of data (with
-/// key overlap so compaction has real merging to do), wait for the tree to
+/// Compaction probe: bulk-load many memtables' worth of data (with key
+/// overlap so compaction has real merging to do), wait for the tree to
 /// settle, and report write amplification (bytes rewritten by compaction
 /// per byte flushed) and point-read amplification (SSTables probed per
-/// Get). arg0 selects the strategy: 1 = leveled, 0 = the old full merge.
-/// Leveled should show bounded read-amp with write-amp ~O(levels); full
-/// compaction shows read-amp that decays only after each O(N) rewrite.
+/// Get). Leveled compaction should show bounded read-amp with write-amp
+/// ~O(levels).
 void BM_CompactionAmplification(benchmark::State& state) {
   namespace fs = std::filesystem;
-  const bool leveled = state.range(0) == 1;
   const int num_ops = 60000;  // ~16 MB of key+value across ~60 memtables
   auto* flush_out =
       obs::Registry::Global().GetCounter("just_kv_flush_output_bytes_total");
@@ -148,8 +146,6 @@ void BM_CompactionAmplification(benchmark::State& state) {
     opts.dir = dir.string();
     opts.memtable_bytes = 256 << 10;
     opts.compaction_trigger = 4;
-    opts.compaction_style = leveled ? kv::CompactionStyle::kLeveled
-                                    : kv::CompactionStyle::kFull;
     opts.level_base_bytes = 1 << 20;
     opts.target_file_size = 512 << 10;
     auto store_or = kv::LsmStore::Open(opts);
@@ -269,12 +265,6 @@ int main(int argc, char** argv) {
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("Compaction/Amplification/leveled",
                                BM_CompactionAmplification)
-      ->Arg(1)
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("Compaction/Amplification/full",
-                               BM_CompactionAmplification)
-      ->Arg(0)
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);
   just::bench::RunBenchmarks(argc, argv);

@@ -4,7 +4,8 @@
 // is exactly the deployed shape: the server runs a thread per connection).
 //
 // Three questions this answers in CI logs:
-//  - throughput/latency of a Put/Get RPC at 64 and 256 connections;
+//  - throughput/latency of a one-op WriteBatch RPC at 64 and 256
+//    connections (a failed write fails the run: SkipWithError);
 //  - that admission control degrades gracefully: with a deliberately tiny
 //    max_inflight the server sheds (kUnavailable) instead of queueing
 //    without bound, and the shed counters show up in the obs registry;
@@ -134,58 +135,34 @@ std::string ThreadKey(int thread_index, uint64_t i) {
   return buf;
 }
 
-void BM_WirePut(benchmark::State& state) {
-  static ServerFixture fixture("put");
-  fixture.ThreadSetUp();
-  {
-    net::RegionClientOptions copts;
-    copts.port = fixture.port();
-    net::RegionClient client(copts);
-    uint64_t i = 0;
-    uint64_t failures = 0;
-    std::string value(128, 'v');
-    for (auto _ : state) {
-      if (!client.Put(ThreadKey(state.thread_index(), i++), value).ok()) {
-        ++failures;
-      }
-    }
-    state.counters["fail"] =
-        benchmark::Counter(static_cast<double>(failures));
-    state.SetItemsProcessed(static_cast<int64_t>(i));
-  }
-  fixture.ThreadTearDown();
+/// One put as a one-op WriteBatch: the key and value of the next write.
+void NextWrite(int thread_index, uint64_t i, std::vector<kv::WriteOp>* op) {
+  op->assign(1, kv::WriteOp{ThreadKey(thread_index, i), std::string(128, 'v'),
+                            /*is_delete=*/false});
 }
-BENCHMARK(BM_WirePut)->Threads(64)->Threads(256)->UseRealTime();
 
-void BM_WireGet(benchmark::State& state) {
-  static ServerFixture fixture("get");
+void BM_WireWrite(benchmark::State& state) {
+  static ServerFixture fixture("write");
   fixture.ThreadSetUp();
   {
     net::RegionClientOptions copts;
     copts.port = fixture.port();
     net::RegionClient client(copts);
-    // Each thread reads back its own small working set.
-    constexpr uint64_t kKeys = 64;
-    std::string value(128, 'v');
-    for (uint64_t i = 0; i < kKeys; ++i) {
-      (void)client.Put(ThreadKey(state.thread_index(), i), value);
-    }
     uint64_t i = 0;
-    uint64_t failures = 0;
-    std::string v;
+    std::vector<kv::WriteOp> op;
     for (auto _ : state) {
-      if (!client.Get(ThreadKey(state.thread_index(), i++ % kKeys), &v)
-               .ok()) {
-        ++failures;
+      NextWrite(state.thread_index(), i++, &op);
+      Status st = client.WriteBatch(/*tenant=*/{}, op);
+      if (!st.ok()) {
+        state.SkipWithError(st.ToString().c_str());
+        break;
       }
     }
-    state.counters["fail"] =
-        benchmark::Counter(static_cast<double>(failures));
     state.SetItemsProcessed(static_cast<int64_t>(i));
   }
   fixture.ThreadTearDown();
 }
-BENCHMARK(BM_WireGet)->Threads(64)->Threads(256)->UseRealTime();
+BENCHMARK(BM_WireWrite)->Threads(64)->Threads(256)->UseRealTime();
 
 /// Overload: 256 connections against max_inflight=4. The interesting
 /// numbers are the counters — shed_total climbing while every RPC still
@@ -199,9 +176,10 @@ void BM_WireOverload(benchmark::State& state) {
     net::RegionClient client(copts);
     uint64_t i = 0;
     uint64_t shed = 0;
-    std::string value(128, 'v');
+    std::vector<kv::WriteOp> op;
     for (auto _ : state) {
-      Status st = client.Put(ThreadKey(state.thread_index(), i++), value);
+      NextWrite(state.thread_index(), i++, &op);
+      Status st = client.WriteBatch(/*tenant=*/{}, op);
       if (st.IsUnavailable()) ++shed;
     }
     if (state.thread_index() == 0) {

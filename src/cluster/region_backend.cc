@@ -14,14 +14,8 @@ class LocalBackend : public RegionBackend {
   explicit LocalBackend(std::unique_ptr<kv::LsmStore> store)
       : store_(std::move(store)) {}
 
-  Status Put(std::string_view key, std::string_view value) override {
-    return store_->Put(key, value);
-  }
-  Status Delete(std::string_view key) override { return store_->Delete(key); }
-  Status Get(std::string_view key, std::string* value) override {
-    return store_->Get(key, value);
-  }
-  Status WriteBatch(const std::vector<kv::WriteOp>& ops) override {
+  Status WriteBatch(std::string_view,
+                    const std::vector<kv::WriteOp>& ops) override {
     return store_->WriteBatch(ops);
   }
   Status Flush() override { return store_->Flush(); }
@@ -34,9 +28,6 @@ class LocalBackend : public RegionBackend {
     return Status::OK();
   }
   kv::LsmStore* store() override { return store_.get(); }
-  std::string name() const override {
-    return "local:" + store_->options().dir;
-  }
 
  private:
   std::unique_ptr<kv::LsmStore> store_;
@@ -48,24 +39,11 @@ class LocalBackend : public RegionBackend {
 class SocketBackend : public RegionBackend {
  public:
   explicit SocketBackend(net::RegionClientOptions options)
-      : addr_(options.host + ":" + std::to_string(options.port)),
-        pool_(std::move(options)) {}
+      : pool_(std::move(options)) {}
 
-  Status Put(std::string_view key, std::string_view value) override {
-    return pool_.Acquire()->Put(key, value);
-  }
-  Status Delete(std::string_view key) override {
-    return pool_.Acquire()->Delete(key);
-  }
-  Status Get(std::string_view key, std::string* value) override {
-    return pool_.Acquire()->Get(key, value);
-  }
-  Status WriteBatch(const std::vector<kv::WriteOp>& ops) override {
-    return pool_.Acquire()->WriteBatch(ops);
-  }
-  Status IngestBatch(const std::string& tenant,
-                     const std::vector<kv::WriteOp>& ops) override {
-    return pool_.Acquire()->Ingest(tenant, ops);
+  Status WriteBatch(std::string_view tenant,
+                    const std::vector<kv::WriteOp>& ops) override {
+    return pool_.Acquire()->WriteBatch(tenant, ops);
   }
   Status Flush() override { return pool_.Acquire()->Flush(); }
   Status CompactAll() override { return pool_.Acquire()->CompactAll(); }
@@ -78,12 +56,10 @@ class SocketBackend : public RegionBackend {
     return Status::OK();
   }
   net::ClientPool* clients() override { return &pool_; }
-  std::string name() const override { return "socket:" + addr_; }
 
   Status Ping() { return pool_.Acquire()->Ping(); }
 
  private:
-  std::string addr_;
   net::ClientPool pool_;
 };
 

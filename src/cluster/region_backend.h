@@ -25,12 +25,12 @@ struct BackendStats {
 /// One region server as the cluster sees it, independent of deployment:
 /// in-process (an owned LsmStore, the historical mode) or out-of-process
 /// (a socket client speaking the binary wire protocol to a
-/// `just_region_server`). RegionCluster's routing and retry logic is
-/// written against this interface, which is what lets
-/// tests/cluster_test.cc run the identical suite over both deployments.
-/// Scans are the exception: RegionCluster::Scan reads an in-process
-/// backend's store() directly and drives a socket backend's clients()
-/// page by page.
+/// `just_region_server`). The cluster talks to a region server in the two
+/// ways the paper's HBase layer does: it writes batches of keyed rows
+/// (WriteBatch) and it scans key ranges. Scans do not go through this
+/// interface: RegionCluster::Scan reads an in-process backend's store()
+/// directly and drives a socket backend's clients() page by page. The
+/// rest is administration (Flush, CompactAll, GetStats).
 ///
 /// Transient failures (connection loss, shed-on-overload, timeouts)
 /// surface as IsTransient() statuses; the cluster retries with backoff.
@@ -38,20 +38,13 @@ class RegionBackend {
  public:
   virtual ~RegionBackend() = default;
 
-  virtual Status Put(std::string_view key, std::string_view value) = 0;
-  virtual Status Delete(std::string_view key) = 0;
-  virtual Status Get(std::string_view key, std::string* value) = 0;
-  virtual Status WriteBatch(const std::vector<kv::WriteOp>& ops) = 0;
-  /// Tenant-tagged streaming write batch. Out-of-process backends forward
-  /// the tenant so the region server can apply its own per-tenant write
-  /// admission (kResourceExhausted on shed — non-transient, no retry);
-  /// in-process backends have no server-side quota layer and default to a
-  /// plain WriteBatch.
-  virtual Status IngestBatch(const std::string& tenant,
-                             const std::vector<kv::WriteOp>& ops) {
-    (void)tenant;
-    return WriteBatch(ops);
-  }
+  /// Commits `ops` as one group commit. A non-empty `tenant` tags the
+  /// batch: a socket backend forwards it so the region server can apply
+  /// its own per-tenant write admission (kResourceExhausted on shed —
+  /// non-transient, no retry); an in-process backend has no server-side
+  /// quota layer and ignores it.
+  virtual Status WriteBatch(std::string_view tenant,
+                            const std::vector<kv::WriteOp>& ops) = 0;
   virtual Status Flush() = 0;
   virtual Status CompactAll() = 0;
   virtual Status GetStats(BackendStats* stats) = 0;
@@ -62,9 +55,6 @@ class RegionBackend {
   /// In-process backends: the store, which RegionCluster::Scan scans from
   /// a pool task. nullptr for socket backends.
   virtual kv::LsmStore* store() { return nullptr; }
-
-  /// "local:<dir>" or "socket:<host>:<port>" — for error messages.
-  virtual std::string name() const = 0;
 };
 
 /// Opens an in-process backend: an LsmStore owned by this process.

@@ -89,25 +89,8 @@ Status RegionCluster::WithRetry(const std::function<Status()>& op) const {
   return st;
 }
 
-Status RegionCluster::Put(std::string_view key, std::string_view value) {
-  RegionBackend* server = servers_[ServerFor(key)].get();
-  return WithRetry([&] { return server->Put(key, value); });
-}
-
-Status RegionCluster::Delete(std::string_view key) {
-  RegionBackend* server = servers_[ServerFor(key)].get();
-  return WithRetry([&] { return server->Delete(key); });
-}
-
-Status RegionCluster::Get(std::string_view key, std::string* value) const {
-  RegionBackend* server = servers_[ServerFor(key)].get();
-  return WithRetry([&] { return server->Get(key, value); });
-}
-
-Status RegionCluster::DispatchBatch(
-    std::vector<kv::WriteOp> ops,
-    const std::function<Status(RegionBackend*, const std::vector<kv::WriteOp>&)>&
-        apply) {
+Status RegionCluster::WriteBatch(std::vector<kv::WriteOp> ops,
+                                 std::string_view tenant) {
   if (ops.empty()) return Status::OK();
   std::vector<std::vector<kv::WriteOp>> per_server(servers_.size());
   for (auto& op : ops) {
@@ -115,13 +98,17 @@ Status RegionCluster::DispatchBatch(
   }
   size_t busy_servers = 0;
   for (const auto& slice : per_server) busy_servers += slice.empty() ? 0 : 1;
+  // Per-tenant quota sheds come back as kResourceExhausted, which is not
+  // transient — WithRetry passes it straight through, so a throttled tenant
+  // sees the shed immediately instead of burning the retry budget.
+  auto commit = [&](size_t s) {
+    RegionBackend* server = servers_[s].get();
+    return WithRetry([&] { return server->WriteBatch(tenant, per_server[s]); });
+  };
   // Small batches (or one-server batches) are not worth pool dispatch.
   if (busy_servers <= 1 || ops.size() < 64) {
     for (size_t s = 0; s < per_server.size(); ++s) {
-      if (per_server[s].empty()) continue;
-      RegionBackend* server = servers_[s].get();
-      JUST_RETURN_NOT_OK(
-          WithRetry([&] { return apply(server, per_server[s]); }));
+      if (!per_server[s].empty()) JUST_RETURN_NOT_OK(commit(s));
     }
     return Status::OK();
   }
@@ -130,8 +117,7 @@ Status RegionCluster::DispatchBatch(
   std::mutex error_mu;
   DefaultPool().ParallelFor(per_server.size(), [&](size_t s) {
     if (per_server[s].empty()) return;
-    RegionBackend* server = servers_[s].get();
-    Status st = WithRetry([&] { return apply(server, per_server[s]); });
+    Status st = commit(s);
     if (!st.ok()) {
       failed.store(true, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(error_mu);
@@ -143,26 +129,6 @@ Status RegionCluster::DispatchBatch(
                             : first_error;
   }
   return Status::OK();
-}
-
-Status RegionCluster::WriteBatch(std::vector<kv::WriteOp> ops) {
-  return DispatchBatch(std::move(ops),
-                       [](RegionBackend* server,
-                          const std::vector<kv::WriteOp>& slice) {
-                         return server->WriteBatch(slice);
-                       });
-}
-
-Status RegionCluster::IngestBatch(const std::string& tenant,
-                                  std::vector<kv::WriteOp> ops) {
-  // Per-tenant quota sheds come back as kResourceExhausted, which is not
-  // transient — WithRetry passes it straight through, so a throttled tenant
-  // sees the shed immediately instead of burning the retry budget.
-  return DispatchBatch(std::move(ops),
-                       [&tenant](RegionBackend* server,
-                                 const std::vector<kv::WriteOp>& slice) {
-                         return server->IngestBatch(tenant, slice);
-                       });
 }
 
 /// One server's part of a Scan(): its ranges and where to resume — just

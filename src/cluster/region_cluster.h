@@ -57,22 +57,15 @@ class RegionCluster {
   static Result<std::unique_ptr<RegionCluster>> Open(
       const ClusterOptions& options);
 
-  Status Put(std::string_view key, std::string_view value);
-  Status Delete(std::string_view key);
-  Status Get(std::string_view key, std::string* value) const;
-
-  /// Routes every op to its owning server and commits each server's slice
-  /// as one group-commit batch (parallel across servers for large batches).
-  /// This is the bulk-ingest path: N rows cost ~1 WAL append + fsync per
+  /// The one cluster write: routes every op to its owning server and
+  /// commits each server's slice as one group-commit batch (parallel across
+  /// servers for large batches). N rows cost ~1 WAL append + fsync per
   /// server instead of N. Atomicity is per server, not cross-server — same
-  /// as HBase multi-row mutations.
-  Status WriteBatch(std::vector<kv::WriteOp> ops);
-
-  /// WriteBatch with a tenant tag: ops reach each owning server as a
-  /// kIngestReq so out-of-process servers can apply per-tenant write
-  /// admission before the WAL append. In-process backends degrade to a
-  /// plain WriteBatch. The streaming ingest path (INSERT STREAM).
-  Status IngestBatch(const std::string& tenant, std::vector<kv::WriteOp> ops);
+  /// as HBase multi-row mutations. A non-empty `tenant` tags each slice so
+  /// out-of-process servers can apply per-tenant write admission before
+  /// the WAL append (the streaming ingest path, INSERT STREAM); a quota
+  /// shed is kResourceExhausted, which is not retried.
+  Status WriteBatch(std::vector<kv::WriteOp> ops, std::string_view tenant = {});
 
   /// Consumer of a streaming Scan(). Each server's rows reach Accept() in
   /// its ranges' list order, each range's keys in ascending order. Over
@@ -148,14 +141,6 @@ class RegionCluster {
 
   /// Shard routing: first key byte modulo server count.
   int ServerFor(std::string_view key) const;
-
-  /// Shared body of WriteBatch / IngestBatch: routes ops per server and
-  /// commits each server's slice through `apply` (parallel across servers
-  /// for large batches, WithRetry around each slice).
-  Status DispatchBatch(
-      std::vector<kv::WriteOp> ops,
-      const std::function<Status(RegionBackend*,
-                                 const std::vector<kv::WriteOp>&)>& apply);
 
   struct ServerScan;
 

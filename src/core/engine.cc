@@ -1,8 +1,8 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <iterator>
 
-#include "common/bytes.h"
 #include "core/plugins.h"
 #include "obs/metrics.h"
 
@@ -188,36 +188,29 @@ Status JustEngine::DropTable(const std::string& user,
 }
 
 Status JustEngine::PurgeIndexKeySpace(uint64_t table_id, uint32_t slot) {
-  std::string prefix;
-  PutFixed32BE(&prefix, static_cast<uint32_t>(table_id));
-  prefix.push_back(static_cast<char>(slot));
-  std::string end_prefix = prefix;
-  end_prefix.back() = static_cast<char>(end_prefix.back() + 1);
-  std::vector<curve::KeyRange> ranges;
-  for (int shard = 0; shard < options_.index.num_shards; ++shard) {
-    curve::KeyRange range;
-    range.start.assign(1, static_cast<char>(shard));
-    range.start += prefix;
-    range.end.assign(1, static_cast<char>(shard));
-    range.end += end_prefix;
-    ranges.push_back(std::move(range));
-  }
-  // Each server's keys collect apart: its task is their only writer.
-  class KeySink : public cluster::RegionCluster::ScanSink {
+  // Each server's tombstones collect apart: its task is their only writer,
+  // and a chunk of one server's keys is one RPC to that server.
+  class TombstoneSink : public cluster::RegionCluster::ScanSink {
    public:
-    explicit KeySink(size_t servers) : keys(servers) {}
+    explicit TombstoneSink(size_t servers) : ops(servers) {}
     bool Accept(int server, size_t, std::string_view key,
                 std::string_view) override {
-      keys[static_cast<size_t>(server)].emplace_back(key);
+      ops[static_cast<size_t>(server)].push_back(
+          kv::WriteOp{std::string(key), {}, /*is_delete=*/true});
       return true;
     }
-    std::vector<std::vector<std::string>> keys;
+    std::vector<std::vector<kv::WriteOp>> ops;
   };
-  KeySink sink(static_cast<size_t>(cluster_->num_servers()));
-  JUST_RETURN_NOT_OK(cluster_->Scan(ranges, &sink));
-  for (const auto& keys : sink.keys) {
-    for (const std::string& key : keys) {
-      JUST_RETURN_NOT_OK(cluster_->Delete(key));
+  TombstoneSink sink(static_cast<size_t>(cluster_->num_servers()));
+  JUST_RETURN_NOT_OK(cluster_->Scan(
+      StTable::SlotRanges(table_id, slot, options_.index.num_shards), &sink));
+  for (std::vector<kv::WriteOp>& ops : sink.ops) {
+    for (size_t at = 0; at < ops.size(); at += StTable::kMaxOpsPerBatch) {
+      auto first = std::make_move_iterator(ops.begin() + at);
+      auto last = std::make_move_iterator(
+          ops.begin() + std::min(ops.size(), at + StTable::kMaxOpsPerBatch));
+      JUST_RETURN_NOT_OK(
+          cluster_->WriteBatch(std::vector<kv::WriteOp>(first, last)));
     }
   }
   return Status::OK();

@@ -96,7 +96,7 @@ class JustEngine {
   Status InsertBatch(const std::string& user, const std::string& table,
                      const std::vector<exec::Row>& rows);
   /// INSERT STREAM: the streaming-ingest path. Rides the same group-commit
-  /// write path as InsertBatch but dispatches tenant-tagged kIngestReq
+  /// write path as InsertBatch but sends tenant-tagged kWriteBatchReq
   /// batches (remote region servers can apply their own write admission),
   /// and feeds every committed row to the registered continuous queries.
   /// Per-tenant write quotas (SetTenantQuota) are enforced up front:

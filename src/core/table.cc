@@ -299,9 +299,9 @@ StTable::StTable(meta::TableMeta meta, cluster::RegionCluster* cluster,
   time_col_ = meta_.ColumnIndex(meta_.time_column);
 }
 
-std::string StTable::IndexPrefix(size_t index_slot) const {
+std::string StTable::IndexPrefix(uint64_t table_id, size_t index_slot) {
   std::string prefix;
-  PutFixed32BE(&prefix, static_cast<uint32_t>(meta_.table_id));
+  PutFixed32BE(&prefix, static_cast<uint32_t>(table_id));
   prefix.push_back(static_cast<char>(index_slot));
   return prefix;
 }
@@ -324,13 +324,15 @@ std::vector<curve::KeyRange> StTable::WrapRanges(
   return ranges;
 }
 
-std::vector<curve::KeyRange> StTable::SlotRanges(size_t index_slot) const {
+std::vector<curve::KeyRange> StTable::SlotRanges(uint64_t table_id,
+                                                 size_t index_slot,
+                                                 int num_shards) {
   std::vector<curve::KeyRange> ranges;
-  const std::string prefix = IndexPrefix(index_slot);
+  const std::string prefix = IndexPrefix(table_id, index_slot);
   // Successor of the 5-byte prefix: bump the index-slot byte.
   std::string end_prefix = prefix;
   end_prefix.back() = static_cast<char>(end_prefix.back() + 1);
-  for (int shard = 0; shard < num_shards(); ++shard) {
+  for (int shard = 0; shard < num_shards; ++shard) {
     curve::KeyRange range;
     range.start.push_back(static_cast<char>(shard));
     range.start += prefix;
@@ -662,17 +664,12 @@ Status StTable::InsertBatchImpl(const std::vector<exec::Row>& rows,
   if (strategies_.empty()) {
     return Status::InvalidArgument("table " + meta_.name + " has no indexes");
   }
-  // Bound the staged batch: index fan-out multiplies rows into keys, and a
-  // loader chunk should translate into a handful of group commits, not an
-  // unbounded buffer.
-  constexpr size_t kMaxOpsPerBatch = 4096;
   std::vector<kv::WriteOp> ops;
+  const std::string_view tenant =
+      stream ? std::string_view(meta_.user) : std::string_view();
   auto commit = [&](std::vector<kv::WriteOp> chunk) -> Status {
     MirrorOpsToBuildJournals(chunk);
-    if (stream) {
-      return cluster_->IngestBatch(meta_.user, std::move(chunk));
-    }
-    return cluster_->WriteBatch(std::move(chunk));
+    return cluster_->WriteBatch(std::move(chunk), tenant);
   };
   for (const exec::Row& row : rows) {
     JUST_RETURN_NOT_OK(AppendWriteOps(row, /*delete_instead=*/false, &ops));
@@ -827,7 +824,7 @@ Result<exec::BatchVector> StTable::CurveRangeScan(
     // A time-aware index asked for no time bounds would enumerate every
     // period there is: scan its whole slot, and let the refinement apply
     // the box.
-    ranges = SlotRanges(slot);
+    ranges = SlotRanges(meta_.table_id, slot, num_shards());
   } else {
     ranges = WrapRanges(slot, strategy->QueryRanges(box, INT64_MIN, INT64_MAX));
   }
@@ -987,7 +984,8 @@ Result<exec::BatchVector> StTable::FullScanBatches(
   }
   // Internal full scans (k-NN's fallback, the catalog's rebuilds) stay
   // counter-silent; query scans record what they read.
-  return ScanRangesToBatches(SlotRanges(0), /*refine=*/nullptr, {}, stats, pushdown,
+  return ScanRangesToBatches(SlotRanges(meta_.table_id, 0, num_shards()),
+                             /*refine=*/nullptr, {}, stats, pushdown,
                              /*fid_offset=*/0, /*skip_fids=*/nullptr,
                              /*record_counters=*/pushdown != nullptr);
 }

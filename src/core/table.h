@@ -177,8 +177,8 @@ class StTable {
   Status InsertBatch(const std::vector<exec::Row>& rows);
 
   /// The streaming variant of InsertBatch: same key fan-out and group
-  /// commit, but ops travel as tenant-tagged ingest batches
-  /// (RegionCluster::IngestBatch), so out-of-process region servers can
+  /// commit, but the batches carry the table owner as their tenant tag
+  /// (RegionCluster::WriteBatch), so out-of-process region servers can
   /// apply their own per-tenant write admission before the WAL append.
   Status InsertBatchStream(const std::vector<exec::Row>& rows);
 
@@ -224,6 +224,12 @@ class StTable {
     build_journals_[index_name] = std::move(journal);
   }
 
+  /// Most ops one engine write sends as one cluster WriteBatch: index
+  /// fan-out multiplies rows into keys, and a loader chunk or a purge
+  /// should translate into a handful of group commits, not an unbounded
+  /// buffer.
+  static constexpr size_t kMaxOpsPerBatch = 4096;
+
   /// Shard fan-out of this table's key spaces.
   int num_shards() const {
     return strategies_.empty() ? 1 : strategies_[0]->options().num_shards;
@@ -235,12 +241,21 @@ class StTable {
   Result<const curve::IndexStrategy*> PickIndex(bool temporal) const;
 
   /// Key-space prefix for index slot `i` (after the shard byte).
-  std::string IndexPrefix(size_t index_slot) const;
+  std::string IndexPrefix(size_t index_slot) const {
+    return IndexPrefix(meta_.table_id, index_slot);
+  }
+  /// Every key of table `table_id`'s index slot `index_slot`: one range per
+  /// shard. The one definition of a slot's key space, shared by full and
+  /// slot scans and by the DROP TABLE / DROP INDEX purge.
+  static std::vector<curve::KeyRange> SlotRanges(uint64_t table_id,
+                                                 size_t index_slot,
+                                                 int num_shards);
 
  private:
+  static std::string IndexPrefix(uint64_t table_id, size_t index_slot);
   Status WriteKeys(const exec::Row& row, bool delete_instead);
-  /// Shared body of InsertBatch / InsertBatchStream; `stream` routes chunks
-  /// through the tenant-tagged ingest path instead of plain WriteBatch.
+  /// Shared body of InsertBatch / InsertBatchStream; `stream` tags each
+  /// chunk with the table owner as its tenant.
   Status InsertBatchImpl(const std::vector<exec::Row>& rows, bool stream);
   /// Appends every index entry of `row` (one per strategy + one per
   /// secondary index) to `ops` as puts or tombstones; shared by the
@@ -259,8 +274,6 @@ class StTable {
   std::string WrapKey(size_t index_slot, std::string_view strategy_key) const;
   std::vector<curve::KeyRange> WrapRanges(
       size_t index_slot, std::vector<curve::KeyRange> ranges) const;
-  /// Every key of index slot `index_slot`: one range per shard.
-  std::vector<curve::KeyRange> SlotRanges(size_t index_slot) const;
 
   /// The shared scan core over RegionCluster::Scan: each server's task
   /// decodes its rows straight from the backend's views into its own

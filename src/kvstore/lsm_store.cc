@@ -758,15 +758,9 @@ void LsmStore::BackgroundLoop() {
     if (compact_pending_) {
       compact_pending_ = false;
       if (!stop_bg_ && bg_error_.ok() && !compaction_running_) {
-        if (options_.compaction_style == CompactionStyle::kFull) {
-          if (FullCompactionNeededLocked()) {
-            (void)CompactEverythingLocked(lock);
-          }
-        } else {
-          int level = PickCompactionLevelLocked();
-          if (level >= 0) {
-            (void)RunCompactionLocked(lock, PickCompactionLocked(level));
-          }
+        int level = PickCompactionLevelLocked();
+        if (level >= 0) {
+          (void)RunCompactionLocked(lock, PickCompactionLocked(level));
         }
         // A compaction failure stays un-latched (the tree is merely
         // unbalanced, not unsafe); the next flush re-schedules it.
@@ -1156,12 +1150,6 @@ size_t LsmStore::TotalTablesLocked() const {
   return total;
 }
 
-bool LsmStore::FullCompactionNeededLocked() const {
-  size_t total = TotalTablesLocked();
-  return total > 1 &&
-         total >= static_cast<size_t>(std::max(2, options_.compaction_trigger));
-}
-
 int LsmStore::PickCompactionLevelLocked() const {
   if (!levels_[0].empty() &&
       static_cast<int>(levels_[0].size()) >=
@@ -1177,14 +1165,8 @@ int LsmStore::PickCompactionLevelLocked() const {
   return -1;
 }
 
-bool LsmStore::CompactionNeededLocked() const {
-  return options_.compaction_style == CompactionStyle::kFull
-             ? FullCompactionNeededLocked()
-             : PickCompactionLevelLocked() >= 0;
-}
-
 void LsmStore::MaybeScheduleCompactionLocked() {
-  if (!compact_pending_ && CompactionNeededLocked()) {
+  if (!compact_pending_ && PickCompactionLevelLocked() >= 0) {
     compact_pending_ = true;
     bg_cv_.notify_all();
   }
@@ -1392,10 +1374,8 @@ Status LsmStore::RunCompactionLocked(std::unique_lock<std::shared_mutex>& lock,
         if (!st.ok()) break;
         // Leveled compactions roll outputs so one upper file only ever
         // overlaps a bounded slice of the level below. A full merge
-        // (upper_level < 0) must NOT roll: its contract — and what the
-        // kFull trigger and CompactAll callers count on — is a single
-        // merged run, or the output count would immediately re-arm the
-        // full-compaction trigger.
+        // (upper_level < 0, CompactAll) must NOT roll: its contract is a
+        // single merged run.
         if (job.upper_level >= 0 &&
             builder->file_size() >= options_.target_file_size) {
           st = finish_builder();
@@ -1540,7 +1520,7 @@ Status LsmStore::WaitForBackgroundIdle() {
   flush_done_cv_.wait(lock, [this] {
     return !bg_error_.ok() ||
            (imm_ == nullptr && !compact_pending_ && !compaction_running_ &&
-            !CompactionNeededLocked());
+            PickCompactionLevelLocked() < 0);
   });
   return bg_error_;
 }

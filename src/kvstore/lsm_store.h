@@ -21,34 +21,17 @@
 
 namespace just::kv {
 
-/// How SSTables are merged as they accumulate. See docs/STORAGE_TUNING.md
-/// for the write/read-amplification trade-off each style makes.
-enum class CompactionStyle {
-  /// LevelDB-style leveled compaction: L0 holds overlapping flush outputs;
-  /// L1+ are sorted runs of non-overlapping, key-range-partitioned tables.
-  /// A compaction merges one L(n) file with only the overlapping L(n+1)
-  /// files, so writes are rewritten O(levels) times and a Get probes at
-  /// most (L0 files + one table per deeper level).
-  kLeveled,
-  /// Legacy single-shot full compaction: merge *every* table into one run
-  /// whenever the table count reaches `compaction_trigger`. O(N) write
-  /// amplification — kept for benchmarking against kLeveled.
-  kFull,
-};
-
 struct StoreOptions {
   std::string dir;                      ///< data directory (created if absent)
   size_t memtable_bytes = 4 << 20;      ///< flush threshold
   size_t block_cache_bytes = 32 << 20;  ///< shared block cache budget
   size_t block_size = 4096;
   int bloom_bits_per_key = 10;
-  /// kLeveled: start an L0->L1 compaction when L0 holds this many tables.
-  /// kFull: merge all tables into one when the total count reaches this.
+  /// Start an L0->L1 compaction when L0 holds this many tables.
   int compaction_trigger = 6;
   bool sync_wal = false;  ///< fsync per commit (off for bulk loads)
   Env* env = nullptr;     ///< filesystem seam; nullptr = Env::Default()
 
-  CompactionStyle compaction_style = CompactionStyle::kLeveled;
   /// Maximum level count (levels beyond the bottom are never created; a
   /// reopened store grows extra levels if an older MANIFEST references
   /// them). Minimum 2: L0 plus one sorted run.
@@ -108,7 +91,7 @@ struct WriteOp {
 ///    a scan callback may call Put/Delete/Get/Flush on the same store
 ///    without self-deadlocking.
 ///
-/// Leveled compaction (the default style; see docs/STORAGE_TUNING.md):
+/// Leveled compaction (see docs/STORAGE_TUNING.md):
 ///  - Flush outputs land in L0 and may overlap each other; L1+ hold
 ///    non-overlapping tables sorted by key range, recorded with their
 ///    smallest/largest keys in the MANIFEST.
@@ -176,8 +159,8 @@ class LsmStore {
 
   /// Flushes, then merges every level into one bottom-level SSTable,
   /// dropping all tombstones (a manual major compaction). The output is
-  /// deliberately NOT split at `target_file_size`: a split result could
-  /// exceed `compaction_trigger` and re-arm the style's own trigger.
+  /// deliberately NOT split at `target_file_size`: one run is what a
+  /// major compaction promises its callers.
   Status CompactAll();
 
   /// Blocks until no flush is pending or running and the compaction debt is
@@ -303,10 +286,6 @@ class LsmStore {
                              CompactionJob job);
   /// CompactAll body: one full merge of every table into the bottom level.
   Status CompactEverythingLocked(std::unique_lock<std::shared_mutex>& lock);
-  /// kFull-style background trigger: total table count vs compaction_trigger.
-  bool FullCompactionNeededLocked() const;
-  /// True when the current style has compaction work to do.
-  bool CompactionNeededLocked() const;
   /// Sets compact_pending_ (and wakes the background thread) when needed.
   void MaybeScheduleCompactionLocked();
   uint64_t LevelBytesLocked(int level) const;

@@ -175,38 +175,11 @@ Status RegionClient::Ping() {
                     });
 }
 
-Status RegionClient::Put(std::string_view key, std::string_view value) {
-  return StatusCall(
-      MsgType::kPutReq,
-      [&](uint64_t id, std::string_view ext, std::string* f) {
-        EncodePutRequest({std::string(key), std::string(value)}, id, f, ext);
-      });
-}
-
-Status RegionClient::Delete(std::string_view key) {
-  return StatusCall(MsgType::kDeleteReq,
-                    [&](uint64_t id, std::string_view ext, std::string* f) {
-                      EncodeDeleteRequest({std::string(key)}, id, f, ext);
-                    });
-}
-
-Status RegionClient::WriteBatch(const std::vector<kv::WriteOp>& ops) {
+Status RegionClient::WriteBatch(std::string_view tenant,
+                                const std::vector<kv::WriteOp>& ops) {
   return StatusCall(MsgType::kWriteBatchReq,
                     [&](uint64_t id, std::string_view ext, std::string* f) {
-                      WriteBatchRequest req;
-                      req.ops = ops;
-                      EncodeWriteBatchRequest(req, id, f, ext);
-                    });
-}
-
-Status RegionClient::Ingest(const std::string& tenant,
-                            const std::vector<kv::WriteOp>& ops) {
-  return StatusCall(MsgType::kIngestReq,
-                    [&](uint64_t id, std::string_view ext, std::string* f) {
-                      IngestRequest req;
-                      req.tenant = tenant;
-                      req.ops = ops;
-                      EncodeIngestRequest(req, id, f, ext);
+                      EncodeWriteBatchRequest(tenant, ops, id, f, ext);
                     });
 }
 
@@ -222,42 +195,6 @@ Status RegionClient::CompactAll() {
                     [](uint64_t id, std::string_view ext, std::string* f) {
                       EncodeEmptyRequest(MsgType::kCompactReq, id, f, ext);
                     });
-}
-
-Status RegionClient::WaitForBackgroundIdle() {
-  return StatusCall(MsgType::kWaitIdleReq,
-                    [](uint64_t id, std::string_view ext, std::string* f) {
-                      EncodeEmptyRequest(MsgType::kWaitIdleReq, id, f, ext);
-                    });
-}
-
-Status RegionClient::Get(std::string_view key, std::string* value) {
-  FrameHeader header;
-  std::string payload;
-  std::string_view body;
-  JUST_RETURN_NOT_OK(CallRpc(
-      MsgType::kGetReq,
-      [&](uint64_t id, std::string_view ext, std::string* f) {
-        EncodeGetRequest({std::string(key)}, id, f, ext);
-      },
-      &header, &payload, &body));
-  if (header.type == MsgType::kStatusResp) {
-    // Shed or rejected before execution: the body is a bare status.
-    StatusResponse resp;
-    Status st = DecodeStatusResponse(body, &resp);
-    if (!st.ok()) return Fail(st);
-    return resp.status.ok()
-               ? Status::Internal("status-only response to a Get")
-               : resp.status;
-  }
-  if (header.type != MsgType::kGetResp) {
-    return Fail(Status::Internal("unexpected response type"));
-  }
-  GetResponse resp;
-  Status st = DecodeGetResponse(body, &resp);
-  if (!st.ok()) return Fail(st);
-  if (resp.status.ok()) *value = std::move(resp.value);
-  return resp.status;
 }
 
 Status RegionClient::GetStats(StatsResponse* resp) {

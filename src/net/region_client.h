@@ -57,15 +57,12 @@ class RegionClient {
       : options_(std::move(options)) {}
 
   Status Ping();
-  Status Put(std::string_view key, std::string_view value);
-  Status Delete(std::string_view key);
-  /// NotFound when the key is absent (mirrors LsmStore::Get).
-  Status Get(std::string_view key, std::string* value);
-  Status WriteBatch(const std::vector<kv::WriteOp>& ops);
-  /// Tenant-tagged streaming write batch (kIngestReq). The server may shed
-  /// it with kResourceExhausted when the tenant is over its write quota —
-  /// not transient, so callers must not retry-loop it.
-  Status Ingest(const std::string& tenant, const std::vector<kv::WriteOp>& ops);
+  /// One kWriteBatchReq, encoded straight from `ops`. A non-empty `tenant`
+  /// tags the batch: the server may shed it with kResourceExhausted when
+  /// the tenant is over its write quota — not transient, so callers must
+  /// not retry-loop it. An empty tenant is never throttled.
+  Status WriteBatch(std::string_view tenant,
+                    const std::vector<kv::WriteOp>& ops);
 
   /// A kMultiScanReq page on its way: what the receive half needs to match
   /// and time its answer.
@@ -89,7 +86,6 @@ class RegionClient {
 
   Status Flush();
   Status CompactAll();
-  Status WaitForBackgroundIdle();
   Status GetStats(StatsResponse* resp);
 
   // --- Low-level access (pipelining tests and the loadgen bench) ---

@@ -299,10 +299,9 @@ void RegionServer::Execute(const FrameHeader& header, std::string_view body,
   // Handlers fill a response value (scans: the page's body); encoding
   // happens after the span ends so its serialized tree can ride in the
   // response's extension field.
-  enum class Kind { kStatus, kGet, kPage, kStats };
+  enum class Kind { kStatus, kPage, kStats };
   Kind kind = Kind::kStatus;
   Status status;
-  GetResponse get_resp;
   StatsResponse stats_resp;
   bool has_more = false;
   ScanCursor next;
@@ -311,37 +310,11 @@ void RegionServer::Execute(const FrameHeader& header, std::string_view body,
       status = DecodeEmptyBody(body);
       break;
     }
-    case MsgType::kGetReq: {
-      kind = Kind::kGet;
-      GetRequest get_req;
-      Status st = DecodeGetRequest(body, &get_req);
-      get_resp.status =
-          st.ok() ? store_->Get(get_req.key, &get_resp.value) : st;
-      break;
-    }
-    case MsgType::kPutReq: {
-      PutRequest put_req;
-      status = DecodePutRequest(body, &put_req);
-      if (status.ok()) status = store_->Put(put_req.key, put_req.value);
-      break;
-    }
-    case MsgType::kDeleteReq: {
-      DeleteRequest del_req;
-      status = DecodeDeleteRequest(body, &del_req);
-      if (status.ok()) status = store_->Delete(del_req.key);
-      break;
-    }
     case MsgType::kWriteBatchReq: {
       WriteBatchRequest batch_req;
       status = DecodeWriteBatchRequest(body, &batch_req);
-      if (status.ok()) status = store_->WriteBatch(batch_req.ops);
-      break;
-    }
-    case MsgType::kIngestReq: {
-      IngestRequest ingest_req;
-      status = DecodeIngestRequest(body, &ingest_req);
-      if (status.ok() && quota_ != nullptr) {
-        status = quota_->AdmitWrite(ingest_req.tenant, ingest_req.ops.size());
+      if (status.ok() && quota_ != nullptr && !batch_req.tenant.empty()) {
+        status = quota_->AdmitWrite(batch_req.tenant, batch_req.ops.size());
         if (status.IsResourceExhausted()) {
           // A quota shed is admission control just like the inflight cap:
           // surface it through the same counters (and thus /statsz and the
@@ -350,7 +323,7 @@ void RegionServer::Execute(const FrameHeader& header, std::string_view body,
           shed_counter_->Increment();
         }
       }
-      if (status.ok()) status = store_->WriteBatch(ingest_req.ops);
+      if (status.ok()) status = store_->WriteBatch(batch_req.ops);
       break;
     }
     case MsgType::kMultiScanReq: {
@@ -371,11 +344,6 @@ void RegionServer::Execute(const FrameHeader& header, std::string_view body,
     case MsgType::kCompactReq: {
       status = DecodeEmptyBody(body);
       if (status.ok()) status = store_->CompactAll();
-      break;
-    }
-    case MsgType::kWaitIdleReq: {
-      status = DecodeEmptyBody(body);
-      if (status.ok()) status = store_->WaitForBackgroundIdle();
       break;
     }
     case MsgType::kStatsReq: {
@@ -407,9 +375,6 @@ void RegionServer::Execute(const FrameHeader& header, std::string_view body,
   switch (kind) {
     case Kind::kStatus:
       EncodeStatusResponse({status}, id, &reply->frame, ext);
-      break;
-    case Kind::kGet:
-      EncodeGetResponse(get_resp, id, &reply->frame, ext);
       break;
     case Kind::kPage:
       reply->page.Finish(status, has_more, next, id, ext);

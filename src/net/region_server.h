@@ -36,10 +36,11 @@ struct RegionServerOptions {
   /// asked for (backpressure for scans).
   uint32_t scan_limit_clamp = 4096;
 
-  /// Blanket per-tenant write admission for kIngestReq batches: each tenant
-  /// seen on the ingest path gets its own token bucket of this many rows/sec
-  /// (burst defaults to one second's worth when tenant_write_burst is 0).
-  /// 0 disables server-side write quotas entirely. Over-quota ingests answer
+  /// Blanket per-tenant write admission for tenant-tagged kWriteBatchReq
+  /// batches: each tenant seen on them gets its own token bucket of this
+  /// many rows/sec (burst defaults to one second's worth when
+  /// tenant_write_burst is 0); untagged batches are never throttled. 0
+  /// disables server-side write quotas entirely. Over-quota batches answer
   /// kResourceExhausted — deliberately non-transient so client retry loops
   /// do not hammer a throttled tenant — and count into shed_total.
   /// `just_region_server --tenant-write-rps` sets it.
@@ -94,7 +95,7 @@ class RegionServer {
   /// Slow-RPC log (nullptr unless slow_rpc_threshold_us >= 0); the admin
   /// plane's /tracez reads it.
   obs::SlowQueryLog* slow_log() const { return slow_log_.get(); }
-  /// Per-tenant ingest admission (nullptr unless tenant_write_rps > 0).
+  /// Per-tenant write admission (nullptr unless tenant_write_rps > 0).
   stream::QuotaManager* quota() const { return quota_.get(); }
 
   uint64_t requests_total() const { return requests_total_.load(); }

@@ -12,10 +12,11 @@
 // /metrics, /healthz, /statsz, and /tracez (src/obs/http_admin.h) and the
 // port file gains a second line with the admin port. --slow-query-us T
 // records RPCs slower than T microseconds (span tree included) for /tracez.
-// --tenant-write-rps R gives every tenant seen on the streaming ingest path
-// (kIngestReq) a token bucket of R rows/sec (--tenant-write-burst caps the
-// burst; default one second's worth) — over-quota batches answer
-// kResourceExhausted and count into shed_total.
+// --tenant-write-rps R gives every tenant seen on a tenant-tagged
+// kWriteBatchReq (the streaming ingest path) a token bucket of R rows/sec
+// (--tenant-write-burst caps the burst; default one second's worth) —
+// over-quota batches answer kResourceExhausted and count into shed_total;
+// untagged batches are never throttled.
 // SIGTERM/SIGINT stop the server cleanly; acknowledged writes survive
 // SIGKILL via the store's WAL (run with --sync-wal 1 for that guarantee).
 

@@ -75,27 +75,29 @@ Status ExpectEnd(const char* p, const char* limit) {
 }  // namespace
 
 bool IsRequestType(MsgType t) {
-  return t >= MsgType::kPingReq && t <= MsgType::kMultiScanReq &&
-         static_cast<uint8_t>(t) != 6;  // reserved: the retired scan
+  switch (t) {
+    case MsgType::kPingReq:
+    case MsgType::kWriteBatchReq:
+    case MsgType::kFlushReq:
+    case MsgType::kCompactReq:
+    case MsgType::kStatsReq:
+    case MsgType::kMultiScanReq:
+      return true;
+    default:
+      return false;
+  }
 }
 
 bool IsKnownType(uint8_t t) {
   auto m = static_cast<MsgType>(t);
-  return IsRequestType(m) ||
-         (m >= MsgType::kStatusResp && m <= MsgType::kMultiScanResp &&
-          t != 34);  // reserved: the retired scan's answer
+  return IsRequestType(m) || m == MsgType::kStatusResp ||
+         m == MsgType::kStatsResp || m == MsgType::kMultiScanResp;
 }
 
 const char* MsgTypeName(MsgType t) {
   switch (t) {
     case MsgType::kPingReq:
       return "ping";
-    case MsgType::kGetReq:
-      return "get";
-    case MsgType::kPutReq:
-      return "put";
-    case MsgType::kDeleteReq:
-      return "delete";
     case MsgType::kWriteBatchReq:
       return "write_batch";
     case MsgType::kFlushReq:
@@ -104,16 +106,10 @@ const char* MsgTypeName(MsgType t) {
       return "compact";
     case MsgType::kStatsReq:
       return "stats";
-    case MsgType::kWaitIdleReq:
-      return "wait_idle";
-    case MsgType::kIngestReq:
-      return "ingest";
     case MsgType::kMultiScanReq:
       return "multi_scan";
     case MsgType::kStatusResp:
       return "status_resp";
-    case MsgType::kGetResp:
-      return "get_resp";
     case MsgType::kStatsResp:
       return "stats_resp";
     case MsgType::kMultiScanResp:
@@ -171,51 +167,15 @@ void EncodeEmptyRequest(MsgType type, uint64_t request_id, std::string* dst,
   FinishFrame(payload, dst);
 }
 
-void EncodeGetRequest(const GetRequest& req, uint64_t request_id,
-                      std::string* dst, std::string_view ext) {
-  std::string payload;
-  BeginPayload(MsgType::kGetReq, request_id, &payload, ext);
-  PutLengthPrefixed(&payload, req.key);
-  FinishFrame(payload, dst);
-}
-
-void EncodePutRequest(const PutRequest& req, uint64_t request_id,
-                      std::string* dst, std::string_view ext) {
-  std::string payload;
-  BeginPayload(MsgType::kPutReq, request_id, &payload, ext);
-  PutLengthPrefixed(&payload, req.key);
-  PutLengthPrefixed(&payload, req.value);
-  FinishFrame(payload, dst);
-}
-
-void EncodeDeleteRequest(const DeleteRequest& req, uint64_t request_id,
-                         std::string* dst, std::string_view ext) {
-  std::string payload;
-  BeginPayload(MsgType::kDeleteReq, request_id, &payload, ext);
-  PutLengthPrefixed(&payload, req.key);
-  FinishFrame(payload, dst);
-}
-
-void EncodeWriteBatchRequest(const WriteBatchRequest& req, uint64_t request_id,
-                             std::string* dst, std::string_view ext) {
+void EncodeWriteBatchRequest(std::string_view tenant,
+                             const std::vector<kv::WriteOp>& ops,
+                             uint64_t request_id, std::string* dst,
+                             std::string_view ext) {
   std::string payload;
   BeginPayload(MsgType::kWriteBatchReq, request_id, &payload, ext);
-  PutVarint32(&payload, static_cast<uint32_t>(req.ops.size()));
-  for (const auto& op : req.ops) {
-    payload.push_back(op.is_delete ? 1 : 0);
-    PutLengthPrefixed(&payload, op.key);
-    if (!op.is_delete) PutLengthPrefixed(&payload, op.value);
-  }
-  FinishFrame(payload, dst);
-}
-
-void EncodeIngestRequest(const IngestRequest& req, uint64_t request_id,
-                         std::string* dst, std::string_view ext) {
-  std::string payload;
-  BeginPayload(MsgType::kIngestReq, request_id, &payload, ext);
-  PutLengthPrefixed(&payload, req.tenant);
-  PutVarint32(&payload, static_cast<uint32_t>(req.ops.size()));
-  for (const auto& op : req.ops) {
+  PutLengthPrefixed(&payload, tenant);
+  PutVarint32(&payload, static_cast<uint32_t>(ops.size()));
+  for (const auto& op : ops) {
     payload.push_back(op.is_delete ? 1 : 0);
     PutLengthPrefixed(&payload, op.key);
     if (!op.is_delete) PutLengthPrefixed(&payload, op.value);
@@ -238,31 +198,10 @@ void EncodeMultiScanRequest(const MultiScanRequest& req, uint64_t request_id,
   FinishFrame(payload, dst);
 }
 
-Status DecodeGetRequest(std::string_view body, GetRequest* req) {
-  const char* p = body.data();
-  const char* limit = p + body.size();
-  if (!GetString(&p, limit, &req->key)) return Malformed("get key");
-  return ExpectEnd(p, limit);
-}
-
-Status DecodePutRequest(std::string_view body, PutRequest* req) {
-  const char* p = body.data();
-  const char* limit = p + body.size();
-  if (!GetString(&p, limit, &req->key)) return Malformed("put key");
-  if (!GetString(&p, limit, &req->value)) return Malformed("put value");
-  return ExpectEnd(p, limit);
-}
-
-Status DecodeDeleteRequest(std::string_view body, DeleteRequest* req) {
-  const char* p = body.data();
-  const char* limit = p + body.size();
-  if (!GetString(&p, limit, &req->key)) return Malformed("delete key");
-  return ExpectEnd(p, limit);
-}
-
 Status DecodeWriteBatchRequest(std::string_view body, WriteBatchRequest* req) {
   const char* p = body.data();
   const char* limit = p + body.size();
+  if (!GetString(&p, limit, &req->tenant)) return Malformed("batch tenant");
   uint32_t count = 0;
   if (!GetVarint32(&p, limit, &count)) return Malformed("batch count");
   // An op takes at least 2 bytes on the wire; a count promising more ops
@@ -279,30 +218,6 @@ Status DecodeWriteBatchRequest(std::string_view body, WriteBatchRequest* req) {
     if (!GetString(&p, limit, &op.key)) return Malformed("batch op key");
     if (!op.is_delete && !GetString(&p, limit, &op.value)) {
       return Malformed("batch op value");
-    }
-    req->ops.push_back(std::move(op));
-  }
-  return ExpectEnd(p, limit);
-}
-
-Status DecodeIngestRequest(std::string_view body, IngestRequest* req) {
-  const char* p = body.data();
-  const char* limit = p + body.size();
-  if (!GetString(&p, limit, &req->tenant)) return Malformed("ingest tenant");
-  uint32_t count = 0;
-  if (!GetVarint32(&p, limit, &count)) return Malformed("ingest count");
-  if (count > body.size() / 2 + 1) return Malformed("ingest count too large");
-  req->ops.clear();
-  req->ops.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (p >= limit) return Malformed("ingest op truncated");
-    uint8_t tag = static_cast<uint8_t>(*p++);
-    if (tag > 1) return Malformed("ingest op tag");
-    kv::WriteOp op;
-    op.is_delete = tag == 1;
-    if (!GetString(&p, limit, &op.key)) return Malformed("ingest op key");
-    if (!op.is_delete && !GetString(&p, limit, &op.value)) {
-      return Malformed("ingest op value");
     }
     req->ops.push_back(std::move(op));
   }
@@ -355,15 +270,6 @@ void EncodeStatusResponse(const StatusResponse& resp, uint64_t request_id,
   std::string payload;
   BeginPayload(MsgType::kStatusResp, request_id, &payload, ext);
   EncodeStatus(resp.status, &payload);
-  FinishFrame(payload, dst);
-}
-
-void EncodeGetResponse(const GetResponse& resp, uint64_t request_id,
-                       std::string* dst, std::string_view ext) {
-  std::string payload;
-  BeginPayload(MsgType::kGetResp, request_id, &payload, ext);
-  EncodeStatus(resp.status, &payload);
-  PutLengthPrefixed(&payload, resp.value);
   FinishFrame(payload, dst);
 }
 
@@ -438,14 +344,6 @@ Status DecodeStatusResponse(std::string_view body, StatusResponse* resp) {
   const char* p = body.data();
   const char* limit = p + body.size();
   JUST_RETURN_NOT_OK(DecodeStatus(&p, limit, &resp->status));
-  return ExpectEnd(p, limit);
-}
-
-Status DecodeGetResponse(std::string_view body, GetResponse* resp) {
-  const char* p = body.data();
-  const char* limit = p + body.size();
-  JUST_RETURN_NOT_OK(DecodeStatus(&p, limit, &resp->status));
-  if (!GetString(&p, limit, &resp->value)) return Malformed("get value");
   return ExpectEnd(p, limit);
 }
 

@@ -59,35 +59,31 @@ constexpr uint8_t kExtensionFlag = 0x80;
 /// windows of this size.
 constexpr size_t kMaxScanRanges = 1u << 16;
 
+/// Type bytes 2, 3, 4, 6, 10, 11, 33 and 34 belonged to retired messages
+/// (single-key get/put/delete, the one-range scan, wait-idle, the separate
+/// tenant-tagged ingest, and the get and one-range scan answers). They stay
+/// reserved, are never reused, and are rejected like any unknown type.
 enum class MsgType : uint8_t {
   // Requests.
   kPingReq = 1,
-  kGetReq = 2,
-  kPutReq = 3,
-  kDeleteReq = 4,
-  kWriteBatchReq = 5,
-  // 6 and 34 were the retired one-range scan's request and response: they
-  // stay reserved, are never reused, and are rejected like any unknown type.
+  kWriteBatchReq = 5,  ///< the one write message, optionally tenant-tagged
   kFlushReq = 7,
   kCompactReq = 8,
   kStatsReq = 9,
-  kWaitIdleReq = 10,
-  kIngestReq = 11,     ///< tenant-tagged streaming write batch
   kMultiScanReq = 12,  ///< one page of a multi-range scan
   // Responses.
-  kStatusResp = 32,  ///< status only: ping/put/delete/batch/flush/compact/idle
-  kGetResp = 33,
+  kStatusResp = 32,  ///< status only: ping/batch/flush/compact, or a reject
   kStatsResp = 35,
   kMultiScanResp = 36,
 };
 
-/// True for the types a client may send.
+/// True for the six types a client may send.
 bool IsRequestType(MsgType t);
 /// True for any known type (request or response). The extension flag must
 /// already be stripped: a flagged byte is *not* a known type here.
 bool IsKnownType(uint8_t t);
 
-/// Lowercase identifier for a message type ("get", "multi_scan", ...), used as
+/// Lowercase identifier for a message type ("ping", "multi_scan", ...), used as
 /// the {type=...} label value of the per-RPC latency histograms and as the
 /// server-side trace span name ("rpc.<name>").
 const char* MsgTypeName(MsgType t);
@@ -119,28 +115,18 @@ Status DecodeTraceContext(std::string_view ext, TraceContext* ctx);
 
 // --- Message structs ---------------------------------------------------
 
-struct GetRequest {
-  std::string key;
-};
-
-struct PutRequest {
-  std::string key;
-  std::string value;
-};
-
-struct DeleteRequest {
-  std::string key;
-};
-
+/// A batch of puts and tombstones, committed as one group commit.
+///
+/// Body:
+///   [tenant: lp]              empty = untagged
+///   [count: varint32]
+///   count x { [is_delete: u8] [key: lp] [value: lp, puts only] }
+///
+/// A tenant tag (the namespace/user that produced the rows: the streaming
+/// ingest path) lets the server apply per-tenant write admission (token
+/// bucket) before the WAL append; a shed returns kResourceExhausted, which
+/// clients must not blindly retry. Untagged batches are never throttled.
 struct WriteBatchRequest {
-  std::vector<kv::WriteOp> ops;
-};
-
-/// A WriteBatch tagged with the tenant (namespace/user) that produced it —
-/// the streaming ingest path. The tag lets the server apply per-tenant
-/// write admission (token bucket) before the WAL append; a shed returns
-/// kResourceExhausted, which clients must not blindly retry.
-struct IngestRequest {
   std::string tenant;
   std::vector<kv::WriteOp> ops;
 };
@@ -201,11 +187,6 @@ struct StatusResponse {
   Status status;
 };
 
-struct GetResponse {
-  Status status;  ///< NotFound when the key is absent
-  std::string value;
-};
-
 /// Store structure plus the server-side admission/overload counters, so a
 /// client (or test) can observe shedding without scraping the remote
 /// process's metrics endpoint.
@@ -227,16 +208,11 @@ struct StatsResponse {
 
 void EncodePingRequest(uint64_t request_id, std::string* dst,
                        std::string_view ext = {});
-void EncodeGetRequest(const GetRequest& req, uint64_t request_id,
-                      std::string* dst, std::string_view ext = {});
-void EncodePutRequest(const PutRequest& req, uint64_t request_id,
-                      std::string* dst, std::string_view ext = {});
-void EncodeDeleteRequest(const DeleteRequest& req, uint64_t request_id,
-                         std::string* dst, std::string_view ext = {});
-void EncodeWriteBatchRequest(const WriteBatchRequest& req, uint64_t request_id,
-                             std::string* dst, std::string_view ext = {});
-void EncodeIngestRequest(const IngestRequest& req, uint64_t request_id,
-                         std::string* dst, std::string_view ext = {});
+/// Encodes straight from the caller's ops; no WriteBatchRequest is built.
+void EncodeWriteBatchRequest(std::string_view tenant,
+                             const std::vector<kv::WriteOp>& ops,
+                             uint64_t request_id, std::string* dst,
+                             std::string_view ext = {});
 void EncodeMultiScanRequest(const MultiScanRequest& req, uint64_t request_id,
                             std::string* dst, std::string_view ext = {});
 void EncodeEmptyRequest(MsgType type, uint64_t request_id, std::string* dst,
@@ -244,8 +220,6 @@ void EncodeEmptyRequest(MsgType type, uint64_t request_id, std::string* dst,
 
 void EncodeStatusResponse(const StatusResponse& resp, uint64_t request_id,
                           std::string* dst, std::string_view ext = {});
-void EncodeGetResponse(const GetResponse& resp, uint64_t request_id,
-                       std::string* dst, std::string_view ext = {});
 void EncodeStatsResponse(const StatsResponse& resp, uint64_t request_id,
                          std::string* dst, std::string_view ext = {});
 void EncodeMultiScanResponse(const MultiScanResponse& resp,
@@ -302,18 +276,13 @@ Status DecodeFrame(std::string_view frame, std::string_view* payload,
 Status ParsePayload(std::string_view payload, FrameHeader* header,
                     std::string_view* body);
 
-Status DecodeGetRequest(std::string_view body, GetRequest* req);
-Status DecodePutRequest(std::string_view body, PutRequest* req);
-Status DecodeDeleteRequest(std::string_view body, DeleteRequest* req);
 Status DecodeWriteBatchRequest(std::string_view body, WriteBatchRequest* req);
-Status DecodeIngestRequest(std::string_view body, IngestRequest* req);
 /// Validates the range count against the body length before allocating,
 /// and rejects an empty or oversize list and a resume range out of bounds.
 Status DecodeMultiScanRequest(std::string_view body, MultiScanRequest* req);
 Status DecodeEmptyBody(std::string_view body);
 
 Status DecodeStatusResponse(std::string_view body, StatusResponse* resp);
-Status DecodeGetResponse(std::string_view body, GetResponse* resp);
 Status DecodeStatsResponse(std::string_view body, StatsResponse* resp);
 /// Rows are views into `body`, which must outlive them.
 Status DecodeMultiScanResponse(std::string_view body, MultiScanResponse* resp);

@@ -307,7 +307,8 @@ class LegacyUpgradeTest : public ::testing::TestWithParam<UpgradeMode> {
       PutFixed32BE(&key, static_cast<uint32_t>(meta.table_id));
       key.push_back(static_cast<char>(slot));
       key += "stale-entry";
-      ASSERT_TRUE(engine->cluster()->Put(key, "not a row").ok());
+      ASSERT_TRUE(
+          just::testing::PutKey(*engine->cluster(), key, "not a row").ok());
     }
   }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -19,7 +20,10 @@
 namespace just::cluster {
 namespace {
 
+using just::testing::DeleteKey;
 using just::testing::FaultProxy;
+using just::testing::GetKey;
+using just::testing::PutKey;
 using just::testing::ServerProcess;
 using just::testing::TempDir;
 
@@ -79,12 +83,12 @@ TEST_P(RegionClusterTest, RoutesByShardByte) {
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
   for (int shard = 0; shard < 8; ++shard) {
     ASSERT_TRUE(
-        (*cluster)->Put(ShardKey(shard, "key"), "v" + std::to_string(shard))
+        PutKey(**cluster, ShardKey(shard, "key"), "v" + std::to_string(shard))
             .ok());
   }
   for (int shard = 0; shard < 8; ++shard) {
     std::string v;
-    ASSERT_TRUE((*cluster)->Get(ShardKey(shard, "key"), &v).ok());
+    ASSERT_TRUE(GetKey(**cluster, ShardKey(shard, "key"), &v).ok());
     EXPECT_EQ(v, "v" + std::to_string(shard));
   }
 }
@@ -96,7 +100,7 @@ TEST_P(RegionClusterTest, ParallelScanHonorsRangeBounds) {
   for (int i = 0; i < 100; ++i) {
     char buf[8];
     std::snprintf(buf, sizeof(buf), "%03d", i);
-    ASSERT_TRUE((*cluster)->Put(ShardKey(1, buf), "v").ok());
+    ASSERT_TRUE(PutKey(**cluster, ShardKey(1, buf), "v").ok());
   }
   std::vector<curve::KeyRange> ranges;
   curve::KeyRange r1{ShardKey(1, "010"), ShardKey(1, "020"), true};
@@ -119,7 +123,7 @@ TEST_P(RegionClusterTest, ParallelScanManyRanges) {
     for (int i = 0; i < 50; ++i) {
       char buf[8];
       std::snprintf(buf, sizeof(buf), "%03d", i);
-      ASSERT_TRUE((*cluster)->Put(ShardKey(shard, buf), "v").ok());
+      ASSERT_TRUE(PutKey(**cluster, ShardKey(shard, buf), "v").ok());
     }
   }
   std::vector<curve::KeyRange> ranges;
@@ -160,7 +164,7 @@ TEST_P(RegionClusterTest, ParallelScanMatchesOneRangeScans) {
   for (int i = 0; i < 80; i += 7) {
     char buf[8];
     std::snprintf(buf, sizeof(buf), "%03d", i);
-    ASSERT_TRUE((*cluster)->Delete(ShardKey(static_cast<int>(i % 8), buf))
+    ASSERT_TRUE(DeleteKey(**cluster, ShardKey(static_cast<int>(i % 8), buf))
                     .ok());
   }
 
@@ -238,7 +242,7 @@ TEST_P(RegionClusterTest, WriteBatchRoutesAcrossServers) {
   ASSERT_TRUE((*cluster)->WriteBatch(std::move(ops)).ok());
   for (int shard = 0; shard < 8; ++shard) {
     std::string v;
-    ASSERT_TRUE((*cluster)->Get(ShardKey(shard, "b0"), &v).ok());
+    ASSERT_TRUE(GetKey(**cluster, ShardKey(shard, "b0"), &v).ok());
     EXPECT_EQ(v, "v" + std::to_string(shard));
   }
 }
@@ -248,9 +252,8 @@ TEST_P(RegionClusterTest, StatsAggregateAcrossServers) {
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
   for (int shard = 0; shard < 6; ++shard) {
     for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE((*cluster)
-                      ->Put(ShardKey(shard, "key" + std::to_string(i)),
-                            std::string(100, 'x'))
+      ASSERT_TRUE(PutKey(**cluster, ShardKey(shard, "key" + std::to_string(i)),
+                         std::string(100, 'x'))
                       .ok());
     }
   }
@@ -266,7 +269,7 @@ TEST_P(RegionClusterTest, CompactAllReducesSstables) {
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 100; ++i) {
       ASSERT_TRUE(
-          (*cluster)->Put(ShardKey(0, "key" + std::to_string(i)), "v").ok());
+          PutKey(**cluster, ShardKey(0, "key" + std::to_string(i)), "v").ok());
     }
     ASSERT_TRUE((*cluster)->FlushAll().ok());
   }
@@ -382,6 +385,67 @@ TEST_P(EngineScanParityTest, LimitCostsOneMultiScanPerServer) {
   if (GetParam() == "socket") {
     EXPECT_GE(rpcs, 1u);
     EXPECT_LE(rpcs, servers_.size());
+  }
+}
+
+/// DROP TABLE deletes every key of every slot the table ever used, sending
+/// its tombstones as chunked WriteBatches: over sockets the whole drop
+/// costs a few scan pages and one batch per server and slot, not one RPC
+/// per key.
+TEST_P(EngineScanParityTest, DropTablePurgesEverySlotInFewRpcs) {
+  constexpr size_t kRows = 6000;
+  meta::TableMeta table;
+  table.user = "u";
+  table.name = "dropped";
+  table.columns = {
+      {"fid", exec::DataType::kString, true, "", ""},
+      {"courier", exec::DataType::kString, false, "", ""},
+      {"time", exec::DataType::kTimestamp, false, "", ""},
+      {"geom", exec::DataType::kGeometry, false, "", ""},
+  };
+  ASSERT_TRUE(engine_->CreateTable(table).ok());
+  const TimestampMs base = ParseTimestamp("2018-10-01").value();
+  Rng rng(5);
+  std::vector<exec::Row> rows;
+  for (size_t i = 0; i < kRows; ++i) {
+    rows.push_back({
+        exec::Value::String("o" + std::to_string(i)),
+        exec::Value::String("c" + std::to_string(i % 10)),
+        exec::Value::Timestamp(base + static_cast<int64_t>(i) * 60000),
+        exec::Value::GeometryVal(geo::Geometry::MakePoint(
+            {116.0 + rng.NextDouble(), 39.5 + rng.NextDouble()})),
+    });
+  }
+  ASSERT_TRUE(engine_->InsertBatch("u", "dropped", rows).ok());
+  ASSERT_TRUE(engine_->CreateIndex("u", "dropped", "by_courier", "courier")
+                  .ok());
+  auto meta = engine_->DescribeTable("u", "dropped");
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  const size_t slots = std::max<size_t>(meta->indexes.size(),
+                                        meta->next_index_slot);
+  ASSERT_GE(slots, 2u);
+  auto keys_in = [&](size_t slot) -> size_t {
+    auto got = just::testing::ScanRows(
+        *engine_->cluster(),
+        core::StTable::SlotRanges(meta->table_id, slot, /*num_shards=*/4));
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    return got.ok() ? got->size() : 0;
+  };
+  // One key per row in every slot: the curve indexes and the secondary one.
+  for (size_t slot = 0; slot < slots; ++slot) {
+    EXPECT_EQ(keys_in(slot), kRows) << "slot " << slot;
+  }
+
+  obs::Counter* rpcs =
+      obs::Registry::Global().GetCounter("just_net_client_rpcs_total");
+  const uint64_t before = rpcs->Value();
+  ASSERT_TRUE(engine_->DropTable("u", "dropped").ok());
+  const uint64_t spent = rpcs->Value() - before;
+  if (GetParam() == "socket") {
+    EXPECT_LT(spent, 100u) << slots << " slots of " << kRows << " keys";
+  }
+  for (size_t slot = 0; slot < slots; ++slot) {
+    EXPECT_EQ(keys_in(slot), 0u) << "slot " << slot;
   }
 }
 

@@ -334,7 +334,6 @@ StoreOptions LeveledCrashOptions(const std::string& dir, Env* env) {
   opts.env = env;
   opts.block_size = 256;
   opts.compaction_trigger = 4;
-  opts.compaction_style = CompactionStyle::kLeveled;
   opts.num_levels = 4;
   opts.level_base_bytes = 16 << 10;
   opts.level_fanout = 4;

@@ -20,6 +20,8 @@
 namespace just::kv {
 namespace {
 
+using just::testing::GetKey;
+using just::testing::PutKey;
 using just::testing::TempDir;
 
 StoreOptions FaultStoreOptions(const std::string& dir, Env* env,
@@ -206,14 +208,15 @@ TEST(ClusterFaultTest, GetRetriesTransientReadFault) {
   FaultInjectionEnv env;
   auto cluster = cluster::RegionCluster::Open(SmallCluster(dir.path(), &env));
   ASSERT_TRUE(cluster.ok());
-  // Values larger than a block: every key lives in its own data block, so
-  // each first Get must truly hit the disk (no block-cache sharing).
+  // Reads are one-key scans. Values larger than a block: every key lives in
+  // its own data block, so each first read must truly hit the disk (no
+  // block-cache sharing).
   auto value_of = [](int i) {
     return "v" + std::to_string(i) + std::string(300, 'p');
   };
   for (int i = 0; i < 30; ++i) {
     std::string key(1, static_cast<char>('a' + i));
-    ASSERT_TRUE((*cluster)->Put(key, value_of(i)).ok());
+    ASSERT_TRUE(PutKey(**cluster, key, value_of(i)).ok());
   }
   ASSERT_TRUE((*cluster)->FlushAll().ok());  // move data to SSTables
 
@@ -224,20 +227,20 @@ TEST(ClusterFaultTest, GetRetriesTransientReadFault) {
   // One failing pread: the bounded retry must absorb it.
   env.FailNextReads(1);
   std::string v;
-  Status st = (*cluster)->Get("d", &v);
+  Status st = GetKey(**cluster, "d", &v);
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(v, value_of(3));
 
   // More consecutive failures than retries: surfaces as a transient error,
   // not a wrong answer.
   env.FailNextReads(1000);
-  st = (*cluster)->Get("e", &v);
+  st = GetKey(**cluster, "e", &v);
   EXPECT_FALSE(st.ok());
   EXPECT_TRUE(st.IsTransient()) << st.ToString();
   env.ClearFaults();
 
   // After the brownout clears, the same key serves normally.
-  st = (*cluster)->Get("e", &v);
+  st = GetKey(**cluster, "e", &v);
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(v, value_of(4));
 }
@@ -251,7 +254,7 @@ TEST(ClusterFaultTest, ParallelScanRetriesWithoutDuplicatingRows) {
   for (int i = 0; i < kRows; ++i) {
     std::string key(1, static_cast<char>('A' + i % 26));
     key += std::to_string(i);
-    ASSERT_TRUE((*cluster)->Put(key, "v").ok());
+    ASSERT_TRUE(PutKey(**cluster, key, "v").ok());
   }
   ASSERT_TRUE((*cluster)->FlushAll().ok());
 
@@ -275,10 +278,10 @@ TEST(ClusterFaultTest, PutRetriesTransientWriteFault) {
   // Fail exactly the next mutating op (the WAL append of this Put); the
   // retry's append must succeed.
   env.FailWriteOp(env.write_ops() + 1, /*all_after=*/false);
-  Status st = (*cluster)->Put("x", "survives");
+  Status st = PutKey(**cluster, "x", "survives");
   EXPECT_TRUE(st.ok()) << st.ToString();
   std::string v;
-  ASSERT_TRUE((*cluster)->Get("x", &v).ok());
+  ASSERT_TRUE(GetKey(**cluster, "x", &v).ok());
   EXPECT_EQ(v, "survives");
 }
 

@@ -34,7 +34,6 @@ StoreOptions LeveledOptions(const std::string& dir) {
   opts.dir = dir;
   opts.block_size = 512;
   opts.compaction_trigger = 4;
-  opts.compaction_style = CompactionStyle::kLeveled;
   opts.num_levels = 4;
   opts.level_base_bytes = 24 << 10;  // tiny budgets: force a deep tree
   opts.level_fanout = 4;

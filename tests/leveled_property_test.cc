@@ -103,7 +103,6 @@ TEST_P(LeveledPropertyTest, RandomInterleavingsKeepLevelInvariants) {
   opts.block_size = 256;
   opts.memtable_bytes = 4 << 10;  // frequent implicit flushes
   opts.compaction_trigger = 3;
-  opts.compaction_style = CompactionStyle::kLeveled;
   opts.num_levels = 4;
   opts.level_base_bytes = 16 << 10;
   opts.level_fanout = 4;

@@ -10,7 +10,6 @@
 //    connections after a byte budget (torn responses mid-scan), stall
 //    traffic (client timeouts), or drop everything — the socket-level
 //    fault-injection counterpart of kv::FaultInjectionEnv.
-//  - ScanPage: one multi-range scan page over a RegionClient.
 //
 // The server binary path comes from the JUST_REGION_SERVER_BIN compile
 // definition (set in tests/CMakeLists.txt to $<TARGET_FILE:...>).
@@ -317,18 +316,6 @@ class FaultProxy {
   std::mutex mu_;
   std::vector<std::shared_ptr<Conn>> conns_;
 };
-
-/// One page of a multi-range scan: the client's send half and receive half
-/// back to back. Returns the transport's status, else the server's scan
-/// status; the next page is `req` with `req.resume = resp->next`.
-inline Status ScanPage(net::RegionClient& client,
-                       const net::MultiScanRequest& req,
-                       net::MultiScanResponse* resp) {
-  net::RegionClient::PendingPage page;
-  JUST_RETURN_NOT_OK(client.SendMultiScanPage(req, &page));
-  JUST_RETURN_NOT_OK(client.RecvMultiScanPage(page, req, resp));
-  return resp->status;
-}
 
 }  // namespace just::testing
 

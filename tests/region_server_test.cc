@@ -25,6 +25,7 @@
 #include "common/bytes.h"
 #include "kvstore/wal.h"
 #include "net/region_client.h"
+#include "net/region_server.h"
 #include "net/wire_protocol.h"
 #include "net_harness.h"
 #include "obs/metrics.h"
@@ -33,7 +34,10 @@
 namespace just::net {
 namespace {
 
+using just::testing::DeleteKey;
 using just::testing::FaultProxy;
+using just::testing::GetKey;
+using just::testing::PutKey;
 using just::testing::ScanPage;
 using just::testing::ServerProcess;
 using just::testing::TempDir;
@@ -59,18 +63,22 @@ TEST(RegionServerTest, PutGetDeleteOverSocket) {
   ASSERT_TRUE(server.Start());
   RegionClient client = MakeClient(server.port());
 
+  // One-op batches and one-key scans: the single-key shorthand of
+  // test_util.h over the protocol's two data messages.
   ASSERT_TRUE(client.Ping().ok());
-  ASSERT_TRUE(client.Put("alpha", "1").ok());
-  ASSERT_TRUE(client.Put("beta", "2").ok());
+  ASSERT_TRUE(PutKey(client, "alpha", "1").ok());
+  ASSERT_TRUE(PutKey(client, "beta", "2").ok());
 
   std::string v;
-  ASSERT_TRUE(client.Get("alpha", &v).ok());
+  ASSERT_TRUE(GetKey(client, "alpha", &v).ok());
   EXPECT_EQ(v, "1");
-  EXPECT_TRUE(client.Get("missing", &v).IsNotFound());
+  EXPECT_TRUE(GetKey(client, "missing", &v).IsNotFound());
+  // A key's prefix is another key.
+  EXPECT_TRUE(GetKey(client, "alph", &v).IsNotFound());
 
-  ASSERT_TRUE(client.Delete("alpha").ok());
-  EXPECT_TRUE(client.Get("alpha", &v).IsNotFound());
-  ASSERT_TRUE(client.Get("beta", &v).ok());
+  ASSERT_TRUE(DeleteKey(client, "alpha").ok());
+  EXPECT_TRUE(GetKey(client, "alpha", &v).IsNotFound());
+  ASSERT_TRUE(GetKey(client, "beta", &v).ok());
   EXPECT_EQ(v, "2");
 }
 
@@ -88,7 +96,7 @@ TEST(RegionServerTest, WriteBatchAndPagedScan) {
   // A couple of deletes in the same batch, applied in order.
   ops.push_back(kv::WriteOp{PaddedKey(3), "", true});
   ops.push_back(kv::WriteOp{PaddedKey(7), "", true});
-  ASSERT_TRUE(client.WriteBatch(ops).ok());
+  ASSERT_TRUE(client.WriteBatch(/*tenant=*/{}, ops).ok());
 
   // Page size far below the row count: the scan crosses many
   // cursor-resumed pages.
@@ -139,7 +147,7 @@ TEST(RegionServerTest, SigkillMidWriteLosesNoAcknowledgedWrite) {
   std::thread writer([&] {
     RegionClient client = MakeClient(server.port());
     for (int i = 0; !stop.load(); ++i) {
-      if (client.Put(PaddedKey(i), "v" + std::to_string(i)).ok()) {
+      if (PutKey(client, PaddedKey(i), "v" + std::to_string(i)).ok()) {
         acked.push_back(i);
       } else {
         break;  // server is gone
@@ -156,7 +164,7 @@ TEST(RegionServerTest, SigkillMidWriteLosesNoAcknowledgedWrite) {
   RegionClient client = MakeClient(server.port());
   for (int i : acked) {
     std::string v;
-    ASSERT_TRUE(client.Get(PaddedKey(i), &v).ok())
+    ASSERT_TRUE(GetKey(client, PaddedKey(i), &v).ok())
         << "acknowledged write " << i << " lost after SIGKILL";
     EXPECT_EQ(v, "v" + std::to_string(i));
   }
@@ -175,11 +183,11 @@ TEST(RegionServerTest, ShedsOnInflightCapAndCountsIt) {
   // while the server is shedding.
   ASSERT_TRUE(client.Ping().ok());
 
-  Status st = client.Put("k", "v");
+  Status st = PutKey(client, "k", "v");
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
   EXPECT_TRUE(st.IsTransient()) << "shed must feed the retry path";
   std::string v;
-  EXPECT_TRUE(client.Get("k", &v).IsUnavailable());
+  EXPECT_TRUE(GetKey(client, "k", &v).IsUnavailable());
 
   StatsResponse stats;
   ASSERT_TRUE(client.GetStats(&stats).ok());
@@ -195,12 +203,12 @@ TEST(RegionServerTest, PipelinedRequestsAnsweredInOrder) {
 
   // 32 requests back to back on one connection before any answer is read:
   // they wait in the socket's buffers and are answered in order, each with
-  // its own id. Each Get reads the key the Put before it wrote, so an
-  // out-of-order execution would miss it.
+  // its own id. Each one-key scan reads the key the one-op batch before it
+  // wrote, so an out-of-order execution would miss it.
   struct Sent {
     uint64_t id;
     MsgType answer;
-    std::string value;  ///< the Get's expected value
+    std::string value;  ///< the scan's expected value
   };
   std::vector<Sent> sent;
   for (int i = 0; i < 32; ++i) {
@@ -210,11 +218,19 @@ TEST(RegionServerTest, PipelinedRequestsAnsweredInOrder) {
       EncodePingRequest(id, &frame);
       sent.push_back({id, MsgType::kStatusResp, ""});
     } else if (i % 2 == 0) {
-      EncodePutRequest({PaddedKey(i), "v" + std::to_string(i)}, id, &frame);
+      EncodeWriteBatchRequest(
+          /*tenant=*/{},
+          {kv::WriteOp{PaddedKey(i), "v" + std::to_string(i), false}}, id,
+          &frame);
       sent.push_back({id, MsgType::kStatusResp, ""});
     } else {
-      EncodeGetRequest({PaddedKey(i - 1)}, id, &frame);
-      sent.push_back({id, MsgType::kGetResp, "v" + std::to_string(i - 1)});
+      const std::string key = PaddedKey(i - 1);
+      const std::string end = key + '\0';
+      MultiScanRequest req;
+      req.ranges = {{key, end}};
+      EncodeMultiScanRequest(req, id, &frame);
+      sent.push_back(
+          {id, MsgType::kMultiScanResp, "v" + std::to_string(i - 1)});
     }
     ASSERT_TRUE(client.RawSend(frame).ok());
   }
@@ -226,11 +242,12 @@ TEST(RegionServerTest, PipelinedRequestsAnsweredInOrder) {
     ASSERT_TRUE(ParsePayload(payload, &header, &body).ok());
     EXPECT_EQ(header.request_id, want.id);
     ASSERT_EQ(header.type, want.answer);
-    if (want.answer == MsgType::kGetResp) {
-      GetResponse resp;
-      ASSERT_TRUE(DecodeGetResponse(body, &resp).ok());
+    if (want.answer == MsgType::kMultiScanResp) {
+      MultiScanResponse resp;
+      ASSERT_TRUE(DecodeMultiScanResponse(body, &resp).ok());
       EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
-      EXPECT_EQ(resp.value, want.value);
+      ASSERT_EQ(resp.rows.size(), 1u);
+      EXPECT_EQ(resp.rows[0].value, want.value);
     } else {
       StatusResponse resp;
       ASSERT_TRUE(DecodeStatusResponse(body, &resp).ok());
@@ -276,7 +293,7 @@ TEST(RegionServerTest, CorruptFrameClosesConnectionAndCounts) {
   StatsResponse stats;
   ASSERT_TRUE(client.GetStats(&stats).ok());
   EXPECT_GE(stats.corrupt_frames_total, 2u);
-  ASSERT_TRUE(client.Put("still", "serving").ok());
+  ASSERT_TRUE(PutKey(client, "still", "serving").ok());
 }
 
 TEST(RegionServerTest, MalformedBodyBehindValidCrcKeepsConnection) {
@@ -287,10 +304,12 @@ TEST(RegionServerTest, MalformedBodyBehindValidCrcKeepsConnection) {
   ASSERT_TRUE(client.EnsureConnected().ok());
 
   // A structurally bad payload with a correct CRC: an unknown message type
-  // (99, and the retired one-range scan's reserved 6 and 34). The stream
-  // stays synced, so the server answers kInvalidArgument on the same
-  // connection instead of dropping it.
-  for (uint8_t type : {99, 6, 34}) {
+  // (99, and every retired message's reserved byte: single-key get, put
+  // and delete, the one-range scan, wait-idle, the separate ingest, and
+  // the get and one-range scan answers). The stream stays synced, so the
+  // server answers kInvalidArgument on the same connection instead of
+  // dropping it.
+  for (uint8_t type : {99, 2, 3, 4, 6, 10, 11, 33, 34}) {
     std::string payload;
     payload.push_back(static_cast<char>(type));
     PutFixed64(&payload, 42 + type);
@@ -317,6 +336,55 @@ TEST(RegionServerTest, MalformedBodyBehindValidCrcKeepsConnection) {
   }
 }
 
+TEST(RegionServerTest, TenantWriteAdmissionShedsTaggedBatchesOnly) {
+  TempDir dir("net_tenant_quota");
+  RegionServerOptions options;
+  options.store.dir = dir.path();
+  // 10 rows of burst, refilled at 1 row/s: a second 10-row batch right
+  // after the first finds the bucket empty.
+  options.tenant_write_rps = 1;
+  options.tenant_write_burst = 10;
+  auto server = RegionServer::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  cluster::ClusterOptions copts;
+  copts.server_addrs = {"127.0.0.1:" + std::to_string((*server)->port())};
+  copts.max_retries = 3;
+  auto cluster = cluster::RegionCluster::Open(copts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto batch = [](const std::string& prefix, int rows) {
+    std::vector<kv::WriteOp> ops;
+    for (int i = 0; i < rows; ++i) {
+      ops.push_back(kv::WriteOp{prefix + PaddedKey(i), "v", false});
+    }
+    return ops;
+  };
+  obs::Counter* retries =
+      obs::Registry::Global().GetCounter("just_cluster_retries_total");
+
+  ASSERT_TRUE((*cluster)->WriteBatch(batch("a", 10), "alice").ok());
+  const uint64_t requests_before = (*server)->requests_total();
+  const uint64_t retries_before = retries->Value();
+  Status st = (*cluster)->WriteBatch(batch("b", 10), "alice");
+  EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
+  // Counted as a shed, sent once: a quota shed is not transient.
+  EXPECT_EQ((*server)->shed_total(), 1u);
+  EXPECT_EQ((*server)->requests_total() - requests_before, 1u);
+  EXPECT_EQ(retries->Value(), retries_before);
+  std::string v;
+  EXPECT_TRUE(GetKey(**cluster, "b" + PaddedKey(0), &v).IsNotFound());
+
+  // Untagged batches are never throttled, however large.
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(
+        (*cluster)->WriteBatch(batch("c" + std::to_string(round), 500)).ok());
+  }
+  EXPECT_EQ((*server)->shed_total(), 1u);
+  StatsResponse stats;
+  ASSERT_TRUE(MakeClient((*server)->port()).GetStats(&stats).ok());
+  EXPECT_EQ(stats.shed_total, 1u);
+  ASSERT_TRUE(GetKey(**cluster, "c2" + PaddedKey(499), &v).ok());
+}
+
 TEST(RegionServerTest, ClusterScanSurvivesConnectionCutWithoutDupOrDrop) {
   TempDir dir("net_cut");
   ServerProcess server({.dir = dir.path(), .sync_wal = false});
@@ -332,7 +400,7 @@ TEST(RegionServerTest, ClusterScanSurvivesConnectionCutWithoutDupOrDrop) {
       ops.push_back(
           kv::WriteOp{PaddedKey(i), std::string(100, 'x'), false});
     }
-    ASSERT_TRUE(direct.WriteBatch(ops).ok());
+    ASSERT_TRUE(direct.WriteBatch(/*tenant=*/{}, ops).ok());
   }
 
   cluster::ClusterOptions opts;
@@ -412,7 +480,7 @@ TEST(RegionServerTest, MultiRangeScanResumesAcrossRestart) {
     for (int i = 0; i < kRows; ++i) {
       ops.push_back(kv::WriteOp{PaddedKey(i), "v", false});
     }
-    ASSERT_TRUE(client.WriteBatch(ops).ok());
+    ASSERT_TRUE(client.WriteBatch(/*tenant=*/{}, ops).ok());
     // Three pages: the cursor ends up inside the fourth range.
     for (int page = 0; page < 3; ++page) {
       MultiScanResponse resp;
@@ -458,7 +526,7 @@ TEST(RegionServerTest, ClusterParallelScanSurvivesConnectionCut) {
       ops.push_back(
           kv::WriteOp{PaddedKey(i), std::string(100, 'x'), false});
     }
-    ASSERT_TRUE(direct.WriteBatch(ops).ok());
+    ASSERT_TRUE(direct.WriteBatch(/*tenant=*/{}, ops).ok());
   }
   cluster::ClusterOptions opts;
   opts.server_addrs = {"127.0.0.1:" + std::to_string(proxy.port())};
@@ -507,7 +575,7 @@ TEST(RegionServerTest, ClusterScanCutAfterFirstWindowNeitherDropsNorDuplicates) 
     ops.push_back(kv::WriteOp{
         PaddedKey(i), std::string(100, 'x') + std::to_string(i), false});
   }
-  ASSERT_TRUE(MakeClient(server.port()).WriteBatch(ops).ok());
+  ASSERT_TRUE(MakeClient(server.port()).WriteBatch(/*tenant=*/{}, ops).ok());
 
   // More ranges than one request carries. The first window: one-key
   // ranges, every 16th of them non-empty. The second: 100 ranges of ten
@@ -585,7 +653,7 @@ TEST(RegionServerTest, ClusterScanRetriesInThePollLoopThenFails) {
   for (int i = 0; i < 100; ++i) {
     ops.push_back(kv::WriteOp{PaddedKey(i), "v", false});
   }
-  ASSERT_TRUE(MakeClient(server.port()).WriteBatch(ops).ok());
+  ASSERT_TRUE(MakeClient(server.port()).WriteBatch(/*tenant=*/{}, ops).ok());
 
   cluster::ClusterOptions opts;
   opts.server_addrs = {"127.0.0.1:" + std::to_string(proxy.port())};
@@ -646,8 +714,8 @@ TEST(RegionServerTest, ClusterWriteBatchRetriesThroughConnectionCut) {
   ASSERT_TRUE((*cluster)->WriteBatch(std::move(ops)).ok());
 
   std::string v;
-  ASSERT_TRUE((*cluster)->Get(PaddedKey(0), &v).ok());
-  ASSERT_TRUE((*cluster)->Get(PaddedKey(99), &v).ok());
+  ASSERT_TRUE(GetKey(**cluster, PaddedKey(0), &v).ok());
+  ASSERT_TRUE(GetKey(**cluster, PaddedKey(99), &v).ok());
 }
 
 TEST(RegionServerTest, StalledConnectionHitsBoundedTimeout) {
@@ -658,12 +726,12 @@ TEST(RegionServerTest, StalledConnectionHitsBoundedTimeout) {
 
   RegionClient client = MakeClient(proxy.port(), 512,
                                    /*io_timeout_ms=*/300);
-  ASSERT_TRUE(client.Put("k", "v").ok());  // warm connection through proxy
+  ASSERT_TRUE(PutKey(client, "k", "v").ok());  // warm connection through proxy
 
   proxy.SetStalled(true);
   const auto start = std::chrono::steady_clock::now();
   std::string v;
-  Status st = client.Get("k", &v);
+  Status st = GetKey(client, "k", &v);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
@@ -672,7 +740,7 @@ TEST(RegionServerTest, StalledConnectionHitsBoundedTimeout) {
 
   // Unstall: the lazy reconnect makes the next call succeed.
   proxy.SetStalled(false);
-  ASSERT_TRUE(client.Get("k", &v).ok());
+  ASSERT_TRUE(GetKey(client, "k", &v).ok());
   EXPECT_EQ(v, "v");
 }
 

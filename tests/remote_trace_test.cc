@@ -407,7 +407,7 @@ TEST_F(RemoteTraceTest, ClusterScanFailsAgainstIncompatiblePeer) {
   }
   net::RegionClientOptions copts;
   copts.port = server.port();
-  ASSERT_TRUE(net::RegionClient(copts).WriteBatch(ops).ok());
+  ASSERT_TRUE(net::RegionClient(copts).WriteBatch(/*tenant=*/{}, ops).ok());
   IncompatibleServer peer;
 
   cluster::ClusterOptions opts;

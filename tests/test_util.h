@@ -13,6 +13,7 @@
 #include "exec/column_batch.h"
 #include "exec/dataframe.h"
 #include "exec/value.h"
+#include "net/region_client.h"
 
 namespace just::testing {
 
@@ -71,6 +72,70 @@ inline Result<std::vector<std::pair<std::string, std::string>>> ScanRows(
   CollectingSink sink(cluster.num_servers());
   JUST_RETURN_NOT_OK(cluster.Scan(ranges, &sink));
   return sink.Rows();
+}
+
+/// One page of a multi-range scan: the client's send half and receive half
+/// back to back. Returns the transport's status, else the server's scan
+/// status; the next page is `req` with `req.resume = resp->next`.
+inline Status ScanPage(net::RegionClient& client,
+                       const net::MultiScanRequest& req,
+                       net::MultiScanResponse* resp) {
+  net::RegionClient::PendingPage page;
+  JUST_RETURN_NOT_OK(client.SendMultiScanPage(req, &page));
+  JUST_RETURN_NOT_OK(client.RecvMultiScanPage(page, req, resp));
+  return resp->status;
+}
+
+// Single-key shorthand for tests. The region-server protocol has no
+// single-key messages: a put or a tombstone is a one-op WriteBatch, and a
+// read is a one-key scan of [key, key + '\0'), which holds exactly `key`.
+// Reads return NotFound when the key is absent.
+
+inline Status PutKey(cluster::RegionCluster& cluster, std::string key,
+                     std::string value) {
+  return cluster.WriteBatch(
+      {kv::WriteOp{std::move(key), std::move(value), /*is_delete=*/false}});
+}
+
+inline Status DeleteKey(cluster::RegionCluster& cluster, std::string key) {
+  return cluster.WriteBatch(
+      {kv::WriteOp{std::move(key), {}, /*is_delete=*/true}});
+}
+
+inline Status GetKey(const cluster::RegionCluster& cluster,
+                     const std::string& key, std::string* value) {
+  CollectingSink sink(cluster.num_servers());
+  JUST_RETURN_NOT_OK(
+      cluster.Scan({curve::KeyRange{key, key + '\0', false}}, &sink));
+  auto rows = sink.Rows();
+  if (rows.empty()) return Status::NotFound(key);
+  *value = std::move(rows[0].second);
+  return Status::OK();
+}
+
+inline Status PutKey(net::RegionClient& client, std::string key,
+                     std::string value) {
+  return client.WriteBatch(
+      /*tenant=*/{},
+      {kv::WriteOp{std::move(key), std::move(value), /*is_delete=*/false}});
+}
+
+inline Status DeleteKey(net::RegionClient& client, std::string key) {
+  return client.WriteBatch(
+      /*tenant=*/{}, {kv::WriteOp{std::move(key), {}, /*is_delete=*/true}});
+}
+
+inline Status GetKey(net::RegionClient& client, const std::string& key,
+                     std::string* value) {
+  const std::string end = key + '\0';
+  net::MultiScanRequest req;
+  req.ranges = {{key, end}};
+  req.limit_rows = 1;
+  net::MultiScanResponse resp;
+  JUST_RETURN_NOT_OK(ScanPage(client, req, &resp));
+  if (resp.rows.empty()) return Status::NotFound(key);
+  value->assign(resp.rows[0].value);
+  return Status::OK();
 }
 
 /// Fluent schema+rows builder shared by the exec, sql, and parity tests.

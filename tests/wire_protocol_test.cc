@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -56,91 +57,33 @@ TEST(WireProtocolTest, RoundTripRequests) {
   for (int iter = 0; iter < 200; ++iter) {
     uint64_t id = rng.Next();
     {
-      GetRequest req{RandomBytes(&rng, 64)};
-      std::string frame;
-      EncodeGetRequest(req, id, &frame);
-      FrameHeader h;
-      std::string_view body;
-      MustParse(frame, &h, &body);
-      EXPECT_EQ(h.type, MsgType::kGetReq);
-      EXPECT_EQ(h.request_id, id);
-      GetRequest out;
-      ASSERT_TRUE(DecodeGetRequest(body, &out).ok());
-      EXPECT_EQ(out.key, req.key);
-    }
-    {
-      PutRequest req{RandomBytes(&rng, 64), RandomBytes(&rng, 512)};
-      std::string frame;
-      EncodePutRequest(req, id, &frame);
-      FrameHeader h;
-      std::string_view body;
-      MustParse(frame, &h, &body);
-      EXPECT_EQ(h.type, MsgType::kPutReq);
-      PutRequest out;
-      ASSERT_TRUE(DecodePutRequest(body, &out).ok());
-      EXPECT_EQ(out.key, req.key);
-      EXPECT_EQ(out.value, req.value);
-    }
-    {
-      DeleteRequest req{RandomBytes(&rng, 64)};
-      std::string frame;
-      EncodeDeleteRequest(req, id, &frame);
-      FrameHeader h;
-      std::string_view body;
-      MustParse(frame, &h, &body);
-      DeleteRequest out;
-      ASSERT_TRUE(DecodeDeleteRequest(body, &out).ok());
-      EXPECT_EQ(out.key, req.key);
-    }
-    {
-      WriteBatchRequest req;
+      // Untagged (empty tenant) about half the time.
+      const std::string tenant =
+          rng.Uniform(2) == 0 ? std::string() : RandomBytes(&rng, 32);
+      std::vector<kv::WriteOp> ops;
       size_t n = rng.Uniform(20);
       for (size_t i = 0; i < n; ++i) {
         kv::WriteOp op;
         op.is_delete = rng.Uniform(4) == 0;
         op.key = RandomBytes(&rng, 48);
         if (!op.is_delete) op.value = RandomBytes(&rng, 128);
-        req.ops.push_back(std::move(op));
+        ops.push_back(std::move(op));
       }
       std::string frame;
-      EncodeWriteBatchRequest(req, id, &frame);
+      EncodeWriteBatchRequest(tenant, ops, id, &frame);
       FrameHeader h;
       std::string_view body;
       MustParse(frame, &h, &body);
+      EXPECT_EQ(h.type, MsgType::kWriteBatchReq);
+      EXPECT_EQ(h.request_id, id);
       WriteBatchRequest out;
       ASSERT_TRUE(DecodeWriteBatchRequest(body, &out).ok());
-      ASSERT_EQ(out.ops.size(), req.ops.size());
+      EXPECT_EQ(out.tenant, tenant);
+      ASSERT_EQ(out.ops.size(), ops.size());
       for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(out.ops[i].is_delete, req.ops[i].is_delete);
-        EXPECT_EQ(out.ops[i].key, req.ops[i].key);
-        EXPECT_EQ(out.ops[i].value, req.ops[i].value);
-      }
-    }
-    {
-      IngestRequest req;
-      req.tenant = RandomBytes(&rng, 32);
-      size_t n = rng.Uniform(20);
-      for (size_t i = 0; i < n; ++i) {
-        kv::WriteOp op;
-        op.is_delete = rng.Uniform(4) == 0;
-        op.key = RandomBytes(&rng, 48);
-        if (!op.is_delete) op.value = RandomBytes(&rng, 128);
-        req.ops.push_back(std::move(op));
-      }
-      std::string frame;
-      EncodeIngestRequest(req, id, &frame);
-      FrameHeader h;
-      std::string_view body;
-      MustParse(frame, &h, &body);
-      EXPECT_EQ(h.type, MsgType::kIngestReq);
-      IngestRequest out;
-      ASSERT_TRUE(DecodeIngestRequest(body, &out).ok());
-      EXPECT_EQ(out.tenant, req.tenant);
-      ASSERT_EQ(out.ops.size(), req.ops.size());
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(out.ops[i].is_delete, req.ops[i].is_delete);
-        EXPECT_EQ(out.ops[i].key, req.ops[i].key);
-        EXPECT_EQ(out.ops[i].value, req.ops[i].value);
+        EXPECT_EQ(out.ops[i].is_delete, ops[i].is_delete);
+        EXPECT_EQ(out.ops[i].key, ops[i].key);
+        EXPECT_EQ(out.ops[i].value, ops[i].value);
       }
     }
     {
@@ -171,20 +114,6 @@ TEST(WireProtocolTest, RoundTripResponses) {
       ASSERT_TRUE(DecodeStatusResponse(body, &out).ok());
       EXPECT_EQ(out.status.code(), resp.status.code());
       EXPECT_EQ(out.status.message(), resp.status.message());
-    }
-    {
-      GetResponse resp;
-      resp.status = RandomStatus(&rng);
-      resp.value = RandomBytes(&rng, 512);
-      std::string frame;
-      EncodeGetResponse(resp, id, &frame);
-      FrameHeader h;
-      std::string_view body;
-      MustParse(frame, &h, &body);
-      GetResponse out;
-      ASSERT_TRUE(DecodeGetResponse(body, &out).ok());
-      EXPECT_EQ(out.status.code(), resp.status.code());
-      EXPECT_EQ(out.value, resp.value);
     }
     {
       StatsResponse resp;
@@ -415,39 +344,14 @@ void FuzzDecode(std::string_view frame, bool expect_failure) {
   // Drive every body decoder the header could route to.
   Status decode;
   switch (header.type) {
-    case MsgType::kGetReq: {
-      GetRequest r;
-      decode = DecodeGetRequest(body, &r);
-      break;
-    }
-    case MsgType::kPutReq: {
-      PutRequest r;
-      decode = DecodePutRequest(body, &r);
-      break;
-    }
-    case MsgType::kDeleteReq: {
-      DeleteRequest r;
-      decode = DecodeDeleteRequest(body, &r);
-      break;
-    }
     case MsgType::kWriteBatchReq: {
       WriteBatchRequest r;
       decode = DecodeWriteBatchRequest(body, &r);
       break;
     }
-    case MsgType::kIngestReq: {
-      IngestRequest r;
-      decode = DecodeIngestRequest(body, &r);
-      break;
-    }
     case MsgType::kStatusResp: {
       StatusResponse r;
       decode = DecodeStatusResponse(body, &r);
-      break;
-    }
-    case MsgType::kGetResp: {
-      GetResponse r;
-      decode = DecodeGetResponse(body, &r);
       break;
     }
     case MsgType::kStatsResp: {
@@ -487,27 +391,15 @@ std::vector<std::string> SampleFrames(Rng* rng) {
   EncodePingRequest(id, &f);
   frames.push_back(f);
   f.clear();
-  EncodeGetRequest({RandomBytes(rng, 32)}, id, &f);
-  frames.push_back(f);
-  f.clear();
-  EncodePutRequest({RandomBytes(rng, 32), RandomBytes(rng, 200)}, id, &f);
-  frames.push_back(f);
-  f.clear();
-  WriteBatchRequest wb;
+  std::vector<kv::WriteOp> ops;
   for (int i = 0; i < 8; ++i) {
-    wb.ops.push_back(kv::WriteOp{RandomBytes(rng, 24), RandomBytes(rng, 64),
-                                 i % 3 == 0});
+    ops.push_back(kv::WriteOp{RandomBytes(rng, 24), RandomBytes(rng, 64),
+                              i % 3 == 0});
   }
-  EncodeWriteBatchRequest(wb, id, &f);
+  EncodeWriteBatchRequest(/*tenant=*/{}, ops, id, &f);
   frames.push_back(f);
   f.clear();
-  IngestRequest ing;
-  ing.tenant = RandomBytes(rng, 16);
-  for (int i = 0; i < 8; ++i) {
-    ing.ops.push_back(kv::WriteOp{RandomBytes(rng, 24), RandomBytes(rng, 64),
-                                  i % 3 == 0});
-  }
-  EncodeIngestRequest(ing, id, &f);
+  EncodeWriteBatchRequest(RandomBytes(rng, 16), ops, id, &f);
   frames.push_back(f);
   f.clear();
   StatsResponse st;
@@ -632,19 +524,23 @@ TEST(WireProtocolTest, ExtensionRoundTrip) {
     // Non-empty by construction: an empty ext means "no extension".
     std::string ext = "x" + RandomBytes(&rng, 63);
     {
-      GetRequest req{RandomBytes(&rng, 48)};
+      const std::string key = RandomBytes(&rng, 48);
+      const std::string end = key + '\0';
+      MultiScanRequest req;
+      req.ranges = {{key, end}};
       std::string frame;
-      EncodeGetRequest(req, id, &frame, ext);
+      EncodeMultiScanRequest(req, id, &frame, ext);
       FrameHeader h;
       std::string_view body;
       MustParse(frame, &h, &body);
-      EXPECT_EQ(h.type, MsgType::kGetReq);
+      EXPECT_EQ(h.type, MsgType::kMultiScanReq);
       EXPECT_EQ(h.request_id, id);
       EXPECT_TRUE(h.has_ext);
       EXPECT_EQ(h.ext, ext);
-      GetRequest out;
-      ASSERT_TRUE(DecodeGetRequest(body, &out).ok());
-      EXPECT_EQ(out.key, req.key);
+      MultiScanRequest out;
+      ASSERT_TRUE(DecodeMultiScanRequest(body, &out).ok());
+      ASSERT_EQ(out.ranges.size(), 1u);
+      EXPECT_EQ(out.ranges[0].start, key);
     }
     {
       const std::string key = RandomBytes(&rng, 24);
@@ -678,15 +574,16 @@ TEST(WireProtocolTest, UnextendedFramesKeepLegacyLayout) {
   // The default (no ext) must produce the unflagged byte layout: no flag
   // bit, body immediately after the request id. Untraced requests go out
   // this way, byte for byte.
+  const std::vector<kv::WriteOp> ops = {kv::WriteOp{"k", "v", false}};
   std::string frame;
-  EncodePutRequest({"k", "v"}, 9, &frame);
+  EncodeWriteBatchRequest(/*tenant=*/{}, ops, 9, &frame);
   ASSERT_GT(frame.size(), kFrameHeaderBytes);
   uint8_t type_byte = static_cast<uint8_t>(frame[kFrameHeaderBytes]);
   EXPECT_EQ(type_byte & kExtensionFlag, 0);
-  EXPECT_EQ(type_byte, static_cast<uint8_t>(MsgType::kPutReq));
+  EXPECT_EQ(type_byte, static_cast<uint8_t>(MsgType::kWriteBatchReq));
 
   std::string flagged;
-  EncodePutRequest({"k", "v"}, 9, &flagged, "tc");
+  EncodeWriteBatchRequest(/*tenant=*/{}, ops, 9, &flagged, "tc");
   uint8_t flagged_byte = static_cast<uint8_t>(flagged[kFrameHeaderBytes]);
   EXPECT_EQ(flagged_byte & kExtensionFlag, kExtensionFlag);
 }
@@ -706,11 +603,30 @@ TEST(WireProtocolTest, TraceContextRoundTrip) {
   EXPECT_TRUE(DecodeTraceContext("", &ctx).IsInvalidArgument());
 }
 
+/// The type bytes of retired messages: single-key get, put and delete,
+/// the one-range scan, wait-idle, the separate tenant-tagged ingest, and
+/// the get and one-range scan answers.
+constexpr uint8_t kReservedTypes[] = {2, 3, 4, 6, 10, 11, 33, 34};
+
+TEST(WireProtocolTest, LiveTypesAreExactlySixRequestsAndThreeResponses) {
+  int requests = 0;
+  int known = 0;
+  for (int t = 0; t < 128; ++t) {
+    requests += IsRequestType(static_cast<MsgType>(t)) ? 1 : 0;
+    known += IsKnownType(static_cast<uint8_t>(t)) ? 1 : 0;
+  }
+  EXPECT_EQ(requests, 6);
+  EXPECT_EQ(known, 9);
+}
+
 TEST(WireProtocolTest, UnknownTypeMessageNamesTheType) {
-  // An unassigned type byte, and the retired one-range scan's reserved
-  // request and response bytes: each is rejected by name, so an operator
-  // reading the error sees which type the peer did not know.
-  for (uint8_t type : {0x7F, 6, 34}) {
+  // An unassigned type byte, and every retired message's reserved byte:
+  // each is rejected by name, so an operator reading the error sees which
+  // type the peer did not know.
+  std::vector<uint8_t> types = {0x7F};
+  types.insert(types.end(), std::begin(kReservedTypes),
+               std::end(kReservedTypes));
+  for (uint8_t type : types) {
     std::string payload;
     payload.push_back(static_cast<char>(type));  // no flag
     payload.append(8, '\0');
@@ -734,8 +650,12 @@ TEST(WireProtocolFuzzTest, ExtensionFieldFuzz) {
   Rng rng(4242);
   for (int round = 0; round < 2000; ++round) {
     std::string payload;
-    // Known request type with the extension flag set.
-    uint8_t type = static_cast<uint8_t>(1 + rng.Uniform(10));
+    // A live request type with the extension flag set.
+    constexpr MsgType kRequests[] = {
+        MsgType::kPingReq,  MsgType::kWriteBatchReq, MsgType::kFlushReq,
+        MsgType::kCompactReq, MsgType::kStatsReq,    MsgType::kMultiScanReq};
+    uint8_t type = static_cast<uint8_t>(
+        kRequests[rng.Uniform(std::size(kRequests))]);
     payload.push_back(static_cast<char>(type | kExtensionFlag));
     for (int i = 0; i < 8; ++i) {
       payload.push_back(static_cast<char>(rng.Uniform(256)));

@@ -26,6 +26,7 @@
 namespace just::kv {
 namespace {
 
+using just::testing::PutKey;
 using just::testing::TempDir;
 
 /// An Env that blocks SSTable builds (appends to "*.sst.tmp" files) until
@@ -294,12 +295,12 @@ TEST(ClusterScanTest, ParallelScanCoversCrossShardRanges) {
     for (int i = 0; i < 8; ++i) {
       std::string key(1, shard);
       key += "key" + std::to_string(i);
-      ASSERT_TRUE(cluster->Put(key, "v").ok());
+      ASSERT_TRUE(PutKey(*cluster, key, "v").ok());
       expected.insert(key);
     }
   }
   // Keys outside the range must stay excluded.
-  ASSERT_TRUE(cluster->Put(std::string(1, 7) + "outside", "v").ok());
+  ASSERT_TRUE(PutKey(*cluster, std::string(1, 7) + "outside", "v").ok());
 
   curve::KeyRange range;
   range.start = std::string(1, 4);
@@ -320,7 +321,7 @@ TEST(ClusterScanTest, ParallelScanSingleShardRangeStillWorks) {
   for (int i = 0; i < 10; ++i) {
     std::string key(1, 3);
     key += "k" + std::to_string(i);
-    ASSERT_TRUE(cluster->Put(key, "v").ok());
+    ASSERT_TRUE(PutKey(*cluster, key, "v").ok());
   }
   // The planner's usual shape: [prefix..., next shard byte) — single server.
   curve::KeyRange range;
@@ -345,7 +346,7 @@ TEST(ClusterScanTest, ScanStreamsInBoundedBatches) {
   for (int i = 0; i < 200; ++i) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "k%03d", i);
-    ASSERT_TRUE(cluster->Put(std::string(1, 2) + buf, "v").ok());
+    ASSERT_TRUE(PutKey(*cluster, std::string(1, 2) + buf, "v").ok());
   }
 
   // Early-stopping consumer: the old code fetched all 200 rows into memory
