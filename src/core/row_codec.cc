@@ -1,5 +1,7 @@
 #include "core/row_codec.h"
 
+#include <cstring>
+
 #include "common/bytes.h"
 #include "compress/codec.h"
 
@@ -8,41 +10,102 @@ namespace just::core {
 namespace {
 constexpr char kTrajRaw = 'R';
 constexpr char kTrajDelta = 'D';
+constexpr char kTrajSummary = 'S';
+constexpr size_t kSummaryFixedBytes = 48;  // 4 MBR doubles, t_start, t_end
 
-// Cell payload for an st_series value: [format tag][oid lp][gps bytes].
-std::string EncodeTrajectoryCell(const exec::Value& value, bool compact) {
+bool IsTrajectoryTag(char tag) {
+  return tag == kTrajSummary || tag == kTrajRaw || tag == kTrajDelta;
+}
+
+// Cell payload for an st_series value, written inside an identity frame:
+// ['S'][summary][oid lp][lp: compress frame of [R|D][GPS bytes]]. The
+// summary is the MBR (4 ordered doubles), t_start, t_end (fixed64 each) and
+// the point count (varint), taken from the points as the decoder returns
+// them, so refining on it decides as refining on the list would. The GPS
+// list is raw fixed-width when uncompressed (what JUSTnc measures) and the
+// delta transform under `codec`.
+std::string EncodeTrajectoryCell(const traj::Trajectory& t,
+                                 const compress::Codec& codec,
+                                 bool compact) {
   std::string out;
-  const auto& t = value.trajectory_value();
-  out.push_back(compact ? kTrajDelta : kTrajRaw);
-  if (t == nullptr) {
-    PutLengthPrefixed(&out, "");
-    PutLengthPrefixed(&out, "");
-    return out;
+  out.push_back(kTrajSummary);
+  const geo::Mbr mbr = compact ? t.DeltaBounds() : t.Bounds();
+  for (double d : {mbr.lng_min, mbr.lat_min, mbr.lng_max, mbr.lat_max}) {
+    PutFixed64(&out, OrderedDoubleBits(d));
   }
-  PutLengthPrefixed(&out, t->oid());
-  PutLengthPrefixed(&out, compact ? t->SerializeDelta() : t->SerializeRaw());
+  PutFixed64(&out, static_cast<uint64_t>(t.start_time()));
+  PutFixed64(&out, static_cast<uint64_t>(t.end_time()));
+  PutVarint64(&out, t.point_count());
+  PutLengthPrefixed(&out, t.oid());
+  std::string gps(1, compact ? kTrajDelta : kTrajRaw);
+  gps += compact ? t.SerializeDelta() : t.SerializeRaw();
+  PutLengthPrefixed(&out, compress::EncodeCell(codec, gps));
   return out;
 }
 
-Result<exec::Value> DecodeTrajectoryCell(std::string_view cell) {
+Result<traj::Trajectory> DeserializeGps(char tag, const std::string& oid,
+                                        std::string_view bytes) {
+  if (tag == kTrajDelta) return traj::Trajectory::DeserializeDelta(oid, bytes);
+  if (tag == kTrajRaw) return traj::Trajectory::DeserializeRaw(oid, bytes);
+  return Status::Corruption("unknown st_series format tag");
+}
+
+bool SameBounds(const geo::Mbr& a, const geo::Mbr& b) {
+  return std::memcmp(&a, &b, sizeof(geo::Mbr)) == 0;
+}
+
+// Decodes an st_series cell payload: a summary cell (summary-only when
+// `summary_only`, else in full and checked against its summary) or a
+// legacy [R|D][oid lp][gps lp] cell, always in full.
+Result<exec::Value> DecodeTrajectoryCell(std::string_view cell,
+                                         bool summary_only) {
   if (cell.empty()) return Status::Corruption("empty st_series cell");
-  char tag = cell[0];
+  const char tag = cell[0];
   const char* p = cell.data() + 1;
   const char* limit = cell.data() + cell.size();
-  std::string_view oid, payload;
-  if (!GetLengthPrefixed(&p, limit, &oid) ||
-      !GetLengthPrefixed(&p, limit, &payload)) {
-    return Status::Corruption("bad st_series cell");
-  }
   traj::Trajectory t;
-  if (tag == kTrajDelta) {
-    JUST_ASSIGN_OR_RETURN(
-        t, traj::Trajectory::DeserializeDelta(std::string(oid), payload));
-  } else if (tag == kTrajRaw) {
-    JUST_ASSIGN_OR_RETURN(
-        t, traj::Trajectory::DeserializeRaw(std::string(oid), payload));
+  if (tag == kTrajSummary) {
+    if (static_cast<size_t>(limit - p) < kSummaryFixedBytes) {
+      return Status::Corruption("truncated st_series summary");
+    }
+    geo::Mbr mbr;
+    mbr.lng_min = OrderedBitsToDouble(GetFixed64(p));
+    mbr.lat_min = OrderedBitsToDouble(GetFixed64(p + 8));
+    mbr.lng_max = OrderedBitsToDouble(GetFixed64(p + 16));
+    mbr.lat_max = OrderedBitsToDouble(GetFixed64(p + 24));
+    const auto start = static_cast<TimestampMs>(GetFixed64(p + 32));
+    const auto end = static_cast<TimestampMs>(GetFixed64(p + 40));
+    p += kSummaryFixedBytes;
+    uint64_t count;
+    std::string_view oid, gps_cell;
+    if (!GetVarint64(&p, limit, &count) ||
+        !GetLengthPrefixed(&p, limit, &oid) ||
+        !GetLengthPrefixed(&p, limit, &gps_cell) || p != limit) {
+      return Status::Corruption("bad st_series summary cell");
+    }
+    if (summary_only) {
+      t = traj::Trajectory::SummaryOnly(std::string(oid), mbr, start, end,
+                                        count);
+    } else {
+      std::string scratch;  // the decompressed GPS list
+      std::string_view gps;
+      JUST_RETURN_NOT_OK(compress::DecodeCellView(gps_cell, &scratch, &gps));
+      if (gps.empty()) return Status::Corruption("empty st_series GPS list");
+      JUST_ASSIGN_OR_RETURN(
+          t, DeserializeGps(gps[0], std::string(oid), gps.substr(1)));
+      if (t.point_count() != count || !SameBounds(t.Bounds(), mbr) ||
+          t.start_time() != start || t.end_time() != end) {
+        return Status::Corruption(
+            "st_series summary disagrees with its GPS list");
+      }
+    }
   } else {
-    return Status::Corruption("unknown st_series format tag");
+    std::string_view oid, payload;
+    if (!GetLengthPrefixed(&p, limit, &oid) ||
+        !GetLengthPrefixed(&p, limit, &payload)) {
+      return Status::Corruption("bad st_series cell");
+    }
+    JUST_ASSIGN_OR_RETURN(t, DeserializeGps(tag, std::string(oid), payload));
   }
   return exec::Value::TrajectoryVal(
       std::make_shared<const traj::Trajectory>(std::move(t)));
@@ -67,12 +130,15 @@ Result<std::string> EncodeRow(const meta::TableMeta& table,
     std::string cell_raw;
     if (col.type == exec::DataType::kTrajectory &&
         row[i].type() == exec::DataType::kTrajectory) {
-      cell_raw = EncodeTrajectoryCell(row[i], /*compact=*/compressed);
+      // The codec applies to the GPS list inside; the summary stays plain.
+      const auto& t = row[i].trajectory_value();
+      cell_raw = EncodeTrajectoryCell(t != nullptr ? *t : traj::Trajectory(),
+                                      *codec, /*compact=*/compressed);
+      codec = compress::NoneCodec();
     } else {
       row[i].SerializeTo(&cell_raw);
     }
-    std::string cell = compress::EncodeCell(*codec, cell_raw);
-    PutLengthPrefixed(&out, cell);
+    PutLengthPrefixed(&out, compress::EncodeCell(*codec, cell_raw));
   }
   return out;
 }
@@ -90,8 +156,9 @@ Result<exec::Row> DecodeRow(const meta::TableMeta& table,
     }
     JUST_ASSIGN_OR_RETURN(std::string cell_raw, compress::DecodeCell(cell));
     if (col.type == exec::DataType::kTrajectory && !cell_raw.empty() &&
-        (cell_raw[0] == kTrajRaw || cell_raw[0] == kTrajDelta)) {
-      JUST_ASSIGN_OR_RETURN(auto value, DecodeTrajectoryCell(cell_raw));
+        IsTrajectoryTag(cell_raw[0])) {
+      JUST_ASSIGN_OR_RETURN(
+          auto value, DecodeTrajectoryCell(cell_raw, /*summary_only=*/false));
       row.push_back(std::move(value));
     } else {
       const char* q = cell_raw.data();
@@ -121,7 +188,8 @@ Status BatchRowDecoder::DecodeInto(std::string_view bytes,
 
 Status BatchRowDecoder::DecodeColumns(std::string_view bytes,
                                       const ColumnMask& mask,
-                                      exec::ColumnBatch* batch) const {
+                                      exec::ColumnBatch* batch,
+                                      int summary_column) const {
   const char* p = bytes.data();
   const char* limit = p + bytes.size();
   std::string scratch;  // decompressed payload; untouched for kNone cells
@@ -133,17 +201,18 @@ Status BatchRowDecoder::DecodeColumns(std::string_view bytes,
     if (!mask.empty() && !mask[i]) continue;
     std::string_view raw;
     JUST_RETURN_NOT_OK(compress::DecodeCellView(cell, &scratch, &raw));
-    JUST_RETURN_NOT_OK(AppendCell(i, raw, &batch->column(i)));
+    JUST_RETURN_NOT_OK(AppendCell(i, raw, static_cast<int>(i) == summary_column,
+                                  &batch->column(i)));
   }
   return Status::OK();
 }
 
 Status BatchRowDecoder::AppendCell(size_t column, std::string_view raw,
+                                   bool summary_only,
                                    exec::ColumnVector* col) const {
   using Storage = exec::ColumnVector::Storage;
-  if (is_trajectory_[column] && !raw.empty() &&
-      (raw[0] == kTrajRaw || raw[0] == kTrajDelta)) {
-    JUST_ASSIGN_OR_RETURN(auto value, DecodeTrajectoryCell(raw));
+  if (is_trajectory_[column] && !raw.empty() && IsTrajectoryTag(raw[0])) {
+    JUST_ASSIGN_OR_RETURN(auto value, DecodeTrajectoryCell(raw, summary_only));
     col->AppendValue(std::move(value));
     return Status::OK();
   }

@@ -15,9 +15,12 @@ namespace just::core {
 /// Serializes a row for storage as a KV value. Every cell is framed by the
 /// compression layer ([codec id][raw size][payload], Section IV-D): columns
 /// declared `compress=gzip|zip` go through the general-purpose codec; the
-/// rest use the identity codec. Trajectory (st_series) cells additionally
-/// pick their GPS-list encoding: raw fixed-width when uncompressed (what
-/// JUSTnc measures) and the delta transform under compression.
+/// rest use the identity codec. A trajectory (st_series) cell keeps its
+/// small fields apart from its big one, as the paper's trajectory table
+/// does: an identity-framed summary (MBR, start/end time, point count) and
+/// oid, then the GPS list in its own frame: raw fixed-width when
+/// uncompressed (what JUSTnc measures), else the delta transform under the
+/// column's codec. Refinement reads the summary without touching the list.
 Result<std::string> EncodeRow(const meta::TableMeta& table,
                               const exec::Row& row);
 
@@ -50,13 +53,18 @@ class BatchRowDecoder {
   /// leaves the others alone; FinishRow is the caller's, since it owns the
   /// other columns' row count. A skipped cell costs its length prefix. Every
   /// prefix is read, selected or not, so a truncated row fails under any
-  /// mask.
+  /// mask. A selected `summary_column` holding a summary-layout st_series
+  /// cell decodes to a summary-only trajectory (Trajectory::summary_only):
+  /// its GPS list is neither decompressed nor decoded. Older cell layouts
+  /// decode in full. A full decode of a summary cell is Corruption when the
+  /// list disagrees with the summary.
   Status DecodeColumns(std::string_view bytes, const ColumnMask& mask,
-                       exec::ColumnBatch* batch) const;
+                       exec::ColumnBatch* batch,
+                       int summary_column = -1) const;
 
  private:
   /// Appends one unframed cell payload to `col` (table column `column`).
-  Status AppendCell(size_t column, std::string_view raw,
+  Status AppendCell(size_t column, std::string_view raw, bool summary_only,
                     exec::ColumnVector* col) const;
 
   const meta::TableMeta& table_;

@@ -1,8 +1,10 @@
 #include "core/table.h"
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 #include <unordered_set>
+#include <utility>
 
 #include "common/bytes.h"
 #include "core/row_codec.h"
@@ -137,7 +139,9 @@ obs::Counter* IdxIntersectionsCounter() {
 /// straight from the backend's views into that server's own batches. Each
 /// batch runs its two phases when it fills (and at the end of the server's
 /// scan): refine plus residual over the early columns, then the late
-/// columns for survivors, re-read from the batch's arena of row bytes.
+/// columns for survivors, re-read from the batch's arena of row bytes. The
+/// split also runs inside a trajectory cell: refinement reads its summary,
+/// and only survivors decompress and decode the GPS list.
 class BatchSink : public cluster::RegionCluster::ScanSink {
  public:
   struct Plan {
@@ -147,6 +151,11 @@ class BatchSink : public cluster::RegionCluster::ScanSink {
     ColumnMask late;   ///< decoded for survivors
     std::vector<size_t> late_columns;
     std::vector<size_t> skipped;  ///< never decoded: NULL in the output
+    /// An st_series column refinement reads through its summary alone
+    /// (-1: none). The early phase decodes it summary-only; the late phase
+    /// decodes a survivor's cell in full when the column is kept (it is then
+    /// in `late`), and every other row's cell is NULL.
+    int summary_column = -1;
     std::function<void(exec::ColumnBatch*)> refine;
     std::function<Status(exec::ColumnBatch*)> residual;
     size_t limit = 0;
@@ -183,7 +192,8 @@ class BatchSink : public cluster::RegionCluster::ScanSink {
         plan_.skip_fids->contains(key.substr(plan_.fid_offset))) {
       return true;  // already delivered by an earlier expansion area
     }
-    s.error = plan_.decoder->DecodeColumns(value, plan_.early, &s.current);
+    s.error = plan_.decoder->DecodeColumns(value, plan_.early, &s.current,
+                                           plan_.summary_column);
     if (!s.error.ok()) return false;
     if (!plan_.late_columns.empty()) {
       s.arena.append(value);
@@ -221,7 +231,19 @@ class BatchSink : public cluster::RegionCluster::ScanSink {
     if (n == 0) return Status::OK();
     if (plan_.refine) plan_.refine(&batch);
     if (plan_.residual) JUST_RETURN_NOT_OK(plan_.residual(&batch));
-    if (!plan_.late_columns.empty()) JUST_RETURN_NOT_OK(DecodeLate(s));
+    // The summary-only values served refinement; the column starts over.
+    std::optional<exec::ColumnVector> summaries;
+    if (plan_.summary_column >= 0) {
+      exec::ColumnVector& col =
+          batch.column(static_cast<size_t>(plan_.summary_column));
+      summaries.emplace(
+          std::exchange(col, exec::ColumnVector(col.declared_type())));
+    }
+    if (!plan_.late_columns.empty()) {
+      const bool kept = summaries.has_value() &&
+                        plan_.late[static_cast<size_t>(plan_.summary_column)];
+      JUST_RETURN_NOT_OK(DecodeLate(s, kept ? &*summaries : nullptr));
+    }
     for (size_t c : plan_.skipped) batch.column(c).AppendNulls(n);
     s->matched += batch.num_active();
     if (batch.num_active() > 0) s->batches.push_back(std::move(batch));
@@ -229,11 +251,19 @@ class BatchSink : public cluster::RegionCluster::ScanSink {
   }
 
   /// Phase 2: the late columns of the surviving rows, from the arena;
-  /// dropped rows stay NULL.
-  Status DecodeLate(Server* s) {
+  /// dropped rows stay NULL. `summaries` holds the kept summary column's
+  /// early values: a survivor's summary-only trajectory is decoded in full,
+  /// and any other value (NULL, or a legacy cell already decoded in full)
+  /// is carried over.
+  Status DecodeLate(Server* s, const exec::ColumnVector* summaries) {
     exec::ColumnBatch& batch = s->current;
     const size_t n = batch.num_rows();
     const std::string_view arena(s->arena);
+    ColumnMask late_rest;  // `late` without the carried-over summary column
+    if (summaries != nullptr) {
+      late_rest = plan_.late;
+      late_rest[static_cast<size_t>(plan_.summary_column)] = false;
+    }
     size_t filled = 0;  // physical rows the late columns hold so far
     auto decode = [&](uint32_t row) -> Status {
       if (row > filled) {
@@ -243,8 +273,19 @@ class BatchSink : public cluster::RegionCluster::ScanSink {
       }
       const size_t begin = row == 0 ? 0 : s->row_ends[row - 1];
       filled = row + 1;
+      const ColumnMask* mask = &plan_.late;
+      if (summaries != nullptr) {
+        const exec::Value& v = summaries->ObjectAt(row);
+        if (v.type() != exec::DataType::kTrajectory ||
+            v.trajectory_value() == nullptr ||
+            !v.trajectory_value()->summary_only()) {
+          batch.column(static_cast<size_t>(plan_.summary_column))
+              .AppendValue(v);
+          mask = &late_rest;
+        }
+      }
       return plan_.decoder->DecodeColumns(
-          arena.substr(begin, s->row_ends[row] - begin), plan_.late, &batch);
+          arena.substr(begin, s->row_ends[row] - begin), *mask, &batch);
     };
     if (batch.has_selection()) {
       for (uint32_t row : batch.selection()) JUST_RETURN_NOT_OK(decode(row));
@@ -470,10 +511,16 @@ Result<exec::BatchVector> StTable::ScanRangesToBatches(
     }
     ColumnMask late(num_columns, false);
     for (size_t c = 0; c < num_columns; ++c) {
-      if (pushdown->residual && has(pushdown->residual_columns, c)) {
-        early[c] = true;
-      }
-      if (early[c]) continue;
+      const bool residual =
+          pushdown->residual && has(pushdown->residual_columns, c);
+      if (residual) early[c] = true;
+      // A trajectory geometry only refinement reads is early as its
+      // summary: its cells decode in full only late.
+      const bool summary =
+          static_cast<int>(c) == geom_col_ && early[c] && !residual &&
+          meta_.columns[c].type == exec::DataType::kTrajectory;
+      if (summary) plan.summary_column = geom_col_;
+      if (early[c] && !summary) continue;
       if (has(pushdown->projected, c)) {
         late[c] = true;
         plan.late_columns.push_back(c);

@@ -286,7 +286,10 @@ class StTable {
   /// key is read once and no per-row dedupe is needed. `fid_offset` is the
   /// byte position of the fid suffix in scanned keys; rows whose fid is in
   /// `skip_fids` (read-only during the scan) are dropped before decoding
-  /// (the k-NN expansion's records seen in earlier areas).
+  /// (the k-NN expansion's records seen in earlier areas). With a pushdown,
+  /// an st_series geometry column among `refine_columns` that the residual
+  /// does not read is read through its trajectory summary: RefineBatch
+  /// needs only the MBR and start time.
   Result<exec::BatchVector> ScanRangesToBatches(
       const std::vector<curve::KeyRange>& ranges,
       const std::function<void(exec::ColumnBatch*)>& refine,

@@ -6,10 +6,29 @@
 
 namespace just::traj {
 
-geo::Mbr Trajectory::Bounds() const {
-  geo::Mbr box = geo::Mbr::Empty();
-  for (const GpsPoint& p : points_) box.Expand(p.position);
-  return box;
+Trajectory::Trajectory(std::string oid, std::vector<GpsPoint> points)
+    : oid_(std::move(oid)),
+      points_(std::move(points)),
+      point_count_(points_.size()) {
+  for (const GpsPoint& p : points_) bounds_.Expand(p.position);
+  if (!points_.empty()) {
+    start_time_ = points_.front().time;
+    end_time_ = points_.back().time;
+  }
+}
+
+Trajectory Trajectory::SummaryOnly(std::string oid, const geo::Mbr& bounds,
+                                   TimestampMs start_time,
+                                   TimestampMs end_time,
+                                   uint64_t point_count) {
+  Trajectory t;
+  t.oid_ = std::move(oid);
+  t.bounds_ = bounds;
+  t.start_time_ = start_time;
+  t.end_time_ = end_time;
+  t.point_count_ = point_count;
+  t.summary_only_ = true;
+  return t;
 }
 
 double Trajectory::LengthMeters() const {
@@ -62,6 +81,13 @@ int64_t Quantize(double deg) {
 }
 double Dequantize(int64_t q) { return static_cast<double>(q) * kQuantum; }
 }  // namespace
+
+geo::Mbr Trajectory::DeltaBounds() const {
+  if (points_.empty()) return bounds_;
+  auto q = [](double deg) { return Dequantize(Quantize(deg)); };
+  return geo::Mbr{q(bounds_.lng_min), q(bounds_.lat_min), q(bounds_.lng_max),
+                  q(bounds_.lat_max)};
+}
 
 std::string Trajectory::SerializeDelta() const {
   std::string out;

@@ -12,6 +12,8 @@
 #include "cluster/region_cluster.h"
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "compress/codec.h"
+#include "core/plugins.h"
 #include "net_harness.h"
 #include "obs/metrics.h"
 #include "scan_parity.h"
@@ -583,6 +585,196 @@ TEST_P(EngineScanParityTest, EdgeRowsComeBackExactlyOnce) {
     std::sort(want_d.begin(), want_d.end());
     want_d.resize(static_cast<size_t>(k));
     EXPECT_EQ(got_d, want_d) << "k=" << k;
+  }
+}
+
+/// Trajectory tables refine on each st_series cell's summary and decode
+/// the GPS list of survivors only. On gzip (delta list) and JUSTnc (raw
+/// list) tables, over XZ2 and XZ2T: the kept item, the unkept item, a
+/// residual that reads item (decoded in full early) and LIMIT all return
+/// the oracle's rows, and every returned trajectory carries its points.
+TEST_P(EngineScanParityTest, TrajectorySummaryScansMatchTheOracle) {
+  workload::TrajOptions traj_options;
+  traj_options.num_trajectories = 80;
+  traj_options.points_per_traj = 12;
+  traj_options.start_date = "2018-10-01";
+  traj_options.num_days = 10;
+  traj_options.seed = 11;
+  const auto trips = workload::GenerateTrajectories(traj_options);
+  std::vector<double> lengths;
+  for (const auto& trip : trips) lengths.push_back(trip.LengthMeters());
+  std::nth_element(lengths.begin(), lengths.begin() + lengths.size() / 2,
+                   lengths.end());
+  const std::string median_length = std::to_string(lengths[lengths.size() / 2]);
+  const std::string box =
+      "item WITHIN st_makeMBR(116.30, 39.80, 116.50, 40.00)";
+  const std::string window =
+      " AND start_time BETWEEN '2018-10-02' AND '2018-10-07'";
+  for (const char* codec : {"gzip", ""}) {
+    const std::string name = codec[0] != '\0' ? "trips_gz" : "trips_nc";
+    auto table = core::MakePluginTable("trajectory", "u", name);
+    ASSERT_TRUE(table.ok());
+    table->columns[4].compress = codec;
+    ASSERT_TRUE(engine_->CreateTable(*table).ok());
+    std::vector<exec::Row> rows;
+    std::map<std::string, std::shared_ptr<const traj::Trajectory>> by_tid;
+    for (size_t i = 0; i < trips.size(); ++i) {
+      char tid[32];
+      std::snprintf(tid, sizeof(tid), "trip_%03zu", i);
+      auto trip = std::make_shared<const traj::Trajectory>(trips[i]);
+      rows.push_back({exec::Value::String(tid),
+                      exec::Value::String(trip->oid()),
+                      exec::Value::Timestamp(trip->start_time()),
+                      exec::Value::Timestamp(trip->end_time()),
+                      exec::Value::TrajectoryVal(trip)});
+    }
+    ASSERT_TRUE(engine_->InsertBatch("u", name, rows).ok());
+    ASSERT_TRUE(engine_->Finalize().ok());
+    // The stored trajectories, as a full scan decodes them.
+    auto all = just::testing::QueryFrame(engine_.get(), "u", name);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    ASSERT_EQ(all->num_rows(), trips.size());
+    for (const exec::Row& row : all->rows()) {
+      by_tid[row[0].string_value()] = row[4].trajectory_value();
+    }
+
+    // A secondary index on tid: a tid bound plus the box takes the index
+    // intersection path, whose recheck refines on the summary too.
+    ASSERT_TRUE(engine_->CreateIndex("u", name, name + "_tid", "tid").ok());
+    const std::string tid_bound = "tid < 'trip_050' AND ";
+    std::vector<std::string> queries;
+    for (const std::string& where :
+         {box, box + window, tid_bound + box, tid_bound + box + window}) {
+      queries.push_back("SELECT * FROM " + name + " WHERE " + where);
+      queries.push_back("SELECT tid FROM " + name + " WHERE " + where);
+      queries.push_back("SELECT tid, item FROM " + name + " WHERE " + where +
+                        " AND st_trajLengthMeters(item) > " + median_length);
+    }
+    sql::JustQL ql(engine_.get());
+    auto explain = ql.Execute(
+        "u", "EXPLAIN ANALYZE SELECT * FROM " + name + " WHERE " + tid_bound +
+                 box);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_NE(explain->message.find("access=index_intersection"),
+              std::string::npos)
+        << explain->message;
+    for (const std::string& sql : queries) {
+      just::testing::ExpectSameResult(engine_.get(), "u", sql);
+      auto got = ql.Execute("u", sql);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      ASSERT_GT(got->frame.num_rows(), 0u) << sql;
+      ASSERT_LT(got->frame.num_rows(), trips.size()) << sql;
+      const int item = got->frame.schema().IndexOf("item");
+      for (const exec::Row& row : got->frame.rows()) {
+        if (item < 0) continue;
+        const auto& t = row[static_cast<size_t>(item)].trajectory_value();
+        ASSERT_NE(t, nullptr) << sql;
+        EXPECT_FALSE(t->summary_only()) << sql;
+        EXPECT_EQ(t->points().size(), t->point_count()) << sql;
+        EXPECT_TRUE(*t == *by_tid[row[0].string_value()]) << sql;
+      }
+    }
+    // LIMIT on the index paths returns a prefix of the index order: any
+    // rows of the unlimited answer (checked against the oracle above), as
+    // many as the limit allows.
+    for (const std::string& where : {box, box + window}) {
+      auto unlimited =
+          ql.Execute("u", "SELECT * FROM " + name + " WHERE " + where);
+      ASSERT_TRUE(unlimited.ok());
+      std::set<std::string> answer;
+      for (const exec::Row& row : unlimited->frame.rows()) {
+        answer.insert(row[0].string_value());
+      }
+      const std::string sql =
+          "SELECT * FROM " + name + " WHERE " + where + " LIMIT 3";
+      auto got = ql.Execute("u", sql);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      EXPECT_EQ(got->frame.num_rows(), std::min<size_t>(3, answer.size()));
+      for (const exec::Row& row : got->frame.rows()) {
+        EXPECT_EQ(answer.count(row[0].string_value()), 1u) << sql;
+        const auto& t = row[4].trajectory_value();
+        ASSERT_NE(t, nullptr) << sql;
+        EXPECT_FALSE(t->summary_only()) << sql;
+        EXPECT_TRUE(*t == *by_tid[row[0].string_value()]) << sql;
+      }
+    }
+  }
+}
+
+/// A summary that claims no points still passes refinement (its MBR and
+/// times are the list's), so only the survivors' full decode can catch it:
+/// a query that keeps item fails with Corruption instead of returning
+/// empty trajectories.
+TEST_P(EngineScanParityTest, TrajectorySummaryThatClaimsNoPointsIsCorruption) {
+  workload::TrajOptions traj_options;
+  traj_options.num_trajectories = 20;
+  traj_options.points_per_traj = 6;
+  traj_options.seed = 12;
+  auto table = core::MakePluginTable("trajectory", "u", "liars");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(engine_->CreateTable(*table).ok());
+  std::vector<exec::Row> rows;
+  for (const auto& trip : workload::GenerateTrajectories(traj_options)) {
+    auto t = std::make_shared<const traj::Trajectory>(trip);
+    rows.push_back({exec::Value::String("trip_" + std::to_string(rows.size())),
+                    exec::Value::String(t->oid()),
+                    exec::Value::Timestamp(t->start_time()),
+                    exec::Value::Timestamp(t->end_time()),
+                    exec::Value::TrajectoryVal(t)});
+  }
+  ASSERT_TRUE(engine_->InsertBatch("u", "liars", rows).ok());
+  ASSERT_TRUE(engine_->Finalize().ok());
+  const std::string where =
+      " FROM liars WHERE item WITHIN st_makeMBR(115.0, 39.0, 118.0, 41.0)";
+  sql::JustQL ql(engine_.get());
+  auto honest = ql.Execute("u", "SELECT *" + where);
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  ASSERT_GT(honest->frame.num_rows(), 0u);
+
+  // Rewrite every stored copy of every row: the item cell's point count
+  // (the varint after ['S'] and 48 fixed bytes) becomes 0.
+  auto meta = engine_->DescribeTable("u", "liars");
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  size_t rewritten = 0;
+  for (size_t slot = 0; slot < meta->indexes.size(); ++slot) {
+    auto stored = just::testing::ScanRows(
+        *engine_->cluster(),
+        core::StTable::SlotRanges(meta->table_id, slot, /*num_shards=*/4));
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    for (const auto& [key, value] : *stored) {
+      std::vector<std::string> cells;
+      const char* p = value.data();
+      const char* limit = p + value.size();
+      std::string_view cell;
+      while (p < limit && GetLengthPrefixed(&p, limit, &cell)) {
+        cells.emplace_back(cell);
+      }
+      ASSERT_EQ(cells.size(), 5u);
+      auto decoded = compress::DecodeCell(cells[4]);
+      ASSERT_TRUE(decoded.ok());
+      const std::string_view raw(*decoded);
+      ASSERT_TRUE(raw.size() > 49 && raw[0] == 'S');
+      const char* q = raw.data() + 49;
+      const char* end = raw.data() + raw.size();
+      uint64_t count;
+      ASSERT_TRUE(GetVarint64(&q, end, &count));
+      ASSERT_GT(count, 0u);
+      std::string lie(raw.substr(0, 49));
+      PutVarint64(&lie, 0);
+      lie.append(q, end);
+      cells[4] = compress::EncodeCell(*compress::NoneCodec(), lie);
+      std::string bad;
+      for (const std::string& c : cells) PutLengthPrefixed(&bad, c);
+      ASSERT_TRUE(PutKey(*engine_->cluster(), key, bad).ok());
+      ++rewritten;
+    }
+  }
+  EXPECT_EQ(rewritten, meta->indexes.size() * rows.size());
+
+  for (const char* select : {"SELECT *", "SELECT tid, item"}) {
+    auto got = ql.Execute("u", select + where);
+    EXPECT_TRUE(got.status().IsCorruption())
+        << select << ": " << got.status().ToString();
   }
 }
 

@@ -200,6 +200,58 @@ TEST_F(ExplainAnalyzeTest, AnalyzeNamesLateColumnsAndCountsTheirRows) {
   EXPECT_EQ(SumToken(msg, " rows_scanned="), 500u) << msg;
 }
 
+// A trajectory query refines on each st_series cell's summary and decodes
+// the GPS list of survivors only: EXPLAIN ANALYZE names item a late column
+// and counts the survivors' decodes as late rows, and so does the registry.
+TEST_F(ExplainAnalyzeTest, AnalyzeNamesSummaryReadTrajectoryColumnLate) {
+  ASSERT_TRUE(Run("CREATE TABLE trips AS trajectory").ok());
+  TimestampMs base = ParseTimestamp("2018-10-01").value();
+  Rng rng(23);
+  std::vector<exec::Row> rows;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<traj::GpsPoint> points;
+    const double lng = 116.0 + rng.NextDouble(), lat = 39.5 + rng.NextDouble();
+    for (int p = 0; p < 8; ++p) {
+      points.push_back({{lng + p * 0.001, lat + p * 0.0005},
+                        base + i * kMillisPerHour + p * 60000});
+    }
+    auto t = std::make_shared<const traj::Trajectory>(
+        "obj" + std::to_string(i), std::move(points));
+    rows.push_back({exec::Value::String("t" + std::to_string(i)),
+                    exec::Value::String(t->oid()),
+                    exec::Value::Timestamp(t->start_time()),
+                    exec::Value::Timestamp(t->end_time()),
+                    exec::Value::TrajectoryVal(t)});
+  }
+  ASSERT_TRUE(engine_->InsertBatch("u", "trips", rows).ok());
+  ASSERT_TRUE(engine_->Finalize().ok());
+
+  auto& registry = obs::Registry::Global();
+  obs::RegistrySnapshot before = registry.GetSnapshot();
+  auto r = Run(
+      "EXPLAIN ANALYZE SELECT item FROM trips WHERE item WITHIN "
+      "st_makeMBR(116.0, 39.5, 116.4, 39.9)");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  obs::RegistrySnapshot after = registry.GetSnapshot();
+  const std::string& msg = r->message;
+  const uint64_t rows_out = r->frame.num_rows();
+  ASSERT_GT(rows_out, 0u);
+  ASSERT_LT(rows_out, 200u);
+  EXPECT_NE(msg.find("Scan trips access=spatial_range late=item"),
+            std::string::npos)
+      << msg;
+  EXPECT_EQ(SumToken(msg, " late_rows="), rows_out) << msg;
+  EXPECT_EQ(after.counter("just_query_late_rows_total") -
+                before.counter("just_query_late_rows_total"),
+            rows_out);
+  EXPECT_GT(SumToken(msg, " rows_scanned="), rows_out) << msg;
+  for (const exec::Row& row : r->frame.rows()) {
+    const auto& t = row[0].trajectory_value();
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(t->points().size(), 8u);
+  }
+}
+
 // The columnar path's EXPLAIN surface: per-stage batch counts plus the
 // predicate-program evaluation mode and its specialized-vs-interpreted time.
 TEST_F(ExplainAnalyzeTest, AnalyzeShowsBatchCountsAndEvalMode) {

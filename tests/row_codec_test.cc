@@ -2,7 +2,8 @@
 // from remote region servers, so the decoder treats them as outside input:
 // every malformed row must come back as Corruption — never a crash, never a
 // read past the row — under every column mask, including the scan's
-// two-phase use (early columns first, the rest for survivors).
+// two-phase use (early columns first, the rest for survivors) with and
+// without the trajectory column read summary-only in the early phase.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,16 @@ meta::TableMeta SweepTable() {
       {"path", exec::DataType::kTrajectory, false, "", "gzip"},
   };
   return table;
+}
+
+constexpr size_t kPath = 6;  // SweepTable's st_series column
+
+/// SweepTable with its trajectory column gzip'd (a delta GPS list under
+/// LZ77 in the summary cell) and uncompressed (a raw list).
+std::vector<meta::TableMeta> SweepTables() {
+  meta::TableMeta raw = SweepTable();
+  raw.columns[kPath].compress = "";
+  return {SweepTable(), raw};
 }
 
 std::shared_ptr<const traj::Trajectory> SmallTrajectory() {
@@ -67,6 +78,17 @@ std::vector<std::string> ValidRows(const meta::TableMeta& table) {
   return out;
 }
 
+/// The same cell: trajectories compared point by point (Value::Equals
+/// compares only their oids), every other value by type and text.
+bool SameCell(const exec::Value& a, const exec::Value& b) {
+  if (a.type() == exec::DataType::kTrajectory &&
+      b.type() == exec::DataType::kTrajectory &&
+      a.trajectory_value() != nullptr && b.trajectory_value() != nullptr) {
+    return *a.trajectory_value() == *b.trajectory_value();
+  }
+  return a.ToString() == b.ToString();
+}
+
 /// Every mask over `n` columns, as the scan's early set.
 std::vector<ColumnMask> AllMasks(size_t n) {
   std::vector<ColumnMask> masks;
@@ -79,15 +101,61 @@ std::vector<ColumnMask> AllMasks(size_t n) {
 }
 
 /// The scan's use of the decoder: `early` first, then the other columns,
-/// into one batch. OK only when both phases are.
-Status TwoPhase(const meta::TableMeta& table, std::string_view bytes,
-                const ColumnMask& early) {
+/// into one batch. With `summary`, an early trajectory column is read
+/// summary-only and then, as BatchSink does, started over and decoded in
+/// full with the late columns. Returns the decoded row when both phases are
+/// OK.
+Result<exec::Row> TwoPhase(const meta::TableMeta& table,
+                           std::string_view bytes, const ColumnMask& early,
+                           bool summary) {
   BatchRowDecoder decoder(table);
   exec::ColumnBatch batch(table.MakeSchema());
-  JUST_RETURN_NOT_OK(decoder.DecodeColumns(bytes, early, &batch));
+  const int path = summary && early[kPath] ? static_cast<int>(kPath) : -1;
+  JUST_RETURN_NOT_OK(decoder.DecodeColumns(bytes, early, &batch, path));
   ColumnMask late(early.size());
   for (size_t c = 0; c < early.size(); ++c) late[c] = !early[c];
-  return decoder.DecodeColumns(bytes, late, &batch);
+  if (path >= 0) {
+    batch.column(kPath) = exec::ColumnVector(exec::DataType::kTrajectory);
+    late[kPath] = true;
+  }
+  JUST_RETURN_NOT_OK(decoder.DecodeColumns(bytes, late, &batch));
+  batch.FinishRow();
+  return batch.MaterializeRow(0);
+}
+
+/// Reads `bytes` with only the trajectory column early, summary-only.
+Result<exec::Value> EarlySummary(const meta::TableMeta& table,
+                                 std::string_view bytes) {
+  BatchRowDecoder decoder(table);
+  exec::ColumnBatch batch(table.MakeSchema());
+  ColumnMask early(table.columns.size(), false);
+  early[kPath] = true;
+  JUST_RETURN_NOT_OK(
+      decoder.DecodeColumns(bytes, early, &batch, static_cast<int>(kPath)));
+  return batch.column(kPath).ObjectAt(0);
+}
+
+/// A summary-layout st_series cell built field by field: the identity
+/// frame around ['S'][summary][oid lp][lp: `gps_frame`].
+std::string SummaryCell(const geo::Mbr& mbr, TimestampMs start,
+                        TimestampMs end, uint64_t count,
+                        std::string_view oid, std::string_view gps_frame) {
+  std::string raw(1, 'S');
+  for (double d : {mbr.lng_min, mbr.lat_min, mbr.lng_max, mbr.lat_max}) {
+    PutFixed64(&raw, OrderedDoubleBits(d));
+  }
+  PutFixed64(&raw, static_cast<uint64_t>(start));
+  PutFixed64(&raw, static_cast<uint64_t>(end));
+  PutVarint64(&raw, count);
+  PutLengthPrefixed(&raw, oid);
+  PutLengthPrefixed(&raw, gps_frame);
+  return compress::EncodeCell(*compress::NoneCodec(), raw);
+}
+
+/// SmallTrajectory's GPS list as the delta encoding under LZ77, framed.
+std::string SmallGpsFrame() {
+  return compress::EncodeCell(*compress::Lz77Codec(),
+                              "D" + SmallTrajectory()->SerializeDelta());
 }
 
 /// The row's cells (the framed bytes between length prefixes).
@@ -112,39 +180,151 @@ void ExpectCorruptionUnderEveryMask(const meta::TableMeta& table,
                                     const std::string& bytes,
                                     const std::string& what) {
   for (const ColumnMask& mask : AllMasks(table.columns.size())) {
-    Status st = TwoPhase(table, bytes, mask);
-    ASSERT_TRUE(st.IsCorruption()) << what << ": " << st.ToString();
+    for (bool summary : {false, true}) {
+      Status st = TwoPhase(table, bytes, mask, summary).status();
+      ASSERT_TRUE(st.IsCorruption())
+          << what << (summary ? " (summary)" : "") << ": " << st.ToString();
+    }
   }
 }
 
 TEST(RowCodecTest, EveryMaskDecodesTheSameRow) {
-  const meta::TableMeta table = SweepTable();
-  BatchRowDecoder decoder(table);
-  for (const std::string& bytes : ValidRows(table)) {
-    auto want = DecodeRow(table, bytes);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    for (const ColumnMask& mask : AllMasks(table.columns.size())) {
-      exec::ColumnBatch batch(table.MakeSchema());
-      ASSERT_TRUE(decoder.DecodeColumns(bytes, mask, &batch).ok());
-      ColumnMask late(mask.size());
-      for (size_t c = 0; c < mask.size(); ++c) late[c] = !mask[c];
-      ASSERT_TRUE(decoder.DecodeColumns(bytes, late, &batch).ok());
-      batch.FinishRow();
-      exec::Row got = batch.MaterializeRow(0);
-      ASSERT_EQ(got.size(), want->size());
-      for (size_t c = 0; c < got.size(); ++c) {
-        EXPECT_EQ(got[c].ToString(), (*want)[c].ToString()) << "column " << c;
+  for (const meta::TableMeta& table : SweepTables()) {
+    for (const std::string& bytes : ValidRows(table)) {
+      auto want = DecodeRow(table, bytes);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      for (const ColumnMask& mask : AllMasks(table.columns.size())) {
+        for (bool summary : {false, true}) {
+          auto got = TwoPhase(table, bytes, mask, summary);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_EQ(got->size(), want->size());
+          for (size_t c = 0; c < got->size(); ++c) {
+            EXPECT_TRUE(SameCell((*got)[c], (*want)[c]))
+                << "column " << c << ": " << (*got)[c].ToString() << " vs "
+                << (*want)[c].ToString();
+          }
+        }
       }
     }
   }
 }
 
-TEST(RowCodecTest, TruncationAtEveryByteIsCorruption) {
+TEST(RowCodecTest, SummaryEarlyPhaseMatchesTheDecodedList) {
+  // Compressed (delta-quantized) and uncompressed (raw) cells: the
+  // summary-only read carries exactly the full decode's MBR, times and
+  // point count, and no points.
+  for (const char* compress : {"gzip", ""}) {
+    meta::TableMeta table = SweepTable();
+    table.columns[kPath].compress = compress;
+    const std::string bytes = ValidRows(table)[0];
+    auto full = DecodeRow(table, bytes);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    const auto& t = (*full)[kPath].trajectory_value();
+    ASSERT_EQ(t->points().size(), 3u);
+    EXPECT_FALSE(t->summary_only());
+    auto early = EarlySummary(table, bytes);
+    ASSERT_TRUE(early.ok()) << early.status().ToString();
+    const auto& s = early->trajectory_value();
+    ASSERT_NE(s, nullptr);
+    EXPECT_TRUE(s->summary_only());
+    EXPECT_TRUE(s->points().empty());
+    EXPECT_EQ(s->point_count(), 3u);
+    EXPECT_EQ(s->oid(), "t1");
+    EXPECT_EQ(s->Bounds(), t->Bounds()) << compress;
+    EXPECT_EQ(s->start_time(), t->start_time());
+    EXPECT_EQ(s->end_time(), t->end_time());
+  }
+}
+
+TEST(RowCodecTest, SummaryThatDisagreesWithItsListIsCorruption) {
   const meta::TableMeta table = SweepTable();
-  for (const std::string& bytes : ValidRows(table)) {
+  const std::vector<std::string> cells = SplitCells(ValidRows(table)[0]);
+  const auto t = SmallTrajectory();
+  const geo::Mbr mbr = t->DeltaBounds();
+  const std::string gps = SmallGpsFrame();
+  // The faithful hand-built cell is the one EncodeRow writes.
+  ASSERT_EQ(SummaryCell(mbr, 1000, 3000, 3, "t1", gps), cells[kPath]);
+  geo::Mbr wider = mbr;
+  wider.lng_min -= 1e-6;
+  geo::Mbr taller = mbr;
+  taller.lat_max += 1.0;
+  const std::vector<std::pair<std::string, std::string>> lies = {
+      {"mbr lng_min", SummaryCell(wider, 1000, 3000, 3, "t1", gps)},
+      {"mbr lat_max", SummaryCell(taller, 1000, 3000, 3, "t1", gps)},
+      {"t_start", SummaryCell(mbr, 999, 3000, 3, "t1", gps)},
+      {"t_end", SummaryCell(mbr, 1000, 3001, 3, "t1", gps)},
+      {"fewer points", SummaryCell(mbr, 1000, 3000, 2, "t1", gps)},
+      {"more points", SummaryCell(mbr, 1000, 3000, 4, "t1", gps)},
+      {"no points", SummaryCell(mbr, 1000, 3000, 0, "t1", gps)},
+  };
+  for (const auto& [what, cell] : lies) {
+    std::vector<std::string> bad = cells;
+    bad[kPath] = cell;
+    const std::string bytes = JoinCells(bad);
+    // Refinement can still read the summary; the list, once decoded, is
+    // checked against it.
+    auto early = EarlySummary(table, bytes);
+    ASSERT_TRUE(early.ok()) << what << ": " << early.status().ToString();
+    EXPECT_TRUE(early->trajectory_value()->summary_only()) << what;
+    EXPECT_TRUE(DecodeRow(table, bytes).status().IsCorruption()) << what;
+    ExpectCorruptionUnderEveryMask(table, bytes, what);
+  }
+}
+
+TEST(RowCodecTest, LegacyCellsDecodeAsBefore) {
+  // Cells written before the summary layout: [R|D][oid lp][gps lp] under
+  // the column's codec. They decode in full under every mask, also when
+  // the early phase asks for a summary, to the row the current layout
+  // decodes to.
+  const auto t = SmallTrajectory();
+  for (const bool compact : {true, false}) {
+    meta::TableMeta table = SweepTable();
+    table.columns[kPath].compress = compact ? "gzip" : "";
+    const std::string current = ValidRows(table)[0];
+    auto want = DecodeRow(table, current);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+    std::string legacy(1, compact ? 'D' : 'R');
+    PutLengthPrefixed(&legacy, t->oid());
+    PutLengthPrefixed(&legacy,
+                      compact ? t->SerializeDelta() : t->SerializeRaw());
+    std::vector<std::string> cells = SplitCells(current);
+    cells[kPath] = compress::EncodeCell(
+        compact ? *compress::Lz77Codec() : *compress::NoneCodec(), legacy);
+    const std::string bytes = JoinCells(cells);
+
+    auto got = DecodeRow(table, bytes);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    for (size_t c = 0; c < want->size(); ++c) {
+      EXPECT_TRUE(SameCell((*got)[c], (*want)[c])) << "column " << c;
+    }
+    auto early = EarlySummary(table, bytes);
+    ASSERT_TRUE(early.ok()) << early.status().ToString();
+    EXPECT_FALSE(early->trajectory_value()->summary_only());
+    EXPECT_TRUE(SameCell(*early, (*want)[kPath]));
+    for (const ColumnMask& mask : AllMasks(table.columns.size())) {
+      for (bool summary : {false, true}) {
+        auto row = TwoPhase(table, bytes, mask, summary);
+        ASSERT_TRUE(row.ok()) << row.status().ToString();
+        EXPECT_TRUE(SameCell((*row)[kPath], (*want)[kPath]));
+      }
+    }
+    // Cut anywhere, a row with a legacy cell is Corruption.
     for (size_t len = 0; len < bytes.size(); ++len) {
       ExpectCorruptionUnderEveryMask(table, bytes.substr(0, len),
-                                     "truncated at " + std::to_string(len));
+                                     "legacy truncated at " +
+                                         std::to_string(len));
+    }
+  }
+}
+
+TEST(RowCodecTest, TruncationAtEveryByteIsCorruption) {
+  for (const meta::TableMeta& table : SweepTables()) {
+    for (const std::string& bytes : ValidRows(table)) {
+      for (size_t len = 0; len < bytes.size(); ++len) {
+        ExpectCorruptionUnderEveryMask(table, bytes.substr(0, len),
+                                       "truncated at " + std::to_string(len));
+      }
     }
   }
 }
@@ -153,17 +333,20 @@ TEST(RowCodecTest, SingleBitFlipsNeverCrash) {
   // Row bytes carry no checksum (the store's blocks do), so a flip may land
   // on a value and decode to a different valid row; anything else must be
   // Corruption.
-  const meta::TableMeta table = SweepTable();
-  const auto masks = AllMasks(table.columns.size());
-  for (const std::string& bytes : ValidRows(table)) {
-    for (size_t i = 0; i < bytes.size(); ++i) {
-      for (int bit = 0; bit < 8; ++bit) {
-        std::string flipped = bytes;
-        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
-        for (const ColumnMask& mask : masks) {
-          Status st = TwoPhase(table, flipped, mask);
-          ASSERT_TRUE(st.ok() || st.IsCorruption())
-              << "byte " << i << " bit " << bit << ": " << st.ToString();
+  const auto masks = AllMasks(SweepTable().columns.size());
+  for (const meta::TableMeta& table : SweepTables()) {
+    for (const std::string& bytes : ValidRows(table)) {
+      for (size_t i = 0; i < bytes.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+          std::string flipped = bytes;
+          flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+          for (const ColumnMask& mask : masks) {
+            for (bool summary : {false, true}) {
+              Status st = TwoPhase(table, flipped, mask, summary).status();
+              ASSERT_TRUE(st.ok() || st.IsCorruption())
+                  << "byte " << i << " bit " << bit << ": " << st.ToString();
+            }
+          }
         }
       }
     }
@@ -210,6 +393,50 @@ TEST(RowCodecTest, MalformedCellsAreCorruption) {
     raw += std::string(12, '\xFF');
     bad[4] = compress::EncodeCell(*compress::NoneCodec(), raw);
     ExpectCorruptionUnderEveryMask(table, JoinCells(bad), "bad int varint");
+  }
+  // Summary cells whose fields are malformed: the early phase reads the
+  // summary, oid and list prefixes; the list's frame is read when decoded.
+  {
+    const auto t = SmallTrajectory();
+    const geo::Mbr mbr = t->DeltaBounds();
+    const std::string gps = SmallGpsFrame();
+    auto summary_raw = [](const std::string& raw) {
+      return compress::EncodeCell(*compress::NoneCodec(), raw);
+    };
+    std::vector<std::pair<std::string, std::string>> variants = {
+        {"summary cut inside its fixed fields",
+         summary_raw("S" + std::string(20, '\0'))},
+        {"summary count varint unterminated",
+         summary_raw("S" + std::string(48, '\0') + std::string(10, '\x80'))},
+        {"oid length past the cell",
+         summary_raw("S" + std::string(48, '\0') + "\x03\x7f" + "t1")},
+        {"list frame unknown codec",
+         SummaryCell(mbr, 1000, 3000, 3, "t1", "\x09" + gps.substr(1))},
+        {"list frame cut short",
+         SummaryCell(mbr, 1000, 3000, 3, "t1", gps.substr(0, gps.size() / 2))},
+        {"list with an unknown tag",
+         SummaryCell(mbr, 1000, 3000, 3, "t1",
+                     compress::EncodeCell(*compress::NoneCodec(),
+                                          "X" + t->SerializeRaw()))},
+        {"empty list",
+         SummaryCell(mbr, 1000, 3000, 3, "t1",
+                     compress::EncodeCell(*compress::NoneCodec(), ""))},
+        {"raw list shorter than its count",
+         SummaryCell(t->Bounds(), 1000, 3000, 3, "t1",
+                     compress::EncodeCell(
+                         *compress::NoneCodec(),
+                         "R" + t->SerializeRaw().substr(0, 40)))},
+    };
+    // Bytes after the list's frame.
+    auto whole =
+        compress::DecodeCell(SummaryCell(mbr, 1000, 3000, 3, "t1", gps));
+    ASSERT_TRUE(whole.ok());
+    variants.emplace_back("trailing bytes", summary_raw(*whole + "junk"));
+    for (const auto& [what, cell] : variants) {
+      std::vector<std::string> bad = cells;
+      bad[kPath] = cell;
+      ExpectCorruptionUnderEveryMask(table, JoinCells(bad), what);
+    }
   }
   // A point geometry claiming more points than its bytes hold.
   {
