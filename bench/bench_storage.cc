@@ -19,20 +19,56 @@
 // And the compaction probe (Compaction/Amplification/leveled): a bulk load
 // under leveled compaction, reporting write amplification and SSTable
 // probes per Get. See EXPERIMENTS.md.
+//
+// And the checksum kernel (Kv/Crc32/<bytes>): the CRC-32 every block read,
+// WAL record and wire frame pays, in bytes per second, for kv::Crc32 as
+// dispatched on this CPU (the label names the kernel) and for the portable
+// slicing-by-8 kernel (Kv/Crc32/portable/<bytes>).
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <string_view>
 #include <thread>
 
 #include "bench_common.h"
 #include "kvstore/lsm_store.h"
+#include "kvstore/wal.h"
 #include "obs/metrics.h"
+
+namespace just::kv::internal {
+// The portable kernel behind kv::Crc32 and the CPU probe that picks the
+// carry-less one (kvstore/crc32.cc).
+uint32_t Crc32Portable(uint32_t crc, std::string_view data);
+bool CpuHasClmul();
+}  // namespace just::kv::internal
 
 namespace just::bench {
 namespace {
+
+void RunCrc32(benchmark::State& state,
+              uint32_t (*crc)(uint32_t, std::string_view), const char* kernel) {
+  const std::string buf(static_cast<size_t>(state.range(0)), '\x5a');
+  uint32_t c = 0;
+  for (auto _ : state) {
+    c = crc(c, buf);
+    benchmark::DoNotOptimize(c);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(kernel);
+}
+
+void BM_Crc32(benchmark::State& state) {
+  RunCrc32(
+      state, [](uint32_t c, std::string_view d) { return kv::Crc32(c, d); },
+      kv::internal::CpuHasClmul() ? "clmul" : "portable");
+}
+
+void BM_Crc32Portable(benchmark::State& state) {
+  RunCrc32(state, kv::internal::Crc32Portable, "portable");
+}
 
 void BM_Storage(benchmark::State& state, Dataset dataset, Variant variant) {
   int pct = static_cast<int>(state.range(0));
@@ -267,6 +303,14 @@ int main(int argc, char** argv) {
                                BM_CompactionAmplification)
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("Kv/Crc32", BM_Crc32)
+      ->Arg(64)
+      ->Arg(4096)
+      ->Arg(65536);
+  benchmark::RegisterBenchmark("Kv/Crc32/portable", BM_Crc32Portable)
+      ->Arg(64)
+      ->Arg(4096)
+      ->Arg(65536);
   just::bench::RunBenchmarks(argc, argv);
   PrintSeries("Figure 10a", Dataset::kOrder,
               {Variant::kJust, Variant::kOrderCompressed});

@@ -2,6 +2,7 @@
 #define JUST_COMMON_LRU_CACHE_H_
 
 #include <cstddef>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -12,7 +13,9 @@ namespace just {
 
 /// Thread-safe LRU cache with byte-size-based capacity accounting. Used as
 /// the block cache of the LSM store (the role HBase's BlockCache plays).
-template <typename K, typename V>
+/// An insert allocates one list node and one map node; the key is stored in
+/// both, so a small trivially-copyable key keeps inserts cheap.
+template <typename K, typename V, typename Hash = std::hash<K>>
 class LruCache {
  public:
   explicit LruCache(size_t capacity_bytes) : capacity_(capacity_bytes) {}
@@ -23,15 +26,11 @@ class LruCache {
     auto it = map_.find(key);
     if (it != map_.end()) {
       usage_ -= it->second->charge;
-      lru_.erase(it->second->iter);
+      lru_.erase(it->second);
       map_.erase(it);
     }
-    lru_.push_front(key);
-    auto entry = std::make_unique<Entry>();
-    entry->value = std::move(value);
-    entry->charge = charge;
-    entry->iter = lru_.begin();
-    map_.emplace(key, std::move(entry));
+    lru_.push_front(Entry{key, std::move(value), charge});
+    map_.emplace(key, lru_.begin());
     usage_ += charge;
     EvictLocked();
   }
@@ -45,8 +44,7 @@ class LruCache {
       return nullptr;
     }
     ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second->iter);
-    it->second->iter = lru_.begin();
+    lru_.splice(lru_.begin(), lru_, it->second);  // iterators stay valid
     return it->second->value;
   }
 
@@ -55,7 +53,7 @@ class LruCache {
     auto it = map_.find(key);
     if (it == map_.end()) return;
     usage_ -= it->second->charge;
-    lru_.erase(it->second->iter);
+    lru_.erase(it->second);
     map_.erase(it);
   }
 
@@ -82,25 +80,25 @@ class LruCache {
 
  private:
   struct Entry {
+    K key;
     std::shared_ptr<V> value;
     size_t charge = 0;
-    typename std::list<K>::iterator iter;
   };
+  using EntryList = std::list<Entry>;
 
   void EvictLocked() {
     while (usage_ > capacity_ && !lru_.empty()) {
-      const K& victim = lru_.back();
-      auto it = map_.find(victim);
-      usage_ -= it->second->charge;
-      map_.erase(it);
+      const Entry& victim = lru_.back();
+      usage_ -= victim.charge;
+      map_.erase(victim.key);
       lru_.pop_back();
     }
   }
 
   const size_t capacity_;
   mutable std::mutex mu_;
-  std::list<K> lru_;
-  std::unordered_map<K, std::unique_ptr<Entry>> map_;
+  EntryList lru_;  // most recently used first
+  std::unordered_map<K, typename EntryList::iterator, Hash> map_;
   size_t usage_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -1,9 +1,11 @@
 #include "exec/value.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <tuple>
 
 #include "common/bytes.h"
 
@@ -173,8 +175,27 @@ int Value::Compare(const Value& other) const {
       const auto& b = other.trajectory_value();
       if (a == b) return 0;
       if (a == nullptr || b == nullptr) return a == nullptr ? -1 : 1;
-      int c = a->oid().compare(b->oid());
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+      // By oid, then point count, then the points (time, lng, lat): two
+      // copies of one trajectory with different GPS lists (a summary-only
+      // one among them) are different values.
+      if (int c = a->oid().compare(b->oid()); c != 0) return c < 0 ? -1 : 1;
+      if (a->point_count() != b->point_count()) {
+        return a->point_count() < b->point_count() ? -1 : 1;
+      }
+      const auto less = [](const traj::GpsPoint& x, const traj::GpsPoint& y) {
+        return std::tie(x.time, x.position.lng, x.position.lat) <
+               std::tie(y.time, y.position.lng, y.position.lat);
+      };
+      const auto& pa = a->points();
+      const auto& pb = b->points();
+      if (std::lexicographical_compare(pa.begin(), pa.end(), pb.begin(),
+                                       pb.end(), less)) {
+        return -1;
+      }
+      return std::lexicographical_compare(pb.begin(), pb.end(), pa.begin(),
+                                          pa.end(), less)
+                 ? 1
+                 : 0;
     }
     default:
       return 0;

@@ -15,13 +15,6 @@ constexpr uint64_t kTableMagic = 0x4A55535453535401ull;
 // + footer crc (4).
 constexpr size_t kFooterSize = 52;
 constexpr size_t kBlockTrailerSize = 4;  // CRC32 of the block payload
-
-std::string CacheKey(uint64_t file_id, uint64_t offset) {
-  std::string key;
-  PutFixed64(&key, file_id);
-  PutFixed64(&key, offset);
-  return key;
-}
 }  // namespace
 
 IoStats::IoStats() {
@@ -255,11 +248,12 @@ Result<std::shared_ptr<SsTableReader>> SsTableReader::Open(
 
 Result<std::shared_ptr<Block>> SsTableReader::ReadBlock(uint64_t offset,
                                                         uint64_t size) const {
+  const BlockCacheKey key{file_id_, offset};
   if (cache_ != nullptr) {
-    auto cached = cache_->Lookup(CacheKey(file_id_, offset));
+    auto cached = cache_->Lookup(key);
     if (cached != nullptr) {
       obs::TraceCacheHit();
-      return *cached;
+      return cached;
     }
     obs::TraceCacheMiss();
   }
@@ -272,9 +266,7 @@ Result<std::shared_ptr<Block>> SsTableReader::ReadBlock(uint64_t offset,
   data.resize(size);
   JUST_ASSIGN_OR_RETURN(auto block, Block::Parse(std::move(data)));
   if (cache_ != nullptr) {
-    cache_->Insert(CacheKey(file_id_, offset),
-                   std::make_shared<std::shared_ptr<Block>>(block),
-                   block->size_bytes());
+    cache_->Insert(key, block, block->size_bytes());
   }
   return block;
 }

@@ -52,9 +52,25 @@ IoStats& OrphanIoStats();
 void SetSimulatedReadBandwidthMBps(double mbps);
 double SimulatedReadBandwidthMBps();
 
+/// Block-cache key: the table's file id (unique per open table) and the
+/// block's offset in it.
+struct BlockCacheKey {
+  uint64_t file_id = 0;
+  uint64_t offset = 0;
+
+  bool operator==(const BlockCacheKey&) const = default;
+};
+
+struct BlockCacheKeyHash {
+  size_t operator()(const BlockCacheKey& k) const {
+    const uint64_t h = k.offset ^ (k.file_id * 0x9E3779B97F4A7C15ull);
+    return static_cast<size_t>(h ^ (h >> 32));
+  }
+};
+
 /// Shared cache of decoded data blocks, keyed by (file id, block offset) —
 /// the HBase BlockCache role.
-using BlockCache = LruCache<std::string, std::shared_ptr<Block>>;
+using BlockCache = LruCache<BlockCacheKey, Block, BlockCacheKeyHash>;
 
 /// Writes an immutable sorted-string table:
 ///   [data blocks][bloom block][index block][footer]

@@ -96,6 +96,43 @@ TEST(ValueTest, TrajectorySerializeRoundTrip) {
   EXPECT_EQ(back->trajectory_value()->size(), 2u);
 }
 
+TEST(ValueTest, TrajectoriesWithSameOidButDifferentPointsDiffer) {
+  const std::vector<traj::GpsPoint> points = {{{116.4, 39.9}, 1000},
+                                              {{116.41, 39.91}, 2000}};
+  auto traj_value = [](std::vector<traj::GpsPoint> pts) {
+    return Value::TrajectoryVal(
+        std::make_shared<const traj::Trajectory>("oid1", std::move(pts)));
+  };
+  const Value full = traj_value(points);
+  EXPECT_TRUE(full.Equals(traj_value(points)));
+  EXPECT_EQ(full.Hash(), traj_value(points).Hash());
+
+  // One point moved, one time shifted, one point dropped: all differ, and
+  // the order is by point count, then (time, lng, lat).
+  auto moved = points;
+  moved[1].position.lat = 39.92;
+  EXPECT_LT(full.Compare(traj_value(moved)), 0);
+  EXPECT_GT(traj_value(moved).Compare(full), 0);
+  auto later = points;
+  later[0].time = 1001;
+  EXPECT_LT(full.Compare(traj_value(later)), 0);
+  EXPECT_GT(full.Compare(traj_value({points[0]})), 0);
+
+  // A summary-only copy claims the same count but carries no points.
+  const traj::Trajectory& t = *full.trajectory_value();
+  const Value summary = Value::TrajectoryVal(
+      std::make_shared<const traj::Trajectory>(traj::Trajectory::SummaryOnly(
+          "oid1", t.Bounds(), t.start_time(), t.end_time(), t.point_count())));
+  EXPECT_FALSE(full.Equals(summary));
+  EXPECT_NE(full.Compare(summary), 0);
+  EXPECT_EQ(full.Compare(summary), -summary.Compare(full));
+
+  // Different oids still order by oid first.
+  const Value other = Value::TrajectoryVal(
+      std::make_shared<const traj::Trajectory>("oid0", moved));
+  EXPECT_GT(full.Compare(other), 0);
+}
+
 TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::Null().ToString(), "NULL");
   EXPECT_EQ(Value::Int(7).ToString(), "7");

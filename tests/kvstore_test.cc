@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "kvstore/block.h"
 #include "kvstore/bloom.h"
@@ -15,6 +18,14 @@
 #include "test_util.h"
 
 namespace just::kv {
+
+namespace internal {
+// The two CRC kernels behind kv::Crc32 (defined in kvstore/crc32.cc).
+uint32_t Crc32Portable(uint32_t crc, std::string_view data);
+uint32_t Crc32Clmul(uint32_t crc, std::string_view data);
+bool CpuHasClmul();
+}  // namespace internal
+
 namespace {
 
 using just::testing::TempDir;
@@ -230,26 +241,47 @@ TEST(WalTest, Crc32KnownVector) {
   EXPECT_EQ(Crc32(""), 0u);
 }
 
-TEST(WalTest, Crc32MatchesTheBitwiseDefinition) {
-  // The table-driven CRC folds eight bytes per step; every length and
-  // alignment must still give the bit-at-a-time CRC stored on disk.
-  auto bitwise = [](std::string_view data) {
-    uint32_t c = 0xFFFFFFFFu;
-    for (char ch : data) {
-      c ^= static_cast<unsigned char>(ch);
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    return c ^ 0xFFFFFFFFu;
-  };
-  Rng rng(99);
+/// `len` pseudo-random bytes.
+std::string RandomBytes(Rng* rng, size_t len) {
   std::string buf;
-  for (int i = 0; i < 300; ++i) buf.push_back(static_cast<char>(rng.Uniform(256)));
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len + offset <= buf.size(); len += 1 + len / 8) {
+  for (size_t i = 0; i < len; ++i) {
+    buf.push_back(static_cast<char>(rng->Uniform(256)));
+  }
+  return buf;
+}
+
+/// Checks `crc` against the bit-at-a-time CRC-32 for every length from 0
+/// to 4160 at 16 alignments: the carry-less kernel folds 64 and then 16
+/// bytes per step and leaves under 16 to the tables, so this crosses every
+/// fold boundary with every tail length.
+void ExpectMatchesBitwise(uint32_t (*crc)(uint32_t, std::string_view)) {
+  Rng rng(99);
+  const std::string buf = RandomBytes(&rng, 4160 + 16);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    uint32_t state = 0xFFFFFFFFu;  // bitwise CRC state over the prefix
+    for (size_t len = 0; len <= 4160; ++len) {
       std::string_view data(buf.data() + offset, len);
-      EXPECT_EQ(Crc32(data), bitwise(data)) << offset << "+" << len;
+      ASSERT_EQ(crc(0, data), state ^ 0xFFFFFFFFu) << offset << "+" << len;
+      state ^= static_cast<unsigned char>(buf[offset + len]);
+      for (int k = 0; k < 8; ++k) {
+        state = (state & 1) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+      }
     }
   }
+}
+
+TEST(WalTest, Crc32MatchesTheBitwiseDefinition) {
+  ExpectMatchesBitwise(
+      [](uint32_t, std::string_view data) { return Crc32(data); });
+}
+
+TEST(WalTest, Crc32PortableKernelMatchesTheBitwiseDefinition) {
+  ExpectMatchesBitwise(internal::Crc32Portable);
+}
+
+TEST(WalTest, Crc32ClmulKernelMatchesTheBitwiseDefinition) {
+  if (!internal::CpuHasClmul()) GTEST_SKIP() << "no PCLMULQDQ/SSE4.1";
+  ExpectMatchesBitwise(internal::Crc32Clmul);
 }
 
 TEST(WalTest, Crc32ContinuesAcrossEverySplit) {
@@ -258,11 +290,7 @@ TEST(WalTest, Crc32ContinuesAcrossEverySplit) {
   // that live in separate buffers).
   Rng rng(7);
   for (int round = 0; round < 20; ++round) {
-    std::string buf;
-    const size_t len = rng.Uniform(200);
-    for (size_t i = 0; i < len; ++i) {
-      buf.push_back(static_cast<char>(rng.Uniform(256)));
-    }
+    const std::string buf = RandomBytes(&rng, rng.Uniform(200));
     const uint32_t whole = Crc32(buf);
     EXPECT_EQ(Crc32(0, buf), whole);
     for (size_t split = 0; split <= buf.size(); ++split) {
@@ -270,6 +298,40 @@ TEST(WalTest, Crc32ContinuesAcrossEverySplit) {
       EXPECT_EQ(Crc32(Crc32(data.substr(0, split)), data.substr(split)),
                 whole)
           << "length " << buf.size() << " split " << split;
+    }
+  }
+}
+
+TEST(WalTest, Crc32ContinuesAcrossFoldBoundaries) {
+  // Block-sized buffers split just before, at and after the 16- and
+  // 64-byte fold boundaries, from either end: each part may take the
+  // carry-less path, the table path or both, and the result must not change.
+  Rng rng(11);
+  for (int round = 0; round < 24; ++round) {
+    const std::string buf = RandomBytes(&rng, 1024 + rng.Uniform(4097));
+    const std::string_view data(buf);
+    const uint32_t whole = internal::Crc32Portable(0, data);
+    std::vector<size_t> splits;
+    for (size_t edge : {size_t{16}, size_t{64}, size_t{128}, size_t{1024}}) {
+      for (size_t at : {edge - 1, edge, edge + 1}) {
+        splits.push_back(at);
+        splits.push_back(buf.size() - at);
+      }
+    }
+    splits.push_back(0);
+    splits.push_back(buf.size());
+    for (size_t split : splits) {
+      const auto head = data.substr(0, split);
+      const auto tail = data.substr(split);
+      EXPECT_EQ(Crc32(Crc32(head), tail), whole)
+          << "length " << buf.size() << " split " << split;
+      EXPECT_EQ(internal::Crc32Portable(internal::Crc32Portable(0, head), tail),
+                whole);
+      if (internal::CpuHasClmul()) {
+        EXPECT_EQ(internal::Crc32Clmul(internal::Crc32Clmul(0, head), tail),
+                  whole)
+            << "length " << buf.size() << " split " << split;
+      }
     }
   }
 }
@@ -365,6 +427,98 @@ TEST(SsTableTest, BlockCacheServesRepeatedReads) {
   ASSERT_TRUE((*reader)->Get("key000100", &v).ok());
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), misses_after_first);  // second read from cache
+}
+
+TEST(SsTableTest, BlockCacheKeysByFileAndOffset) {
+  // Two tables share a cache, and each has a data block at offset 0: the
+  // key must tell them apart, or a read of one table returns the other's.
+  TempDir dir("sst_cache_keys");
+  BlockCache cache(1 << 20);
+  std::vector<std::shared_ptr<SsTableReader>> readers;
+  for (uint64_t file_id : {7, 8}) {
+    const std::string path =
+        dir.path() + "/" + std::to_string(file_id) + ".sst";
+    SsTableBuilder builder;
+    ASSERT_TRUE(builder.Open(path).ok());
+    ASSERT_TRUE(builder.Add("key", "from" + std::to_string(file_id)).ok());
+    ASSERT_TRUE(builder.Finish().ok());
+    auto reader = SsTableReader::Open(path, file_id, &cache);
+    ASSERT_TRUE(reader.ok());
+    readers.push_back(*reader);
+  }
+  // Each open read its first block (offset 0) once, and cached it apart.
+  EXPECT_EQ(cache.misses(), 2u);
+  const uint64_t hits_after_open = cache.hits();
+  std::string v;
+  ASSERT_TRUE(readers[0]->Get("key", &v).ok());
+  EXPECT_EQ(v, "from7");
+  ASSERT_TRUE(readers[1]->Get("key", &v).ok());
+  EXPECT_EQ(v, "from8");
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), hits_after_open + 2);
+}
+
+TEST(SsTableTest, EveryFlippedByteOfADataBlockIsCorruption) {
+  // A byte flipped anywhere in a >= 4 KiB data block, its CRC trailer
+  // included, must fail the read with Corruption: never wrong rows.
+  TempDir dir("sst_flip");
+  const std::string path = dir.path() + "/t.sst";
+  std::map<std::string, std::string> model;
+  SsTableBuilder builder;
+  ASSERT_TRUE(builder.Open(path).ok());
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key%06d", i);
+    std::string value = RandomBytes(&rng, 100);
+    ASSERT_TRUE(builder.Add(key, value).ok());
+    model[key] = std::move(value);
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  std::string clean;
+  {
+    std::ifstream in(path, std::ios::binary);
+    clean.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // The first data block starts at 0 and is followed by its CRC; the one
+  // after it, the block under test, is the first the open does not read.
+  size_t first_size = 4096;
+  while (Crc32(std::string_view(clean.data(), first_size)) !=
+         GetFixed32(clean.data() + first_size)) {
+    ASSERT_LT(++first_size, clean.size() - 4);
+  }
+  const size_t start = first_size + 4;
+  size_t size = 4096;
+  while (Crc32(std::string_view(clean.data() + start, size)) !=
+         GetFixed32(clean.data() + start + size)) {
+    ASSERT_LT(++size, clean.size() - start - 4);
+  }
+
+  int flips = 0;
+  for (size_t at = start; at < start + size + 4; at += 256, ++flips) {
+    std::string bytes = clean;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x5A);
+    const std::string flipped = dir.path() + "/flipped.sst";
+    {
+      std::ofstream out(flipped, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    auto reader = SsTableReader::Open(flipped, 1, nullptr);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    SsTableReader::Iterator it(reader->get());
+    auto mit = model.begin();
+    for (it.SeekToFirst(); it.Valid(); it.Next(), ++mit) {
+      ASSERT_NE(mit, model.end());
+      ASSERT_EQ(it.key(), mit->first) << "flip at " << at;
+      ASSERT_EQ(std::string(it.value()), mit->second) << "flip at " << at;
+    }
+    EXPECT_TRUE(it.status().IsCorruption()) << "flip at " << at;
+    ASSERT_NE(mit, model.end());
+    std::string v;
+    EXPECT_TRUE((*reader)->Get(mit->first, &v).IsCorruption())
+        << "flip at " << at;
+  }
+  EXPECT_GE(flips, 16);
 }
 
 TEST(SsTableTest, CorruptFileRejected) {
