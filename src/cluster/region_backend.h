@@ -53,7 +53,7 @@ class RegionBackend {
   /// polled from the calling thread). nullptr for in-process backends.
   virtual net::ClientPool* clients() { return nullptr; }
   /// In-process backends: the store, which RegionCluster::Scan scans from
-  /// a pool task. nullptr for socket backends.
+  /// the calling thread or a pool helper. nullptr for socket backends.
   virtual kv::LsmStore* store() { return nullptr; }
 };
 

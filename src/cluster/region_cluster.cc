@@ -83,6 +83,9 @@ Status RegionCluster::WithRetry(const std::function<Status()>& op) const {
   Status st = op();
   std::chrono::milliseconds backoff{0};
   for (int attempt = 0; Retry(st, attempt, &backoff); ++attempt) {
+    // A caller-first pool job hands its other servers to helpers rather
+    // than let them wait out this one's backoff.
+    ThreadPool::Spread();
     std::this_thread::sleep_for(backoff);
     st = op();
   }
@@ -105,7 +108,8 @@ Status RegionCluster::WriteBatch(std::vector<kv::WriteOp> ops,
     RegionBackend* server = servers_[s].get();
     return WithRetry([&] { return server->WriteBatch(tenant, per_server[s]); });
   };
-  // Small batches (or one-server batches) are not worth pool dispatch.
+  // Small batches (or one-server batches) are not worth pool dispatch; a
+  // large one is known up front to be, so it spreads at once.
   if (busy_servers <= 1 || ops.size() < 64) {
     for (size_t s = 0; s < per_server.size(); ++s) {
       if (!per_server[s].empty()) JUST_RETURN_NOT_OK(commit(s));
@@ -123,7 +127,7 @@ Status RegionCluster::WriteBatch(std::vector<kv::WriteOp> ops,
       std::lock_guard<std::mutex> lock(error_mu);
       if (first_error.ok()) first_error = st;
     }
-  });
+  }, /*spread_now=*/true);
   if (failed.load()) {
     return first_error.ok() ? Status::Internal("batch write failed")
                             : first_error;
@@ -132,8 +136,9 @@ Status RegionCluster::WriteBatch(std::vector<kv::WriteOp> ops,
 }
 
 /// One server's part of a Scan(): its ranges and where to resume — just
-/// past the last (range, key) the sink accepted. In process each server's
-/// pool task updates its own per row, so each sits on its own cache line.
+/// past the last (range, key) the sink accepted. In process the thread
+/// running each server's scan updates its own per row, so each sits on its
+/// own cache line.
 struct alignas(64) RegionCluster::ServerScan {
   int server = 0;
   const std::vector<size_t>* ids = nullptr;  ///< into the scan's ranges
@@ -150,7 +155,10 @@ struct alignas(64) RegionCluster::ServerScan {
     next = at;
     resume = true;
     last_key.assign(key);
-    ++delivered;
+    // A scan running on a pool job's caller spreads the job once it has
+    // outlasted a hand-off; every 8th row keeps the clock read off the
+    // per-row cost.
+    if ((++delivered & 7) == 0) ThreadPool::SpreadIfSlow();
     return sink->Accept(server, (*ids)[at], key, value);
   }
 };
@@ -190,6 +198,8 @@ Status RegionCluster::Scan(const std::vector<curve::KeyRange>& ranges,
       obs::Registry::Global().GetHistogram("just_cluster_parallel_scan_us");
   static obs::Counter* rows_fetched = obs::Registry::Global().GetCounter(
       "just_cluster_scan_rows_fetched_total");
+  static obs::Counter* spreads = obs::Registry::Global().GetCounter(
+      "just_cluster_scan_spreads_total");
   obs::ScopedSpan span("cluster.ParallelScan");
   if (span.span() != nullptr) {
     span.span()->AddAttr("ranges", std::to_string(ranges.size()));
@@ -209,19 +219,26 @@ Status RegionCluster::Scan(const std::vector<curve::KeyRange>& ranges,
       if (first_error.ok()) first_error = st;
     }
   };
+  size_t helpers = 0;  ///< pool threads that scanned a server
   if (!options_.server_addrs.empty()) {
     PollScan(ranges, &scans, sink, halt, finish);
   } else {
-    // Pool workers have their own thread-local state: hand them the span
-    // explicitly so their I/O counters attribute to this scan.
+    // The servers' scans start on this thread and spread to pool helpers
+    // only once they outlast a hand-off. Helpers have their own
+    // thread-local state: hand them the span explicitly so their I/O
+    // counters attribute to this scan.
     obs::TraceSpan* parent_span = obs::CurrentSpan();
-    DefaultPool().ParallelFor(scans.size(), [&](size_t b) {
+    helpers = DefaultPool().ParallelFor(scans.size(), [&](size_t b) {
       obs::SpanScope scope(parent_span);
       ServerScan& scan = scans[b];
       finish(scan, WithRetry([&] {
                return ScanAttempt(&scan, ranges, sink, halt);
              }));
     });
+    if (helpers > 0) spreads->Increment();
+  }
+  if (span.span() != nullptr) {
+    span.span()->AddAttr("helpers", std::to_string(helpers));
   }
   scan_hist->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(

@@ -70,9 +70,10 @@ class RegionCluster {
   /// Consumer of a streaming Scan(). Each server's rows reach Accept() in
   /// its ranges' list order, each range's keys in ascending order. Over
   /// socket backends every server's rows arrive on the calling thread; in
-  /// process each server's come from its own pool task, concurrently with
-  /// the others. Either way per-server state indexed by `server` needs no
-  /// locking.
+  /// process each server's rows come from one thread, the calling thread
+  /// or, once the scan has spread, a pool helper, concurrently with the
+  /// others. Either way per-server state indexed by `server` needs no
+  /// locking, and Accept() may itself call WriteBatch().
   class ScanSink {
    public:
     virtual ~ScanSink() = default;
@@ -95,8 +96,10 @@ class RegionCluster {
   /// parallel, rows streamed into `sink` with no copy. Over socket backends
   /// the calling thread drives every server's pages itself: it sends each
   /// server's first page, polls the connections, and requests a server's
-  /// next page once the sink took its rows. In process, where the scan is
-  /// this process's own CPU, each server's scan runs as a pool task. A
+  /// next page once the sink took its rows. In process the calling thread
+  /// scans the servers one after another until the scan outlasts a pool
+  /// hand-off (ThreadPool::kSpreadAfter); then pool helpers take the
+  /// servers not yet started (`just_cluster_scan_spreads_total`). A
   /// transient failure retries the server's scan from just past the last
   /// (range, key) the sink accepted, so no row reaches the sink twice; over
   /// sockets the retry stays in the page loop, so the other servers' pages
@@ -167,9 +170,10 @@ class RegionCluster {
   /// just_cluster_retries_total.
   bool Retry(const Status& st, int attempt,
              std::chrono::milliseconds* backoff) const;
-  /// Runs `op` under Retry(), sleeping out each backoff. `op` must be safe
-  /// to rerun after a failure: writes are idempotent, and Scan resumes each
-  /// attempt past the rows it already delivered.
+  /// Runs `op` under Retry(), sleeping out each backoff (after spreading
+  /// the calling thread's pool job, so its other servers do not wait). `op`
+  /// must be safe to rerun after a failure: writes are idempotent, and Scan
+  /// resumes each attempt past the rows it already delivered.
   Status WithRetry(const std::function<Status()>& op) const;
 
   ClusterOptions options_;

@@ -180,40 +180,56 @@ Status JustEngine::DropTable(const std::string& user,
   // next_index_slot also clears orphans a crashed DROP INDEX left).
   size_t total_slots = std::max<size_t>(table_meta.indexes.size(),
                                         table_meta.next_index_slot);
-  for (size_t slot = 0; slot < total_slots; ++slot) {
-    JUST_RETURN_NOT_OK(PurgeIndexKeySpace(table_meta.table_id,
-                                          static_cast<uint32_t>(slot)));
-  }
-  return Status::OK();
+  return PurgeIndexKeySpace(table_meta.table_id, 0,
+                            static_cast<uint32_t>(total_slots));
 }
 
-Status JustEngine::PurgeIndexKeySpace(uint64_t table_id, uint32_t slot) {
-  // Each server's tombstones collect apart: its task is their only writer,
-  // and a chunk of one server's keys is one RPC to that server.
+Status JustEngine::PurgeIndexKeySpace(uint64_t table_id, uint32_t slot,
+                                      uint32_t count) {
+  // One scan over every slot's ranges. Each server's tombstones collect
+  // apart (one thread delivers its rows) and go out from inside the scan
+  // as each chunk fills: a chunk of one server's keys is one RPC to that
+  // server, and no slot is ever buffered whole.
   class TombstoneSink : public cluster::RegionCluster::ScanSink {
    public:
-    explicit TombstoneSink(size_t servers) : ops(servers) {}
+    explicit TombstoneSink(cluster::RegionCluster* cluster)
+        : cluster_(cluster),
+          ops_(static_cast<size_t>(cluster->num_servers())),
+          errors_(ops_.size()) {}
     bool Accept(int server, size_t, std::string_view key,
                 std::string_view) override {
-      ops[static_cast<size_t>(server)].push_back(
-          kv::WriteOp{std::string(key), {}, /*is_delete=*/true});
-      return true;
+      std::vector<kv::WriteOp>& ops = ops_[static_cast<size_t>(server)];
+      ops.push_back(kv::WriteOp{std::string(key), {}, /*is_delete=*/true});
+      if (ops.size() < StTable::kMaxOpsPerBatch) return true;
+      errors_[static_cast<size_t>(server)] = Send(server);
+      return errors_[static_cast<size_t>(server)].ok();
     }
-    std::vector<std::vector<kv::WriteOp>> ops;
+    Status Finish(int server) override {
+      JUST_RETURN_NOT_OK(errors_[static_cast<size_t>(server)]);
+      return Send(server);
+    }
+
+   private:
+    Status Send(int server) {
+      std::vector<kv::WriteOp>& ops = ops_[static_cast<size_t>(server)];
+      if (ops.empty()) return Status::OK();
+      Status st = cluster_->WriteBatch(std::move(ops));
+      ops.clear();
+      return st;
+    }
+    cluster::RegionCluster* cluster_;
+    std::vector<std::vector<kv::WriteOp>> ops_;
+    std::vector<Status> errors_;
   };
-  TombstoneSink sink(static_cast<size_t>(cluster_->num_servers()));
-  JUST_RETURN_NOT_OK(cluster_->Scan(
-      StTable::SlotRanges(table_id, slot, options_.index.num_shards), &sink));
-  for (std::vector<kv::WriteOp>& ops : sink.ops) {
-    for (size_t at = 0; at < ops.size(); at += StTable::kMaxOpsPerBatch) {
-      auto first = std::make_move_iterator(ops.begin() + at);
-      auto last = std::make_move_iterator(
-          ops.begin() + std::min(ops.size(), at + StTable::kMaxOpsPerBatch));
-      JUST_RETURN_NOT_OK(
-          cluster_->WriteBatch(std::vector<kv::WriteOp>(first, last)));
+  std::vector<curve::KeyRange> ranges;
+  for (uint32_t s = slot; s < slot + count; ++s) {
+    for (curve::KeyRange& range :
+         StTable::SlotRanges(table_id, s, options_.index.num_shards)) {
+      ranges.push_back(std::move(range));
     }
   }
-  return Status::OK();
+  TombstoneSink sink(cluster_.get());
+  return cluster_->Scan(ranges, &sink);
 }
 
 void JustEngine::InvalidateTableAndDrainWriters(const std::string& user,

@@ -195,8 +195,10 @@ class JustEngine {
                     const meta::SecondaryIndexDef& def,
                     const std::shared_ptr<IndexBuildJournal>& journal);
 
-  /// Deletes every key in one index slot of a table's key space.
-  Status PurgeIndexKeySpace(uint64_t table_id, uint32_t slot);
+  /// Deletes every key in index slots [slot, slot + count) of a table's
+  /// key space, in one cluster scan.
+  Status PurgeIndexKeySpace(uint64_t table_id, uint32_t slot,
+                            uint32_t count = 1);
 
   /// Drops the cached StTable binding and momentarily takes the write
   /// barrier exclusively so no in-flight writer still holds a stale binding

@@ -1,6 +1,7 @@
 #include "kvstore/block.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/bytes.h"
 
@@ -43,22 +44,29 @@ std::string BlockBuilder::Finish() {
   return out;
 }
 
-Result<std::shared_ptr<Block>> Block::Parse(std::string data) {
-  if (data.size() < 4) return Status::Corruption("block too small");
+Result<std::shared_ptr<Block>> Block::Parse(std::unique_ptr<char[]> data,
+                                            size_t size) {
+  if (size < 4) return Status::Corruption("block too small");
   auto block = std::shared_ptr<Block>(new Block());
   block->data_ = std::move(data);
-  const std::string& d = block->data_;
-  block->num_restarts_ = GetFixed32(d.data() + d.size() - 4);
+  block->size_ = size;
+  block->num_restarts_ = GetFixed32(block->data_.get() + size - 4);
   size_t restart_bytes = 4ull * block->num_restarts_ + 4;
-  if (restart_bytes > d.size()) {
+  if (restart_bytes > size) {
     return Status::Corruption("bad restart array");
   }
-  block->restarts_offset_ = d.size() - restart_bytes;
+  block->restarts_offset_ = size - restart_bytes;
   return block;
 }
 
+Result<std::shared_ptr<Block>> Block::Parse(std::string_view data) {
+  auto copy = std::make_unique_for_overwrite<char[]>(data.size());
+  std::memcpy(copy.get(), data.data(), data.size());
+  return Parse(std::move(copy), data.size());
+}
+
 void Block::Iterator::SeekToRestart(size_t index) {
-  offset_ = GetFixed32(block_->data_.data() + block_->restarts_offset_ +
+  offset_ = GetFixed32(block_->data_.get() + block_->restarts_offset_ +
                        4 * index);
   key_.clear();
   valid_ = false;
@@ -69,8 +77,8 @@ bool Block::Iterator::ParseEntry() {
     valid_ = false;
     return false;
   }
-  const char* p = block_->data_.data() + offset_;
-  const char* limit = block_->data_.data() + block_->restarts_offset_;
+  const char* p = block_->data_.get() + offset_;
+  const char* limit = block_->data_.get() + block_->restarts_offset_;
   uint64_t shared, unshared, value_len;
   if (!GetVarint64(&p, limit, &shared) ||
       !GetVarint64(&p, limit, &unshared) ||
@@ -85,7 +93,7 @@ bool Block::Iterator::ParseEntry() {
   key_.append(p, unshared);
   value_ = std::string_view(p + unshared, value_len);
   offset_ = static_cast<size_t>(p + unshared + value_len -
-                                block_->data_.data());
+                                block_->data_.get());
   valid_ = true;
   return true;
 }

@@ -42,7 +42,12 @@ class BlockBuilder {
 /// Read-side block with a seekable forward iterator. Owns its bytes.
 class Block {
  public:
-  static Result<std::shared_ptr<Block>> Parse(std::string data);
+  /// Adopts `data`, whose first `size` bytes are the block (the buffer may
+  /// run on, e.g. over the CRC trailer it was read with).
+  static Result<std::shared_ptr<Block>> Parse(std::unique_ptr<char[]> data,
+                                              size_t size);
+  /// Parses a copy of `data`.
+  static Result<std::shared_ptr<Block>> Parse(std::string_view data);
 
   class Iterator {
    public:
@@ -72,12 +77,13 @@ class Block {
     Status status_;
   };
 
-  size_t size_bytes() const { return data_.size(); }
+  size_t size_bytes() const { return size_; }
 
  private:
   Block() = default;
 
-  std::string data_;
+  std::unique_ptr<char[]> data_;
+  size_t size_ = 0;
   size_t restarts_offset_ = 0;  // where the restart array begins
   uint32_t num_restarts_ = 0;
 

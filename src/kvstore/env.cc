@@ -63,9 +63,8 @@ class PosixRandomAccessFile : public RandomAccessFile {
 
   ~PosixRandomAccessFile() override { ::close(fd_); }
 
-  Status Read(uint64_t offset, uint64_t n, std::string* out) const override {
-    out->resize(n);
-    ssize_t got = ::pread(fd_, out->data(), n, static_cast<off_t>(offset));
+  Status Read(uint64_t offset, uint64_t n, char* dst) const override {
+    ssize_t got = ::pread(fd_, dst, n, static_cast<off_t>(offset));
     if (got < 0 || static_cast<uint64_t>(got) != n) {
       return Status::IOError("pread failed on " + path_);
     }

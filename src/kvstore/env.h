@@ -27,7 +27,9 @@ class WritableFile {
 class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
-  virtual Status Read(uint64_t offset, uint64_t n, std::string* out) const = 0;
+  /// Reads exactly `n` bytes at `offset` into `dst`, which the caller sized
+  /// and need not initialize.
+  virtual Status Read(uint64_t offset, uint64_t n, char* dst) const = 0;
 };
 
 /// The storage path's only gateway to the filesystem. Every file operation

@@ -81,9 +81,9 @@ class FaultRandomAccessFile : public RandomAccessFile {
                         std::unique_ptr<RandomAccessFile> base)
       : env_(env), base_(std::move(base)) {}
 
-  Status Read(uint64_t offset, uint64_t n, std::string* out) const override {
+  Status Read(uint64_t offset, uint64_t n, char* dst) const override {
     JUST_RETURN_NOT_OK(env_->CheckReadOp());
-    return base_->Read(offset, n, out);
+    return base_->Read(offset, n, dst);
   }
 
  private:

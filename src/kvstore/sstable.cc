@@ -162,8 +162,8 @@ Status SsTableBuilder::Finish() {
 }
 
 Status SsTableReader::ReadAt(uint64_t offset, uint64_t size,
-                             std::string* out) const {
-  JUST_RETURN_NOT_OK(file_->Read(offset, size, out));
+                             char* dst) const {
+  JUST_RETURN_NOT_OK(file_->Read(offset, size, dst));
   io_->bytes_read.Add(size);
   io_->read_ops.Increment();
   obs::TraceBytesRead(size);
@@ -185,11 +185,11 @@ Result<std::shared_ptr<SsTableReader>> SsTableReader::Open(
   if (table->file_size_ < kFooterSize) {
     return Status::Corruption("sstable too small: " + path);
   }
-  std::string footer;
+  char footer[kFooterSize];
   JUST_RETURN_NOT_OK(
-      table->ReadAt(table->file_size_ - kFooterSize, kFooterSize, &footer));
-  const char* p = footer.data();
-  if (Crc32(std::string_view(footer.data(), kFooterSize - 4)) !=
+      table->ReadAt(table->file_size_ - kFooterSize, kFooterSize, footer));
+  const char* p = footer;
+  if (Crc32(std::string_view(footer, kFooterSize - 4)) !=
       GetFixed32(p + kFooterSize - 4)) {
     return Status::Corruption("sstable footer checksum mismatch: " + path);
   }
@@ -204,10 +204,9 @@ Result<std::shared_ptr<SsTableReader>> SsTableReader::Open(
 
   // Bloom block: corruption degrades to always-match (counted), because the
   // filter only prunes lookups — losing it costs I/O, never correctness.
-  std::string bloom_raw;
-  JUST_RETURN_NOT_OK(table->ReadAt(bloom_offset,
-                                   bloom_size + kBlockTrailerSize,
-                                   &bloom_raw));
+  std::string bloom_raw(bloom_size + kBlockTrailerSize, '\0');
+  JUST_RETURN_NOT_OK(
+      table->ReadAt(bloom_offset, bloom_raw.size(), bloom_raw.data()));
   if (Crc32(std::string_view(bloom_raw.data(), bloom_size)) ==
       GetFixed32(bloom_raw.data() + bloom_size)) {
     bloom_raw.resize(bloom_size);
@@ -217,16 +216,8 @@ Result<std::shared_ptr<SsTableReader>> SsTableReader::Open(
   }
 
   // Index block: corruption is fatal for the table.
-  std::string index_raw;
-  JUST_RETURN_NOT_OK(table->ReadAt(index_offset,
-                                   index_size + kBlockTrailerSize,
-                                   &index_raw));
-  if (Crc32(std::string_view(index_raw.data(), index_size)) !=
-      GetFixed32(index_raw.data() + index_size)) {
-    return Status::Corruption("sstable index checksum mismatch: " + path);
-  }
-  index_raw.resize(index_size);
-  JUST_ASSIGN_OR_RETURN(table->index_, Block::Parse(std::move(index_raw)));
+  JUST_ASSIGN_OR_RETURN(table->index_,
+                        table->ReadCheckedBlock(index_offset, index_size));
 
   // Key bounds, for scan/compaction pruning.
   Iterator it(table.get());
@@ -257,18 +248,24 @@ Result<std::shared_ptr<Block>> SsTableReader::ReadBlock(uint64_t offset,
     }
     obs::TraceCacheMiss();
   }
-  std::string data;
-  JUST_RETURN_NOT_OK(ReadAt(offset, size + kBlockTrailerSize, &data));
-  if (Crc32(std::string_view(data.data(), size)) !=
-      GetFixed32(data.data() + size)) {
-    return Status::Corruption("block checksum mismatch in " + path_);
-  }
-  data.resize(size);
-  JUST_ASSIGN_OR_RETURN(auto block, Block::Parse(std::move(data)));
+  JUST_ASSIGN_OR_RETURN(auto block, ReadCheckedBlock(offset, size));
   if (cache_ != nullptr) {
     cache_->Insert(key, block, block->size_bytes());
   }
   return block;
+}
+
+Result<std::shared_ptr<Block>> SsTableReader::ReadCheckedBlock(
+    uint64_t offset, uint64_t size) const {
+  // pread fills the buffer, so it is never zero-filled first; the block
+  // adopts it, CRC trailer and all.
+  auto data = std::make_unique_for_overwrite<char[]>(size + kBlockTrailerSize);
+  JUST_RETURN_NOT_OK(ReadAt(offset, size + kBlockTrailerSize, data.get()));
+  if (Crc32(std::string_view(data.get(), size)) !=
+      GetFixed32(data.get() + size)) {
+    return Status::Corruption("block checksum mismatch in " + path_);
+  }
+  return Block::Parse(std::move(data), size);
 }
 
 Status SsTableReader::Get(std::string_view key, std::string* value) const {

@@ -201,10 +201,16 @@ class SsTableReader {
  private:
   SsTableReader() = default;
 
-  /// Reads and CRC-verifies the block whose payload is [offset, offset+size).
+  /// The data block whose payload is [offset, offset+size), through the
+  /// block cache.
   Result<std::shared_ptr<Block>> ReadBlock(uint64_t offset,
                                            uint64_t size) const;
-  Status ReadAt(uint64_t offset, uint64_t size, std::string* out) const;
+  /// Reads and CRC-verifies the block whose payload is
+  /// [offset, offset+size); a mismatch is Corruption.
+  Result<std::shared_ptr<Block>> ReadCheckedBlock(uint64_t offset,
+                                                  uint64_t size) const;
+  /// Reads `size` bytes at `offset` into `dst`, counting the I/O.
+  Status ReadAt(uint64_t offset, uint64_t size, char* dst) const;
 
   std::unique_ptr<RandomAccessFile> file_;
   IoStats* io_ = nullptr;

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -390,10 +393,10 @@ TEST_P(EngineScanParityTest, LimitCostsOneMultiScanPerServer) {
   }
 }
 
-/// DROP TABLE deletes every key of every slot the table ever used, sending
-/// its tombstones as chunked WriteBatches: over sockets the whole drop
-/// costs a few scan pages and one batch per server and slot, not one RPC
-/// per key.
+/// DROP TABLE deletes every key of every slot the table ever used in one
+/// cluster scan, sending each server's tombstones as chunked WriteBatches
+/// from inside the scan as they fill: over sockets the whole drop costs its
+/// scan pages and a few batches per server, not one RPC per key.
 TEST_P(EngineScanParityTest, DropTablePurgesEverySlotInFewRpcs) {
   constexpr size_t kRows = 6000;
   meta::TableMeta table;
@@ -444,10 +447,91 @@ TEST_P(EngineScanParityTest, DropTablePurgesEverySlotInFewRpcs) {
   ASSERT_TRUE(engine_->DropTable("u", "dropped").ok());
   const uint64_t spent = rpcs->Value() - before;
   if (GetParam() == "socket") {
-    EXPECT_LT(spent, 100u) << slots << " slots of " << kRows << " keys";
+    // One scan of every slot: 42 RPCs today (scan pages of 512 keys and
+    // 4096-op tombstone chunks per server).
+    EXPECT_LT(spent, 48u) << slots << " slots of " << kRows << " keys";
   }
   for (size_t slot = 0; slot < slots; ++slot) {
     EXPECT_EQ(keys_in(slot), 0u) << "slot " << slot;
+  }
+}
+
+/// In process a scan starts on the calling thread and stays there unless
+/// it outlasts a pool hand-off: a small Fig 12 query never spreads, and a
+/// scan whose sink sleeps spreads to a pool helper. Over sockets the
+/// calling thread drives every server's pages, so neither spreads. Either
+/// way the rows are the oracle's.
+TEST_P(EngineScanParityTest, SmallScansStayOnTheCallerAndSlowOnesSpread) {
+  Status loaded = just::testing::LoadScanParityTables(engine_.get(), "u");
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  obs::Counter* spreads = obs::Registry::Global().GetCounter(
+      "just_cluster_scan_spreads_total");
+  const bool inproc = GetParam() == "inproc";
+
+  // A Fig 12 query that scans fewer than 8 rows per server. With two
+  // servers nothing can spread it, however slow the build: the per-row
+  // progress check runs every 8th row, and by the time the caller starts
+  // the second server no index is left for a helper.
+  const std::string small =
+      "SELECT fid, time FROM orders WHERE geom WITHIN "
+      "st_makeMBR(116.30, 39.85, 116.50, 40.00) AND "
+      "time BETWEEN '2018-10-05' AND '2018-10-06'";
+  {
+    auto stmt = sql::ParseStatement(small);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    sql::Analyzer analyzer(engine_.get(), "u");
+    auto plan = analyzer.Analyze(*stmt->select);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto optimized = sql::Optimize(std::move(plan).value());
+    ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+    sql::Executor executor(engine_.get(), "u");
+    core::QueryStats stats;
+    const uint64_t before = spreads->Value();
+    auto frame = executor.Execute(**optimized, &stats);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(spreads->Value(), before);
+    ASSERT_LT(stats.rows_scanned, 8u);
+    ASSERT_GT(frame->num_rows(), 0u);
+  }
+  just::testing::ExpectSameResult(engine_.get(), "u", small);
+
+  // Every row's primary key, each delivered ~50 us late.
+  class SlowSink : public RegionCluster::ScanSink {
+   public:
+    bool Accept(int, size_t, std::string_view key,
+                std::string_view) override {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      std::lock_guard<std::mutex> lock(mu);
+      ++rows;
+      keys.insert(std::string(key));
+      threads.insert(std::this_thread::get_id());
+      return true;
+    }
+    std::mutex mu;
+    size_t rows = 0;
+    std::set<std::string> keys;
+    std::set<std::thread::id> threads;
+  };
+  auto meta = engine_->DescribeTable("u", "orders");
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  SlowSink sink;
+  const uint64_t before = spreads->Value();
+  Status scanned = engine_->cluster()->Scan(
+      core::StTable::SlotRanges(meta->table_id, 0, /*num_shards=*/4), &sink);
+  ASSERT_TRUE(scanned.ok()) << scanned.ToString();
+  const uint64_t spread = spreads->Value() - before;
+  auto all = just::testing::OracleSelect(engine_.get(), "u",
+                                         "SELECT fid FROM orders");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(sink.rows, all->num_rows());
+  EXPECT_EQ(sink.keys.size(), sink.rows) << "a row came back twice";
+  if (inproc) {
+    EXPECT_EQ(spread, 1u);
+    EXPECT_EQ(sink.threads.size(), 2u);
+  } else {
+    EXPECT_EQ(spread, 0u);
+    EXPECT_EQ(sink.threads,
+              std::set<std::thread::id>{std::this_thread::get_id()});
   }
 }
 

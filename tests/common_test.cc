@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -300,18 +306,6 @@ TEST(LruCacheTest, TracksHitsAndMisses) {
 
 // --- thread pool ---
 
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  auto fut = pool.Submit([] { return 21 * 2; });
-  EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.ParallelFor(100, [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
 
 TEST(ThreadPoolTest, ParallelForZeroAndOne) {
   ThreadPool pool(2);
@@ -319,6 +313,152 @@ TEST(ThreadPoolTest, ParallelForZeroAndOne) {
   int count = 0;
   pool.ParallelFor(1, [&](size_t) { ++count; });
   EXPECT_EQ(count, 1);
+}
+
+// Every index runs exactly once.
+TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
+  ThreadPool pool(4);
+  for (size_t n : {0, 1, 2, 5, 100}) {
+    // Fast jobs stay on the caller; slow ones and spread_now ones share
+    // the cursor with helpers.
+    for (bool slow : {false, true}) {
+      for (bool spread_now : {false, true}) {
+        std::vector<std::atomic<int>> hits(n);
+        pool.ParallelFor(
+            n,
+            [&](size_t i) {
+              if (slow && i % 3 == 0) {
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+              }
+              hits[i].fetch_add(1);
+            },
+            spread_now);
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " slow=" << slow
+                                       << " spread_now=" << spread_now
+                                       << " index " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, FastJobRunsOnlyOnTheCallingThread) {
+  ThreadPool pool(4);
+  // A hundred trivial indices end well inside kSpreadAfter; the retries
+  // absorb a preemption of this thread that happens to outlast it.
+  bool on_caller = false;
+  for (int attempt = 0; attempt < 5 && !on_caller; ++attempt) {
+    std::vector<std::thread::id> ran_on(100);
+    const size_t helpers = pool.ParallelFor(
+        100, [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    on_caller = helpers == 0 &&
+                std::all_of(ran_on.begin(), ran_on.end(), [](auto id) {
+                  return id == std::this_thread::get_id();
+                });
+  }
+  EXPECT_TRUE(on_caller);
+}
+
+TEST(ThreadPoolTest, SlowJobSpreadsToHelpers) {
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  const size_t helpers = pool.ParallelFor(8, [&](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  });
+  EXPECT_GE(threads.size(), 2u);
+  // The caller runs index 0 before anything spreads.
+  EXPECT_EQ(threads.size(), helpers + 1);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 1u);
+}
+
+// fn on the caller reports progress or an upcoming block: the other
+// indices go to helpers while the caller is still inside fn(0).
+TEST(ThreadPoolTest, FnOnTheCallerSpreadsTheJob) {
+  ThreadPool pool(4);
+  for (bool wait_for_time : {true, false}) {
+    std::atomic<int> others{0};
+    bool shared = false;
+    pool.ParallelFor(4, [&](size_t i) {
+      if (i != 0) {
+        others.fetch_add(1);
+        return;
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (others.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+        if (wait_for_time) {
+          ThreadPool::SpreadIfSlow();
+        } else {
+          ThreadPool::Spread();
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      shared = others.load() == 3;
+    });
+    EXPECT_TRUE(shared) << (wait_for_time ? "SpreadIfSlow" : "Spread");
+  }
+  // Off a job's calling thread both are no-ops.
+  ThreadPool::SpreadIfSlow();
+  ThreadPool::Spread();
+}
+
+TEST(ThreadPoolTest, NestedParallelForRunsEveryIndexOnce) {
+  ThreadPool pool(2);
+  constexpr size_t kOuter = 4;
+  constexpr size_t kInner = 10;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.ParallelFor(kOuter, [&](size_t outer) {
+    // Slow enough that both levels spread while the pool is busy.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    pool.ParallelFor(kInner, [&](size_t inner) {
+      if (inner % 4 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      hits[outer * kInner + inner].fetch_add(1);
+    });
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// A helper woken for a job whose caller has already returned must touch
+// none of the caller's state: its queue entry finds the job closed. Under
+// ASan a touch of the dead `fn` or `hits` would fail this test.
+TEST(ThreadPoolTest, HelperWokenAfterTheCallerReturnedIsSafe) {
+  ThreadPool pool(1);
+  std::atomic<int> started{0};
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  size_t busy_helpers = 0;
+  // Keeps the pool's one worker inside this job until released.
+  std::thread busy([&] {
+    busy_helpers = pool.ParallelFor(
+        2,
+        [&](size_t) {
+          started.fetch_add(1);
+          released.wait();
+        },
+        /*spread_now=*/true);
+  });
+  while (started.load() < 2) std::this_thread::yield();
+  {
+    // Queues a helper entry that can only run once the worker is free, by
+    // when this caller has returned and its fn and state are gone.
+    std::vector<int> hits(5, 0);
+    std::function<void(size_t)> fn = [&](size_t i) { ++hits[i]; };
+    EXPECT_EQ(pool.ParallelFor(5, fn, /*spread_now=*/true), 0u);
+    for (int h : hits) EXPECT_EQ(h, 1);
+  }
+  release.set_value();
+  busy.join();
+  EXPECT_EQ(busy_helpers, 1u);
+  // Still usable afterwards; the destructor drains the stale entry.
+  std::atomic<int> count{0};
+  pool.ParallelFor(3, [&](size_t) { count.fetch_add(1); }, true);
+  EXPECT_EQ(count.load(), 3);
 }
 
 // --- rng ---

@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "core/engine.h"
+#include "obs/http_admin.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sql/justql.h"
@@ -125,6 +126,31 @@ TEST_F(ExplainAnalyzeTest, AnalyzePrintsAnnotatedSpanTree) {
   // The root reports the rows the statement returned.
   EXPECT_NE(msg.find(" rows=" + std::to_string(r->frame.num_rows())),
             std::string::npos);
+}
+
+// In process a small Fig 12 scan runs on the calling thread, and the scan
+// span says no helper took part. This one scans fewer than 8 rows, so on
+// two servers it cannot spread however slow the build: the per-row
+// progress check runs every 8th row, and by the time the caller starts
+// the second server no index is left for a helper. Scans that did spread
+// are counted on /metrics.
+TEST_F(ExplainAnalyzeTest, AnalyzeShowsAnInProcessScanRanWithoutHelpers) {
+  auto r = Run(
+      "EXPLAIN ANALYZE SELECT fid FROM orders WHERE geom WITHIN "
+      "st_makeMBR(116.40, 39.90, 116.45, 39.95) AND "
+      "time BETWEEN '2018-10-01' AND '2018-10-02'");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::string& msg = r->message;
+  ASSERT_LT(SumToken(msg, " rows_scanned="), 8u) << msg;
+  const size_t scan = msg.find("cluster.ParallelScan");
+  ASSERT_NE(scan, std::string::npos) << msg;
+  const std::string line = msg.substr(scan, msg.find('\n', scan) - scan);
+  EXPECT_NE(line.find(" helpers=0 "), std::string::npos) << line;
+
+  obs::HttpAdminServer admin({});
+  std::string body, ctype;
+  ASSERT_EQ(admin.Route("GET", "/metrics", &body, &ctype), 200);
+  EXPECT_NE(body.find("just_cluster_scan_spreads_total"), std::string::npos);
 }
 
 // The acceptance criterion: the counters EXPLAIN ANALYZE prints equal the

@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "cluster/region_cluster.h"
 #include "kvstore/fault_env.h"
 #include "kvstore/lsm_store.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace just::kv {
@@ -268,6 +271,57 @@ TEST(ClusterFaultTest, ParallelScanRetriesWithoutDuplicatingRows) {
         << "row " << row.key << " duplicated by retry";
   }
   EXPECT_EQ(seen.size(), static_cast<size_t>(kRows));
+}
+
+// The scan starts on the calling thread, so the failed read lands in a
+// server's scan there; its backoff spreads the other servers to pool
+// helpers, and the failed server resumes once, past the rows it already
+// delivered. Every server's rows still come from one thread.
+TEST(ClusterFaultTest, ScanRetryOnOneServerResumesExactlyOnce) {
+  TempDir dir("cluster_scan_resume");
+  FaultInjectionEnv env;
+  cluster::ClusterOptions options = SmallCluster(dir.path(), &env);
+  options.retry_backoff_ms = 1;  // the backoff really sleeps on its thread
+  auto cluster = cluster::RegionCluster::Open(options);
+  ASSERT_TRUE(cluster.ok());
+  const int kRows = 90;
+  for (int i = 0; i < kRows; ++i) {
+    std::string key(1, static_cast<char>('A' + i % 26));
+    key += std::to_string(i);
+    ASSERT_TRUE(PutKey(**cluster, key, std::string(40, 'v')).ok());
+  }
+  ASSERT_TRUE((*cluster)->FlushAll().ok());
+
+  class Sink : public cluster::RegionCluster::ScanSink {
+   public:
+    bool Accept(int server, size_t, std::string_view key,
+                std::string_view) override {
+      std::lock_guard<std::mutex> lock(mu);
+      ++rows;
+      keys.insert(std::string(key));
+      threads[server].insert(std::this_thread::get_id());
+      return true;
+    }
+    std::mutex mu;
+    int rows = 0;
+    std::set<std::string> keys;
+    std::map<int, std::set<std::thread::id>> threads;
+  };
+  obs::Counter* retries =
+      obs::Registry::Global().GetCounter("just_cluster_retries_total");
+  const uint64_t before = retries->Value();
+  env.FailNextReads(1);
+  Sink sink;
+  curve::KeyRange everything;  // empty start + end: all servers, all keys
+  Status st = (*cluster)->Scan({everything}, &sink);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(retries->Value() - before, 1u);
+  EXPECT_EQ(sink.rows, kRows);
+  EXPECT_EQ(sink.keys.size(), static_cast<size_t>(kRows))
+      << "the retry duplicated a row";
+  for (const auto& [server, threads] : sink.threads) {
+    EXPECT_EQ(threads.size(), 1u) << "server " << server;
+  }
 }
 
 TEST(ClusterFaultTest, PutRetriesTransientWriteFault) {
