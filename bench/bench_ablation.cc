@@ -129,15 +129,18 @@ int main(int argc, char** argv) {
       ->Arg(1)
       ->Arg(4)
       ->Arg(8)
-      ->Arg(16);
+      ->Arg(16)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Ablation/ST/range_budget", BM_RangeBudget)
       ->Arg(8)
       ->Arg(64)
-      ->Arg(512);
+      ->Arg(512)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Ablation/ST/block_cache_KiB", BM_BlockCache)
       ->Arg(4)
       ->Arg(64)
-      ->Arg(32768);
+      ->Arg(32768)
+      ->MeasureProcessCPUTime();
   just::bench::RunBenchmarks(argc, argv);
   return 0;
 }

@@ -111,7 +111,8 @@ int main(int argc, char** argv) {
             BM_JustIndexing(s, dataset, Variant::kJust);
           })
           ->Arg(pct)
-          ->Iterations(1);
+          ->Iterations(1)
+          ->MeasureProcessCPUTime();
       for (const std::string& system : SparkSystems()) {
         benchmark::RegisterBenchmark(
             (fig + "/" + system).c_str(),
@@ -119,7 +120,8 @@ int main(int argc, char** argv) {
               BM_BaselineIndexing(s, dataset, system);
             })
             ->Arg(pct)
-            ->Iterations(1);
+            ->Iterations(1)
+            ->MeasureProcessCPUTime();
       }
     }
     benchmark::RegisterBenchmark("Fig10d/JUSTnc",
@@ -128,7 +130,8 @@ int main(int argc, char** argv) {
                                                    Variant::kNoCompress);
                                  })
         ->Arg(pct)
-        ->Iterations(1);
+        ->Iterations(1)
+        ->MeasureProcessCPUTime();
   }
   just::bench::RunBenchmarks(argc, argv);
   PrintFigure("Figure 10c", Dataset::kOrder, {Variant::kJust},

@@ -71,7 +71,8 @@ void RegisterAll() {
                                             static_cast<int>(s.range(0)),
                                             kDefaultK);
                                })
-      ->DenseRange(20, 100, 40);
+      ->DenseRange(20, 100, 40)
+      ->MeasureProcessCPUTime();
   for (const std::string& system : kOrderSystems) {
     benchmark::RegisterBenchmark(
         ("Fig13a/Order/" + system).c_str(),
@@ -79,7 +80,8 @@ void RegisterAll() {
           RunBaselineKnn(s, Dataset::kOrder, system,
                          static_cast<int>(s.range(0)), kDefaultK);
         })
-        ->DenseRange(20, 100, 40);
+        ->DenseRange(20, 100, 40)
+        ->MeasureProcessCPUTime();
   }
   for (Variant v : {Variant::kJust, Variant::kNoCompress}) {
     benchmark::RegisterBenchmark(
@@ -88,7 +90,8 @@ void RegisterAll() {
           RunJustKnn(s, Dataset::kTraj, v, static_cast<int>(s.range(0)),
                      kDefaultK);
         })
-        ->DenseRange(20, 100, 40);
+        ->DenseRange(20, 100, 40)
+        ->MeasureProcessCPUTime();
   }
   for (const std::string& system : kTrajSystems) {
     benchmark::RegisterBenchmark(
@@ -97,7 +100,8 @@ void RegisterAll() {
           RunBaselineKnn(s, Dataset::kTraj, system,
                          static_cast<int>(s.range(0)), kDefaultK);
         })
-        ->DenseRange(20, 100, 40);
+        ->DenseRange(20, 100, 40)
+        ->MeasureProcessCPUTime();
   }
 
   // Fig 13c / 13d: k sweeps (50..250) at 100% data.
@@ -107,7 +111,8 @@ void RegisterAll() {
                                             100,
                                             static_cast<int>(s.range(0)));
                                })
-      ->DenseRange(50, 250, 100);
+      ->DenseRange(50, 250, 100)
+      ->MeasureProcessCPUTime();
   for (const std::string& system :
        {std::string("GeoSpark"), std::string("LocationSpark"),
         std::string("Simba")}) {
@@ -117,7 +122,8 @@ void RegisterAll() {
           RunBaselineKnn(s, Dataset::kOrder, system, 100,
                          static_cast<int>(s.range(0)));
         })
-        ->DenseRange(50, 250, 100);
+        ->DenseRange(50, 250, 100)
+        ->MeasureProcessCPUTime();
   }
   for (Variant v : {Variant::kJust, Variant::kNoCompress}) {
     benchmark::RegisterBenchmark(
@@ -125,7 +131,8 @@ void RegisterAll() {
         [v](benchmark::State& s) {
           RunJustKnn(s, Dataset::kTraj, v, 100, static_cast<int>(s.range(0)));
         })
-        ->DenseRange(50, 250, 100);
+        ->DenseRange(50, 250, 100)
+        ->MeasureProcessCPUTime();
   }
   benchmark::RegisterBenchmark(
       "Fig13d/Traj/GeoSpark",
@@ -133,7 +140,8 @@ void RegisterAll() {
         RunBaselineKnn(s, Dataset::kTraj, "GeoSpark", 100,
                        static_cast<int>(s.range(0)));
       })
-      ->DenseRange(50, 250, 100);
+      ->DenseRange(50, 250, 100)
+      ->MeasureProcessCPUTime();
 }
 
 }  // namespace

@@ -92,13 +92,17 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("Fig14a/Synthetic/IndexingAndStorage",
                                BM_SyntheticIndexing)
       ->DenseRange(20, 100, 20)
-      ->Iterations(1);
+      ->Iterations(1)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Fig14b/Synthetic/S", BM_SyntheticSpatial)
-      ->DenseRange(20, 100, 40);
+      ->DenseRange(20, 100, 40)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Fig14b/Synthetic/ST", BM_SyntheticSt)
-      ->DenseRange(20, 100, 40);
+      ->DenseRange(20, 100, 40)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Fig14b/Synthetic/kNN", BM_SyntheticKnn)
-      ->DenseRange(20, 100, 40);
+      ->DenseRange(20, 100, 40)
+      ->MeasureProcessCPUTime();
   just::bench::RunBenchmarks(argc, argv);
   return 0;
 }

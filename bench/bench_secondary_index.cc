@@ -199,13 +199,16 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("SecondaryIndex/AttrBoxQuery/full_refinement",
                                [](benchmark::State& s) {
                                  BM_AttrBoxQuery(s, "orders_plain");
-                               });
+                               })
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("SecondaryIndex/AttrBoxQuery/indexed",
                                [](benchmark::State& s) {
                                  BM_AttrBoxQuery(s, "orders_idx");
-                               });
+                               })
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("SecondaryIndex/OnlineBuild", BM_IndexBuild)
-      ->Iterations(1);
+      ->Iterations(1)
+      ->MeasureProcessCPUTime();
   just::bench::RunBenchmarks(argc, argv);
   PrintSummary();
   return 0;

@@ -93,7 +93,8 @@ void RegisterAll() {
                                                 static_cast<int>(s.range(0)),
                                                 kDefaultWindowKm);
                                })
-      ->DenseRange(20, 100, 40);
+      ->DenseRange(20, 100, 40)
+      ->MeasureProcessCPUTime();
   for (const std::string& system : kOrderSystems) {
     benchmark::RegisterBenchmark(
         ("Fig11a/Order/" + system).c_str(),
@@ -101,7 +102,8 @@ void RegisterAll() {
           RunBaselineQueries(s, Dataset::kOrder, system,
                              static_cast<int>(s.range(0)), kDefaultWindowKm);
         })
-        ->DenseRange(20, 100, 40);
+        ->DenseRange(20, 100, 40)
+        ->MeasureProcessCPUTime();
   }
   for (Variant v : {Variant::kJust, Variant::kNoCompress}) {
     benchmark::RegisterBenchmark(
@@ -110,7 +112,8 @@ void RegisterAll() {
           RunJustQueries(s, Dataset::kTraj, v, static_cast<int>(s.range(0)),
                          kDefaultWindowKm);
         })
-        ->DenseRange(20, 100, 40);
+        ->DenseRange(20, 100, 40)
+        ->MeasureProcessCPUTime();
   }
   for (const std::string& system : kTrajSystems) {
     benchmark::RegisterBenchmark(
@@ -119,7 +122,8 @@ void RegisterAll() {
           RunBaselineQueries(s, Dataset::kTraj, system,
                              static_cast<int>(s.range(0)), kDefaultWindowKm);
         })
-        ->DenseRange(20, 100, 40);
+        ->DenseRange(20, 100, 40)
+        ->MeasureProcessCPUTime();
   }
 
   // Fig 11c / 11d: vary the spatial window at 100% data (SpatialSpark runs
@@ -130,7 +134,8 @@ void RegisterAll() {
                                      s, Dataset::kOrder, Variant::kJust, 100,
                                      static_cast<double>(s.range(0)));
                                })
-      ->DenseRange(1, 5, 1);
+      ->DenseRange(1, 5, 1)
+      ->MeasureProcessCPUTime();
   for (const std::string& system : kOrderSystems) {
     benchmark::RegisterBenchmark(
         ("Fig11c/Order/" + system).c_str(),
@@ -138,7 +143,8 @@ void RegisterAll() {
           RunBaselineQueries(s, Dataset::kOrder, system, 100,
                              static_cast<double>(s.range(0)));
         })
-        ->DenseRange(1, 5, 1);
+        ->DenseRange(1, 5, 1)
+        ->MeasureProcessCPUTime();
   }
   for (Variant v : {Variant::kJust, Variant::kNoCompress}) {
     benchmark::RegisterBenchmark(
@@ -147,7 +153,8 @@ void RegisterAll() {
           RunJustQueries(s, Dataset::kTraj, v, 100,
                          static_cast<double>(s.range(0)));
         })
-        ->DenseRange(1, 5, 1);
+        ->DenseRange(1, 5, 1)
+        ->MeasureProcessCPUTime();
   }
   for (const std::string& system : {std::string("GeoSpark"),
                                     std::string("SpatialSpark")}) {
@@ -158,7 +165,8 @@ void RegisterAll() {
           RunBaselineQueries(s, Dataset::kTraj, system, pct,
                              static_cast<double>(s.range(0)));
         })
-        ->DenseRange(1, 5, 1);
+        ->DenseRange(1, 5, 1)
+        ->MeasureProcessCPUTime();
   }
 }
 

@@ -199,15 +199,21 @@ void BM_RefineEndToEnd(benchmark::State& state) {
 int main(int argc, char** argv) {
   using namespace just::bench;  // NOLINT
   benchmark::RegisterBenchmark("Fig8/ParseAnalyzeOptimize",
-                               BM_ParseAndOptimizeOnly);
+                               BM_ParseAndOptimizeOnly)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Fig8/Execute/Optimized",
-                               BM_OptimizedExecution);
+                               BM_OptimizedExecution)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Fig8/Execute/Unoptimized",
-                               BM_UnoptimizedExecution);
-  benchmark::RegisterBenchmark("Refine/RowAtATime", BM_RefineRowAtATime);
-  benchmark::RegisterBenchmark("Refine/Vectorized", BM_RefineVectorized);
+                               BM_UnoptimizedExecution)
+      ->MeasureProcessCPUTime();
+  benchmark::RegisterBenchmark("Refine/RowAtATime", BM_RefineRowAtATime)
+      ->MeasureProcessCPUTime();
+  benchmark::RegisterBenchmark("Refine/Vectorized", BM_RefineVectorized)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Refine/EndToEnd/Vectorized",
-                               BM_RefineEndToEnd);
+                               BM_RefineEndToEnd)
+      ->MeasureProcessCPUTime();
   just::bench::RunBenchmarks(argc, argv);
 
   // Print the Figure 8 plans.

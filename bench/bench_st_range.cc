@@ -110,7 +110,8 @@ void RegisterAll() {
                            static_cast<int>(s.range(0)), kDefaultWindowKm,
                            kDefaultTimeWindowMs);
         })
-        ->DenseRange(20, 100, 40);
+        ->DenseRange(20, 100, 40)
+        ->MeasureProcessCPUTime();
   }
   // Fig 12b: spatial window sweep on Order (+ ST-Hadoop at 20% data).
   for (Variant v : OrderVariants()) {
@@ -121,7 +122,8 @@ void RegisterAll() {
                            static_cast<double>(s.range(0)),
                            kDefaultTimeWindowMs);
         })
-        ->DenseRange(1, 5, 2);
+        ->DenseRange(1, 5, 2)
+        ->MeasureProcessCPUTime();
   }
   benchmark::RegisterBenchmark("Fig12b/Order/ST-Hadoop(20pct)",
                                [](benchmark::State& s) {
@@ -130,7 +132,8 @@ void RegisterAll() {
                                      static_cast<double>(s.range(0)),
                                      kDefaultTimeWindowMs);
                                })
-      ->DenseRange(1, 5, 2);
+      ->DenseRange(1, 5, 2)
+      ->MeasureProcessCPUTime();
   // Fig 12c: spatial window sweep on Traj, incl. JUSTnc.
   for (Variant v : TrajVariants()) {
     benchmark::RegisterBenchmark(
@@ -140,7 +143,8 @@ void RegisterAll() {
                            static_cast<double>(s.range(0)),
                            kDefaultTimeWindowMs);
         })
-        ->DenseRange(1, 5, 2);
+        ->DenseRange(1, 5, 2)
+        ->MeasureProcessCPUTime();
   }
   // Fig 12d: time window sweep on Order: 1h, 6h, 1d, 1w, 1m (Table IV).
   static const std::vector<std::pair<const char*, int64_t>> kTimeWindows = {
@@ -159,7 +163,8 @@ void RegisterAll() {
           [v, w, &kTimeWindows](benchmark::State& s) {
             RunJustStQueries(s, Dataset::kOrder, v, 100, kDefaultWindowKm,
                              kTimeWindows[w].second);
-          });
+          })
+          ->MeasureProcessCPUTime();
     }
   }
   for (size_t w = 0; w < kTimeWindows.size(); ++w) {
@@ -170,7 +175,8 @@ void RegisterAll() {
         [w, &kTimeWindows](benchmark::State& s) {
           RunStHadoopQueries(s, Dataset::kOrder, 20, kDefaultWindowKm,
                              kTimeWindows[w].second);
-        });
+        })
+        ->MeasureProcessCPUTime();
   }
 }
 

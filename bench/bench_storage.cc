@@ -155,9 +155,8 @@ void BM_MixedPutLatencyAcrossFlush(benchmark::State& state) {
 /// Compaction probe: bulk-load many memtables' worth of data (with key
 /// overlap so compaction has real merging to do), wait for the tree to
 /// settle, and report write amplification (bytes rewritten by compaction
-/// per byte flushed) and point-read amplification (SSTables probed per
-/// Get). Leveled compaction should show bounded read-amp with write-amp
-/// ~O(levels).
+/// per byte flushed) and the settled tree's file counts. Leveled compaction
+/// should show write-amp ~O(levels) and L0 back under its trigger.
 void BM_CompactionAmplification(benchmark::State& state) {
   namespace fs = std::filesystem;
   const int num_ops = 60000;  // ~16 MB of key+value across ~60 memtables
@@ -170,7 +169,6 @@ void BM_CompactionAmplification(benchmark::State& state) {
   auto* compactions =
       obs::Registry::Global().GetCounter("just_kv_compactions_total");
   double write_amp = 0;
-  double read_amp = 0;
   double l0_files = 0;
   double total_files = 0;
   uint64_t compactions_delta = 0;
@@ -212,18 +210,6 @@ void BM_CompactionAmplification(benchmark::State& state) {
                           static_cast<double>(flushed);
     benchmark::DoNotOptimize(comp_in->Value() - in0);
     compactions_delta += compactions->Value() - compactions0;
-    // Point-read amplification over a uniform sample of live keys.
-    const uint64_t probes0 = store->io_stats().get_probes.Value();
-    const int num_gets = 2000;
-    std::string out_value;
-    for (int i = 0; i < num_gets; ++i) {
-      std::snprintf(key, sizeof(key), "k%010d",
-                    (i * 7919) % (num_ops / 4));
-      (void)store->Get(key, &out_value);
-    }
-    read_amp = static_cast<double>(store->io_stats().get_probes.Value() -
-                                   probes0) /
-               num_gets;
     auto stats = store->GetStats();
     l0_files = stats.level_files.empty()
                    ? 0.0
@@ -233,7 +219,6 @@ void BM_CompactionAmplification(benchmark::State& state) {
     fs::remove_all(dir);
   }
   state.counters["write_amp"] = write_amp;
-  state.counters["read_amp_probes_per_get"] = read_amp;
   state.counters["compactions"] = static_cast<double>(compactions_delta);
   state.counters["l0_files"] = l0_files;
   state.counters["total_files"] = total_files;
@@ -271,46 +256,54 @@ int main(int argc, char** argv) {
                                               Variant::kJust);
                                  })
         ->Arg(pct)
-        ->Iterations(1);
+        ->Iterations(1)
+        ->MeasureProcessCPUTime();
     benchmark::RegisterBenchmark("Fig10a/Order/JUSTcompress",
                                  [](benchmark::State& s) {
                                    BM_Storage(s, Dataset::kOrder,
                                               Variant::kOrderCompressed);
                                  })
         ->Arg(pct)
-        ->Iterations(1);
+        ->Iterations(1)
+        ->MeasureProcessCPUTime();
     benchmark::RegisterBenchmark("Fig10b/Traj/JUST",
                                  [](benchmark::State& s) {
                                    BM_Storage(s, Dataset::kTraj,
                                               Variant::kJust);
                                  })
         ->Arg(pct)
-        ->Iterations(1);
+        ->Iterations(1)
+        ->MeasureProcessCPUTime();
     benchmark::RegisterBenchmark("Fig10b/Traj/JUSTnc",
                                  [](benchmark::State& s) {
                                    BM_Storage(s, Dataset::kTraj,
                                               Variant::kNoCompress);
                                  })
         ->Arg(pct)
-        ->Iterations(1);
+        ->Iterations(1)
+        ->MeasureProcessCPUTime();
   }
   benchmark::RegisterBenchmark("WritePath/MixedPutLatencyAcrossFlush",
                                BM_MixedPutLatencyAcrossFlush)
       ->Arg(20000)
       ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Compaction/Amplification/leveled",
                                BM_CompactionAmplification)
       ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Kv/Crc32", BM_Crc32)
       ->Arg(64)
       ->Arg(4096)
-      ->Arg(65536);
+      ->Arg(65536)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Kv/Crc32/portable", BM_Crc32Portable)
       ->Arg(64)
       ->Arg(4096)
-      ->Arg(65536);
+      ->Arg(65536)
+      ->MeasureProcessCPUTime();
   just::bench::RunBenchmarks(argc, argv);
   PrintSeries("Figure 10a", Dataset::kOrder,
               {Variant::kJust, Variant::kOrderCompressed});

@@ -276,19 +276,23 @@ void BM_AdHocScan(benchmark::State& state, bool mixed_load) {
 
 int main(int argc, char** argv) {
   using namespace just::bench;  // NOLINT
-  benchmark::RegisterBenchmark("Stream/IngestThroughput", BM_IngestThroughput);
+  benchmark::RegisterBenchmark("Stream/IngestThroughput", BM_IngestThroughput)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark("Stream/NotificationLatency",
-                               BM_NotificationLatency);
+                               BM_NotificationLatency)
+      ->MeasureProcessCPUTime();
   // Registration order matters: the uncontended scan runs first and leaves
   // its p99 behind as the baseline for the mixed-load ratio.
   benchmark::RegisterBenchmark(
       "Stream/AdHocScan/uncontended",
       [](benchmark::State& s) { BM_AdHocScan(s, /*mixed_load=*/false); })
-      ->MinTime(1.0);
+      ->MinTime(1.0)
+      ->MeasureProcessCPUTime();
   benchmark::RegisterBenchmark(
       "Stream/AdHocScan/mixed_load",
       [](benchmark::State& s) { BM_AdHocScan(s, /*mixed_load=*/true); })
-      ->MinTime(1.0);
+      ->MinTime(1.0)
+      ->MeasureProcessCPUTime();
   just::bench::RunBenchmarks(argc, argv);
   return 0;
 }

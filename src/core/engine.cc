@@ -112,32 +112,7 @@ Status JustEngine::CreateTable(meta::TableMeta table) {
   if (table.columns.empty()) {
     return Status::InvalidArgument("table needs at least one column");
   }
-  // Infer special columns when unset.
-  if (table.fid_column.empty()) {
-    for (const auto& col : table.columns) {
-      if (col.primary_key) {
-        table.fid_column = col.name;
-        break;
-      }
-    }
-  }
-  if (table.geom_column.empty()) {
-    for (const auto& col : table.columns) {
-      if (col.type == exec::DataType::kGeometry ||
-          col.type == exec::DataType::kTrajectory) {
-        table.geom_column = col.name;
-        break;
-      }
-    }
-  }
-  if (table.time_column.empty()) {
-    for (const auto& col : table.columns) {
-      if (col.type == exec::DataType::kTimestamp) {
-        table.time_column = col.name;
-        break;
-      }
-    }
-  }
+  table.InferSpecialColumns();
   ApplyDefaultIndexes(&table);
   // Declared secondary indexes (USERDATA 'just.attr.indexes') start ready:
   // the table is empty, so there is nothing to backfill. Their slots follow

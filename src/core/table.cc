@@ -419,23 +419,18 @@ Status StTable::AppendWriteOps(const exec::Row& row, bool delete_instead,
   if (!delete_instead) {
     JUST_ASSIGN_OR_RETURN(value, EncodeRow(meta_, row));
   }
-  const int shard = strategies_.empty() ? 0 : strategies_[0]->ShardOf(ref.fid);
   for (size_t slot = 0; slot < strategies_.size(); ++slot) {
     std::string key = WrapKey(slot, strategies_[slot]->EncodeKey(ref));
     ops->push_back(kv::WriteOp{std::move(key), value, delete_instead});
   }
-  // Secondary indexes: shard :: table/slot :: value :: fid, on the same
-  // shard as the base row (index lookups stay shard-local), with an
-  // order-preserving value encoding and the covering row as the value. Ops for a `building` index are mirrored into the build's
+  // Secondary indexes (keys: see SecondaryKey), with the covering row as
+  // the value. Ops for a `building` index are mirrored into the build's
   // catch-up journal *before* the storage write (see IndexBuildJournal).
   for (const meta::SecondaryIndexDef& def : meta_.secondary_indexes) {
     int col = meta_.ColumnIndex(def.column);
     if (col < 0) continue;
-    std::string key(1, static_cast<char>(shard));
-    key += IndexPrefix(def.slot);
-    key += EncodeOrderedAttrKeyPart(row[col]);
-    key += ref.fid;
-    ops->push_back(kv::WriteOp{std::move(key), value, delete_instead});
+    ops->push_back(kv::WriteOp{SecondaryKey(def.slot, row[col], ref.fid),
+                               value, delete_instead});
     IdxEntriesWrittenCounter()->Add(1);
   }
   return Status::OK();
@@ -470,12 +465,18 @@ Result<kv::WriteOp> StTable::MakeSecondaryEntryOp(
   if (!delete_instead) {
     JUST_ASSIGN_OR_RETURN(value, EncodeRow(meta_, row));
   }
-  int shard = strategies_.empty() ? 0 : strategies_[0]->ShardOf(ref.fid);
+  return kv::WriteOp{SecondaryKey(def.slot, row[col], ref.fid),
+                     std::move(value), delete_instead};
+}
+
+std::string StTable::SecondaryKey(size_t index_slot, const exec::Value& value,
+                                  const std::string& fid) const {
+  const int shard = strategies_.empty() ? 0 : strategies_[0]->ShardOf(fid);
   std::string key(1, static_cast<char>(shard));
-  key += IndexPrefix(def.slot);
-  key += EncodeOrderedAttrKeyPart(row[col]);
-  key += ref.fid;
-  return kv::WriteOp{std::move(key), std::move(value), delete_instead};
+  key += IndexPrefix(index_slot);
+  key += EncodeOrderedAttrKeyPart(value);
+  key += fid;
+  return key;
 }
 
 Status StTable::WriteKeys(const exec::Row& row, bool delete_instead) {

@@ -272,6 +272,11 @@ class StTable {
   /// Rewrites a strategy key (shard :: rest) as
   /// shard :: table/index prefix :: rest.
   std::string WrapKey(size_t index_slot, std::string_view strategy_key) const;
+  /// The key of a row's entry in the secondary index at `index_slot`:
+  /// shard :: table/index prefix :: order-preserving `value` :: fid, on
+  /// the base row's shard (index lookups stay shard-local).
+  std::string SecondaryKey(size_t index_slot, const exec::Value& value,
+                           const std::string& fid) const;
   std::vector<curve::KeyRange> WrapRanges(
       size_t index_slot, std::vector<curve::KeyRange> ranges) const;
 

@@ -808,7 +808,7 @@ void LsmStore::BackgroundFlush(std::unique_lock<std::shared_mutex>& lock) {
     flush_done_cv_.notify_all();
     return;
   }
-  // Permanent failure: latch it. imm_ stays readable (Get/Scan include it)
+  // Permanent failure: latch it. imm_ stays readable (Scan includes it)
   // and its WAL segments stay on disk, so acknowledged data survives a
   // restart; new writes fail fast with this status.
   bg_error_ = st.ok() ? Status::IOError("background flush failed") : st;
@@ -821,7 +821,6 @@ Status LsmStore::BuildSsTable(const SkipList& mem, uint64_t file_number,
   std::string tmp_path = final_path + ".tmp";
   SsTableBuilder::Options bopts;
   bopts.block_size = options_.block_size;
-  bopts.bloom_bits_per_key = options_.bloom_bits_per_key;
   SsTableBuilder builder(bopts);
   JUST_RETURN_NOT_OK(builder.Open(tmp_path, env_, &io_stats_));
   SkipList::Iterator it(&mem);
@@ -849,72 +848,6 @@ void LsmStore::RemoveWalSegmentsLocked(uint64_t cutoff) {
     (void)env_->RemoveFile(WalSegmentPath(*it));
     it = wal_segments_.erase(it);
   }
-}
-
-Status LsmStore::Get(std::string_view key, std::string* value) const {
-  std::string internal;
-  std::vector<std::vector<std::shared_ptr<SsTableReader>>> levels;
-  {
-    std::shared_lock lock(mu_);
-    // Newest first: active memtable, then the one being flushed.
-    if (memtable_->Get(std::string(key), &internal) ||
-        (imm_ != nullptr && imm_->Get(std::string(key), &internal))) {
-      if (internal.empty() || internal[0] == kTypeDelete) {
-        return Status::NotFound("deleted");
-      }
-      value->assign(internal.data() + 1, internal.size() - 1);
-      return Status::OK();
-    }
-    levels = levels_;  // pin: safe to search after dropping the lock
-  }
-  auto probe = [&](const SsTableReader& table, Status* st) {
-    io_stats_.get_probes.Increment();
-    *st = table.Get(key, &internal);
-    return !st->IsNotFound();
-  };
-  // L0 files may overlap, so all of them are candidates, newest first; the
-  // smallest/largest range check skips files for free (not counted as a
-  // probe — no table state is consulted).
-  for (auto it = levels[0].rbegin(); it != levels[0].rend(); ++it) {
-    const auto& table = *it;
-    if (key < std::string_view(table->smallest_key()) ||
-        key > std::string_view(table->largest_key())) {
-      continue;
-    }
-    Status st;
-    if (probe(*table, &st)) {
-      if (!st.ok()) return st;
-      if (internal.empty() || internal[0] == kTypeDelete) {
-        return Status::NotFound("deleted");
-      }
-      value->assign(internal.data() + 1, internal.size() - 1);
-      return Status::OK();
-    }
-  }
-  // Deeper levels are non-overlapping sorted runs: binary-search the ONE
-  // file whose range can hold the key. This is the bound leveled compaction
-  // exists to provide — at most L0-count + one probe per level.
-  for (size_t lvl = 1; lvl < levels.size(); ++lvl) {
-    const auto& files = levels[lvl];
-    auto it = std::lower_bound(files.begin(), files.end(), key,
-                               [](const std::shared_ptr<SsTableReader>& t,
-                                  std::string_view k) {
-                                 return std::string_view(t->largest_key()) < k;
-                               });
-    if (it == files.end() || key < std::string_view((*it)->smallest_key())) {
-      continue;
-    }
-    Status st;
-    if (probe(**it, &st)) {
-      if (!st.ok()) return st;
-      if (internal.empty() || internal[0] == kTypeDelete) {
-        return Status::NotFound("deleted");
-      }
-      value->assign(internal.data() + 1, internal.size() - 1);
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("no such key");
 }
 
 Status LsmStore::Scan(const std::vector<ScanRange>& ranges,
@@ -1320,7 +1253,6 @@ Status LsmStore::RunCompactionLocked(std::unique_lock<std::shared_mutex>& lock,
     lock.unlock();
     SsTableBuilder::Options bopts;
     bopts.block_size = options_.block_size;
-    bopts.bloom_bits_per_key = options_.bloom_bits_per_key;
     builder = std::make_unique<SsTableBuilder>(bopts);
     builder_tmp = SstPath(builder_number) + ".tmp";
     return builder->Open(builder_tmp, env_, &io_stats_);
@@ -1544,12 +1476,9 @@ LsmStore::Stats LsmStore::GetStats() const {
       stats.level_bytes[level] += table->file_size();
       stats.disk_bytes += table->file_size();
       stats.sstable_entries += table->num_entries();
-      if (table->bloom_corrupt()) ++stats.corrupt_bloom_tables;
     }
   }
   // Thin view over the registry-backed per-store counters.
-  stats.bloom_fallbacks = io_stats_.bloom_fallbacks.Value();
-  stats.bloom_prunes = io_stats_.bloom_prunes.Value();
   stats.bytes_read = io_stats_.bytes_read.Value();
   stats.bytes_written = io_stats_.bytes_written.Value();
   stats.read_ops = io_stats_.read_ops.Value();

@@ -26,6 +26,8 @@ struct StoreOptions {
   size_t memtable_bytes = 4 << 20;      ///< flush threshold
   size_t block_cache_bytes = 32 << 20;  ///< shared block cache budget
   size_t block_size = 4096;
+  /// Ignored: SSTables carry no bloom filter (the store reads only by
+  /// Scan). Kept declared so callers that still print it compile.
   int bloom_bits_per_key = 10;
   /// Start an L0->L1 compaction when L0 holds this many tables.
   int compaction_trigger = 6;
@@ -85,11 +87,11 @@ struct WriteOp {
 ///    thread that builds, fsyncs, renames, and MANIFEST-commits the SSTable.
 ///    Writers only stall if the *next* memtable also fills before the
 ///    previous flush finishes (counted in just_kv_write_stalls_total).
-///  - Snapshot reads: Get/Scan pin shared_ptr references to the memtables
-///    and SSTables under the lock (once per Scan, however many ranges it
-///    covers), then read without it — long scans never block writers, and
-///    a scan callback may call Put/Delete/Get/Flush on the same store
-///    without self-deadlocking.
+///  - Snapshot reads: Scan — the store's one read primitive — pins
+///    shared_ptr references to the memtables and SSTables under the lock
+///    (once per Scan, however many ranges it covers), then reads without
+///    it — long scans never block writers, and a scan callback may call
+///    Put/Delete/Scan/Flush on the same store without self-deadlocking.
 ///
 /// Leveled compaction (see docs/STORAGE_TUNING.md):
 ///  - Flush outputs land in L0 and may overlap each other; L1+ hold
@@ -103,10 +105,8 @@ struct WriteOp {
 ///  - Tombstones are dropped only when the output is the bottom-most data:
 ///    no level below the output holds any table, so nothing older can
 ///    resurrect. Bottom-level tables therefore never contain tombstones.
-///  - Get checks the memtables, then L0 newest-to-oldest, then — because
-///    deeper levels do not overlap — at most ONE binary-searched candidate
-///    table per L1+ level. Scan runs a k-way heap merge over one iterator
-///    per L0 table plus one per deeper level.
+///  - Scan runs a k-way heap merge over one iterator per L0 table plus —
+///    because deeper levels do not overlap — one per deeper level.
 ///
 /// Failure model (see DESIGN.md "Failure model"):
 ///  - The WAL is segmented: each memtable has its own segment(s), and a
@@ -119,9 +119,8 @@ struct WriteOp {
 ///  - Startup quarantines stray files: `.tmp` leftovers are deleted and
 ///    `.sst` files the MANIFEST does not reference are renamed to
 ///    `.quarantine` so a half-finished flush can never serve reads.
-///  - Every SSTable block and the WAL tail are CRC-checked; corruption
-///    surfaces as Status::Corruption (bloom filters degrade to always-match
-///    and are counted in Stats instead — they gate I/O, not correctness).
+///  - Every SSTable block and footer and the WAL tail are CRC-checked;
+///    corruption surfaces as Status::Corruption.
 ///  - A background-flush failure is retried a few times, then latched into
 ///    a sticky error returned by subsequent writes; the covering WAL
 ///    segments are retained, so nothing acknowledged is ever lost silently.
@@ -141,8 +140,6 @@ class LsmStore {
   /// entry) — the batch either replays fully after a crash or not at all
   /// beyond the synced prefix. This is the bulk-ingest fast path.
   Status WriteBatch(const std::vector<WriteOp>& ops);
-
-  Status Get(std::string_view key, std::string* value) const;
 
   /// Multi-range scan: every range in list order, each yielding its live
   /// rows in key order — overlapping ranges yield their shared rows once
@@ -181,12 +178,6 @@ class LsmStore {
     size_t memtable_bytes = 0;
     uint64_t disk_bytes = 0;
     uint64_t sstable_entries = 0;  ///< includes not-yet-compacted duplicates
-    /// Tables whose bloom block failed its checksum (serving via fallback).
-    size_t corrupt_bloom_tables = 0;
-    /// Point lookups that could not use a bloom filter and searched anyway.
-    uint64_t bloom_fallbacks = 0;
-    /// Point lookups a bloom filter pruned without touching data blocks.
-    uint64_t bloom_prunes = 0;
     /// Files quarantined at the last recovery (stray `.sst` leftovers).
     size_t quarantined_files = 0;
     uint64_t bytes_read = 0;

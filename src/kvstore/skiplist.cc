@@ -83,15 +83,6 @@ void SkipList::AppendRange(
   }
 }
 
-bool SkipList::Get(const std::string& key, std::string* value) const {
-  Node* node = FindGreaterOrEqual(key, nullptr);
-  if (node != nullptr && node->key == key) {
-    *value = node->value;
-    return true;
-  }
-  return false;
-}
-
 void SkipList::Iterator::SeekToFirst() { node_ = list_->head_->next[0]; }
 
 void SkipList::Iterator::Seek(const std::string& target) {

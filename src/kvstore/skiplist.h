@@ -26,9 +26,6 @@ class SkipList {
   /// Inserts or overwrites `key`.
   void Put(const std::string& key, std::string value);
 
-  /// Returns true and sets *value if present.
-  bool Get(const std::string& key, std::string* value) const;
-
   /// Appends every entry in [start, end) to `out` in key order (`end` empty
   /// means "to the last key"). Snapshot scans use this to copy the *mutable*
   /// memtable's window under the store lock, then merge lock-free — the

@@ -1,5 +1,6 @@
 #include "kvstore/sstable.h"
 
+#include <atomic>
 #include <chrono>
 
 #include "common/bytes.h"
@@ -11,8 +12,8 @@ namespace just::kv {
 namespace {
 // "JUSTSST\1": version 1 adds per-block + footer CRCs.
 constexpr uint64_t kTableMagic = 0x4A55535453535401ull;
-// bloom handle (16) + index handle (16) + num_entries (8) + magic (8)
-// + footer crc (4).
+// reserved handle (16) + index handle (16) + num_entries (8) + magic (8)
+// + footer crc (4). Writers zero the reserved handle; readers skip it.
 constexpr size_t kFooterSize = 52;
 constexpr size_t kBlockTrailerSize = 4;  // CRC32 of the block payload
 }  // namespace
@@ -25,12 +26,6 @@ IoStats::IoStats() {
                         [this] { return read_ops.Value(); });
   sources_.emplace_back("just_kv_bytes_written_total", SK::kCumulative,
                         [this] { return bytes_written.Value(); });
-  sources_.emplace_back("just_kv_bloom_prunes_total", SK::kCumulative,
-                        [this] { return bloom_prunes.Value(); });
-  sources_.emplace_back("just_kv_bloom_fallbacks_total", SK::kCumulative,
-                        [this] { return bloom_fallbacks.Value(); });
-  sources_.emplace_back("just_kv_get_sst_probes_total", SK::kCumulative,
-                        [this] { return get_probes.Value(); });
 }
 
 IoStats& OrphanIoStats() {
@@ -68,8 +63,7 @@ SsTableBuilder::SsTableBuilder() : SsTableBuilder(Options()) {}
 SsTableBuilder::SsTableBuilder(Options options)
     : options_(options),
       data_block_(options.restart_interval),
-      index_block_(options.restart_interval),
-      bloom_(options.bloom_bits_per_key) {}
+      index_block_(options.restart_interval) {}
 
 Status SsTableBuilder::Open(const std::string& path, Env* env, IoStats* io) {
   if (env == nullptr) env = Env::Default();
@@ -110,7 +104,6 @@ Status SsTableBuilder::Add(std::string_view key, std::string_view value) {
     index_block_.Add(pending_index_key_, handle);
     pending_index_ = false;
   }
-  bloom_.AddKey(key);
   data_block_.Add(key, value);
   last_key_.assign(key.data(), key.size());
   ++num_entries_;
@@ -138,15 +131,13 @@ Status SsTableBuilder::Finish() {
     index_block_.Add(pending_index_key_, handle);
     pending_index_ = false;
   }
-  uint64_t bloom_offset, bloom_size;
-  JUST_RETURN_NOT_OK(WriteBlock(bloom_.Finish(), &bloom_offset, &bloom_size));
   uint64_t index_offset, index_size;
   JUST_RETURN_NOT_OK(
       WriteBlock(index_block_.Finish(), &index_offset, &index_size));
 
   std::string footer;
-  PutFixed64(&footer, bloom_offset);
-  PutFixed64(&footer, bloom_size);
+  PutFixed64(&footer, 0);  // reserved handle: offset
+  PutFixed64(&footer, 0);  // and size
   PutFixed64(&footer, index_offset);
   PutFixed64(&footer, index_size);
   PutFixed64(&footer, num_entries_);
@@ -193,26 +184,12 @@ Result<std::shared_ptr<SsTableReader>> SsTableReader::Open(
       GetFixed32(p + kFooterSize - 4)) {
     return Status::Corruption("sstable footer checksum mismatch: " + path);
   }
-  uint64_t bloom_offset = GetFixed64(p);
-  uint64_t bloom_size = GetFixed64(p + 8);
+  // p[0, 16) is the reserved handle, never read.
   uint64_t index_offset = GetFixed64(p + 16);
   uint64_t index_size = GetFixed64(p + 24);
   table->num_entries_ = GetFixed64(p + 32);
   if (GetFixed64(p + 40) != kTableMagic) {
     return Status::Corruption("bad sstable magic: " + path);
-  }
-
-  // Bloom block: corruption degrades to always-match (counted), because the
-  // filter only prunes lookups — losing it costs I/O, never correctness.
-  std::string bloom_raw(bloom_size + kBlockTrailerSize, '\0');
-  JUST_RETURN_NOT_OK(
-      table->ReadAt(bloom_offset, bloom_raw.size(), bloom_raw.data()));
-  if (Crc32(std::string_view(bloom_raw.data(), bloom_size)) ==
-      GetFixed32(bloom_raw.data() + bloom_size)) {
-    bloom_raw.resize(bloom_size);
-    table->bloom_data_ = std::move(bloom_raw);
-  } else {
-    table->bloom_corrupt_ = true;
   }
 
   // Index block: corruption is fatal for the table.
@@ -266,28 +243,6 @@ Result<std::shared_ptr<Block>> SsTableReader::ReadCheckedBlock(
     return Status::Corruption("block checksum mismatch in " + path_);
   }
   return Block::Parse(std::move(data), size);
-}
-
-Status SsTableReader::Get(std::string_view key, std::string* value) const {
-  BloomFilter bloom(bloom_data_);
-  if (!bloom.valid()) {
-    // Corrupt or missing filter: count the fallback, search unconditionally.
-    bloom_fallback_lookups_.fetch_add(1, std::memory_order_relaxed);
-    io_->bloom_fallbacks.Increment();
-    obs::TraceBloomFallback();
-  } else if (!bloom.MayContain(key)) {
-    io_->bloom_prunes.Increment();
-    obs::TraceBloomPrune();
-    return Status::NotFound("bloom miss");
-  }
-  Iterator it(this);
-  it.Seek(key);
-  JUST_RETURN_NOT_OK(it.status());
-  if (it.Valid() && std::string_view(it.key()) == key) {
-    value->assign(it.value().data(), it.value().size());
-    return Status::OK();
-  }
-  return Status::NotFound("key not in table");
 }
 
 SsTableReader::Iterator::Iterator(const SsTableReader* table)

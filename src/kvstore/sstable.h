@@ -1,7 +1,6 @@
 #ifndef JUST_KVSTORE_SSTABLE_H_
 #define JUST_KVSTORE_SSTABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -11,7 +10,6 @@
 #include "common/lru_cache.h"
 #include "common/status.h"
 #include "kvstore/block.h"
-#include "kvstore/bloom.h"
 #include "kvstore/env.h"
 #include "obs/metrics.h"
 
@@ -27,13 +25,6 @@ struct IoStats {
   obs::Counter bytes_read;
   obs::Counter read_ops;
   obs::Counter bytes_written;
-  obs::Counter bloom_prunes;     ///< point lookups a bloom filter skipped
-  obs::Counter bloom_fallbacks;  ///< lookups with no usable bloom filter
-  /// SSTables consulted per Get after level pruning (the store's point-read
-  /// amplification: probes / gets). A probe still counts when the table's
-  /// bloom filter then skips the data blocks — the bound leveled compaction
-  /// buys is on tables *considered*, not blocks read.
-  obs::Counter get_probes;
 
   IoStats();
 
@@ -73,18 +64,19 @@ struct BlockCacheKeyHash {
 using BlockCache = LruCache<BlockCacheKey, Block, BlockCacheKeyHash>;
 
 /// Writes an immutable sorted-string table:
-///   [data blocks][bloom block][index block][footer]
-/// Every block (data, bloom, index) carries a CRC32 trailer, and the footer
-/// is CRC-protected too, so any single flipped byte on disk is detected at
+///   [data blocks][index block][footer]
+/// Every block (data, index) carries a CRC32 trailer, and the footer is
+/// CRC-protected too, so any single flipped byte on disk is detected at
 /// read time instead of surfacing as wrong rows (the HDFS-checksum role).
 /// Index entries map each data block's last key to its (offset, size); the
-/// recorded size excludes the 4-byte CRC trailer.
+/// recorded size excludes the 4-byte CRC trailer. The footer's first slot
+/// is a reserved block handle, written as (0, 0); older tables point it at
+/// a filter block between the data and the index, which readers skip.
 class SsTableBuilder {
  public:
   struct Options {
     size_t block_size = 4096;
     int restart_interval = 16;
-    int bloom_bits_per_key = 10;
   };
 
   SsTableBuilder();
@@ -118,7 +110,6 @@ class SsTableBuilder {
   std::string path_;
   BlockBuilder data_block_;
   BlockBuilder index_block_;
-  BloomFilterBuilder bloom_;
   uint64_t offset_ = 0;
   uint64_t num_entries_ = 0;
   std::string last_key_;
@@ -129,26 +120,21 @@ class SsTableBuilder {
 };
 
 /// Read side of an SSTable. Thread-safe: reads use pread. Every block read
-/// is CRC-verified; a mismatch surfaces as Status::Corruption, except for
-/// the bloom filter, which degrades to always-match (it is an optimization,
-/// not a correctness gate) and is counted via bloom_fallback_lookups().
+/// is CRC-verified; a mismatch surfaces as Status::Corruption. Reads go
+/// through Iterator only: the store has no point-lookup path.
 class SsTableReader {
  public:
   ~SsTableReader() = default;
 
-  /// Opens the file and loads the footer, index, and bloom filter. `cache`
-  /// may be null (blocks are then read per access). `file_id` must be unique
-  /// per open table for cache keying. `env` nullptr means Env::Default();
-  /// `io` nullptr means OrphanIoStats().
+  /// Opens the file and loads the footer and index. `cache` may be null
+  /// (blocks are then read per access). `file_id` must be unique per open
+  /// table for cache keying. `env` nullptr means Env::Default(); `io`
+  /// nullptr means OrphanIoStats().
   static Result<std::shared_ptr<SsTableReader>> Open(const std::string& path,
                                                      uint64_t file_id,
                                                      BlockCache* cache,
                                                      Env* env = nullptr,
                                                      IoStats* io = nullptr);
-
-  /// Point lookup. Returns Corruption if the consulted blocks fail their
-  /// checksum.
-  Status Get(std::string_view key, std::string* value) const;
 
   /// Two-level iterator over the whole table. A block that fails its CRC
   /// makes the iterator invalid with a non-OK status() — callers must check
@@ -189,15 +175,6 @@ class SsTableReader {
   const std::string& largest_key() const { return largest_key_; }
   const std::string& path() const { return path_; }
 
-  /// True when the bloom block failed its checksum at open; lookups then
-  /// fall back to always-match.
-  bool bloom_corrupt() const { return bloom_corrupt_; }
-  /// Lookups that could not use the bloom filter (corrupt or invalid) and
-  /// had to search the table unconditionally.
-  uint64_t bloom_fallback_lookups() const {
-    return bloom_fallback_lookups_.load(std::memory_order_relaxed);
-  }
-
  private:
   SsTableReader() = default;
 
@@ -219,9 +196,6 @@ class SsTableReader {
   uint64_t file_size_ = 0;
   uint64_t num_entries_ = 0;
   std::shared_ptr<Block> index_;
-  std::string bloom_data_;
-  bool bloom_corrupt_ = false;
-  mutable std::atomic<uint64_t> bloom_fallback_lookups_{0};
   std::string smallest_key_;
   std::string largest_key_;
   BlockCache* cache_ = nullptr;

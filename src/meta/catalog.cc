@@ -23,6 +23,19 @@ std::shared_ptr<exec::Schema> TableMeta::MakeSchema() const {
   return schema;
 }
 
+void TableMeta::InferSpecialColumns() {
+  for (const ColumnDef& col : columns) {
+    if (fid_column.empty() && col.primary_key) fid_column = col.name;
+    if (geom_column.empty() && (col.type == exec::DataType::kGeometry ||
+                                col.type == exec::DataType::kTrajectory)) {
+      geom_column = col.name;
+    }
+    if (time_column.empty() && col.type == exec::DataType::kTimestamp) {
+      time_column = col.name;
+    }
+  }
+}
+
 const SecondaryIndexDef* TableMeta::FindSecondaryIndex(
     const std::string& index_name) const {
   for (const SecondaryIndexDef& def : secondary_indexes) {

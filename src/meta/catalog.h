@@ -82,6 +82,10 @@ struct TableMeta {
 
   int ColumnIndex(const std::string& column_name) const;
   std::shared_ptr<exec::Schema> MakeSchema() const;
+  /// Fills whichever special columns are unset: fid from the first
+  /// primary-key column, geom from the first geometry or trajectory column,
+  /// time from the first timestamp column.
+  void InferSpecialColumns();
   /// The secondary index named `index_name`, or nullptr.
   const SecondaryIndexDef* FindSecondaryIndex(
       const std::string& index_name) const;

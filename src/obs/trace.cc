@@ -122,8 +122,6 @@ JUST_SPAN_TOTAL(TotalBytesRead, bytes_read)
 JUST_SPAN_TOTAL(TotalKeyRanges, key_ranges)
 JUST_SPAN_TOTAL(TotalCacheHits, cache_hits)
 JUST_SPAN_TOTAL(TotalCacheMisses, cache_misses)
-JUST_SPAN_TOTAL(TotalBloomPrunes, bloom_prunes)
-JUST_SPAN_TOTAL(TotalBloomFallbacks, bloom_fallbacks)
 JUST_SPAN_TOTAL(TotalRowsScanned, rows_scanned)
 
 #undef JUST_SPAN_TOTAL
@@ -158,10 +156,6 @@ std::string TraceSpan::ToString(int indent) const {
                       static_cast<double>(hits + misses));
     out += buf;
   }
-  AppendCounter(&out, "bloom_prunes",
-                c.bloom_prunes.load(std::memory_order_relaxed));
-  AppendCounter(&out, "bloom_fallbacks",
-                c.bloom_fallbacks.load(std::memory_order_relaxed));
   AppendCounter(&out, "batches", c.batches.load(std::memory_order_relaxed));
   AppendCounter(&out, "eval_specialized_us",
                 c.eval_specialized_ns.load(std::memory_order_relaxed) / 1000);
@@ -206,9 +200,6 @@ std::string TraceSpan::ToJson() const {
   add("read_ops", c.read_ops.load(std::memory_order_relaxed), &fc);
   add("cache_hits", c.cache_hits.load(std::memory_order_relaxed), &fc);
   add("cache_misses", c.cache_misses.load(std::memory_order_relaxed), &fc);
-  add("bloom_prunes", c.bloom_prunes.load(std::memory_order_relaxed), &fc);
-  add("bloom_fallbacks", c.bloom_fallbacks.load(std::memory_order_relaxed),
-      &fc);
   add("batches", c.batches.load(std::memory_order_relaxed), &fc);
   add("eval_specialized_ns",
       c.eval_specialized_ns.load(std::memory_order_relaxed), &fc);

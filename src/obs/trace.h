@@ -21,8 +21,6 @@ struct SpanCounters {
   std::atomic<uint64_t> read_ops{0};
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> bloom_prunes{0};     ///< lookups a bloom filter skipped
-  std::atomic<uint64_t> bloom_fallbacks{0};  ///< lookups with no usable bloom
   std::atomic<uint64_t> key_ranges{0};       ///< SCANs issued
   std::atomic<uint64_t> rows_scanned{0};     ///< KV pairs before refinement
   std::atomic<uint64_t> rows_matched{0};     ///< rows surviving refinement
@@ -69,8 +67,6 @@ class TraceSpan {
   uint64_t TotalKeyRanges() const;
   uint64_t TotalCacheHits() const;
   uint64_t TotalCacheMisses() const;
-  uint64_t TotalBloomPrunes() const;
-  uint64_t TotalBloomFallbacks() const;
   uint64_t TotalRowsScanned() const;
 
   /// Indented rendering: one line per span with wall time, attributes, and
@@ -164,8 +160,6 @@ inline void TraceBytesRead(uint64_t n) {
 }
 inline void TraceCacheHit() { TraceAdd(&SpanCounters::cache_hits, 1); }
 inline void TraceCacheMiss() { TraceAdd(&SpanCounters::cache_misses, 1); }
-inline void TraceBloomPrune() { TraceAdd(&SpanCounters::bloom_prunes, 1); }
-inline void TraceBloomFallback() { TraceAdd(&SpanCounters::bloom_fallbacks, 1); }
 inline void TraceKeyRanges(uint64_t n) { TraceAdd(&SpanCounters::key_ranges, n); }
 inline void TraceRowsScanned(uint64_t n) {
   TraceAdd(&SpanCounters::rows_scanned, n);

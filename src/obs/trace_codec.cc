@@ -13,14 +13,13 @@ Status Malformed(const char* what) {
 }
 
 /// Stable wire ids for SpanCounters fields. Never renumber; new counters
-/// append new ids and old decoders skip them.
+/// append new ids and old decoders skip them. Ids 5 and 6 belonged to
+/// retired counters: decoders skip them and they are never reused.
 enum CounterId : uint32_t {
   kBytesRead = 1,
   kReadOps = 2,
   kCacheHits = 3,
   kCacheMisses = 4,
-  kBloomPrunes = 5,
-  kBloomFallbacks = 6,
   kKeyRanges = 7,
   kRowsScanned = 8,
   kRowsMatched = 9,
@@ -48,8 +47,6 @@ uint32_t CountNonZero(const SpanCounters& c) {
   tick(LoadCounter(c, &SpanCounters::read_ops));
   tick(LoadCounter(c, &SpanCounters::cache_hits));
   tick(LoadCounter(c, &SpanCounters::cache_misses));
-  tick(LoadCounter(c, &SpanCounters::bloom_prunes));
-  tick(LoadCounter(c, &SpanCounters::bloom_fallbacks));
   tick(LoadCounter(c, &SpanCounters::key_ranges));
   tick(LoadCounter(c, &SpanCounters::rows_scanned));
   tick(LoadCounter(c, &SpanCounters::rows_matched));
@@ -69,9 +66,6 @@ void EncodeSpan(const TraceSpan& span, std::string* out) {
   PutCounter(out, kReadOps, LoadCounter(c, &SpanCounters::read_ops));
   PutCounter(out, kCacheHits, LoadCounter(c, &SpanCounters::cache_hits));
   PutCounter(out, kCacheMisses, LoadCounter(c, &SpanCounters::cache_misses));
-  PutCounter(out, kBloomPrunes, LoadCounter(c, &SpanCounters::bloom_prunes));
-  PutCounter(out, kBloomFallbacks,
-             LoadCounter(c, &SpanCounters::bloom_fallbacks));
   PutCounter(out, kKeyRanges, LoadCounter(c, &SpanCounters::key_ranges));
   PutCounter(out, kRowsScanned, LoadCounter(c, &SpanCounters::rows_scanned));
   PutCounter(out, kRowsMatched, LoadCounter(c, &SpanCounters::rows_matched));
@@ -105,12 +99,6 @@ void StoreCounter(SpanCounters* c, uint32_t id, uint64_t value) {
       break;
     case kCacheMisses:
       c->cache_misses.store(value, std::memory_order_relaxed);
-      break;
-    case kBloomPrunes:
-      c->bloom_prunes.store(value, std::memory_order_relaxed);
-      break;
-    case kBloomFallbacks:
-      c->bloom_fallbacks.store(value, std::memory_order_relaxed);
       break;
     case kKeyRanges:
       c->key_ranges.store(value, std::memory_order_relaxed);

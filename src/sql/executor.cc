@@ -48,13 +48,12 @@ bool IsAnalysisProject(const PlanNode& plan) {
          FindPartitionFunction(fn) != nullptr;
 }
 
-/// The plan-cache tag scoping compiled programs to one catalog entry.
+}  // namespace
+
 std::string TableCacheTag(const meta::TableMeta& table_meta) {
   return std::to_string(table_meta.table_id) + ":" +
          std::to_string(table_meta.generation);
 }
-
-}  // namespace
 
 Result<exec::DataFrame> Executor::ExecuteAnalysisProject(
     const PlanNode& node, core::QueryStats* stats) {

@@ -15,6 +15,10 @@
 
 namespace just::sql {
 
+/// The plan-cache tag ("table_id:generation") scoping compiled programs to
+/// one catalog entry; see PredicateProgramCache::GetOrCompile.
+std::string TableCacheTag(const meta::TableMeta& table_meta);
+
 /// Physical execution (Section VI, "SQL Execute"): spatial / spatio-temporal
 /// / k-NN / secondary-index predicates adjacent to a table scan become one
 /// JustEngine::Query (GeoMesa key-range SCANs); everything else runs as

@@ -244,33 +244,13 @@ Result<QueryResult> JustQL::ExecuteParsed(const std::string& user,
         col.compress = decl.compress;
         table.columns.push_back(std::move(col));
       }
-      // Engine fills special columns + default indexes; USERDATA overrides.
-      // Defaults must be computed before overrides, so create via engine
-      // only when no USERDATA; otherwise prepare, apply, then create.
-      if (create.userdata_json.empty()) {
-        JUST_RETURN_NOT_OK(engine_->CreateTable(std::move(table)));
-      } else {
-        // Let the engine infer special columns by round-tripping through
-        // its defaulting logic first.
-        meta::TableMeta prepared = table;
-        // Infer special columns the same way CreateTable does.
-        for (const auto& col : prepared.columns) {
-          if (prepared.fid_column.empty() && col.primary_key) {
-            prepared.fid_column = col.name;
-          }
-          if (prepared.geom_column.empty() &&
-              (col.type == exec::DataType::kGeometry ||
-               col.type == exec::DataType::kTrajectory)) {
-            prepared.geom_column = col.name;
-          }
-          if (prepared.time_column.empty() &&
-              col.type == exec::DataType::kTimestamp) {
-            prepared.time_column = col.name;
-          }
-        }
-        JUST_RETURN_NOT_OK(ApplyUserdata(create.userdata_json, &prepared));
-        JUST_RETURN_NOT_OK(engine_->CreateTable(std::move(prepared)));
+      // The engine fills special columns and default indexes; USERDATA
+      // overrides apply on top of the inferred special columns.
+      if (!create.userdata_json.empty()) {
+        table.InferSpecialColumns();
+        JUST_RETURN_NOT_OK(ApplyUserdata(create.userdata_json, &table));
       }
+      JUST_RETURN_NOT_OK(engine_->CreateTable(std::move(table)));
       result.message = "table created: " + create.name;
       return result;
     }
@@ -316,9 +296,7 @@ Result<QueryResult> JustQL::ExecuteParsed(const std::string& user,
       spec.window_ms = cq.window_ms;
       // Same cache tag as the executor's scans: the CQ shares the compiled
       // predicate program with ad-hoc queries of this catalog generation.
-      const std::string cache_tag = std::to_string(table_meta.table_id) +
-                                    ":" +
-                                    std::to_string(table_meta.generation);
+      const std::string cache_tag = TableCacheTag(table_meta);
       int fid_col = table_meta.fid_column.empty()
                         ? -1
                         : table_meta.ColumnIndex(table_meta.fid_column);

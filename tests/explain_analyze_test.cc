@@ -177,10 +177,6 @@ TEST_F(ExplainAnalyzeTest, AnalyzeCountersMatchRegistryDelta) {
             delta("just_kv_block_cache_hits_total"));
   EXPECT_EQ(SumToken(msg, " cache_misses="),
             delta("just_kv_block_cache_misses_total"));
-  EXPECT_EQ(SumToken(msg, " bloom_prunes="),
-            delta("just_kv_bloom_prunes_total"));
-  EXPECT_EQ(SumToken(msg, " bloom_fallbacks="),
-            delta("just_kv_bloom_fallbacks_total"));
 
   // Planner/refinement attribution.
   EXPECT_EQ(SumToken(msg, " rows_scanned="),

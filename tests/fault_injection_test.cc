@@ -112,7 +112,7 @@ void VerifyAcknowledgedState(const std::string& dir, const WorkloadResult& r,
   for (const auto& [key, value] : r.live) {
     if (r.ambiguous.count(key)) continue;
     std::string got;
-    Status st = store->Get(key, &got);
+    Status st = GetKey(*store, key, &got);
     ASSERT_TRUE(st.ok()) << context << ": acked key " << key
                          << " lost: " << st.ToString();
     EXPECT_EQ(got, value) << context << ": acked key " << key << " corrupted";
@@ -120,7 +120,7 @@ void VerifyAcknowledgedState(const std::string& dir, const WorkloadResult& r,
   for (const auto& key : r.deleted) {
     if (r.ambiguous.count(key)) continue;
     std::string got;
-    EXPECT_TRUE(store->Get(key, &got).IsNotFound())
+    EXPECT_TRUE(GetKey(*store, key, &got).IsNotFound())
         << context << ": acked delete of " << key << " resurrected";
   }
 }

@@ -10,7 +10,6 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "kvstore/block.h"
-#include "kvstore/bloom.h"
 #include "kvstore/lsm_store.h"
 #include "kvstore/skiplist.h"
 #include "kvstore/sstable.h"
@@ -28,6 +27,7 @@ bool CpuHasClmul();
 
 namespace {
 
+using just::testing::GetKey;
 using just::testing::TempDir;
 
 // --- SkipList ---
@@ -37,13 +37,17 @@ TEST(SkipListTest, PutGetOverwrite) {
   list.Put("b", "2");
   list.Put("a", "1");
   list.Put("c", "3");
-  std::string v;
-  EXPECT_TRUE(list.Get("a", &v));
-  EXPECT_EQ(v, "1");
+  SkipList::Iterator it(&list);
+  it.Seek("a");
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), "a");
+  EXPECT_EQ(it.value(), "1");
   list.Put("a", "updated");
-  EXPECT_TRUE(list.Get("a", &v));
-  EXPECT_EQ(v, "updated");
-  EXPECT_FALSE(list.Get("zz", &v));
+  it.Seek("a");
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.value(), "updated");
+  it.Seek("zz");
+  EXPECT_FALSE(it.Valid());
   EXPECT_EQ(list.size(), 3u);
 }
 
@@ -82,40 +86,6 @@ TEST(SkipListTest, SeekFindsLowerBound) {
   EXPECT_EQ(it.key(), "000");
   it.Seek("999");
   EXPECT_FALSE(it.Valid());
-}
-
-// --- Bloom ---
-
-TEST(BloomTest, NoFalseNegatives) {
-  BloomFilterBuilder builder(10);
-  std::vector<std::string> keys;
-  for (int i = 0; i < 2000; ++i) {
-    keys.push_back("key" + std::to_string(i));
-    builder.AddKey(keys.back());
-  }
-  std::string data = builder.Finish();
-  BloomFilter filter(data);
-  for (const auto& key : keys) {
-    EXPECT_TRUE(filter.MayContain(key)) << key;
-  }
-}
-
-TEST(BloomTest, LowFalsePositiveRate) {
-  BloomFilterBuilder builder(10);
-  for (int i = 0; i < 2000; ++i) builder.AddKey("key" + std::to_string(i));
-  std::string data = builder.Finish();
-  BloomFilter filter(data);
-  int false_positives = 0;
-  for (int i = 0; i < 10000; ++i) {
-    if (filter.MayContain("absent" + std::to_string(i))) ++false_positives;
-  }
-  // 10 bits/key gives ~1%; allow generous slack.
-  EXPECT_LT(false_positives, 500);
-}
-
-TEST(BloomTest, EmptyFilterMatchesAll) {
-  BloomFilter filter("");
-  EXPECT_TRUE(filter.MayContain("anything"));
 }
 
 // --- Block ---
@@ -358,9 +328,9 @@ TEST(SsTableTest, BuildOpenGetIterate) {
   EXPECT_EQ((*reader)->num_entries(), 5000u);
 
   std::string v;
-  EXPECT_TRUE((*reader)->Get("key000123", &v).ok());
+  EXPECT_TRUE(GetKey(**reader, "key000123", &v).ok());
   EXPECT_EQ(v, model["key000123"]);
-  EXPECT_TRUE((*reader)->Get("missing", &v).IsNotFound());
+  EXPECT_TRUE(GetKey(**reader, "missing", &v).IsNotFound());
 
   SsTableReader::Iterator it(reader->get());
   auto mit = model.begin();
@@ -422,9 +392,9 @@ TEST(SsTableTest, BlockCacheServesRepeatedReads) {
   auto reader = SsTableReader::Open(path, 3, &cache);
   ASSERT_TRUE(reader.ok());
   std::string v;
-  ASSERT_TRUE((*reader)->Get("key000100", &v).ok());
+  ASSERT_TRUE(GetKey(**reader, "key000100", &v).ok());
   uint64_t misses_after_first = cache.misses();
-  ASSERT_TRUE((*reader)->Get("key000100", &v).ok());
+  ASSERT_TRUE(GetKey(**reader, "key000100", &v).ok());
   EXPECT_GT(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), misses_after_first);  // second read from cache
 }
@@ -450,9 +420,9 @@ TEST(SsTableTest, BlockCacheKeysByFileAndOffset) {
   EXPECT_EQ(cache.misses(), 2u);
   const uint64_t hits_after_open = cache.hits();
   std::string v;
-  ASSERT_TRUE(readers[0]->Get("key", &v).ok());
+  ASSERT_TRUE(GetKey(*readers[0], "key", &v).ok());
   EXPECT_EQ(v, "from7");
-  ASSERT_TRUE(readers[1]->Get("key", &v).ok());
+  ASSERT_TRUE(GetKey(*readers[1], "key", &v).ok());
   EXPECT_EQ(v, "from8");
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), hits_after_open + 2);
@@ -515,10 +485,76 @@ TEST(SsTableTest, EveryFlippedByteOfADataBlockIsCorruption) {
     EXPECT_TRUE(it.status().IsCorruption()) << "flip at " << at;
     ASSERT_NE(mit, model.end());
     std::string v;
-    EXPECT_TRUE((*reader)->Get(mit->first, &v).IsCorruption())
+    EXPECT_TRUE(GetKey(**reader, mit->first, &v).IsCorruption())
         << "flip at " << at;
   }
   EXPECT_GE(flips, 16);
+}
+
+TEST(SsTableTest, BloomHandleIsIgnored) {
+  // Tables from older builds hold a bloom block between the data and the
+  // index, named by the footer's first handle. Rebuild a fresh table in
+  // that layout, with a garbage block that fails its own CRC: the reader
+  // never reads that handle, so the table opens and scans the same rows.
+  TempDir dir("sst_bloom_handle");
+  const std::string path = dir.path() + "/t.sst";
+  std::map<std::string, std::string> model;
+  SsTableBuilder::Options opts;
+  opts.block_size = 256;
+  SsTableBuilder builder(opts);
+  ASSERT_TRUE(builder.Open(path).ok());
+  for (int i = 0; i < 300; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key%06d", i);
+    model[key] = "value" + std::to_string(i);
+    ASSERT_TRUE(builder.Add(key, model[key]).ok());
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  std::string clean;
+  {
+    std::ifstream in(path, std::ios::binary);
+    clean.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  constexpr size_t kFooter = 52;
+  const char* footer = clean.data() + clean.size() - kFooter;
+  // New tables write a zero handle.
+  EXPECT_EQ(GetFixed64(footer), 0u);
+  EXPECT_EQ(GetFixed64(footer + 8), 0u);
+  const uint64_t index_offset = GetFixed64(footer + 16);
+  const uint64_t index_size = GetFixed64(footer + 24);
+
+  const std::string garbage(64, '\xA5');  // payload + 4 bytes of bad CRC
+  ASSERT_NE(Crc32(std::string_view(garbage.data(), garbage.size() - 4)),
+            GetFixed32(garbage.data() + garbage.size() - 4));
+  std::string old_layout = clean.substr(0, index_offset) + garbage +
+                           clean.substr(index_offset, index_size + 4);
+  std::string old_footer;
+  PutFixed64(&old_footer, index_offset);
+  PutFixed64(&old_footer, garbage.size() - 4);
+  PutFixed64(&old_footer, index_offset + garbage.size());
+  old_footer.append(footer + 24, 24);  // index size, entries, magic
+  PutFixed32(&old_footer, Crc32(old_footer));
+  ASSERT_EQ(old_footer.size(), kFooter);
+  old_layout += old_footer;
+  const std::string old_path = dir.path() + "/old.sst";
+  {
+    std::ofstream out(old_path, std::ios::binary | std::ios::trunc);
+    out.write(old_layout.data(),
+              static_cast<std::streamsize>(old_layout.size()));
+  }
+
+  auto reader = SsTableReader::Open(old_path, 1, nullptr);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ((*reader)->num_entries(), model.size());
+  SsTableReader::Iterator it(reader->get());
+  auto mit = model.begin();
+  for (it.SeekToFirst(); it.Valid(); it.Next(), ++mit) {
+    ASSERT_NE(mit, model.end());
+    EXPECT_EQ(it.key(), mit->first);
+    EXPECT_EQ(std::string(it.value()), mit->second);
+  }
+  EXPECT_TRUE(it.status().ok()) << it.status().ToString();
+  EXPECT_EQ(mit, model.end());
 }
 
 TEST(SsTableTest, CorruptFileRejected) {
@@ -547,10 +583,10 @@ TEST(LsmStoreTest, PutGetDelete) {
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("a", "1").ok());
   std::string v;
-  EXPECT_TRUE((*store)->Get("a", &v).ok());
+  EXPECT_TRUE(GetKey(**store, "a", &v).ok());
   EXPECT_EQ(v, "1");
   ASSERT_TRUE((*store)->Delete("a").ok());
-  EXPECT_TRUE((*store)->Get("a", &v).IsNotFound());
+  EXPECT_TRUE(GetKey(**store, "a", &v).IsNotFound());
 }
 
 TEST(LsmStoreTest, ModelBasedRandomOps) {
@@ -575,7 +611,7 @@ TEST(LsmStoreTest, ModelBasedRandomOps) {
   for (int i = 0; i < 500; ++i) {
     std::string key = "k" + std::to_string(i);
     std::string v;
-    Status st = store->Get(key, &v);
+    Status st = GetKey(*store, key, &v);
     auto mit = model.find(key);
     if (mit == model.end()) {
       EXPECT_TRUE(st.IsNotFound()) << key;
@@ -732,7 +768,7 @@ TEST(LsmStoreTest, NewestVersionWinsAcrossFlushes) {
   ASSERT_TRUE((*store)->Put("key", "new").ok());
   ASSERT_TRUE((*store)->Flush().ok());
   std::string v;
-  ASSERT_TRUE((*store)->Get("key", &v).ok());
+  ASSERT_TRUE(GetKey(**store, "key", &v).ok());
   EXPECT_EQ(v, "new");
   // Scan also sees exactly one version.
   int count = 0;
@@ -755,7 +791,7 @@ TEST(LsmStoreTest, TombstoneMasksOlderSstEntry) {
   ASSERT_TRUE((*store)->Flush().ok());
   ASSERT_TRUE((*store)->Delete("doomed").ok());
   std::string v;
-  EXPECT_TRUE((*store)->Get("doomed", &v).IsNotFound());
+  EXPECT_TRUE(GetKey(**store, "doomed", &v).IsNotFound());
   int count = 0;
   ASSERT_TRUE((*store)
                   ->Scan({{"", ""}},
@@ -779,9 +815,9 @@ TEST(LsmStoreTest, RecoversFromWalAfterReopen) {
   auto store = LsmStore::Open(SmallStore(dir.path()));
   ASSERT_TRUE(store.ok());
   std::string v;
-  EXPECT_TRUE((*store)->Get("persist1", &v).ok());
+  EXPECT_TRUE(GetKey(**store, "persist1", &v).ok());
   EXPECT_EQ(v, "a");
-  EXPECT_TRUE((*store)->Get("persist2", &v).ok());
+  EXPECT_TRUE(GetKey(**store, "persist2", &v).ok());
   EXPECT_EQ(v, "b");
 }
 
@@ -800,7 +836,7 @@ TEST(LsmStoreTest, RecoversSstablesViaManifest) {
   ASSERT_TRUE(store.ok());
   std::string v;
   for (int i = 0; i < 2000; i += 97) {
-    EXPECT_TRUE((*store)->Get("key" + std::to_string(i), &v).ok()) << i;
+    EXPECT_TRUE(GetKey(**store, "key" + std::to_string(i), &v).ok()) << i;
   }
 }
 
@@ -823,9 +859,9 @@ TEST(LsmStoreTest, CompactionMergesToOneTableAndDropsTombstones) {
   EXPECT_EQ(stats.num_sstables, 1u);
   EXPECT_EQ(stats.sstable_entries, 99u);  // 100 keys - 1 deleted, no dupes
   std::string v;
-  ASSERT_TRUE((*store)->Get("key1", &v).ok());
+  ASSERT_TRUE(GetKey(**store, "key1", &v).ok());
   EXPECT_EQ(v, "round2");
-  EXPECT_TRUE((*store)->Get("key50", &v).IsNotFound());
+  EXPECT_TRUE(GetKey(**store, "key50", &v).IsNotFound());
 }
 
 TEST(LsmStoreTest, AutomaticFlushOnMemtableLimit) {

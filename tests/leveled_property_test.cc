@@ -23,6 +23,7 @@
 namespace just::kv {
 namespace {
 
+using just::testing::GetKey;
 using just::testing::TempDir;
 
 std::string PropKey(uint64_t i) {
@@ -84,7 +85,7 @@ void CheckAgainstModel(LsmStore* store,
   for (int i = 0; i < 64; ++i) {
     std::string key = PropKey(rng->Uniform(400));
     auto it = model.find(key);
-    Status st = store->Get(key, &value);
+    Status st = GetKey(*store, key, &value);
     if (it == model.end()) {
       EXPECT_TRUE(st.IsNotFound()) << key << ": " << st.ToString();
     } else {
@@ -129,7 +130,7 @@ TEST_P(LeveledPropertyTest, RandomInterleavingsKeepLevelInvariants) {
     } else if (dice < 95) {
       // Point-read mid-flight: flushes and compactions may be running.
       std::string value;
-      Status st = store->Get(key, &value);
+      Status st = GetKey(*store, key, &value);
       auto it = model.find(key);
       if (it == model.end()) {
         EXPECT_TRUE(st.IsNotFound()) << key;

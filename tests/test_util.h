@@ -13,6 +13,8 @@
 #include "exec/column_batch.h"
 #include "exec/dataframe.h"
 #include "exec/value.h"
+#include "kvstore/lsm_store.h"
+#include "kvstore/sstable.h"
 #include "net/region_client.h"
 
 namespace just::testing {
@@ -86,10 +88,34 @@ inline Status ScanPage(net::RegionClient& client,
   return resp->status;
 }
 
-// Single-key shorthand for tests. The region-server protocol has no
-// single-key messages: a put or a tombstone is a one-op WriteBatch, and a
-// read is a one-key scan of [key, key + '\0'), which holds exactly `key`.
-// Reads return NotFound when the key is absent.
+// Single-key shorthand for tests. Neither the region-server protocol nor
+// the store has a point read: a put or a tombstone is a one-op WriteBatch,
+// and a read is a one-key scan of [key, key + '\0'), which holds exactly
+// `key`. Reads return NotFound when the key is absent.
+
+inline Status GetKey(const kv::LsmStore& store, const std::string& key,
+                     std::string* value) {
+  const std::string end = key + '\0';
+  bool found = false;
+  JUST_RETURN_NOT_OK(store.Scan(
+      {kv::ScanRange{key, end}},
+      [&](size_t, std::string_view, std::string_view v) {
+        value->assign(v);
+        found = true;
+        return false;
+      }));
+  return found ? Status::OK() : Status::NotFound(key);
+}
+
+inline Status GetKey(const kv::SsTableReader& table, const std::string& key,
+                     std::string* value) {
+  kv::SsTableReader::Iterator it(&table);
+  it.Seek(key);
+  JUST_RETURN_NOT_OK(it.status());
+  if (!it.Valid() || it.key() != key) return Status::NotFound(key);
+  value->assign(it.value());
+  return Status::OK();
+}
 
 inline Status PutKey(cluster::RegionCluster& cluster, std::string key,
                      std::string value) {

@@ -26,6 +26,7 @@
 namespace just::kv {
 namespace {
 
+using just::testing::GetKey;
 using just::testing::PutKey;
 using just::testing::TempDir;
 
@@ -181,16 +182,16 @@ TEST(WritePathTest, PutCompletesWhileFlushInProgress) {
   // Reads see both generations while the flush is still stuck: the new key
   // from the active memtable, the old ones from the immutable one.
   std::string value;
-  EXPECT_TRUE(store->Get("during_flush", &value).ok());
-  EXPECT_TRUE(store->Get("fill0", &value).ok());
+  EXPECT_TRUE(GetKey(*store, "during_flush", &value).ok());
+  EXPECT_TRUE(GetKey(*store, "fill0", &value).ok());
   EXPECT_EQ(value, big);
 
   gate.OpenGate();
   ASSERT_TRUE(store->Flush().ok());
   for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(store->Get("fill" + std::to_string(i), &value).ok());
+    EXPECT_TRUE(GetKey(*store, "fill" + std::to_string(i), &value).ok());
   }
-  EXPECT_TRUE(store->Get("during_flush", &value).ok());
+  EXPECT_TRUE(GetKey(*store, "during_flush", &value).ok());
 }
 
 TEST(WritePathTest, WriteStallIsCountedWhenSecondMemtableFills) {
@@ -229,10 +230,10 @@ TEST(WritePathTest, WriteStallIsCountedWhenSecondMemtableFills) {
   ASSERT_TRUE(store->Flush().ok());
   std::string value;
   for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(store->Get("a" + std::to_string(i), &value).ok());
+    EXPECT_TRUE(GetKey(*store, "a" + std::to_string(i), &value).ok());
   }
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(store->Get("b" + std::to_string(i), &value).ok());
+    EXPECT_TRUE(GetKey(*store, "b" + std::to_string(i), &value).ok());
   }
 }
 
@@ -259,13 +260,13 @@ TEST(WritePathTest, ScanCallbackReentrancyNoSelfDeadlock) {
     // Writing back into the scanned store used to deadlock right here.
     EXPECT_TRUE(store->Put("derived/" + std::string(key), "d").ok());
     std::string value;
-    EXPECT_TRUE(store->Get(std::string(key), &value).ok());
+    EXPECT_TRUE(GetKey(*store, std::string(key), &value).ok());
     return true;
   });
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(seen, 20);  // snapshot semantics: new keys not visited mid-scan
   std::string value;
-  EXPECT_TRUE(store->Get("derived/key0", &value).ok());
+  EXPECT_TRUE(GetKey(*store, "derived/key0", &value).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -416,7 +417,7 @@ TEST(WritePathTest, CrashMidBackgroundFlushRecoversFromWal) {
   LsmStore* store = store_or->get();
   for (const auto& [key, value] : acked) {
     std::string got;
-    ASSERT_TRUE(store->Get(key, &got).ok()) << "lost acked key " << key;
+    ASSERT_TRUE(GetKey(*store, key, &got).ok()) << "lost acked key " << key;
     EXPECT_EQ(got, value);
   }
   // No .tmp leftovers survive recovery, and the store works again.
@@ -426,7 +427,7 @@ TEST(WritePathTest, CrashMidBackgroundFlushRecoversFromWal) {
   ASSERT_TRUE(store->Put("after", "crash").ok());
   ASSERT_TRUE(store->Flush().ok());
   std::string got;
-  EXPECT_TRUE(store->Get("after", &got).ok());
+  EXPECT_TRUE(GetKey(*store, "after", &got).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -472,7 +473,7 @@ TEST(WritePathTest, ConcurrentWritersScannersFlushStress) {
             });
         EXPECT_TRUE(st.ok());
         std::string value;
-        (void)store->Get("w0/k1", &value);
+        (void)GetKey(*store, "w0/k1", &value);
       }
     });
   }
@@ -487,7 +488,7 @@ TEST(WritePathTest, ConcurrentWritersScannersFlushStress) {
   for (int w = 0; w < kWriters; ++w) {
     for (int i = 1; i < kKeysPerWriter; ++i) {
       std::string key = "w" + std::to_string(w) + "/k" + std::to_string(i);
-      ASSERT_TRUE(store->Get(key, &value).ok()) << "missing " << key;
+      ASSERT_TRUE(GetKey(*store, key, &value).ok()) << "missing " << key;
       ASSERT_EQ(value, "value" + std::to_string(i));
     }
   }
@@ -521,7 +522,7 @@ TEST(WritePathTest, GroupCommitBatchesConcurrentWriters) {
   EXPECT_GE(hist->Sum(), sum_before + 50);
 
   std::string value;
-  ASSERT_TRUE(store->Get("batch/k49", &value).ok());
+  ASSERT_TRUE(GetKey(*store, "batch/k49", &value).ok());
   EXPECT_EQ(value, "v49");
 
   // Batches are crash-atomic up to the synced prefix: after reopen, the
