@@ -404,9 +404,13 @@ Result<curve::RecordRef> StTable::MakeRecordRef(const exec::Row& row) const {
   } else {
     return Status::InvalidArgument("row has no geometry value");
   }
-  if (time_col_ >= 0 && !row[time_col_].is_null() &&
-      row[time_col_].type() == exec::DataType::kTimestamp) {
-    ref.t_min = row[time_col_].timestamp_value();
+  // A table with a time column keys by it; a row with no time there keys
+  // at time 0, in the period a window open below reaches (RefineBatch
+  // keeps it for such a window only).
+  if (time_col_ >= 0) {
+    const exec::Value& t = row[time_col_];
+    ref.t_min = t.type() == exec::DataType::kTimestamp ? t.timestamp_value()
+                                                       : 0;
     if (ref.t_max < ref.t_min) ref.t_max = ref.t_min;
   }
   return ref;
@@ -622,8 +626,8 @@ Result<exec::BatchVector> StTable::SecondaryIndexScan(
   auto refine = [this, col, &spec, &lower,
                  &upper](exec::ColumnBatch* batch) {
     if (spec.have_box || spec.have_time) {
-      RefineBatch(batch, spec.have_box ? spec.box : geo::Mbr::World(),
-                  spec.have_time, spec.t_min, spec.t_max);
+      RefineBatch(batch, spec.have_box ? &spec.box : nullptr, spec.have_time,
+                  spec.t_min, spec.t_max);
     }
     if (batch->num_rows() == 0) return;
     const exec::ColumnVector& c = batch->column(static_cast<size_t>(col));
@@ -652,9 +656,8 @@ Result<exec::BatchVector> StTable::SecondaryIndexScan(
     }
     batch->SetSelection(std::move(sel));
   };
-  std::vector<int> read = {col};
-  if (spec.have_box || spec.have_time) read.push_back(geom_col_);
-  if (spec.have_time) read.push_back(time_col_);
+  std::vector<int> read = RefineColumns(spec.have_box, spec.have_time);
+  read.push_back(col);
   return ScanRangesToBatches(ranges, refine, read, stats, pushdown,
                              /*fid_offset=*/0, /*skip_fids=*/nullptr,
                              /*record_counters=*/true);
@@ -765,23 +768,36 @@ Result<const curve::IndexStrategy*> StTable::PickIndex(bool temporal) const {
   return strategies_.front().get();
 }
 
-void StTable::RefineBatch(exec::ColumnBatch* batch, const geo::Mbr& box,
+std::vector<int> StTable::RefineColumns(bool have_box, bool temporal) const {
+  std::vector<int> read;
+  if (have_box || (temporal && time_col_ < 0)) read.push_back(geom_col_);
+  if (temporal) read.push_back(time_col_);
+  return read;
+}
+
+void StTable::RefineBatch(exec::ColumnBatch* batch, const geo::Mbr* box,
                           bool temporal, TimestampMs t_min,
                           TimestampMs t_max) const {
   using Storage = exec::ColumnVector::Storage;
-  const exec::ColumnVector* gcol =
-      geom_col_ >= 0 ? &batch->column(static_cast<size_t>(geom_col_))
-                     : nullptr;
+  const exec::ColumnVector* tcol =
+      temporal && time_col_ >= 0
+          ? &batch->column(static_cast<size_t>(time_col_))
+          : nullptr;
   // Geometry and trajectory cells live in object storage; a non-object
   // geometry column means runtime values of a non-geometry type, which the
   // refinement passes through (same as the row-at-a-time check).
+  const exec::ColumnVector* gcol =
+      geom_col_ >= 0 && (box != nullptr || (temporal && tcol == nullptr))
+          ? &batch->column(static_cast<size_t>(geom_col_))
+          : nullptr;
   if (gcol != nullptr && gcol->storage() != Storage::kObject) gcol = nullptr;
-  const exec::ColumnVector* tcol =
-      time_col_ >= 0 ? &batch->column(static_cast<size_t>(time_col_))
-                     : nullptr;
   const bool t_typed = tcol != nullptr && tcol->storage() == Storage::kInt64 &&
                        tcol->declared_type() == exec::DataType::kTimestamp;
   const int64_t* t_data = t_typed ? tcol->i64_data() : nullptr;
+  // A NULL time sorts first: it passes an upper bound, never a lower one.
+  const bool open_below = t_min == INT64_MIN;
+  const exec::Value lo = exec::Value::Timestamp(t_min);
+  const exec::Value hi = exec::Value::Timestamp(t_max);
 
   std::vector<uint32_t> sel;
   sel.reserve(batch->num_rows());
@@ -793,28 +809,27 @@ void StTable::RefineBatch(exec::ColumnBatch* batch, const geo::Mbr& box,
     if (gcol != nullptr) {
       const exec::Value& g = gcol->ObjectAt(row);
       if (g.type() == exec::DataType::kGeometry) {
-        keep = g.geometry_value().Within(box);
+        keep = box == nullptr || g.geometry_value().Within(*box);
       } else if (g.type() == exec::DataType::kTrajectory &&
                  g.trajectory_value() != nullptr) {
         traj = g.trajectory_value().get();
-        keep = box.Intersects(traj->Bounds());
+        keep = box == nullptr || box->Intersects(traj->Bounds());
       }
     }
     if (keep && temporal) {
-      TimestampMs t = 0;
       if (t_typed) {
-        if (!tcol->IsNull(row)) {
-          t = t_data[row];
-        } else if (traj != nullptr) {
-          t = traj->start_time();
-        }
-      } else if (tcol != nullptr && tcol->storage() == Storage::kObject &&
-                 tcol->ObjectAt(row).type() == exec::DataType::kTimestamp) {
-        t = tcol->ObjectAt(row).timestamp_value();
-      } else if (traj != nullptr) {
-        t = traj->start_time();
+        keep = tcol->IsNull(row)
+                   ? open_below
+                   : t_data[row] >= t_min && t_data[row] <= t_max;
+      } else if (tcol != nullptr) {
+        // Cells of another type compare as SQL compares them.
+        const exec::Value t = tcol->ValueAt(row);
+        keep = (open_below || t.Compare(lo) >= 0) && t.Compare(hi) <= 0;
+      } else {
+        // No time column: a trajectory's start time, else time 0.
+        const TimestampMs t = traj != nullptr ? traj->start_time() : 0;
+        keep = t >= t_min && t <= t_max;
       }
-      keep = t >= t_min && t <= t_max;
     }
     if (keep) sel.push_back(row);
   }
@@ -828,17 +843,12 @@ Result<exec::BatchVector> StTable::Query(const QuerySpec& spec,
     case QuerySpec::Kind::kKnn:
       return KnnScan(spec.knn_query, spec.knn_k, stats);
     case QuerySpec::Kind::kSpatialRange:
-      return CurveRangeScan(spec.box, /*temporal=*/false, 0, 0, stats,
+      return CurveRangeScan(&spec.box, /*temporal=*/false, 0, 0, stats,
                             /*skip_fids=*/nullptr, pushdown);
     case QuerySpec::Kind::kStRange:
-      return CurveRangeScan(spec.box, /*temporal=*/true, spec.t_min,
-                            spec.t_max, stats, /*skip_fids=*/nullptr,
-                            pushdown);
-    case QuerySpec::Kind::kTemporalRange:
-      // Temporal-only: whole-earth spatio-temporal query.
-      return CurveRangeScan(geo::Mbr::World(), /*temporal=*/true, spec.t_min,
-                            spec.t_max, stats, /*skip_fids=*/nullptr,
-                            pushdown);
+      return CurveRangeScan(spec.have_box ? &spec.box : nullptr,
+                            /*temporal=*/true, spec.t_min, spec.t_max, stats,
+                            /*skip_fids=*/nullptr, pushdown);
     case QuerySpec::Kind::kSecondaryIndex:
     case QuerySpec::Kind::kIndexIntersection: {
       const meta::SecondaryIndexDef* def =
@@ -856,7 +866,7 @@ Result<exec::BatchVector> StTable::Query(const QuerySpec& spec,
 }
 
 Result<exec::BatchVector> StTable::CurveRangeScan(
-    const geo::Mbr& box, bool temporal, TimestampMs t_min, TimestampMs t_max,
+    const geo::Mbr* box, bool temporal, TimestampMs t_min, TimestampMs t_max,
     QueryStats* stats, const FidSet* skip_fids,
     const ScanBudget* pushdown) const {
   JUST_ASSIGN_OR_RETURN(const curve::IndexStrategy* strategy,
@@ -865,24 +875,19 @@ Result<exec::BatchVector> StTable::CurveRangeScan(
   for (size_t i = 0; i < strategies_.size(); ++i) {
     if (strategies_[i].get() == strategy) slot = i;
   }
-  std::vector<curve::KeyRange> ranges;
-  if (temporal) {
-    ranges = WrapRanges(slot, strategy->QueryRanges(box, t_min, t_max));
-  } else if (curve::IsSpatioTemporal(strategy->type())) {
-    // A time-aware index asked for no time bounds would enumerate every
-    // period there is: scan its whole slot, and let the refinement apply
-    // the box.
-    ranges = SlotRanges(meta_.table_id, slot, num_shards());
-  } else {
-    ranges = WrapRanges(slot, strategy->QueryRanges(box, INT64_MIN, INT64_MAX));
-  }
-  auto refine = [this, &box, temporal, t_min, t_max](exec::ColumnBatch* b) {
+  // Without time bounds a time-aware index spans every period: its
+  // QueryRanges then reads one range per shard.
+  std::vector<curve::KeyRange> ranges = WrapRanges(
+      slot, strategy->QueryRanges(box != nullptr ? *box : geo::Mbr::World(),
+                                  temporal ? t_min : INT64_MIN,
+                                  temporal ? t_max : INT64_MAX));
+  auto refine = [this, box, temporal, t_min, t_max](exec::ColumnBatch* b) {
     RefineBatch(b, box, temporal, t_min, t_max);
   };
   // Table/index prefix (5 bytes) is spliced in after the shard byte.
-  std::vector<int> read = {geom_col_};
-  if (temporal) read.push_back(time_col_);
-  return ScanRangesToBatches(ranges, refine, read, stats, pushdown,
+  return ScanRangesToBatches(ranges, refine,
+                             RefineColumns(box != nullptr, temporal), stats,
+                             pushdown,
                              strategy->FidOffset() + 5, skip_fids,
                              /*record_counters=*/true);
 }
@@ -1002,7 +1007,7 @@ Result<exec::BatchVector> StTable::KnnScan(const geo::Point& q, int k,
     }
     ++area_queries;
     JUST_ASSIGN_OR_RETURN(
-        auto partial, CurveRangeScan(a.box, /*temporal=*/false, 0, 0, stats,
+        auto partial, CurveRangeScan(&a.box, /*temporal=*/false, 0, 0, stats,
                                      &seen_fids, /*pushdown=*/nullptr));
     offer_all(partial, /*track_dmax=*/true);
   }

@@ -52,9 +52,8 @@ struct AttrBound {
 struct QuerySpec {
   enum class Kind {
     kKnn,               ///< Algorithm 1's area expansion around knn_query
-    kStRange,           ///< curve index, box + time window
+    kStRange,           ///< curve index, time window [+ box]
     kSpatialRange,      ///< curve index, box only
-    kTemporalRange,     ///< curve index, whole-earth + time window
     kSecondaryIndex,    ///< secondary index point/range lookup drives alone
     kIndexIntersection, ///< secondary index drives, spatio-temporal refines
     kFullScan,
@@ -63,6 +62,10 @@ struct QuerySpec {
   Kind kind = Kind::kFullScan;
   bool have_box = false;
   geo::Mbr box{};
+  /// The inclusive window [t_min, t_max]; INT64_MIN / INT64_MAX leave a
+  /// side open. A row with no time passes exactly when t_min is open (NULL
+  /// sorts first, as in SQL comparisons). kStRange without have_box reads
+  /// the time-aware index over the whole curve and tests time alone.
   bool have_time = false;
   TimestampMs t_min = 0, t_max = 0;
   geo::Point knn_query{};
@@ -303,14 +306,20 @@ class StTable {
       bool record_counters) const;
 
   /// Exact refinement as column loops: geometry containment / trajectory
-  /// intersection plus the temporal check, shrinking `batch`'s selection.
-  void RefineBatch(exec::ColumnBatch* batch, const geo::Mbr& box,
+  /// intersection in `box` (none when null) plus the temporal check,
+  /// shrinking `batch`'s selection. Without a box it reads the geometry
+  /// column only in a table with no time column (a trajectory's start time
+  /// stands in).
+  void RefineBatch(exec::ColumnBatch* batch, const geo::Mbr* box,
                    bool temporal, TimestampMs t_min, TimestampMs t_max) const;
+  /// The columns RefineBatch reads.
+  std::vector<int> RefineColumns(bool have_box, bool temporal) const;
 
-  /// Spatial (`temporal` false) or spatio-temporal range query over the
-  /// curve index PickIndex(temporal) chooses, with a k-NN skip set.
+  /// Spatial (`temporal` false), spatio-temporal, or (`box` null)
+  /// time-only range query over the curve index PickIndex(temporal)
+  /// chooses, with a k-NN skip set.
   Result<exec::BatchVector> CurveRangeScan(
-      const geo::Mbr& box, bool temporal, TimestampMs t_min,
+      const geo::Mbr* box, bool temporal, TimestampMs t_min,
       TimestampMs t_max, QueryStats* stats, const FidSet* skip_fids,
       const ScanBudget* pushdown) const;
 

@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "common/bytes.h"
+#include "net/wire_protocol.h"
 
 namespace just::curve {
 
@@ -102,19 +103,73 @@ class Xz2Strategy : public IndexStrategy {
   Xz2Sfc sfc_;
 };
 
-// Shared period plumbing for the four time-aware strategies.
+// Shared period plumbing for the four time-aware strategies: the period
+// leads the curve value in every key, so a window is a run of periods.
 class TimeAwareStrategy : public IndexStrategy {
+ public:
+  /// Step 1 of Section IV-B's query algorithm: the periods the window
+  /// qualifies, each decomposed over the box. A box that covers the whole
+  /// curve, or a list longer than one wire window (net::kMaxScanRanges),
+  /// becomes one range per shard over those periods instead, and
+  /// refinement applies the box and the exact window. A window open below
+  /// (t_min == INT64_MIN) also reaches period 0, where rows with no time
+  /// are keyed.
+  std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
+                                    TimestampMs t_max) const final {
+    const int64_t first =
+        std::max(PeriodOf(t_min) - lead_periods_, kMinPeriod);
+    int64_t last = PeriodOf(t_max);
+    if (t_min == INT64_MIN) last = std::max<int64_t>(last, 0);
+    if (first > last) return {};
+    if (box.Contains(geo::Mbr::World())) return SpanRanges(first, last);
+    if (!time_in_curve_) {
+      // The spatial decomposition is shared by every qualified period.
+      auto sfc_ranges = Decompose(box, 0.0, 1.0);
+      return PeriodRanges(first, last, sfc_ranges, sfc_ranges, sfc_ranges);
+    }
+    const double t0 = FracOf(t_min, first);
+    const double t1 = FracOf(t_max, last);
+    if (first == last) {
+      return PeriodRanges(first, last, Decompose(box, t0, t1), {}, {});
+    }
+    // Only the end periods see part of the window; those between share
+    // one whole-period decomposition.
+    std::vector<SfcRange> mid;
+    if (last - first >= 2) mid = Decompose(box, 0.0, 1.0);
+    return PeriodRanges(first, last, Decompose(box, t0, 1.0), mid,
+                        Decompose(box, 0.0, t1));
+  }
+
  protected:
-  using IndexStrategy::IndexStrategy;
+  /// `lead_periods` earlier periods are scanned too; `time_in_curve`: the
+  /// curve indexes the within-period time (Z3, XZ3).
+  TimeAwareStrategy(IndexType type, const IndexOptions& options,
+                    int64_t lead_periods, bool time_in_curve)
+      : IndexStrategy(type, options),
+        lead_periods_(lead_periods),
+        time_in_curve_(time_in_curve) {}
+
+  /// The box's curve ranges over the within-period time [t0, t1].
+  virtual std::vector<SfcRange> Decompose(const geo::Mbr& box, double t0,
+                                          double t1) const = 0;
+
+  /// Periods a key carries: AppendPeriod's four biased bytes, less the
+  /// top value, which stays free as the end of the last period, so every
+  /// range ends inside its index's key space.
+  static constexpr int64_t kMinPeriod = -(int64_t{1} << 31);
+  static constexpr int64_t kMaxPeriod = (int64_t{1} << 31) - 2;
 
   int64_t PeriodOf(TimestampMs t) const {
-    return TimePeriodNumber(t, options_.period_len_ms);
+    return std::clamp(TimePeriodNumber(t, options_.period_len_ms), kMinPeriod,
+                      kMaxPeriod);
   }
 
   // Within-period fraction of t, clamped to [0, 1].
   double FracOf(TimestampMs t, int64_t period) const {
-    TimestampMs start = TimePeriodStart(period, options_.period_len_ms);
-    double f = static_cast<double>(t - start) /
+    // In doubles: t and a clamped period's start may lie ~2^63 apart.
+    const double start = static_cast<double>(
+        TimePeriodStart(period, options_.period_len_ms));
+    double f = (static_cast<double>(t) - start) /
                static_cast<double>(options_.period_len_ms);
     return std::clamp(f, 0.0, 1.0);
   }
@@ -125,27 +180,60 @@ class TimeAwareStrategy : public IndexStrategy {
     return prefix;
   }
 
-  // Key ranges for periods [first, last] on every shard, where
-  // `ranges_of(period)` is a period's curve decomposition. Shard-major, so
-  // the list is sorted by key and disjoint like the spatial strategies'.
-  template <typename RangesOf>
-  std::vector<KeyRange> PeriodRanges(int64_t first, int64_t last,
-                                     const RangesOf& ranges_of) const {
+ private:
+  /// One range per shard, from the start of period `first` to the end of
+  /// period `last`.
+  std::vector<KeyRange> SpanRanges(int64_t first, int64_t last) const {
     std::vector<KeyRange> out;
     for (int shard = 0; shard < options_.num_shards; ++shard) {
-      for (int64_t period = first; period <= last; ++period) {
-        AppendRangesForPrefix(PrefixFor(shard, period), ranges_of(period),
-                              &out);
+      out.push_back({PrefixFor(shard, first), PrefixFor(shard, last + 1),
+                     /*contained=*/false});
+    }
+    return out;
+  }
+
+  /// Key ranges for periods [first, last] on every shard: `head`
+  /// decomposes the box in period `first`, `tail` in period `last` and
+  /// `mid` in those between. Shard-major, so the list is sorted by key and
+  /// disjoint like the spatial strategies'.
+  std::vector<KeyRange> PeriodRanges(int64_t first, int64_t last,
+                                     const std::vector<SfcRange>& head,
+                                     const std::vector<SfcRange>& mid,
+                                     const std::vector<SfcRange>& tail) const {
+    const uint64_t periods = static_cast<uint64_t>(last - first) + 1;
+    const uint64_t per_shard =
+        periods == 1 ? head.size()
+                     : head.size() + tail.size() + (periods - 2) * mid.size();
+    if (per_shard * static_cast<uint64_t>(options_.num_shards) >
+        net::kMaxScanRanges) {
+      return SpanRanges(first, last);
+    }
+    std::vector<KeyRange> out;
+    for (int shard = 0; shard < options_.num_shards; ++shard) {
+      AppendRangesForPrefix(PrefixFor(shard, first), head, &out);
+      // An empty `mid` may stand for billions of periods.
+      if (!mid.empty()) {
+        for (int64_t period = first + 1; period < last; ++period) {
+          AppendRangesForPrefix(PrefixFor(shard, period), mid, &out);
+        }
+      }
+      if (last > first) {
+        AppendRangesForPrefix(PrefixFor(shard, last), tail, &out);
       }
     }
     return out;
   }
+
+  const int64_t lead_periods_;
+  const bool time_in_curve_;
 };
 
 class Z3Strategy : public TimeAwareStrategy {
  public:
   explicit Z3Strategy(const IndexOptions& options)
-      : TimeAwareStrategy(IndexType::kZ3, options), sfc_(options.z3_bits) {}
+      : TimeAwareStrategy(IndexType::kZ3, options, /*lead_periods=*/0,
+                          /*time_in_curve=*/true),
+        sfc_(options.z3_bits) {}
 
   std::string EncodeKey(const RecordRef& record) const override {
     int64_t period = PeriodOf(record.t_min);
@@ -156,30 +244,20 @@ class Z3Strategy : public TimeAwareStrategy {
     return key;
   }
 
-  std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
-                                    TimestampMs t_max) const override {
-    int64_t first = PeriodOf(t_min);
-    int64_t last = PeriodOf(t_max);
-    std::vector<std::vector<SfcRange>> per_period;
-    for (int64_t period = first; period <= last; ++period) {
-      double t0 = (period == first) ? FracOf(t_min, period) : 0.0;
-      double t1 = (period == last) ? FracOf(t_max, period) : 1.0;
-      per_period.push_back(
-          sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period));
-    }
-    return PeriodRanges(first, last, [&](int64_t period) -> const auto& {
-      return per_period[static_cast<size_t>(period - first)];
-    });
+ private:
+  std::vector<SfcRange> Decompose(const geo::Mbr& box, double t0,
+                                  double t1) const override {
+    return sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period);
   }
 
- private:
   Z3Sfc sfc_;
 };
 
 class Xz3Strategy : public TimeAwareStrategy {
  public:
   explicit Xz3Strategy(const IndexOptions& options)
-      : TimeAwareStrategy(IndexType::kXz3, options),
+      : TimeAwareStrategy(IndexType::kXz3, options, /*lead_periods=*/0,
+                          /*time_in_curve=*/true),
         sfc_(options.xz3_resolution) {}
 
   std::string EncodeKey(const RecordRef& record) const override {
@@ -192,23 +270,12 @@ class Xz3Strategy : public TimeAwareStrategy {
     return key;
   }
 
-  std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
-                                    TimestampMs t_max) const override {
-    int64_t first = PeriodOf(t_min);
-    int64_t last = PeriodOf(t_max);
-    std::vector<std::vector<SfcRange>> per_period;
-    for (int64_t period = first; period <= last; ++period) {
-      double t0 = (period == first) ? FracOf(t_min, period) : 0.0;
-      double t1 = (period == last) ? FracOf(t_max, period) : 1.0;
-      per_period.push_back(
-          sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period));
-    }
-    return PeriodRanges(first, last, [&](int64_t period) -> const auto& {
-      return per_period[static_cast<size_t>(period - first)];
-    });
+ private:
+  std::vector<SfcRange> Decompose(const geo::Mbr& box, double t0,
+                                  double t1) const override {
+    return sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period);
   }
 
- private:
   Xz3Sfc sfc_;
 };
 
@@ -218,7 +285,9 @@ class Xz3Strategy : public TimeAwareStrategy {
 class Z2TStrategy : public TimeAwareStrategy {
  public:
   explicit Z2TStrategy(const IndexOptions& options)
-      : TimeAwareStrategy(IndexType::kZ2T, options), sfc_(options.z2_bits) {}
+      : TimeAwareStrategy(IndexType::kZ2T, options, /*lead_periods=*/0,
+                          /*time_in_curve=*/false),
+        sfc_(options.z2_bits) {}
 
   std::string EncodeKey(const RecordRef& record) const override {
     std::string key =
@@ -228,25 +297,25 @@ class Z2TStrategy : public TimeAwareStrategy {
     return key;
   }
 
-  std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
-                                    TimestampMs t_max) const override {
-    // The spatial decomposition is shared by every qualified period.
-    auto sfc_ranges = sfc_.Ranges(box, options_.max_ranges_per_period);
-    int64_t first = PeriodOf(t_min);
-    int64_t last = PeriodOf(t_max);
-    return PeriodRanges(first, last,
-                        [&](int64_t) -> const auto& { return sfc_ranges; });
+ private:
+  std::vector<SfcRange> Decompose(const geo::Mbr& box, double,
+                                  double) const override {
+    return sfc_.Ranges(box, options_.max_ranges_per_period);
   }
 
- private:
   Z2Sfc sfc_;
 };
 
 /// XZ2T (Eq. 3): Num(t_min) :: XZ2(mbr). The non-point analogue of Z2T.
+/// A record binned by its start time can satisfy a query whose window
+/// begins up to one record-duration later; scanning one extra leading
+/// period covers records that started in the previous period (the paper
+/// stores by Time_start; trajectories are within-day in the datasets).
 class Xz2TStrategy : public TimeAwareStrategy {
  public:
   explicit Xz2TStrategy(const IndexOptions& options)
-      : TimeAwareStrategy(IndexType::kXz2T, options),
+      : TimeAwareStrategy(IndexType::kXz2T, options, /*lead_periods=*/1,
+                          /*time_in_curve=*/false),
         sfc_(options.xz2_resolution) {}
 
   std::string EncodeKey(const RecordRef& record) const override {
@@ -257,22 +326,15 @@ class Xz2TStrategy : public TimeAwareStrategy {
     return key;
   }
 
-  std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
-                                    TimestampMs t_max) const override {
+ private:
+  std::vector<SfcRange> Decompose(const geo::Mbr& box, double,
+                                  double) const override {
     auto sfc_ranges = sfc_.Ranges(box, options_.max_ranges_per_period);
     // Extent ranges always require refinement against the time window.
     for (SfcRange& r : sfc_ranges) r.contained = false;
-    // A record binned by its start time can satisfy a query whose window
-    // begins up to one record-duration later; scanning one extra leading
-    // period covers records that started in the previous period (the paper
-    // stores by Time_start; trajectories are within-day in the datasets).
-    int64_t first = PeriodOf(t_min) - 1;
-    int64_t last = PeriodOf(t_max);
-    return PeriodRanges(first, last,
-                        [&](int64_t) -> const auto& { return sfc_ranges; });
+    return sfc_ranges;
   }
 
- private:
   Xz2Sfc sfc_;
 };
 

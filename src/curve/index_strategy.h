@@ -72,9 +72,10 @@ class IndexStrategy {
   virtual std::string EncodeKey(const RecordRef& record) const = 0;
 
   /// Key ranges covering a spatio-temporal box query. Spatial-only indexes
-  /// ignore the time bounds; time-aware indexes enumerate qualified periods
-  /// (step 1 of Section IV-B's query algorithm). Ranges are produced for
-  /// every shard (step 3 scans them in parallel).
+  /// ignore the time bounds; time-aware indexes read the qualified periods
+  /// (step 1 of Section IV-B's query algorithm), where INT64_MIN / INT64_MAX
+  /// leave a side of the window open. Ranges are produced for every shard
+  /// (step 3 scans them in parallel).
   virtual std::vector<KeyRange> QueryRanges(const geo::Mbr& box,
                                             TimestampMs t_min,
                                             TimestampMs t_max) const = 0;
@@ -94,7 +95,7 @@ class IndexStrategy {
   IndexStrategy(IndexType type, const IndexOptions& options)
       : type_(type), options_(options) {}
 
-  /// Encodes a biased period number to 4 sortable bytes.
+  /// Encodes a biased period number in [-2^31, 2^31) to 4 sortable bytes.
   static void AppendPeriod(std::string* key, int64_t period);
 
   IndexType type_;

@@ -1,5 +1,6 @@
 #include "sql/access_path.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/time_util.h"
@@ -34,6 +35,46 @@ bool ColumnEquals(const Expr& e, const std::string& name) {
   return true;
 }
 
+/// The inclusive window [*lo, *hi] conjunct `c` bounds `time_column` to:
+/// `time BETWEEN a AND b`, or `time` <, <=, > or >= a literal. Timestamps
+/// are whole milliseconds, so a strict bound moves one inward; a side `c`
+/// leaves open stays INT64_MIN / INT64_MAX. False when `c` is no such
+/// bound, or one the window cannot hold: an open lower side keeps rows with
+/// no time (NULL sorts first), so a lower bound at INT64_MIN stays
+/// residual, as does a strict bound past either end.
+bool TimeWindowOf(const Expr& c, const std::string& time_column,
+                  TimestampMs* lo, TimestampMs* hi) {
+  if (c.args.size() < 2 || !ColumnEquals(*c.args[0], time_column)) {
+    return false;
+  }
+  *lo = INT64_MIN;
+  *hi = INT64_MAX;
+  TimestampMs v = 0;
+  if (c.op == BinaryOp::kBetween) {
+    return c.args.size() == 3 && IsTimeLiteral(*c.args[1], lo) &&
+           IsTimeLiteral(*c.args[2], hi) && *lo != INT64_MIN;
+  }
+  if (!IsTimeLiteral(*c.args[1], &v)) return false;
+  switch (c.op) {
+    case BinaryOp::kLt:
+      if (v == INT64_MIN) return false;
+      *hi = v - 1;
+      return true;
+    case BinaryOp::kLe:
+      *hi = v;
+      return true;
+    case BinaryOp::kGt:
+      if (v == INT64_MAX) return false;
+      *lo = v + 1;
+      return true;
+    case BinaryOp::kGe:
+      *lo = v;
+      return v != INT64_MIN;
+    default:
+      return false;
+  }
+}
+
 /// The `ready` secondary index whose column `e` references, or nullptr.
 const meta::SecondaryIndexDef* ReadyIndexFor(const meta::TableMeta& table_meta,
                                              const Expr& e) {
@@ -63,7 +104,10 @@ Result<AccessPath> ChooseAccessPath(
   AccessPath path;
   bool have_knn = false;
   std::vector<const Expr*> index_conjuncts;  ///< consumed by the bounds
-  std::vector<const Expr*> st_conjuncts;     ///< consumed by box / window
+  std::vector<const Expr*> st_conjuncts;     ///< consumed by the box
+  std::vector<const Expr*> time_conjuncts;   ///< consumed by the window
+  path.t_min = INT64_MIN;
+  path.t_max = INT64_MAX;
 
   for (const Expr* conjunct : conjuncts) {
     if (conjunct->kind != Expr::Kind::kBinary) {
@@ -78,17 +122,14 @@ Result<AccessPath> ChooseAccessPath(
       st_conjuncts.push_back(conjunct);
       continue;
     }
-    if (conjunct->op == BinaryOp::kBetween && !path.have_time &&
-        ColumnEquals(*conjunct->args[0], table_meta.time_column)) {
-      TimestampMs lo, hi;
-      if (IsTimeLiteral(*conjunct->args[1], &lo) &&
-          IsTimeLiteral(*conjunct->args[2], &hi)) {
-        path.t_min = lo;
-        path.t_max = hi;
-        path.have_time = true;
-        st_conjuncts.push_back(conjunct);
-        continue;
-      }
+    // Every time bound narrows one window.
+    TimestampMs lo = 0, hi = 0;
+    if (TimeWindowOf(*conjunct, table_meta.time_column, &lo, &hi)) {
+      path.t_min = std::max(path.t_min, lo);
+      path.t_max = std::min(path.t_max, hi);
+      path.have_time = true;
+      time_conjuncts.push_back(conjunct);
+      continue;
     }
     if (conjunct->op == BinaryOp::kIn && !have_knn &&
         ColumnEquals(*conjunct->args[0], table_meta.geom_column) &&
@@ -176,6 +217,17 @@ Result<AccessPath> ChooseAccessPath(
     path.residual.push_back(conjunct);
   }
 
+  // A box with a window open on one side: the spatial index reads fewer
+  // keys than every period of the time-aware one, so the box drives and
+  // the comparisons stay residual.
+  if (path.have_box &&
+      (path.t_min == INT64_MIN || path.t_max == INT64_MAX)) {
+    path.have_time = false;
+    for (const Expr* c : time_conjuncts) path.residual.push_back(c);
+    time_conjuncts.clear();
+  }
+  if (!path.have_time) path.t_min = path.t_max = 0;
+
   auto demote_index_bounds = [&] {
     for (const Expr* c : index_conjuncts) path.residual.push_back(c);
     path.index_column.clear();
@@ -190,6 +242,7 @@ Result<AccessPath> ChooseAccessPath(
     path.label = "knn";
     demote_index_bounds();
     for (const Expr* c : st_conjuncts) path.residual.push_back(c);
+    for (const Expr* c : time_conjuncts) path.residual.push_back(c);
     path.have_box = false;
     path.have_time = false;
     return path;
@@ -227,7 +280,10 @@ Result<AccessPath> ChooseAccessPath(
     path.kind = AccessPath::Kind::kSpatialRange;
     path.label = "spatial_range";
   } else if (path.have_time) {
-    path.kind = AccessPath::Kind::kTemporalRange;
+    // Time alone: periods lead the time-aware keys, so the window is one
+    // key range per shard over its periods, and refinement tests time only.
+    path.kind = AccessPath::Kind::kStRange;
+    path.box = geo::Mbr::World();
     path.label = "temporal_range";
   }
   return path;

@@ -6,9 +6,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -346,6 +348,212 @@ TEST_P(EngineScanParityTest, EveryScanShapeMatchesTheOracle) {
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   for (const std::string& sql : just::testing::ScanParityQueries()) {
     just::testing::ExpectSameResult(engine_.get(), "u", sql);
+  }
+}
+
+/// Rows whose times sit on and next to the 2018-10-02 day edge, at 0 and
+/// below it, millennia away, and NULL, in four tables: Z2 + Z2T points
+/// (`ev_z2t`), Z2-only points (`ev_z2`), Z3 points (`ev_z3`) and the
+/// XZ2 + XZ2T trajectory table (`trips`, timed by start_time).
+Status LoadTimeEdgeTables(core::JustEngine* engine, TimestampMs day) {
+  sql::JustQL ql(engine);
+  JUST_RETURN_NOT_OK(
+      ql.Execute("u",
+                 "CREATE TABLE ev_z2t (fid string:primary key, time date, "
+                 "geom point:srid=4326)")
+          .status());
+  JUST_ASSIGN_OR_RETURN(meta::TableMeta points,
+                        engine->DescribeTable("u", "ev_z2t"));
+  for (auto [name, type] : {std::pair{"ev_z2", curve::IndexType::kZ2},
+                            std::pair{"ev_z3", curve::IndexType::kZ3}}) {
+    meta::TableMeta table;
+    table.user = "u";
+    table.name = name;
+    table.columns = points.columns;
+    table.indexes = {{type, kMillisPerDay}};
+    JUST_RETURN_NOT_OK(engine->CreateTable(table));
+  }
+  JUST_RETURN_NOT_OK(
+      ql.Execute("u", "CREATE TABLE trips AS trajectory").status());
+
+  std::vector<std::optional<TimestampMs>> times = {
+      std::nullopt,
+      std::nullopt,
+      -4'000'000'000'000'000,
+      -kMillisPerDay - 1,
+      -1000,
+      -1,
+      0,
+      1,
+      day - kMillisPerDay,
+      day - 1,
+      day,
+      day + 1,
+      day + kMillisPerDay - 1,
+      day + kMillisPerDay,
+      4'000'000'000'000'000,
+  };
+  Rng rng(31);
+  for (int i = 0; i < 60; ++i) {
+    times.push_back(day - 2 * kMillisPerDay +
+                    static_cast<TimestampMs>(rng.Uniform(5 * 24)) *
+                        kMillisPerHour +
+                    static_cast<TimestampMs>(rng.Uniform(3)) - 1);
+  }
+  std::vector<exec::Row> point_rows, trip_rows;
+  for (size_t i = 0; i < times.size(); ++i) {
+    const geo::Point p{116.2 + rng.NextDouble() * 0.4,
+                       39.7 + rng.NextDouble() * 0.4};
+    const exec::Value t =
+        times[i] ? exec::Value::Timestamp(*times[i]) : exec::Value::Null();
+    char id[24];
+    std::snprintf(id, sizeof(id), "e%03zu", i);
+    point_rows.push_back({exec::Value::String(id), t,
+                          exec::Value::GeometryVal(
+                              geo::Geometry::MakePoint(p))});
+    // A trajectory with no start_time still has GPS times of its own.
+    const TimestampMs start = times[i].value_or(day + 2 * kMillisPerDay);
+    std::vector<traj::GpsPoint> gps;
+    for (int k = 0; k < 4; ++k) {
+      gps.push_back({{p.lng + k * 0.001, p.lat + k * 0.001},
+                     start + k * 60'000});
+    }
+    auto trip = std::make_shared<const traj::Trajectory>(
+        "obj" + std::to_string(i), std::move(gps));
+    trip_rows.push_back(
+        {exec::Value::String(id), exec::Value::String(trip->oid()), t,
+         times[i] ? exec::Value::Timestamp(trip->end_time())
+                  : exec::Value::Null(),
+         exec::Value::TrajectoryVal(trip)});
+  }
+  for (const char* name : {"ev_z2t", "ev_z2", "ev_z3"}) {
+    JUST_RETURN_NOT_OK(engine->InsertBatch("u", name, point_rows));
+  }
+  JUST_RETURN_NOT_OK(engine->InsertBatch("u", "trips", trip_rows));
+  return engine->Finalize();
+}
+
+/// The access path EXPLAIN prints for `sql`.
+std::string AccessOf(core::JustEngine* engine, const std::string& sql) {
+  auto explain = sql::JustQL(engine).Execute("u", "EXPLAIN " + sql);
+  if (!explain.ok()) return explain.status().ToString();
+  const std::string& msg = explain->message;
+  const size_t at = msg.find("access: ");
+  if (at == std::string::npos) return msg;
+  const size_t begin = at + 8;
+  return msg.substr(begin, msg.find_first_of("] \n", begin) - begin);
+}
+
+/// Every time window JustQL can state, one-sided or closed, alone, in
+/// pairs and with BETWEEN, on and next to a day edge, below 0 and at the
+/// INT64 extremes, over rows with NULL times: the same rows as the oracle,
+/// on every curve index layout.
+TEST_P(EngineScanParityTest, TimeWindowsMatchTheOracle) {
+  const TimestampMs day = ParseTimestamp("2018-10-02").value();
+  Status loaded = LoadTimeEdgeTables(engine_.get(), day);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  const std::string edge = std::to_string(day);
+  const std::string next = std::to_string(day + kMillisPerDay);
+  const std::vector<std::string> literals = {
+      std::to_string(day - 1), edge, std::to_string(day + 1),
+      "'2018-10-02'", next, "0", "-1000", "-86400001"};
+  const std::string min = "-9223372036854775808";
+  const std::string max = "9223372036854775807";
+  const std::string box = "st_makeMBR(116.25, 39.75, 116.50, 40.00)";
+  struct Table {
+    std::string name, time, geom;
+  };
+  for (const Table& table : {Table{"ev_z2t", "time", "geom"},
+                             Table{"ev_z2", "time", "geom"},
+                             Table{"ev_z3", "time", "geom"},
+                             Table{"trips", "start_time", "item"}}) {
+    const std::string& t = table.time;
+    std::vector<std::string> wheres;
+    for (const char* op : {" < ", " <= ", " > ", " >= "}) {
+      for (const std::string& lit : literals) wheres.push_back(t + op + lit);
+    }
+    for (const std::string& w : {
+             t + " >= " + edge + " AND " + t + " < " + next,
+             t + " > " + std::to_string(day - 1) + " AND " + t +
+                 " <= " + std::to_string(day + 1),
+             t + " < " + std::to_string(day + 1) + " AND " + t + " > -1000",
+             t + " >= " + edge + " AND " + t + " BETWEEN " +
+                 std::to_string(day - 1) + " AND " + next + " AND " + t +
+                 " < " + next,
+             t + " BETWEEN -86400001 AND " + edge + " AND " + t + " > -1",
+             t + " BETWEEN '2018-10-01' AND '2018-10-02' AND " + t +
+                 " <= '2018-10-01 12:00:00'",
+             t + " > " + edge + " AND " + t + " < " + edge,
+             t + " < " + edge + " AND " + t + " < 0",
+             t + " >= 0 AND " + t + " >= " + edge,
+             t + " < " + max, t + " <= " + max, t + " > " + min,
+             t + " >= " + min, t + " < " + min, t + " <= " + min,
+             t + " > " + max, t + " >= " + max,
+             t + " BETWEEN " + min + " AND 0",
+             t + " BETWEEN 0 AND " + max,
+             t + " BETWEEN " + min + " AND " + max,
+             table.geom + " WITHIN " + box + " AND " + t + " < " + edge,
+             table.geom + " WITHIN " + box + " AND " + t + " >= " + edge,
+             table.geom + " WITHIN " + box + " AND " + t + " > 0 AND " + t +
+                 " <= " + next,
+         }) {
+      wheres.push_back(w);
+    }
+    for (const std::string& where : wheres) {
+      const std::string sql = "SELECT * FROM " + table.name + " WHERE " + where;
+      SCOPED_TRACE(sql);
+      just::testing::ExpectSameResult(engine_.get(), "u", sql);
+    }
+
+    // Time alone is one key range per shard over the window's periods; a
+    // box with a window open on one side keeps the spatial path and tests
+    // time as a residual; a lower bound at INT64_MIN stays residual.
+    const std::string from = "SELECT * FROM " + table.name + " WHERE ";
+    EXPECT_EQ(AccessOf(engine_.get(), from + t + " < " + edge),
+              "temporal_range");
+    EXPECT_EQ(AccessOf(engine_.get(), from + t + " > -1000 AND " + t +
+                                          " <= " + edge),
+              "temporal_range");
+    EXPECT_EQ(AccessOf(engine_.get(), from + table.geom + " WITHIN " + box +
+                                          " AND " + t + " < " + edge),
+              "spatial_range");
+    EXPECT_EQ(AccessOf(engine_.get(), from + table.geom + " WITHIN " + box +
+                                          " AND " + t + " > 0 AND " + t +
+                                          " <= " + next),
+              "st_range");
+    EXPECT_EQ(AccessOf(engine_.get(), from + t + " >= " + min), "full_scan");
+    core::QueryStats stats;
+    just::testing::ExpectSameResult(engine_.get(), "u",
+                                    from + t + " < " + edge, &stats);
+    EXPECT_EQ(stats.key_ranges, 4u) << table.name;
+    // Z2 keys carry no time: that table reads every row.
+    if (table.name != "ev_z2") {
+      EXPECT_LT(stats.rows_scanned, 75u);
+    }
+  }
+}
+
+/// A window of ~10^11 periods, with and without a box, on every
+/// time-aware layout: one key range per shard, not one per period.
+TEST_P(EngineScanParityTest, WideWindowsReadOneRangePerShard) {
+  const TimestampMs day = ParseTimestamp("2018-10-02").value();
+  Status loaded = LoadTimeEdgeTables(engine_.get(), day);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  const std::string window = " BETWEEN 0 AND 9000000000000000";
+  const std::string box = "st_makeMBR(116.25, 39.75, 116.50, 40.00)";
+  for (auto [table, t, g] : {std::tuple{"ev_z2t", "time", "geom"},
+                             std::tuple{"ev_z3", "time", "geom"},
+                             std::tuple{"trips", "start_time", "item"}}) {
+    const std::string from = std::string("SELECT * FROM ") + table + " WHERE ";
+    for (const std::string& where :
+         {t + window, g + (" WITHIN " + box) + " AND " + t + window,
+          t + std::string(" > 0"), t + std::string(" <= -1000")}) {
+      SCOPED_TRACE(from + where);
+      core::QueryStats stats;
+      just::testing::ExpectSameResult(engine_.get(), "u", from + where,
+                                      &stats);
+      EXPECT_EQ(stats.key_ranges, 4u);
+    }
   }
 }
 
@@ -871,15 +1079,27 @@ INSTANTIATE_TEST_SUITE_P(Backends, EngineScanParityTest,
 /// accepted, so the query neither drops nor duplicates a row.
 class EngineScanCutTest : public EngineScanParityTest {
  protected:
-  /// Loads `rows` orders, cuts server 0's connection after `cut_bytes` of
-  /// answers, and requires the oracle's rows and a retry.
-  void ExpectCutScanMatchesOracle(int rows, int64_t cut_bytes) {
+  /// The OR leaves no window or index bound: a full scan.
+  static constexpr const char* kFullScanSql =
+      "SELECT * FROM orders WHERE (time < '2018-10-20' OR city = 'none') "
+      "AND fid != 'order_0005'";
+
+  /// Loads `rows` orders; `sql` must run on the `access` path.
+  void Load(int rows, const std::string& sql, const std::string& access) {
     Status loaded =
         just::testing::LoadScanParityTables(engine_.get(), "u", rows);
     ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-    const std::string sql =
-        "SELECT * FROM orders WHERE time < '2018-10-20' AND "
-        "fid != 'order_0005'";
+    auto explain = sql::JustQL(engine_.get()).Execute("u", "EXPLAIN " + sql);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    ASSERT_NE(explain->message.find("access: " + access), std::string::npos)
+        << explain->message;
+  }
+
+  /// Cuts server 0's connection after `cut_bytes` of answers to `sql`, and
+  /// requires the oracle's rows (more than a quarter of `rows`) and a
+  /// retry.
+  void ExpectCutScanMatchesOracle(int rows, const std::string& sql,
+                                  int64_t cut_bytes) {
     auto want = just::testing::OracleSelect(engine_.get(), "u", sql);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     obs::Counter* retries =
@@ -906,7 +1126,24 @@ class EngineScanCutTest : public EngineScanParityTest {
 TEST_P(EngineScanCutTest, CutMidStreamNeitherDropsNorDuplicates) {
   // Enough rows for several 512-row wire pages per server; the cut lands
   // past the first ~46 KiB page, so the retry has rows to resume after.
-  ExpectCutScanMatchesOracle(4000, 64 * 1024);
+  Load(4000, kFullScanSql, "full_scan");
+  ExpectCutScanMatchesOracle(4000, kFullScanSql, 64 * 1024);
+}
+
+/// The time-only path reads only the periods before its cutoff, so its
+/// answer is smaller than a full scan's: the cut lands halfway into the
+/// bytes server 0 sends for it uncut.
+TEST_P(EngineScanCutTest, CutMidTemporalRangeNeitherDropsNorDuplicates) {
+  const std::string sql =
+      "SELECT * FROM orders WHERE time < '2018-10-20' AND "
+      "fid != 'order_0005'";
+  Load(4000, sql, "temporal_range");
+  sql::JustQL ql(engine_.get());
+  const int64_t before = proxies_[0]->upstream_bytes();
+  ASSERT_TRUE(ql.Execute("u", sql).ok());
+  const int64_t uncut = proxies_[0]->upstream_bytes() - before;
+  ASSERT_GT(uncut, 0);
+  ExpectCutScanMatchesOracle(4000, sql, uncut / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Socket, EngineScanCutTest,
@@ -922,7 +1159,8 @@ class EngineScanCutFourServersTest : public EngineScanCutTest {
 };
 
 TEST_P(EngineScanCutFourServersTest, CutOnOneServerWhileOthersStream) {
-  ExpectCutScanMatchesOracle(8000, 64 * 1024);
+  Load(8000, kFullScanSql, "full_scan");
+  ExpectCutScanMatchesOracle(8000, kFullScanSql, 64 * 1024);
 }
 
 INSTANTIATE_TEST_SUITE_P(Socket, EngineScanCutFourServersTest,

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -452,6 +455,112 @@ INSTANTIATE_TEST_SUITE_P(
     AllStrategies, StrategyRangeShapeTest,
     ::testing::Values(IndexType::kZ2, IndexType::kZ3, IndexType::kZ2T,
                       IndexType::kXz2, IndexType::kXz3, IndexType::kXz2T),
+    [](const ::testing::TestParamInfo<IndexType>& info) {
+      return IndexTypeName(info.param);
+    });
+
+// Time-aware keys lead with the period, so a window is a run of periods:
+// a box that covers the whole curve, or a window too long to list one range
+// per period in one wire window, reads one range per shard over the run.
+class TimeAwareRangesTest : public ::testing::TestWithParam<IndexType> {
+ protected:
+  void SetUp() override {
+    IndexOptions options;
+    options.num_shards = 4;
+    strategy_ = IndexStrategy::Create(GetParam(), options);
+  }
+
+  /// The key of a record at time `t` (a degenerate box for points).
+  std::string KeyAt(TimestampMs t, const std::string& fid) const {
+    RecordRef ref;
+    ref.mbr = geo::Mbr::Of(116.3, 39.9, 116.3, 39.9);
+    ref.t_min = ref.t_max = t;
+    ref.fid = fid;
+    return strategy_->EncodeKey(ref);
+  }
+
+  static bool Covered(const std::vector<KeyRange>& ranges,
+                      const std::string& key) {
+    for (const KeyRange& r : ranges) {
+      if (key >= r.start && key < r.end) return true;
+    }
+    return false;
+  }
+
+  /// One range per shard, each inside its shard byte.
+  static void ExpectOnePerShard(const std::vector<KeyRange>& ranges) {
+    ASSERT_EQ(ranges.size(), 4u);
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      EXPECT_EQ(ranges[i].start[0], static_cast<char>(i));
+      EXPECT_EQ(ranges[i].end[0], static_cast<char>(i));
+      EXPECT_LT(ranges[i].start, ranges[i].end);
+    }
+  }
+
+  std::unique_ptr<IndexStrategy> strategy_;
+};
+
+TEST_P(TimeAwareRangesTest, WholeCurveWindowIsOneRangePerShard) {
+  const TimestampMs day = ParseTimestamp("2014-03-01").value();
+  const std::vector<TimestampMs> times = {
+      INT64_MIN, INT64_MIN + 1, -4'000'000'000'000'000, -kMillisPerDay - 1,
+      -1, 0, 1, day - 1, day, day + kMillisPerDay - 1, day + kMillisPerDay,
+      4'000'000'000'000'000, INT64_MAX - 1, INT64_MAX};
+  const std::vector<std::pair<TimestampMs, TimestampMs>> windows = {
+      {INT64_MIN, INT64_MAX}, {INT64_MIN, day - 1}, {day, INT64_MAX},
+      {INT64_MIN, INT64_MIN}, {INT64_MAX, INT64_MAX}, {day, day},
+      {day - 1, day + kMillisPerDay}, {0, 9'000'000'000'000'000}};
+  for (const auto& [t_min, t_max] : windows) {
+    SCOPED_TRACE(::testing::Message() << "window [" << t_min << ", " << t_max
+                                      << "]");
+    auto ranges = strategy_->QueryRanges(geo::Mbr::World(), t_min, t_max);
+    ExpectOnePerShard(ranges);
+    for (TimestampMs t : times) {
+      if (t < t_min || t > t_max) continue;
+      for (const char* fid : {"a", "b", "c", "d", "e"}) {
+        EXPECT_TRUE(Covered(ranges, KeyAt(t, fid))) << "t=" << t;
+      }
+    }
+  }
+}
+
+// A row with no time is keyed at time 0; a window open below keeps it, so
+// its ranges reach period 0 even when the window ends before it.
+TEST_P(TimeAwareRangesTest, WindowOpenBelowReachesPeriodZero) {
+  for (const geo::Mbr& box : {geo::Mbr::World(),
+                              geo::Mbr::Of(116.2, 39.8, 116.4, 40.0)}) {
+    for (TimestampMs t_max : {TimestampMs{-1}, -5 * kMillisPerDay,
+                              TimestampMs{INT64_MIN}}) {
+      auto ranges = strategy_->QueryRanges(box, INT64_MIN, t_max);
+      EXPECT_TRUE(Covered(ranges, KeyAt(0, "null_time"))) << t_max;
+    }
+  }
+}
+
+// ~10^11 daily periods: listing ranges per period would never end (and
+// period numbers past 2^31 used to wrap); one range per shard spans them,
+// and refinement applies the box.
+TEST_P(TimeAwareRangesTest, WideWindowFallsBackToOneRangePerShard) {
+  const geo::Mbr box = geo::Mbr::Of(116.2, 39.8, 116.4, 40.0);
+  for (auto [t_min, t_max] :
+       {std::pair<TimestampMs, TimestampMs>{0, 9'000'000'000'000'000},
+        {INT64_MIN, INT64_MAX}, {-9'000'000'000'000'000, 0}}) {
+    auto ranges = strategy_->QueryRanges(box, t_min, t_max);
+    ExpectOnePerShard(ranges);
+    for (TimestampMs t : {t_min, t_min / 2 + t_max / 2, t_max}) {
+      EXPECT_TRUE(Covered(ranges, KeyAt(t, "x"))) << t;
+    }
+  }
+  // A window of a few periods still lists each period's ranges.
+  const TimestampMs day = ParseTimestamp("2014-03-01").value();
+  EXPECT_GT(strategy_->QueryRanges(box, day, day + 3 * kMillisPerDay).size(),
+            4u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TimeAware, TimeAwareRangesTest,
+    ::testing::Values(IndexType::kZ3, IndexType::kZ2T, IndexType::kXz3,
+                      IndexType::kXz2T),
     [](const ::testing::TestParamInfo<IndexType>& info) {
       return IndexTypeName(info.param);
     });

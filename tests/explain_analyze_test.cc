@@ -197,9 +197,10 @@ TEST_F(ExplainAnalyzeTest, AnalyzeCountersMatchRegistryDelta) {
             1u);
 }
 
-// The refinement query reads fid and time in its residual and keeps geom:
-// geom is a late column, decoded only for the rows that pass. EXPLAIN
-// ANALYZE names it and counts those rows, and so does the registry.
+// The refinement query reads the Z2T periods before its cutoff, tests time
+// and its fid residual, and keeps geom: geom is a late column, decoded only
+// for the rows that pass. EXPLAIN ANALYZE names it and counts those rows,
+// and so does the registry.
 TEST_F(ExplainAnalyzeTest, AnalyzeNamesLateColumnsAndCountsTheirRows) {
   auto& registry = obs::Registry::Global();
   obs::RegistrySnapshot before = registry.GetSnapshot();
@@ -212,14 +213,17 @@ TEST_F(ExplainAnalyzeTest, AnalyzeNamesLateColumnsAndCountsTheirRows) {
   const uint64_t rows = r->frame.num_rows();
   ASSERT_GT(rows, 0u);
   ASSERT_LT(rows, 500u);
-  EXPECT_NE(msg.find("Scan orders access=full_scan late=geom"),
+  EXPECT_NE(msg.find("Scan orders access=temporal_range late=geom"),
             std::string::npos)
       << msg;
   EXPECT_EQ(SumToken(msg, " late_rows="), rows) << msg;
   EXPECT_EQ(after.counter("just_query_late_rows_total") -
                 before.counter("just_query_late_rows_total"),
             rows);
-  EXPECT_EQ(SumToken(msg, " rows_scanned="), 500u) << msg;
+  // One day of the three: fewer rows than the table's are read.
+  const uint64_t scanned = SumToken(msg, " rows_scanned=");
+  EXPECT_GE(scanned, rows) << msg;
+  EXPECT_LT(scanned, 500u) << msg;
 }
 
 // A trajectory query refines on each st_series cell's summary and decodes

@@ -126,8 +126,10 @@ inline Status LoadScanParityTables(core::JustEngine* engine,
 /// SQL over the tables above that drives each shape of the scan's
 /// pushdown: SELECT * with a residual reading some columns, kept columns
 /// nothing reads, NULL cells, compressed cells, extent geometries,
-/// trajectories, and LIMIT with and without a residual. A LIMIT only
-/// appears on full scans, whose row order the oracle shares.
+/// trajectories, and LIMIT with and without a residual. A LIMIT that cuts
+/// the answer short appears only on full scans, whose row order the oracle
+/// shares; `time < '2018-10-03' LIMIT 500` (a temporal_range scan) keeps
+/// its whole answer of a few dozen rows.
 inline std::vector<std::string> ScanParityQueries() {
   return {
       // orders
