@@ -50,35 +50,7 @@ Result<std::unique_ptr<JustEngine>> JustEngine::Open(
           engine->PurgeIndexKeySpace(table.table_id, def.slot));
     }
   }
-  JUST_RETURN_NOT_OK(engine->UpgradeLegacyAttrIndexes());
   return engine;
-}
-
-Status JustEngine::UpgradeLegacyAttrIndexes() {
-  for (const meta::TableMeta& table : catalog_->AllTables()) {
-    const std::vector<std::string>& legacy = table.legacy_attr_columns;
-    if (legacy.empty()) continue;
-    for (size_t i = 0; i < legacy.size(); ++i) {
-      // A ready index on the column means an earlier (crashed) upgrade or
-      // the user already built one; a `building` leftover was dropped above.
-      JUST_ASSIGN_OR_RETURN(auto current,
-                            catalog_->GetTable(table.user, table.name));
-      if (current.ColumnIndex(legacy[i]) >= 0 &&
-          current.ReadySecondaryIndexOn(legacy[i]) == nullptr) {
-        std::string name = "attr_" + legacy[i];
-        while (current.FindSecondaryIndex(name) != nullptr) name += "_";
-        JUST_RETURN_NOT_OK(
-            CreateIndex(table.user, table.name, name, legacy[i]));
-      }
-      JUST_RETURN_NOT_OK(PurgeIndexKeySpace(
-          table.table_id, static_cast<uint32_t>(table.indexes.size() + i)));
-    }
-    // The purge must be durable before the catalog forgets the slots.
-    JUST_RETURN_NOT_OK(cluster_->FlushAll());
-    JUST_RETURN_NOT_OK(
-        catalog_->ClearLegacyAttrColumns(table.user, table.name));
-  }
-  return Status::OK();
 }
 
 void JustEngine::ApplyDefaultIndexes(meta::TableMeta* table) {
@@ -234,13 +206,11 @@ Status JustEngine::CreateIndex(const std::string& user,
   meta::SecondaryIndexDef def;
   def.name = index_name;
   def.column = column;
-  // Secondary slots live above the SFC slots (and any legacy attribute
-  // slots an upgrade is still retiring) and are monotonic (never reused
-  // after a drop), so stale entries of a dropped index can never alias a
-  // live one.
+  // Secondary slots live above the SFC slots and are monotonic (never
+  // reused after a drop), so stale entries of a dropped index can never
+  // alias a live one.
   def.slot = std::max<uint32_t>(
-      static_cast<uint32_t>(table_meta.indexes.size() +
-                            table_meta.legacy_attr_columns.size()),
+      static_cast<uint32_t>(table_meta.indexes.size()),
       table_meta.next_index_slot);
   def.state = meta::IndexState::kBuilding;
   JUST_RETURN_NOT_OK(catalog_->AddIndex(user, table, def));

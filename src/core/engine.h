@@ -206,14 +206,6 @@ class JustEngine {
   void InvalidateTableAndDrainWriters(const std::string& user,
                                       const std::string& table);
 
-  /// Converts the equality-only attribute indexes of catalogs written
-  /// before secondary indexes existed (`legacy_attr_columns`) into ready
-  /// secondary indexes: rebuilds each through CreateIndex at a slot above
-  /// the legacy slots, purges the legacy slot, then rewrites the catalog
-  /// without them. Every step is idempotent, so a crash anywhere converges
-  /// on the next Open (a half-built index is dropped and rebuilt).
-  Status UpgradeLegacyAttrIndexes();
-
   EngineOptions options_;
   std::unique_ptr<meta::Catalog> catalog_;
   std::unique_ptr<cluster::RegionCluster> cluster_;

@@ -13,9 +13,7 @@ constexpr char kTrajDelta = 'D';
 constexpr char kTrajSummary = 'S';
 constexpr size_t kSummaryFixedBytes = 48;  // 4 MBR doubles, t_start, t_end
 
-bool IsTrajectoryTag(char tag) {
-  return tag == kTrajSummary || tag == kTrajRaw || tag == kTrajDelta;
-}
+bool IsTrajectoryTag(char tag) { return tag == kTrajSummary; }
 
 // Cell payload for an st_series value, written inside an identity frame:
 // ['S'][summary][oid lp][lp: compress frame of [R|D][GPS bytes]]. The
@@ -54,58 +52,47 @@ bool SameBounds(const geo::Mbr& a, const geo::Mbr& b) {
   return std::memcmp(&a, &b, sizeof(geo::Mbr)) == 0;
 }
 
-// Decodes an st_series cell payload: a summary cell (summary-only when
-// `summary_only`, else in full and checked against its summary) or a
-// legacy [R|D][oid lp][gps lp] cell, always in full.
+// Decodes an st_series cell payload, whose first byte is kTrajSummary:
+// summary-only when `summary_only`, else in full and checked against its
+// summary.
 Result<exec::Value> DecodeTrajectoryCell(std::string_view cell,
                                          bool summary_only) {
-  if (cell.empty()) return Status::Corruption("empty st_series cell");
-  const char tag = cell[0];
   const char* p = cell.data() + 1;
   const char* limit = cell.data() + cell.size();
+  if (static_cast<size_t>(limit - p) < kSummaryFixedBytes) {
+    return Status::Corruption("truncated st_series summary");
+  }
+  geo::Mbr mbr;
+  mbr.lng_min = OrderedBitsToDouble(GetFixed64(p));
+  mbr.lat_min = OrderedBitsToDouble(GetFixed64(p + 8));
+  mbr.lng_max = OrderedBitsToDouble(GetFixed64(p + 16));
+  mbr.lat_max = OrderedBitsToDouble(GetFixed64(p + 24));
+  const auto start = static_cast<TimestampMs>(GetFixed64(p + 32));
+  const auto end = static_cast<TimestampMs>(GetFixed64(p + 40));
+  p += kSummaryFixedBytes;
+  uint64_t count;
+  std::string_view oid, gps_cell;
+  if (!GetVarint64(&p, limit, &count) ||
+      !GetLengthPrefixed(&p, limit, &oid) ||
+      !GetLengthPrefixed(&p, limit, &gps_cell) || p != limit) {
+    return Status::Corruption("bad st_series summary cell");
+  }
   traj::Trajectory t;
-  if (tag == kTrajSummary) {
-    if (static_cast<size_t>(limit - p) < kSummaryFixedBytes) {
-      return Status::Corruption("truncated st_series summary");
-    }
-    geo::Mbr mbr;
-    mbr.lng_min = OrderedBitsToDouble(GetFixed64(p));
-    mbr.lat_min = OrderedBitsToDouble(GetFixed64(p + 8));
-    mbr.lng_max = OrderedBitsToDouble(GetFixed64(p + 16));
-    mbr.lat_max = OrderedBitsToDouble(GetFixed64(p + 24));
-    const auto start = static_cast<TimestampMs>(GetFixed64(p + 32));
-    const auto end = static_cast<TimestampMs>(GetFixed64(p + 40));
-    p += kSummaryFixedBytes;
-    uint64_t count;
-    std::string_view oid, gps_cell;
-    if (!GetVarint64(&p, limit, &count) ||
-        !GetLengthPrefixed(&p, limit, &oid) ||
-        !GetLengthPrefixed(&p, limit, &gps_cell) || p != limit) {
-      return Status::Corruption("bad st_series summary cell");
-    }
-    if (summary_only) {
-      t = traj::Trajectory::SummaryOnly(std::string(oid), mbr, start, end,
-                                        count);
-    } else {
-      std::string scratch;  // the decompressed GPS list
-      std::string_view gps;
-      JUST_RETURN_NOT_OK(compress::DecodeCellView(gps_cell, &scratch, &gps));
-      if (gps.empty()) return Status::Corruption("empty st_series GPS list");
-      JUST_ASSIGN_OR_RETURN(
-          t, DeserializeGps(gps[0], std::string(oid), gps.substr(1)));
-      if (t.point_count() != count || !SameBounds(t.Bounds(), mbr) ||
-          t.start_time() != start || t.end_time() != end) {
-        return Status::Corruption(
-            "st_series summary disagrees with its GPS list");
-      }
-    }
+  if (summary_only) {
+    t = traj::Trajectory::SummaryOnly(std::string(oid), mbr, start, end,
+                                      count);
   } else {
-    std::string_view oid, payload;
-    if (!GetLengthPrefixed(&p, limit, &oid) ||
-        !GetLengthPrefixed(&p, limit, &payload)) {
-      return Status::Corruption("bad st_series cell");
+    std::string scratch;  // the decompressed GPS list
+    std::string_view gps;
+    JUST_RETURN_NOT_OK(compress::DecodeCellView(gps_cell, &scratch, &gps));
+    if (gps.empty()) return Status::Corruption("empty st_series GPS list");
+    JUST_ASSIGN_OR_RETURN(
+        t, DeserializeGps(gps[0], std::string(oid), gps.substr(1)));
+    if (t.point_count() != count || !SameBounds(t.Bounds(), mbr) ||
+        t.start_time() != start || t.end_time() != end) {
+      return Status::Corruption(
+          "st_series summary disagrees with its GPS list");
     }
-    JUST_ASSIGN_OR_RETURN(t, DeserializeGps(tag, std::string(oid), payload));
   }
   return exec::Value::TrajectoryVal(
       std::make_shared<const traj::Trajectory>(std::move(t)));

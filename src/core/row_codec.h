@@ -55,9 +55,8 @@ class BatchRowDecoder {
   /// prefix is read, selected or not, so a truncated row fails under any
   /// mask. A selected `summary_column` holding a summary-layout st_series
   /// cell decodes to a summary-only trajectory (Trajectory::summary_only):
-  /// its GPS list is neither decompressed nor decoded. Older cell layouts
-  /// decode in full. A full decode of a summary cell is Corruption when the
-  /// list disagrees with the summary.
+  /// its GPS list is neither decompressed nor decoded. A full decode of a
+  /// summary cell is Corruption when the list disagrees with the summary.
   Status DecodeColumns(std::string_view bytes, const ColumnMask& mask,
                        exec::ColumnBatch* batch,
                        int summary_column = -1) const;

@@ -253,8 +253,7 @@ class BatchSink : public cluster::RegionCluster::ScanSink {
   /// Phase 2: the late columns of the surviving rows, from the arena;
   /// dropped rows stay NULL. `summaries` holds the kept summary column's
   /// early values: a survivor's summary-only trajectory is decoded in full,
-  /// and any other value (NULL, or a legacy cell already decoded in full)
-  /// is carried over.
+  /// and any other value (NULL, or a cell of another type) is carried over.
   Status DecodeLate(Server* s, const exec::ColumnVector* summaries) {
     exec::ColumnBatch& batch = s->current;
     const size_t n = batch.num_rows();

@@ -26,9 +26,10 @@ constexpr size_t kMaxGroupCommitBytes = 1 << 20;
 // retained, so nothing acknowledged is lost.
 constexpr int kBgFlushAttempts = 3;
 
-// MANIFEST v2 header line. v1 manifests (PR-4 and earlier) have no header:
-// they start with "wal N" followed by bare file numbers.
-constexpr std::string_view kManifestHeaderV2 = "just-manifest 2";
+// The store's on-disk format stamp: the MANIFEST's first line. Open refuses
+// a MANIFEST with any other first line (NotSupported), before it touches a
+// file.
+constexpr std::string_view kManifestHeader = "just-manifest 3";
 
 std::string MakeInternalValue(char type, std::string_view value) {
   std::string v;
@@ -89,8 +90,7 @@ bool ParseSstName(const std::string& name, uint64_t* num) {
   return true;
 }
 
-/// Parses "wal-NNNNNN.log" -> segment number ("wal.log" is segment 0 and is
-/// matched separately; it predates segmentation).
+/// Parses "wal-NNNNNN.log" -> segment number.
 bool ParseWalSegmentName(const std::string& name, uint64_t* num) {
   constexpr std::string_view kPrefix = "wal-";
   constexpr std::string_view kSuffix = ".log";
@@ -400,7 +400,6 @@ std::string LsmStore::SstPath(uint64_t file_number) const {
 }
 
 std::string LsmStore::WalSegmentPath(uint64_t segment) const {
-  if (segment == 0) return options_.dir + "/wal.log";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "/wal-%06llu.log",
                 static_cast<unsigned long long>(segment));
@@ -411,8 +410,9 @@ Result<std::unique_ptr<LsmStore>> LsmStore::Open(const StoreOptions& options) {
   auto store = std::unique_ptr<LsmStore>(new LsmStore(options));
   JUST_RETURN_NOT_OK(store->env_->CreateDirs(options.dir));
   JUST_RETURN_NOT_OK(store->Recover());
-  // Recover may have grown levels_ past num_levels (older MANIFEST), so the
-  // per-level gauges register only now, with the level count settled.
+  // Recover may have grown levels_ past num_levels (a MANIFEST written with
+  // more levels), so the per-level gauges register only now, with the level
+  // count settled.
   store->RegisterLevelMetricSources();
   store->bg_thread_ = std::thread(&LsmStore::BackgroundLoop, store.get());
   return store;
@@ -420,6 +420,14 @@ Result<std::unique_ptr<LsmStore>> LsmStore::Open(const StoreOptions& options) {
 
 Status LsmStore::ParseManifestLocked(const std::string& contents,
                                      std::set<uint64_t>* live) {
+  const std::string_view first =
+      std::string_view(contents).substr(0, contents.find('\n'));
+  if (first != kManifestHeader) {
+    return Status::NotSupported("MANIFEST starts with '" +
+                                std::string(first.substr(0, 64)) + "', not '" +
+                                std::string(kManifestHeader) +
+                                "': " + options_.dir);
+  }
   // Split into whitespace-separated tokens per line.
   std::vector<std::vector<std::string>> lines;
   {
@@ -442,12 +450,6 @@ Status LsmStore::ParseManifestLocked(const std::string& contents,
     if (!tokens.empty()) lines.push_back(std::move(tokens));
   }
 
-  bool v2 = !lines.empty() && lines[0].size() == 2 &&
-            lines[0][0] == "just-manifest";
-  if (v2 && lines[0][1] != "2") {
-    return Status::Corruption("unsupported MANIFEST version: " + lines[0][1]);
-  }
-
   auto open_table = [&](uint64_t num, size_t level)
       -> Result<std::shared_ptr<SsTableReader>> {
     JUST_ASSIGN_OR_RETURN(
@@ -464,46 +466,36 @@ Status LsmStore::ParseManifestLocked(const std::string& contents,
     return reader;
   };
 
-  for (size_t i = v2 ? 1 : 0; i < lines.size(); ++i) {
+  for (size_t i = 1; i < lines.size(); ++i) {  // lines[0] is the header
     const auto& line = lines[i];
     if (line[0] == "wal" && line.size() == 2) {
       min_wal_number_ = std::strtoull(line[1].c_str(), nullptr, 10);
       continue;
     }
-    if (v2) {
-      // "file <level> <number> <smallest-hex> <largest-hex>"
-      if (line[0] != "file" || line.size() != 5) {
-        return Status::Corruption("malformed MANIFEST line");
-      }
-      uint64_t level = std::strtoull(line[1].c_str(), nullptr, 10);
-      uint64_t num = std::strtoull(line[2].c_str(), nullptr, 10);
-      if (num == 0 || level > 1000) {
-        return Status::Corruption("malformed MANIFEST file entry");
-      }
-      std::string smallest;
-      std::string largest;
-      if (!HexDecodeKey(line[3], &smallest) ||
-          !HexDecodeKey(line[4], &largest)) {
-        return Status::Corruption("malformed MANIFEST key range");
-      }
-      JUST_ASSIGN_OR_RETURN(auto reader,
-                            open_table(num, static_cast<size_t>(level)));
-      // The recorded range is a consistency check on the table contents: a
-      // mismatch means the MANIFEST and the .sst diverged (e.g. a partially
-      // restored backup) and range pruning would silently skip data.
-      if (reader->smallest_key() != smallest ||
-          reader->largest_key() != largest) {
-        return Status::Corruption("MANIFEST key range mismatch for file " +
-                                  std::to_string(num));
-      }
-    } else {
-      // v1: bare file numbers in flush order — the flat table list of the
-      // full-compaction era. They all load into L0, whose read path (every
-      // table consulted, newest first) matches the old semantics; leveled
-      // compaction then migrates them down as it runs.
-      uint64_t num = std::strtoull(line[0].c_str(), nullptr, 10);
-      if (num == 0) continue;
-      JUST_RETURN_NOT_OK(open_table(num, 0).status());
+    // "file <level> <number> <smallest-hex> <largest-hex>"
+    if (line[0] != "file" || line.size() != 5) {
+      return Status::Corruption("malformed MANIFEST line");
+    }
+    uint64_t level = std::strtoull(line[1].c_str(), nullptr, 10);
+    uint64_t num = std::strtoull(line[2].c_str(), nullptr, 10);
+    if (num == 0 || level > 1000) {
+      return Status::Corruption("malformed MANIFEST file entry");
+    }
+    std::string smallest;
+    std::string largest;
+    if (!HexDecodeKey(line[3], &smallest) ||
+        !HexDecodeKey(line[4], &largest)) {
+      return Status::Corruption("malformed MANIFEST key range");
+    }
+    JUST_ASSIGN_OR_RETURN(auto reader,
+                          open_table(num, static_cast<size_t>(level)));
+    // The recorded range is a consistency check on the table contents: a
+    // mismatch means the MANIFEST and the .sst diverged (e.g. a partially
+    // restored backup) and range pruning would silently skip data.
+    if (reader->smallest_key() != smallest ||
+        reader->largest_key() != largest) {
+      return Status::Corruption("MANIFEST key range mismatch for file " +
+                                std::to_string(num));
     }
   }
 
@@ -531,9 +523,23 @@ Status LsmStore::Recover() {
   // line makes stale segments harmless: even if deleting a flushed segment
   // failed (crash, transient fault), replay skips everything below N, so an
   // old record can never resurrect over newer flushed data.
+  //
+  // A store of this format commits its MANIFEST before its first WAL
+  // segment, so store files without a MANIFEST are an older build's. Like
+  // a MANIFEST of another format, they are refused before any file changes.
   std::set<uint64_t> live;
   std::string manifest_path = options_.dir + "/MANIFEST";
-  if (env_->FileExists(manifest_path)) {
+  const bool fresh = !env_->FileExists(manifest_path);
+  if (fresh) {
+    JUST_ASSIGN_OR_RETURN(auto names, env_->ListDir(options_.dir));
+    for (const std::string& name : names) {
+      if (EndsWith(name, ".sst") || EndsWith(name, ".log")) {
+        return Status::NotSupported("store file " + name +
+                                    " without a MANIFEST (an older format): " +
+                                    options_.dir);
+      }
+    }
+  } else {
     std::string manifest;
     JUST_RETURN_NOT_OK(env_->ReadFileToString(manifest_path, &manifest));
     JUST_RETURN_NOT_OK(ParseManifestLocked(manifest, &live));
@@ -541,6 +547,8 @@ Status LsmStore::Recover() {
   // 2) Quarantine partial flush/compaction leftovers so they can never be
   // mistaken for live data (and never collide with reused file numbers).
   JUST_RETURN_NOT_OK(QuarantineStrays(live));
+  // A new store is stamped before anything else is written to it.
+  if (fresh) JUST_RETURN_NOT_OK(WriteManifestLocked());
   // 3) WAL segments -> memtable, in segment order (newer segments overwrite
   // older ones). Segments below the manifest's minimum are dead: delete
   // them (best-effort) instead of replaying.
@@ -548,11 +556,7 @@ Status LsmStore::Recover() {
   JUST_ASSIGN_OR_RETURN(auto names, env_->ListDir(options_.dir));
   for (const std::string& name : names) {
     uint64_t seg = 0;
-    if (name == "wal.log") {
-      found.insert(0);
-    } else if (ParseWalSegmentName(name, &seg)) {
-      found.insert(seg);
-    }
+    if (ParseWalSegmentName(name, &seg)) found.insert(seg);
   }
   uint64_t max_seg = 0;
   for (uint64_t seg : found) {
@@ -583,7 +587,7 @@ Status LsmStore::Recover() {
   }
   // 4) Open a fresh active segment; recovered records stay covered by the
   // segments they were replayed from until the next flush commits.
-  wal_number_ = std::max<uint64_t>(max_seg + 1, 1);
+  wal_number_ = max_seg + 1;
   wal_segments_.insert(wal_number_);
   return wal_.Open(WalSegmentPath(wal_number_), /*truncate=*/true, env_);
 }
@@ -1403,7 +1407,7 @@ Status LsmStore::WriteManifestLocked() {
   JUST_ASSIGN_OR_RETURN(auto file,
                         env_->NewWritableFile(tmp_path, /*truncate=*/true));
   std::string body;
-  body.append(kManifestHeaderV2);
+  body.append(kManifestHeader);
   body.push_back('\n');
   // Minimum live WAL segment: replay ignores older segments, so a flushed
   // segment whose deletion failed stays harmless forever.

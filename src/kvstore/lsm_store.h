@@ -35,8 +35,8 @@ struct StoreOptions {
   Env* env = nullptr;     ///< filesystem seam; nullptr = Env::Default()
 
   /// Maximum level count (levels beyond the bottom are never created; a
-  /// reopened store grows extra levels if an older MANIFEST references
-  /// them). Minimum 2: L0 plus one sorted run.
+  /// store reopened with fewer levels keeps the deeper ones its MANIFEST
+  /// references). Minimum 2: L0 plus one sorted run.
   int num_levels = 7;
   /// Size budget ratio between adjacent levels: L(n+1) holds `level_fanout`
   /// times the bytes of L(n). Write amplification per level ~= fanout.
@@ -119,6 +119,10 @@ struct WriteOp {
 ///  - Startup quarantines stray files: `.tmp` leftovers are deleted and
 ///    `.sst` files the MANIFEST does not reference are renamed to
 ///    `.quarantine` so a half-finished flush can never serve reads.
+///  - The MANIFEST's first line stamps the on-disk format. Open refuses any
+///    other stamp, and store files with no MANIFEST, with NotSupported
+///    before it changes a file; a new store is stamped before its first
+///    WAL segment exists.
 ///  - Every SSTable block and footer and the WAL tail are CRC-checked;
 ///    corruption surfaces as Status::Corruption.
 ///  - A background-flush failure is retried a few times, then latched into
@@ -213,10 +217,10 @@ class LsmStore {
   explicit LsmStore(const StoreOptions& options);
 
   Status Recover();
-  /// Loads the MANIFEST body into levels_/min_wal_number_. Handles both the
-  /// current v2 format ("just-manifest 2" header, per-file level + key
-  /// range) and the legacy headerless v1 list of file numbers, which all
-  /// load into L0 — exactly the set a v1 store's full-merge scans consulted.
+  /// Loads the MANIFEST body into levels_/min_wal_number_: the
+  /// "just-manifest 3" header, the "wal N" line, then one line per file
+  /// with its level and key range. Any other header is NotSupported,
+  /// returned before a table opens.
   Status ParseManifestLocked(const std::string& contents,
                              std::set<uint64_t>* live);
   /// Registers the per-level file/byte gauges. Called from Open() after
@@ -289,8 +293,7 @@ class LsmStore {
 
   Status WriteManifestLocked();
   std::string SstPath(uint64_t file_number) const;
-  /// Segment 0 is the legacy single-file name ("wal.log"); rotated segments
-  /// are "wal-NNNNNN.log".
+  /// "wal-NNNNNN.log"; segments are numbered from 1.
   std::string WalSegmentPath(uint64_t segment) const;
   /// Deletes (best-effort) every live WAL segment numbered <= cutoff.
   void RemoveWalSegmentsLocked(uint64_t cutoff);
@@ -312,7 +315,7 @@ class LsmStore {
   /// levels_[0] = L0, newest table last (flush order; later tables take
   /// precedence). levels_[n>=1] are sorted by smallest_key and pairwise
   /// non-overlapping. Sized to options_.num_levels at construction; grows
-  /// only if an older MANIFEST references deeper levels.
+  /// only if the MANIFEST references deeper levels.
   std::vector<std::vector<std::shared_ptr<SsTableReader>>> levels_;
   /// Round-robin pick cursor per level: the next compaction at level n
   /// takes the first file whose smallest_key exceeds compact_cursor_[n],

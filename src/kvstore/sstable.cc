@@ -10,11 +10,10 @@
 namespace just::kv {
 
 namespace {
-// "JUSTSST\1": version 1 adds per-block + footer CRCs.
-constexpr uint64_t kTableMagic = 0x4A55535453535401ull;
-// reserved handle (16) + index handle (16) + num_entries (8) + magic (8)
-// + footer crc (4). Writers zero the reserved handle; readers skip it.
-constexpr size_t kFooterSize = 52;
+// "JUSTSST\2": the table magic of this format.
+constexpr uint64_t kTableMagic = 0x4A55535453535402ull;
+// index handle (16) + num_entries (8) + magic (8) + footer crc (4).
+constexpr size_t kFooterSize = 36;
 constexpr size_t kBlockTrailerSize = 4;  // CRC32 of the block payload
 }  // namespace
 
@@ -136,8 +135,6 @@ Status SsTableBuilder::Finish() {
       WriteBlock(index_block_.Finish(), &index_offset, &index_size));
 
   std::string footer;
-  PutFixed64(&footer, 0);  // reserved handle: offset
-  PutFixed64(&footer, 0);  // and size
   PutFixed64(&footer, index_offset);
   PutFixed64(&footer, index_size);
   PutFixed64(&footer, num_entries_);
@@ -184,11 +181,10 @@ Result<std::shared_ptr<SsTableReader>> SsTableReader::Open(
       GetFixed32(p + kFooterSize - 4)) {
     return Status::Corruption("sstable footer checksum mismatch: " + path);
   }
-  // p[0, 16) is the reserved handle, never read.
-  uint64_t index_offset = GetFixed64(p + 16);
-  uint64_t index_size = GetFixed64(p + 24);
-  table->num_entries_ = GetFixed64(p + 32);
-  if (GetFixed64(p + 40) != kTableMagic) {
+  uint64_t index_offset = GetFixed64(p);
+  uint64_t index_size = GetFixed64(p + 8);
+  table->num_entries_ = GetFixed64(p + 16);
+  if (GetFixed64(p + 24) != kTableMagic) {
     return Status::Corruption("bad sstable magic: " + path);
   }
 

@@ -69,9 +69,8 @@ using BlockCache = LruCache<BlockCacheKey, Block, BlockCacheKeyHash>;
 /// CRC-protected too, so any single flipped byte on disk is detected at
 /// read time instead of surfacing as wrong rows (the HDFS-checksum role).
 /// Index entries map each data block's last key to its (offset, size); the
-/// recorded size excludes the 4-byte CRC trailer. The footer's first slot
-/// is a reserved block handle, written as (0, 0); older tables point it at
-/// a filter block between the data and the index, which readers skip.
+/// recorded size excludes the 4-byte CRC trailer. The footer holds the
+/// index block's handle, the entry count and the table magic.
 class SsTableBuilder {
  public:
   struct Options {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 
 #include "common/json.h"
 
@@ -56,6 +57,9 @@ const SecondaryIndexDef* TableMeta::ReadySecondaryIndexOn(
 
 namespace {
 
+// The catalog's format stamp: the first line of every catalog file.
+constexpr std::string_view kFormatStamp = R"({"format":1})";
+
 JsonValue TableToJson(const TableMeta& table) {
   std::map<std::string, JsonValue> obj;
   obj["user"] = JsonValue::String(table.user);
@@ -87,14 +91,6 @@ JsonValue TableToJson(const TableMeta& table) {
     idxs.push_back(JsonValue::Object(std::move(x)));
   }
   obj["indexes"] = JsonValue::Array(std::move(idxs));
-  if (!table.legacy_attr_columns.empty()) {
-    // Kept until the upgrade finishes, so a crash mid-upgrade resumes it.
-    std::vector<JsonValue> attrs;
-    for (const std::string& col : table.legacy_attr_columns) {
-      attrs.push_back(JsonValue::String(col));
-    }
-    obj["attrs"] = JsonValue::Array(std::move(attrs));
-  }
   std::vector<JsonValue> sec;
   for (const SecondaryIndexDef& def : table.secondary_indexes) {
     std::map<std::string, JsonValue> s;
@@ -143,11 +139,6 @@ Result<TableMeta> TableFromJson(const JsonValue& json) {
     if (idx.period_len_ms <= 0) idx.period_len_ms = kMillisPerDay;
     table.indexes.push_back(idx);
   }
-  // Legacy equality-only attribute indexes; upgraded on engine open.
-  for (const JsonValue& a : json.Get("attrs").array_items()) {
-    if (a.is_string()) table.legacy_attr_columns.push_back(a.string_value());
-  }
-  // Absent in catalogs written before secondary indexes existed.
   for (const JsonValue& s : json.Get("sec_indexes").array_items()) {
     SecondaryIndexDef def;
     def.name = s.GetString("name");
@@ -165,7 +156,7 @@ Result<TableMeta> TableFromJson(const JsonValue& json) {
 
 // Quota lines share the catalog's JSONL file with table lines and are told
 // apart by their non-empty "tenant" member (table lines have "user"/"name"
-// instead), so catalogs written before quotas existed load unchanged.
+// instead).
 JsonValue QuotaToJson(const std::string& tenant, const TenantQuotaConfig& q) {
   std::map<std::string, JsonValue> obj;
   obj["tenant"] = JsonValue::String(tenant);
@@ -214,7 +205,14 @@ Status Catalog::Load() {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
   std::fclose(f);
 
-  size_t pos = 0;
+  if (content.empty()) return Status::OK();
+  size_t pos = std::min(content.find('\n'), content.size());
+  if (std::string_view(content).substr(0, pos) != kFormatStamp) {
+    return Status::NotSupported("catalog " + path_ + " does not start with " +
+                                std::string(kFormatStamp) +
+                                "; this build reads that format only");
+  }
+  ++pos;
   while (pos < content.size()) {
     size_t eol = content.find('\n', pos);
     if (eol == std::string::npos) eol = content.size();
@@ -236,22 +234,19 @@ Status Catalog::Load() {
 }
 
 Status Catalog::PersistLocked() const {
+  std::string body = std::string(kFormatStamp) + "\n";
+  for (const auto& [key, table] : tables_) {
+    body += TableToJson(table).ToString() + "\n";
+  }
+  for (const auto& [tenant, quota] : tenant_quotas_) {
+    body += QuotaToJson(tenant, quota).ToString() + "\n";
+  }
   std::string tmp = path_ + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Status::IOError("cannot write catalog " + tmp);
-  for (const auto& [key, table] : tables_) {
-    std::string line = TableToJson(table).ToString() + "\n";
-    if (std::fwrite(line.data(), 1, line.size(), f) != line.size()) {
-      std::fclose(f);
-      return Status::IOError("catalog write failed");
-    }
-  }
-  for (const auto& [tenant, quota] : tenant_quotas_) {
-    std::string line = QuotaToJson(tenant, quota).ToString() + "\n";
-    if (std::fwrite(line.data(), 1, line.size(), f) != line.size()) {
-      std::fclose(f);
-      return Status::IOError("catalog write failed");
-    }
+  if (std::fwrite(body.data(), 1, body.size(), f) != body.size()) {
+    std::fclose(f);
+    return Status::IOError("catalog write failed");
   }
   if (std::fflush(f) != 0 || std::fclose(f) != 0) {
     return Status::IOError("catalog flush failed");
@@ -330,25 +325,6 @@ Status Catalog::DropIndex(const std::string& user, const std::string& name,
     return st;
   }
   if (dropped != nullptr) *dropped = std::move(removed);
-  return st;
-}
-
-Status Catalog::ClearLegacyAttrColumns(const std::string& user,
-                                       const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tables_.find(Key(user, name));
-  if (it == tables_.end()) {
-    return Status::NotFound("no such table: " + name);
-  }
-  TableMeta saved = it->second;
-  TableMeta& table = it->second;
-  table.next_index_slot = std::max<uint32_t>(
-      table.next_index_slot,
-      static_cast<uint32_t>(table.indexes.size() +
-                            table.legacy_attr_columns.size()));
-  table.legacy_attr_columns.clear();
-  Status st = PersistLocked();
-  if (!st.ok()) table = std::move(saved);
   return st;
 }
 

@@ -65,11 +65,6 @@ struct TableMeta {
   /// them online; USERDATA {'just.attr.indexes':'col'} declares them ready
   /// at CREATE TABLE.
   std::vector<SecondaryIndexDef> secondary_indexes;
-  /// Columns of the equality-only attribute indexes older catalogs recorded
-  /// as "attrs" (legacy slot `indexes.size() + i` for entry i). Only ever
-  /// non-empty between loading such a catalog and JustEngine::Open's
-  /// upgrade, which rebuilds them as secondary indexes.
-  std::vector<std::string> legacy_attr_columns;
   /// Next free secondary-index slot: monotonic over the table's lifetime so
   /// a dropped index's slot (and any orphaned entries a crashed drop left
   /// behind) is never reused.
@@ -107,7 +102,10 @@ struct TenantQuotaConfig {
 
 /// The meta store (the role MySQL plays in the paper): durable, transactional
 /// table metadata with namespace isolation. Persistence is a journaled JSON
-/// file rewritten atomically on every DDL commit.
+/// file rewritten atomically on every DDL commit. Its first line stamps the
+/// catalog format (`{"format":1}`); Open refuses a non-empty file without
+/// that exact line with NotSupported, and a missing file is a fresh
+/// catalog.
 class Catalog {
  public:
   static Result<std::unique_ptr<Catalog>> Open(const std::string& path);
@@ -127,12 +125,6 @@ class Catalog {
   Status DropIndex(const std::string& user, const std::string& name,
                    const std::string& index_name,
                    SecondaryIndexDef* dropped = nullptr);
-
-  /// Forgets (user, name)'s legacy attribute-index columns and persists —
-  /// the last step of their upgrade. `next_index_slot` is raised past the
-  /// legacy slots so no later index can alias one.
-  Status ClearLegacyAttrColumns(const std::string& user,
-                                const std::string& name);
 
   /// Flips the index's lifecycle state (the atomic `building` -> `ready`
   /// commit point of an online build). Bumps the table's generation.

@@ -75,6 +75,13 @@ bool TimeWindowOf(const Expr& c, const std::string& time_column,
   }
 }
 
+bool HasTimeAwareIndex(const meta::TableMeta& table_meta) {
+  return std::any_of(table_meta.indexes.begin(), table_meta.indexes.end(),
+                     [](const meta::IndexConfig& index) {
+                       return curve::IsSpatioTemporal(index.type);
+                     });
+}
+
 /// The `ready` secondary index whose column `e` references, or nullptr.
 const meta::SecondaryIndexDef* ReadyIndexFor(const meta::TableMeta& table_meta,
                                              const Expr& e) {
@@ -219,9 +226,11 @@ Result<AccessPath> ChooseAccessPath(
 
   // A box with a window open on one side: the spatial index reads fewer
   // keys than every period of the time-aware one, so the box drives and
-  // the comparisons stay residual.
-  if (path.have_box &&
-      (path.t_min == INT64_MIN || path.t_max == INT64_MAX)) {
+  // the comparisons stay residual. A window with no box drives only a
+  // time-aware index, whose keys lead with the period; on a table without
+  // one it is a full scan.
+  const bool open_window = path.t_min == INT64_MIN || path.t_max == INT64_MAX;
+  if (path.have_box ? open_window : !HasTimeAwareIndex(table_meta)) {
     path.have_time = false;
     for (const Expr* c : time_conjuncts) path.residual.push_back(c);
     time_conjuncts.clear();

@@ -1,19 +1,13 @@
 // Tests for Figure 1's "Attribute Indexing" box as declared at CREATE TABLE
 // (USERDATA {'just.attr.indexes':'col'}): the declaration makes ready
-// secondary indexes, equality lookups and SQL go through them, and catalogs
-// written with the older equality-only attribute indexes upgrade on open.
+// secondary indexes, and equality lookups and SQL go through them.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 
-#include "common/bytes.h"
 #include "common/rng.h"
 #include "core/engine.h"
-#include "kvstore/fault_env.h"
 #include "sql/analyzer.h"
 #include "sql/executor.h"
 #include "sql/justql.h"
@@ -259,204 +253,6 @@ TEST_F(AttrIndexTest, DeclaredIndexesSurviveReopen) {
   EXPECT_NE(meta->ReadySecondaryIndexOn("amount"), nullptr);
   ExpectOracleRows("SELECT fid, amount FROM orders WHERE amount = 3");
 }
-
-// --- Legacy-catalog upgrade ----------------------------------------------
-
-/// How the catalog written by the older attribute-index code is reopened.
-enum class UpgradeMode {
-  kClean,        ///< plain reopen
-  kCrashedBuild, ///< a prior upgrade died mid-build (`building` leftover)
-  kFaultedBuild, ///< the first upgrade attempt hits a dead disk mid-build
-};
-
-class LegacyUpgradeTest : public ::testing::TestWithParam<UpgradeMode> {
- protected:
-  EngineOptions Options() {
-    EngineOptions options;
-    options.data_dir = dir_.path();
-    options.num_servers = 2;
-    options.num_shards = 4;
-    options.store.env = &env_;
-    options.index_build_batch_rows = 16;  // several build batches
-    return options;
-  }
-
-  /// Keys in `slot` of the table's key space, over every shard.
-  size_t SlotKeys(JustEngine* engine, const meta::TableMeta& meta,
-                  uint32_t slot) {
-    size_t count = 0;
-    for (int shard = 0; shard < 4; ++shard) {
-      std::string start(1, static_cast<char>(shard));
-      PutFixed32BE(&start, static_cast<uint32_t>(meta.table_id));
-      std::string end = start;
-      start.push_back(static_cast<char>(slot));
-      end.push_back(static_cast<char>(slot + 1));
-      auto rows = just::testing::ScanRows(*engine->cluster(),
-                                          {curve::KeyRange{start, end}});
-      EXPECT_TRUE(rows.ok());
-      if (rows.ok()) count += rows->size();
-    }
-    return count;
-  }
-
-  /// Stray entries under `slot`, one per shard.
-  void WriteStrayKeys(JustEngine* engine, const meta::TableMeta& meta,
-                      uint32_t slot) {
-    for (int shard = 0; shard < 4; ++shard) {
-      std::string key(1, static_cast<char>(shard));
-      PutFixed32BE(&key, static_cast<uint32_t>(meta.table_id));
-      key.push_back(static_cast<char>(slot));
-      key += "stale-entry";
-      ASSERT_TRUE(
-          just::testing::PutKey(*engine->cluster(), key, "not a row").ok());
-    }
-  }
-
-  std::string ReadCatalog() {
-    std::ifstream in(dir_.path() + "/catalog.jsonl");
-    std::stringstream text;
-    text << in.rdbuf();
-    return text.str();
-  }
-
-  TempDir dir_{"attr_upgrade"};
-  kv::FaultInjectionEnv env_;
-};
-
-TEST_P(LegacyUpgradeTest, LegacyAttrIndexBecomesSecondaryIndex) {
-  const std::string q = "SELECT * FROM orders WHERE city = 'shanghai'";
-  meta::TableMeta meta;
-  {
-    auto engine = JustEngine::Open(Options());
-    ASSERT_TRUE(engine.ok());
-    meta.user = "u";
-    meta.name = "orders";
-    meta.columns = {
-        {"fid", exec::DataType::kString, true, "", ""},
-        {"city", exec::DataType::kString, false, "", ""},
-        {"time", exec::DataType::kTimestamp, false, "", ""},
-        {"geom", exec::DataType::kGeometry, false, "", ""},
-    };
-    ASSERT_TRUE((*engine)->CreateTable(meta).ok());
-    TimestampMs base = ParseTimestamp("2018-10-01").value();
-    Rng rng(17);
-    std::vector<exec::Row> rows;
-    const char* cities[] = {"beijing", "shanghai", "chengdu", "xian"};
-    for (int i = 0; i < 120; ++i) {
-      rows.push_back({
-          exec::Value::String("o" + std::to_string(i)),
-          exec::Value::String(cities[i % 4]),
-          exec::Value::Timestamp(base + i * kMillisPerMinute),
-          exec::Value::GeometryVal(geo::Geometry::MakePoint(
-              {116.0 + rng.NextDouble(), 39.5 + rng.NextDouble()})),
-      });
-    }
-    ASSERT_TRUE((*engine)->InsertBatch("u", "orders", rows).ok());
-    auto described = (*engine)->DescribeTable("u", "orders");
-    ASSERT_TRUE(described.ok());
-    meta = *described;
-    // What the old attribute index left behind in its slot (the first one
-    // after the curve indexes), plus — for the crashed build — half-built
-    // entries one slot further up.
-    WriteStrayKeys(engine->get(), meta,
-                   static_cast<uint32_t>(meta.indexes.size()));
-    if (GetParam() == UpgradeMode::kCrashedBuild) {
-      WriteStrayKeys(engine->get(), meta,
-                     static_cast<uint32_t>(meta.indexes.size() + 1));
-    }
-    ASSERT_TRUE((*engine)->Finalize().ok());
-  }
-  const uint32_t legacy_slot = static_cast<uint32_t>(meta.indexes.size());
-
-  // Rewrite the catalog line as the older code wrote it: with "attrs".
-  std::string catalog = ReadCatalog();
-  size_t at = catalog.find("\"name\":\"orders\"");
-  ASSERT_NE(at, std::string::npos);
-  size_t line_start = catalog.rfind('\n', at);
-  line_start = line_start == std::string::npos ? 0 : line_start + 1;
-  ASSERT_EQ(catalog[line_start], '{');
-  catalog.insert(line_start + 1, "\"attrs\":[\"city\"],");
-  {
-    std::ofstream out(dir_.path() + "/catalog.jsonl", std::ios::trunc);
-    out << catalog;
-  }
-  if (GetParam() == UpgradeMode::kCrashedBuild) {
-    // The process died after registering the upgrade's index as `building`.
-    auto legacy = meta::Catalog::Open(dir_.path() + "/catalog.jsonl");
-    ASSERT_TRUE(legacy.ok());
-    meta::SecondaryIndexDef def;
-    def.name = "attr_city";
-    def.column = "city";
-    def.slot = legacy_slot + 1;
-    def.state = meta::IndexState::kBuilding;
-    ASSERT_TRUE((*legacy)->AddIndex("u", "orders", def).ok());
-  }
-  ASSERT_NE(ReadCatalog().find("\"attrs\""), std::string::npos);
-  if (GetParam() == UpgradeMode::kFaultedBuild) {
-    // The disk dies at a later write on every attempt — during the store
-    // open, the backfill, the purge — until one Open gets through; each
-    // attempt resumes from whatever the one before left.
-    int attempts = 0;
-    for (int fail_at = 1;; fail_at += 3) {
-      ASSERT_LT(fail_at, 1000) << "the upgrade never completed";
-      env_.FailWriteOp(env_.write_ops() + fail_at, /*all_after=*/true);
-      auto engine = JustEngine::Open(Options());
-      env_.ClearFaults();
-      if (engine.ok()) break;
-      ++attempts;
-    }
-    EXPECT_GT(attempts, 0);
-  }
-
-  for (int reopen = 0; reopen < 2; ++reopen) {
-    SCOPED_TRACE("reopen " + std::to_string(reopen));
-    auto engine = JustEngine::Open(Options());
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    auto described = (*engine)->DescribeTable("u", "orders");
-    ASSERT_TRUE(described.ok());
-    EXPECT_TRUE(described->legacy_attr_columns.empty());
-    ASSERT_EQ(described->secondary_indexes.size(), 1u);
-    const meta::SecondaryIndexDef* def =
-        described->ReadySecondaryIndexOn("city");
-    ASSERT_NE(def, nullptr);
-    EXPECT_GT(def->slot, legacy_slot);  // never aliases the legacy slot
-    EXPECT_GT(described->next_index_slot, def->slot);
-    EXPECT_EQ(SlotKeys(engine->get(), *described, legacy_slot), 0u);
-    if (GetParam() == UpgradeMode::kCrashedBuild) {
-      EXPECT_GT(def->slot, legacy_slot + 1);
-      EXPECT_EQ(SlotKeys(engine->get(), *described, legacy_slot + 1), 0u);
-    }
-    EXPECT_EQ(ReadCatalog().find("\"attrs\""), std::string::npos);
-
-    sql::JustQL ql(engine->get());
-    auto plan = ql.ExplainSelect("u", q);
-    ASSERT_TRUE(plan.ok());
-    EXPECT_NE(plan->find("access: secondary_index"), std::string::npos)
-        << *plan;
-    auto got = ql.Execute("u", q);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    auto want = OracleSelect(engine->get(), "u", q);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    EXPECT_EQ(got->frame.num_rows(), 30u);
-    EXPECT_EQ(RowSet(got->frame), RowSet(*want));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, LegacyUpgradeTest,
-                         ::testing::Values(UpgradeMode::kClean,
-                                           UpgradeMode::kCrashedBuild,
-                                           UpgradeMode::kFaultedBuild),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case UpgradeMode::kClean:
-                               return std::string("Clean");
-                             case UpgradeMode::kCrashedBuild:
-                               return std::string("CrashedBuild");
-                             case UpgradeMode::kFaultedBuild:
-                               return std::string("FaultedBuild");
-                           }
-                           return std::string("Unknown");
-                         });
 
 }  // namespace
 }  // namespace just::core

@@ -505,15 +505,17 @@ TEST_P(EngineScanParityTest, TimeWindowsMatchTheOracle) {
       just::testing::ExpectSameResult(engine_.get(), "u", sql);
     }
 
-    // Time alone is one key range per shard over the window's periods; a
-    // box with a window open on one side keeps the spatial path and tests
-    // time as a residual; a lower bound at INT64_MIN stays residual.
+    // Time alone is one key range per shard over the window's periods (Z2
+    // keys carry no time, so on ev_z2 it is a full scan); a box with a
+    // window open on one side keeps the spatial path and tests time as a
+    // residual; a lower bound at INT64_MIN stays residual.
     const std::string from = "SELECT * FROM " + table.name + " WHERE ";
-    EXPECT_EQ(AccessOf(engine_.get(), from + t + " < " + edge),
-              "temporal_range");
+    const std::string time_alone =
+        table.name == "ev_z2" ? "full_scan" : "temporal_range";
+    EXPECT_EQ(AccessOf(engine_.get(), from + t + " < " + edge), time_alone);
     EXPECT_EQ(AccessOf(engine_.get(), from + t + " > -1000 AND " + t +
                                           " <= " + edge),
-              "temporal_range");
+              time_alone);
     EXPECT_EQ(AccessOf(engine_.get(), from + table.geom + " WITHIN " + box +
                                           " AND " + t + " < " + edge),
               "spatial_range");
@@ -530,6 +532,31 @@ TEST_P(EngineScanParityTest, TimeWindowsMatchTheOracle) {
     if (table.name != "ev_z2") {
       EXPECT_LT(stats.rows_scanned, 75u);
     }
+  }
+}
+
+/// A table with no time-aware index has no key that leads with the period,
+/// so a time-only query plans a full scan and tests time as a residual.
+TEST_P(EngineScanParityTest, TimeAloneWithoutATimeAwareIndexIsAFullScan) {
+  const TimestampMs day = ParseTimestamp("2018-10-02").value();
+  Status loaded = LoadTimeEdgeTables(engine_.get(), day);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  const std::string edge = std::to_string(day);
+  for (const std::string& where :
+       {"time < " + edge, "time >= " + edge,
+        "time BETWEEN " + std::to_string(day - 1) + " AND " +
+            std::to_string(day + kMillisPerDay)}) {
+    const std::string sql = "SELECT * FROM ev_z2 WHERE " + where;
+    SCOPED_TRACE(sql);
+    EXPECT_EQ(AccessOf(engine_.get(), sql), "full_scan");
+    auto analyzed =
+        sql::JustQL(engine_.get()).Execute("u", "EXPLAIN ANALYZE " + sql);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    EXPECT_NE(analyzed->message.find("Scan ev_z2 access=full_scan"),
+              std::string::npos)
+        << analyzed->message;
+    ASSERT_GT(analyzed->frame.num_rows(), 0u);
+    just::testing::ExpectSameResult(engine_.get(), "u", sql);
   }
 }
 

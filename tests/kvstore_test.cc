@@ -491,72 +491,6 @@ TEST(SsTableTest, EveryFlippedByteOfADataBlockIsCorruption) {
   EXPECT_GE(flips, 16);
 }
 
-TEST(SsTableTest, BloomHandleIsIgnored) {
-  // Tables from older builds hold a bloom block between the data and the
-  // index, named by the footer's first handle. Rebuild a fresh table in
-  // that layout, with a garbage block that fails its own CRC: the reader
-  // never reads that handle, so the table opens and scans the same rows.
-  TempDir dir("sst_bloom_handle");
-  const std::string path = dir.path() + "/t.sst";
-  std::map<std::string, std::string> model;
-  SsTableBuilder::Options opts;
-  opts.block_size = 256;
-  SsTableBuilder builder(opts);
-  ASSERT_TRUE(builder.Open(path).ok());
-  for (int i = 0; i < 300; ++i) {
-    char key[16];
-    std::snprintf(key, sizeof(key), "key%06d", i);
-    model[key] = "value" + std::to_string(i);
-    ASSERT_TRUE(builder.Add(key, model[key]).ok());
-  }
-  ASSERT_TRUE(builder.Finish().ok());
-  std::string clean;
-  {
-    std::ifstream in(path, std::ios::binary);
-    clean.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  constexpr size_t kFooter = 52;
-  const char* footer = clean.data() + clean.size() - kFooter;
-  // New tables write a zero handle.
-  EXPECT_EQ(GetFixed64(footer), 0u);
-  EXPECT_EQ(GetFixed64(footer + 8), 0u);
-  const uint64_t index_offset = GetFixed64(footer + 16);
-  const uint64_t index_size = GetFixed64(footer + 24);
-
-  const std::string garbage(64, '\xA5');  // payload + 4 bytes of bad CRC
-  ASSERT_NE(Crc32(std::string_view(garbage.data(), garbage.size() - 4)),
-            GetFixed32(garbage.data() + garbage.size() - 4));
-  std::string old_layout = clean.substr(0, index_offset) + garbage +
-                           clean.substr(index_offset, index_size + 4);
-  std::string old_footer;
-  PutFixed64(&old_footer, index_offset);
-  PutFixed64(&old_footer, garbage.size() - 4);
-  PutFixed64(&old_footer, index_offset + garbage.size());
-  old_footer.append(footer + 24, 24);  // index size, entries, magic
-  PutFixed32(&old_footer, Crc32(old_footer));
-  ASSERT_EQ(old_footer.size(), kFooter);
-  old_layout += old_footer;
-  const std::string old_path = dir.path() + "/old.sst";
-  {
-    std::ofstream out(old_path, std::ios::binary | std::ios::trunc);
-    out.write(old_layout.data(),
-              static_cast<std::streamsize>(old_layout.size()));
-  }
-
-  auto reader = SsTableReader::Open(old_path, 1, nullptr);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_EQ((*reader)->num_entries(), model.size());
-  SsTableReader::Iterator it(reader->get());
-  auto mit = model.begin();
-  for (it.SeekToFirst(); it.Valid(); it.Next(), ++mit) {
-    ASSERT_NE(mit, model.end());
-    EXPECT_EQ(it.key(), mit->first);
-    EXPECT_EQ(std::string(it.value()), mit->second);
-  }
-  EXPECT_TRUE(it.status().ok()) << it.status().ToString();
-  EXPECT_EQ(mit, model.end());
-}
-
 TEST(SsTableTest, CorruptFileRejected) {
   TempDir dir("sst_corrupt");
   std::string path = dir.path() + "/t.sst";

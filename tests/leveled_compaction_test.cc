@@ -1,7 +1,7 @@
 // Leveled compaction acceptance tests: a bulk load builds a multi-level
 // tree that scans exactly, the L1+ non-overlap invariant (which lets Scan
-// merge one iterator per deeper level), and the MANIFEST v1 -> v2 upgrade
-// path that keeps stores written before leveled compaction openable.
+// merge one iterator per deeper level), and the refusal of a MANIFEST of
+// another format.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 namespace just::kv {
 namespace {
 
-using just::testing::GetKey;
 using just::testing::TempDir;
 
 std::string TestKey(int i) {
@@ -128,88 +127,9 @@ TEST(LeveledCompactionTest, DeeperLevelsNeverOverlap) {
   }
 }
 
-// A v1 MANIFEST (PR-4 and earlier: "wal N" plus bare file numbers, no
-// levels, no key ranges) must still open. All its tables load into L0 —
-// the set the old full-merge read path consulted — and the next flush
-// rewrites the MANIFEST in the v2 format with per-file key ranges.
-TEST(LeveledCompactionTest, ManifestV1UpgradesOnOpen) {
-  TempDir dir("manifest_v1");
-  const std::string manifest_path = dir.path() + "/MANIFEST";
-  std::vector<uint64_t> file_numbers;
-  std::string wal_line;
-  {
-    StoreOptions opts = LeveledOptions(dir.path());
-    opts.compaction_trigger = 100;  // keep every flush output in L0
-    auto store = LsmStore::Open(opts);
-    ASSERT_TRUE(store.ok());
-    for (int round = 0; round < 3; ++round) {
-      for (int i = round * 20; i < round * 20 + 30; ++i) {
-        ASSERT_TRUE((*store)->Put(TestKey(i), TestValue(i, round)).ok());
-      }
-      ASSERT_TRUE((*store)->Flush().ok());
-    }
-    auto levels = (*store)->GetLevelInfo();
-    ASSERT_FALSE(levels.empty());
-    for (const auto& table : levels[0]) {
-      file_numbers.push_back(table.file_number);
-    }
-    ASSERT_EQ(file_numbers.size(), 3u);
-    // Keep the real minimum-live-WAL line so replay semantics are intact.
-    std::string manifest;
-    ASSERT_TRUE(
-        Env::Default()->ReadFileToString(manifest_path, &manifest).ok());
-    size_t pos = manifest.find("wal ");
-    ASSERT_NE(pos, std::string::npos);
-    wal_line = manifest.substr(pos, manifest.find('\n', pos) - pos);
-  }
-
-  // Rewrite the MANIFEST the way a pre-leveled store would have left it.
-  {
-    auto file = Env::Default()->NewWritableFile(manifest_path, true);
-    ASSERT_TRUE(file.ok());
-    std::string body = wal_line + "\n";
-    for (uint64_t number : file_numbers) {
-      body += std::to_string(number) + "\n";
-    }
-    ASSERT_TRUE((*file)->Append(body).ok());
-    ASSERT_TRUE((*file)->Close().ok());
-  }
-
-  // A trigger the upgrade-marker flush below cannot reach: at the default
-  // of 4 its table would be the 4th in L0, and a background L0->L1
-  // compaction could drop every L0 line before the MANIFEST is read.
-  StoreOptions reopen = LeveledOptions(dir.path());
-  reopen.compaction_trigger = 100;
-  auto store = LsmStore::Open(reopen);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  // Every table the v1 manifest referenced is live, in L0.
-  auto levels = (*store)->GetLevelInfo();
-  ASSERT_FALSE(levels.empty());
-  EXPECT_EQ(levels[0].size(), 3u);
-  for (size_t level = 1; level < levels.size(); ++level) {
-    EXPECT_TRUE(levels[level].empty());
-  }
-  // Later rounds overwrote earlier ones; precedence must survive the
-  // upgrade (L0 keeps flush order).
-  std::string value;
-  ASSERT_TRUE(GetKey(**store, TestKey(45), &value).ok());
-  EXPECT_EQ(value, TestValue(45, 2));
-  ASSERT_TRUE(GetKey(**store, TestKey(5), &value).ok());
-  EXPECT_EQ(value, TestValue(5, 0));
-
-  // The first durable change rewrites the MANIFEST in v2 form.
-  ASSERT_TRUE((*store)->Put("upgrade-marker", "yes").ok());
-  ASSERT_TRUE((*store)->Flush().ok());
-  std::string manifest;
-  ASSERT_TRUE(Env::Default()->ReadFileToString(manifest_path, &manifest).ok());
-  EXPECT_EQ(manifest.rfind("just-manifest 2\n", 0), 0u)
-      << "MANIFEST not rewritten as v2: " << manifest;
-  EXPECT_NE(manifest.find("file 0 "), std::string::npos);
-}
-
 // A MANIFEST claiming an unknown format version must fail the open with
-// Corruption, not load garbage.
-TEST(LeveledCompactionTest, UnknownManifestVersionIsCorruption) {
+// NotSupported, not load garbage.
+TEST(LeveledCompactionTest, UnknownManifestVersionIsNotSupported) {
   TempDir dir("manifest_v9");
   {
     auto store = LsmStore::Open(LeveledOptions(dir.path()));
@@ -220,8 +140,8 @@ TEST(LeveledCompactionTest, UnknownManifestVersionIsCorruption) {
   const std::string manifest_path = dir.path() + "/MANIFEST";
   std::string manifest;
   ASSERT_TRUE(Env::Default()->ReadFileToString(manifest_path, &manifest).ok());
-  manifest.replace(manifest.find("just-manifest 2"),
-                   std::string("just-manifest 2").size(), "just-manifest 9");
+  manifest.replace(manifest.find("just-manifest 3"),
+                   std::string("just-manifest 3").size(), "just-manifest 9");
   {
     auto file = Env::Default()->NewWritableFile(manifest_path, true);
     ASSERT_TRUE(file.ok());
@@ -230,7 +150,7 @@ TEST(LeveledCompactionTest, UnknownManifestVersionIsCorruption) {
   }
   auto reopened = LsmStore::Open(LeveledOptions(dir.path()));
   ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsCorruption())
+  EXPECT_EQ(reopened.status().code(), StatusCode::kNotSupported)
       << reopened.status().ToString();
 }
 

@@ -271,49 +271,27 @@ TEST(RowCodecTest, SummaryThatDisagreesWithItsListIsCorruption) {
   }
 }
 
-TEST(RowCodecTest, LegacyCellsDecodeAsBefore) {
-  // Cells written before the summary layout: [R|D][oid lp][gps lp] under
-  // the column's codec. They decode in full under every mask, also when
-  // the early phase asks for a summary, to the row the current layout
-  // decodes to.
+TEST(RowCodecTest, TopLevelRawAndDeltaCellsAreCorruption) {
+  // An st_series cell whose first byte is 'R' or 'D' ([R|D][oid lp][gps
+  // lp], the layout before cells carried a summary) is no cell of this
+  // format: it fails loudly under every mask, never becoming a row.
   const auto t = SmallTrajectory();
-  for (const bool compact : {true, false}) {
+  for (const bool gzip : {true, false}) {
     meta::TableMeta table = SweepTable();
-    table.columns[kPath].compress = compact ? "gzip" : "";
-    const std::string current = ValidRows(table)[0];
-    auto want = DecodeRow(table, current);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-
-    std::string legacy(1, compact ? 'D' : 'R');
-    PutLengthPrefixed(&legacy, t->oid());
-    PutLengthPrefixed(&legacy,
-                      compact ? t->SerializeDelta() : t->SerializeRaw());
-    std::vector<std::string> cells = SplitCells(current);
-    cells[kPath] = compress::EncodeCell(
-        compact ? *compress::Lz77Codec() : *compress::NoneCodec(), legacy);
-    const std::string bytes = JoinCells(cells);
-
-    auto got = DecodeRow(table, bytes);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    for (size_t c = 0; c < want->size(); ++c) {
-      EXPECT_TRUE(SameCell((*got)[c], (*want)[c])) << "column " << c;
-    }
-    auto early = EarlySummary(table, bytes);
-    ASSERT_TRUE(early.ok()) << early.status().ToString();
-    EXPECT_FALSE(early->trajectory_value()->summary_only());
-    EXPECT_TRUE(SameCell(*early, (*want)[kPath]));
-    for (const ColumnMask& mask : AllMasks(table.columns.size())) {
-      for (bool summary : {false, true}) {
-        auto row = TwoPhase(table, bytes, mask, summary);
-        ASSERT_TRUE(row.ok()) << row.status().ToString();
-        EXPECT_TRUE(SameCell((*row)[kPath], (*want)[kPath]));
-      }
-    }
-    // Cut anywhere, a row with a legacy cell is Corruption.
-    for (size_t len = 0; len < bytes.size(); ++len) {
-      ExpectCorruptionUnderEveryMask(table, bytes.substr(0, len),
-                                     "legacy truncated at " +
-                                         std::to_string(len));
+    table.columns[kPath].compress = gzip ? "gzip" : "";
+    for (const char tag : {'R', 'D'}) {
+      std::string old_cell(1, tag);
+      PutLengthPrefixed(&old_cell, t->oid());
+      PutLengthPrefixed(&old_cell, tag == 'D' ? t->SerializeDelta()
+                                              : t->SerializeRaw());
+      std::vector<std::string> cells = SplitCells(ValidRows(table)[0]);
+      cells[kPath] = compress::EncodeCell(
+          gzip ? *compress::Lz77Codec() : *compress::NoneCodec(), old_cell);
+      const std::string bytes = JoinCells(cells);
+      const std::string what = std::string(1, tag) + (gzip ? " gzip" : "");
+      EXPECT_TRUE(DecodeRow(table, bytes).status().IsCorruption()) << what;
+      EXPECT_TRUE(EarlySummary(table, bytes).status().IsCorruption()) << what;
+      ExpectCorruptionUnderEveryMask(table, bytes, what);
     }
   }
 }
