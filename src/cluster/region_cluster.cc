@@ -6,11 +6,11 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
 
-#include "net/region_client.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -32,36 +32,54 @@ bool SingleShardByte(std::string_view start, std::string_view end) {
 
 Result<std::unique_ptr<RegionCluster>> RegionCluster::Open(
     const ClusterOptions& options) {
-  if (!options.server_addrs.empty()) {
-    // Out-of-process deployment: one socket backend per running
-    // `just_region_server`; this process owns no stores.
-    auto cluster = std::unique_ptr<RegionCluster>(new RegionCluster(options));
-    for (const auto& addr : options.server_addrs) {
-      JUST_ASSIGN_OR_RETURN(
-          auto backend,
-          OpenSocketBackend(
-              addr, static_cast<uint32_t>(options.scan_batch_rows)));
-      cluster->servers_.push_back(std::move(backend));
+  auto cluster = std::unique_ptr<RegionCluster>(new RegionCluster(options));
+  // Out-of-process deployment: one connection pool per running
+  // `just_region_server`; this process owns no stores.
+  for (const std::string& addr : options.server_addrs) {
+    const size_t colon = addr.rfind(':');
+    if (colon == std::string::npos || colon == 0 || colon + 1 >= addr.size()) {
+      return Status::InvalidArgument("server address must be host:port, got '" +
+                                     addr + "'");
     }
-    return cluster;
+    net::RegionClientOptions client_options;
+    client_options.host = addr.substr(0, colon);
+    client_options.port = std::atoi(addr.c_str() + colon + 1);
+    if (client_options.port <= 0 || client_options.port > 65535) {
+      return Status::InvalidArgument("bad port in server address '" + addr +
+                                     "'");
+    }
+    const auto page_rows = static_cast<uint32_t>(options.scan_batch_rows);
+    if (page_rows > 0) client_options.scan_page_rows = page_rows;
+    auto pool = std::make_unique<net::ClientPool>(std::move(client_options));
+    // A freshly spawned server may still be binding: give it a brief grace
+    // window, then fail Open with the underlying error.
+    Status st = pool->Acquire()->Ping();
+    for (int attempt = 1; !st.ok() && attempt < 20; ++attempt) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      st = pool->Acquire()->Ping();
+    }
+    if (!st.ok()) {
+      return Status::Unavailable("region server at " + addr +
+                                 " unreachable: " + st.ToString());
+    }
+    cluster->pools_.push_back(std::move(pool));
   }
+  if (!cluster->pools_.empty()) return cluster;
   if (options.num_servers < 1) {
     return Status::InvalidArgument("cluster needs at least one server");
   }
-  auto cluster = std::unique_ptr<RegionCluster>(new RegionCluster(options));
   for (int i = 0; i < options.num_servers; ++i) {
     kv::StoreOptions store_options = options.store;
     store_options.dir = options.dir + "/rs" + std::to_string(i);
-    JUST_ASSIGN_OR_RETURN(auto backend, OpenLocalBackend(store_options));
-    cluster->servers_.push_back(std::move(backend));
+    JUST_ASSIGN_OR_RETURN(auto store, kv::LsmStore::Open(store_options));
+    cluster->stores_.push_back(std::move(store));
   }
   return cluster;
 }
 
 int RegionCluster::ServerFor(std::string_view key) const {
   if (key.empty()) return 0;
-  return static_cast<unsigned char>(key[0]) %
-         static_cast<int>(servers_.size());
+  return static_cast<unsigned char>(key[0]) % num_servers();
 }
 
 bool RegionCluster::Retry(const Status& st, int attempt,
@@ -95,18 +113,24 @@ Status RegionCluster::WithRetry(const std::function<Status()>& op) const {
 Status RegionCluster::WriteBatch(std::vector<kv::WriteOp> ops,
                                  std::string_view tenant) {
   if (ops.empty()) return Status::OK();
-  std::vector<std::vector<kv::WriteOp>> per_server(servers_.size());
+  std::vector<std::vector<kv::WriteOp>> per_server(
+      static_cast<size_t>(num_servers()));
   for (auto& op : ops) {
     per_server[ServerFor(op.key)].push_back(std::move(op));
   }
   size_t busy_servers = 0;
   for (const auto& slice : per_server) busy_servers += slice.empty() ? 0 : 1;
-  // Per-tenant quota sheds come back as kResourceExhausted, which is not
-  // transient — WithRetry passes it straight through, so a throttled tenant
-  // sees the shed immediately instead of burning the retry budget.
+  // A socket server applies its own per-tenant write admission to the
+  // tagged slice; a quota shed comes back as kResourceExhausted, which is
+  // not transient — WithRetry passes it straight through, so a throttled
+  // tenant sees the shed immediately instead of burning the retry budget.
+  // A store in this process has no quota layer and takes no tenant.
   auto commit = [&](size_t s) {
-    RegionBackend* server = servers_[s].get();
-    return WithRetry([&] { return server->WriteBatch(tenant, per_server[s]); });
+    return WithRetry([&] {
+      return pools_.empty()
+                 ? stores_[s]->WriteBatch(per_server[s])
+                 : pools_[s]->Acquire()->WriteBatch(tenant, per_server[s]);
+    });
   };
   // Small batches (or one-server batches) are not worth pool dispatch; a
   // large one is known up front to be, so it spreads at once.
@@ -171,7 +195,7 @@ Status RegionCluster::Scan(const std::vector<curve::KeyRange>& ranges,
   // 4, 0 and 1), so it goes to all of them. Only a range confined to a
   // single shard byte maps to a single server; the ranges the index
   // strategies emit are of exactly that shape.
-  std::vector<std::vector<size_t>> work(servers_.size());
+  std::vector<std::vector<size_t>> work(static_cast<size_t>(num_servers()));
   for (size_t i = 0; i < ranges.size(); ++i) {
     int first = 0;
     int last = num_servers() - 1;
@@ -220,7 +244,7 @@ Status RegionCluster::Scan(const std::vector<curve::KeyRange>& ranges,
     }
   };
   size_t helpers = 0;  ///< pool threads that scanned a server
-  if (!options_.server_addrs.empty()) {
+  if (!pools_.empty()) {
     PollScan(ranges, &scans, sink, halt, finish);
   } else {
     // The servers' scans start on this thread and spread to pool helpers
@@ -263,7 +287,7 @@ Status RegionCluster::ScanAttempt(ServerScan* scan,
     resume_start = scan->last_key + '\0';  // just past the accepted key
     todo[0].start = resume_start;
   }
-  return servers_[scan->server]->store()->Scan(
+  return stores_[scan->server]->Scan(
       todo, [&](size_t r, std::string_view key, std::string_view value) {
         return scan->Deliver(base + r, key, value, sink, halt);
       });
@@ -383,7 +407,7 @@ void RegionCluster::PollScan(
   for (size_t i = 0; i < streams.size(); ++i) {
     Stream& s = streams[i];
     s.scan = &(*scans)[i];
-    s.pool = servers_[s.scan->server]->clients();
+    s.pool = pools_[s.scan->server].get();
     s.conn = s.pool->Acquire();
     open_window(s, 0);
   }
@@ -454,7 +478,7 @@ Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
     }
     std::vector<std::vector<std::vector<Row>>> rows;
   };
-  Collector collector(servers_.size(), ranges.size());
+  Collector collector(static_cast<size_t>(num_servers()), ranges.size());
   JUST_RETURN_NOT_OK(Scan(ranges, &collector));
   std::vector<RangeResult> results(ranges.size());
   for (size_t i = 0; i < ranges.size(); ++i) {
@@ -472,24 +496,30 @@ Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
 }
 
 Status RegionCluster::FlushAll() {
-  for (const auto& server : servers_) {
-    JUST_RETURN_NOT_OK(server->Flush());
-  }
+  for (const auto& store : stores_) JUST_RETURN_NOT_OK(store->Flush());
+  for (const auto& pool : pools_) JUST_RETURN_NOT_OK(pool->Acquire()->Flush());
   return Status::OK();
 }
 
 Status RegionCluster::CompactAll() {
-  for (const auto& server : servers_) {
-    JUST_RETURN_NOT_OK(server->CompactAll());
+  for (const auto& store : stores_) JUST_RETURN_NOT_OK(store->CompactAll());
+  for (const auto& pool : pools_) {
+    JUST_RETURN_NOT_OK(pool->Acquire()->CompactAll());
   }
   return Status::OK();
 }
 
 RegionCluster::Stats RegionCluster::GetStats() const {
   Stats stats;
-  for (const auto& server : servers_) {
-    BackendStats s;
-    if (!server->GetStats(&s).ok()) continue;  // best-effort aggregate
+  for (const auto& store : stores_) {
+    const kv::LsmStore::Stats s = store->GetStats();
+    stats.disk_bytes += s.disk_bytes;
+    stats.entries += s.sstable_entries + s.memtable_entries;
+    stats.num_sstables += s.num_sstables;
+  }
+  for (const auto& pool : pools_) {
+    net::StatsResponse s;
+    if (!pool->Acquire()->GetStats(&s).ok()) continue;  // best-effort
     stats.disk_bytes += s.disk_bytes;
     stats.entries += s.entries;
     stats.num_sstables += s.num_sstables;

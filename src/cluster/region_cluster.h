@@ -12,9 +12,9 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "cluster/region_backend.h"
 #include "curve/index_strategy.h"
 #include "kvstore/lsm_store.h"
+#include "net/region_client.h"
 
 namespace just::cluster {
 
@@ -36,16 +36,20 @@ struct ClusterOptions {
   int max_retries = 2;
   /// Base backoff before the first retry; doubles per attempt.
   int retry_backoff_ms = 1;
-  /// Wire page size of socket backends: Scan() fetches each server's rows
+  /// Wire page size of socket servers: Scan() fetches each server's rows
   /// this many at a time, so an early-stopping consumer never makes a
   /// remote server ship its whole key range.
   size_t scan_batch_rows = 512;
 };
 
-/// The HBase-cluster role: `num_servers` region servers, each one
-/// RegionBackend — an in-process LSM store (the historical single-binary
-/// mode) or a remote `just_region_server` process reached over the binary
-/// wire protocol (see ClusterOptions::server_addrs). The shard byte that
+/// The HBase-cluster role: `num_servers` region servers, each either an
+/// in-process LSM store (the single-binary mode) or a remote
+/// `just_region_server` process reached over the binary wire protocol
+/// through a connection pool (see ClusterOptions::server_addrs) — one kind
+/// per cluster. The cluster talks to a server the two ways the paper's
+/// HBase layer does: it writes batches of keyed rows and it scans key
+/// ranges; the rest is administration (flush, compaction, stats). The
+/// shard byte that
 /// the indexing strategies prepend to every key (GeoMesa's random prefix)
 /// routes records to servers, achieving the load balance Section IV-A
 /// describes; SCANs over key ranges run in parallel across servers
@@ -54,6 +58,9 @@ struct ClusterOptions {
 /// suite against both.
 class RegionCluster {
  public:
+  /// In process, opens one store per server. Over sockets, checks each
+  /// server with a Ping, retried briefly so a just-spawned server can
+  /// finish binding, and fails with Unavailable if one stays unreachable.
   static Result<std::unique_ptr<RegionCluster>> Open(
       const ClusterOptions& options);
 
@@ -69,7 +76,7 @@ class RegionCluster {
 
   /// Consumer of a streaming Scan(). Each server's rows reach Accept() in
   /// its ranges' list order, each range's keys in ascending order. Over
-  /// socket backends every server's rows arrive on the calling thread; in
+  /// socket servers every server's rows arrive on the calling thread; in
   /// process each server's rows come from one thread, the calling thread
   /// or, once the scan has spread, a pool helper, concurrently with the
   /// others. Either way per-server state indexed by `server` needs no
@@ -93,7 +100,7 @@ class RegionCluster {
 
   /// The one cluster scan: every key range on its owning server(s), one
   /// multi-range scan per server that owns any range, the servers in
-  /// parallel, rows streamed into `sink` with no copy. Over socket backends
+  /// parallel, rows streamed into `sink` with no copy. Over socket servers
   /// the calling thread drives every server's pages itself: it sends each
   /// server's first page, polls the connections, and requests a server's
   /// next page once the sink took its rows. In process the calling thread
@@ -137,7 +144,9 @@ class RegionCluster {
   };
   Stats GetStats() const;
 
-  int num_servers() const { return static_cast<int>(servers_.size()); }
+  int num_servers() const {
+    return static_cast<int>(stores_.size() + pools_.size());
+  }
 
  private:
   explicit RegionCluster(const ClusterOptions& options) : options_(options) {}
@@ -154,7 +163,7 @@ class RegionCluster {
                      const std::vector<curve::KeyRange>& ranges,
                      ScanSink* sink, const std::atomic<bool>* halt) const;
 
-  /// Scan() over socket backends: the calling thread's page loop over every
+  /// Scan() over socket servers: the calling thread's page loop over every
   /// server's connection. A failed page (transport error, timeout, CRC
   /// error or shed) that Retry() allows reopens that server's stream on a
   /// fresh connection after the backoff, just past the last row `sink`
@@ -177,7 +186,12 @@ class RegionCluster {
   Status WithRetry(const std::function<Status()>& op) const;
 
   ClusterOptions options_;
-  std::vector<std::unique_ptr<RegionBackend>> servers_;
+  /// In-process servers' stores; empty over sockets.
+  std::vector<std::unique_ptr<kv::LsmStore>> stores_;
+  /// Socket servers' connection pools; empty in process. Every call checks
+  /// a connection out for its own use, so concurrent queries never share a
+  /// socket and no lock is held across an RPC.
+  std::vector<std::unique_ptr<net::ClientPool>> pools_;
 };
 
 }  // namespace just::cluster

@@ -18,8 +18,9 @@ Result<std::unique_ptr<JustEngine>> JustEngine::Open(
     const EngineOptions& options) {
   auto engine = std::unique_ptr<JustEngine>(new JustEngine(options));
   engine->options_.index.num_shards = options.num_shards;
-  JUST_ASSIGN_OR_RETURN(
-      engine->catalog_, meta::Catalog::Open(options.data_dir + "/catalog.jsonl"));
+  JUST_ASSIGN_OR_RETURN(engine->catalog_,
+                        meta::Catalog::Open(options.data_dir + "/catalog.jsonl",
+                                            options.store.env));
   cluster::ClusterOptions cluster_options;
   cluster_options.dir = options.data_dir + "/cluster";
   cluster_options.num_servers = options.num_servers;

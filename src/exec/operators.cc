@@ -6,15 +6,6 @@
 
 namespace just::exec {
 
-DataFrame Filter(const DataFrame& input,
-                 const std::function<bool(const Row&)>& pred) {
-  DataFrame out(input.schema_ptr());
-  for (const Row& row : input.rows()) {
-    if (pred(row)) out.AddRow(row);
-  }
-  return out;
-}
-
 Result<DataFrame> Project(const DataFrame& input,
                           const std::vector<std::string>& columns) {
   std::vector<int> indices;
@@ -236,42 +227,6 @@ Result<DataFrame> HashJoin(const DataFrame& left, const DataFrame& right,
       out.AddRow(std::move(joined));
     }
   }
-  return out;
-}
-
-DataFrame MapRows(const DataFrame& input, std::shared_ptr<Schema> out_schema,
-                  const std::function<Row(const Row&)>& fn) {
-  DataFrame out(std::move(out_schema));
-  for (const Row& row : input.rows()) out.AddRow(fn(row));
-  return out;
-}
-
-DataFrame FlatMapRows(const DataFrame& input,
-                      std::shared_ptr<Schema> out_schema,
-                      const std::function<std::vector<Row>(const Row&)>& fn) {
-  DataFrame out(std::move(out_schema));
-  for (const Row& row : input.rows()) {
-    for (Row& produced : fn(row)) out.AddRow(std::move(produced));
-  }
-  return out;
-}
-
-DataFrame MapPartition(
-    const DataFrame& input, std::shared_ptr<Schema> out_schema,
-    const std::function<std::vector<Row>(const std::vector<Row>&)>& fn) {
-  DataFrame out(std::move(out_schema));
-  for (Row& produced : fn(input.rows())) out.AddRow(std::move(produced));
-  return out;
-}
-
-Result<DataFrame> Union(const DataFrame& a, const DataFrame& b) {
-  if (!(a.schema() == b.schema())) {
-    return Status::InvalidArgument("UNION schema mismatch: " +
-                                   a.schema().ToString() + " vs " +
-                                   b.schema().ToString());
-  }
-  DataFrame out(a.schema_ptr(), a.rows());
-  for (const Row& row : b.rows()) out.AddRow(row);
   return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef JUST_EXEC_OPERATORS_H_
 #define JUST_EXEC_OPERATORS_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -13,10 +12,6 @@ namespace just::exec {
 /// Relational operators over DataFrames: the Spark SQL subset JUST pushes
 /// complex predicates, aggregates, and joins to (Section VI, SQL Execute).
 /// All operators are pure: they build a new DataFrame.
-
-/// Keeps rows for which `pred` returns true.
-DataFrame Filter(const DataFrame& input,
-                 const std::function<bool(const Row&)>& pred);
 
 /// Keeps the named columns, in order.
 Result<DataFrame> Project(const DataFrame& input,
@@ -52,25 +47,6 @@ Result<DataFrame> GroupBy(const DataFrame& input,
 Result<DataFrame> HashJoin(const DataFrame& left, const DataFrame& right,
                            const std::string& left_col,
                            const std::string& right_col);
-
-/// Per-row transform (1-1 analysis operations, e.g. coordinate transforms).
-DataFrame MapRows(const DataFrame& input, std::shared_ptr<Schema> out_schema,
-                  const std::function<Row(const Row&)>& fn);
-
-/// Per-row expansion (1-N analysis operations, e.g. trajectory
-/// segmentation), implemented with our own executor since Spark SQL UDFs
-/// cannot return multiple rows (Section V-D).
-DataFrame FlatMapRows(const DataFrame& input,
-                      std::shared_ptr<Schema> out_schema,
-                      const std::function<std::vector<Row>(const Row&)>& fn);
-
-/// Whole-table transform (N-M analysis operations, e.g. st_DBSCAN).
-DataFrame MapPartition(
-    const DataFrame& input, std::shared_ptr<Schema> out_schema,
-    const std::function<std::vector<Row>(const std::vector<Row>&)>& fn);
-
-/// Concatenates frames with identical schemas.
-Result<DataFrame> Union(const DataFrame& a, const DataFrame& b);
 
 }  // namespace just::exec
 

@@ -281,6 +281,203 @@ class LevelIterator {
   size_t idx_ = 0;
   std::unique_ptr<SsTableReader::Iterator> iter_;
 };
+
+using TableList = std::vector<std::shared_ptr<SsTableReader>>;
+using RowList = std::vector<std::pair<std::string, std::string>>;
+
+/// One input of the store's k-way merge, built with designated
+/// initializers: the active memtable's rows copied per range (`vec`, range
+/// r reading [vec_windows[r], vec_windows[r + 1])), a frozen memtable
+/// (`mem`), one SSTable (`table` + `sst`), or one L1+ level read as a
+/// single sorted run (`lvl`). A tagged struct, not a virtual interface, so
+/// the merge's per-row calls stay direct.
+struct Source {
+  const RowList* vec = nullptr;
+  const std::vector<size_t>* vec_windows = nullptr;
+  size_t vec_pos = 0;
+  size_t vec_end = 0;
+  std::unique_ptr<SkipList::Iterator> mem;
+  const SsTableReader* table = nullptr;
+  std::unique_ptr<SsTableReader::Iterator> sst;
+  std::unique_ptr<LevelIterator> lvl;
+  /// The source sits at its first key >= pos_lo — so also at the first
+  /// key >= t for every t between pos_lo and its current key, and a later
+  /// range starting in that window needs no seek (no block re-read).
+  /// A view into the caller's ranges: a seek target, or the end of a
+  /// range the source has since been merged through.
+  std::string_view pos_lo;
+  bool positioned = false;
+
+  bool Valid() const {
+    if (vec != nullptr) return vec_pos < vec_end;
+    if (mem != nullptr) return mem->Valid();
+    if (sst != nullptr) return sst->Valid();
+    return lvl->Valid();
+  }
+  Status status() const {
+    if (sst != nullptr) return sst->status();
+    if (lvl != nullptr) return lvl->status();
+    return Status::OK();
+  }
+  std::string_view key() const {
+    if (vec != nullptr) return (*vec)[vec_pos].first;
+    if (mem != nullptr) return mem->key();
+    if (sst != nullptr) return sst->key();
+    return lvl->key();
+  }
+  std::string_view value() const {
+    if (vec != nullptr) return (*vec)[vec_pos].second;
+    if (mem != nullptr) return mem->value();
+    if (sst != nullptr) return sst->value();
+    return lvl->value();
+  }
+  void Next() {
+    if (vec != nullptr) {
+      ++vec_pos;
+    } else if (mem != nullptr) {
+      mem->Next();
+    } else if (sst != nullptr) {
+      sst->Next();
+    } else {
+      lvl->Next();
+    }
+  }
+  /// Whether this source can hold keys in [start, end). Tables and levels
+  /// answer from their key bounds for free; the caller skips the rest.
+  bool MayContain(std::string_view start, std::string_view end) const {
+    if (table != nullptr) {
+      if (!end.empty() && std::string_view(table->smallest_key()) >= end) {
+        return false;
+      }
+      return std::string_view(table->largest_key()) >= start ||
+             table->largest_key().empty();
+    }
+    if (lvl != nullptr) return lvl->MayContain(start, end);
+    return true;
+  }
+  /// Positions the source for range `r` starting at `target`.
+  void Seek(size_t r, std::string_view target) {
+    if (vec != nullptr) {
+      vec_pos = (*vec_windows)[r];
+      vec_end = (*vec_windows)[r + 1];
+      return;
+    }
+    if (positioned && pos_lo <= target &&
+        (Valid() ? key() >= target : status().ok())) {
+      return;
+    }
+    pos_lo = target;
+    positioned = true;
+    if (mem != nullptr) {
+      mem->Seek(std::string(target));
+    } else if (sst != nullptr) {
+      sst->Seek(target);
+    } else {
+      lvl->Seek(target);
+    }
+  }
+};
+
+/// Appends the sources of a tree's tables in precedence order: `tables`
+/// one source each (newest first), then one source per non-empty run
+/// (newest first) — a run is sorted and non-overlapping, so it costs one
+/// heap slot however many files it holds.
+void AppendTableSources(const TableList& tables, std::vector<TableList> runs,
+                        std::vector<Source>* sources) {
+  for (const auto& table : tables) {
+    sources->push_back(Source{
+        .table = table.get(),
+        .sst = std::make_unique<SsTableReader::Iterator>(table.get())});
+  }
+  for (TableList& run : runs) {
+    if (run.empty()) continue;
+    sources->push_back(
+        Source{.lvl = std::make_unique<LevelIterator>(std::move(run))});
+  }
+}
+
+/// The store's one k-way merge, serving Scan and every compaction.
+/// `sources` are in precedence order (lower index = newer). For each range
+/// in list order it calls fn(range, key, internal_value) once per distinct
+/// key in [start, end), in key order, with the newest source's internal
+/// value — tombstones included: Scan drops them, a compaction keeps them
+/// unless its output is the bottom-most data. `fn` returning false ends the
+/// merge. A source that stops on a corrupt or unreadable block fails the
+/// merge instead of silently shortening it. A template, so `fn` inlines
+/// into the per-row loop.
+template <typename Fn>
+Status MergeSources(std::vector<Source>& sources,
+                    const std::vector<ScanRange>& ranges, Fn&& fn) {
+  // The heap orders source indices by current key, ties broken toward the
+  // lower (newer) index so the freshest version of a key pops first and
+  // older duplicates are skipped via last_emitted.
+  auto newer_first = [&sources](int a, int b) {
+    int c = sources[static_cast<size_t>(a)].key().compare(
+        sources[static_cast<size_t>(b)].key());
+    if (c != 0) return c > 0;  // min-heap on key
+    return a > b;              // equal keys: lower index (newer) on top
+  };
+  std::vector<int> heap;
+  heap.reserve(sources.size());
+  std::vector<int> merged;  ///< sources the current range merges
+  merged.reserve(sources.size());
+  std::string last_emitted;
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    const std::string_view start = ranges[r].start;
+    const std::string_view end = ranges[r].end;
+    merged.clear();
+    for (size_t i = 0; i < sources.size(); ++i) {
+      Source& s = sources[i];
+      if (!s.MayContain(start, end)) continue;
+      s.Seek(r, start);
+      if (s.Valid()) {
+        merged.push_back(static_cast<int>(i));
+      } else {
+        JUST_RETURN_NOT_OK(s.status());
+      }
+    }
+    heap = merged;
+    std::make_heap(heap.begin(), heap.end(), newer_first);
+
+    bool have_last = false;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), newer_first);
+      int i = heap.back();
+      heap.pop_back();
+      Source& s = sources[static_cast<size_t>(i)];
+      std::string_view key = s.key();
+      if (!end.empty() && key >= end) {
+        continue;  // this source is done with the range; keys only grow
+      }
+      if (!have_last || key != last_emitted) {
+        last_emitted.assign(key);
+        have_last = true;
+        if (!fn(r, std::string_view(last_emitted), s.value())) {
+          return Status::OK();
+        }
+      }
+      s.Next();
+      if (s.Valid()) {
+        heap.push_back(i);
+        std::push_heap(heap.begin(), heap.end(), newer_first);
+      } else {
+        JUST_RETURN_NOT_OK(s.status());
+      }
+    }
+    // Every merged source consumed its keys in [start, end) and now sits at
+    // its first key >= end; one merged to the last key has nothing left to
+    // tell a later range and re-seeks.
+    for (int i : merged) {
+      Source& s = sources[static_cast<size_t>(i)];
+      if (end.empty()) {
+        s.positioned = false;
+      } else if (start < end) {
+        s.pos_lo = end;
+      }
+    }
+  }
+  return Status::OK();
+}
 }  // namespace
 
 /// One queued write. The front of writers_ is the leader: it commits its own
@@ -293,6 +490,87 @@ struct LsmStore::Writer {
   bool done = false;
   Status status;
   std::condition_variable cv;
+};
+
+/// The store's one table writer: a flush and every compaction stream their
+/// entries, in key order, through one. The first Add after an output closed
+/// opens the next as NNNNNN.sst.tmp; an output closes — Finish (which
+/// fsyncs), rename into place, open a reader — once it reaches `roll_bytes`
+/// (0: never, the output stays one table) and at Finish(). Runs without the
+/// store lock: every store field it reads is immutable after Open() except
+/// the atomic file counter. Nothing it writes is referenced until the
+/// caller installs outputs() and commits the MANIFEST; until then
+/// Abandon() removes the open tmp and every closed output.
+class LsmStore::TableWriter {
+ public:
+  TableWriter(LsmStore* store, uint64_t roll_bytes)
+      : store_(store), roll_bytes_(roll_bytes) {}
+
+  Status Add(std::string_view key, std::string_view value) {
+    if (builder_ == nullptr) JUST_RETURN_NOT_OK(OpenOutput());
+    JUST_RETURN_NOT_OK(builder_->Add(key, value));
+    if (roll_bytes_ > 0 && builder_->file_size() >= roll_bytes_) {
+      return CloseOutput();
+    }
+    return Status::OK();
+  }
+
+  /// Closes the open output, if any.
+  Status Finish() { return builder_ != nullptr ? CloseOutput() : Status::OK(); }
+
+  void Abandon() {
+    builder_.reset();
+    if (!pending_path_.empty()) (void)store_->env_->RemoveFile(pending_path_);
+    pending_path_.clear();
+    for (const auto& table : outputs_) {
+      (void)store_->env_->RemoveFile(table->path());
+    }
+    outputs_.clear();
+  }
+
+  const TableList& outputs() const { return outputs_; }
+
+  uint64_t output_bytes() const {
+    uint64_t total = 0;
+    for (const auto& table : outputs_) total += table->file_size();
+    return total;
+  }
+
+ private:
+  Status OpenOutput() {
+    number_ = store_->next_file_number_.fetch_add(1);
+    pending_path_ = store_->SstPath(number_) + ".tmp";
+    SsTableBuilder::Options bopts;
+    bopts.block_size = store_->options_.block_size;
+    builder_ = std::make_unique<SsTableBuilder>(bopts);
+    return builder_->Open(pending_path_, store_->env_, &store_->io_stats_);
+  }
+
+  Status CloseOutput() {
+    // Finish syncs the tmp file; the rename publishes it atomically.
+    Status st = builder_->Finish();
+    builder_.reset();
+    JUST_RETURN_NOT_OK(st);
+    const std::string path = store_->SstPath(number_);
+    JUST_RETURN_NOT_OK(store_->env_->RenameFile(pending_path_, path));
+    pending_path_ = path;
+    JUST_ASSIGN_OR_RETURN(
+        auto reader,
+        SsTableReader::Open(path, number_, store_->block_cache_.get(),
+                            store_->env_, &store_->io_stats_));
+    pending_path_.clear();
+    outputs_.push_back(std::move(reader));
+    return Status::OK();
+  }
+
+  LsmStore* store_;
+  const uint64_t roll_bytes_;
+  std::unique_ptr<SsTableBuilder> builder_;  ///< the open output, if any
+  uint64_t number_ = 0;                      ///< its file number
+  /// The open output's tmp file, or its final path between the rename and
+  /// its reader opening: what Abandon() must remove beyond outputs_.
+  std::string pending_path_;
+  TableList outputs_;
 };
 
 LsmStore::LsmStore(const StoreOptions& options)
@@ -462,7 +740,7 @@ Status LsmStore::ParseManifestLocked(const std::string& contents,
     }
     levels_[level].push_back(reader);
     live->insert(num);
-    next_file_number_ = std::max(next_file_number_, num + 1);
+    next_file_number_ = std::max(next_file_number_.load(), num + 1);
     return reader;
   };
 
@@ -608,7 +886,7 @@ Status LsmStore::QuarantineStrays(const std::set<uint64_t>& live) {
       // whose deletion did not finish. Keep the bytes for forensics, but
       // move them out of the namespace.
       JUST_RETURN_NOT_OK(env_->RenameFile(path, path + ".quarantine"));
-      next_file_number_ = std::max(next_file_number_, num + 1);
+      next_file_number_ = std::max(next_file_number_.load(), num + 1);
       ++quarantined_files_;
     }
   }
@@ -764,7 +1042,8 @@ void LsmStore::BackgroundLoop() {
       if (!stop_bg_ && bg_error_.ok() && !compaction_running_) {
         int level = PickCompactionLevelLocked();
         if (level >= 0) {
-          (void)RunCompactionLocked(lock, PickCompactionLocked(level));
+          compaction_error_ =
+              RunCompactionLocked(lock, PickCompactionLocked(level));
         }
         // A compaction failure stays un-latched (the tree is merely
         // unbalanced, not unsafe); the next flush re-schedules it.
@@ -783,12 +1062,20 @@ void LsmStore::BackgroundFlush(std::unique_lock<std::shared_mutex>& lock) {
   const auto t0 = std::chrono::steady_clock::now();
   Status st;
   for (int attempt = 0; attempt < kBgFlushAttempts; ++attempt) {
-    uint64_t file_number = next_file_number_++;
-    std::shared_ptr<SsTableReader> reader;
+    // On any failure before the MANIFEST commits, the memtable and WAL
+    // still hold every record, so nothing acknowledged can be lost.
     lock.unlock();
-    st = BuildSsTable(*mem, file_number, &reader);
+    TableWriter out(this, /*roll_bytes=*/0);
+    st = Status::OK();
+    SkipList::Iterator it(mem.get());
+    for (it.SeekToFirst(); st.ok() && it.Valid(); it.Next()) {
+      st = out.Add(it.key(), it.value());
+    }
+    if (st.ok()) st = out.Finish();
+    if (!st.ok()) out.Abandon();
     lock.lock();
-    if (!st.ok()) continue;  // transient build failure: retry with new number
+    if (!st.ok()) continue;  // transient write failure: retry with new number
+    const std::shared_ptr<SsTableReader> reader = out.outputs().front();
     levels_[0].push_back(reader);
     uint64_t prev_min = min_wal_number_;
     min_wal_number_ = cutoff + 1;
@@ -819,31 +1106,6 @@ void LsmStore::BackgroundFlush(std::unique_lock<std::shared_mutex>& lock) {
   flush_done_cv_.notify_all();
 }
 
-Status LsmStore::BuildSsTable(const SkipList& mem, uint64_t file_number,
-                              std::shared_ptr<SsTableReader>* out) {
-  std::string final_path = SstPath(file_number);
-  std::string tmp_path = final_path + ".tmp";
-  SsTableBuilder::Options bopts;
-  bopts.block_size = options_.block_size;
-  SsTableBuilder builder(bopts);
-  JUST_RETURN_NOT_OK(builder.Open(tmp_path, env_, &io_stats_));
-  SkipList::Iterator it(&mem);
-  for (it.SeekToFirst(); it.Valid(); it.Next()) {
-    JUST_RETURN_NOT_OK(builder.Add(it.key(), it.value()));
-  }
-  // Finish syncs the temp file; the rename publishes it atomically. On any
-  // failure before the manifest commits, the memtable and WAL still hold
-  // every record, so nothing acknowledged can be lost.
-  JUST_RETURN_NOT_OK(builder.Finish());
-  JUST_RETURN_NOT_OK(env_->RenameFile(tmp_path, final_path));
-  JUST_ASSIGN_OR_RETURN(
-      auto reader,
-      SsTableReader::Open(final_path, file_number, block_cache_.get(), env_,
-                          &io_stats_));
-  *out = std::move(reader);
-  return Status::OK();
-}
-
 void LsmStore::RemoveWalSegmentsLocked(uint64_t cutoff) {
   // Best-effort: the manifest's "wal" line already fences these segments
   // out of replay, so a failed deletion cannot resurrect stale data.
@@ -862,11 +1124,12 @@ Status LsmStore::Scan(const std::vector<ScanRange>& ranges,
   // immutable memtable and the SSTables are frozen, so shared_ptr pins
   // suffice. After this block the scan never touches store state — writers
   // proceed and the callback may re-enter the store.
-  std::vector<std::pair<std::string, std::string>> active;
+  RowList active;
   std::vector<size_t> active_begin;  ///< range r's window: [r], [r + 1]
   active_begin.reserve(ranges.size() + 1);
   std::shared_ptr<SkipList> imm;
-  std::vector<std::vector<std::shared_ptr<SsTableReader>>> levels;
+  TableList l0;  ///< newest first
+  std::vector<TableList> runs;
   {
     std::shared_lock lock(mu_);
     for (const ScanRange& range : ranges) {
@@ -875,194 +1138,28 @@ Status LsmStore::Scan(const std::vector<ScanRange>& ranges,
     }
     active_begin.push_back(active.size());
     imm = imm_;
-    levels = levels_;
+    l0.assign(levels_[0].rbegin(), levels_[0].rend());
+    runs.assign(levels_.begin() + 1, levels_.end());
   }
 
   // Sources in precedence order (lower index = newer): the active window,
-  // the frozen memtable, every L0 table newest->oldest, then ONE merged
-  // iterator per deeper level — a level is a single sorted run, so it costs
-  // one heap slot no matter how many files it holds. They are built once
-  // and re-seeked per range.
-  struct Source {
-    const std::vector<std::pair<std::string, std::string>>* vec = nullptr;
-    size_t vec_pos = 0;
-    size_t vec_end = 0;
-    std::unique_ptr<SkipList::Iterator> mem;
-    const SsTableReader* table = nullptr;
-    std::unique_ptr<SsTableReader::Iterator> sst;
-    std::unique_ptr<LevelIterator> lvl;
-    /// The source sits at its first key >= pos_lo — so also at the first
-    /// key >= t for every t between pos_lo and its current key, and a later
-    /// range starting in that window needs no seek (no block re-read).
-    /// A view into the caller's ranges: a seek target, or the end of a
-    /// range the source has since been merged through.
-    std::string_view pos_lo;
-    bool positioned = false;
-
-    bool Valid() const {
-      if (vec != nullptr) return vec_pos < vec_end;
-      if (mem != nullptr) return mem->Valid();
-      if (sst != nullptr) return sst->Valid();
-      return lvl->Valid();
-    }
-    Status status() const {
-      if (sst != nullptr) return sst->status();
-      if (lvl != nullptr) return lvl->status();
-      return Status::OK();
-    }
-    std::string_view key() const {
-      if (vec != nullptr) return (*vec)[vec_pos].first;
-      if (mem != nullptr) return mem->key();
-      if (sst != nullptr) return sst->key();
-      return lvl->key();
-    }
-    std::string_view value() const {
-      if (vec != nullptr) return (*vec)[vec_pos].second;
-      if (mem != nullptr) return mem->value();
-      if (sst != nullptr) return sst->value();
-      return lvl->value();
-    }
-    void Next() {
-      if (vec != nullptr) {
-        ++vec_pos;
-      } else if (mem != nullptr) {
-        mem->Next();
-      } else if (sst != nullptr) {
-        sst->Next();
-      } else {
-        lvl->Next();
-      }
-    }
-    /// Whether this source can hold keys in [start, end). Tables and levels
-    /// answer from their key bounds for free; the caller skips the rest.
-    bool MayContain(std::string_view start, std::string_view end) const {
-      if (table != nullptr) {
-        if (!end.empty() && std::string_view(table->smallest_key()) >= end) {
-          return false;
-        }
-        return std::string_view(table->largest_key()) >= start ||
-               table->largest_key().empty();
-      }
-      if (lvl != nullptr) return lvl->MayContain(start, end);
-      return true;
-    }
-    void Seek(std::string_view target) {
-      if (positioned && pos_lo <= target &&
-          (Valid() ? key() >= target : status().ok())) {
-        return;
-      }
-      pos_lo = target;
-      positioned = true;
-      if (mem != nullptr) {
-        mem->Seek(std::string(target));
-      } else if (sst != nullptr) {
-        sst->Seek(target);
-      } else {
-        lvl->Seek(target);
-      }
-    }
-  };
-
+  // the frozen memtable, then the tables — built once, re-seeked per range.
   std::vector<Source> sources;
-  {
-    Source s;
-    s.vec = &active;
-    sources.push_back(std::move(s));
-  }
+  sources.push_back(Source{.vec = &active, .vec_windows = &active_begin});
   if (imm != nullptr) {
-    Source s;
-    s.mem = std::make_unique<SkipList::Iterator>(imm.get());
-    sources.push_back(std::move(s));
+    sources.push_back(
+        Source{.mem = std::make_unique<SkipList::Iterator>(imm.get())});
   }
-  for (auto it = levels[0].rbegin(); it != levels[0].rend(); ++it) {
-    Source s;
-    s.table = it->get();
-    s.sst = std::make_unique<SsTableReader::Iterator>(it->get());
-    sources.push_back(std::move(s));
-  }
-  for (size_t lvl = 1; lvl < levels.size(); ++lvl) {
-    if (levels[lvl].empty()) continue;
-    Source s;
-    s.lvl = std::make_unique<LevelIterator>(levels[lvl]);
-    sources.push_back(std::move(s));
-  }
-
-  // K-way heap merge per range: the heap orders source indices by current
-  // key, ties broken toward the lower (newer) index so the freshest version
-  // of a key pops first and duplicates are skipped via last_emitted. A
-  // source that went invalid on a corrupt block fails the scan instead of
-  // silently shortening it.
-  auto newer_first = [&sources](int a, int b) {
-    int c = sources[static_cast<size_t>(a)].key().compare(
-        sources[static_cast<size_t>(b)].key());
-    if (c != 0) return c > 0;  // min-heap on key
-    return a > b;              // equal keys: lower index (newer) on top
-  };
-  std::vector<int> heap;
-  heap.reserve(sources.size());
-  std::vector<int> merged;  ///< sources the current range merges
-  merged.reserve(sources.size());
-  std::string last_emitted;
-  for (size_t r = 0; r < ranges.size(); ++r) {
-    const std::string_view start = ranges[r].start;
-    const std::string_view end = ranges[r].end;
-    merged.clear();
-    sources[0].vec_pos = active_begin[r];
-    sources[0].vec_end = active_begin[r + 1];
-    if (sources[0].Valid()) merged.push_back(0);
-    for (size_t i = 1; i < sources.size(); ++i) {
-      Source& s = sources[i];
-      if (!s.MayContain(start, end)) continue;
-      s.Seek(start);
-      if (s.Valid()) {
-        merged.push_back(static_cast<int>(i));
-      } else {
-        JUST_RETURN_NOT_OK(s.status());
-      }
-    }
-    heap = merged;
-    std::make_heap(heap.begin(), heap.end(), newer_first);
-
-    bool have_last = false;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), newer_first);
-      int i = heap.back();
-      heap.pop_back();
-      Source& s = sources[static_cast<size_t>(i)];
-      std::string_view key = s.key();
-      if (!end.empty() && key >= end) {
-        continue;  // this source is done with the range; keys only grow
-      }
-      if (!have_last || key != last_emitted) {
-        last_emitted.assign(key);
-        have_last = true;
-        std::string_view internal = s.value();
-        if (!internal.empty() && internal[0] == kTypePut) {
-          if (!fn(r, last_emitted, internal.substr(1))) return Status::OK();
-        }
-        // Tombstones are skipped silently.
-      }
-      s.Next();
-      if (s.Valid()) {
-        heap.push_back(i);
-        std::push_heap(heap.begin(), heap.end(), newer_first);
-      } else {
-        JUST_RETURN_NOT_OK(s.status());
-      }
-    }
-    // Every merged source consumed its keys in [start, end) and now sits at
-    // its first key >= end; one merged to the last key has nothing left to
-    // tell a later range and re-seeks.
-    for (int i : merged) {
-      Source& s = sources[static_cast<size_t>(i)];
-      if (end.empty()) {
-        s.positioned = false;
-      } else if (start < end) {
-        s.pos_lo = end;
-      }
-    }
-  }
-  return Status::OK();
+  AppendTableSources(l0, std::move(runs), &sources);
+  return MergeSources(sources, ranges,
+                      [&fn](size_t r, std::string_view key,
+                            std::string_view internal) {
+                        // Tombstones are skipped silently.
+                        if (internal.empty() || internal[0] != kTypePut) {
+                          return true;
+                        }
+                        return fn(r, key, internal.substr(1));
+                      });
 }
 
 uint64_t LsmStore::MaxBytesForLevel(int level) const {
@@ -1144,6 +1241,7 @@ LsmStore::CompactionJob LsmStore::PickCompactionLocked(int level) {
   // so the outputs never overlap a survivor at the output level.
   const auto& lower_files = levels_[static_cast<size_t>(job.output_level)];
   std::vector<bool> taken(lower_files.size(), false);
+  TableList lower;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -1155,11 +1253,18 @@ LsmStore::CompactionJob LsmStore::PickCompactionLocked(int level) {
         continue;
       }
       taken[i] = true;
-      job.lower.push_back(table);
+      lower.push_back(table);
       if (table->smallest_key() < lo) lo = table->smallest_key();
       if (table->largest_key() > hi) hi = table->largest_key();
       changed = true;
     }
+  }
+  // The taken files merge as one sorted run.
+  if (!lower.empty()) {
+    std::sort(lower.begin(), lower.end(), [](const auto& a, const auto& b) {
+      return a->smallest_key() < b->smallest_key();
+    });
+    job.runs.push_back(std::move(lower));
   }
 
   // Tombstones can only be dropped when nothing below the output level
@@ -1185,26 +1290,29 @@ Status LsmStore::CompactEverythingLocked(
   job.upper_level = -1;
   job.output_level = static_cast<int>(levels_.size()) - 1;
   job.drop_tombstones = true;  // outputs are the bottom-most data
-  // Precedence order: L0 newest->oldest, then each deeper (older) level.
-  for (auto it = levels_[0].rbegin(); it != levels_[0].rend(); ++it) {
-    job.upper.push_back(*it);
-  }
-  for (size_t lvl = 1; lvl < levels_.size(); ++lvl) {
-    for (const auto& table : levels_[lvl]) job.upper.push_back(table);
-  }
-  return RunCompactionLocked(lock, job);
+  // Scan's sources minus the memtables: L0 newest->oldest, then each
+  // deeper (older) level as one run.
+  job.upper.assign(levels_[0].rbegin(), levels_[0].rend());
+  job.runs.assign(levels_.begin() + 1, levels_.end());
+  return RunCompactionLocked(lock, std::move(job));
 }
 
 Status LsmStore::RunCompactionLocked(std::unique_lock<std::shared_mutex>& lock,
                                      CompactionJob job) {
   if (compaction_running_) return Status::OK();  // installer already active
-  if (job.upper.empty()) return Status::OK();
+  // Inputs, newest first: upper (already precedence-ordered), then the
+  // runs (older by the leveling invariant).
+  TableList inputs = job.upper;
+  for (const TableList& run : job.runs) {
+    inputs.insert(inputs.end(), run.begin(), run.end());
+  }
+  if (inputs.empty()) return Status::OK();
   const size_t output_level = static_cast<size_t>(job.output_level);
 
   // Trivial move: a single non-L0 file with nothing to merge below just
   // changes level in the MANIFEST — no rewrite, no I/O. Skipped when
   // tombstone GC applies: GC requires rewriting the file's contents.
-  if (job.upper_level > 0 && job.upper.size() == 1 && job.lower.empty() &&
+  if (job.upper_level > 0 && job.upper.size() == 1 && job.runs.empty() &&
       !job.drop_tombstones) {
     const auto moved = job.upper.front();
     auto backup = levels_;
@@ -1231,119 +1339,35 @@ Status LsmStore::RunCompactionLocked(std::unique_lock<std::shared_mutex>& lock,
   compaction_running_ = true;
   const auto t0 = std::chrono::steady_clock::now();
   uint64_t input_bytes = 0;
-  // Inputs, newest first: upper (already precedence-ordered), then the
-  // lower-level files (older by the leveling invariant).
-  std::vector<std::shared_ptr<SsTableReader>> inputs = job.upper;
-  inputs.insert(inputs.end(), job.lower.begin(), job.lower.end());
   for (const auto& table : inputs) input_bytes += table->file_size();
   lock.unlock();
 
-  // ---- Merge phase (no lock): k-way merge the inputs into outputs that
-  // roll over at target_file_size, each built tmp -> fsync -> rename.
-  struct Output {
-    uint64_t number = 0;
-    std::string path;
-    std::shared_ptr<SsTableReader> reader;
-  };
-  std::vector<Output> outputs;
-  std::unique_ptr<SsTableBuilder> builder;
-  std::string builder_tmp;
-  uint64_t builder_number = 0;
-  uint64_t output_bytes = 0;
-
-  auto open_builder = [&]() -> Status {
-    lock.lock();
-    builder_number = next_file_number_++;
-    lock.unlock();
-    SsTableBuilder::Options bopts;
-    bopts.block_size = options_.block_size;
-    builder = std::make_unique<SsTableBuilder>(bopts);
-    builder_tmp = SstPath(builder_number) + ".tmp";
-    return builder->Open(builder_tmp, env_, &io_stats_);
-  };
-  auto finish_builder = [&]() -> Status {
-    JUST_RETURN_NOT_OK(builder->Finish());
-    std::string final_path = SstPath(builder_number);
-    JUST_RETURN_NOT_OK(env_->RenameFile(builder_tmp, final_path));
-    JUST_ASSIGN_OR_RETURN(
-        auto reader,
-        SsTableReader::Open(final_path, builder_number, block_cache_.get(),
-                            env_, &io_stats_));
-    output_bytes += reader->file_size();
-    outputs.push_back({builder_number, final_path, std::move(reader)});
-    builder.reset();
-    return Status::OK();
-  };
-
-  Status st;
-  {
-    std::vector<std::unique_ptr<SsTableReader::Iterator>> iters;
-    for (const auto& input : inputs) {
-      auto iter = std::make_unique<SsTableReader::Iterator>(input.get());
-      iter->SeekToFirst();
-      iters.push_back(std::move(iter));
-    }
-    for (;;) {
-      // Smallest current key wins; strict < keeps the first (newest) of a
-      // tie on top, so stale versions are skipped below.
-      int best = -1;
-      for (size_t i = 0; i < iters.size(); ++i) {
-        if (!iters[i]->Valid()) continue;
-        if (best < 0 || iters[i]->key() < iters[static_cast<size_t>(
-                best)]->key()) {
-          best = static_cast<int>(i);
+  // ---- Merge phase (no lock): the one k-way merge, over all keys, into
+  // the table writer. Leveled compactions roll outputs so one upper file
+  // only ever overlaps a bounded slice of the level below; a full merge
+  // (upper_level < 0, CompactAll) must NOT roll: its contract is a single
+  // merged run.
+  TableWriter out(this, job.upper_level >= 0 ? options_.target_file_size : 0);
+  std::vector<Source> sources;
+  AppendTableSources(job.upper, job.runs, &sources);
+  Status write_st;
+  Status st = MergeSources(
+      sources, {ScanRange{}},
+      [&](size_t, std::string_view key, std::string_view value) {
+        // A tombstone survives the merge unless nothing below the output
+        // level can hold an older version of its key.
+        if (value.empty() || (value[0] != kTypePut && job.drop_tombstones)) {
+          return true;
         }
-      }
-      if (best < 0) break;
-      std::string key = iters[static_cast<size_t>(best)]->key();
-      std::string_view value = iters[static_cast<size_t>(best)]->value();
-      bool keep = !value.empty() && value[0] == kTypePut;
-      // A tombstone survives the merge unless nothing below the output
-      // level can hold an older version of its key.
-      if (!keep && !job.drop_tombstones) keep = !value.empty();
-      if (keep) {
-        if (builder == nullptr) {
-          st = open_builder();
-          if (!st.ok()) break;
-        }
-        st = builder->Add(key, value);
-        if (!st.ok()) break;
-        // Leveled compactions roll outputs so one upper file only ever
-        // overlaps a bounded slice of the level below. A full merge
-        // (upper_level < 0, CompactAll) must NOT roll: its contract is a
-        // single merged run.
-        if (job.upper_level >= 0 &&
-            builder->file_size() >= options_.target_file_size) {
-          st = finish_builder();
-          if (!st.ok()) break;
-        }
-      }
-      for (auto& iter : iters) {
-        while (iter->Valid() && iter->key() == key) iter->Next();
-      }
-    }
-    // An input iterator that stopped on a corrupt block must fail the
-    // compaction — otherwise its remaining entries would be silently
-    // dropped.
-    if (st.ok()) {
-      for (const auto& iter : iters) {
-        if (!iter->status().ok()) {
-          st = iter->status();
-          break;
-        }
-      }
-    }
-    if (st.ok() && builder != nullptr) st = finish_builder();
-  }
+        write_st = out.Add(key, value);
+        return write_st.ok();
+      });
+  if (st.ok()) st = write_st;
+  if (st.ok()) st = out.Finish();
   if (!st.ok()) {
-    // Unwind without publishing: drop the half-built tmp and any finished
-    // outputs (none are in the MANIFEST; leftovers would be quarantined at
-    // the next open anyway).
-    if (builder != nullptr) {
-      builder.reset();
-      (void)env_->RemoveFile(builder_tmp);
-    }
-    for (const auto& out : outputs) (void)env_->RemoveFile(out.path);
+    // Unwind without publishing (none of the outputs is in the MANIFEST;
+    // leftovers would be quarantined at the next open anyway).
+    out.Abandon();
     lock.lock();
     compaction_running_ = false;
     flush_done_cv_.notify_all();
@@ -1362,7 +1386,7 @@ Status LsmStore::RunCompactionLocked(std::unique_lock<std::shared_mutex>& lock,
                 level.end());
   }
   auto& target = levels_[output_level];
-  for (const auto& out : outputs) target.push_back(out.reader);
+  target.insert(target.end(), out.outputs().begin(), out.outputs().end());
   std::sort(target.begin(), target.end(), [](const auto& a, const auto& b) {
     return a->smallest_key() < b->smallest_key();
   });
@@ -1385,7 +1409,7 @@ Status LsmStore::RunCompactionLocked(std::unique_lock<std::shared_mutex>& lock,
   }
   CompactionCounter()->Increment();
   CompactionInputBytesCounter()->Add(input_bytes);
-  CompactionOutputBytesCounter()->Add(output_bytes);
+  CompactionOutputBytesCounter()->Add(out.output_bytes());
   CompactionHist()->Record(ElapsedUs(t0));
   compaction_running_ = false;
   MaybeScheduleCompactionLocked();
@@ -1456,9 +1480,10 @@ Status LsmStore::WaitForBackgroundIdle() {
   flush_done_cv_.wait(lock, [this] {
     return !bg_error_.ok() ||
            (imm_ == nullptr && !compact_pending_ && !compaction_running_ &&
-            PickCompactionLevelLocked() < 0);
+            (PickCompactionLevelLocked() < 0 || !compaction_error_.ok()));
   });
-  return bg_error_;
+  if (!bg_error_.ok()) return bg_error_;
+  return PickCompactionLevelLocked() < 0 ? Status::OK() : compaction_error_;
 }
 
 LsmStore::Stats LsmStore::GetStats() const {

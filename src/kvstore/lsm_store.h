@@ -1,6 +1,7 @@
 #ifndef JUST_KVSTORE_LSM_STORE_H_
 #define JUST_KVSTORE_LSM_STORE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -102,11 +103,13 @@ struct WriteOp {
 ///    (level_base_bytes * fanout^(n-1)), one file — picked round-robin by
 ///    key range — merges with the overlapping L(n+1) files. Outputs split
 ///    at `target_file_size`.
+///  - Scan and every compaction read through the same k-way heap merge:
+///    one source per memtable (Scan only) and per L0 table, plus —
+///    because deeper levels do not overlap — one per deeper level. Flushes
+///    and compactions write through the same table writer.
 ///  - Tombstones are dropped only when the output is the bottom-most data:
 ///    no level below the output holds any table, so nothing older can
 ///    resurrect. Bottom-level tables therefore never contain tombstones.
-///  - Scan runs a k-way heap merge over one iterator per L0 table plus —
-///    because deeper levels do not overlap — one per deeper level.
 ///
 /// Failure model (see DESIGN.md "Failure model"):
 ///  - The WAL is segmented: each memtable has its own segment(s), and a
@@ -166,7 +169,9 @@ class LsmStore {
 
   /// Blocks until no flush is pending or running and the compaction debt is
   /// paid off (no level over budget). Returns the sticky background error,
-  /// if any. Tests and bulk loaders use this to measure the steady state.
+  /// if any; or, when the last background compaction failed and left debt
+  /// behind, that failure (nothing retries it until the next flush). Tests
+  /// and bulk loaders use this to measure the steady state.
   Status WaitForBackgroundIdle();
 
   /// Thin view over this store's registry-backed counters plus the usual
@@ -213,6 +218,7 @@ class LsmStore {
 
  private:
   struct Writer;  ///< one queued (batch of) mutation(s); see lsm_store.cc
+  class TableWriter;  ///< flush and compaction output; see lsm_store.cc
 
   explicit LsmStore(const StoreOptions& options);
 
@@ -245,9 +251,9 @@ class LsmStore {
   Status SwapMemtableLocked(std::unique_lock<std::shared_mutex>& lock);
 
   void BackgroundLoop();
-  /// Builds + installs the SSTable for imm_; expects `lock` held and
-  /// releases it during the build. Retries transient failures, then latches
-  /// bg_error_.
+  /// Writes imm_ as one SSTable and installs it; expects `lock` held and
+  /// releases it during the write. Retries transient failures, then
+  /// latches bg_error_.
   void BackgroundFlush(std::unique_lock<std::shared_mutex>& lock);
   /// One leveled (or full) compaction, described before the merge runs.
   struct CompactionJob {
@@ -255,10 +261,13 @@ class LsmStore {
     /// consumes every table of every level.
     int upper_level = -1;
     int output_level = 0;
-    /// Inputs, newest first — upper-level files shadow lower-level ones.
+    /// Inputs merged table by table, newest first: all of L0, or the one
+    /// cursor-picked file. They shadow every run.
     std::vector<std::shared_ptr<SsTableReader>> upper;
-    /// Overlapping files already at `output_level` (older than `upper`).
-    std::vector<std::shared_ptr<SsTableReader>> lower;
+    /// Older inputs, newest first, each a sorted non-overlapping run merged
+    /// as one source: the overlapping files at `output_level`, or — for a
+    /// full compaction — every non-empty L1+ level.
+    std::vector<std::vector<std::shared_ptr<SsTableReader>>> runs;
     /// True when no live data sits below `output_level`, so tombstones have
     /// nothing left to mask and can be dropped.
     bool drop_tombstones = false;
@@ -273,8 +282,9 @@ class LsmStore {
   /// overlapping L1) for level 0, else the cursor-picked file plus the
   /// overlapping files below.
   CompactionJob PickCompactionLocked(int level);
-  /// Merges `job`'s inputs into `target_file_size`-sized outputs at
-  /// job.output_level, installs them, and commits the MANIFEST. Expects
+  /// Merges `job`'s inputs into outputs at job.output_level (rolled at
+  /// `target_file_size`, except a full compaction's one run), installs
+  /// them, and commits the MANIFEST. Expects
   /// `lock` held; releases it during the merge. No-op while another
   /// compaction runs (compaction_running_ serializes installers).
   Status RunCompactionLocked(std::unique_lock<std::shared_mutex>& lock,
@@ -285,12 +295,6 @@ class LsmStore {
   void MaybeScheduleCompactionLocked();
   uint64_t LevelBytesLocked(int level) const;
   size_t TotalTablesLocked() const;
-  /// Builds `file_number`.sst from `mem` (tmp + fsync + rename) and opens a
-  /// reader for it. Runs without the store lock: `mem` is frozen and every
-  /// other input (env, options, cache) is immutable after Open().
-  Status BuildSsTable(const SkipList& mem, uint64_t file_number,
-                      std::shared_ptr<SsTableReader>* out);
-
   Status WriteManifestLocked();
   std::string SstPath(uint64_t file_number) const;
   /// "wal-NNNNNN.log"; segments are numbered from 1.
@@ -322,9 +326,13 @@ class LsmStore {
   /// wrapping — every key range eventually gets its turn (LevelDB's
   /// compaction pointer).
   std::vector<std::string> compact_cursor_;
-  uint64_t next_file_number_ = 1;
+  /// Table writers take numbers without mu_.
+  std::atomic<uint64_t> next_file_number_{1};
   size_t quarantined_files_ = 0;
   Status bg_error_;               ///< sticky background-flush failure
+  /// Outcome of the last background compaction (not sticky: the next
+  /// flush schedules another attempt).
+  Status compaction_error_;
   bool stop_bg_ = false;
   bool compact_pending_ = false;
   bool compaction_running_ = false;

@@ -1,8 +1,6 @@
 #include "meta/catalog.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <string_view>
 
 #include "common/json.h"
@@ -190,20 +188,18 @@ std::string Catalog::Key(const std::string& user, const std::string& name) {
   return user + "." + name;
 }
 
-Result<std::unique_ptr<Catalog>> Catalog::Open(const std::string& path) {
-  auto catalog = std::unique_ptr<Catalog>(new Catalog(path));
+Result<std::unique_ptr<Catalog>> Catalog::Open(const std::string& path,
+                                               kv::Env* env) {
+  auto catalog = std::unique_ptr<Catalog>(
+      new Catalog(path, env != nullptr ? env : kv::Env::Default()));
   JUST_RETURN_NOT_OK(catalog->Load());
   return catalog;
 }
 
 Status Catalog::Load() {
-  std::FILE* f = std::fopen(path_.c_str(), "rb");
-  if (f == nullptr) return Status::OK();  // fresh catalog
+  if (!env_->FileExists(path_)) return Status::OK();  // fresh catalog
   std::string content;
-  char buf[1 << 14];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  std::fclose(f);
+  JUST_RETURN_NOT_OK(env_->ReadFileToString(path_, &content));
 
   if (content.empty()) return Status::OK();
   size_t pos = std::min(content.find('\n'), content.size());
@@ -241,20 +237,15 @@ Status Catalog::PersistLocked() const {
   for (const auto& [tenant, quota] : tenant_quotas_) {
     body += QuotaToJson(tenant, quota).ToString() + "\n";
   }
-  std::string tmp = path_ + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot write catalog " + tmp);
-  if (std::fwrite(body.data(), 1, body.size(), f) != body.size()) {
-    std::fclose(f);
-    return Status::IOError("catalog write failed");
-  }
-  if (std::fflush(f) != 0 || std::fclose(f) != 0) {
-    return Status::IOError("catalog flush failed");
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    return Status::IOError("catalog rename failed");
-  }
-  return Status::OK();
+  const std::string tmp = path_ + ".tmp";
+  JUST_ASSIGN_OR_RETURN(auto file,
+                        env_->NewWritableFile(tmp, /*truncate=*/true));
+  JUST_RETURN_NOT_OK(file->Append(body));
+  // Sync before rename: once the new name is visible it must survive a
+  // power loss, or a crash after DDL could leave an empty catalog.
+  JUST_RETURN_NOT_OK(file->Sync());
+  JUST_RETURN_NOT_OK(file->Close());
+  return env_->RenameFile(tmp, path_);
 }
 
 Status Catalog::CreateTable(TableMeta* table) {

@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "curve/index_strategy.h"
 #include "exec/dataframe.h"
+#include "kvstore/env.h"
 
 namespace just::meta {
 
@@ -102,13 +103,18 @@ struct TenantQuotaConfig {
 
 /// The meta store (the role MySQL plays in the paper): durable, transactional
 /// table metadata with namespace isolation. Persistence is a journaled JSON
-/// file rewritten atomically on every DDL commit. Its first line stamps the
-/// catalog format (`{"format":1}`); Open refuses a non-empty file without
-/// that exact line with NotSupported, and a missing file is a fresh
-/// catalog.
+/// file rewritten on every DDL commit the way the LSM store commits its
+/// MANIFEST: a tmp file is written and fsynced, then renamed over the old
+/// one, so a crash leaves either the old catalog or the new one. Its first
+/// line stamps the catalog format (`{"format":1}`); Open refuses a
+/// non-empty file without that exact line with NotSupported, and a missing
+/// file is a fresh catalog.
 class Catalog {
  public:
-  static Result<std::unique_ptr<Catalog>> Open(const std::string& path);
+  /// `env` is the filesystem seam (the engine passes its stores' Env);
+  /// nullptr means kv::Env::Default().
+  static Result<std::unique_ptr<Catalog>> Open(const std::string& path,
+                                               kv::Env* env = nullptr);
 
   /// Assigns `table_id` and persists. Fails on duplicate (user, name).
   Status CreateTable(TableMeta* table);
@@ -156,13 +162,15 @@ class Catalog {
   std::map<std::string, TenantQuotaConfig> AllTenantQuotas() const;
 
  private:
-  explicit Catalog(std::string path) : path_(std::move(path)) {}
+  Catalog(std::string path, kv::Env* env)
+      : path_(std::move(path)), env_(env) {}
 
   Status Load();
   Status PersistLocked() const;
   static std::string Key(const std::string& user, const std::string& name);
 
   std::string path_;
+  kv::Env* env_;
   mutable std::mutex mu_;
   std::map<std::string, TableMeta> tables_;
   std::map<std::string, TenantQuotaConfig> tenant_quotas_;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -10,6 +12,7 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "kvstore/block.h"
+#include "kvstore/fault_env.h"
 #include "kvstore/lsm_store.h"
 #include "kvstore/skiplist.h"
 #include "kvstore/sstable.h"
@@ -809,6 +812,126 @@ TEST(LsmStoreTest, AutomaticFlushOnMemtableLimit) {
   auto stats = (*store)->GetStats();
   EXPECT_GT(stats.num_sstables, 0u);  // must have flushed at least once
   EXPECT_LT(stats.num_sstables, 50u);  // and compacted along the way
+}
+
+
+// File numbers per level: the tree layout a failed compaction must leave
+// untouched.
+std::vector<std::vector<uint64_t>> Layout(const LsmStore& store) {
+  std::vector<std::vector<uint64_t>> layout;
+  for (const auto& level : store.GetLevelInfo()) {
+    layout.emplace_back();
+    for (const auto& table : level) layout.back().push_back(table.file_number);
+  }
+  return layout;
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+bool HasTmpTable(const std::string& dir) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() > 8 && name.substr(name.size() - 8) == ".sst.tmp") {
+      return true;
+    }
+  }
+  return false;
+}
+
+// A corrupt block in a compaction input fails the compaction cleanly. The
+// leveled L0->L1 merge reads L1 as one run (file by file, so the corrupt
+// block sits in a file it opens mid-merge), and both it and CompactAll
+// must return Corruption and publish nothing: the tree, the MANIFEST and
+// the directory keep no trace of the attempt. Once the byte is restored,
+// every row reads back.
+TEST(LsmStoreTest, CorruptCompactionInputFailsCleanly) {
+  TempDir dir("lsm_corrupt_compaction");
+  FaultInjectionEnv env;
+  StoreOptions opts;
+  opts.dir = dir.path();
+  opts.env = &env;
+  opts.block_size = 256;
+  opts.compaction_trigger = 4;
+  opts.num_levels = 2;  // L1 is the bottom level: it never compacts alone
+  opts.target_file_size = 4 << 10;
+  std::map<std::string, std::string> model;
+  // One memtable per round; every round spans the whole key range, so each
+  // L0->L1 compaction merges every L1 file.
+  auto load_round = [&](LsmStore* store, int round, int step) {
+    for (int i = 0; i < 200; ++i) {
+      if (i % step != 0 && i != 199) continue;
+      char key[16];
+      std::snprintf(key, sizeof(key), "key%04d", i);
+      const std::string value =
+          "r" + std::to_string(round) + "-" + std::string(40, 'v');
+      ASSERT_TRUE(store->Put(key, value).ok());
+      model[key] = value;
+    }
+    ASSERT_TRUE(store->Flush().ok());
+  };
+  std::string victim;
+  uint64_t offset = 0;
+  {
+    auto store = LsmStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    for (int round = 0; round < 4; ++round) load_round(store->get(), round, 1);
+    ASSERT_TRUE((*store)->WaitForBackgroundIdle().ok());
+    for (int round = 4; round < 7; ++round) load_round(store->get(), round, 7);
+    ASSERT_TRUE((*store)->WaitForBackgroundIdle().ok());
+    const auto levels = (*store)->GetLevelInfo();
+    ASSERT_EQ(levels[0].size(), 3u);  // one flush short of the trigger
+    ASSERT_GE(levels[1].size(), 2u);
+    // Mid-file of the second L1 table: a data block past the first, which
+    // is all Open reads besides the index and footer.
+    victim = levels[1][1].path;
+    offset = levels[1][1].file_size / 2;
+    ASSERT_GT(offset, 2 * opts.block_size);
+  }
+  ASSERT_TRUE(env.FlipByte(victim, offset).ok());
+
+  auto store = LsmStore::Open(opts);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const std::string manifest_path = dir.path() + "/MANIFEST";
+
+  // The fourth flush schedules the L0->L1 compaction; it parks at its first
+  // output so the tree it starts from can be recorded.
+  env.HoldFileCreation(".sst.tmp", /*skip=*/1);
+  load_round(store->get(), 7, 5);
+  ASSERT_TRUE(env.AwaitHeld(std::chrono::seconds(60)));
+  const auto layout = Layout(**store);
+  const std::string manifest = ReadWholeFile(manifest_path);
+  ASSERT_EQ(layout[0].size(), 4u);
+  env.ReleaseHeld();
+  Status st = (*store)->WaitForBackgroundIdle();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(Layout(**store), layout);
+  EXPECT_EQ(ReadWholeFile(manifest_path), manifest);
+  EXPECT_FALSE(HasTmpTable(dir.path()));
+
+  st = (*store)->CompactAll();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(Layout(**store), layout);
+  EXPECT_EQ(ReadWholeFile(manifest_path), manifest);
+  EXPECT_FALSE(HasTmpTable(dir.path()));
+
+  ASSERT_TRUE(env.FlipByte(victim, offset).ok());  // flipping twice restores
+  auto scan_all = [&] {
+    std::map<std::string, std::string> scanned;
+    EXPECT_TRUE((*store)
+                    ->Scan({{"", ""}},
+                           [&](size_t, std::string_view k, std::string_view v) {
+                             scanned.emplace(std::string(k), std::string(v));
+                             return true;
+                           })
+                    .ok());
+    return scanned;
+  };
+  EXPECT_EQ(scan_all(), model);
+  ASSERT_TRUE((*store)->CompactAll().ok());
+  EXPECT_EQ(scan_all(), model);
 }
 
 }  // namespace
